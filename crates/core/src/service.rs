@@ -204,7 +204,8 @@ struct DynamicSession<'a> {
 /// shutdown signal — the service finishes draining the sessions it
 /// has, then returns.
 pub struct ServiceAttach<'a> {
-    tx: Sender<DynamicSession<'a>>,
+    /// `Some` until `drop`, which must disconnect it *before* it rings.
+    tx: Option<Sender<DynamicSession<'a>>>,
     bell: Sender<()>,
 }
 
@@ -228,6 +229,8 @@ impl<'a> ServiceAttach<'a> {
         events: Option<Sender<SessionEvent>>,
     ) -> Result<(), ServiceStream<'a>> {
         self.tx
+            .as_ref()
+            .expect("the sender lives until drop")
             .send(DynamicSession { stream, events })
             .map_err(|e| e.0.stream)?;
         let _ = self.bell.send(());
@@ -237,8 +240,12 @@ impl<'a> ServiceAttach<'a> {
 
 impl<'a> Drop for ServiceAttach<'a> {
     fn drop(&mut self) {
-        // wake a blocked scheduler so it notices the attach queue
-        // disconnecting (rings are buffered, never lost)
+        // disconnect first, then wake a blocked scheduler so it
+        // notices (rings are buffered, never lost). Ringing first
+        // loses the wake-up: the woken scheduler can run before the
+        // field drop, still see the queue connected, and go back to
+        // sleep until its backstop timeout
+        drop(self.tx.take());
         let _ = self.bell.send(());
     }
 }
@@ -260,7 +267,7 @@ pub fn attach_channel<'a>() -> (ServiceAttach<'a>, AttachQueue<'a>) {
     let (bell_tx, bell_rx) = channel();
     (
         ServiceAttach {
-            tx,
+            tx: Some(tx),
             bell: bell_tx.clone(),
         },
         AttachQueue {
@@ -1328,5 +1335,56 @@ mod tests {
         }
         assert_eq!(report.tuples, baseline.tuples);
         assert_eq!(report.stats.rounds, baseline.stats.rounds);
+    }
+
+    /// Dropping the last attach handle must wake an idle scheduler
+    /// *after* the queue has disconnected. Ringing first loses the
+    /// wake-up whenever the woken scheduler runs before the sender is
+    /// gone: it sees the queue still connected and sleeps out its
+    /// 25 ms backstop, which is what a server's `shutdown` then costs.
+    #[test]
+    fn run_dynamic_returns_promptly_after_the_last_attach_handle_drops() {
+        let (hosp, datasets) = hosp_sessions(60, &[4]);
+        let dirty = dirty_of(&datasets[0]);
+        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .shared_cache(false)
+            .build();
+        for round in 0..50 {
+            let (attach, queue) = attach_channel();
+            let (ev_tx, ev_rx) = channel();
+            let ds = &datasets[0];
+            std::thread::scope(|scope| {
+                let returned = scope.spawn(|| {
+                    service.run_dynamic(queue);
+                    Instant::now()
+                });
+                attach
+                    .attach(
+                        ServiceStream::new("s", SliceSource::with_batch(&dirty, 4), move |i| {
+                            SimulatedUser::new(ds.inputs[i].clean.clone())
+                        }),
+                        Some(ev_tx),
+                    )
+                    .ok()
+                    .expect("service is running");
+                // the session is over and nothing else is attached: the
+                // scheduler has nothing left to do but wait for the
+                // handle to drop
+                assert!(ev_rx
+                    .iter()
+                    .any(|ev| matches!(ev, SessionEvent::Finished(_))));
+                // not synchronisation — any interleaving must pass —
+                // but it lets the scheduler park in its wait, the
+                // state the lost wake-up needs
+                std::thread::sleep(Duration::from_millis(1));
+                let dropped = Instant::now();
+                drop(attach);
+                let took = returned.join().unwrap().duration_since(dropped);
+                assert!(
+                    took < Duration::from_millis(5),
+                    "round {round}: run_dynamic returned {took:?} after the drop"
+                );
+            });
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! [`RepairSession`]: certainfix_core::RepairSession
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -26,7 +26,7 @@ use certainfix_core::{BatchReport, MonitorStats, SessionReport, WorkerReport};
 use certainfix_relation::{MasterDelta, Tuple};
 
 use crate::server::Conn;
-use crate::wire::{Frame, WireError};
+use crate::wire::{self, Frame, WireError};
 
 /// What [`RepairClient::finish`] hands back: the client-side
 /// reconstruction of the session plus the server's own closing
@@ -50,7 +50,12 @@ pub struct ClientReport {
 /// anyone reading the reports.
 pub struct RepairClient {
     r: BufReader<Conn>,
-    w: BufWriter<Conn>,
+    w: Conn,
+    /// The frame being sent: encoded whole, then written in one call
+    /// (the one-write-per-frame rule of [`wire`]).
+    out: Vec<u8>,
+    /// Payload scratch of [`Frame::decode_with`].
+    scratch: Vec<u8>,
     seq: u64,
     generation: u64,
     batches: Vec<BatchReport>,
@@ -65,6 +70,7 @@ impl RepairClient {
         token: Option<&str>,
     ) -> Result<RepairClient, WireError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Self::handshake(Conn::Tcp(stream), session, token)
     }
 
@@ -79,7 +85,7 @@ impl RepairClient {
         Self::handshake(Conn::Unix(stream), session, token)
     }
 
-    fn handshake(
+    pub(crate) fn handshake(
         conn: Conn,
         session: &str,
         token: Option<&str>,
@@ -87,7 +93,9 @@ impl RepairClient {
         let write_half = conn.try_clone()?;
         let mut client = RepairClient {
             r: BufReader::new(conn),
-            w: BufWriter::new(write_half),
+            w: write_half,
+            out: Vec::new(),
+            scratch: Vec::new(),
             seq: 0,
             generation: 0,
             batches: Vec::new(),
@@ -136,12 +144,9 @@ impl RepairClient {
             )));
         }
         let seq = self.seq;
-        let pairs = dirty
-            .iter()
-            .cloned()
-            .zip(clean.iter().cloned())
-            .collect::<Vec<_>>();
-        self.send(&Frame::Batch { seq, pairs })?;
+        self.out.clear();
+        wire::batch_into(&mut self.out, seq, dirty, clean)?;
+        self.w.write_all(&self.out)?;
         self.seq += 1;
         Ok(seq)
     }
@@ -206,13 +211,14 @@ impl RepairClient {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        frame.encode(&mut self.w)?;
-        self.w.flush()?;
+        self.out.clear();
+        frame.encode_into(&mut self.out)?;
+        self.w.write_all(&self.out)?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Frame, WireError> {
-        match Frame::decode(&mut self.r)? {
+        match Frame::decode_with(&mut self.r, &mut self.scratch)? {
             Some(frame) => Ok(frame),
             None => Err(WireError::Protocol(
                 "server closed the connection mid-session".into(),
@@ -261,5 +267,30 @@ impl RepairClient {
                 "unexpected frame mid-session: {other:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RepairServer;
+    use certainfix_core::RepairServiceBuilder;
+    use certainfix_datagen::{Hosp, Workload};
+
+    #[test]
+    fn connected_tcp_streams_are_nodelay() {
+        let hosp = Hosp::generate(20);
+        let service =
+            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).build();
+        let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
+        let client =
+            RepairClient::connect_tcp(server.local_addr().unwrap(), "nodelay", None).unwrap();
+        match &client.w {
+            Conn::Tcp(s) => assert!(s.nodelay().unwrap()),
+            #[cfg(unix)]
+            Conn::Unix(_) => unreachable!("connect_tcp makes a TCP connection"),
+        }
+        client.finish().unwrap();
+        server.shutdown();
     }
 }

@@ -18,6 +18,20 @@
 //! (the cost is instead bounded per misbehaving connection, by its
 //! own unread reports).
 //!
+//! Nothing on the write side waits on a timer: every response frame
+//! is encoded whole and leaves in one write, a `Report` together with
+//! the `FlushAck`s it discharges, and TCP connections are
+//! `TCP_NODELAY` from `accept` on (the [`wire`](crate::wire) module
+//! docs have the why: Nagle × delayed ACK cost a form page two 44 ms
+//! timers). That changes when bytes leave, not how many may be in
+//! flight — backpressure is untouched: a full lane still stops the
+//! reads, and a full socket still blocks the writer.
+//!
+//! The clean tuples backing a session's oracles are held only while
+//! their batch is in flight: the responder releases a batch's share
+//! when it sees that batch's report, so a session's memory is bounded
+//! by the lanes' depth, not by the length of its stream.
+//!
 //! # Fault isolation
 //!
 //! A malformed frame, a protocol violation, or a transport error
@@ -33,8 +47,8 @@
 //! [`ServiceOptions::depth`]: certainfix_core::ServiceOptions
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -43,7 +57,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use certainfix_core::{
     attach_channel, ChannelSource, NetLaneStats, RepairService, ServiceAttach, ServiceReport,
@@ -104,16 +117,16 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(true),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(true),
-        }
-    }
+    /// Block until the next connection. TCP connections come back
+    /// `TCP_NODELAY`: frames are written whole, so there is nothing
+    /// for Nagle to coalesce, only tails to hold back.
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
+            }
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
@@ -144,7 +157,9 @@ impl<R: Read> Read for CountingReader<R> {
 /// Serialises response frames onto one socket (reader and writer
 /// threads both answer) and tallies the outbound lane counters.
 pub(crate) struct FrameWriter {
-    w: BufWriter<Conn>,
+    w: Conn,
+    /// The frames of the write in progress, encoded back to back.
+    buf: Vec<u8>,
     pub(crate) frames: u64,
     pub(crate) bytes: u64,
     dead: bool,
@@ -153,27 +168,34 @@ pub(crate) struct FrameWriter {
 impl FrameWriter {
     pub(crate) fn new(conn: Conn) -> FrameWriter {
         FrameWriter {
-            w: BufWriter::new(conn),
+            w: conn,
+            buf: Vec::new(),
             frames: 0,
             bytes: 0,
             dead: false,
         }
     }
-    /// Write + flush one frame. After the first transport error the
-    /// writer goes dead and later sends are silently dropped — the
-    /// session is ending anyway, and the event drain must not wedge
-    /// on a closed socket.
+    /// Send one frame; see [`send_all`](Self::send_all).
     pub(crate) fn send(&mut self, frame: &Frame) {
+        self.send_all(std::slice::from_ref(frame));
+    }
+    /// Encode `frames` back to back and hand them to the socket in one
+    /// write. After the first error the writer goes dead and later
+    /// sends are silently dropped — the session is ending anyway, and
+    /// the event drain must not wedge on a closed socket.
+    pub(crate) fn send_all(&mut self, frames: &[Frame]) {
         if self.dead {
             return;
         }
-        let sent = frame
-            .encode(&mut self.w)
-            .and_then(|n| self.w.flush().map(|()| n).map_err(WireError::Io));
+        self.buf.clear();
+        let sent = frames
+            .iter()
+            .try_for_each(|f| f.encode_into(&mut self.buf).map(drop))
+            .and_then(|()| self.w.write_all(&self.buf).map_err(WireError::Io));
         match sent {
-            Ok(n) => {
-                self.frames += 1;
-                self.bytes += n as u64;
+            Ok(()) => {
+                self.frames += frames.len() as u64;
+                self.bytes += self.buf.len() as u64;
             }
             Err(_) => self.dead = true,
         }
@@ -196,6 +218,35 @@ struct FlushState {
     seqs: VecDeque<u64>,
     /// Flush thresholds (`forwarded` at `Flush` time) not yet reached.
     pending: Vec<u64>,
+}
+
+/// The clean tuples of a session's in-flight batches, addressed by
+/// session-local stream index (what the service's oracle factory is
+/// asked for). The reader appends a batch before forwarding it; the
+/// responder releases it once its report exists, when no oracle for
+/// it can be asked for again.
+#[derive(Default)]
+pub(crate) struct CleanStore {
+    /// Stream index of `tuples[0]`.
+    base: usize,
+    tuples: VecDeque<Tuple>,
+    /// Most tuples ever held at once.
+    high_water: usize,
+}
+
+impl CleanStore {
+    fn push_batch(&mut self, clean: Vec<Tuple>) {
+        self.tuples.extend(clean);
+        self.high_water = self.high_water.max(self.tuples.len());
+    }
+    /// Drop the oldest `n` tuples: their batch has been reported.
+    fn release(&mut self, n: usize) {
+        self.tuples.drain(..n);
+        self.base += n;
+    }
+    fn get(&self, index: usize) -> &Tuple {
+        &self.tuples[index - self.base]
+    }
 }
 
 /// A running repair server. Dropping the handle does *not* stop it;
@@ -244,7 +295,6 @@ impl RepairServer {
         listener: Listener,
         token: Option<String>,
     ) -> std::io::Result<RepairServer> {
-        listener.set_nonblocking()?;
         let service = Arc::new(service);
         let stop = Arc::new(AtomicBool::new(false));
         let (attach, queue) = attach_channel::<'static>();
@@ -271,6 +321,25 @@ impl RepairServer {
         self.local_addr
     }
 
+    /// Wake the accept loop out of its blocking `accept` by connecting
+    /// to the listener; with `stop` set it drops the connection
+    /// unserved. A failure means the loop is already gone.
+    fn wake_acceptor(&self) {
+        if let Some(mut addr) = self.local_addr {
+            // a wildcard bind is reached through loopback
+            match addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+                IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+                _ => {}
+            }
+            let _ = TcpStream::connect(addr);
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.path {
+            let _ = UnixStream::connect(path);
+        }
+    }
+
     /// Drain, then shut down: stop accepting, wait for every live
     /// connection to finish its session (a connected client that
     /// neither streams nor disconnects keeps the server up — draining
@@ -281,7 +350,8 @@ impl RepairServer {
     /// ([`ServiceReport::stats`]`.net`) over every connection
     /// including ones that failed before a session existed.
     pub fn shutdown(mut self) -> ServiceReport {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake_acceptor();
         let conn_stats = self
             .accept
             .take()
@@ -326,19 +396,21 @@ fn accept_loop(
 ) -> Vec<(String, NetLaneStats)> {
     let token = Arc::new(token);
     let mut conns: Vec<JoinHandle<(String, NetLaneStats)>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         match listener.accept() {
+            // `shutdown` sets `stop` before it connects to wake this
+            // loop, so the waker (and anything behind it) is dropped
+            // here, unserved and uncounted
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok(conn) => {
                 let attach = attach.clone();
                 let service = Arc::clone(&service);
                 let token = Arc::clone(&token);
                 conns.push(std::thread::spawn(move || {
-                    handle_conn(conn, attach, service, token)
+                    handle_conn(conn, attach, service, token, Arc::default())
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
@@ -357,12 +429,14 @@ fn accept_loop(
 /// Drive one connection: authenticate, attach a session lane, then
 /// pump request frames until shutdown/disconnect/fault. Returns the
 /// session name (empty if none was established) and the lane's
-/// transport counters.
+/// transport counters. `cleans` starts empty; it is a parameter so a
+/// test can watch it.
 fn handle_conn(
     conn: Conn,
     attach: ServiceAttach<'static>,
     service: Arc<RepairService>,
     token: Arc<Option<String>>,
+    cleans: Arc<Mutex<CleanStore>>,
 ) -> (String, NetLaneStats) {
     let mut net = NetLaneStats::default();
     let writer = match conn.try_clone() {
@@ -373,10 +447,11 @@ fn handle_conn(
         }
     };
     let mut reader = CountingReader::new(BufReader::new(conn));
+    let mut scratch = Vec::new(); // payload buffer, reused by every frame
     let mut frames_in = 0u64;
 
     // first frame must be an authenticated Hello
-    let session = match Frame::decode(&mut reader) {
+    let session = match Frame::decode_with(&mut reader, &mut scratch) {
         Ok(Some(Frame::Hello { session, token: t })) => {
             frames_in += 1;
             if token
@@ -424,13 +499,12 @@ fn handle_conn(
     // oracle factory (appended before the lane send, so any index the
     // engine can ask for is already present), the bounded channel is
     // the backpressure hand-off
-    let cleans: Arc<Mutex<Vec<Tuple>>> = Arc::new(Mutex::new(Vec::new()));
     let depth = service.options().depth;
     let (lane_tx, lane_src) = ChannelSource::bounded(depth);
     let (ev_tx, ev_rx) = channel::<SessionEvent>();
     let oracle_cleans = Arc::clone(&cleans);
     let stream = ServiceStream::new(session.clone(), lane_src, move |i: usize| {
-        let clean = oracle_cleans.lock().unwrap()[i].clone();
+        let clean = oracle_cleans.lock().unwrap().get(i).clone();
         SimulatedUser::new(clean)
     });
     if attach.attach(stream, Some(ev_tx)).is_err() {
@@ -452,10 +526,12 @@ fn handle_conn(
     let responder = {
         let writer = Arc::clone(&writer);
         let fs = Arc::clone(&fs);
+        let cleans = Arc::clone(&cleans);
         std::thread::spawn(move || {
             for ev in ev_rx {
                 match ev {
                     SessionEvent::Batch(batch) => {
+                        cleans.lock().unwrap().release(batch.outcomes.len());
                         let (seq, acks) = {
                             let mut st = fs.lock().unwrap();
                             let seq = st.seqs.pop_front().unwrap_or(st.reported);
@@ -468,17 +544,17 @@ fn handle_conn(
                             };
                             (seq, acks)
                         };
-                        let mut w = writer.lock().unwrap();
-                        w.send(&Frame::Report {
+                        // the report and the flushes it discharges
+                        // leave as one write
+                        let mut frames = vec![Frame::Report {
                             seq,
                             generation: batch.generation,
                             wall: batch.wall,
                             stats: batch.stats,
                             outcomes: batch.outcomes,
-                        });
-                        for batches in acks {
-                            w.send(&Frame::FlushAck { batches });
-                        }
+                        }];
+                        frames.extend(acks.into_iter().map(|batches| Frame::FlushAck { batches }));
+                        writer.lock().unwrap().send_all(&frames);
                     }
                     SessionEvent::Finished(report) => {
                         writer.lock().unwrap().send(&Frame::SessionEnd {
@@ -495,14 +571,14 @@ fn handle_conn(
     };
 
     loop {
-        match Frame::decode(&mut reader) {
+        match Frame::decode_with(&mut reader, &mut scratch) {
             Ok(Some(Frame::Batch { seq, pairs })) => {
                 frames_in += 1;
                 if pairs.is_empty() {
                     continue; // nothing to repair, nothing to report
                 }
                 let (dirty, clean): (Vec<Tuple>, Vec<Tuple>) = pairs.into_iter().unzip();
-                cleans.lock().unwrap().extend(clean);
+                cleans.lock().unwrap().push_batch(clean);
                 {
                     let mut st = fs.lock().unwrap();
                     st.forwarded += 1;
@@ -594,4 +670,91 @@ fn handle_conn(
     net.bytes_out = w.bytes;
     drop(w);
     (session, net)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::RepairClient;
+    use certainfix_core::RepairServiceBuilder;
+    use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
+
+    /// A connected loopback TCP pair: `(accepted by a Listener, peer)`.
+    fn tcp_pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (Listener::Tcp(listener).accept().unwrap(), peer)
+    }
+
+    #[test]
+    fn accepted_tcp_connections_are_nodelay() {
+        match tcp_pair().0 {
+            Conn::Tcp(s) => assert!(s.nodelay().unwrap()),
+            #[cfg(unix)]
+            Conn::Unix(_) => unreachable!("a TCP listener accepts TCP"),
+        }
+    }
+
+    /// The clean store holds a batch only while it is in flight: a
+    /// client that flushes every `depth + 1` batches never makes it
+    /// hold more than that, and finds it empty after every flush —
+    /// where it used to grow by every tuple of the session.
+    #[test]
+    fn clean_store_holds_only_in_flight_batches() {
+        const PAGE: usize = 16;
+        let hosp = Hosp::generate(80);
+        let ds = Dataset::generate(
+            &hosp,
+            &DirtyConfig {
+                input_size: PAGE * 12,
+                seed: 0xC1EA,
+                ..DirtyConfig::default()
+            },
+        );
+        let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
+        let clean: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.clean.clone()).collect();
+
+        let service = Arc::new(
+            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                .threads(2)
+                .shared_cache(false)
+                .build(),
+        );
+        let window = service.options().depth + 1;
+        let (attach, queue) = attach_channel::<'static>();
+        let sched = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.run_dynamic(queue))
+        };
+        let (conn, peer) = tcp_pair();
+        let cleans = Arc::new(Mutex::new(CleanStore::default()));
+        let server_side = {
+            let cleans = Arc::clone(&cleans);
+            std::thread::spawn(move || handle_conn(conn, attach, service, Arc::new(None), cleans))
+        };
+
+        let mut client = RepairClient::handshake(Conn::Tcp(peer), "bounded", None).unwrap();
+        for (d, c) in dirty.chunks(PAGE * window).zip(clean.chunks(PAGE * window)) {
+            for (d, c) in d.chunks(PAGE).zip(c.chunks(PAGE)) {
+                client.send_batch(d, c).unwrap();
+            }
+            client.flush().unwrap();
+            assert_eq!(
+                cleans.lock().unwrap().tuples.len(),
+                0,
+                "empty after a flush"
+            );
+        }
+        assert_eq!(client.finish().unwrap().report.tuples, dirty.len());
+        server_side.join().unwrap();
+        assert_eq!(sched.join().unwrap().tuples, dirty.len());
+
+        let store = cleans.lock().unwrap();
+        assert_eq!(store.base, dirty.len(), "every tuple passed through");
+        assert!(
+            store.high_water <= PAGE * window,
+            "held {} tuples, more than {window} batches",
+            store.high_water
+        );
+    }
 }

@@ -8,7 +8,42 @@
 //! `decode(encode(f)) == f` — the property `tests/wire_props.rs`
 //! pins over arbitrary frames.
 //!
-//! The decoder is strict. It never trusts a length it has not checked
+//! # One frame, one write
+//!
+//! [`Frame::encode`] assembles header and payload in one buffer and
+//! hands it to the writer in a single `write_all`; callers that own a
+//! connection keep that buffer across frames
+//! ([`Frame::encode_into`]) and never put a `BufWriter` in between.
+//! The rule exists because of what two writes cost on TCP: a frame
+//! sent as a 12-byte header segment followed by a payload tail shorter
+//! than one MSS has that tail held back by Nagle's algorithm until the
+//! header is ACKed, and the peer — blocked in `read_exact` with
+//! nothing to send — only ACKs on its delayed-ACK timer (~44 ms), once
+//! per direction. An 8 KiB `BufWriter` did exactly that to every frame
+//! over 8 KiB: a 16-tuple HOSP form page took 88 ms around under 1 ms
+//! of engine work, and takes about 1 ms written whole (sockets are
+//! `TCP_NODELAY` besides, so a frame the kernel has to split is not
+//! held back either).
+//!
+//! # The Batch payload (VERSION 3)
+//!
+//! `seq u64, pairs u32`, then per pair the `dirty` tuple in full
+//! (`arity u16` + values) and the `clean` tuple as one of
+//!
+//! * `0x00` + the tuple in full — when the arities differ or exceed
+//!   64 cells;
+//! * `0x01` + `mask u64` + one value per set bit, lowest bit first —
+//!   `clean` is `dirty` with cell `i` replaced for every set bit `i`.
+//!
+//! A dirty tuple and its ground truth agree on most cells, so the
+//! delta form roughly halves a pair's bytes and, on decode, its
+//! interner lookups: an unchanged cell is copied from `dirty`, already
+//! a symbol. A mask naming a cell at or beyond the arity is
+//! [`WireError::BadTag`].
+//!
+//! # Strictness
+//!
+//! The decoder never trusts a length it has not checked
 //! against bytes actually present: the header's `LEN` is bounded by
 //! [`MAX_FRAME`] *before* any payload allocation, every element count
 //! inside a payload is bounded by the bytes remaining in that payload
@@ -33,8 +68,9 @@ use certainfix_relation::{AttrId, AttrSet, MasterDelta, Tuple, Value};
 pub const MAGIC: [u8; 4] = *b"CFXW";
 /// Protocol version this build speaks (rejects everything else).
 /// Version 2 added the shared-cache lifecycle counters to the stats
-/// payload.
-pub const VERSION: u16 = 2;
+/// payload; version 3 writes a Batch pair's clean tuple as a delta
+/// against its dirty tuple.
+pub const VERSION: u16 = 3;
 /// Fixed header size in bytes: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame's payload length. A header declaring more is
@@ -208,14 +244,16 @@ pub enum Frame {
 
 // ---------------------------------------------------------------- encode
 
-struct Payload {
-    b: Vec<u8>,
+/// Clean-tuple encodings inside a Batch pair (see the module docs).
+const CLEAN_FULL: u8 = 0;
+const CLEAN_DELTA: u8 = 1;
+
+/// Appends payload fields to a caller-owned buffer.
+struct Payload<'a> {
+    b: &'a mut Vec<u8>,
 }
 
-impl Payload {
-    fn new() -> Payload {
-        Payload { b: Vec::new() }
-    }
+impl Payload<'_> {
     fn u8(&mut self, v: u8) {
         self.b.push(v);
     }
@@ -267,6 +305,39 @@ impl Payload {
         self.u16(t.arity() as u16);
         for v in t.values() {
             self.value(v);
+        }
+    }
+    /// A Batch pair: `dirty` in full, `clean` as the cells where it
+    /// differs from `dirty` (in full when no mask can describe it).
+    fn pair(&mut self, dirty: &Tuple, clean: &Tuple) {
+        self.tuple(dirty);
+        if dirty.arity() != clean.arity() || dirty.arity() > 64 {
+            self.u8(CLEAN_FULL);
+            self.tuple(clean);
+            return;
+        }
+        self.u8(CLEAN_DELTA);
+        let cells = dirty.values().iter().zip(clean.values());
+        let mut mask = 0u64;
+        for (i, (d, c)) in cells.clone().enumerate() {
+            if d != c {
+                mask |= 1 << i;
+            }
+        }
+        self.u64(mask);
+        for (_, c) in cells.filter(|(d, c)| d != c) {
+            self.value(c);
+        }
+    }
+    fn batch<'t>(
+        &mut self,
+        seq: u64,
+        pairs: impl ExactSizeIterator<Item = (&'t Tuple, &'t Tuple)>,
+    ) {
+        self.u64(seq);
+        self.u32(pairs.len() as u32);
+        for (dirty, clean) in pairs {
+            self.pair(dirty, clean);
         }
     }
     fn attrs(&mut self, attrs: &[AttrId]) {
@@ -323,11 +394,61 @@ impl Payload {
     }
 }
 
+/// Start a frame at the end of `buf`: the header with its kind and
+/// length still blank, and a [`Payload`] to append the fields to.
+/// Returns where the frame starts, for [`finish_frame`].
+fn begin_frame(buf: &mut Vec<u8>) -> (usize, Payload<'_>) {
+    let start = buf.len();
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&[0; 6]);
+    (start, Payload { b: buf })
+}
+
+/// Fill in the kind and payload length of the frame begun at `start`
+/// and return its total size. On `Oversized` the frame is taken off
+/// `buf` again.
+fn finish_frame(buf: &mut Vec<u8>, start: usize, kind: u16) -> Result<usize, WireError> {
+    let len = buf.len() - start - HEADER_LEN;
+    if len > MAX_FRAME {
+        buf.truncate(start);
+        return Err(WireError::Oversized(len));
+    }
+    buf[start + 6..start + 8].copy_from_slice(&kind.to_le_bytes());
+    buf[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(HEADER_LEN + len)
+}
+
+/// Append the [`Frame::Batch`] of `dirty[i]` paired with `clean[i]`
+/// to `buf`, straight from the borrowed slices (equal lengths are the
+/// caller's to check). Byte-identical to encoding the owned frame.
+pub(crate) fn batch_into(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    dirty: &[Tuple],
+    clean: &[Tuple],
+) -> Result<usize, WireError> {
+    let (start, mut p) = begin_frame(buf);
+    p.batch(seq, dirty.iter().zip(clean));
+    finish_frame(buf, start, K_BATCH)
+}
+
 impl Frame {
-    /// Encode the frame (header + payload) into `w`. Returns the total
+    /// Encode the frame (header + payload) into `w` with exactly one
+    /// `write_all` (see the module docs for why). Returns the total
     /// bytes written. The writer is *not* flushed.
     pub fn encode<W: Write>(&self, w: &mut W) -> Result<usize, WireError> {
-        let mut p = Payload::new();
+        let mut buf = Vec::new();
+        let n = self.encode_into(&mut buf)?;
+        w.write_all(&buf)?;
+        Ok(n)
+    }
+
+    /// Append the frame (header + payload) to `buf` and return the
+    /// bytes appended. A connection keeps one `buf` for all its
+    /// frames, and may append several frames before its one write.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
+        let (start, mut p) = begin_frame(buf);
         let kind = match self {
             Frame::Hello { session, token } => {
                 p.str(session);
@@ -335,12 +456,7 @@ impl Frame {
                 K_HELLO
             }
             Frame::Batch { seq, pairs } => {
-                p.u64(*seq);
-                p.u32(pairs.len() as u32);
-                for (dirty, clean) in pairs {
-                    p.tuple(dirty);
-                    p.tuple(clean);
-                }
+                p.batch(*seq, pairs.iter().map(|(dirty, clean)| (dirty, clean)));
                 K_BATCH
             }
             Frame::Delta(delta) => {
@@ -408,23 +524,25 @@ impl Frame {
                 K_ERROR
             }
         };
-        if p.b.len() > MAX_FRAME {
-            return Err(WireError::Oversized(p.b.len()));
-        }
-        let mut header = [0u8; HEADER_LEN];
-        header[..4].copy_from_slice(&MAGIC);
-        header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        header[6..8].copy_from_slice(&kind.to_le_bytes());
-        header[8..12].copy_from_slice(&(p.b.len() as u32).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(&p.b)?;
-        Ok(HEADER_LEN + p.b.len())
+        finish_frame(buf, start, kind)
     }
 
     /// Decode one frame from `r`. `Ok(None)` is a clean end-of-stream
     /// (EOF exactly at a frame boundary); EOF anywhere inside a frame
     /// is an error like any other malformed input.
     pub fn decode<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
+        Self::decode_with(r, &mut Vec::new())
+    }
+
+    /// [`decode`](Self::decode) reading the payload into `scratch`, which
+    /// a connection keeps across frames: it grows to the largest
+    /// payload seen and is never zero-filled or reallocated again.
+    /// Nothing is read *from* it; its contents between calls are
+    /// meaningless.
+    pub fn decode_with<R: Read>(
+        r: &mut R,
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<Frame>, WireError> {
         let mut header = [0u8; HEADER_LEN];
         // distinguish "no next frame" from "frame cut short": only a
         // zero-byte read before the first header byte is a clean end
@@ -451,18 +569,18 @@ impl Frame {
         if len > MAX_FRAME {
             return Err(WireError::Oversized(len));
         }
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload).map_err(|e| {
+        if scratch.len() < len {
+            scratch.resize(len, 0);
+        }
+        let payload = &mut scratch[..len];
+        r.read_exact(payload).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 WireError::Truncated
             } else {
                 WireError::Io(e)
             }
         })?;
-        let mut b = Buf {
-            b: &payload,
-            pos: 0,
-        };
+        let mut b = Buf { b: payload, pos: 0 };
         let frame = match kind {
             K_HELLO => Frame::Hello {
                 session: b.string()?,
@@ -470,12 +588,10 @@ impl Frame {
             },
             K_BATCH => {
                 let seq = b.u64()?;
-                let n = b.count(4)?; // a pair is two tuples, ≥ 2 bytes each
+                let n = b.count(5)?; // dirty arity + clean tag + clean arity
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let dirty = b.tuple()?;
-                    let clean = b.tuple()?;
-                    pairs.push((dirty, clean));
+                    pairs.push(b.pair()?);
                 }
                 Frame::Batch { seq, pairs }
             }
@@ -535,8 +651,8 @@ impl Frame {
             },
             k => return Err(WireError::UnknownKind(k)),
         };
-        if b.pos != payload.len() {
-            return Err(WireError::TrailingBytes(payload.len() - b.pos));
+        if b.remaining() != 0 {
+            return Err(WireError::TrailingBytes(b.remaining()));
         }
         Ok(Some(frame))
     }
@@ -637,6 +753,29 @@ impl<'a> Buf<'a> {
             values.push(self.value()?);
         }
         Ok(Tuple::new(values))
+    }
+    /// A Batch pair; the inverse of [`Payload::pair`].
+    fn pair(&mut self) -> Result<(Tuple, Tuple), WireError> {
+        let dirty = self.tuple()?;
+        let clean = match self.u8()? {
+            CLEAN_FULL => self.tuple()?,
+            CLEAN_DELTA => {
+                let mut mask = self.u64()?;
+                let top = 64 - mask.leading_zeros() as usize; // highest named cell + 1
+                if top > dirty.arity() {
+                    return Err(WireError::BadTag(top as u8 - 1));
+                }
+                let mut clean = dirty.clone();
+                while mask != 0 {
+                    let cell = mask.trailing_zeros();
+                    clean.set(AttrId(cell as u16), self.value()?);
+                    mask &= mask - 1;
+                }
+                clean
+            }
+            t => return Err(WireError::BadTag(t)),
+        };
+        Ok((dirty, clean))
     }
     fn attrs(&mut self) -> Result<Vec<AttrId>, WireError> {
         let n = self.count(2)?;

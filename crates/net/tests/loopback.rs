@@ -449,3 +449,145 @@ fn net_counters_merge_is_conservative() {
         assert!(sum > 0, "per-session lanes saw traffic");
     }
 }
+
+/// Median wall clock, in ms, of 20 sixteen-tuple form pages
+/// (`send_batch` + `flush`) through `client`.
+fn median_page_ms(client: &mut RepairClient, dirty: &[Tuple], clean: &[Tuple]) -> f64 {
+    let mut ms: Vec<f64> = dirty
+        .chunks(16)
+        .zip(clean.chunks(16))
+        .map(|(d, c)| {
+            let at = std::time::Instant::now();
+            client.send_batch(d, c).unwrap();
+            client.flush().unwrap();
+            at.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    assert_eq!(ms.len(), 20);
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// The stall this guards against is quantised: a frame that leaves as
+/// two TCP segments waits out a ~44 ms delayed-ACK timer, once per
+/// direction, so a page took 88 ms around under 1 ms of work. Written
+/// whole on a NODELAY socket it takes about 1 ms; 20 ms keeps the
+/// margin wide on a noisy box.
+#[test]
+fn a_form_page_round_trip_does_not_wait_on_a_timer() {
+    let (hosp, datasets) = hosp_sessions(150, &[320]);
+    let dirty = dirty_of(&datasets[0]);
+    let clean = clean_of(&datasets[0]);
+
+    let server =
+        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let mut client = RepairClient::connect_tcp(server.local_addr().unwrap(), "page", None).unwrap();
+    let tcp_ms = median_page_ms(&mut client, &dirty, &clean);
+    client.finish().unwrap();
+    server.shutdown();
+    assert!(tcp_ms < 20.0, "median TCP page took {tcp_ms:.1} ms");
+
+    #[cfg(unix)]
+    {
+        let path =
+            std::env::temp_dir().join(format!("certainfix-page-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let server =
+            RepairServer::serve_unix(service_builder(&hosp, 2).build(), &path, None).unwrap();
+        let mut client = RepairClient::connect_unix(&path, "page", None).unwrap();
+        let unix_ms = median_page_ms(&mut client, &dirty, &clean);
+        client.finish().unwrap();
+        server.shutdown();
+        assert!(unix_ms < 20.0, "median unix page took {unix_ms:.1} ms");
+    }
+}
+
+/// `shutdown` has to wake an accept loop that blocks in `accept`. With
+/// no connection ever made it returns an empty report, and the
+/// connection it wakes the loop with is not a session: no lane
+/// counter moves.
+#[test]
+fn shutdown_with_no_connections_returns_and_counts_nothing() {
+    let (hosp, _) = hosp_sessions(40, &[]);
+    let server =
+        RepairServer::serve_tcp(service_builder(&hosp, 1).build(), "127.0.0.1:0", None).unwrap();
+    let report = server.shutdown();
+    assert!(report.sessions.is_empty());
+    assert_eq!(
+        report.stats.net,
+        certainfix_core::NetLaneStats::default(),
+        "the waker connection is not charged to any lane"
+    );
+
+    #[cfg(unix)]
+    {
+        let path =
+            std::env::temp_dir().join(format!("certainfix-idle-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let server =
+            RepairServer::serve_unix(service_builder(&hosp, 1).build(), &path, None).unwrap();
+        let report = server.shutdown();
+        assert!(report.sessions.is_empty());
+        assert_eq!(report.stats.net, certainfix_core::NetLaneStats::default());
+        assert!(!path.exists(), "socket file removed on shutdown");
+    }
+}
+
+/// Drain-then-shutdown across the blocking accept: a client that sat
+/// idle and then finished is reported in full, and a client still
+/// streaming when `shutdown` is called is served out, not cut off —
+/// `shutdown` returns only after its `finish`, with every tuple.
+#[test]
+fn shutdown_drains_finished_and_mid_stream_clients() {
+    let (hosp, datasets) = hosp_sessions(100, &[48, 96]);
+    let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
+    let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
+    let solo_idle = solo_run(&hosp, &datasets[0], &dirty[0], 24);
+    let solo_live = solo_run(&hosp, &datasets[1], &dirty[1], 24);
+
+    let server =
+        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let addr = server.local_addr().unwrap();
+
+    // connected, idle through an empty flush, then a whole session
+    let mut idle = RepairClient::connect_tcp(addr, "idle", None).unwrap();
+    assert_eq!(idle.flush().unwrap(), 0);
+    for (d, c) in dirty[0].chunks(24).zip(clean[0].chunks(24)) {
+        idle.send_batch(d, c).unwrap();
+    }
+    let idle = idle.finish().unwrap().report;
+
+    // half a stream in, `shutdown` is called; the rest follows it
+    let mut live = RepairClient::connect_tcp(addr, "live", None).unwrap();
+    for (d, c) in dirty[1][..48].chunks(24).zip(clean[1][..48].chunks(24)) {
+        live.send_batch(d, c).unwrap();
+    }
+    assert_eq!(live.flush().unwrap(), 2);
+    let (report, live) = std::thread::scope(|scope| {
+        let shutdown = scope.spawn(|| server.shutdown());
+        for (d, c) in dirty[1][48..].chunks(24).zip(clean[1][48..].chunks(24)) {
+            live.send_batch(d, c).unwrap();
+        }
+        let live = live.finish().unwrap().report;
+        (shutdown.join().unwrap(), live)
+    });
+
+    assert_bit_identical(&idle, &solo_idle, "client idle");
+    assert_bit_identical(&live, &solo_live, "client live");
+    assert_eq!(report.sessions.len(), 2, "the waker is not a session");
+    let by_name: HashMap<&str, &SessionReport> = report
+        .sessions
+        .iter()
+        .map(|n| (n.name.as_str(), &n.report))
+        .collect();
+    assert_bit_identical(by_name["idle"], &solo_idle, "server idle");
+    assert_bit_identical(by_name["live"], &solo_live, "server live");
+    assert_eq!(report.stats.net.sessions_torn, 0);
+    assert_eq!(report.stats.net.decode_errors, 0);
+    // Hello, two or four Batches, a Flush, Shutdown — and nothing
+    // from the waker
+    assert_eq!(
+        report.stats.net.frames_in,
+        (1 + 1 + 2 + 1) + (1 + 4 + 1 + 1)
+    );
+}

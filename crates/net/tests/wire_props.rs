@@ -1,11 +1,14 @@
 //! Property tests for the wire codec: `decode(encode(frame)) ==
 //! frame` over arbitrary frames of every kind, and the decoder
 //! rejects truncated / oversized / bad-magic / bad-version inputs
-//! with a typed error — never a panic.
+//! with a typed error — never a panic. Plus the two rules of the
+//! write path: one `write` per frame, whatever its size, and the
+//! VERSION 3 delta form of a Batch pair.
 //!
 //! The vendored proptest has no alternation combinator, so each frame
 //! family gets its own property instead of one `prop_oneof` tree.
 
+use std::io::Write;
 use std::time::Duration;
 
 use certainfix_core::{FixOutcome, MonitorStats, NetLaneStats, RoundReport};
@@ -35,6 +38,29 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 fn arb_tuple() -> impl Strategy<Value = Tuple> {
     vec(arb_value(), 0..5).prop_map(Tuple::new)
+}
+
+/// A Batch pair in each of the shapes the VERSION 3 payload tells
+/// apart: unrelated tuples (arities mostly differ: the full form),
+/// identical in every cell (an empty delta), and equal arity with
+/// some cells replaced (a proper delta).
+fn arb_pair() -> impl Strategy<Value = (Tuple, Tuple)> {
+    (0u8..3, arb_tuple(), arb_tuple(), any::<u64>()).prop_map(|(shape, dirty, other, mask)| {
+        let clean = match shape {
+            0 => other,
+            1 => dirty.clone(),
+            _ => {
+                let mut clean = dirty.clone();
+                for (i, v) in other.values().iter().enumerate().take(dirty.arity()) {
+                    if mask >> i & 1 == 1 {
+                        clean.set(AttrId(i as u16), *v);
+                    }
+                }
+                clean
+            }
+        };
+        (dirty, clean)
+    })
 }
 
 fn arb_attrset() -> impl Strategy<Value = AttrSet> {
@@ -214,7 +240,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_roundtrips(seq in any::<u64>(), pairs in vec((arb_tuple(), arb_tuple()), 0..6)) {
+    fn batch_roundtrips(seq in any::<u64>(), pairs in vec(arb_pair(), 0..6)) {
         assert_roundtrip(Frame::Batch { seq, pairs })?;
     }
 
@@ -268,7 +294,7 @@ proptest! {
     /// the empty prefix, a clean EOF) — never a mis-decoded frame.
     #[test]
     fn truncated_prefixes_are_rejected(
-        pairs in vec((arb_tuple(), arb_tuple()), 0..4),
+        pairs in vec(arb_pair(), 0..4),
         pick in any::<u64>(),
     ) {
         let mut buf = Vec::new();
@@ -338,5 +364,192 @@ proptest! {
             Err(WireError::UnknownKind(got)) => prop_assert_eq!(got, kind),
             other => prop_assert!(false, "kind {:#06x} decoded as {:?}", kind, other),
         }
+    }
+}
+
+/// Counts `write` calls and takes whatever it is given, like a socket
+/// with room in its send buffer.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes += buf.len();
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One frame, one write — for every kind, and for frames far past the
+/// 8 KiB at which a `BufWriter` used to split header from payload.
+#[test]
+fn every_frame_kind_is_encoded_with_exactly_one_write() {
+    let row = |i: i64| {
+        Tuple::new(
+            (0..19)
+                .map(|c| Value::str(format!("cell {c} of row {i}")))
+                .collect(),
+        )
+    };
+    let outcome = |i: i64| FixOutcome {
+        tuple: row(i),
+        validated: AttrSet::from_bits(u64::MAX),
+        rule_fixed: AttrSet::from_bits(0),
+        user_changed: AttrSet::from_bits(1),
+        certain: true,
+        certain_at_round: Some(1),
+        rule_backed: true,
+        gave_up: false,
+        rounds: vec![],
+    };
+    let stats = MonitorStats::default();
+    let frames = [
+        Frame::Hello {
+            session: "s".into(),
+            token: Some("t".into()),
+        },
+        Frame::Batch {
+            seq: 0,
+            pairs: (0..64).map(|i| (row(i), row(-i))).collect(),
+        },
+        Frame::Delta(
+            MasterDelta::default()
+                .insert(row(1))
+                .update(2, row(3))
+                .delete(4),
+        ),
+        Frame::Flush,
+        Frame::Shutdown,
+        Frame::HelloAck { generation: 1 },
+        Frame::Report {
+            seq: 0,
+            generation: 1,
+            wall: Duration::from_millis(1),
+            stats,
+            outcomes: (0..64).map(outcome).collect(),
+        },
+        Frame::DeltaAck { generation: 2 },
+        Frame::FlushAck { batches: 3 },
+        Frame::SessionEnd {
+            tuples: 4,
+            batches: 5,
+            wall: Duration::ZERO,
+            stats,
+        },
+        Frame::Error {
+            code: 2,
+            message: "no".into(),
+        },
+    ];
+    for frame in &frames {
+        let mut w = CountingWriter::default();
+        let n = frame.encode(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "{frame:?}");
+        assert_eq!(w.bytes, n);
+        if matches!(frame, Frame::Batch { .. } | Frame::Report { .. }) {
+            assert!(n > 8192, "the large frames really are past 8 KiB: {n}");
+        }
+    }
+}
+
+/// A hand-built frame: header for `kind` at `version`, then `payload`.
+fn raw_frame(version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(b"CFXW");
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&kind.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// The previous protocol version is refused by its header alone.
+#[test]
+fn a_version_2_header_is_rejected() {
+    let buf = raw_frame(2, 0x04, &[]); // Flush
+    assert!(matches!(
+        Frame::decode(&mut &buf[..]),
+        Err(WireError::BadVersion(2))
+    ));
+}
+
+/// Malformed clean-tuple deltas are typed errors: a mask naming a cell
+/// the dirty tuple does not have, fewer values than mask bits, an
+/// undefined form tag.
+#[test]
+fn malformed_batch_deltas_are_rejected() {
+    // seq, one pair, dirty = (Null, Null), then `clean` as given
+    let batch = |clean: &[u8]| {
+        let mut p = Vec::new();
+        p.extend_from_slice(&7u64.to_le_bytes());
+        p.extend_from_slice(&1u32.to_le_bytes());
+        p.extend_from_slice(&2u16.to_le_bytes());
+        p.extend_from_slice(&[0, 0]);
+        p.extend_from_slice(clean);
+        raw_frame(VERSION, 0x02, &p)
+    };
+    let delta = |mask: u64, values: &[u8]| {
+        let mut clean = vec![1u8];
+        clean.extend_from_slice(&mask.to_le_bytes());
+        clean.extend_from_slice(values);
+        batch(&clean)
+    };
+    let decode = |buf: Vec<u8>| Frame::decode(&mut &buf[..]);
+
+    // the well-formed baseline: cell 1 becomes Int(5)
+    let int5 = [&[1u8][..], &5i64.to_le_bytes()].concat();
+    match decode(delta(0b10, &int5)) {
+        Ok(Some(Frame::Batch { seq: 7, pairs })) => {
+            assert_eq!(pairs[0].1, Tuple::new(vec![Value::Null, Value::int(5)]));
+        }
+        other => panic!("well-formed delta decoded as {other:?}"),
+    }
+    for (mask, cell) in [(0b100u64, 2u8), (0b101, 2), (1 << 63, 63)] {
+        assert!(
+            matches!(decode(delta(mask, &int5)), Err(WireError::BadTag(c)) if c == cell),
+            "mask {mask:#b} names cell {cell} of a 2-cell tuple"
+        );
+    }
+    assert!(matches!(
+        decode(delta(0b11, &[0])),
+        Err(WireError::Truncated)
+    ));
+    assert!(matches!(
+        decode(delta(0b01, &[])),
+        Err(WireError::Truncated)
+    ));
+    assert!(matches!(decode(batch(&[2])), Err(WireError::BadTag(2))));
+    // a value left over after the mask is served is trailing bytes
+    assert!(matches!(
+        decode(delta(0, &[0])),
+        Err(WireError::TrailingBytes(1))
+    ));
+}
+
+/// Past 64 cells no mask can describe the pair: it falls back to the
+/// full form, and 64 exactly still fits the mask.
+#[test]
+fn wide_pairs_roundtrip_on_both_sides_of_the_mask_width() {
+    for arity in [63usize, 64, 65, 200] {
+        let dirty = Tuple::new((0..arity as i64).map(Value::int).collect());
+        let mut clean = dirty.clone();
+        clean.set(AttrId(arity as u16 - 1), Value::str("last"));
+        let frame = Frame::Batch {
+            seq: 1,
+            pairs: vec![(dirty, clean)],
+        };
+        let mut buf = Vec::new();
+        frame.encode(&mut buf).unwrap();
+        assert_eq!(
+            Frame::decode(&mut &buf[..]).unwrap().unwrap(),
+            frame,
+            "arity {arity}"
+        );
     }
 }
