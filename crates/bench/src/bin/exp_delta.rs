@@ -1,7 +1,6 @@
 //! Live-master sweep: delta cadence × worker count, with the
 //! delta-maintained session checked batch-by-batch against freshly
-//! rebuilt engines (the D10 obligation at bench scale), plus the
-//! shared-cache hygiene legs of invariant D12.
+//! rebuilt engines (the D10 obligation at bench scale).
 //!
 //! Every point seeds the engine with the first `--dm` master rows of a
 //! larger generated master, streams the dirty inputs through a
@@ -15,47 +14,24 @@
 //! state that batch pinned and re-repairs it: the outcomes must be
 //! bit-identical (`"match": true` in every row), the batch generations
 //! must be non-decreasing, and `plan_rebuilds` must equal the number
-//! of deltas applied.
-//!
-//! Two modes:
-//!
-//! * **Default** (no `--cache-hygiene`): plain `CertainFix` with the
-//!   BDD and shared caches off — the configuration under which the
-//!   delta-maintained ≡ rebuilt guarantee is bit-exact down to
-//!   `plan_probes` (warm caches are semantically transparent but
-//!   perturb probe counts, which this mode asserts on).
-//! * **Hygiene legs** (`--cache-hygiene on|off`): the shared
-//!   suggestion cache is on, with lifecycle hygiene per the flag and
-//!   the per-key candidate cap tightened to `--cand-cap` so the pool
-//!   is under measurable pressure. The rebuilt baseline runs the same
-//!   configuration with a *cold* cache, and the comparison asserts the
-//!   D12 contract: `(tuple, certain)` outcomes are invariant under
-//!   cache state (probe counts are not — checked reuse may resolve a
-//!   tuple through a different suggestion order). Rows echo the cache
-//!   lifecycle counters and a process-stable `outcome_digest` so CI
-//!   can diff hygiene-on against hygiene-off runs of the same binary.
+//! of deltas applied. The run is plain `CertainFix` with the BDD and
+//! shared caches off — the configuration under which the
+//! delta-maintained ≡ rebuilt guarantee is bit-exact down to
+//! `plan_probes`.
 //!
 //! Rows at the same `(dataset, delta_every)` point differ only in the
 //! worker count, so CI can additionally diff their deterministic count
 //! fields across `--threads` legs.
 //!
 //! A machine-readable JSON document goes to **stdout** (CI archives it
-//! as the `BENCH_delta` / `BENCH_delta_hygiene` artifact); the
-//! human-readable table goes to stderr.
-//!
-//! `--delta-updates U` with `--delta-cols fixes --delta-size 0`
-//! produces *suggestion-preserving* deltas (pure updates that avoid
-//! every rule's key column): hygiene-on restamps and keeps its warm
-//! pool across each generation, while hygiene-off retires it behind
-//! the serve gate — the configuration that measures the warm-start
-//! hit-rate win.
+//! as the `BENCH_delta` artifact); the human-readable table goes to
+//! stderr.
 //!
 //! Usage: `cargo run --release -p certainfix-bench --bin exp_delta --
 //!         [--dm N] [--inputs N] [--threads T] [--batch B]
 //!         [--delta-every K] [--delta-size R] [--delta-updates U]
-//!         [--delta-cols mixed|fixes|keys] [--cache-hygiene on|off]
-//!         [--cand-cap N] [--chunk C] [--skew F] [--d F] [--n F]
-//!         [--seed S] [--compliance F] [--out file.csv]`
+//!         [--delta-cols mixed|fixes|keys] [--chunk C] [--skew F]
+//!         [--d F] [--n F] [--seed S] [--compliance F] [--out file.csv]`
 //!
 //! `--threads T` caps the swept worker counts (0 = this machine's
 //! available parallelism); `--delta-every K` pins a single cadence
@@ -70,8 +46,7 @@ use certainfix_bench::runner::{oracle_factory, ExpConfig, Which};
 use certainfix_bench::sweep::{json_escape, thread_points};
 use certainfix_bench::table::Table;
 use certainfix_core::{
-    BatchRepairEngine, CertainFixConfig, FixOutcome, InitialRegion, RepairContext, RepairOptions,
-    Schedule, SharedSuggestionCache,
+    BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext, RepairOptions, Schedule,
 };
 use certainfix_datagen::{Dataset, Workload};
 use certainfix_relation::{AttrId, MasterDelta, Relation, Tuple};
@@ -92,38 +67,6 @@ struct Row {
     wall_ms: f64,
     throughput_tps: f64,
     matches: bool,
-    /// `None` = caches off (the bit-exact default mode).
-    hygiene: Option<bool>,
-    shared_hits: u64,
-    shared_misses: u64,
-    evicted_delta: u64,
-    evicted_lru: u64,
-    revalidated: u64,
-    saturated: u64,
-    keys: u64,
-    entries: u64,
-    keys_hw: u64,
-    entries_hw: u64,
-    outcome_digest: u64,
-}
-
-/// FNV-1a over the rendered outcomes: interned symbol ids are not
-/// stable across processes, so the digest hashes the rendered cell
-/// strings (which are) plus the certainty flag — the form CI diffs
-/// across hygiene-on and hygiene-off runs.
-fn outcome_digest<'a>(outcomes: impl Iterator<Item = &'a FixOutcome>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for o in outcomes {
-        eat(o.tuple.render().as_bytes());
-        eat(&[o.certain as u8, 0xFF]);
-    }
-    h
 }
 
 /// The live master as a plain row list, maintained alongside the
@@ -159,12 +102,9 @@ impl MasterMirror {
     }
 }
 
-/// Which master columns `--delta-updates` may overwrite. The choice
-/// decides whether an update delta is *suggestion-preserving* (see
-/// the shared cache's lifecycle docs): `Fixes` touches only columns
-/// that are no rule's key, so with `--delta-size 0` the deltas are
-/// provably preserving and hygiene-on carries the warm pool across
-/// every generation; `Keys` touches only rule keys (maximal taint);
+/// Which master columns `--delta-updates` may overwrite: `Fixes`
+/// touches only columns that are no rule's key (with `--delta-size 0`
+/// the deltas are suggestion-preserving), `Keys` only rule keys, and
 /// `Mixed` cycles every column.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum DeltaCols {
@@ -216,7 +156,7 @@ impl DeltaCols {
 /// The delta applied after batch `di`: `size` held-back inserts plus
 /// `updates` single-column overwrites of existing rows, each copying
 /// the same column from another current row — deterministic in
-/// `(di, j)`, so every hygiene leg of a sweep point mutates the master
+/// `(di, j)`, so every leg of a sweep point mutates the master
 /// identically. Update columns cycle through `cols`.
 #[allow(clippy::too_many_arguments)]
 fn build_delta(
@@ -249,37 +189,15 @@ fn build_delta(
     delta
 }
 
-fn plain_context(w: &dyn Workload, master: Arc<Relation>) -> RepairContext {
-    RepairContext::with_config(
+/// A plain `CertainFix` engine (BDD off) over `master`.
+fn engine_for(w: &dyn Workload, master: Arc<Relation>) -> BatchRepairEngine {
+    BatchRepairEngine::new(RepairContext::with_config(
         w.rules().clone(),
         master,
         false,
         InitialRegion::Best,
         CertainFixConfig::default(),
-    )
-}
-
-/// An engine for the selected mode: caches off (`None`) or the shared
-/// cache on with lifecycle hygiene per the flag and a tightened
-/// per-key candidate cap.
-fn engine_for(
-    w: &dyn Workload,
-    master: Arc<Relation>,
-    hygiene: Option<bool>,
-    cand_cap: usize,
-) -> BatchRepairEngine {
-    let ctx = plain_context(w, master);
-    match hygiene {
-        None => BatchRepairEngine::new(ctx),
-        Some(h) => BatchRepairEngine::with_shared_cache(
-            ctx,
-            SharedSuggestionCache::with_limits(
-                h,
-                SharedSuggestionCache::MAX_KEYS_PER_SHARD,
-                cand_cap,
-            ),
-        ),
-    }
+    ))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -293,8 +211,6 @@ fn run_point(
     size: usize,
     updates: usize,
     cols: &[AttrId],
-    hygiene: Option<bool>,
-    cand_cap: usize,
     batch: usize,
 ) -> Row {
     let full = w.master().clone();
@@ -304,7 +220,7 @@ fn run_point(
     let opts = RepairOptions {
         threads,
         schedule: Schedule::Steal,
-        shared_cache: hygiene.is_some(),
+        shared_cache: false,
         chunk: base.chunk,
     };
 
@@ -313,7 +229,7 @@ fn run_point(
     // state each batch pins, so the rebuilt baseline can reconstruct
     // it even when update deltas overwrite rows
     let mut mirror = MasterMirror::new(&full, base.dm);
-    let engine = engine_for(w, mirror.snapshot(), hygiene, cand_cap);
+    let engine = engine_for(w, mirror.snapshot());
     let mut session = engine.session_opts(opts);
     let started = Instant::now();
     let mut applied = 0usize;
@@ -337,24 +253,19 @@ fn run_point(
     }
     let wall = started.elapsed();
     let report = session.finish();
-    let cache = hygiene.map(|_| engine.shared_cache().stats());
 
     // the rebuilt baseline: a fresh engine per batch, over exactly the
-    // master state that batch pinned. With the shared cache on this is
-    // the cold-cache leg of D12: `(tuple, certain)` must agree, while
-    // probe counts may not (checked reuse can resolve a tuple through
-    // a different suggestion order). With caches off the match is
-    // bit-exact down to `plan_probes`.
+    // master state that batch pinned, bit-exact down to `plan_probes`
     let mut matches = true;
     let mut last_generation = 0u64;
     for (bi, (offset, got)) in report.batches_with_offsets().enumerate() {
         matches &= got.generation >= last_generation;
         last_generation = got.generation;
-        let fresh = engine_for(w, pinned[bi].clone(), hygiene, cand_cap);
+        let fresh = engine_for(w, pinned[bi].clone());
         let chunk = &dirty[offset..(offset + got.outcomes.len())];
         let want = fresh.repair_opts(chunk, &opts, |i| oracle(offset + i));
         matches &= want.outcomes.len() == got.outcomes.len()
-            && (hygiene.is_some() || want.stats.plan_probes == got.stats.plan_probes)
+            && want.stats.plan_probes == got.stats.plan_probes
             && want
                 .outcomes
                 .iter()
@@ -364,7 +275,6 @@ fn run_point(
     matches &= report.stats.plan_rebuilds == deltas as u64;
 
     let wall_ms = wall.as_secs_f64() * 1e3;
-    let cache = cache.unwrap_or_default();
     Row {
         dataset: which.name(),
         threads,
@@ -384,26 +294,6 @@ fn run_point(
             0.0
         },
         matches,
-        hygiene,
-        shared_hits: cache.hits,
-        shared_misses: cache.misses,
-        evicted_delta: cache.evicted_delta,
-        evicted_lru: cache.evicted_lru,
-        revalidated: cache.revalidated,
-        saturated: cache.saturated,
-        keys: cache.keys,
-        entries: cache.entries,
-        keys_hw: cache.keys_high_water,
-        entries_hw: cache.entries_high_water,
-        outcome_digest: outcome_digest(report.outcomes()),
-    }
-}
-
-fn hygiene_str(hygiene: Option<bool>) -> &'static str {
-    match hygiene {
-        None => "none",
-        Some(true) => "on",
-        Some(false) => "off",
     }
 }
 
@@ -412,7 +302,6 @@ fn render_json(
     size: usize,
     updates: usize,
     delta_cols: DeltaCols,
-    cand_cap: usize,
     rows: &[Row],
 ) -> String {
     let mut out = String::from("{\n");
@@ -427,24 +316,14 @@ fn render_json(
     let _ = writeln!(out, "  \"delta_size\": {size},");
     let _ = writeln!(out, "  \"delta_updates\": {updates},");
     let _ = writeln!(out, "  \"delta_cols\": \"{}\",", delta_cols.name());
-    let _ = writeln!(out, "  \"cand_cap\": {cand_cap},");
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
-        let hit_rate = if r.shared_hits + r.shared_misses == 0 {
-            0.0
-        } else {
-            r.shared_hits as f64 / (r.shared_hits + r.shared_misses) as f64
-        };
         let _ = write!(
             out,
             "    {{\"dataset\": \"{}\", \"threads\": {}, \"delta_every\": {}, \
              \"delta_size\": {}, \"batches\": {}, \"deltas\": {}, \"generation\": {}, \
              \"tuples\": {}, \"certain\": {}, \"plan_probes\": {}, \"probe_allocs\": {}, \
-             \"wall_ms\": {:.3}, \"throughput_tps\": {:.1}, \"match\": {}, \
-             \"cache_hygiene\": \"{}\", \"shared_hits\": {}, \"shared_misses\": {}, \
-             \"hit_rate\": {:.4}, \"evicted_delta\": {}, \"evicted_lru\": {}, \
-             \"revalidated\": {}, \"saturated\": {}, \"keys\": {}, \"entries\": {}, \
-             \"keys_hw\": {}, \"entries_hw\": {}, \"outcome_digest\": \"{:016x}\"}}",
+             \"wall_ms\": {:.3}, \"throughput_tps\": {:.1}, \"match\": {}}}",
             json_escape(r.dataset),
             r.threads,
             r.delta_every,
@@ -459,19 +338,6 @@ fn render_json(
             r.wall_ms,
             r.throughput_tps,
             r.matches,
-            hygiene_str(r.hygiene),
-            r.shared_hits,
-            r.shared_misses,
-            hit_rate,
-            r.evicted_delta,
-            r.evicted_lru,
-            r.revalidated,
-            r.saturated,
-            r.keys,
-            r.entries,
-            r.keys_hw,
-            r.entries_hw,
-            r.outcome_digest,
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -485,21 +351,12 @@ fn main() {
         "delta-size",
         "delta-updates",
         "delta-cols",
-        "cache-hygiene",
-        "cand-cap",
     ]);
     let args = Args::from_env_strict(&spec);
     let mut base = ExpConfig::from_args(&args);
-    // plain CertainFix, BDD off: `--cache-hygiene` turns the shared
-    // cache on; without it this is the bit-exact D10 configuration
+    // plain CertainFix, both caches off: the bit-exact D10 configuration
     base.use_bdd = false;
-    let hygiene: Option<bool> = match args.str_or("cache-hygiene", "") {
-        "" => None,
-        "on" => Some(true),
-        "off" => Some(false),
-        other => panic!("--cache-hygiene must be `on` or `off`, got `{other}`"),
-    };
-    base.shared_cache = hygiene.is_some();
+    base.shared_cache = false;
     if !args.has("threads") {
         base.threads = BatchRepairEngine::auto_threads();
     }
@@ -518,9 +375,6 @@ fn main() {
         "keys" => DeltaCols::Keys,
         other => panic!("--delta-cols must be `mixed`, `fixes`, or `keys`, got `{other}`"),
     };
-    let cand_cap = args
-        .usize_or("cand-cap", SharedSuggestionCache::MAX_CANDIDATES_PER_KEY)
-        .max(1);
     let cadences: Vec<usize> = match args.usize_or("delta-every", 0) {
         0 => vec![1, 4],
         k => vec![k],
@@ -551,8 +405,6 @@ fn main() {
                     size,
                     updates,
                     &cols,
-                    hygiene,
-                    cand_cap,
                     base.batch,
                 ));
             }
@@ -560,11 +412,10 @@ fn main() {
     }
 
     let mut table = Table::new([
-        "dataset", "threads", "every", "deltas", "gen", "tuples", "certain", "probes", "hit%",
-        "evict", "wall ms", "match",
+        "dataset", "threads", "every", "deltas", "gen", "tuples", "certain", "probes", "wall ms",
+        "match",
     ]);
     for r in &rows {
-        let probes = r.shared_hits + r.shared_misses;
         table.row([
             r.dataset.to_string(),
             r.threads.to_string(),
@@ -574,20 +425,13 @@ fn main() {
             r.tuples.to_string(),
             r.certain.to_string(),
             r.plan_probes.to_string(),
-            if probes == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", 100.0 * r.shared_hits as f64 / probes as f64)
-            },
-            (r.evicted_delta + r.evicted_lru).to_string(),
             format!("{:.1}", r.wall_ms),
             r.matches.to_string(),
         ]);
     }
     eprintln!(
         "exp_delta: |Dm| = {} (+{} held back), |D| = {}, batch = {}, delta size = {}, \
-         delta updates = {} ({}), cache hygiene = {}, cand cap = {}, d% = {:.0}, n% = {:.0}, \
-         skew = {}",
+         delta updates = {} ({}), d% = {:.0}, n% = {:.0}, skew = {}",
         base.dm,
         reserve,
         base.inputs,
@@ -595,8 +439,6 @@ fn main() {
         size,
         updates,
         delta_cols.name(),
-        hygiene_str(hygiene),
-        cand_cap,
         base.d * 100.0,
         base.n * 100.0,
         base.skew
@@ -607,10 +449,7 @@ fn main() {
         .expect("writing CSV output");
 
     // machine-readable output on stdout — what CI archives
-    print!(
-        "{}",
-        render_json(&base, size, updates, delta_cols, cand_cap, &rows)
-    );
+    print!("{}", render_json(&base, size, updates, delta_cols, &rows));
 
     if rows.iter().any(|r| !r.matches) {
         eprintln!("exp_delta: DELTA-MAINTAINED RUN DIVERGED FROM THE REBUILT BASELINE");

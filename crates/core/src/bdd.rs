@@ -18,7 +18,7 @@ use certainfix_reasoning::{is_suggestion, is_suggestion_with, suggest, suggest_w
 use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterIndex, Tuple};
 use certainfix_rules::{ProbeScratch, RulePlan, RuleSet};
 
-use crate::sharedcache::SharedSuggestionCache;
+use crate::sharedcache::PinnedPool;
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -64,11 +64,11 @@ pub struct BddStats {
     pub failed_checks: u64,
     /// Nodes reused through structural deduplication.
     pub dedup_reuses: u64,
-    /// Local misses answered by the [`SharedSuggestionCache`] instead
-    /// of a fresh computation.
+    /// Local misses answered by the shared suggestion cache's pinned
+    /// [`Pool`](crate::sharedcache::Pool) instead of a fresh computation.
     pub shared_hits: u64,
     /// Local misses the shared cache could not answer either (computed
-    /// fresh and published).
+    /// fresh and buffered for the batch's commit).
     pub shared_misses: u64,
 }
 
@@ -170,11 +170,11 @@ impl SuggestionBdd {
     }
 
     /// [`suggest_plus`](Self::suggest_plus) with an optional
-    /// [`SharedSuggestionCache`] behind the local diagram — when the
-    /// walk ends in a miss, candidates other workers pooled for the
-    /// same validated set are re-checked before falling back to
-    /// [`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest()); fresh results are
-    /// published for other workers — and an optional compiled
+    /// [`PinnedPool`] behind the local diagram — when the walk ends in a
+    /// miss, candidates earlier batches pooled for the same validated
+    /// set are re-checked before falling back to
+    /// [`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest()); fresh results go to the
+    /// worker's publish buffer — and an optional compiled
     /// [`RulePlan`] plus a caller-owned [`ProbeScratch`] routing the
     /// checks' and computations' master probes.
     #[allow(clippy::too_many_arguments)]
@@ -185,7 +185,7 @@ impl SuggestionBdd {
         t: &Tuple,
         validated: AttrSet,
         cursor: &mut Cursor,
-        shared: Option<&SharedSuggestionCache>,
+        mut shared: Option<&mut PinnedPool<'_>>,
         plan: Option<&RulePlan>,
         scratch: &mut ProbeScratch,
     ) -> Option<Vec<AttrId>> {
@@ -219,8 +219,15 @@ impl SuggestionBdd {
                     // walked into a false-edge cycle: every cached
                     // candidate on this path failed; compute fresh
                     // without extending the diagram.
-                    let computed =
-                        self.compute_or_shared(rules, master, t, validated, shared, plan, scratch)?;
+                    let computed = self.compute_or_shared(
+                        rules,
+                        master,
+                        t,
+                        validated,
+                        shared.as_deref_mut(),
+                        plan,
+                        scratch,
+                    )?;
                     self.stats.misses += 1;
                     cursor.at = Some(CursorAt::Root);
                     return Some(computed);
@@ -255,15 +262,13 @@ impl SuggestionBdd {
         master: &MasterIndex,
         t: &Tuple,
         validated: AttrSet,
-        shared: Option<&SharedSuggestionCache>,
+        shared: Option<&mut PinnedPool<'_>>,
         plan: Option<&RulePlan>,
         scratch: &mut ProbeScratch,
     ) -> Option<Vec<AttrId>> {
         match shared {
-            Some(cache) => {
-                let mut hit = false;
-                let computed = cache
-                    .suggest_through_with(rules, master, t, validated, &mut hit, plan, scratch);
+            Some(pool) => {
+                let (computed, hit) = pool.suggest(rules, master, t, validated, plan, scratch);
                 if hit {
                     self.stats.shared_hits += 1;
                 } else {
@@ -283,6 +288,7 @@ impl SuggestionBdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharedcache::SharedSuggestionCache;
     use certainfix_relation::{tuple, Relation, Schema};
     use certainfix_rules::parse_rules;
     use std::sync::Arc;
@@ -497,57 +503,54 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_answers_another_workers_miss() {
+    fn shared_cache_answers_a_later_batchs_miss() {
         let (r, rules, master) = fig1();
         let shared = SharedSuggestionCache::new();
         let z = attrs(&r, &["zip", "AC", "str", "city"]);
-
-        // worker 1: empty diagram, empty shared cache — computes fresh
-        // and publishes
-        let mut bdd1 = SuggestionBdd::new();
-        let mut c1 = Cursor::start();
-        let s1 = bdd1
-            .suggest_plus_with(
+        let walk = |bdd: &mut SuggestionBdd, pool: &mut PinnedPool<'_>| {
+            bdd.suggest_plus_with(
                 &rules,
                 &master,
                 &t1_fixed(),
                 z,
-                &mut c1,
-                Some(&shared),
+                &mut Cursor::start(),
+                Some(pool),
                 None,
                 &mut ProbeScratch::new(),
             )
-            .unwrap();
-        assert_eq!(bdd1.stats().shared_misses, 1);
-        assert_eq!(bdd1.stats().shared_hits, 0);
+            .unwrap()
+        };
+
+        // batch 1, worker 1: empty diagram, empty pool — computes fresh
+        // and buffers the publish, which the batch boundary commits
+        let pinned = shared.pin();
+        let mut pool1 = PinnedPool::new(&pinned);
+        let mut bdd1 = SuggestionBdd::new();
+        let s1 = walk(&mut bdd1, &mut pool1);
+        assert_eq!(
+            (bdd1.stats().shared_hits, bdd1.stats().shared_misses),
+            (0, 1)
+        );
+        shared.commit(master.generation(), 0, 1, vec![(0, pool1.take_publishes())]);
         assert_eq!(shared.len(), 1);
 
-        // worker 2: its own empty diagram misses locally, but the
-        // shared cache answers with the exact same suggestion
+        // batch 2, worker 2: its own empty diagram misses locally, but
+        // the pool answers with the exact same suggestion
+        let pinned = shared.pin();
+        let mut pool2 = PinnedPool::new(&pinned);
         let mut bdd2 = SuggestionBdd::new();
-        let mut c2 = Cursor::start();
-        let s2 = bdd2
-            .suggest_plus_with(
-                &rules,
-                &master,
-                &t1_fixed(),
-                z,
-                &mut c2,
-                Some(&shared),
-                None,
-                &mut ProbeScratch::new(),
-            )
-            .unwrap();
+        let s2 = walk(&mut bdd2, &mut pool2);
         assert_eq!(s1, s2, "the pooled candidate passes the check");
-        assert_eq!(bdd2.stats().shared_hits, 1);
-        assert_eq!(bdd2.stats().shared_misses, 0);
-        assert_eq!(shared.stats().hits, 1);
+        assert_eq!(
+            (bdd2.stats().shared_hits, bdd2.stats().shared_misses),
+            (1, 0)
+        );
+        assert!(pool2.take_publishes().is_empty(), "a hit publishes nothing");
 
         // merged BddStats carry both workers' shared counters
         let mut merged = bdd1.stats();
         merged.merge(&bdd2.stats());
-        assert_eq!(merged.shared_hits, 1);
-        assert_eq!(merged.shared_misses, 1);
+        assert_eq!((merged.shared_hits, merged.shared_misses), (1, 1));
     }
 
     #[test]

@@ -51,8 +51,10 @@
 //!
 //! Each worker owns its own [`SuggestionBdd`] cache and
 //! [`MonitorStats`] accumulator; behind the per-worker caches an
-//! optional [`SharedSuggestionCache`] pools computed suggestions
-//! across workers (and across batches repaired by the same engine).
+//! optional [`SharedSuggestionCache`] pools computed suggestions across
+//! the batches repaired by the same engine. A fan-out pins its pool
+//! next to its epoch, and commits its workers' publishes in input order
+//! once the outcomes are stitched.
 //!
 //! Multi-batch (and streaming) ingest lives one layer up, in
 //! [`session`](crate::session): a
@@ -79,13 +81,15 @@
 //! to a sequential run regardless of schedule, worker count, or
 //! interleaving**. A delta-maintained epoch is bit-identical to an
 //! engine rebuilt from scratch over the same master rows (D10 in
-//! DETERMINISM.md). With the BDD cache and/or the shared cache
-//! enabled, served suggestions are *checked* rather than recomputed,
-//! which can yield a different (but equally valid) suggestion order;
-//! final repaired tuples still agree, but round traces may not. The
-//! wall-clock observables ([`MonitorStats::elapsed`], the interner
-//! watermark, and the shared-cache hit/miss counters) are exempt from
-//! the guarantee by nature.
+//! DETERMINISM.md). The shared cache keeps that guarantee across
+//! worker counts and schedules: a batch reads only the pool committed
+//! before it, so its outcomes and hit/miss counts are fixed by the
+//! stream and the batch boundaries (D12). With the per-worker BDD
+//! enabled, served suggestions depend on what the worker repaired
+//! before; they are *checked* rather than recomputed, so a tuple both
+//! runs call certain gets the same fix, but round traces may differ.
+//! The wall-clock observables ([`MonitorStats::elapsed`], the interner
+//! watermark) are exempt from the guarantee by nature.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -103,7 +107,7 @@ use crate::bdd::{BddStats, Cursor, SuggestionBdd};
 use crate::certainfix::{CertainFix, CertainFixConfig, FixOutcome};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
-use crate::sharedcache::{SharedCacheStats, SharedSuggestionCache};
+use crate::sharedcache::{PinnedPool, Publish, SharedCacheStats, SharedSuggestionCache};
 
 /// One immutable snapshot of the master data and everything compiled
 /// from it: the indexed master rows, the compiled [`RulePlan`], the
@@ -324,14 +328,12 @@ impl RepairContext {
     /// [`apply_master_delta`](Self::apply_master_delta) that
     /// additionally runs `maintain(old_master, new_generation)` —
     /// `old_master` being the index the delta was applied *to* —
-    /// before the delta gate is released. The shared cache's targeted
-    /// invalidation diffs the delta's named rows against exactly those
-    /// pre-delta master values, and running it under the gate keeps
-    /// concurrent deltas (the net server applies them from multiple
-    /// connection handlers) from interleaving cache maintenance out of
-    /// epoch order: a later preserving delta's restamp must never run
-    /// before an earlier non-preserving delta's taint eviction, or the
-    /// window would briefly make tainted entries servable.
+    /// before the delta gate is released. The shared cache decides
+    /// whether its pool survives by diffing the delta's named rows
+    /// against exactly those pre-delta master values, and running it
+    /// under the gate keeps concurrent deltas (the net server applies
+    /// them from multiple connection handlers) from moving the pool out
+    /// of epoch order.
     pub(crate) fn apply_master_delta_maintaining(
         &self,
         delta: &MasterDelta,
@@ -367,28 +369,12 @@ impl RepairContext {
         dirty: &Tuple,
         oracle: &mut O,
     ) -> FixOutcome {
-        self.process_with_shared(bdd, stats, None, dirty, oracle)
-    }
-
-    /// [`process_with`](Self::process_with) with an optional
-    /// [`SharedSuggestionCache`] behind the per-worker cache. Probes of
-    /// the shared cache are charged to `stats` (`shared_hits` /
-    /// `shared_misses`) whichever suggestion path — BDD or plain — is
-    /// in effect.
-    pub fn process_with_shared<O: UserOracle + ?Sized>(
-        &self,
-        bdd: &mut SuggestionBdd,
-        stats: &mut MonitorStats,
-        shared: Option<&SharedSuggestionCache>,
-        dirty: &Tuple,
-        oracle: &mut O,
-    ) -> FixOutcome {
         let epoch = self.epoch();
         self.process_with_full(
             &epoch,
             bdd,
             stats,
-            shared,
+            None,
             &mut ProbeScratch::new(),
             dirty,
             oracle,
@@ -396,8 +382,11 @@ impl RepairContext {
     }
 
     /// The full per-tuple pipeline against a caller-pinned epoch:
-    /// [`process_with_shared`](Self::process_with_shared) plus a
-    /// caller-owned [`ProbeScratch`]. Workers (and the sequential
+    /// [`process_with`](Self::process_with) plus the worker's
+    /// [`PinnedPool`] of the shared cache, if any — probes of it are
+    /// charged to `stats` (`shared_hits` / `shared_misses`) whichever
+    /// suggestion path, BDD or plain, is in effect — and a caller-owned
+    /// [`ProbeScratch`]. Workers (and the sequential
     /// [`DataMonitor`](crate::DataMonitor)) pin one epoch per batch and
     /// hold one scratch per thread, so the compiled plan's probe layer
     /// reuses one warm buffer across every tuple the thread repairs;
@@ -409,7 +398,7 @@ impl RepairContext {
         epoch: &MasterEpoch,
         bdd: &mut SuggestionBdd,
         stats: &mut MonitorStats,
-        shared: Option<&SharedSuggestionCache>,
+        mut shared: Option<&mut PinnedPool<'_>>,
         scratch: &mut ProbeScratch,
         dirty: &Tuple,
         oracle: &mut O,
@@ -435,7 +424,7 @@ impl RepairContext {
                         t,
                         validated,
                         &mut cursor,
-                        shared,
+                        shared.as_deref_mut(),
                         Some(plan),
                         sc,
                     )
@@ -446,23 +435,14 @@ impl RepairContext {
             stats.shared_hits += after.shared_hits - before.shared_hits;
             stats.shared_misses += after.shared_misses - before.shared_misses;
             outcome
-        } else if let Some(cache) = shared {
+        } else if let Some(pool) = shared {
             let (mut hits, mut misses) = (0u64, 0u64);
             let outcome = engine.run_scratch(
                 dirty,
                 epoch.initial_suggestion(),
                 oracle,
                 |t, validated, sc| {
-                    let mut hit = false;
-                    let s = cache.suggest_through_with(
-                        &self.rules,
-                        master,
-                        t,
-                        validated,
-                        &mut hit,
-                        Some(plan),
-                        sc,
-                    );
+                    let (s, hit) = pool.suggest(&self.rules, master, t, validated, Some(plan), sc);
                     if hit {
                         hits += 1;
                     } else {
@@ -648,7 +628,7 @@ pub struct RepairOptions {
     pub schedule: Schedule,
     /// Pool computed suggestions in the engine's
     /// [`SharedSuggestionCache`] so a suggestion computed once is
-    /// visible to every worker (and to later batches).
+    /// visible to every later batch.
     pub shared_cache: bool,
     /// Chunk granularity for [`Schedule::Steal`] (`0` = auto: about 8
     /// chunks per worker, capped at 512 tuples). Ignored by
@@ -708,11 +688,11 @@ pub struct BatchReport {
     pub bdd: BddStats,
     /// The engine's [`SharedSuggestionCache`] statistics *attributed to
     /// this batch* (present iff the shared cache was enabled for this
-    /// repair): `hits` / `misses` are this batch's own worker-side
-    /// probe counts (so summing them over every batch any session ran
-    /// reproduces the engine-global counters exactly — worker counters
-    /// tick 1:1 with the cache-side atomics), while `entries` and
-    /// `per_shard` snapshot the engine-lifetime pool after the batch.
+    /// repair): `hits` / `misses` are this batch's own probe counts —
+    /// exactly what the batch committed, so summing them over every
+    /// batch any session ran reproduces the engine-global counters —
+    /// while the other fields snapshot the engine-lifetime pool after
+    /// the batch's commit.
     pub shared: Option<SharedCacheStats>,
     /// Wall-clock time of the whole batch (what throughput divides by).
     pub wall: Duration,
@@ -766,8 +746,8 @@ impl ChunkQueue {
 
 /// What one worker hands back to the stitcher.
 struct WorkerOut {
-    /// `(chunk index, outcomes)` in claim order.
-    chunks: Vec<(usize, Vec<FixOutcome>)>,
+    /// `(chunk index, outcomes, shared-cache publishes)` in claim order.
+    chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)>,
     stats: MonitorStats,
     bdd: BddStats,
 }
@@ -781,25 +761,12 @@ pub struct BatchRepairEngine {
 }
 
 impl BatchRepairEngine {
-    /// Wrap a prepared context (shared-cache hygiene on).
+    /// Wrap a prepared context, with an empty shared cache.
     pub fn new(ctx: RepairContext) -> BatchRepairEngine {
-        BatchRepairEngine::with_cache_hygiene(ctx, true)
-    }
-
-    /// Wrap a prepared context, choosing the shared cache's lifecycle
-    /// mode: `hygiene = false` keeps the historical insert-only pool
-    /// (see the [`sharedcache`](crate::sharedcache) module docs).
-    pub fn with_cache_hygiene(ctx: RepairContext, hygiene: bool) -> BatchRepairEngine {
-        BatchRepairEngine::with_shared_cache(ctx, SharedSuggestionCache::with_hygiene(hygiene))
-    }
-
-    /// Wrap a prepared context around a caller-built cache (custom
-    /// caps; the bench harness tightens them to measure pressure).
-    pub fn with_shared_cache(
-        ctx: RepairContext,
-        shared: SharedSuggestionCache,
-    ) -> BatchRepairEngine {
-        BatchRepairEngine { ctx, shared }
+        BatchRepairEngine {
+            ctx,
+            shared: SharedSuggestionCache::new(),
+        }
     }
 
     /// Shorthand: build the context and the engine in one step.
@@ -833,23 +800,16 @@ impl BatchRepairEngine {
     }
 
     /// Apply a batch of master mutations through the context (see
-    /// [`RepairContext::apply_master_delta`]) **and** run the shared
-    /// cache's targeted invalidation for the delta's named rows — the
-    /// engine-level surface every delta path (monitor, session,
-    /// service, network) routes through, so pooled suggestions never
-    /// outlive the master values they were derived from unobserved.
+    /// [`RepairContext::apply_master_delta`]) **and** move the shared
+    /// cache to the new generation — the engine-level surface every
+    /// delta path (monitor, session, service, network) routes through.
     /// Returns the new generation.
     ///
-    /// The cache's generation-gated serve path makes the eviction a
-    /// pure hygiene matter: entries from retired generations are never
-    /// served, so evicting (or keeping) them can cost a recomputation,
-    /// never a different repair (invariant D12, DETERMINISM.md). For
-    /// suggestion-preserving deltas (pure fix-column updates) the
-    /// cache instead restamps the pre-delta generation's entries,
-    /// carrying the pool's heat across the generation bump. The cache
-    /// maintenance runs inside the context's delta gate, so concurrent
-    /// deltas see their epoch swap *and* cache walk as one atomic
-    /// step, in generation order.
+    /// A suggestion-preserving delta (pure updates that change no
+    /// rule's key column) carries the pool across the generation bump;
+    /// any other delta leaves an empty pool. The cache step runs inside
+    /// the context's delta gate, so concurrent deltas see their epoch
+    /// swap *and* pool swap as one step, in generation order.
     pub fn apply_master_delta(&self, delta: &MasterDelta) -> Result<u64, RelationError> {
         self.ctx
             .apply_master_delta_maintaining(delta, |old_master, generation| {
@@ -967,15 +927,19 @@ impl BatchRepairEngine {
 
         let ctx = &self.ctx;
         let epoch = &*epoch;
-        let shared = opts.shared_cache.then_some(&self.shared);
+        // the shared pool is pinned next to the epoch: every worker of
+        // this batch reads the same snapshot, and the batch's own
+        // publishes land only at the commit below
+        let pinned = opts.shared_cache.then(|| self.shared.pin());
+        let pool = pinned.as_deref();
         // plain-mode editing-rule repairs batch each claimed chunk
         // through the vectorized block pipeline; BDD / shared-cache
-        // repairs keep the per-tuple path (their caches' canonical
-        // query order is part of their own determinism story), and the
-        // CFD workload is per-tuple by nature. Outcomes are identical
-        // either way — the block layer is bit-identical by construction.
+        // repairs keep the per-tuple path (the caches are consulted per
+        // tuple and round), and the CFD workload is per-tuple by nature.
+        // Outcomes are identical either way — the block layer is
+        // bit-identical by construction.
         let block_mode =
-            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && shared.is_none();
+            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && pool.is_none();
         let oracle_for = &oracle_for;
         let queues = &queues;
         std::thread::scope(|s| {
@@ -983,11 +947,12 @@ impl BatchRepairEngine {
                 s.spawn(move || {
                     let mut bdd = SuggestionBdd::new();
                     let mut stats = MonitorStats::default();
+                    let mut shared = pool.map(PinnedPool::new);
                     // one probe scratch per worker: every tuple this
                     // thread repairs reuses the same warm buffer
                     let mut scratch = ProbeScratch::new();
-                    let mut chunks: Vec<(usize, Vec<FixOutcome>)> = Vec::new();
-                    let run_chunk =
+                    let mut chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)> = Vec::new();
+                    let mut run_chunk =
                         |c: usize,
                          bdd: &mut SuggestionBdd,
                          stats: &mut MonitorStats,
@@ -1012,7 +977,7 @@ impl BatchRepairEngine {
                                             epoch,
                                             bdd,
                                             stats,
-                                            shared,
+                                            shared.as_mut(),
                                             scratch,
                                             &dirty[i],
                                             &mut oracle,
@@ -1020,7 +985,11 @@ impl BatchRepairEngine {
                                     })
                                     .collect()
                             };
-                            (c, outs)
+                            let publishes = shared
+                                .as_mut()
+                                .map(PinnedPool::take_publishes)
+                                .unwrap_or_default();
+                            (c, outs, publishes)
                         };
                     while let Some(c) = queues[w].claim() {
                         chunks.push(run_chunk(c, &mut bdd, &mut stats, &mut scratch));
@@ -1050,9 +1019,10 @@ impl BatchRepairEngine {
         let mut stats = MonitorStats::default();
         let mut bdd = BddStats::default();
         let mut reports = Vec::with_capacity(workers);
+        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
         for (w, slot) in slots.into_iter().enumerate() {
             let out = slot.expect("every spawned worker publishes its slot");
-            let mut claimed: Vec<usize> = out.chunks.iter().map(|&(c, _)| c).collect();
+            let mut claimed: Vec<usize> = out.chunks.iter().map(|&(c, ..)| c).collect();
             claimed.sort_unstable();
             stats.merge(&out.stats);
             bdd.merge(&out.bdd);
@@ -1062,9 +1032,10 @@ impl BatchRepairEngine {
                 stats: out.stats,
                 bdd: out.bdd,
             });
-            for (c, outs) in out.chunks {
+            for (c, outs, chunk_publishes) in out.chunks {
                 debug_assert!(by_chunk[c].is_none(), "chunk {c} claimed twice");
                 by_chunk[c] = Some(outs);
+                publishes.push((c, chunk_publishes));
             }
         }
         let mut outcomes = Vec::with_capacity(n);
@@ -1072,11 +1043,15 @@ impl BatchRepairEngine {
             outcomes.extend(outs.expect("every chunk claimed exactly once"));
         }
         debug_assert_eq!(outcomes.len(), n);
-        // attribute the shared counters to this batch: the workers'
-        // own probe counts, not the engine-global cumulative ones
+        // the batch boundary: commit the publishes in input order (the
+        // pin goes first, so the commit need not copy the pool) and
+        // attribute this batch's probe counts to its report
+        drop(pinned);
         let shared = opts.shared_cache.then(|| {
+            let (hits, misses) = (stats.shared_hits, stats.shared_misses);
             self.shared
-                .attributed(stats.shared_hits, stats.shared_misses)
+                .commit(epoch.generation(), hits, misses, publishes);
+            self.shared.attributed(hits, misses)
         });
         if let Some(s) = &shared {
             // lifecycle counters are engine-global monotone snapshots,
@@ -1322,11 +1297,11 @@ mod tests {
         }
     }
 
-    /// The satellite cache-sharing test at the engine level: with the
-    /// shared cache on, suggestions computed by one worker are
-    /// observed (and served) across the batch — the engine's pool is
-    /// non-empty and observed hits landed in the merged, per-worker
-    /// monitor statistics.
+    /// The cache-sharing test at the engine level: with the shared
+    /// cache on, a batch never reads its own publishes, its commit
+    /// fills the engine's pool, and every worker of a later batch is
+    /// served from it — hits land in the merged, per-worker monitor
+    /// statistics and sum to the engine-global counters.
     #[test]
     fn shared_cache_is_populated_and_hit_across_workers() {
         let (hosp, ds, dirty) = hosp_batch(200, 800);
@@ -1336,9 +1311,10 @@ mod tests {
             true,
         ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        // warm pass: a single worker computes suggestions and publishes
-        // them into the engine-lifetime pool (this also pins down the
-        // cross-batch persistence — the pool outlives the repair call)
+        // warm pass: a single worker computes suggestions, and the batch
+        // boundary commits them into the engine-lifetime pool (this also
+        // pins down the cross-batch persistence — the pool outlives the
+        // repair call)
         let warm = engine.repair_opts(
             &dirty,
             &RepairOptions {
@@ -1351,12 +1327,14 @@ mod tests {
         );
         assert!(!engine.shared_cache().is_empty(), "suggestions were pooled");
         assert!(warm.stats.shared_misses > 0, "the cold pass computed them");
+        assert_eq!(
+            warm.stats.shared_hits, 0,
+            "a batch never reads its own publishes"
+        );
 
         // parallel pass on fresh (cold-diagram) workers: every worker's
-        // early local misses probe the warm pool, so pooled suggestions
-        // are observed across workers — and with the deterministic
-        // shard partition over a fixed pool, no timing enters the
-        // counters at all
+        // early local misses probe the pinned warm pool, so pooled
+        // suggestions are observed across workers
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
@@ -1398,6 +1376,40 @@ mod tests {
         }
         assert_eq!(remerged.shared_hits, report.stats.shared_hits);
         assert_eq!(remerged.shared_misses, report.stats.shared_misses);
+    }
+
+    /// D12 at the engine level: with the BDD off and the shared cache
+    /// on, a skewed two-batch stream repairs bit-identically — outcomes
+    /// and per-batch hit/miss counts — at 1, 2 and 8 workers, each run
+    /// on a fresh engine.
+    #[test]
+    fn shared_cache_runs_are_worker_count_independent() {
+        let (hosp, ds, dirty) = hosp_batch_skewed(300, 2_000, 1.0);
+        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        let run = |threads: usize| {
+            let engine = BatchRepairEngine::new(RepairContext::new(
+                hosp.rules().clone(),
+                hosp.master().clone(),
+                false,
+            ));
+            let mut session = engine.session_opts(RepairOptions {
+                threads,
+                ..RepairOptions::default()
+            });
+            for half in dirty.chunks(1_000) {
+                session.push_batch(half, oracle_for);
+            }
+            session.finish()
+        };
+        let base = run(1);
+        assert!(base.stats.shared_hits > 0, "the second batch was served");
+        for threads in [2usize, 8] {
+            let got = run(threads);
+            for (a, b) in base.batches.iter().zip(&got.batches) {
+                assert_outcomes_identical(a, b, &format!("{threads} workers"));
+                assert_eq!(a.shared, b.shared, "{threads} workers");
+            }
+        }
     }
 
     /// The tentpole's determinism contract (D10) at the engine level:

@@ -33,9 +33,10 @@ pub enum InitialRegion {
 ///
 /// `tuples` / `certain` / `rounds` / `plan_probes` /
 /// `plan_fallbacks` are deterministic counts: merging per-worker
-/// instances reproduces the sequential run's values exactly. `elapsed`, `interner_syms`, `probe_allocs`
-/// (each worker warms its own scratch buffer), and the shared-cache
-/// probe counters are wall-clock/scheduling observables and are
+/// instances reproduces the sequential run's values exactly, and with
+/// the BDD off so are the shared-cache probe counters (D12). `elapsed`,
+/// `interner_syms` and `probe_allocs` (each worker warms its own
+/// scratch buffer) are wall-clock/scheduling observables and are
 /// excluded from that guarantee.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MonitorStats {
@@ -60,25 +61,21 @@ pub struct MonitorStats {
     /// Probes of the shared cache that fell through to a fresh
     /// computation.
     pub shared_misses: u64,
-    /// Shared-cache candidates evicted because a master delta tainted
-    /// the attributes they cover. Unlike the probe counters this is not
-    /// ticked per worker: it is a monotone snapshot of the engine-global
-    /// cache, sampled after each batch, so [`merge`](Self::merge) takes
-    /// the maximum (like the interner watermark) rather than summing.
-    /// A scheduling observable, exempt from the D2/D12 bit-identity
-    /// guarantee like `shared_hits` / `shared_misses`.
+    /// Shared-cache candidates dropped because a master delta installed
+    /// an empty pool. Unlike the probe counters this is not ticked per
+    /// worker: it is a monotone snapshot of the engine-global cache,
+    /// sampled after each batch, so [`merge`](Self::merge) takes the
+    /// maximum (like the interner watermark) rather than summing.
     pub shared_evicted_delta: u64,
-    /// Shared-cache candidates evicted by second-chance clock sweeps at
-    /// the capacity caps (same snapshot/merge semantics as
-    /// `shared_evicted_delta`).
+    /// Shared-cache candidates evicted with the oldest key at the key
+    /// cap (same snapshot/merge semantics as `shared_evicted_delta`).
     pub shared_evicted_lru: u64,
-    /// Shared-cache candidates restamped to a newer master generation
-    /// after surviving a delta or passing a post-delta reuse check
-    /// (same snapshot/merge semantics as `shared_evicted_delta`).
+    /// Shared-cache candidates carried to a new master generation by a
+    /// suggestion-preserving delta (same snapshot/merge semantics as
+    /// `shared_evicted_delta`).
     pub shared_revalidated: u64,
-    /// Shared-cache publishes that found a capacity cap full — counted
-    /// in both hygiene modes, so insert-only silent drops are visible
-    /// too (same snapshot/merge semantics as `shared_evicted_delta`).
+    /// Committed shared-cache publishes that met a full key or a full
+    /// pool (same snapshot/merge semantics as `shared_evicted_delta`).
     pub shared_saturated: u64,
     /// Key probes issued through the compiled
     /// [`RulePlan`](certainfix_rules::RulePlan)'s scratch-buffered

@@ -76,11 +76,11 @@
 //! compose, or the worker count — and the aggregate
 //! [`ServiceReport::stats`] merge equals running the sessions one at a
 //! time. Wall-clock observables (`elapsed`, the interner watermark,
-//! `probe_allocs`, per-epoch worker breakdowns) are exempt as always;
-//! with a cache enabled, *served suggestions are checked, not
-//! recomputed*, so counters become interleaving-dependent while final
-//! repaired tuples still agree. The shared-cache counters keep one
-//! interleaving-independent identity either way: per-session attributed
+//! `probe_allocs`, per-epoch worker breakdowns) are exempt as always.
+//! With the shared cache on, a scheduler epoch reads the pool committed
+//! before it and commits its publishes session by session, each in
+//! stream order — so what a session is served depends on which epochs
+//! it shared with whom, not on the worker count. Per-session attributed
 //! `hits`/`misses` always sum to the engine-global cache counters.
 //!
 //! ```
@@ -130,7 +130,7 @@ use crate::engine::{
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 use crate::session::{SessionReport, TupleSource};
-use crate::sharedcache::SharedCacheStats;
+use crate::sharedcache::{PinnedPool, Publish, SharedCacheStats};
 
 /// A boxed oracle as the service hands them to its workers.
 pub type BoxedOracle<'a> = Box<dyn UserOracle + 'a>;
@@ -323,7 +323,6 @@ pub struct RepairServiceBuilder {
     config: CertainFixConfig,
     workload: Workload,
     opts: ServiceOptions,
-    cache_hygiene: bool,
 }
 
 impl RepairServiceBuilder {
@@ -338,7 +337,6 @@ impl RepairServiceBuilder {
             config: CertainFixConfig::default(),
             workload: Workload::default(),
             opts: ServiceOptions::default(),
-            cache_hygiene: true,
         }
     }
 
@@ -386,15 +384,6 @@ impl RepairServiceBuilder {
         self
     }
 
-    /// Shared-cache lifecycle hygiene (delta invalidation, clock
-    /// eviction at the caps; on by default). Off keeps the historical
-    /// insert-only pool — see the
-    /// [`sharedcache`](crate::sharedcache) module docs.
-    pub fn cache_hygiene(mut self, on: bool) -> Self {
-        self.cache_hygiene = on;
-        self
-    }
-
     /// Bounded ingest-lane depth per session.
     pub fn depth(mut self, depth: usize) -> Self {
         self.opts.depth = depth;
@@ -409,17 +398,14 @@ impl RepairServiceBuilder {
 
     /// Build the precomputation and the service (owning its engine).
     pub fn build(self) -> RepairService {
-        let engine = BatchRepairEngine::with_cache_hygiene(
-            RepairContext::with_workload(
-                self.rules,
-                self.master,
-                self.use_bdd,
-                self.initial,
-                self.config,
-                self.workload,
-            ),
-            self.cache_hygiene,
-        );
+        let engine = BatchRepairEngine::new(RepairContext::with_workload(
+            self.rules,
+            self.master,
+            self.use_bdd,
+            self.initial,
+            self.config,
+            self.workload,
+        ));
         RepairService::from_engine(engine, self.opts)
     }
 }
@@ -476,6 +462,7 @@ impl RepairService {
     /// stream, never on when its neighbours arrived.
     pub fn run_dynamic(&self, queue: AttachQueue<'_>) -> ServiceReport {
         let started = Instant::now();
+        let rebuilds_at_start = self.engine.context().plan_rebuilds();
         let threads = match self.opts.threads {
             0 => BatchRepairEngine::auto_threads(),
             t => t,
@@ -619,21 +606,12 @@ impl RepairService {
             tuples += report.tuples;
             sessions.push(NamedSessionReport { name, report });
         }
-        if let Some(agg) = &mut shared {
-            // attributed counters summed over the sessions; pool
-            // occupancy and the lifecycle counters are the engine's
-            // final snapshot
-            let snapshot = self.engine.shared_cache().stats();
-            agg.entries = snapshot.entries;
-            agg.keys = snapshot.keys;
-            agg.evicted_delta = snapshot.evicted_delta;
-            agg.evicted_lru = snapshot.evicted_lru;
-            agg.revalidated = snapshot.revalidated;
-            agg.saturated = snapshot.saturated;
-            agg.keys_high_water = snapshot.keys_high_water;
-            agg.entries_high_water = snapshot.entries_high_water;
-            agg.per_shard = snapshot.per_shard;
-        }
+        // attributed counters summed over the sessions; pool occupancy
+        // and the lifetime counters are the engine's final snapshot
+        let shared = shared.map(|agg| self.engine.shared_cache().attributed(agg.hits, agg.misses));
+        // deltas reach the context from sessions' callers and from
+        // connection handlers alike; the context counts them all
+        stats.plan_rebuilds = self.engine.context().plan_rebuilds() - rebuilds_at_start;
         ServiceReport {
             sessions,
             stats,
@@ -715,9 +693,13 @@ impl RepairService {
         // every chunk of this epoch repairs against one generation
         let epoch = ctx.epoch();
         let epoch = &*epoch;
-        let shared = self.opts.shared_cache.then(|| self.engine.shared_cache());
+        // ... and pins the shared pool next to it; the epoch's
+        // publishes land at its commit, after the stitch
+        let cache = self.engine.shared_cache();
+        let pinned = self.opts.shared_cache.then(|| cache.pin());
+        let pool = pinned.as_deref();
         let block_mode =
-            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && shared.is_none();
+            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && pool.is_none();
         let order = &order;
         let batches = &batches;
         let bases = &bases;
@@ -726,6 +708,7 @@ impl RepairService {
             for (w, slot) in slots.iter_mut().enumerate() {
                 s.spawn(move || {
                     let mut bdd = SuggestionBdd::new();
+                    let mut shared = pool.map(PinnedPool::new);
                     let mut scratch = ProbeScratch::new();
                     // per-(worker, session) accounting, indexed by the
                     // epoch's batch position
@@ -735,8 +718,8 @@ impl RepairService {
                     bdd_before.resize_with(nb, BddStats::default);
                     let mut bdd_stats: Vec<BddStats> = Vec::new();
                     bdd_stats.resize_with(nb, BddStats::default);
-                    let mut chunks: Vec<(usize, Vec<FixOutcome>)> = Vec::new();
-                    let run_chunk =
+                    let mut chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)> = Vec::new();
+                    let mut run_chunk =
                         |c: usize,
                          bdd: &mut SuggestionBdd,
                          stats: &mut [MonitorStats],
@@ -769,7 +752,7 @@ impl RepairService {
                                             epoch,
                                             bdd,
                                             &mut stats[b],
-                                            shared,
+                                            shared.as_mut(),
                                             scratch,
                                             &tuples[i],
                                             &mut oracle,
@@ -780,7 +763,11 @@ impl RepairService {
                             // charge the worker's BDD delta to the chunk's
                             // session (the diagram itself is per-worker)
                             accumulate_delta(&mut bdd_stats[b], &bdd_before[b], &bdd.stats());
-                            (c, outs)
+                            let publishes = shared
+                                .as_mut()
+                                .map(PinnedPool::take_publishes)
+                                .unwrap_or_default();
+                            (c, outs, publishes)
                         };
                     while let Some(c) = queues[w].claim() {
                         chunks.push(run_chunk(
@@ -820,15 +807,33 @@ impl RepairService {
         // statistics merged per (worker, session)
         let mut by_chunk: Vec<Option<Vec<FixOutcome>>> = Vec::new();
         by_chunk.resize_with(n_chunks, || None);
-        let outs: Vec<EpochWorkerOut> = slots
+        // a chunk's place in input order: sessions in epoch order, each
+        // session's chunks in its stream order
+        let mut input_rank = vec![0usize; n_chunks];
+        for (rank, &c) in batch_chunks.iter().flatten().enumerate() {
+            input_rank[c] = rank;
+        }
+        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
+        let mut outs: Vec<EpochWorkerOut> = slots
             .into_iter()
             .map(|s| s.expect("every spawned worker publishes its slot"))
             .collect();
-        for out in &outs {
-            for (c, outcomes) in &out.chunks {
+        for out in &mut outs {
+            for (c, outcomes, chunk_publishes) in &mut out.chunks {
                 debug_assert!(by_chunk[*c].is_none(), "chunk {c} claimed twice");
-                by_chunk[*c] = Some(outcomes.clone());
+                by_chunk[*c] = Some(std::mem::take(outcomes));
+                publishes.push((input_rank[*c], std::mem::take(chunk_publishes)));
             }
+        }
+        // the epoch boundary: commit the publishes in input order, with
+        // the epoch's probe counts, before the batches are attributed
+        drop(pinned);
+        if self.opts.shared_cache {
+            let (hits, misses) = outs
+                .iter()
+                .flat_map(|o| &o.stats)
+                .fold((0, 0), |(h, m), s| (h + s.shared_hits, m + s.shared_misses));
+            cache.commit(epoch.generation(), hits, misses, publishes);
         }
         for (b, (session, tuples)) in batches.iter().enumerate() {
             let mut stats = MonitorStats::default();
@@ -838,8 +843,8 @@ impl RepairService {
                 let mut spans: Vec<(usize, usize)> = out
                     .chunks
                     .iter()
-                    .filter(|(c, _)| order[*c].0 == b)
-                    .map(|(c, _)| (order[*c].1, order[*c].2))
+                    .filter(|(c, ..)| order[*c].0 == b)
+                    .map(|(c, ..)| (order[*c].1, order[*c].2))
                     .collect();
                 if spans.is_empty() {
                     continue;
@@ -865,18 +870,15 @@ impl RepairService {
             for &c in &batch_chunks[b] {
                 outcomes.extend(
                     by_chunk[c]
-                        .as_ref()
-                        .expect("every chunk claimed exactly once")
-                        .iter()
-                        .cloned(),
+                        .take()
+                        .expect("every chunk claimed exactly once"),
                 );
             }
             debug_assert_eq!(outcomes.len(), tuples.len());
-            let shared_stats = self.opts.shared_cache.then(|| {
-                self.engine
-                    .shared_cache()
-                    .attributed(stats.shared_hits, stats.shared_misses)
-            });
+            let shared_stats = self
+                .opts
+                .shared_cache
+                .then(|| cache.attributed(stats.shared_hits, stats.shared_misses));
             acc[*session].tuples += tuples.len();
             acc[*session].wall += wall;
             acc[*session].batches.push(BatchReport {
@@ -904,8 +906,8 @@ struct SessionAcc {
 
 /// What one epoch worker hands back to the stitcher.
 struct EpochWorkerOut {
-    /// `(order index, outcomes)` in claim order.
-    chunks: Vec<(usize, Vec<FixOutcome>)>,
+    /// `(order index, outcomes, shared-cache publishes)` in claim order.
+    chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)>,
     /// Per-epoch-batch monitor statistics.
     stats: Vec<MonitorStats>,
     /// Per-epoch-batch BDD statistics (deltas of the worker's diagram).

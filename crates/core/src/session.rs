@@ -65,7 +65,10 @@
 //! same tuples in the same order** — regardless of how the source cuts
 //! the stream into batches, the channel depth, the schedule, or the
 //! worker count. See [`TupleSource`] for the contract that makes this
-//! hold.
+//! hold. With the shared cache on (BDD still off), each batch reads the
+//! pool the batches before it committed, so outcomes and hit/miss
+//! counts depend on where the batches and deltas fall — but still not
+//! on the schedule or the worker count (D12).
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -276,7 +279,6 @@ pub struct RepairSessionBuilder {
     config: CertainFixConfig,
     workload: Workload,
     opts: RepairOptions,
-    cache_hygiene: bool,
 }
 
 impl RepairSessionBuilder {
@@ -292,7 +294,6 @@ impl RepairSessionBuilder {
             config: CertainFixConfig::default(),
             workload: Workload::default(),
             opts: RepairOptions::default(),
-            cache_hygiene: true,
         }
     }
 
@@ -340,15 +341,6 @@ impl RepairSessionBuilder {
         self
     }
 
-    /// Shared-cache lifecycle hygiene (delta invalidation, clock
-    /// eviction at the caps; on by default). Off keeps the historical
-    /// insert-only pool — see the
-    /// [`sharedcache`](crate::sharedcache) module docs.
-    pub fn cache_hygiene(mut self, on: bool) -> Self {
-        self.cache_hygiene = on;
-        self
-    }
-
     /// Chunk granularity for [`Schedule::Steal`] (`0` = auto).
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.opts.chunk = chunk;
@@ -363,17 +355,14 @@ impl RepairSessionBuilder {
 
     /// Build the precomputation and the session (owning its engine).
     pub fn build(self) -> RepairSession<'static> {
-        let engine = BatchRepairEngine::with_cache_hygiene(
-            RepairContext::with_workload(
-                self.rules,
-                self.master,
-                self.use_bdd,
-                self.initial,
-                self.config,
-                self.workload,
-            ),
-            self.cache_hygiene,
-        );
+        let engine = BatchRepairEngine::new(RepairContext::with_workload(
+            self.rules,
+            self.master,
+            self.use_bdd,
+            self.initial,
+            self.config,
+            self.workload,
+        ));
         RepairSession::from_engine(engine, self.opts)
     }
 }
@@ -408,36 +397,35 @@ pub struct RepairSession<'e> {
     batches: Vec<BatchReport>,
     tuples: usize,
     wall: Duration,
-    /// Master deltas applied through this session (charged to the
-    /// merged report's `plan_rebuilds`).
-    rebuilds: u64,
+    /// The context's [`plan_rebuilds`](RepairContext::plan_rebuilds)
+    /// when the session opened; the merged report charges the epochs
+    /// rebuilt since.
+    rebuilds_at_open: u64,
 }
 
 impl<'e> RepairSession<'e> {
     /// Wrap an engine the session will own (the shared suggestion
     /// cache then lives exactly as long as the session).
     pub fn from_engine(engine: BatchRepairEngine, opts: RepairOptions) -> RepairSession<'static> {
-        RepairSession {
-            engine: EngineRef::Owned(Box::new(engine)),
-            opts,
-            batches: Vec::new(),
-            tuples: 0,
-            wall: Duration::ZERO,
-            rebuilds: 0,
-        }
+        RepairSession::open(EngineRef::Owned(Box::new(engine)), opts)
     }
 
     /// Wrap a borrowed engine (see
     /// [`BatchRepairEngine::session_opts`]); pooled suggestions persist
     /// in the engine after the session ends.
     pub fn borrowed(engine: &'e BatchRepairEngine, opts: RepairOptions) -> RepairSession<'e> {
+        RepairSession::open(EngineRef::Borrowed(engine), opts)
+    }
+
+    fn open(engine: EngineRef<'e>, opts: RepairOptions) -> RepairSession<'e> {
+        let rebuilds_at_open = engine.get().context().plan_rebuilds();
         RepairSession {
-            engine: EngineRef::Borrowed(engine),
+            engine,
             opts,
             batches: Vec::new(),
             tuples: 0,
             wall: Duration::ZERO,
-            rebuilds: 0,
+            rebuilds_at_open,
         }
     }
 
@@ -446,12 +434,12 @@ impl<'e> RepairSession<'e> {
     /// plan, re-ranked catalog) and swaps it in; batches pushed after
     /// this call repair against the new generation, while any batch
     /// already fanned out finishes on the epoch it pinned. Returns the
-    /// new generation. The merged [`SessionReport`] counts these
-    /// hand-offs in [`MonitorStats::plan_rebuilds`].
+    /// new generation. The merged [`SessionReport`] counts the epochs
+    /// the context rebuilt while the session was open — these hand-offs
+    /// and any other delta applied to the engine meanwhile — in
+    /// [`MonitorStats::plan_rebuilds`].
     pub fn apply_master_delta(&mut self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        let generation = self.engine.get().apply_master_delta(delta)?;
-        self.rebuilds += 1;
-        Ok(generation)
+        self.engine.get().apply_master_delta(delta)
     }
 
     /// The master generation the next pushed batch will repair against.
@@ -566,9 +554,10 @@ impl<'e> RepairSession<'e> {
 
     fn merged(&self) -> SessionReport {
         let mut report = SessionReport::from_batches(&self.batches, self.wall, self.tuples);
-        // deltas are a session-level event: the per-batch worker stats
-        // never see them, so the fold charges them here
-        report.stats.plan_rebuilds += self.rebuilds;
+        // deltas are a context-level event: the per-batch worker stats
+        // never see them, so the fold charges the context's count here
+        report.stats.plan_rebuilds +=
+            self.engine.get().context().plan_rebuilds() - self.rebuilds_at_open;
         report
     }
 
@@ -607,8 +596,8 @@ pub struct SessionReport {
     /// Shared-cache statistics *attributed to this session*: `hits` /
     /// `misses` sum the per-batch attributed counters (so per-session
     /// numbers across any set of sessions over one engine sum to the
-    /// engine-global counters), while `entries` / `per_shard` snapshot
-    /// the engine-lifetime pool after the session's last cache-enabled
+    /// engine-global counters), while the other fields snapshot the
+    /// engine-lifetime pool after the session's last cache-enabled
     /// batch. `None` when the shared cache was off.
     pub shared: Option<SharedCacheStats>,
     /// Summed repair wall-clock over all batches. Time the session
@@ -623,7 +612,7 @@ impl SessionReport {
     /// Fold per-batch reports into a session report: statistics merge
     /// ([`MonitorStats::merge`] / [`BddStats::merge`] — counts sum, the
     /// interner watermark maxes), attributed shared-cache counters sum
-    /// (`entries` / `per_shard` keep the last batch's pool snapshot),
+    /// (the other cache fields keep the last batch's pool snapshot),
     /// and the returned report's `batches` list is left empty — attach
     /// the folded reports afterwards if the caller wants them carried.
     /// Both [`RepairSession`] and the [`service`](crate::service)
@@ -638,21 +627,15 @@ impl SessionReport {
             stats.merge(&batch.stats);
             bdd.merge(&batch.bdd);
             if let Some(s) = &batch.shared {
-                let acc = shared.get_or_insert_with(SharedCacheStats::default);
-                // per-batch counters are attributed, so they sum ...
-                acc.hits += s.hits;
-                acc.misses += s.misses;
-                // ... while occupancy and the engine-lifetime lifecycle
-                // counters are snapshots: keep the latest
-                acc.entries = s.entries;
-                acc.keys = s.keys;
-                acc.evicted_delta = s.evicted_delta;
-                acc.evicted_lru = s.evicted_lru;
-                acc.revalidated = s.revalidated;
-                acc.saturated = s.saturated;
-                acc.keys_high_water = s.keys_high_water;
-                acc.entries_high_water = s.entries_high_water;
-                acc.per_shard.clone_from(&s.per_shard);
+                // per-batch counters are attributed, so they sum, while
+                // occupancy and the lifetime counters are snapshots:
+                // keep the latest
+                let (hits, misses) = shared.as_ref().map_or((0, 0), |a| (a.hits, a.misses));
+                shared = Some(SharedCacheStats {
+                    hits: hits + s.hits,
+                    misses: misses + s.misses,
+                    ..s.clone()
+                });
             }
         }
         SessionReport {

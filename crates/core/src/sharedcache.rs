@@ -1,4 +1,6 @@
-//! The shared concurrent suggestion cache.
+//! The shared suggestion cache: one immutable, generation-stamped
+//! snapshot of pooled suggestions that readers pin, and one writer step
+//! at the batch boundary.
 //!
 //! Computing a suggestion (the greedy set-cover loop of
 //! [`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest())) is the single most expensive
@@ -6,326 +8,202 @@
 //! computed suggestion also works for another tuple is one closure
 //! ([`certainfix_reasoning::is_suggestion`]) — that asymmetry is what
 //! the paper's `Suggest+` BDD exploits within one worker. This cache
-//! exploits it **across** workers: every suggestion any worker computes
-//! is published into a process-shared pool, organized by the validated
-//! [`AttrSet`] it was computed under, and any other worker whose local
-//! diagram misses re-checks the pooled candidates before paying for a
-//! fresh computation.
+//! exploits it **across** workers and batches: suggestions are pooled
+//! by the validated [`AttrSet`] they were computed under, and a worker
+//! whose local diagram misses re-checks the pooled candidates before
+//! paying for a fresh computation.
 //!
 //! # Design
 //!
-//! A sharded hash map: `SHARDS` independent `RwLock<FxHashMap>` slices
-//! selected from the key's hash, so lookups of different keys rarely
-//! contend and hits take only a shard *read* lock. Keys and stored
-//! candidates are the `Copy` one-word bitsets and id-lists of PR 1's
-//! interned value layer (an [`AttrSet`] is a `u64`, an
-//! [`AttrId`] a `u16`), so hashing, equality, and candidate dedup are
-//! integer operations with no string traffic. Candidate checks run
-//! *outside* the lock on a snapshot of the (short, deduplicated)
-//! candidate list. Each shard carries its own atomic hit/miss
-//! counters; workers additionally count their own probes into
-//! [`MonitorStats`](crate::MonitorStats), whose
-//! [`merge`](crate::MonitorStats::merge) surfaces them per batch.
+//! The cache holds one [`Pool`] behind an `Arc`, the way a
+//! [`RepairContext`](crate::RepairContext) holds its
+//! [`MasterEpoch`](crate::MasterEpoch):
 //!
-//! # Lifecycle (delta-aware hygiene)
-//!
-//! The pool is no longer insert-only. Every candidate is stamped with
-//! the [`MasterIndex::generation`] it was computed (or last
-//! revalidated) under, and the lifecycle has four pieces:
-//!
-//! * **The serve gate** (both hygiene modes). A candidate is served
-//!   only when its stamp equals the probing epoch's generation. A
-//!   retired-generation candidate can pass the `is_suggestion`
-//!   re-check under the new master and *still* steer the interaction
-//!   to a different final tuple than a fresh derivation would — the
-//!   check proves validity, not canonicity — so stale entries are
-//!   never served. They lie dormant until a fresh computation
-//!   re-derives the same attr list and the publish dedup restamps them
-//!   (`revalidated`) — the sound revalidation event, since at that
-//!   moment the entry *is* the fresh result. A restamp also moves the
-//!   entry to the back of its slot, so the serve-visible
-//!   (current-generation) subsequence always sits in
-//!   first-publish-this-generation order — the order a cold pool
-//!   would hold, which matters because the serve loop returns the
-//!   first passing candidate.
-//! * **Suggestion-preserving deltas** (hygiene on). A pure-update
-//!   delta whose changed master columns avoid every rule's *key*
-//!   columns (`Xm`, pattern-aligned) provably leaves the suggestion
-//!   function unchanged — derivations only probe master key columns,
-//!   and a pooled attr list never encodes fix values — so
-//!   [`apply_master_delta`](SharedSuggestionCache::apply_master_delta)
-//!   restamps every candidate at the *pre-delta* generation to the
-//!   new one (`revalidated`) and the pool keeps serving across the
-//!   bump. Only that one generation is revived: the proof covers
-//!   exactly the old→new transition, so entries left dormant by an
-//!   earlier non-preserving delta stay dormant. This is the
-//!   warm-start win: with hygiene off the same delta retires every
-//!   entry behind the serve gate, and the next batch pays a miss per
-//!   key.
-//! * **Targeted delta invalidation** (hygiene on). A [`MasterDelta`]
-//!   names exactly the master rows it touches. [`apply_master_delta`](SharedSuggestionCache::apply_master_delta)
-//!   maps the touched rows to the master attributes whose values
-//!   changed, taints every rule whose master-side footprint (`Xm`,
-//!   `Bm`, pattern-aligned columns) intersects them, and from those
-//!   rules derives the tainted *R*-side attribute set. A per-shard
-//!   reverse index (suggestion attr → cache keys) then walks only the
-//!   entries whose candidate lists intersect the tainted attrs —
-//!   `O(touched)`, not `O(cache)` — evicting intersecting candidates
-//!   (`evicted_delta`): the entries least likely to ever be re-derived
-//!   and revalidated, freeing their capped slots. Pure inserts taint
-//!   nothing: adding master rows can only *add* applicable rules (a
-//!   rule dropped by a new disagreeing candidate has its `B` already
-//!   validated, so the coverage closure never shrinks), hence a
-//!   suggestion valid before an insert-only delta is valid after it.
-//! * **Second-chance eviction at the caps** (hygiene on). A publish
-//!   that lands on a full shard (`MAX_KEYS_PER_SHARD` keys) or a full
-//!   key (`MAX_CANDIDATES_PER_KEY` candidates) no longer drops
-//!   silently: a clock hand sweeps the shard's key ring (or the key's
-//!   candidate list), clearing reference bits and evicting the first
-//!   unreferenced victim — retired-generation candidates first
-//!   (`evicted_lru`). Every cap event also ticks `saturated`, in
-//!   *both* hygiene modes, so pressure is observable even where the
-//!   old drop-silently policy is kept.
-//! * **Occupancy accounting** (both modes): keys and candidates per
-//!   shard, with high-water marks.
-//!
-//! Hygiene is a construction-time mode
-//! ([`with_hygiene`](SharedSuggestionCache::with_hygiene)): with it
-//! off the cache is the historical insert-only pool plus the serve
-//! gate and the `saturated` counter — after a delta its entries go
-//! permanently dormant unless republished, and at the caps fresh
-//! publishes are dropped while dead entries squat in the slots. That
-//! is exactly the pathology hygiene-on removes, and what the
-//! `exp_delta --cache-hygiene` legs measure.
+//! * **Pin.** A fan-out pins the current pool once
+//!   ([`SharedSuggestionCache::pin`]: one lock, one `Arc` clone) next to
+//!   the master epoch it pins. Workers then probe `&Pool` with no lock
+//!   and no atomic.
+//! * **Probe.** [`PinnedPool::suggest`] serves the first pooled
+//!   candidate that passes the re-check (a hit), else computes fresh
+//!   and appends `(validated, attrs)` to the worker's publish buffer (a
+//!   miss). A publish is invisible to every probe of its own fan-out.
+//! * **Commit.** After the fan-out stitches its chunks back together,
+//!   [`SharedSuggestionCache::commit`] applies their publishes in input
+//!   order and swaps in the next snapshot. A repeated candidate is
+//!   dropped, a key already holding
+//!   [`MAX_CANDIDATES_PER_KEY`](SharedSuggestionCache::MAX_CANDIDATES_PER_KEY)
+//!   candidates keeps its first ones, and a new key beyond
+//!   [`MAX_KEYS`](SharedSuggestionCache::MAX_KEYS) evicts the
+//!   oldest-committed key. A commit pinned to a retired generation is
+//!   dropped.
+//! * **Deltas.** [`SharedSuggestionCache::apply_master_delta`] runs
+//!   inside the context's delta gate. A suggestion-preserving delta
+//!   (pure updates that change no rule's key column) carries the pool
+//!   to the new generation; any other delta installs an empty pool.
 //!
 //! # Determinism
 //!
-//! Within one generation, reuse is **checked** like the per-worker
-//! BDD's: a candidate is served only after
-//! [`certainfix_reasoning::is_suggestion`] accepts it for the probing
-//! tuple (invariant D8). Across generations the serve gate guarantees
-//! no retired entry is ever served, so a warm pool can only serve what
-//! a cold, same-generation run could have published itself; the one
-//! cross-generation carry — the suggestion-preserving restamp — is
-//! sound because the restamped entries are exactly what fresh
-//! derivations under the new epoch would republish. Together:
-//! final repaired tuples and certain-fix verdicts are independent of
-//! hygiene mode, eviction timing, and pool temperature (invariant
-//! D12, DETERMINISM.md — the cache counters themselves are observables
-//! exempt from bit-identity). Runs that must be bit-identical to
-//! sequential plain `CertainFix` should disable both caches; see the
-//! engine's determinism notes.
+//! A pool serves only probes of its own master generation, and a
+//! candidate is served only after [`certainfix_reasoning::is_suggestion`]
+//! accepts it for the probing tuple (invariant D8). A probe sees exactly
+//! the pool committed before its fan-out pinned, and commits land in
+//! input order, so with the BDD off the outcomes *and* the hit/miss
+//! counters depend only on the stream, the batch boundaries and where
+//! the deltas fall — never on the worker count or the schedule
+//! (invariant D12, DETERMINISM.md). The global hit/miss counters are the
+//! sum of the committed per-batch counts (invariant D9).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use certainfix_reasoning::{is_suggestion, is_suggestion_with, suggest, suggest_with};
-use certainfix_relation::{AttrId, AttrSet, FxHashMap, FxHashSet, MasterDelta, MasterIndex, Tuple};
+use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterDelta, MasterIndex, Tuple};
 use certainfix_rules::{ProbeScratch, RulePlan, RuleSet};
 
-/// Number of lock shards (power of two).
-const SHARDS: usize = 16;
+/// One suggestion a miss computed: the validated set it answers and the
+/// suggested attrs.
+pub type Publish = (AttrSet, Vec<AttrId>);
 
-/// One pooled suggestion: the attr list plus its lifecycle state.
+/// One immutable generation of pooled suggestions.
+#[derive(Clone, Debug, Default)]
+pub struct Pool {
+    generation: u64,
+    /// validated-set bits → candidates, in commit order.
+    map: FxHashMap<u64, Vec<Arc<[AttrId]>>>,
+    /// Keys in first-commit order; the key cap evicts from the front.
+    order: VecDeque<u64>,
+    /// Candidates pooled over all keys.
+    entries: usize,
+}
+
+impl Pool {
+    /// The master generation this pool serves.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The candidates pooled for `validated`, in commit order.
+    pub fn candidates(&self, validated: AttrSet) -> &[Arc<[AttrId]>] {
+        self.map.get(&validated.bits()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Add one committed suggestion (see the module docs for the caps).
+    fn insert(&mut self, validated: AttrSet, attrs: &[AttrId], stats: &mut SharedCacheStats) {
+        let key = validated.bits();
+        if let Some(slot) = self.map.get_mut(&key) {
+            if slot.iter().any(|c| **c == *attrs) {
+                return;
+            }
+            if slot.len() >= SharedSuggestionCache::MAX_CANDIDATES_PER_KEY {
+                stats.saturated += 1;
+                return;
+            }
+            slot.push(Arc::from(attrs));
+            self.entries += 1;
+            return;
+        }
+        if self.map.len() >= SharedSuggestionCache::MAX_KEYS {
+            stats.saturated += 1;
+            let oldest = self.order.pop_front().expect("a full pool has keys");
+            let evicted = self.map.remove(&oldest).map_or(0, |slot| slot.len());
+            self.entries -= evicted;
+            stats.evicted_lru += evicted as u64;
+        }
+        self.map.insert(key, vec![Arc::from(attrs)]);
+        self.order.push_back(key);
+        self.entries += 1;
+    }
+}
+
+/// One worker's view of the cache for one fan-out: the [`Pool`] pinned
+/// at fan-out, read with no lock, and the buffer the worker's misses
+/// publish into.
 #[derive(Debug)]
-struct Candidate {
-    /// The suggested attrs (R-schema ids), immutable.
-    attrs: Arc<[AttrId]>,
-    /// Master generation this candidate was computed under, bumped
-    /// only when a fresh derivation republishes the same list (the
-    /// sound revalidation event). The serve gate compares it against
-    /// the probing epoch's generation.
-    generation: AtomicU64,
-    /// Second-chance reference bit, set on every served hit and
-    /// revalidating republish, cleared by a passing clock hand.
-    referenced: AtomicBool,
+pub struct PinnedPool<'p> {
+    pool: &'p Pool,
+    publishes: Vec<Publish>,
 }
 
-impl Candidate {
-    fn new(attrs: &[AttrId], generation: u64) -> Arc<Candidate> {
-        Arc::new(Candidate {
-            attrs: Arc::from(attrs),
-            generation: AtomicU64::new(generation),
-            referenced: AtomicBool::new(false),
-        })
-    }
-
-    fn intersects(&self, tainted: &AttrSet) -> bool {
-        self.attrs.iter().any(|a| tainted.contains(*a))
-    }
-}
-
-/// The lock-protected slice of one shard: the candidate pool plus the
-/// structures hygiene sweeps (reverse index, clock ring, occupancy).
-#[derive(Debug, Default)]
-struct ShardPool {
-    /// validated-set bits → candidate suggestions, in publication order.
-    map: FxHashMap<u64, Vec<Arc<Candidate>>>,
-    /// Reverse index: suggestion attr → cache keys whose candidate
-    /// lists contain it. Maintained only with hygiene on (nothing
-    /// reads it with hygiene off) and pruned eagerly on every
-    /// eviction path — clock, within-key second chance, delta walk —
-    /// so a key sits in an attr's set iff one of its pooled
-    /// candidates carries the attr; otherwise long-lived services
-    /// under key churn would leak one set slot per distinct key ever
-    /// published.
-    by_attr: FxHashMap<AttrId, FxHashSet<u64>>,
-    /// Clock ring over keys in publication order (second-chance victim
-    /// selection at the key cap). Keys evicted by the delta walk are
-    /// compacted out at the end of the walk; the lazy removal when the
-    /// hand lands on a stale slot is only a belt-and-braces fallback.
-    ring: Vec<u64>,
-    /// The clock hand: index into `ring` of the next sweep position.
-    hand: usize,
-    /// Maintained candidate count (`== map.values().map(len).sum()`).
-    candidates: usize,
-    /// High-water mark of `map.len()`.
-    keys_hw: usize,
-    /// High-water mark of `candidates`.
-    candidates_hw: usize,
-}
-
-impl ShardPool {
-    fn note_occupancy(&mut self) {
-        self.keys_hw = self.keys_hw.max(self.map.len());
-        self.candidates_hw = self.candidates_hw.max(self.candidates);
-    }
-
-    /// Drop `key` from the reverse sets of the given attrs, reclaiming
-    /// emptied sets. Callers pass the attrs of candidates they just
-    /// evicted, after checking no surviving candidate of the key still
-    /// carries them.
-    fn unindex(&mut self, key: u64, attrs: &[AttrId]) {
-        for &a in attrs {
-            if let Some(keys) = self.by_attr.get_mut(&a) {
-                keys.remove(&key);
-                if keys.is_empty() {
-                    self.by_attr.remove(&a);
-                }
-            }
+impl<'p> PinnedPool<'p> {
+    /// A view over `pool` with an empty publish buffer.
+    pub fn new(pool: &'p Pool) -> PinnedPool<'p> {
+        PinnedPool {
+            pool,
+            publishes: Vec::new(),
         }
     }
 
-    /// Second-chance victim selection over `ring` starting at `hand`:
-    /// keys whose candidates are all unreferenced are evicted, keys
-    /// with a referenced candidate get their bits cleared and survive
-    /// one lap. Terminates within two laps (the first lap clears every
-    /// bit). Returns the number of candidates evicted.
-    fn evict_one_key(&mut self) -> usize {
-        let mut steps = 0usize;
-        // two laps over the *current* ring length is an upper bound:
-        // after one full lap every reference bit is clear
-        let budget = self.ring.len().saturating_mul(2).max(1);
-        while steps <= budget && !self.ring.is_empty() {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
+    /// Serve a suggestion for `t` under `validated`: the first pooled
+    /// candidate that passes the re-check (a hit, `true`), else a fresh
+    /// computation, buffered for the next commit (a miss, `false`). The
+    /// pool answers only probes of its own master generation. An
+    /// optional compiled [`RulePlan`] and a caller-owned
+    /// [`ProbeScratch`] route the master probes.
+    pub fn suggest(
+        &mut self,
+        rules: &RuleSet,
+        master: &MasterIndex,
+        t: &Tuple,
+        validated: AttrSet,
+        plan: Option<&RulePlan>,
+        scratch: &mut ProbeScratch,
+    ) -> (Option<Vec<AttrId>>, bool) {
+        if self.pool.generation == master.generation() {
+            let served = self.pool.candidates(validated).iter().find(|c| match plan {
+                Some(p) => is_suggestion_with(rules, master, t, validated, c, p, scratch),
+                None => is_suggestion(rules, master, t, validated, c),
+            });
+            if let Some(c) = served {
+                return (Some(c.to_vec()), true);
             }
-            let key = self.ring[self.hand];
-            let Some(pool) = self.map.get(&key) else {
-                // evicted elsewhere (delta walk): drop the stale ring slot
-                self.ring.swap_remove(self.hand);
-                continue;
-            };
-            let referenced = pool.iter().any(|c| c.referenced.load(Ordering::Relaxed));
-            if referenced {
-                for c in pool {
-                    c.referenced.store(false, Ordering::Relaxed);
-                }
-                self.hand += 1;
-                steps += 1;
-                continue;
-            }
-            let victims = self.map.remove(&key).unwrap_or_default();
-            let evicted = victims.len();
-            for c in &victims {
-                self.unindex(key, &c.attrs);
-            }
-            self.candidates -= evicted;
-            self.ring.swap_remove(self.hand);
-            return evicted;
         }
-        0
+        let computed = match plan {
+            Some(p) => suggest_with(rules, master, t, validated, p, scratch),
+            None => suggest(rules, master, t, validated),
+        }
+        .map(|s| s.attrs);
+        if let Some(attrs) = &computed {
+            self.publishes.push((validated, attrs.clone()));
+        }
+        (computed, false)
+    }
+
+    /// Drain what was published since the last call: one chunk's worth.
+    pub fn take_publishes(&mut self) -> Vec<Publish> {
+        std::mem::take(&mut self.publishes)
     }
 }
 
-/// One lock shard: its slice of the candidate pool plus counters.
-#[derive(Debug, Default)]
-struct CacheShard {
-    pool: RwLock<ShardPool>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evicted_delta: AtomicU64,
-    evicted_lru: AtomicU64,
-    revalidated: AtomicU64,
-    saturated: AtomicU64,
-}
-
-/// Counters of one cache shard, snapshot by
-/// [`SharedSuggestionCache::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Probes answered by a checked candidate of this shard.
-    pub hits: u64,
-    /// Probes no candidate of this shard could answer.
-    pub misses: u64,
-    /// Candidates currently pooled in this shard.
-    pub entries: u64,
-    /// Validated-set keys currently pooled in this shard.
-    pub keys: u64,
-    /// Candidates evicted by targeted delta invalidation.
-    pub evicted_delta: u64,
-    /// Candidates evicted by the second-chance clock at a cap.
-    pub evicted_lru: u64,
-    /// Candidates restamped to a newer generation (a passing check
-    /// under a newer master, or a delta that provably missed them).
-    pub revalidated: u64,
-    /// Publishes that arrived at a full shard or full key (the cap
-    /// events; counted in both hygiene modes — with hygiene off each
-    /// one is a silent drop, with hygiene on the clock makes room).
-    pub saturated: u64,
-    /// High-water mark of pooled keys.
-    pub keys_high_water: u64,
-    /// High-water mark of pooled candidates.
-    pub entries_high_water: u64,
-}
-
-/// Aggregated cache statistics (plus the per-shard breakdown).
+/// Cache statistics.
 ///
 /// Two provenances share this shape: [`SharedSuggestionCache::stats`]
-/// snapshots engine-global counters (cumulative over the engine's
-/// lifetime), while [`SharedSuggestionCache::attributed`] scopes the
-/// top-level `hits` / `misses` to one batch or session — the form
-/// reports carry, so that per-session numbers sum to the global ones.
-/// The lifecycle counters (`evicted_delta`, `evicted_lru`,
-/// `revalidated`, `saturated`) and occupancy fields are engine-lifetime
-/// snapshots in both forms, like `entries`.
+/// snapshots the engine-lifetime counters, while
+/// [`SharedSuggestionCache::attributed`] scopes `hits` / `misses` to one
+/// batch or session — the form reports carry. Every other field is an
+/// engine-lifetime snapshot in both forms.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Probes served from the pool (engine-global in a
-    /// [`stats`](SharedSuggestionCache::stats) snapshot; scoped to one
-    /// batch/session in an [`attributed`](SharedSuggestionCache::attributed) one).
+    /// Probes served from the pool.
     pub hits: u64,
-    /// Probes that fell through to a fresh computation (same scoping as
-    /// `hits`).
+    /// Probes that fell through to a fresh computation.
     pub misses: u64,
-    /// Total candidates pooled.
+    /// Candidates pooled.
     pub entries: u64,
-    /// Total validated-set keys pooled.
+    /// Validated-set keys pooled.
     pub keys: u64,
-    /// Candidates evicted because a master delta tainted their attrs.
+    /// Candidates dropped because a master delta installed an empty pool.
     pub evicted_delta: u64,
-    /// Candidates evicted by second-chance clock sweeps at the caps.
+    /// Candidates evicted with the oldest key at the key cap.
     pub evicted_lru: u64,
-    /// Candidates restamped to a newer master generation.
+    /// Candidates carried to a new generation by a suggestion-preserving
+    /// delta.
     pub revalidated: u64,
-    /// Publishes that hit a cap (see [`ShardCounters::saturated`]).
+    /// Committed publishes that met a full key or a full pool.
     pub saturated: u64,
-    /// High-water mark of pooled keys (summed over shards).
+    /// High-water mark of `keys`.
     pub keys_high_water: u64,
-    /// High-water mark of pooled candidates (summed over shards).
+    /// High-water mark of `entries`.
     pub entries_high_water: u64,
-    /// Per-shard counters, in shard order.
-    pub per_shard: Vec<ShardCounters>,
 }
 
 impl SharedCacheStats {
@@ -340,278 +218,92 @@ impl SharedCacheStats {
     }
 }
 
-/// The shared concurrent suggestion cache; see the [module
-/// docs](self) for design, lifecycle, and determinism notes.
-#[derive(Debug)]
-pub struct SharedSuggestionCache {
-    shards: Box<[CacheShard]>,
-    /// Lifecycle management on (the default): delta invalidation,
-    /// clock eviction at the caps, lazy revalidation. Off reproduces
-    /// the historical insert-only pool (plus the `saturated` counter).
-    hygiene: bool,
-    max_keys_per_shard: usize,
-    max_candidates_per_key: usize,
+/// The current pool plus the lifetime counters, behind one lock that
+/// only pins, commits, deltas and stats take.
+#[derive(Debug, Default)]
+struct State {
+    pool: Arc<Pool>,
+    /// Lifetime counters; `entries` and `keys` are read off the pool.
+    stats: SharedCacheStats,
 }
 
-impl Default for SharedSuggestionCache {
-    fn default() -> Self {
-        SharedSuggestionCache::new()
+impl State {
+    /// Replace the pool with an empty one serving `generation`.
+    fn restart(&mut self, generation: u64) {
+        self.stats.evicted_delta += self.pool.entries as u64;
+        self.pool = Arc::new(Pool {
+            generation,
+            ..Pool::default()
+        });
     }
+}
+
+/// The shared suggestion cache; see the [module docs](self).
+#[derive(Debug, Default)]
+pub struct SharedSuggestionCache {
+    state: Mutex<State>,
 }
 
 impl SharedSuggestionCache {
-    /// Distinct validated-set keys one shard accepts before the clock
-    /// evicts (hygiene on) or new keys are dropped (hygiene off) — a
-    /// pure hit-rate trade, never a correctness one.
-    pub const MAX_KEYS_PER_SHARD: usize = 1 << 14;
+    /// Validated-set keys pooled before a new key evicts the oldest —
+    /// a hit-rate trade, never a correctness one.
+    pub const MAX_KEYS: usize = 1 << 16;
 
-    /// Candidates pooled per validated-set key before the clock evicts
-    /// (hygiene on) or new candidates are dropped (hygiene off).
+    /// Candidates pooled per key; later candidates are dropped.
     pub const MAX_CANDIDATES_PER_KEY: usize = 64;
 
-    /// An empty cache with lifecycle hygiene on.
+    /// An empty cache at generation 0 (a fresh master lineage's).
     pub fn new() -> SharedSuggestionCache {
-        SharedSuggestionCache::with_hygiene(true)
+        SharedSuggestionCache::default()
     }
 
-    /// An empty cache with lifecycle hygiene on or off (off reproduces
-    /// the historical insert-only behaviour; see the module docs).
-    pub fn with_hygiene(hygiene: bool) -> SharedSuggestionCache {
-        SharedSuggestionCache::with_limits(
-            hygiene,
-            Self::MAX_KEYS_PER_SHARD,
-            Self::MAX_CANDIDATES_PER_KEY,
-        )
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("suggestion cache poisoned")
     }
 
-    /// An empty cache with explicit caps — the benchmark harness uses
-    /// tightened caps to put the pool under measurable pressure;
-    /// production callers should prefer the defaults.
-    pub fn with_limits(
-        hygiene: bool,
-        max_keys_per_shard: usize,
-        max_candidates_per_key: usize,
-    ) -> SharedSuggestionCache {
-        SharedSuggestionCache {
-            shards: (0..SHARDS).map(|_| CacheShard::default()).collect(),
-            hygiene,
-            max_keys_per_shard: max_keys_per_shard.max(1),
-            max_candidates_per_key: max_candidates_per_key.max(1),
+    /// Pin the current pool for one fan-out.
+    pub fn pin(&self) -> Arc<Pool> {
+        Arc::clone(&self.state().pool)
+    }
+
+    /// Commit one fan-out: add its probe counts and apply its publishes
+    /// — `(chunk index, publishes)`, in any order — chunk by chunk in
+    /// index order, then each chunk's in the order it buffered them.
+    /// Publishes computed under a `generation` older than the pool's are
+    /// dropped; a newer one (a delta reached the context without passing
+    /// through the cache) first replaces the pool with an empty one.
+    pub fn commit(
+        &self,
+        generation: u64,
+        hits: u64,
+        misses: u64,
+        mut chunks: Vec<(usize, Vec<Publish>)>,
+    ) {
+        chunks.sort_unstable_by_key(|&(c, _)| c);
+        let mut st = self.state();
+        st.stats.hits += hits;
+        st.stats.misses += misses;
+        if generation < st.pool.generation || chunks.iter().all(|(_, p)| p.is_empty()) {
+            return;
         }
+        if generation > st.pool.generation {
+            st.restart(generation);
+        }
+        let State { pool, stats } = &mut *st;
+        // clones only if a fan-out still holds the old pin
+        let next = Arc::make_mut(pool);
+        for (validated, attrs) in chunks.iter().flat_map(|(_, p)| p) {
+            next.insert(*validated, attrs, stats);
+        }
+        stats.keys_high_water = stats.keys_high_water.max(next.map.len() as u64);
+        stats.entries_high_water = stats.entries_high_water.max(next.entries as u64);
     }
 
-    /// Whether lifecycle hygiene (eviction + revalidation) is on.
-    pub fn hygiene(&self) -> bool {
-        self.hygiene
-    }
-
-    fn shard(&self, key: u64) -> &CacheShard {
-        // splitmix-style mix so dense validated-set words spread over
-        // the shards instead of clustering in the low bits
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 56) as usize & (SHARDS - 1)]
-    }
-
-    /// The candidates pooled for `validated`, in publication order.
-    pub fn candidates(&self, validated: AttrSet) -> Vec<Arc<[AttrId]>> {
-        self.snapshot(validated)
-            .into_iter()
-            .map(|c| c.attrs.clone())
-            .collect()
-    }
-
-    /// The candidates pooled for `validated` with their generation
-    /// stamps, in publication order.
-    pub fn candidates_with_generations(&self, validated: AttrSet) -> Vec<(Vec<AttrId>, u64)> {
-        self.snapshot(validated)
-            .into_iter()
-            .map(|c| (c.attrs.to_vec(), c.generation.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    fn snapshot(&self, validated: AttrSet) -> Vec<Arc<Candidate>> {
-        self.shard(validated.bits())
-            .pool
-            .read()
-            .expect("suggestion cache shard poisoned")
-            .map
-            .get(&validated.bits())
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Publish a computed suggestion for `validated`, stamped with the
-    /// master `generation` it was computed under. Deduplicated. At a
-    /// cap: hygiene on evicts a second-chance victim to make room,
-    /// hygiene off drops the publish; both tick `saturated`.
-    pub fn publish(&self, validated: AttrSet, suggestion: &[AttrId], generation: u64) {
-        let shard = self.shard(validated.bits());
-        let mut pool = shard.pool.write().expect("suggestion cache shard poisoned");
-        let key = validated.bits();
-        if !pool.map.contains_key(&key) && pool.map.len() >= self.max_keys_per_shard {
-            shard.saturated.fetch_add(1, Ordering::Relaxed);
-            if !self.hygiene {
-                return;
-            }
-            let evicted = pool.evict_one_key();
-            if evicted == 0 {
-                return; // every key referenced twice over — give up
-            }
-            shard
-                .evicted_lru
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        let new_key = !pool.map.contains_key(&key);
-        let cap = self.max_candidates_per_key;
-        let hygiene = self.hygiene;
-        let mut saturated = false;
-        let mut evicted_lru = 0u64;
-        let mut revalidated = 0u64;
-        let mut added = false;
-        let mut victim_attrs: Option<Arc<[AttrId]>> = None;
-        {
-            let slot = pool.map.entry(key).or_default();
-            if let Some(at) = slot.iter().position(|c| *c.attrs == *suggestion) {
-                // republish of a pooled list: freshen the stamp. This
-                // is the *sound* revalidation event — the fresh
-                // derivation just produced this exact list under
-                // `generation`, so serving the entry again is
-                // indistinguishable from serving the fresh result.
-                let existing = &slot[at];
-                let g = existing.generation.load(Ordering::Relaxed);
-                if hygiene {
-                    existing.referenced.store(true, Ordering::Relaxed);
-                }
-                if generation > g {
-                    existing.generation.store(generation, Ordering::Relaxed);
-                    revalidated += 1;
-                    // move the revived entry to the back so the
-                    // serve-visible (current-generation) subsequence
-                    // sits in first-publish-this-generation order —
-                    // exactly the order a cold pool would hold. The
-                    // serve loop returns the first passing candidate,
-                    // so slot order is outcome-relevant (D12).
-                    let revived = slot.remove(at);
-                    slot.push(revived);
-                }
-            } else if slot.len() < cap {
-                slot.push(Candidate::new(suggestion, generation));
-                added = true;
-            } else {
-                saturated = true;
-                if hygiene {
-                    // second chance within the key's list: dormant
-                    // (retired-generation) candidates go first —
-                    // unreferenced before referenced, stalest stamp
-                    // first — so current-generation entries are only
-                    // displaced by each other, keeping the
-                    // serve-visible subsequence cold-pool-shaped. If
-                    // everything is current and referenced, clear the
-                    // bits and take the *back* (newest publish): the
-                    // incoming candidate replaces the tail, leaving
-                    // the serve-visible prefix — the order the serve
-                    // loop scans — untouched (D12's ordering
-                    // argument survives cap pressure).
-                    let victim = slot
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.generation.load(Ordering::Relaxed) < generation)
-                        .min_by_key(|(i, c)| {
-                            (
-                                c.referenced.load(Ordering::Relaxed),
-                                c.generation.load(Ordering::Relaxed),
-                                *i,
-                            )
-                        })
-                        .map(|(i, _)| i)
-                        .or_else(|| {
-                            slot.iter()
-                                .position(|c| !c.referenced.load(Ordering::Relaxed))
-                        })
-                        .unwrap_or_else(|| {
-                            for c in slot.iter() {
-                                c.referenced.store(false, Ordering::Relaxed);
-                            }
-                            slot.len() - 1
-                        });
-                    victim_attrs = Some(slot.remove(victim).attrs.clone());
-                    evicted_lru += 1;
-                    slot.push(Candidate::new(suggestion, generation));
-                    added = true;
-                }
-            }
-        }
-        if saturated {
-            shard.saturated.fetch_add(1, Ordering::Relaxed);
-        }
-        if revalidated > 0 {
-            shard.revalidated.fetch_add(revalidated, Ordering::Relaxed);
-        }
-        if evicted_lru > 0 {
-            shard.evicted_lru.fetch_add(evicted_lru, Ordering::Relaxed);
-            pool.candidates -= evicted_lru as usize;
-        }
-        if let Some(vattrs) = victim_attrs {
-            // prune the victim's attrs from the reverse index unless a
-            // survivor still carries them (the replacement candidate
-            // is already in the slot, so shared attrs count)
-            let orphaned: Vec<AttrId> = vattrs
-                .iter()
-                .copied()
-                .filter(|a| {
-                    !pool
-                        .map
-                        .get(&key)
-                        .is_some_and(|s| s.iter().any(|c| c.attrs.contains(a)))
-                })
-                .collect();
-            pool.unindex(key, &orphaned);
-        }
-        if added {
-            pool.candidates += 1;
-            if new_key {
-                pool.ring.push(key);
-            }
-            if self.hygiene {
-                // the reverse index only feeds the hygiene-on delta
-                // walk; with hygiene off it would just accumulate
-                for &a in suggestion {
-                    pool.by_attr.entry(a).or_default().insert(key);
-                }
-            }
-        } else if new_key && pool.map.get(&key).is_some_and(Vec::is_empty) {
-            // a capped, hygiene-off publish created an empty slot: undo
-            pool.map.remove(&key);
-        }
-        pool.note_occupancy();
-    }
-
-    /// Delta-aware pool maintenance for a master delta that moved the
-    /// live master from `old_master` (the epoch the delta was applied
-    /// to) to `generation`. Two regimes:
-    ///
-    /// - **Suggestion-preserving deltas** (pure updates whose changed
-    ///   master columns avoid every rule's key columns — `lhs_m` and
-    ///   pattern-aligned attrs): the suggestion function is untouched
-    ///   (support probes see identical key values, and a pooled list
-    ///   never encodes fix values), so every candidate stamped with
-    ///   `old_master`'s generation is restamped to `generation` and
-    ///   stays servable across the delta — the warm-start win.
-    ///   Counted under `revalidated`. Candidates at even older
-    ///   generations are *not* revived: the preserving proof covers
-    ///   only this one transition (see
-    ///   [`restamp_generation`](Self::restamp_generation)).
-    /// - **Everything else** (inserts, deletes, key-column updates):
-    ///   derive the tainted R-side attribute set from the delta's
-    ///   named rows (see the module docs) and evict every pooled
-    ///   candidate whose attr list intersects it — the entries least
-    ///   likely to ever be re-derived, freeing their capped slots.
-    ///   Untainted survivors keep their retired stamps: the serve
-    ///   gate holds them dormant until a fresh derivation republishes
-    ///   the same list and restamps them.
-    ///
-    /// A no-op with hygiene off: there the gate retires the whole
-    /// pool on every generation bump, hot or not.
+    /// Move the pool to `generation` after a master delta that was
+    /// applied to `old_master`: carry it when the delta preserves
+    /// suggestions — pure updates that change no rule's key column —
+    /// (counted under `revalidated`), otherwise install an empty pool
+    /// (counted under `evicted_delta`).
     pub fn apply_master_delta(
         &self,
         rules: &RuleSet,
@@ -619,280 +311,18 @@ impl SharedSuggestionCache {
         delta: &MasterDelta,
         generation: u64,
     ) {
-        if !self.hygiene {
-            return;
-        }
-        if Self::preserves_suggestions(rules, old_master, delta) {
-            self.restamp_generation(old_master.generation(), generation);
-            return;
-        }
-        let tainted = Self::tainted_attrs(rules, old_master, delta);
-        if tainted.is_empty() {
-            return;
-        }
-        for shard in self.shards.iter() {
-            let mut pool = shard.pool.write().expect("suggestion cache shard poisoned");
-            // collect the touched keys through the reverse index:
-            // O(touched entries), never a scan of the whole shard
-            let mut touched: FxHashSet<u64> = FxHashSet::default();
-            for a in tainted.iter() {
-                if let Some(keys) = pool.by_attr.get(&a) {
-                    touched.extend(keys.iter().copied());
-                }
-            }
-            if touched.is_empty() {
-                continue;
-            }
-            let mut evicted = 0u64;
-            let mut removed_key = false;
-            for &key in &touched {
-                let Some(slot) = pool.map.get_mut(&key) else {
-                    continue; // stale reverse-index entry
-                };
-                let before = slot.len();
-                let mut evicted_attrs: FxHashSet<AttrId> = FxHashSet::default();
-                slot.retain(|c| {
-                    if c.intersects(&tainted) {
-                        evicted_attrs.extend(c.attrs.iter().copied());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                evicted += (before - slot.len()) as u64;
-                // tainted attrs never survive in this key, but an
-                // evicted candidate's *untainted* attrs may still be
-                // carried by a survivor — only orphaned attrs leave
-                // the reverse index
-                let orphaned: Vec<AttrId> = evicted_attrs
-                    .into_iter()
-                    .filter(|a| !slot.iter().any(|c| c.attrs.contains(a)))
-                    .collect();
-                if slot.is_empty() {
-                    pool.map.remove(&key);
-                    removed_key = true;
-                }
-                pool.unindex(key, &orphaned);
-            }
-            if removed_key {
-                // compact stale ring slots now rather than waiting for
-                // the clock hand: under delta churn they would pile up
-                // long before any cap event sweeps them
-                let ShardPool { map, ring, .. } = &mut *pool;
-                ring.retain(|k| map.contains_key(k));
-            }
-            pool.candidates -= evicted as usize;
-            shard.evicted_delta.fetch_add(evicted, Ordering::Relaxed);
+        let mut st = self.state();
+        if preserves_suggestions(rules, old_master, delta) {
+            st.stats.revalidated += st.pool.entries as u64;
+            Arc::make_mut(&mut st.pool).generation = generation;
+        } else {
+            st.restart(generation);
         }
     }
 
-    /// The R-side attribute taint of a delta: master attrs whose
-    /// values the delta changes (updates diff old vs new per column;
-    /// deletes taint every non-null column of the removed row; inserts
-    /// taint nothing — they are provably monotone for suggestion
-    /// validity), mapped through every rule whose master footprint
-    /// they intersect to that rule's `X ∪ {B}`.
-    fn tainted_attrs(rules: &RuleSet, old_master: &MasterIndex, delta: &MasterDelta) -> AttrSet {
-        let mut touched_m = AttrSet::from_bits(0);
-        for (row, new) in delta.updates() {
-            let old = old_master.tuple(*row);
-            for (a, v) in old.iter() {
-                if v != new.get(a) {
-                    touched_m.insert(a);
-                }
-            }
-        }
-        for &row in delta.deletes() {
-            for (a, v) in old_master.tuple(row).iter() {
-                if !v.is_null() {
-                    touched_m.insert(a);
-                }
-            }
-        }
-        let mut tainted = AttrSet::from_bits(0);
-        if touched_m.is_empty() {
-            return tainted;
-        }
-        for (_, rule) in rules.iter() {
-            let mut footprint = AttrSet::collect_from(rule.lhs_m().iter().copied());
-            footprint.insert(rule.rhs_m());
-            for &a in rule.lhs_p() {
-                if let Some(m) = rule.master_attr_for(a) {
-                    footprint.insert(m);
-                }
-            }
-            if !footprint.is_disjoint(&touched_m) {
-                for &a in rule.lhs() {
-                    tainted.insert(a);
-                }
-                tainted.insert(rule.rhs());
-            }
-        }
-        tainted
-    }
-
-    /// `true` iff the delta provably leaves the suggestion function
-    /// unchanged for every `(tuple, validated)` pair: it is pure
-    /// updates (inserts add support, deletes remove it — both can
-    /// change rule applicability), and no changed column is a key
-    /// column (`lhs_m` or pattern-aligned) of any rule. Fix-source
-    /// (`rhs_m`) changes alter the values `TransFix` propagates, but
-    /// a suggestion is an attr list — its derivation only probes
-    /// master *key* columns.
-    fn preserves_suggestions(
-        rules: &RuleSet,
-        old_master: &MasterIndex,
-        delta: &MasterDelta,
-    ) -> bool {
-        if !delta.inserts().is_empty() || delta.has_deletes() {
-            return false;
-        }
-        let mut touched_m = AttrSet::from_bits(0);
-        for (row, new) in delta.updates() {
-            let old = old_master.tuple(*row);
-            for (a, v) in old.iter() {
-                if v != new.get(a) {
-                    touched_m.insert(a);
-                }
-            }
-        }
-        if touched_m.is_empty() {
-            return true;
-        }
-        for (_, rule) in rules.iter() {
-            let mut keys = AttrSet::collect_from(rule.lhs_m().iter().copied());
-            for &a in rule.lhs_p() {
-                if let Some(m) = rule.master_attr_for(a) {
-                    keys.insert(m);
-                }
-            }
-            if !keys.is_disjoint(&touched_m) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Freshen the stamp of every pooled candidate currently at
-    /// generation `from` to `to` (the suggestion-preserving-delta
-    /// path), counting each bump as a revalidation. Only the `from`
-    /// generation is restamped: the preserving proof covers exactly
-    /// the `from → to` transition, so entries left dormant by an
-    /// earlier non-preserving delta (or published by a worker still
-    /// pinned on an older epoch) must stay dormant until a fresh
-    /// derivation republishes them — reviving them here would let a
-    /// candidate the proof never covered pass the serve gate and
-    /// steer an interaction away from the fresh derivation (D12).
-    /// Stamps have interior mutability, so the shard read lock
-    /// suffices.
-    fn restamp_generation(&self, from: u64, to: u64) {
-        for shard in self.shards.iter() {
-            let pool = shard.pool.read().expect("suggestion cache shard poisoned");
-            let mut revalidated = 0u64;
-            for slot in pool.map.values() {
-                for c in slot {
-                    if c.generation.load(Ordering::Relaxed) == from {
-                        c.generation.store(to, Ordering::Relaxed);
-                        revalidated += 1;
-                    }
-                }
-            }
-            if revalidated > 0 {
-                shard.revalidated.fetch_add(revalidated, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Serve a suggestion for `t` under `validated`: re-check pooled
-    /// candidates first (a hit), else compute fresh, publish, and
-    /// return it (a miss). `hit` reports which path answered. Checks
-    /// run on a snapshot outside the shard lock.
-    pub fn suggest_through(
-        &self,
-        rules: &RuleSet,
-        master: &MasterIndex,
-        t: &Tuple,
-        validated: AttrSet,
-        hit: &mut bool,
-    ) -> Option<Vec<AttrId>> {
-        self.suggest_through_with(
-            rules,
-            master,
-            t,
-            validated,
-            hit,
-            None,
-            &mut ProbeScratch::new(),
-        )
-    }
-
-    /// [`suggest_through`](Self::suggest_through) with an optional
-    /// compiled [`RulePlan`] and a caller-owned [`ProbeScratch`]
-    /// routing the candidate re-checks' and the fallback computation's
-    /// master probes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn suggest_through_with(
-        &self,
-        rules: &RuleSet,
-        master: &MasterIndex,
-        t: &Tuple,
-        validated: AttrSet,
-        hit: &mut bool,
-        plan: Option<&RulePlan>,
-        scratch: &mut ProbeScratch,
-    ) -> Option<Vec<AttrId>> {
-        let shard = self.shard(validated.bits());
-        let generation = master.generation();
-        for cand in self.snapshot(validated) {
-            // the serve gate of invariant D12: only candidates stamped
-            // with the probing epoch's generation are ever served, in
-            // *both* hygiene modes. A retired-generation candidate can
-            // pass the `is_suggestion` re-check under the new master
-            // and still steer the interaction to a different final
-            // tuple than a fresh derivation would (the check proves
-            // validity, not canonicity), so stale entries lie dormant
-            // until a fresh computation re-derives the same list and
-            // the publish dedup restamps them (`revalidated`).
-            if cand.generation.load(Ordering::Relaxed) != generation {
-                continue;
-            }
-            let ok = match plan {
-                Some(p) => is_suggestion_with(rules, master, t, validated, &cand.attrs, p, scratch),
-                None => is_suggestion(rules, master, t, validated, &cand.attrs),
-            };
-            if ok {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                if self.hygiene {
-                    cand.referenced.store(true, Ordering::Relaxed);
-                }
-                *hit = true;
-                return Some(cand.attrs.to_vec());
-            }
-        }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        *hit = false;
-        let computed = match plan {
-            Some(p) => suggest_with(rules, master, t, validated, p, scratch),
-            None => suggest(rules, master, t, validated),
-        }
-        .map(|s| s.attrs);
-        if let Some(attrs) = &computed {
-            self.publish(validated, attrs, generation);
-        }
-        computed
-    }
-
-    /// Total pooled candidates across all shards and keys.
+    /// Candidates currently pooled.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.pool
-                    .read()
-                    .expect("suggestion cache shard poisoned")
-                    .candidates
-            })
-            .sum()
+        self.state().pool.entries
     }
 
     /// `true` iff nothing is currently pooled.
@@ -900,63 +330,64 @@ impl SharedSuggestionCache {
         self.len() == 0
     }
 
-    /// A [`stats`](Self::stats) snapshot with the top-level `hits` /
-    /// `misses` replaced by counters the caller attributes to one batch
-    /// or session (its workers' own probe counts), while `entries` and
-    /// `per_shard` keep describing the engine-lifetime pool. Worker-side
-    /// probe counters tick 1:1 with the cache-side atomics, so summing
-    /// attributed snapshots over every batch the engine ever ran
-    /// reproduces the engine-global `hits` / `misses` exactly.
+    /// A [`stats`](Self::stats) snapshot with `hits` / `misses` replaced
+    /// by the counts the caller attributes to one batch or session.
+    /// Every fan-out commits exactly the counts it attributes, so
+    /// summing the attributed snapshots over every batch the engine ran
+    /// reproduces the global `hits` / `misses`.
     pub fn attributed(&self, hits: u64, misses: u64) -> SharedCacheStats {
-        let mut stats = self.stats();
-        stats.hits = hits;
-        stats.misses = misses;
-        stats
-    }
-
-    /// Snapshot aggregated and per-shard counters.
-    pub fn stats(&self) -> SharedCacheStats {
-        let per_shard: Vec<ShardCounters> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let pool = s.pool.read().expect("suggestion cache shard poisoned");
-                ShardCounters {
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    entries: pool.candidates as u64,
-                    keys: pool.map.len() as u64,
-                    evicted_delta: s.evicted_delta.load(Ordering::Relaxed),
-                    evicted_lru: s.evicted_lru.load(Ordering::Relaxed),
-                    revalidated: s.revalidated.load(Ordering::Relaxed),
-                    saturated: s.saturated.load(Ordering::Relaxed),
-                    keys_high_water: pool.keys_hw as u64,
-                    entries_high_water: pool.candidates_hw as u64,
-                }
-            })
-            .collect();
-        let sum = |f: fn(&ShardCounters) -> u64| per_shard.iter().map(f).sum();
         SharedCacheStats {
-            hits: sum(|c| c.hits),
-            misses: sum(|c| c.misses),
-            entries: sum(|c| c.entries),
-            keys: sum(|c| c.keys),
-            evicted_delta: sum(|c| c.evicted_delta),
-            evicted_lru: sum(|c| c.evicted_lru),
-            revalidated: sum(|c| c.revalidated),
-            saturated: sum(|c| c.saturated),
-            keys_high_water: sum(|c| c.keys_high_water),
-            entries_high_water: sum(|c| c.entries_high_water),
-            per_shard,
+            hits,
+            misses,
+            ..self.stats()
         }
     }
+
+    /// Snapshot the lifetime counters and the current occupancy.
+    pub fn stats(&self) -> SharedCacheStats {
+        let st = self.state();
+        SharedCacheStats {
+            entries: st.pool.entries as u64,
+            keys: st.pool.map.len() as u64,
+            ..st.stats.clone()
+        }
+    }
+}
+
+/// `true` iff the delta provably leaves the suggestion function
+/// unchanged for every `(tuple, validated)` pair: it is pure updates
+/// (inserts add support, deletes remove it — both can change rule
+/// applicability), and no changed column is a key column (`lhs_m` or
+/// pattern-aligned) of any rule. Fix-source (`rhs_m`) changes alter the
+/// values `TransFix` propagates, but a suggestion is an attr list — its
+/// derivation only probes master *key* columns.
+fn preserves_suggestions(rules: &RuleSet, old_master: &MasterIndex, delta: &MasterDelta) -> bool {
+    if !delta.inserts().is_empty() || delta.has_deletes() {
+        return false;
+    }
+    let mut touched_m = AttrSet::EMPTY;
+    for (row, new) in delta.updates() {
+        for (a, v) in old_master.tuple(*row).iter() {
+            if v != new.get(a) {
+                touched_m.insert(a);
+            }
+        }
+    }
+    rules.iter().all(|(_, rule)| {
+        let mut keys = AttrSet::collect_from(rule.lhs_m().iter().copied());
+        for &a in rule.lhs_p() {
+            if let Some(m) = rule.master_attr_for(a) {
+                keys.insert(m);
+            }
+        }
+        keys.is_disjoint(&touched_m)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use certainfix_relation::{Relation, Schema, Value};
-    use std::sync::Arc as StdArc;
 
     fn aset(bits: u64) -> AttrSet {
         AttrSet::from_bits(bits)
@@ -966,510 +397,230 @@ mod tests {
         ids.iter().map(|&i| AttrId(i)).collect()
     }
 
-    #[test]
-    fn publish_then_candidates_round_trip() {
-        let cache = SharedSuggestionCache::new();
-        assert!(cache.is_empty());
-        cache.publish(aset(0b011), &sugg(&[2, 3]), 0);
-        cache.publish(aset(0b011), &sugg(&[4]), 0);
-        cache.publish(aset(0b100), &sugg(&[0]), 0);
-        let pool = cache.candidates(aset(0b011));
-        assert_eq!(pool.len(), 2);
-        assert_eq!(&*pool[0], &sugg(&[2, 3])[..]);
-        assert_eq!(cache.len(), 3);
-        assert!(cache.candidates(aset(0b111)).is_empty());
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.keys, 2);
-        assert_eq!(stats.entries_high_water, 3);
+    fn pooled(cache: &SharedSuggestionCache, validated: AttrSet) -> Vec<Vec<AttrId>> {
+        let pool = cache.pin();
+        pool.candidates(validated)
+            .iter()
+            .map(|c| c.to_vec())
+            .collect()
     }
 
-    #[test]
-    fn publishing_is_deduplicated() {
-        let cache = SharedSuggestionCache::new();
-        cache.publish(aset(1), &sugg(&[5]), 0);
-        cache.publish(aset(1), &sugg(&[5]), 3);
-        assert_eq!(cache.len(), 1, "identical candidate pooled once");
-        assert_eq!(
-            cache.candidates_with_generations(aset(1)),
-            vec![(sugg(&[5]), 3)],
-            "republish freshens the stamp"
-        );
-        assert_eq!(
-            cache.stats().revalidated,
-            1,
-            "a stamp-freshening republish is the revalidation event"
-        );
-    }
-
-    #[test]
-    fn candidate_cap_is_enforced() {
-        let cache = SharedSuggestionCache::new();
-        for i in 0..(SharedSuggestionCache::MAX_CANDIDATES_PER_KEY as u16 + 10) {
-            cache.publish(aset(7), &sugg(&[i]), 0);
-        }
-        assert_eq!(
-            cache.candidates(aset(7)).len(),
-            SharedSuggestionCache::MAX_CANDIDATES_PER_KEY
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.saturated, 10, "every cap event is counted");
-        assert_eq!(stats.evicted_lru, 10, "hygiene on: the clock made room");
-    }
-
-    #[test]
-    fn hygiene_off_reproduces_insert_only_drops() {
-        let cache = SharedSuggestionCache::with_hygiene(false);
-        for i in 0..(SharedSuggestionCache::MAX_CANDIDATES_PER_KEY as u16 + 10) {
-            cache.publish(aset(7), &sugg(&[i]), 0);
-        }
-        let pool = cache.candidates(aset(7));
-        assert_eq!(pool.len(), SharedSuggestionCache::MAX_CANDIDATES_PER_KEY);
-        // insert-only: the *first* cap-many candidates survive
-        assert_eq!(&*pool[0], &sugg(&[0])[..]);
-        let stats = cache.stats();
-        assert_eq!(stats.saturated, 10, "drops are observable in off mode");
-        assert_eq!(stats.evicted_lru, 0, "but nothing was evicted");
-    }
-
-    #[test]
-    fn key_cap_clock_evicts_unreferenced_keys() {
-        let cache = SharedSuggestionCache::with_limits(true, 2, 4);
-        // shard selection is hash-scattered, so drive one shard by
-        // publishing keys that land in it: find three co-resident keys
-        let shard0 = cache.shard(1) as *const CacheShard;
-        let mut keys: Vec<u64> = Vec::new();
-        let mut bits = 1u64;
-        while keys.len() < 3 {
-            if std::ptr::eq(cache.shard(bits), shard0) {
-                keys.push(bits);
-            }
-            bits += 1;
-        }
-        cache.publish(aset(keys[0]), &sugg(&[1]), 0);
-        cache.publish(aset(keys[1]), &sugg(&[2]), 0);
-        // mark the first key referenced: the clock must pass it over
-        for cand in cache.snapshot(aset(keys[0])) {
-            cand.referenced.store(true, Ordering::Relaxed);
-        }
-        cache.publish(aset(keys[2]), &sugg(&[3]), 1);
-        assert_eq!(
-            cache.candidates(aset(keys[1])).len(),
-            0,
-            "the unreferenced key was evicted"
-        );
-        assert_eq!(
-            cache.candidates(aset(keys[0])).len(),
-            1,
-            "referenced key survives"
-        );
-        assert_eq!(cache.candidates(aset(keys[2])).len(), 1, "new key admitted");
-        let stats = cache.stats();
-        assert_eq!(stats.evicted_lru, 1);
-        assert_eq!(stats.saturated, 1);
-    }
-
-    /// The satellite cache-sharing test, at the cache's own level: a
-    /// suggestion published by one worker thread is observed by
-    /// another. (The engine-level version lives in `engine::tests`.)
-    #[test]
-    fn publish_by_one_thread_is_observed_by_another() {
-        let cache = SharedSuggestionCache::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                cache.publish(aset(0b101), &sugg(&[5, 6]), 0);
-            })
-            .join()
-            .expect("writer thread");
-            s.spawn(|| {
-                let seen = cache.candidates(aset(0b101));
-                assert_eq!(seen.len(), 1, "published candidate visible");
-                assert_eq!(&*seen[0], &sugg(&[5, 6])[..]);
-            })
-            .join()
-            .expect("reader thread");
-        });
-        assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn stats_sum_per_shard_counters() {
-        let cache = SharedSuggestionCache::new();
-        for bits in 1..100u64 {
-            cache.publish(aset(bits), &sugg(&[1]), 0);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.per_shard.len(), SHARDS);
-        assert_eq!(stats.entries, 99);
-        assert_eq!(stats.keys, 99);
-        assert_eq!(stats.keys_high_water, 99);
-        assert!(
-            stats.per_shard.iter().filter(|c| c.entries > 0).count() > 1,
-            "keys spread across shards"
-        );
-        assert_eq!(stats.hits + stats.misses, 0, "no probes yet");
-        assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    /// Build a tiny two-rule workload for the taint/eviction tests:
-    /// rule `r0` keys R.a0 on M.m0 and fixes R.a1 from M.m1; rule `r1`
-    /// keys R.a2 on M.m2 and fixes R.a3 from M.m3.
-    fn taint_fixture() -> (RuleSet, MasterIndex) {
+    /// A two-rule workload: rule `r0` keys R.a0 on M.m0 and fixes R.a1
+    /// from M.m1; rule `r1` keys R.a2 on M.m2 and fixes R.a3 from M.m3.
+    fn fixture() -> (RuleSet, MasterIndex) {
         let r = Schema::new("R", ["a0", "a1", "a2", "a3"]).unwrap();
         let rm = Schema::new("M", ["m0", "m1", "m2", "m3"]).unwrap();
-        let rule0 = certainfix_rules::EditingRule::build(&r, &rm)
-            .name("r0")
-            .key("a0", "m0")
-            .fix("a1", "m1")
-            .finish()
-            .unwrap();
-        let rule1 = certainfix_rules::EditingRule::build(&r, &rm)
-            .name("r1")
-            .key("a2", "m2")
-            .fix("a3", "m3")
-            .finish()
-            .unwrap();
-        let rules = RuleSet::from_rules(r, rm.clone(), vec![rule0, rule1]).expect("rules build");
-        let master = Relation::new(
-            rm,
+        let rule = |name, key: (&str, &str), fix: (&str, &str)| {
+            certainfix_rules::EditingRule::build(&r, &rm)
+                .name(name)
+                .key(key.0, key.1)
+                .fix(fix.0, fix.1)
+                .finish()
+                .unwrap()
+        };
+        let rules = RuleSet::from_rules(
+            r.clone(),
+            rm.clone(),
             vec![
-                Tuple::new(vec![
-                    Value::from("k0"),
-                    Value::from("v0"),
-                    Value::from("k2"),
-                    Value::from("v2"),
-                ]),
-                Tuple::new(vec![
-                    Value::from("x0"),
-                    Value::from("y0"),
-                    Value::from("x2"),
-                    Value::from("y2"),
-                ]),
+                rule("r0", ("a0", "m0"), ("a1", "m1")),
+                rule("r1", ("a2", "m2"), ("a3", "m3")),
             ],
         )
+        .expect("rules build");
+        let row = |cells: [&str; 4]| Tuple::new(cells.into_iter().map(Value::from).collect());
+        let master = Relation::new(
+            rm,
+            vec![row(["k0", "v0", "k2", "v2"]), row(["x0", "y0", "x2", "y2"])],
+        )
         .expect("master builds");
-        (rules, MasterIndex::new(StdArc::new(master)))
+        (rules, MasterIndex::new(Arc::new(master)))
     }
 
-    /// The satellite unit test: a delta touching master key column
-    /// `m0` (rule r0's key) evicts exactly the pooled entries whose
-    /// candidate lists intersect r0's R-side attrs {a0, a1}; entries
-    /// over r1's attrs survive, keeping their retired stamps (dormant
-    /// until a republish revalidates them).
+    /// A tuple with a0 and a2 keyed on master row 0; with only a0
+    /// validated it needs a real suggestion ({a2} or similar) to finish.
+    fn probe_tuple() -> Tuple {
+        Tuple::new(vec![
+            Value::from("k0"),
+            Value::Null,
+            Value::from("k2"),
+            Value::Null,
+        ])
+    }
+
+    /// Probe `t` under `validated` through a fresh pin of `cache`.
+    fn probe(
+        cache: &SharedSuggestionCache,
+        rules: &RuleSet,
+        master: &MasterIndex,
+        validated: AttrSet,
+    ) -> (Option<Vec<AttrId>>, bool, Vec<Publish>) {
+        let pool = cache.pin();
+        let mut view = PinnedPool::new(&pool);
+        let mut scratch = ProbeScratch::new();
+        let (s, hit) = view.suggest(rules, master, &probe_tuple(), validated, None, &mut scratch);
+        (s, hit, view.take_publishes())
+    }
+
     #[test]
-    fn delta_evicts_exactly_intersecting_entries() {
-        let (rules, master) = taint_fixture();
+    fn a_publish_stays_invisible_until_its_batch_commits() {
+        let (rules, master) = fixture();
         let cache = SharedSuggestionCache::new();
-        cache.publish(aset(0b0001), &sugg(&[1]), 1); // intersects {a0,a1}
-        cache.publish(aset(0b0001), &sugg(&[3]), 1); // disjoint from {a0,a1}
-        cache.publish(aset(0b0100), &sugg(&[3]), 1); // disjoint, other key
-        cache.publish(aset(0b0100), &sugg(&[1, 3]), 1); // intersects via a1
-        assert_eq!(cache.len(), 4);
+        let validated = aset(0b0001);
+        let pool = cache.pin();
+        let mut view = PinnedPool::new(&pool);
+        let mut scratch = ProbeScratch::new();
+        let t = probe_tuple();
+        let (first, hit) = view.suggest(&rules, &master, &t, validated, None, &mut scratch);
+        assert!(!hit && first.is_some(), "a cold pool misses and computes");
+        // the same fan-out probes again: its own publish is not served
+        let (second, hit) = view.suggest(&rules, &master, &t, validated, None, &mut scratch);
+        assert!(!hit, "a publish is invisible to its own fan-out");
+        assert_eq!(first, second);
+        let publishes = view.take_publishes();
+        assert_eq!(publishes.len(), 2);
+        assert!(cache.is_empty(), "nothing lands before the commit");
 
-        // update row 0's m0 value: a key-column change, taints r0 only
-        let mut changed = master.tuple(0).clone();
-        changed.set(AttrId(0), Value::from("k0-changed"));
-        let delta = MasterDelta::new().update(0, changed);
-        cache.apply_master_delta(&rules, &master, &delta, 2);
-
-        assert_eq!(
-            cache.candidates_with_generations(aset(0b0001)),
-            vec![(sugg(&[3]), 1)],
-            "intersecting candidate evicted, survivor keeps its stamp"
+        cache.commit(master.generation(), 0, 2, vec![(0, publishes)]);
+        assert!(
+            pool.candidates(validated).is_empty(),
+            "the old pin never changes"
         );
-        assert_eq!(
-            cache.candidates_with_generations(aset(0b0100)),
-            vec![(sugg(&[3]), 1)],
-            "intersection through any attr of the list evicts"
-        );
+        assert_eq!(cache.len(), 1, "the commit dedups the repeat");
+        let (served, hit, publishes) = probe(&cache, &rules, &master, validated);
+        assert!(hit && publishes.is_empty(), "a later pin hits");
+        assert_eq!(served, first);
         let stats = cache.stats();
-        assert_eq!(stats.evicted_delta, 2);
-        assert_eq!(stats.revalidated, 0, "survivors are dormant, not restamped");
-        assert_eq!(stats.entries, 2);
-
-        // a republish under the new generation revives the survivor
-        cache.publish(aset(0b0001), &sugg(&[3]), 2);
         assert_eq!(
-            cache.candidates_with_generations(aset(0b0001)),
-            vec![(sugg(&[3]), 2)]
+            (stats.hits, stats.misses),
+            (0, 2),
+            "counts arrive by commit"
         );
-        assert_eq!(cache.stats().revalidated, 1);
+        assert_eq!((stats.keys, stats.entries_high_water), (1, 1));
     }
 
-    /// Insert-only deltas cannot invalidate a pooled suggestion
-    /// (monotonicity; see the module docs), so they must not evict.
     #[test]
-    fn insert_only_deltas_evict_nothing() {
-        let (rules, master) = taint_fixture();
+    fn commits_land_in_input_order_whichever_chunk_finished_first() {
         let cache = SharedSuggestionCache::new();
-        cache.publish(aset(0b0001), &sugg(&[1]), 1);
-        cache.publish(aset(0b0100), &sugg(&[3]), 1);
-        let delta = MasterDelta::new().insert(Tuple::new(vec![
-            Value::from("n0"),
-            Value::from("n1"),
-            Value::from("n2"),
-            Value::from("n3"),
-        ]));
-        cache.apply_master_delta(&rules, &master, &delta, 2);
-        assert_eq!(cache.len(), 2, "nothing evicted");
-        assert_eq!(cache.stats().evicted_delta, 0);
+        let key = aset(0b11);
+        // chunk 1 finished (and was collected) first
+        let chunks = vec![
+            (1, vec![(key, sugg(&[3])), (key, sugg(&[4]))]),
+            (0, vec![(key, sugg(&[1])), (key, sugg(&[2]))]),
+        ];
+        cache.commit(0, 0, 4, chunks);
         assert_eq!(
-            cache.stats().revalidated,
-            0,
-            "inserts add support, so the pool is retired, not restamped"
+            pooled(&cache, key),
+            vec![sugg(&[1]), sugg(&[2]), sugg(&[3]), sugg(&[4])]
         );
     }
 
-    /// A pure-update delta that only touches fix-source columns
-    /// (never a rule key) preserves the suggestion function: the pool
-    /// is restamped wholesale and keeps serving across the generation
-    /// bump instead of going dormant.
     #[test]
-    fn fix_only_updates_restamp_the_pool() {
-        let (rules, master0) = taint_fixture();
-        // change row 0's m1 and m3 — both fix sources, no key columns
+    fn a_fix_column_delta_keeps_the_next_batch_hitting() {
+        let (rules, master0) = fixture();
+        let cache = SharedSuggestionCache::new();
+        let validated = aset(0b0001);
+        let (_, _, publishes) = probe(&cache, &rules, &master0, validated);
+        cache.commit(0, 0, 1, vec![(0, publishes)]);
+
+        // change row 0's fix sources m1 and m3, no key column
         let mut changed = master0.tuple(0).clone();
         changed.set(AttrId(1), Value::from("v0-changed"));
         changed.set(AttrId(3), Value::from("v2-changed"));
         let delta = MasterDelta::new().update(0, changed);
         let master1 = master0.apply_delta(&delta).expect("update applies");
-
-        let cache = SharedSuggestionCache::new();
-        let validated = aset(0b0001);
-        cache.publish(validated, &sugg(&[2, 3]), 0);
         cache.apply_master_delta(&rules, &master0, &delta, master1.generation());
 
-        let stats = cache.stats();
-        assert_eq!(stats.evicted_delta, 0, "nothing evicted");
-        assert_eq!(stats.revalidated, 1, "the whole pool restamped");
-        assert_eq!(
-            cache.candidates_with_generations(validated),
-            vec![(sugg(&[2, 3]), master1.generation())]
+        assert_eq!(cache.pin().generation(), master1.generation());
+        let (_, hit, publishes) = probe(&cache, &rules, &master1, validated);
+        assert!(
+            hit && publishes.is_empty(),
+            "the carried pool serves the new epoch"
         );
-
-        // ... and the restamped entry serves under the new epoch
-        let t = Tuple::new(vec![
-            Value::from("k0"),
-            Value::Null,
-            Value::from("k2"),
-            Value::Null,
-        ]);
-        let mut hit = false;
-        let served = cache.suggest_through(&rules, &master1, &t, validated, &mut hit);
-        assert_eq!(served, Some(sugg(&[2, 3])));
-        assert!(hit, "pool stays hot across a suggestion-preserving delta");
+        let stats = cache.stats();
+        assert_eq!((stats.revalidated, stats.evicted_delta), (1, 0));
     }
 
-    /// The D12 serve gate: a candidate stamped with a retired
-    /// generation is never served (in either hygiene mode), even when
-    /// it would still pass the `is_suggestion` re-check — it lies
-    /// dormant until a fresh derivation republishes the list, which
-    /// restamps it and makes it servable again.
     #[test]
-    fn retired_generation_candidates_lie_dormant_until_republished() {
-        let (rules, master0) = taint_fixture();
-        let master1 = master0
-            .apply_delta(&MasterDelta::new().insert(Tuple::new(vec![
-                Value::from("n0"),
-                Value::from("n1"),
-                Value::from("n2"),
-                Value::from("n3"),
-            ])))
-            .expect("insert delta applies");
-        assert_eq!(master1.generation(), 1);
-
-        for hygiene in [true, false] {
-            let cache = SharedSuggestionCache::with_hygiene(hygiene);
-            let t = Tuple::new(vec![
-                Value::from("k0"),
-                Value::Null,
-                Value::from("k2"),
-                Value::Null,
-            ]);
-            // only a0 validated: closure({a0}) = {a0,a1}, so a real
-            // suggestion is needed to reach a2/a3
-            let validated = aset(0b0001);
-            cache.publish(validated, &sugg(&[2, 3]), 0);
-
-            // same generation as the stamp: served
-            let mut hit = false;
-            let served = cache.suggest_through(&rules, &master0, &t, validated, &mut hit);
-            assert_eq!(served, Some(sugg(&[2, 3])));
-            assert!(
-                hit,
-                "current-generation candidate serves (hygiene={hygiene})"
-            );
-
-            // newer generation: the stamp is retired, so the probe
-            // misses and recomputes even though the list would still
-            // pass the re-check under the new master
-            let mut hit = true;
-            let fresh = cache.suggest_through(&rules, &master1, &t, validated, &mut hit);
-            assert!(!hit, "retired stamp is never served (hygiene={hygiene})");
-            let fresh = fresh.expect("the miss fell through to a fresh compute");
-            assert!(!fresh.is_empty(), "fixture needs a nonempty suggestion");
-
-            // ... and the publish of that fresh result makes the next
-            // probe hit again
-            let mut hit = false;
-            cache.suggest_through(&rules, &master1, &t, validated, &mut hit);
-            assert!(
-                hit,
-                "republished candidate serves again (hygiene={hygiene})"
-            );
-        }
-    }
-
-    /// A preserving delta only revives the generation it was applied
-    /// to: entries left dormant by an earlier non-preserving delta
-    /// stay dormant until a fresh derivation republishes them — the
-    /// preserving proof covers exactly one generation transition.
-    #[test]
-    fn preserving_restamp_skips_multi_generation_dormant_entries() {
-        let (rules, master0) = taint_fixture();
-        let cache = SharedSuggestionCache::new();
-        // survives the taint walk (disjoint from r0's {a0,a1}) but
-        // goes dormant at generation 0
-        cache.publish(aset(0b0100), &sugg(&[3]), 0);
+    fn a_key_column_or_insert_delta_clears_the_pool() {
+        let (rules, master0) = fixture();
         let mut keyed = master0.tuple(0).clone();
         keyed.set(AttrId(0), Value::from("k0-changed"));
-        let d1 = MasterDelta::new().update(0, keyed);
-        let master1 = master0.apply_delta(&d1).expect("delta applies");
-        cache.apply_master_delta(&rules, &master0, &d1, master1.generation());
-        assert_eq!(
-            cache.candidates_with_generations(aset(0b0100)),
-            vec![(sugg(&[3]), 0)],
-            "untainted entry survives the non-preserving delta, dormant"
-        );
-        // a fresh entry published under the new epoch
-        cache.publish(aset(0b0001), &sugg(&[1]), master1.generation());
-        // a preserving (fix-column-only) delta on top
-        let mut fixed = master1.tuple(0).clone();
-        fixed.set(AttrId(1), Value::from("v0-changed"));
-        let d2 = MasterDelta::new().update(0, fixed);
-        let master2 = master1.apply_delta(&d2).expect("delta applies");
-        cache.apply_master_delta(&rules, &master1, &d2, master2.generation());
-        assert_eq!(
-            cache.candidates_with_generations(aset(0b0001)),
-            vec![(sugg(&[1]), master2.generation())],
-            "the pre-delta generation is restamped"
-        );
-        assert_eq!(
-            cache.candidates_with_generations(aset(0b0100)),
-            vec![(sugg(&[3]), 0)],
-            "a multi-generation-dormant entry is never revived"
-        );
-        assert_eq!(cache.stats().revalidated, 1);
+        let insert = MasterDelta::new().insert(master0.tuple(1).clone());
+        for delta in [MasterDelta::new().update(0, keyed), insert] {
+            let cache = SharedSuggestionCache::new();
+            cache.commit(
+                0,
+                0,
+                2,
+                vec![(0, vec![(aset(1), sugg(&[2])), (aset(4), sugg(&[1]))])],
+            );
+            let master1 = master0.apply_delta(&delta).expect("delta applies");
+            cache.apply_master_delta(&rules, &master0, &delta, master1.generation());
+            assert!(cache.is_empty());
+            assert_eq!(cache.pin().generation(), master1.generation());
+            let stats = cache.stats();
+            assert_eq!((stats.evicted_delta, stats.revalidated), (2, 0));
+        }
     }
 
-    /// At cap pressure with every candidate current-generation and
-    /// referenced, the fallback displaces the *newest* entry, keeping
-    /// the serve-visible prefix (the order the serve loop scans) stable.
     #[test]
-    fn cap_pressure_on_referenced_current_entries_evicts_the_newest() {
-        let cache = SharedSuggestionCache::with_limits(true, 16, 4);
-        for i in 0..4u16 {
-            cache.publish(aset(9), &sugg(&[i]), 0);
-        }
-        for c in cache.snapshot(aset(9)) {
-            c.referenced.store(true, Ordering::Relaxed);
-        }
-        cache.publish(aset(9), &sugg(&[9]), 0);
-        let pool = cache.candidates(aset(9));
-        assert_eq!(pool.len(), 4);
-        assert_eq!(&*pool[0], &sugg(&[0])[..], "head of the order is stable");
-        assert_eq!(&*pool[1], &sugg(&[1])[..]);
-        assert_eq!(&*pool[2], &sugg(&[2])[..]);
-        assert_eq!(&*pool[3], &sugg(&[9])[..], "only the tail was displaced");
-        assert_eq!(cache.stats().evicted_lru, 1);
-    }
-
-    /// The reverse index and clock ring exactly mirror the pool: every
-    /// indexed (attr, key) pair has a pooled holder and vice versa.
-    fn assert_reverse_index_exact(cache: &SharedSuggestionCache) {
-        for shard in cache.shards.iter() {
-            let pool = shard.pool.read().expect("shard poisoned");
-            for (a, keys) in &pool.by_attr {
-                assert!(!keys.is_empty(), "empty attr sets are reclaimed");
-                for key in keys {
-                    let slot = pool.map.get(key).expect("indexed key is pooled");
-                    assert!(
-                        slot.iter().any(|c| c.attrs.contains(a)),
-                        "indexed attr {a:?} has a pooled holder in key {key}"
-                    );
-                }
-            }
-            for (key, slot) in &pool.map {
-                for c in slot {
-                    for a in c.attrs.iter() {
-                        assert!(
-                            pool.by_attr.get(a).is_some_and(|k| k.contains(key)),
-                            "pooled attr {a:?} of key {key} is indexed"
-                        );
-                    }
-                }
-                assert!(pool.ring.contains(key), "pooled key {key} is on the ring");
-            }
-            for key in &pool.ring {
-                assert!(pool.map.contains_key(key), "ring slot {key} is live");
-            }
-        }
-    }
-
-    /// Every eviction path — within-key second chance, key-cap clock,
-    /// delta walk — prunes the reverse index eagerly, so it stays
-    /// bounded by the pool instead of growing with every distinct key
-    /// ever published.
-    #[test]
-    fn reverse_index_is_pruned_on_every_eviction_path() {
-        let (rules, master) = taint_fixture();
-        let cache = SharedSuggestionCache::with_limits(true, 2, 2);
-        // within-key second chance: the third publish displaces one
-        cache.publish(aset(0b0001), &sugg(&[1]), 1);
-        cache.publish(aset(0b0001), &sugg(&[3]), 1);
-        cache.publish(aset(0b0001), &sugg(&[1, 3]), 1);
-        assert_reverse_index_exact(&cache);
-        // key-cap clock: a third co-resident key forces a key eviction
-        let shard0 = cache.shard(0b0001) as *const CacheShard;
-        let mut keys: Vec<u64> = Vec::new();
-        let mut bits = 2u64;
-        while keys.len() < 2 {
-            if bits != 0b0001 && std::ptr::eq(cache.shard(bits), shard0) {
-                keys.push(bits);
-            }
-            bits += 1;
-        }
-        cache.publish(aset(keys[0]), &sugg(&[2]), 1);
-        cache.publish(aset(keys[1]), &sugg(&[2, 3]), 1);
-        assert!(cache.stats().evicted_lru >= 2, "clock evicted a key");
-        assert_reverse_index_exact(&cache);
-        // delta walk: taint r0 ({a0, a1}) and evict intersecting lists
-        let mut changed = master.tuple(0).clone();
-        changed.set(AttrId(0), Value::from("k0-changed"));
-        let delta = MasterDelta::new().update(0, changed);
-        cache.apply_master_delta(&rules, &master, &delta, 2);
-        assert_reverse_index_exact(&cache);
-    }
-
-    /// A delete taints every rule keyed on the removed row's non-null
-    /// columns; with hygiene off the same delta is a no-op.
-    #[test]
-    fn deletes_taint_and_hygiene_off_ignores() {
-        let (rules, master) = taint_fixture();
-        let on = SharedSuggestionCache::new();
-        let off = SharedSuggestionCache::with_hygiene(false);
-        for cache in [&on, &off] {
-            cache.publish(aset(0b0001), &sugg(&[1]), 1);
-            cache.publish(aset(0b0001), &sugg(&[3]), 1);
-        }
+    fn a_commit_pinned_to_a_retired_generation_is_dropped() {
+        let (rules, master0) = fixture();
+        let cache = SharedSuggestionCache::new();
+        let (_, _, publishes) = probe(&cache, &rules, &master0, aset(0b0001));
+        // a delta lands while the fan-out is still running
         let delta = MasterDelta::new().delete(1);
-        on.apply_master_delta(&rules, &master, &delta, 2);
-        off.apply_master_delta(&rules, &master, &delta, 2);
-        // the deleted row has all four columns non-null: both rules
-        // taint, so both candidates intersect and are evicted
-        assert_eq!(on.len(), 0);
-        assert_eq!(on.stats().evicted_delta, 2);
-        assert_eq!(off.len(), 2, "hygiene off never evicts");
-        assert_eq!(off.stats().evicted_delta, 0);
+        let master1 = master0.apply_delta(&delta).expect("delete applies");
+        cache.apply_master_delta(&rules, &master0, &delta, master1.generation());
+        cache.commit(master0.generation(), 0, 1, vec![(0, publishes)]);
+        assert!(cache.is_empty(), "the stale publishes are dropped");
+        assert_eq!(cache.stats().misses, 1, "its probes still count");
+        // a pool pinned before the delta serves nothing to the new epoch
+        let warm = SharedSuggestionCache::new();
+        let (_, _, publishes) = probe(&warm, &rules, &master0, aset(1));
+        warm.commit(0, 0, 1, vec![(0, publishes)]);
+        assert!(probe(&warm, &rules, &master0, aset(1)).1);
+        assert!(
+            !probe(&warm, &rules, &master1, aset(1)).1,
+            "a pool serves its own generation"
+        );
+    }
+
+    #[test]
+    fn the_candidate_cap_keeps_the_first_candidates() {
+        let cache = SharedSuggestionCache::new();
+        let cap = SharedSuggestionCache::MAX_CANDIDATES_PER_KEY;
+        let publishes = (0..cap as u16 + 10)
+            .map(|i| (aset(7), sugg(&[i])))
+            .collect();
+        cache.commit(0, 0, 0, vec![(0, publishes)]);
+        let pool = pooled(&cache, aset(7));
+        assert_eq!(pool.len(), cap);
+        assert_eq!(
+            (pool[0].clone(), pool[cap - 1].clone()),
+            (sugg(&[0]), sugg(&[cap as u16 - 1]))
+        );
+        assert_eq!(cache.stats().saturated, 10);
+    }
+
+    #[test]
+    fn the_key_cap_evicts_the_oldest_committed_key() {
+        let cache = SharedSuggestionCache::new();
+        let max = SharedSuggestionCache::MAX_KEYS as u64;
+        // key 1 holds two candidates; keys 2..=max one each
+        let mut publishes = vec![(aset(1), sugg(&[0])), (aset(1), sugg(&[1]))];
+        publishes.extend((2..=max).map(|k| (aset(k), sugg(&[0]))));
+        cache.commit(0, 0, 0, vec![(0, publishes)]);
+        assert_eq!(cache.stats().keys, max);
+        cache.commit(0, 0, 0, vec![(0, vec![(aset(max + 1), sugg(&[0]))])]);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.keys, stats.evicted_lru, stats.saturated),
+            (max, 2, 1)
+        );
+        assert!(pooled(&cache, aset(1)).is_empty(), "the oldest key went");
+        assert_eq!(pooled(&cache, aset(2)), vec![sugg(&[0])]);
+        assert_eq!(pooled(&cache, aset(max + 1)), vec![sugg(&[0])]);
+        assert_eq!(stats.entries_high_water, max + 1);
     }
 }

@@ -305,7 +305,8 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
 
 /// Flush semantics and live master data over the wire: a `Flush`
 /// acks only after every prior batch reported, a `Delta` bumps the
-/// generation, and reports record which generation repaired them.
+/// generation, reports record which generation repaired them, and the
+/// service report counts the delta's plan rebuild.
 #[test]
 fn flush_blocks_until_reported_and_delta_bumps_generation() {
     let (hosp, datasets) = hosp_sessions(100, &[96]);
@@ -344,6 +345,9 @@ fn flush_blocks_until_reported_and_delta_bumps_generation() {
     let report = server.shutdown();
     assert_eq!(report.sessions.len(), 1);
     assert_eq!(report.sessions[0].report.tuples, 96);
+    // a delta applied over the connection is a rebuild like any other:
+    // one per DeltaAck
+    assert_eq!(report.stats.plan_rebuilds, 1);
 }
 
 /// Authentication: a server with a token refuses a mismatched or
