@@ -1,19 +1,18 @@
 //! Criterion kernels for the compiled rule-plan probe layer
 //! (`BENCH_plan` in CI).
 //!
-//! Three altitudes, each an A/B of the legacy lock-and-clone
-//! `MasterIndex` path against the compiled [`RulePlan`]:
+//! The compiled [`RulePlan`] at four altitudes (the plain
+//! lock-and-clone `MasterIndex` functions are the plan's test-time
+//! oracle, not a configuration, so they are not timed here):
 //!
-//! * `plan_probe` — the bare `tm[Xm] = t[X]` candidate probe, per rule
-//!   per tuple (the unit the paper's "constant time by hash table"
-//!   argument is about);
+//! * `plan_probe` / `plan_probe_block` — the bare `tm[Xm] = t[X]`
+//!   candidate probe, per rule per tuple (the unit the paper's
+//!   "constant time by hash table" argument is about), and the same
+//!   probe amortized over a block;
 //! * `transfix_plan` — one full `TransFix` pass over a master-backed
 //!   tuple, the per-round fixing cost;
 //! * `batch_repair_plan` — the end-to-end hosp50k batch-repair kernel
-//!   (plain `CertainFix`, caches off, one worker) through the compiled
-//!   probe layer. The engine-level `--plan off` toggle retired; the
-//!   legacy lock-and-clone path survives only as the per-kernel
-//!   baselines above and as the determinism oracle in tests;
+//!   (plain `CertainFix`, caches off, one worker);
 //! * `master_delta` — one [`MasterDelta`] application: maintain the
 //!   index, recompile the plan, re-rank the catalog, swap the epoch —
 //!   the cost a live-master deployment pays per mutation batch.
@@ -23,12 +22,12 @@ use std::hint::black_box;
 
 use certainfix_bench::runner::Which;
 use certainfix_core::{
-    transfix, transfix_with, BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext,
+    transfix_with, BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext,
     RepairOptions, Schedule, SimulatedUser,
 };
 use certainfix_datagen::{Dataset, DirtyConfig};
 use certainfix_relation::{AttrSet, MasterDelta, Tuple};
-use certainfix_rules::{candidate_masters, DependencyGraph, ProbeScratch, RulePlan};
+use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan};
 
 fn bench_plan_probe(c: &mut Criterion) {
     let w = Which::Hosp.build(10_000);
@@ -54,22 +53,6 @@ fn bench_plan_probe(c: &mut Criterion) {
     );
     let tuples: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
 
-    c.bench_with_input(
-        BenchmarkId::new("plan_probe", "legacy"),
-        &tuples,
-        |b, tuples| {
-            let mut i = 0;
-            b.iter(|| {
-                let t = &tuples[i % tuples.len()];
-                i += 1;
-                let mut hits = 0usize;
-                for (_, rule) in w.rules().iter() {
-                    hits += candidate_masters(rule, t, w.master_index()).len();
-                }
-                black_box(hits)
-            });
-        },
-    );
     c.bench_with_input(
         BenchmarkId::new("plan_probe", "compiled"),
         &tuples,
@@ -143,18 +126,6 @@ fn bench_plan_probe(c: &mut Criterion) {
             t
         })
         .collect();
-    c.bench_with_input(
-        BenchmarkId::new("transfix_plan", "legacy"),
-        &prepared,
-        |b, tuples| {
-            let mut i = 0;
-            b.iter(|| {
-                let t = &tuples[i % tuples.len()];
-                i += 1;
-                black_box(transfix(w.rules(), w.master_index(), &graph, t, z))
-            });
-        },
-    );
     c.bench_with_input(
         BenchmarkId::new("transfix_plan", "compiled"),
         &prepared,

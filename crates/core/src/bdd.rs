@@ -116,6 +116,12 @@ impl SuggestionBdd {
         self.stats
     }
 
+    /// Drain the statistics counted since the last drain (the fan-out
+    /// charges them to the batch of the chunk that ticked them).
+    pub(crate) fn take_stats(&mut self) -> BddStats {
+        std::mem::take(&mut self.stats)
+    }
+
     fn slot(&mut self, at: CursorAt) -> &mut Option<usize> {
         match at {
             CursorAt::Root => &mut self.root,

@@ -1,20 +1,26 @@
-//! The parallel batch-repair engine: work-stealing (or contiguous
-//! shard) scheduling over a shared repair context with epoch-stamped
-//! live master data.
+//! The parallel batch-repair engine: one work-stealing (or contiguous
+//! shard) fan-out over a shared repair context with epoch-stamped live
+//! master data.
 //!
 //! The paper's repair model is embarrassingly parallel across tuples:
 //! [`CertainFix`] and [`transfix`](crate::transfix::transfix) read a
 //! shared immutable `(Σ, Dm)` precomputation and mutate only the tuple
-//! they are repairing. [`BatchRepairEngine`] exploits that: the batch
-//! is cut into fixed-size *chunks* of consecutive tuples, the chunks
-//! are dealt to per-worker queues, and scoped worker threads drain
+//! they are repairing. [`BatchRepairEngine`] exploits that with a single
+//! fan-out that serves every batch. Its input is an *epoch* of units —
+//! one batch plus its oracle factory each: a session batch is a
+//! one-unit epoch, a [`service`](crate::service) epoch holds one batch
+//! per participating session. Every unit is cut into fixed-size
+//! *chunks* of consecutive tuples, the units' chunks are interleaved
+//! round-robin and dealt to per-worker queues, and the workers drain
 //! them — their own queue first, then (under [`Schedule::Steal`])
 //! anything left in other workers' queues. Claiming is lock-free: each
 //! queue is a half-open chunk range with an atomic cursor, and both the
 //! owner and thieves claim via `fetch_add`, so a chunk is handed out
 //! exactly once and an uneven batch (one region full of hard
 //! multi-round tuples) keeps every core busy instead of stalling the
-//! worker that happened to be dealt the hard region.
+//! worker that happened to be dealt the hard region. Worker 0 is the
+//! submitting thread itself: an epoch that needs one worker spawns no
+//! thread.
 //!
 //! # Live master data: epochs and generations
 //!
@@ -49,22 +55,21 @@
 //! CFD repair is oracle-free and single-round; its outcomes flow
 //! through the same [`FixOutcome`] / [`BatchReport`] plumbing.
 //!
-//! Each worker owns its own [`SuggestionBdd`] cache and
-//! [`MonitorStats`] accumulator; behind the per-worker caches an
-//! optional [`SharedSuggestionCache`] pools computed suggestions across
-//! the batches repaired by the same engine. A fan-out pins its pool
-//! next to its epoch, and commits its workers' publishes in input order
-//! once the outcomes are stitched.
+//! Each worker owns its own [`SuggestionBdd`] cache and one
+//! [`MonitorStats`] accumulator per unit; behind the per-worker caches
+//! an optional [`SharedSuggestionCache`] pools computed suggestions
+//! across the batches repaired by the same engine. A fan-out pins its
+//! pool next to its epoch, and commits its workers' publishes in input
+//! order (units in epoch order) once the outcomes are stitched.
 //!
 //! Multi-batch (and streaming) ingest lives one layer up, in
 //! [`session`](crate::session): a
 //! [`RepairSession`](crate::session::RepairSession) drains any
-//! [`TupleSource`](crate::session::TupleSource) through this engine
-//! batch by batch. One layer above *that*, the
-//! [`service`](crate::service) multiplexer schedules N independent
-//! sessions fairly over a single engine — the engine itself is
-//! session-count-agnostic: nothing here assumes the batches it fans
-//! out belong to one stream.
+//! [`TupleSource`](crate::session::TupleSource) through this engine,
+//! one one-unit fan-out per batch. The [`service`](crate::service)
+//! multiplexer schedules N independent sessions fairly over a single
+//! engine by submitting their ready batches as one epoch to the same
+//! fan-out.
 //!
 //! # Determinism
 //!
@@ -354,44 +359,21 @@ impl RepairContext {
         Ok(generation)
     }
 
-    /// Run the per-tuple pipeline for one tuple against the *current*
-    /// epoch, charging the given per-worker cache and statistics
-    /// accumulator. This is the single per-tuple pipeline shared by
-    /// the sequential [`DataMonitor`](crate::DataMonitor) and the
-    /// parallel engine's workers — both produce outcomes through this
-    /// exact code path, which is what makes the determinism guarantee
-    /// hold by construction rather than by parallel maintenance of two
-    /// loops.
-    pub fn process_with<O: UserOracle + ?Sized>(
-        &self,
-        bdd: &mut SuggestionBdd,
-        stats: &mut MonitorStats,
-        dirty: &Tuple,
-        oracle: &mut O,
-    ) -> FixOutcome {
-        let epoch = self.epoch();
-        self.process_with_full(
-            &epoch,
-            bdd,
-            stats,
-            None,
-            &mut ProbeScratch::new(),
-            dirty,
-            oracle,
-        )
-    }
-
-    /// The full per-tuple pipeline against a caller-pinned epoch:
-    /// [`process_with`](Self::process_with) plus the worker's
-    /// [`PinnedPool`] of the shared cache, if any — probes of it are
-    /// charged to `stats` (`shared_hits` / `shared_misses`) whichever
-    /// suggestion path, BDD or plain, is in effect — and a caller-owned
-    /// [`ProbeScratch`]. Workers (and the sequential
-    /// [`DataMonitor`](crate::DataMonitor)) pin one epoch per batch and
-    /// hold one scratch per thread, so the compiled plan's probe layer
-    /// reuses one warm buffer across every tuple the thread repairs;
-    /// the scratch's probe/allocation counters are drained into
-    /// `stats` after each tuple.
+    /// The per-tuple pipeline: repair one tuple against a caller-pinned
+    /// epoch, charging the caller's BDD cache and statistics
+    /// accumulator. The sequential [`DataMonitor`](crate::DataMonitor)
+    /// and the engine's workers both produce outcomes through this one
+    /// code path, which is what makes the determinism guarantee hold by
+    /// construction rather than by parallel maintenance of two loops.
+    ///
+    /// `shared` is the worker's [`PinnedPool`] of the shared cache, if
+    /// any — probes of it are charged to `stats` (`shared_hits` /
+    /// `shared_misses`) whichever suggestion path, BDD or plain, is in
+    /// effect. Workers (and the monitor) pin one epoch per batch and
+    /// hold one [`ProbeScratch`] per thread, so the compiled plan's
+    /// probe layer reuses one warm buffer across every tuple the thread
+    /// repairs; the scratch's probe/allocation counters are drained
+    /// into `stats` after each tuple.
     #[allow(clippy::too_many_arguments)]
     pub fn process_with_full<O: UserOracle + ?Sized>(
         &self,
@@ -588,9 +570,10 @@ impl RepairContext {
 /// How a batch is dealt to (and kept on) the workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// One contiguous shard per worker, no rebalancing — the PR 2
-    /// partitioner. Minimal coordination, but a skewed batch stalls on
-    /// the worker dealt the hard region.
+    /// One contiguous shard per worker, no rebalancing: the chunk size
+    /// is `⌈n / threads⌉` and the steal pass is skipped. Minimal
+    /// coordination, but a skewed batch stalls on the worker dealt the
+    /// hard region.
     Shard,
     /// Chunked per-worker queues with lock-free stealing: a worker
     /// that drains its own queue claims chunks from the others', so
@@ -647,8 +630,7 @@ impl Default for RepairOptions {
     }
 }
 
-/// Per-worker accounting of one [`BatchRepairEngine::repair_opts`]
-/// call.
+/// One worker's accounting for one batch.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
     /// Worker index (0-based).
@@ -694,14 +676,17 @@ pub struct BatchReport {
     /// while the other fields snapshot the engine-lifetime pool after
     /// the batch's commit.
     pub shared: Option<SharedCacheStats>,
-    /// Wall-clock time of the whole batch (what throughput divides by).
+    /// Wall-clock time of the fan-out that repaired the batch (what
+    /// throughput divides by; the batches of one service epoch share
+    /// it).
     pub wall: Duration,
     /// The master generation this batch was repaired against — the
     /// epoch pinned at fan-out. Makes delta hand-off observable: a
     /// batch fanned out before [`RepairContext::apply_master_delta`]
     /// carries the old generation, the next one the new.
     pub generation: u64,
-    /// Per-worker breakdown, in worker order.
+    /// Per-worker breakdown, in worker order: every worker of the
+    /// fan-out, including any that repaired none of this batch.
     pub workers: Vec<WorkerReport>,
 }
 
@@ -721,13 +706,13 @@ impl BatchReport {
 /// an atomic claim cursor. The owner and thieves both claim through
 /// [`ChunkQueue::claim`]; `fetch_add` hands each chunk out exactly
 /// once, and an overshot cursor simply means the queue is empty.
-pub(crate) struct ChunkQueue {
+struct ChunkQueue {
     next: AtomicUsize,
     end: usize,
 }
 
 impl ChunkQueue {
-    pub(crate) fn new(range: Range<usize>) -> ChunkQueue {
+    fn new(range: Range<usize>) -> ChunkQueue {
         ChunkQueue {
             next: AtomicUsize::new(range.start),
             end: range.end,
@@ -738,18 +723,10 @@ impl ChunkQueue {
     /// uniqueness comes from the atomicity of the read-modify-write,
     /// and the claimed data (the input slice) is immutable, so no
     /// cross-thread ordering is needed.
-    pub(crate) fn claim(&self) -> Option<usize> {
+    fn claim(&self) -> Option<usize> {
         let c = self.next.fetch_add(1, Ordering::Relaxed);
         (c < self.end).then_some(c)
     }
-}
-
-/// What one worker hands back to the stitcher.
-struct WorkerOut {
-    /// `(chunk index, outcomes, shared-cache publishes)` in claim order.
-    chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)>,
-    stats: MonitorStats,
-    bdd: BddStats,
 }
 
 /// The parallel batch-repair engine: a [`RepairContext`], the
@@ -867,69 +844,84 @@ impl BatchRepairEngine {
             .expect("exactly one batch was pushed")
     }
 
-    /// The scheduling / fan-out / merge primitive every session batch
-    /// runs through: pin the current epoch, deal `dirty` to the
-    /// workers under `opts`, repair, stitch outcomes back in input
-    /// order, merge statistics. The pinned epoch is the batch's world:
-    /// a concurrent [`RepairContext::apply_master_delta`] never
-    /// perturbs work already fanned out.
+    /// The one fan-out every batch runs through. `units` is an epoch:
+    /// one `(tuples, oracle_for)` per batch, `oracle_for(i)` supplying
+    /// the user for `tuples[i]` — a session batch is a one-unit epoch,
+    /// a service epoch holds one batch per participating session.
+    ///
+    /// Pins the current master epoch (and the shared pool, under
+    /// `opts.shared_cache`), cuts every unit into chunks, interleaves
+    /// the units' chunks round-robin, deals them contiguously to the
+    /// worker queues, repairs, and returns one [`BatchReport`] per unit
+    /// in `units` order: outcomes stitched back in the unit's input
+    /// order, statistics merged per `(worker, unit)`. A chunk never
+    /// mixes units. The pinned epoch is the fan-out's world: a
+    /// concurrent [`RepairContext::apply_master_delta`] never perturbs
+    /// work already fanned out. The calling thread runs as worker 0.
     pub(crate) fn fan_out<F, O>(
         &self,
-        dirty: &[Tuple],
+        units: &[(&[Tuple], F)],
         opts: &RepairOptions,
-        oracle_for: F,
-    ) -> BatchReport
+    ) -> Vec<BatchReport>
     where
         F: Fn(usize) -> O + Sync,
         O: UserOracle,
     {
         let started = Instant::now();
         let epoch = self.ctx.epoch();
-        let n = dirty.len();
-        if n == 0 {
-            return BatchReport {
-                outcomes: Vec::new(),
-                stats: MonitorStats::default(),
-                bdd: BddStats::default(),
-                shared: opts.shared_cache.then(|| self.shared.attributed(0, 0)),
-                wall: started.elapsed(),
-                generation: epoch.generation(),
-                workers: Vec::new(),
-            };
-        }
         let threads = match opts.threads {
             0 => Self::auto_threads(),
             t => t,
         }
-        .clamp(1, n);
-        let steal = opts.schedule == Schedule::Steal;
-        let chunk_size = match opts.schedule {
-            Schedule::Shard => n.div_ceil(threads),
-            Schedule::Steal if opts.chunk > 0 => opts.chunk.min(n),
-            Schedule::Steal => (n / (threads * 8)).clamp(1, 512),
-        };
-        let n_chunks = n.div_ceil(chunk_size);
+        .max(1);
+        // every unit's chunks in input order — `spans[rank]` is a
+        // (unit, tuple range) pair and `owned[u]` the ranks of unit `u`
+        let mut spans: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut owned: Vec<Range<usize>> = Vec::with_capacity(units.len());
+        for (u, (tuples, _)) in units.iter().enumerate() {
+            let n = tuples.len();
+            let chunk_size = match opts.schedule {
+                Schedule::Shard => n.div_ceil(threads),
+                Schedule::Steal if opts.chunk > 0 => opts.chunk.min(n),
+                Schedule::Steal => (n / (threads * 8)).clamp(1, 512),
+            }
+            .max(1);
+            let first = spans.len();
+            spans.extend(
+                (0..n)
+                    .step_by(chunk_size)
+                    .map(|lo| (u, lo..n.min(lo + chunk_size))),
+            );
+            owned.push(first..spans.len());
+        }
+        // the deal order interleaves the units' chunks round-robin, so
+        // every worker's initial run mixes the units fairly
+        let rounds = owned.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+        let deal: Vec<usize> = (0..rounds)
+            .flat_map(|k| {
+                owned
+                    .iter()
+                    .filter(move |r| k < r.len())
+                    .map(move |r| r.start + k)
+            })
+            .collect();
+        let n_chunks = deal.len();
         let workers = threads.min(n_chunks);
         // deal contiguous runs of chunks to the worker queues, so the
         // initial assignment matches Shard and stealing only kicks in
         // when the dealt load turns out to be uneven
-        let per_worker = n_chunks.div_ceil(workers);
+        let per_worker = n_chunks.div_ceil(workers.max(1));
         let queues: Vec<ChunkQueue> = (0..workers)
             .map(|w| {
-                ChunkQueue::new(
-                    (w * per_worker).min(n_chunks)..((w + 1) * per_worker).min(n_chunks),
-                )
+                ChunkQueue::new((w * per_worker).min(n_chunks)..n_chunks.min((w + 1) * per_worker))
             })
             .collect();
-
-        let mut slots: Vec<Option<WorkerOut>> = Vec::new();
-        slots.resize_with(workers, || None);
 
         let ctx = &self.ctx;
         let epoch = &*epoch;
         // the shared pool is pinned next to the epoch: every worker of
-        // this batch reads the same snapshot, and the batch's own
-        // publishes land only at the commit below
+        // this fan-out reads the same snapshot, and its own publishes
+        // land only at the commit below
         let pinned = opts.shared_cache.then(|| self.shared.pin());
         let pool = pinned.as_deref();
         // plain-mode editing-rule repairs batch each claimed chunk
@@ -940,153 +932,169 @@ impl BatchRepairEngine {
         // bit-identical by construction.
         let block_mode =
             matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && pool.is_none();
-        let oracle_for = &oracle_for;
-        let queues = &queues;
-        std::thread::scope(|s| {
-            for (w, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let mut bdd = SuggestionBdd::new();
-                    let mut stats = MonitorStats::default();
-                    let mut shared = pool.map(PinnedPool::new);
-                    // one probe scratch per worker: every tuple this
-                    // thread repairs reuses the same warm buffer
-                    let mut scratch = ProbeScratch::new();
-                    let mut chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)> = Vec::new();
-                    let mut run_chunk =
-                        |c: usize,
-                         bdd: &mut SuggestionBdd,
-                         stats: &mut MonitorStats,
-                         scratch: &mut ProbeScratch| {
-                            let lo = c * chunk_size;
-                            let hi = ((c + 1) * chunk_size).min(n);
-                            let outs: Vec<FixOutcome> = if block_mode && hi - lo >= 2 {
-                                // a claimed chunk becomes one probe block
-                                ctx.process_block_full(
-                                    epoch,
-                                    stats,
-                                    scratch,
-                                    &dirty[lo..hi],
-                                    lo,
-                                    oracle_for,
-                                )
-                            } else {
-                                (lo..hi)
-                                    .map(|i| {
-                                        let mut oracle = oracle_for(i);
-                                        ctx.process_with_full(
-                                            epoch,
-                                            bdd,
-                                            stats,
-                                            shared.as_mut(),
-                                            scratch,
-                                            &dirty[i],
-                                            &mut oracle,
-                                        )
-                                    })
-                                    .collect()
-                            };
-                            let publishes = shared
-                                .as_mut()
-                                .map(PinnedPool::take_publishes)
-                                .unwrap_or_default();
-                            (c, outs, publishes)
-                        };
-                    while let Some(c) = queues[w].claim() {
-                        chunks.push(run_chunk(c, &mut bdd, &mut stats, &mut scratch));
+        // the steal pass is one sweep over the victims after the own
+        // queue: queues only ever shrink, so a drained one stays drained
+        let sweep = if opts.schedule == Schedule::Steal {
+            workers
+        } else {
+            1
+        };
+        let (spans, deal, queues) = (&spans, &deal, &queues);
+        let work = move |w: usize| {
+            let mut bdd = SuggestionBdd::new();
+            let mut shared = pool.map(PinnedPool::new);
+            // one probe scratch per worker: every tuple this thread
+            // repairs reuses the same warm buffer
+            let mut scratch = ProbeScratch::new();
+            let mut stats = vec![MonitorStats::default(); units.len()];
+            let mut bdd_stats = vec![BddStats::default(); units.len()];
+            // (rank, outcomes, shared-cache publishes) in claim order
+            let mut chunks = Vec::new();
+            for v in (w..w + sweep).map(|v| v % workers) {
+                while let Some(d) = queues[v].claim() {
+                    let rank = deal[d];
+                    let (u, span) = (spans[rank].0, spans[rank].1.clone());
+                    let (tuples, oracle_for) = &units[u];
+                    let outcomes: Vec<FixOutcome> = if block_mode && span.len() >= 2 {
+                        // a claimed chunk becomes one probe block
+                        let block = &tuples[span.clone()];
+                        ctx.process_block_full(
+                            epoch,
+                            &mut stats[u],
+                            &mut scratch,
+                            block,
+                            span.start,
+                            oracle_for,
+                        )
+                    } else {
+                        span.map(|i| {
+                            ctx.process_with_full(
+                                epoch,
+                                &mut bdd,
+                                &mut stats[u],
+                                shared.as_mut(),
+                                &mut scratch,
+                                &tuples[i],
+                                &mut oracle_for(i),
+                            )
+                        })
+                        .collect()
+                    };
+                    // the diagram is per worker; its counters are
+                    // charged to the unit of the chunk that ticked them
+                    bdd_stats[u].merge(&bdd.take_stats());
+                    let publishes = shared
+                        .as_mut()
+                        .map(PinnedPool::take_publishes)
+                        .unwrap_or_default();
+                    chunks.push((rank, outcomes, publishes));
+                }
+            }
+            (chunks, stats, bdd_stats)
+        };
+        let outs: Vec<_> = std::thread::scope(|s| {
+            let work = &work;
+            let helpers: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+            let caller = (workers > 0).then(|| work(0));
+            caller
+                .into_iter()
+                .chain(helpers.into_iter().map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }))
+                .collect()
+        });
+
+        // stitch: each chunk's outcomes back to its rank, each worker's
+        // claimed ranks sorted for its coalesced ranges
+        let mut by_rank: Vec<Option<Vec<FixOutcome>>> = Vec::new();
+        by_rank.resize_with(n_chunks, || None);
+        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
+        let mut accounts = Vec::with_capacity(workers);
+        for (chunks, stats, bdd) in outs {
+            let mut ranks = Vec::with_capacity(chunks.len());
+            for (rank, outcomes, chunk_publishes) in chunks {
+                debug_assert!(by_rank[rank].is_none(), "chunk {rank} claimed twice");
+                by_rank[rank] = Some(outcomes);
+                publishes.push((rank, chunk_publishes));
+                ranks.push(rank);
+            }
+            ranks.sort_unstable();
+            accounts.push((ranks, stats, bdd));
+        }
+        // the epoch boundary: commit the publishes in input order —
+        // units in epoch order, each in its own order — with the probe
+        // counts the units are attributed below (the pin goes first, so
+        // the commit need not copy the pool)
+        drop(pinned);
+        let generation = epoch.generation();
+        if opts.shared_cache {
+            let (hits, misses) = accounts
+                .iter()
+                .flat_map(|(_, stats, _)| stats)
+                .fold((0, 0), |(h, m), s| (h + s.shared_hits, m + s.shared_misses));
+            self.shared.commit(generation, hits, misses, publishes);
+        }
+        let wall = started.elapsed();
+        let mut reports = Vec::with_capacity(units.len());
+        for (u, (tuples, _)) in units.iter().enumerate() {
+            let mut stats = MonitorStats::default();
+            let mut bdd = BddStats::default();
+            let mut workers = Vec::with_capacity(accounts.len());
+            for (w, (ranks, worker_stats, worker_bdd)) in accounts.iter().enumerate() {
+                stats.merge(&worker_stats[u]);
+                bdd.merge(&worker_bdd[u]);
+                let mut ranges: Vec<Range<usize>> = Vec::new();
+                for span in ranks
+                    .iter()
+                    .filter(|r| owned[u].contains(r))
+                    .map(|&r| &spans[r].1)
+                {
+                    match ranges.last_mut() {
+                        Some(last) if last.end == span.start => last.end = span.end,
+                        _ => ranges.push(span.clone()),
                     }
-                    if steal {
-                        // one pass over the victims suffices: queues
-                        // only ever shrink, so a queue drained inside
-                        // the inner loop stays drained
-                        for v in (w + 1..workers).chain(0..w) {
-                            while let Some(c) = queues[v].claim() {
-                                chunks.push(run_chunk(c, &mut bdd, &mut stats, &mut scratch));
-                            }
-                        }
-                    }
-                    *slot = Some(WorkerOut {
-                        chunks,
-                        stats,
-                        bdd: bdd.stats(),
-                    });
+                }
+                workers.push(WorkerReport {
+                    worker: w,
+                    ranges,
+                    stats: worker_stats[u],
+                    bdd: worker_bdd[u],
                 });
             }
-        });
-
-        // stitch outcomes back into input order and merge statistics
-        let mut by_chunk: Vec<Option<Vec<FixOutcome>>> = Vec::new();
-        by_chunk.resize_with(n_chunks, || None);
-        let mut stats = MonitorStats::default();
-        let mut bdd = BddStats::default();
-        let mut reports = Vec::with_capacity(workers);
-        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
-        for (w, slot) in slots.into_iter().enumerate() {
-            let out = slot.expect("every spawned worker publishes its slot");
-            let mut claimed: Vec<usize> = out.chunks.iter().map(|&(c, ..)| c).collect();
-            claimed.sort_unstable();
-            stats.merge(&out.stats);
-            bdd.merge(&out.bdd);
-            reports.push(WorkerReport {
-                worker: w,
-                ranges: coalesce_ranges(&claimed, chunk_size, n),
-                stats: out.stats,
-                bdd: out.bdd,
-            });
-            for (c, outs, chunk_publishes) in out.chunks {
-                debug_assert!(by_chunk[c].is_none(), "chunk {c} claimed twice");
-                by_chunk[c] = Some(outs);
-                publishes.push((c, chunk_publishes));
+            let mut outcomes = Vec::with_capacity(tuples.len());
+            for rank in owned[u].clone() {
+                outcomes.extend(
+                    by_rank[rank]
+                        .take()
+                        .expect("every chunk claimed exactly once"),
+                );
             }
+            let shared = opts.shared_cache.then(|| {
+                self.shared
+                    .attributed(stats.shared_hits, stats.shared_misses)
+            });
+            if let Some(s) = &shared {
+                // lifecycle counters are engine-global monotone
+                // snapshots, so the batch stats carry the sample and
+                // merges take the max (see `MonitorStats::merge`)
+                stats.shared_evicted_delta = s.evicted_delta;
+                stats.shared_evicted_lru = s.evicted_lru;
+                stats.shared_revalidated = s.revalidated;
+                stats.shared_saturated = s.saturated;
+            }
+            reports.push(BatchReport {
+                outcomes,
+                stats,
+                bdd,
+                shared,
+                wall,
+                generation,
+                workers,
+            });
         }
-        let mut outcomes = Vec::with_capacity(n);
-        for outs in by_chunk {
-            outcomes.extend(outs.expect("every chunk claimed exactly once"));
-        }
-        debug_assert_eq!(outcomes.len(), n);
-        // the batch boundary: commit the publishes in input order (the
-        // pin goes first, so the commit need not copy the pool) and
-        // attribute this batch's probe counts to its report
-        drop(pinned);
-        let shared = opts.shared_cache.then(|| {
-            let (hits, misses) = (stats.shared_hits, stats.shared_misses);
-            self.shared
-                .commit(epoch.generation(), hits, misses, publishes);
-            self.shared.attributed(hits, misses)
-        });
-        if let Some(s) = &shared {
-            // lifecycle counters are engine-global monotone snapshots,
-            // so the batch stats carry the sample and merges take the
-            // max (see `MonitorStats::merge`)
-            stats.shared_evicted_delta = s.evicted_delta;
-            stats.shared_evicted_lru = s.evicted_lru;
-            stats.shared_revalidated = s.revalidated;
-            stats.shared_saturated = s.saturated;
-        }
-        BatchReport {
-            outcomes,
-            stats,
-            bdd,
-            shared,
-            wall: started.elapsed(),
-            generation: epoch.generation(),
-            workers: reports,
-        }
+        reports
     }
-}
-
-/// Turn a sorted list of claimed chunk indexes into coalesced input
-/// ranges.
-fn coalesce_ranges(claimed: &[usize], chunk_size: usize, n: usize) -> Vec<Range<usize>> {
-    let mut ranges: Vec<Range<usize>> = Vec::new();
-    for &c in claimed {
-        let lo = c * chunk_size;
-        let hi = ((c + 1) * chunk_size).min(n);
-        match ranges.last_mut() {
-            Some(last) if last.end == lo => last.end = hi,
-            _ => ranges.push(lo..hi),
-        }
-    }
-    ranges
 }
 
 /// Compile-time audit: the types workers share by reference must be

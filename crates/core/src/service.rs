@@ -26,15 +26,19 @@
 //!   *try*-receives.
 //! * **Epoch scheduler** — the caller's thread repeatedly collects at
 //!   most one pending batch per session (polling sessions round-robin,
-//!   skipping lanes with nothing ready), chunks every collected batch,
-//!   interleaves the chunks round-robin across the sessions, and fans
-//!   the epoch out to the work-stealing pool. A claimed chunk stays one
-//!   probe block, tagged with its session; blocks never mix tuples of
-//!   different sessions.
-//! * **Repair lanes** — the epoch's worker threads claim chunks from
-//!   per-worker queues (their own first, then stealing), exactly like
-//!   [`BatchRepairEngine`]'s fan-out, charging per-`(worker, session)`
-//!   statistics so every session's numbers stay attributable.
+//!   skipping lanes with nothing ready) and submits the collected
+//!   batches, one unit each, as one epoch to the engine's fan-out — the
+//!   very function a [`RepairSession`](crate::RepairSession) batch runs
+//!   through as a one-unit epoch. The fan-out chunks every unit,
+//!   interleaves the chunks round-robin across the sessions, and lets
+//!   its workers claim them; a claimed chunk stays one probe block of
+//!   one session, and statistics are charged per `(worker, session)` so
+//!   every session's numbers stay attributable.
+//! * **Repair lanes** — the fan-out's workers, the scheduler's own
+//!   thread being worker 0: a one-worker service repairs on the thread
+//!   that called [`RepairService::run`] and spawns nothing per epoch.
+//!   The service itself keeps only its lanes, its fair poll and the
+//!   folding of each session's reports.
 //!
 //! # Live master data
 //!
@@ -119,18 +123,18 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 use certainfix_relation::{Relation, Tuple};
-use certainfix_rules::{ProbeScratch, RuleSet};
+use certainfix_rules::RuleSet;
 use std::sync::Arc;
 
-use crate::bdd::{BddStats, SuggestionBdd};
-use crate::certainfix::{CertainFixConfig, FixOutcome};
+use crate::bdd::BddStats;
+use crate::certainfix::CertainFixConfig;
 use crate::engine::{
-    BatchRepairEngine, BatchReport, ChunkQueue, RepairContext, WorkerReport, Workload,
+    BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Schedule, Workload,
 };
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 use crate::session::{SessionReport, TupleSource};
-use crate::sharedcache::{PinnedPool, Publish, SharedCacheStats};
+use crate::sharedcache::SharedCacheStats;
 
 /// A boxed oracle as the service hands them to its workers.
 pub type BoxedOracle<'a> = Box<dyn UserOracle + 'a>;
@@ -463,11 +467,14 @@ impl RepairService {
     pub fn run_dynamic(&self, queue: AttachQueue<'_>) -> ServiceReport {
         let started = Instant::now();
         let rebuilds_at_start = self.engine.context().plan_rebuilds();
-        let threads = match self.opts.threads {
-            0 => BatchRepairEngine::auto_threads(),
-            t => t,
-        }
-        .max(1);
+        // fair multiplexing *is* chunked stealing: a contiguous shard
+        // per worker would undo the session interleave
+        let opts = RepairOptions {
+            threads: self.opts.threads,
+            schedule: Schedule::Steal,
+            shared_cache: self.opts.shared_cache,
+            chunk: self.opts.chunk,
+        };
         let depth = self.opts.depth.max(1);
 
         let mut names: Vec<String> = Vec::new();
@@ -549,14 +556,23 @@ impl RepairService {
                 let idle = collected.is_empty();
                 if !idle {
                     epochs += 1;
-                    let participants: Vec<usize> = collected.iter().map(|&(s, _)| s).collect();
-                    self.run_epoch(collected, &factories, &mut acc, threads);
-                    for s in participants {
+                    // one unit per collected batch, its oracles keyed by
+                    // the session-local stream offset the batch starts at
+                    let units: Vec<_> = collected
+                        .iter()
+                        .map(|(s, tuples)| {
+                            let (factory, base) = (&factories[*s], acc[*s].tuples);
+                            (tuples.as_slice(), move |i: usize| factory(base + i))
+                        })
+                        .collect();
+                    let reports = self.engine.fan_out(&units, &opts);
+                    for (&(s, _), report) in collected.iter().zip(reports) {
                         if let Some(ev) = &events[s] {
-                            if let Some(batch) = acc[s].batches.last() {
-                                let _ = ev.send(SessionEvent::Batch(batch.clone()));
-                            }
+                            let _ = ev.send(SessionEvent::Batch(report.clone()));
                         }
+                        acc[s].tuples += report.outcomes.len();
+                        acc[s].wall += report.wall;
+                        acc[s].batches.push(report);
                     }
                 }
 
@@ -622,278 +638,6 @@ impl RepairService {
             tuples,
         }
     }
-
-    /// Repair one epoch: chunk each collected batch, interleave the
-    /// chunks round-robin across sessions, fan out to the stealing
-    /// pool, and stitch one [`BatchReport`] per session in its own
-    /// stream order.
-    fn run_epoch(
-        &self,
-        batches: Vec<(usize, Vec<Tuple>)>,
-        factories: &[OracleFactory<'_>],
-        acc: &mut [SessionAcc],
-        threads: usize,
-    ) {
-        let started = Instant::now();
-        let nb = batches.len();
-        // session-local stream offset each batch starts at (at most one
-        // batch per session per epoch, so this is race-free by shape)
-        let bases: Vec<usize> = batches.iter().map(|&(s, _)| acc[s].tuples).collect();
-
-        // chunk each batch in stream order; `order` interleaves the
-        // per-batch chunk lists round-robin, so consecutive chunks of
-        // the deal alternate sessions and every worker's initial run
-        // mixes the streams fairly
-        let mut per_batch: Vec<Vec<(usize, usize)>> = Vec::with_capacity(nb);
-        for (_, tuples) in &batches {
-            let n = tuples.len();
-            let chunk_size = if self.opts.chunk > 0 {
-                self.opts.chunk.min(n)
-            } else {
-                (n / (threads * 8)).clamp(1, 512)
-            };
-            per_batch.push(
-                (0..n.div_ceil(chunk_size))
-                    .map(|c| (c * chunk_size, ((c + 1) * chunk_size).min(n)))
-                    .collect(),
-            );
-        }
-        // (batch, lo, hi) per chunk, round-robin across batches; and
-        // for each batch, its chunks' order-ids in stream order
-        let mut order: Vec<(usize, usize, usize)> = Vec::new();
-        let mut batch_chunks: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let rounds = per_batch.iter().map(Vec::len).max().unwrap_or(0);
-        for round in 0..rounds {
-            for (b, chunks) in per_batch.iter().enumerate() {
-                if let Some(&(lo, hi)) = chunks.get(round) {
-                    batch_chunks[b].push(order.len());
-                    order.push((b, lo, hi));
-                }
-            }
-        }
-        let n_chunks = order.len();
-        if n_chunks == 0 {
-            return;
-        }
-        let workers = threads.min(n_chunks);
-        let per_worker = n_chunks.div_ceil(workers);
-        let queues: Vec<ChunkQueue> = (0..workers)
-            .map(|w| {
-                ChunkQueue::new(
-                    (w * per_worker).min(n_chunks)..((w + 1) * per_worker).min(n_chunks),
-                )
-            })
-            .collect();
-
-        let mut slots: Vec<Option<EpochWorkerOut>> = Vec::new();
-        slots.resize_with(workers, || None);
-
-        let ctx = self.engine.context();
-        // the scheduler epoch is the master-epoch boundary: pin once,
-        // every chunk of this epoch repairs against one generation
-        let epoch = ctx.epoch();
-        let epoch = &*epoch;
-        // ... and pins the shared pool next to it; the epoch's
-        // publishes land at its commit, after the stitch
-        let cache = self.engine.shared_cache();
-        let pinned = self.opts.shared_cache.then(|| cache.pin());
-        let pool = pinned.as_deref();
-        let block_mode =
-            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && pool.is_none();
-        let order = &order;
-        let batches = &batches;
-        let bases = &bases;
-        let queues = &queues;
-        std::thread::scope(|s| {
-            for (w, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let mut bdd = SuggestionBdd::new();
-                    let mut shared = pool.map(PinnedPool::new);
-                    let mut scratch = ProbeScratch::new();
-                    // per-(worker, session) accounting, indexed by the
-                    // epoch's batch position
-                    let mut stats: Vec<MonitorStats> = Vec::new();
-                    stats.resize_with(nb, MonitorStats::default);
-                    let mut bdd_before: Vec<BddStats> = Vec::new();
-                    bdd_before.resize_with(nb, BddStats::default);
-                    let mut bdd_stats: Vec<BddStats> = Vec::new();
-                    bdd_stats.resize_with(nb, BddStats::default);
-                    let mut chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)> = Vec::new();
-                    let mut run_chunk =
-                        |c: usize,
-                         bdd: &mut SuggestionBdd,
-                         stats: &mut [MonitorStats],
-                         bdd_stats: &mut [BddStats],
-                         bdd_before: &mut [BddStats],
-                         scratch: &mut ProbeScratch| {
-                            let (b, lo, hi) = order[c];
-                            let (session, tuples) = &batches[b];
-                            let base = bases[b];
-                            let factory = &factories[*session];
-                            let oracle_for = move |i: usize| factory(base + i);
-                            bdd_before[b] = bdd.stats();
-                            let outs: Vec<FixOutcome> = if block_mode && hi - lo >= 2 {
-                                // a claimed chunk stays one probe block,
-                                // tagged with (and containing only) its
-                                // session
-                                ctx.process_block_full(
-                                    epoch,
-                                    &mut stats[b],
-                                    scratch,
-                                    &tuples[lo..hi],
-                                    lo,
-                                    &oracle_for,
-                                )
-                            } else {
-                                (lo..hi)
-                                    .map(|i| {
-                                        let mut oracle = oracle_for(i);
-                                        ctx.process_with_full(
-                                            epoch,
-                                            bdd,
-                                            &mut stats[b],
-                                            shared.as_mut(),
-                                            scratch,
-                                            &tuples[i],
-                                            &mut oracle,
-                                        )
-                                    })
-                                    .collect()
-                            };
-                            // charge the worker's BDD delta to the chunk's
-                            // session (the diagram itself is per-worker)
-                            accumulate_delta(&mut bdd_stats[b], &bdd_before[b], &bdd.stats());
-                            let publishes = shared
-                                .as_mut()
-                                .map(PinnedPool::take_publishes)
-                                .unwrap_or_default();
-                            (c, outs, publishes)
-                        };
-                    while let Some(c) = queues[w].claim() {
-                        chunks.push(run_chunk(
-                            c,
-                            &mut bdd,
-                            &mut stats,
-                            &mut bdd_stats,
-                            &mut bdd_before,
-                            &mut scratch,
-                        ));
-                    }
-                    // steal: one pass over the victims suffices —
-                    // queues only ever shrink
-                    for v in (w + 1..workers).chain(0..w) {
-                        while let Some(c) = queues[v].claim() {
-                            chunks.push(run_chunk(
-                                c,
-                                &mut bdd,
-                                &mut stats,
-                                &mut bdd_stats,
-                                &mut bdd_before,
-                                &mut scratch,
-                            ));
-                        }
-                    }
-                    *slot = Some(EpochWorkerOut {
-                        chunks,
-                        stats,
-                        bdd: bdd_stats,
-                    });
-                });
-            }
-        });
-        let wall = started.elapsed();
-
-        // stitch: per session, outcomes back in its own stream order,
-        // statistics merged per (worker, session)
-        let mut by_chunk: Vec<Option<Vec<FixOutcome>>> = Vec::new();
-        by_chunk.resize_with(n_chunks, || None);
-        // a chunk's place in input order: sessions in epoch order, each
-        // session's chunks in its stream order
-        let mut input_rank = vec![0usize; n_chunks];
-        for (rank, &c) in batch_chunks.iter().flatten().enumerate() {
-            input_rank[c] = rank;
-        }
-        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
-        let mut outs: Vec<EpochWorkerOut> = slots
-            .into_iter()
-            .map(|s| s.expect("every spawned worker publishes its slot"))
-            .collect();
-        for out in &mut outs {
-            for (c, outcomes, chunk_publishes) in &mut out.chunks {
-                debug_assert!(by_chunk[*c].is_none(), "chunk {c} claimed twice");
-                by_chunk[*c] = Some(std::mem::take(outcomes));
-                publishes.push((input_rank[*c], std::mem::take(chunk_publishes)));
-            }
-        }
-        // the epoch boundary: commit the publishes in input order, with
-        // the epoch's probe counts, before the batches are attributed
-        drop(pinned);
-        if self.opts.shared_cache {
-            let (hits, misses) = outs
-                .iter()
-                .flat_map(|o| &o.stats)
-                .fold((0, 0), |(h, m), s| (h + s.shared_hits, m + s.shared_misses));
-            cache.commit(epoch.generation(), hits, misses, publishes);
-        }
-        for (b, (session, tuples)) in batches.iter().enumerate() {
-            let mut stats = MonitorStats::default();
-            let mut bdd = BddStats::default();
-            let mut workers_out: Vec<WorkerReport> = Vec::new();
-            for (w, out) in outs.iter().enumerate() {
-                let mut spans: Vec<(usize, usize)> = out
-                    .chunks
-                    .iter()
-                    .filter(|(c, ..)| order[*c].0 == b)
-                    .map(|(c, ..)| (order[*c].1, order[*c].2))
-                    .collect();
-                if spans.is_empty() {
-                    continue;
-                }
-                spans.sort_unstable();
-                let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-                for (lo, hi) in spans {
-                    match ranges.last_mut() {
-                        Some(last) if last.end == lo => last.end = hi,
-                        _ => ranges.push(lo..hi),
-                    }
-                }
-                stats.merge(&out.stats[b]);
-                bdd.merge(&out.bdd[b]);
-                workers_out.push(WorkerReport {
-                    worker: w,
-                    ranges,
-                    stats: out.stats[b],
-                    bdd: out.bdd[b],
-                });
-            }
-            let mut outcomes = Vec::with_capacity(tuples.len());
-            for &c in &batch_chunks[b] {
-                outcomes.extend(
-                    by_chunk[c]
-                        .take()
-                        .expect("every chunk claimed exactly once"),
-                );
-            }
-            debug_assert_eq!(outcomes.len(), tuples.len());
-            let shared_stats = self
-                .opts
-                .shared_cache
-                .then(|| cache.attributed(stats.shared_hits, stats.shared_misses));
-            acc[*session].tuples += tuples.len();
-            acc[*session].wall += wall;
-            acc[*session].batches.push(BatchReport {
-                outcomes,
-                stats,
-                bdd,
-                shared: shared_stats,
-                // the epoch's wall clock: co-resident sessions share
-                // (and each report) the same epoch span
-                wall,
-                generation: epoch.generation(),
-                workers: workers_out,
-            });
-        }
-    }
 }
 
 /// Per-session accumulation across epochs.
@@ -902,28 +646,6 @@ struct SessionAcc {
     batches: Vec<BatchReport>,
     tuples: usize,
     wall: Duration,
-}
-
-/// What one epoch worker hands back to the stitcher.
-struct EpochWorkerOut {
-    /// `(order index, outcomes, shared-cache publishes)` in claim order.
-    chunks: Vec<(usize, Vec<FixOutcome>, Vec<Publish>)>,
-    /// Per-epoch-batch monitor statistics.
-    stats: Vec<MonitorStats>,
-    /// Per-epoch-batch BDD statistics (deltas of the worker's diagram).
-    bdd: Vec<BddStats>,
-}
-
-/// `acc += after - before`, field by field (the BDD diagram is
-/// per-worker, its counters monotone, so per-session charges are
-/// deltas around each chunk).
-fn accumulate_delta(acc: &mut BddStats, before: &BddStats, after: &BddStats) {
-    acc.hits += after.hits - before.hits;
-    acc.misses += after.misses - before.misses;
-    acc.failed_checks += after.failed_checks - before.failed_checks;
-    acc.dedup_reuses += after.dedup_reuses - before.dedup_reuses;
-    acc.shared_hits += after.shared_hits - before.shared_hits;
-    acc.shared_misses += after.shared_misses - before.shared_misses;
 }
 
 /// One multiplexed session's result: the stream's name plus a
@@ -991,6 +713,7 @@ mod tests {
     use crate::oracle::SimulatedUser;
     use crate::session::{RepairSessionBuilder, SliceSource};
     use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
+    use certainfix_relation::{MasterDelta, Value};
 
     fn hosp_sessions(dm: usize, sizes: &[usize]) -> (Hosp, Vec<Dataset>) {
         let hosp = Hosp::generate(dm);
@@ -1388,5 +1111,125 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// A one-stream service and a session run the same fan-out on the
+    /// same units, so with the shared cache on and a key-column master
+    /// delta between two batches, the service's batches carry exactly
+    /// the session's cache statistics — the lifecycle counters
+    /// (`shared_evicted_delta` and the rest, sampled after each commit)
+    /// included, in every batch and in both merged reports.
+    #[test]
+    fn a_one_stream_service_reports_the_session_cache_lifecycle() {
+        let (hosp, datasets) = hosp_sessions(150, &[240]);
+        let ds = &datasets[0];
+        let dirty = dirty_of(ds);
+        let (head, tail) = dirty.split_at(120);
+        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        // rewrite a rule's master key column: the pool cannot survive it
+        let (_, rule) = hosp.rules().iter().next().expect("HOSP has rules");
+        let mut keyed = hosp.master().tuple(0).clone();
+        keyed.set(rule.lhs_m()[0], Value::str("KEY-COLUMN-REWRITTEN"));
+        let delta = MasterDelta::new().update(0, keyed);
+
+        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .threads(2)
+            .shared_cache(true)
+            .build();
+        session.push_batch(head, oracle_for);
+        session.apply_master_delta(&delta).expect("delta applies");
+        session.push_batch(tail, oracle_for);
+        let want = session.finish();
+
+        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .threads(2)
+            .shared_cache(true)
+            .depth(1)
+            .build();
+        let (attach, queue) = attach_channel();
+        let (tx, source) = crate::session::ChannelSource::bounded(1);
+        let (ev_tx, ev_rx) = channel();
+        attach
+            .attach(ServiceStream::new("s", source, oracle_for), Some(ev_tx))
+            .ok()
+            .expect("the queue is open");
+        drop(attach);
+        let service = &service;
+        let report = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                tx.send(head.to_vec()).expect("lane open");
+                // the delta lands between the two batches' epochs
+                assert!(matches!(ev_rx.recv(), Ok(SessionEvent::Batch(_))));
+                service
+                    .engine()
+                    .apply_master_delta(&delta)
+                    .expect("delta applies");
+                tx.send(tail.to_vec()).expect("lane open");
+            });
+            service.run_dynamic(queue)
+        });
+
+        let lifecycle = |s: &MonitorStats| {
+            (
+                s.shared_hits,
+                s.shared_misses,
+                s.shared_evicted_delta,
+                s.shared_evicted_lru,
+                s.shared_revalidated,
+                s.shared_saturated,
+            )
+        };
+        let got = &report.sessions[0].report;
+        assert_eq!(got.batches.len(), 2);
+        assert!(
+            want.batches[1].stats.shared_evicted_delta > 0,
+            "the key-column delta dropped a non-empty pool"
+        );
+        for (k, (a, b)) in got.batches.iter().zip(&want.batches).enumerate() {
+            assert_eq!(a.outcomes, b.outcomes, "batch {k}");
+            assert_eq!(a.shared, b.shared, "batch {k}");
+            assert_eq!(lifecycle(&a.stats), lifecycle(&b.stats), "batch {k}");
+        }
+        assert_eq!(got.shared, want.shared);
+        assert_eq!(lifecycle(&got.stats), lifecycle(&want.stats));
+        assert_eq!(lifecycle(&report.stats), lifecycle(&want.stats));
+    }
+
+    /// Worker 0 of every fan-out is the submitting thread, so a
+    /// one-worker unit — a session batch or a service epoch — calls its
+    /// oracle factory on the caller's thread and spawns no worker.
+    #[test]
+    fn one_worker_units_run_on_the_submitting_thread() {
+        let (hosp, datasets) = hosp_sessions(60, &[40]);
+        let ds = &datasets[0];
+        let dirty = dirty_of(ds);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let oracle_for = |i: usize| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            SimulatedUser::new(ds.inputs[i].clean.clone())
+        };
+
+        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .threads(1)
+            .build();
+        session.drain(SliceSource::with_batch(&dirty, 16), oracle_for);
+        assert_eq!(session.finish().tuples, 40);
+        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .threads(1)
+            .build();
+        let report = service.run(vec![ServiceStream::new(
+            "s",
+            SliceSource::with_batch(&dirty, 16),
+            oracle_for,
+        )]);
+        assert_eq!(report.tuples, 40);
+
+        let caller = std::thread::current().id();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 80, "one oracle per repaired tuple");
+        assert!(
+            seen.iter().all(|&id| id == caller),
+            "every oracle was built on the submitting thread"
+        );
     }
 }

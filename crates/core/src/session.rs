@@ -10,7 +10,11 @@
 //! drains any source through the work-stealing
 //! [`BatchRepairEngine`] and its engine-lifetime
 //! [`SharedSuggestionCache`](crate::SharedSuggestionCache), emitting
-//! one unified [`SessionReport`]. The session is also where the two
+//! one unified [`SessionReport`]. Each pushed batch is a one-unit epoch
+//! of the engine's single fan-out — the same function a
+//! [`RepairService`](crate::service::RepairService) epoch runs through
+//! — and the calling thread is its worker 0, so a one-worker session
+//! spawns no thread. The session is also where the two
 //! *live* axes of the deployment surface meet:
 //!
 //! * **live master data** —
@@ -468,25 +472,25 @@ impl<'e> RepairSession<'e> {
         &self.batches
     }
 
-    /// Repair one batch. `oracle_for` receives the **global stream
-    /// index** (tuples ingested before this batch + offset within it),
-    /// so a stream meets the same oracles however it is batched; like
-    /// the engine's, it is called from worker threads and must depend
-    /// only on the index. Returns the appended report.
+    /// Repair one batch — a one-unit epoch of the engine's fan-out.
+    /// `oracle_for` receives the **global stream index** (tuples
+    /// ingested before this batch + offset within it), so a stream
+    /// meets the same oracles however it is batched; like the
+    /// engine's, it is called from worker threads and must depend only
+    /// on the index. Returns the appended report.
     pub fn push_batch<F, O>(&mut self, dirty: &[Tuple], oracle_for: F) -> &BatchReport
     where
         F: Fn(usize) -> O + Sync,
         O: UserOracle,
     {
         let base = self.tuples;
-        let report = self
-            .engine
-            .get()
-            .fan_out(dirty, &self.opts, |i| oracle_for(base + i));
+        let unit = (dirty, |i: usize| oracle_for(base + i));
+        self.batches
+            .extend(self.engine.get().fan_out(&[unit], &self.opts));
         self.tuples += dirty.len();
+        let report = self.batches.last().expect("one report per unit");
         self.wall += report.wall;
-        self.batches.push(report);
-        self.batches.last().expect("batch just pushed")
+        report
     }
 
     /// Stream a slice through a bounded channel drained by this

@@ -30,7 +30,6 @@ pub mod csv;
 pub mod error;
 pub mod hashers;
 pub mod index;
-pub mod multimaster;
 pub mod pattern;
 pub mod relation;
 pub mod schema;
@@ -43,7 +42,6 @@ pub use csv::{from_csv, to_csv};
 pub use error::RelationError;
 pub use hashers::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{KeyIndex, KeyTrie, MasterDelta, MasterIndex, TrieCursor};
-pub use multimaster::{combine_masters, select_master, MASTER_ID_ATTR};
 pub use pattern::{PatternTuple, PatternValue, Tableau};
 pub use relation::Relation;
 pub use schema::{AttrId, Schema, MAX_ATTRS};
