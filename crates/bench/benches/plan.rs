@@ -72,11 +72,11 @@ fn bench_plan_probe(c: &mut Criterion) {
     );
     // the tentpole kernel: the same all-rules probe amortized over a
     // block session — sibling rules share one dedup pass per probe
-    // group and duplicate keys hash once. Cells the block layer
-    // declines to prefetch (fat hit lists of wide trie groups stay on
-    // the borrow path) fall back to the single-tuple probe, exactly as
-    // `transfix_block` does. Divide the reported time by the block
-    // size for the per-tuple figure comparable to `plan_probe`.
+    // group and duplicate keys hash once. `plan_probe_block` prefetches
+    // every cell, and a read borrows the hit list from the pinned
+    // index as the single-tuple probe does. Divide the reported time by
+    // the block size for the per-tuple figure comparable to
+    // `plan_probe`.
     let refs: Vec<&Tuple> = tuples.iter().collect();
     for size in [64usize, 256] {
         let chunk = &refs[..size];
@@ -92,11 +92,11 @@ fn bench_plan_probe(c: &mut Criterion) {
                         plan.plan_probe_block(r, refs, &mut scratch);
                     }
                     for (r, _) in plan.iter() {
-                        for (j, t) in refs.iter().enumerate() {
-                            hits += match plan.block_candidates(r, j, &mut scratch) {
-                                Some(h) => h.len(),
-                                None => plan.candidates(r, t, &mut scratch).len(),
-                            };
+                        for j in 0..refs.len() {
+                            hits += plan
+                                .block_candidates(r, j, &mut scratch)
+                                .expect("plan_probe_block prefetches every cell")
+                                .len();
                         }
                     }
                     black_box(hits)

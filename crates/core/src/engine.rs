@@ -1422,7 +1422,7 @@ mod tests {
 
     /// The tentpole's determinism contract (D10) at the engine level:
     /// an engine whose epoch was maintained through `MasterDelta`s
-    /// (updates patching the index, inserts extending it) produces
+    /// (delete-free deltas maintaining the built indexes) produces
     /// bit-identical outcomes and merged deterministic stats —
     /// including `plan_probes` — to an engine rebuilt from scratch
     /// over the same master rows, on a skewed batch, across worker

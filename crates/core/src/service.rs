@@ -1067,6 +1067,10 @@ mod tests {
     /// wake-up whenever the woken scheduler runs before the sender is
     /// gone: it sees the queue still connected and sleeps out its
     /// 25 ms backstop, which is what a server's `shutdown` then costs.
+    ///
+    /// A lost wake-up costs a whole backstop, so no round may come near
+    /// 25 ms; a preempted return on a loaded machine costs a few ms in
+    /// the odd round, which the median absorbs.
     #[test]
     fn run_dynamic_returns_promptly_after_the_last_attach_handle_drops() {
         let (hosp, datasets) = hosp_sessions(60, &[4]);
@@ -1074,6 +1078,7 @@ mod tests {
         let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
             .shared_cache(false)
             .build();
+        let mut took = Vec::with_capacity(50);
         for round in 0..50 {
             let (attach, queue) = attach_channel();
             let (ev_tx, ev_rx) = channel();
@@ -1104,13 +1109,20 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
                 let dropped = Instant::now();
                 drop(attach);
-                let took = returned.join().unwrap().duration_since(dropped);
+                let t = returned.join().unwrap().duration_since(dropped);
                 assert!(
-                    took < Duration::from_millis(5),
-                    "round {round}: run_dynamic returned {took:?} after the drop"
+                    t < Duration::from_millis(20),
+                    "round {round}: run_dynamic returned {t:?} after the drop"
                 );
+                took.push(t);
             });
         }
+        took.sort_unstable();
+        let median = took[took.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median return {median:?} after the drop"
+        );
     }
 
     /// A one-stream service and a session run the same fan-out on the

@@ -187,10 +187,10 @@ fn transfix_impl(
 /// Run `TransFix` over a block of independent `(tuple, validated)`
 /// items, vectorizing the probes through the plan's block layer: one
 /// [`RulePlan::probe_block_seeds`] call bulk-prefetches every seed
-/// rule's key probe (grouped by shared probe key, sort-grouped by key
-/// value, resolved through the factorised trie) and hoists every
-/// pattern pre-check into a per-block bitmask, then each tuple's walk
-/// consumes its prefetched cells.
+/// rule's key probe (grouped by shared probe key, each cell resolved to
+/// a span of the pinned flat index) and hoists every pattern pre-check
+/// into a per-block bitmask, then each tuple's walk consumes its
+/// prefetched cells.
 ///
 /// **Bit-identity:** the outcome of every item equals what
 /// [`transfix_with`] returns for it alone, at every block size. A
@@ -272,15 +272,15 @@ fn transfix_one_prefetched(
             rule.pattern().matches(&tuple)
         };
         if pattern_ok {
-            let (prescription, conflict) =
-                if untouched(rule.lhs()) && p.block_prefetched(v, j, scratch) {
-                    let ids = p.block_probe(v, j, scratch).expect("checked prefetched");
-                    prescribe(master, rule.rhs_m(), ids)
-                } else {
-                    // cascaded rule, unseeded cell, or a fix touched the
-                    // key: probe live, exactly like the single-tuple path
-                    prescribe(master, rule.rhs_m(), p.probe(v, &tuple, scratch))
-                };
+            let prefetched = if untouched(rule.lhs()) {
+                p.block_probe(v, j, scratch)
+            } else {
+                None
+            };
+            // cascaded rule, unseeded cell, or a fix touched the key:
+            // probe live, exactly like the single-tuple path
+            let ids = prefetched.unwrap_or_else(|| p.probe(v, &tuple, scratch));
+            let (prescription, conflict) = prescribe(master, rule.rhs_m(), ids);
             if conflict {
                 disputed.push(v);
             } else if let Some((val, id)) = prescription {

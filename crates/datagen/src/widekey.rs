@@ -13,9 +13,8 @@
 //!
 //! Entities decompose their id into the location key mixed-radix
 //! (base 3 on the first six parts), so prefixes are heavily shared
-//! across entities — which also makes this the densest trie-sharing
-//! workload in the suite — while the full 7-tuple stays unique, keeping
-//! every rule key-consistent.
+//! across entities while the full 7-tuple stays unique, keeping every
+//! rule key-consistent.
 //!
 //! [`RulePlan`]: certainfix_rules::RulePlan
 

@@ -8,6 +8,14 @@
 //! master tuple that is applicable, by using a hash table that stores
 //! `tm[Xm]` as a key") is realized here.
 //!
+//! A [`KeyIndex`] is that one flat hash table and nothing more: all of
+//! its hit lists share one contiguous `rows` buffer, grouped by key, and
+//! the table maps each distinct key to its `(start, len)` span there.
+//! [`KeyIndex::build`] is a counting scatter, so the buffer is allocated
+//! once however many distinct keys the column holds. A span stays valid
+//! for as long as the index is pinned, which is what lets the block
+//! layer of `certainfix-rules` hold spans instead of copies.
+//!
 //! Two probe disciplines coexist:
 //!
 //! * the convenience path ([`MasterIndex::matches_projection`]) hashes
@@ -37,10 +45,9 @@
 //! [`MasterIndex::index_for`] only reuses a slot stamped with its own
 //! generation and restamps stale ones, so a delta invalidates every
 //! affected [`KeyIndex`] without touching threads still probing the old
-//! snapshot. Delete-free deltas go further and *patch* already-built
-//! indexes in place of a rebuild (inserted rows append the largest row
-//! ids; updated rows move between hit lists), which
-//! [`MasterIndex::index_patches`] counts.
+//! snapshot. Delete-free deltas go further and maintain already-built
+//! indexes eagerly — each is rebuilt over the new rows by the same
+//! scatter and restamped — which [`MasterIndex::index_patches`] counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -52,61 +59,110 @@ use crate::schema::AttrId;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// An index of a relation on one attribute list.
+/// An index of a relation on one attribute list (see the
+/// [module docs](self) for the flat layout).
 ///
 /// Rows whose key contains a null are not indexed: a null never agrees
 /// with any probe value (see [`Value::agrees_with`]).
 #[derive(Debug)]
 pub struct KeyIndex {
     key: Vec<AttrId>,
-    /// Hit lists are refcounted slices so consumers that must hold a
-    /// list beyond the borrow (the block-probe layer's shared spans)
-    /// can clone the refcount instead of copying the rows — one atomic
-    /// bump per distinct key, whatever the list's fan-out.
-    map: HitMap,
+    /// Every indexed row id, grouped by key; each group is ascending.
+    rows: Box<[u32]>,
+    /// Distinct key → `(start, len)` of its group in `rows`.
+    spans: SpanMap,
 }
 
-/// The hit-list map behind a [`KeyIndex`], specialized by key width.
+/// The key → span map behind a [`KeyIndex`], specialized by key width.
 #[derive(Debug)]
-enum HitMap {
+enum SpanMap {
     /// Single-attribute keys hash their injective
-    /// [`Value::grouping_rank`] directly — no per-key heap slice and
-    /// no slice hashing on the probe path.
-    Rank(FxHashMap<u128, Arc<[u32]>>),
+    /// [`Value::grouping_rank`] directly — no boxed key and no slice
+    /// hashing on the probe path.
+    Rank(FxHashMap<u128, (u32, u32)>),
     /// Wider keys hash the boxed value slice.
-    Slice(FxHashMap<Box<[Value]>, Arc<[u32]>>),
+    Slice(FxHashMap<Box<[Value]>, (u32, u32)>),
 }
+
+/// Group id of a row whose key holds a null, during [`KeyIndex::build`].
+const UNINDEXED: u32 = u32::MAX;
 
 impl KeyIndex {
-    /// Build the index eagerly.
+    /// Build the index eagerly, by a counting scatter: one pass gives
+    /// every distinct key a dense group id and counts its rows, a prefix
+    /// sum gives each group its start, and a second pass places the row
+    /// ids — in row order, so every hit list comes out ascending.
     pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
-        let map = if key.len() == 1 {
-            let mut rows: FxHashMap<u128, Vec<u32>> = FxHashMap::default();
-            for (i, t) in rel.iter().enumerate() {
-                let v = *t.get(key[0]);
-                if !v.is_null() {
-                    rows.entry(v.grouping_rank()).or_default().push(i as u32);
-                }
+        // per row, its group id; per group, its row count. While
+        // counting, a key's map value holds `(group id, 0)`.
+        let mut group: Vec<u32> = Vec::with_capacity(rel.len());
+        let mut counts: Vec<u32> = Vec::new();
+        let mut tally = |g: u32| {
+            match counts.get_mut(g as usize) {
+                Some(c) => *c += 1,
+                None => counts.push(1),
             }
-            HitMap::Rank(rows.into_iter().map(|(k, v)| (k, v.into())).collect())
-        } else {
-            let mut rows: FxHashMap<Box<[Value]>, Vec<u32>> = FxHashMap::default();
-            'rows: for (i, t) in rel.iter().enumerate() {
-                let mut k = Vec::with_capacity(key.len());
-                for &a in key {
-                    let v = *t.get(a);
-                    if v.is_null() {
-                        continue 'rows;
-                    }
-                    k.push(v);
-                }
-                rows.entry(k.into_boxed_slice()).or_default().push(i as u32);
-            }
-            HitMap::Slice(rows.into_iter().map(|(k, v)| (k, v.into())).collect())
+            g
         };
+        let mut spans = if let [a] = *key {
+            let mut m: FxHashMap<u128, (u32, u32)> = FxHashMap::default();
+            for t in rel.iter() {
+                let v = t.get(a);
+                group.push(if v.is_null() {
+                    UNINDEXED
+                } else {
+                    let fresh = (m.len() as u32, 0);
+                    tally(m.entry(v.grouping_rank()).or_insert(fresh).0)
+                });
+            }
+            SpanMap::Rank(m)
+        } else {
+            let mut m: FxHashMap<Box<[Value]>, (u32, u32)> = FxHashMap::default();
+            let mut k: Vec<Value> = Vec::with_capacity(key.len());
+            for t in rel.iter() {
+                k.clear();
+                k.extend(key.iter().map(|&a| *t.get(a)));
+                group.push(if k.iter().any(Value::is_null) {
+                    UNINDEXED
+                } else if let Some(&(g, _)) = m.get(&k[..]) {
+                    tally(g)
+                } else {
+                    let g = m.len() as u32;
+                    m.insert(k[..].into(), (g, 0));
+                    tally(g)
+                });
+            }
+            SpanMap::Slice(m)
+        };
+        // prefix sum, then scatter: `end[g]` walks group g's slots
+        let mut total = 0u32;
+        let mut end: Vec<u32> = counts
+            .iter()
+            .map(|&c| {
+                total += c;
+                total - c
+            })
+            .collect();
+        let mut rows = vec![0u32; total as usize];
+        for (i, &g) in group.iter().enumerate() {
+            if g != UNINDEXED {
+                let at = &mut end[g as usize];
+                rows[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        let place = |s: &mut (u32, u32)| {
+            let len = counts[s.0 as usize];
+            *s = (end[s.0 as usize] - len, len);
+        };
+        match &mut spans {
+            SpanMap::Rank(m) => m.values_mut().for_each(place),
+            SpanMap::Slice(m) => m.values_mut().for_each(place),
+        }
         KeyIndex {
             key: key.to_vec(),
-            map,
+            rows: rows.into_boxed_slice(),
+            spans,
         }
     }
 
@@ -118,33 +174,40 @@ impl KeyIndex {
     /// Row ids whose key equals `probe` (empty if the probe contains a
     /// null or has no match).
     pub fn lookup(&self, probe: &[Value]) -> &[u32] {
-        debug_assert_eq!(probe.len(), self.key.len());
-        self.lookup_shared(probe).map_or(&[], |v| &v[..])
+        self.hits(self.span(probe))
     }
 
-    /// The refcounted hit list for `probe`, or `None` on a miss or a
-    /// null probe value. Same rows as [`lookup`](Self::lookup); use
-    /// this when the list must outlive the index borrow — cloning the
-    /// `Arc` shares the rows without copying them.
-    pub fn lookup_shared(&self, probe: &[Value]) -> Option<&Arc<[u32]>> {
+    /// Where [`lookup`](Self::lookup)'s hit list for `probe` sits in
+    /// this index's rows: `(start, len)`, read back with
+    /// [`hits`](Self::hits). A miss or a null probe value is an empty
+    /// span. Use this when the list must be named beyond the borrow —
+    /// the span stays valid for as long as the index is pinned.
+    pub fn span(&self, probe: &[Value]) -> (u32, u32) {
         debug_assert_eq!(probe.len(), self.key.len());
-        match &self.map {
-            HitMap::Rank(m) => {
-                let v = probe[0];
-                if v.is_null() {
-                    None
-                } else {
-                    m.get(&v.grouping_rank())
-                }
-            }
-            HitMap::Slice(m) => {
-                if probe.iter().any(Value::is_null) {
-                    None
-                } else {
-                    m.get(probe)
-                }
-            }
+        // keys holding a null are never stored, so a null probe misses
+        let hit = match &self.spans {
+            SpanMap::Rank(m) => m.get(&probe[0].grouping_rank()),
+            SpanMap::Slice(m) => m.get(probe),
+        };
+        hit.copied().unwrap_or((0, 0))
+    }
+
+    /// Rank-keyed variant of [`span`](Self::span) for single-attribute
+    /// indexes, when the caller has already computed
+    /// [`Value::grouping_rank`] (rank 0 is `Null`, which matches
+    /// nothing). Panics on a wider index.
+    pub fn span_of_rank(&self, rank: u128) -> (u32, u32) {
+        match &self.spans {
+            SpanMap::Rank(m) => m.get(&rank).copied().unwrap_or((0, 0)),
+            SpanMap::Slice(_) => panic!("rank probes require a single-attribute index"),
         }
+    }
+
+    /// The row ids of a span returned by [`span`](Self::span) or
+    /// [`span_of_rank`](Self::span_of_rank) on this index.
+    #[inline]
+    pub fn hits(&self, (start, len): (u32, u32)) -> &[u32] {
+        &self.rows[start as usize..(start + len) as usize]
     }
 
     /// The `t[from] = tm[key]` probe of rule application, with a
@@ -159,277 +222,22 @@ impl KeyIndex {
         self.lookup(probe)
     }
 
-    /// Rank-keyed variant of [`lookup_shared`](Self::lookup_shared)
-    /// for single-attribute indexes, when the caller has already
-    /// computed [`Value::grouping_rank`] (rank 0 is `Null`, which
-    /// matches nothing). Panics on a wider index.
-    pub fn lookup_rank_shared(&self, rank: u128) -> Option<&Arc<[u32]>> {
-        match &self.map {
-            HitMap::Rank(m) => {
-                if rank == 0 {
-                    None
-                } else {
-                    m.get(&rank)
-                }
-            }
-            HitMap::Slice(_) => panic!("rank probes require a single-attribute index"),
-        }
-    }
-
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        match &self.map {
-            HitMap::Rank(m) => m.len(),
-            HitMap::Slice(m) => m.len(),
+        match &self.spans {
+            SpanMap::Rank(m) => m.len(),
+            SpanMap::Slice(m) => m.len(),
         }
     }
 
     /// Length of the longest hit list (0 for an empty index) — the
-    /// worst-case fan-out of one probe. Consumers that materialize hit
-    /// lists (the block-probe arena) use this to decide whether
-    /// prefetching pays or the list should stay on the borrow path.
+    /// worst-case fan-out of one probe.
     pub fn max_hit_len(&self) -> usize {
-        match &self.map {
-            HitMap::Rank(m) => m.values().map(|v| v.len()).max().unwrap_or(0),
-            HitMap::Slice(m) => m.values().map(|v| v.len()).max().unwrap_or(0),
-        }
-    }
-
-    /// A copy of this index brought up to `new_rel`, given that
-    /// `new_rel` came out of `old_rel` through a **delete-free** delta:
-    /// the rows in `updated` (deduplicated ids) changed in place and
-    /// rows `old_rel.len()..new_rel.len()` were appended. Updated rows
-    /// move between hit lists (sorted insertion keeps lists ascending),
-    /// inserted rows append the new largest ids, and lists that empty
-    /// out are dropped — the result is indistinguishable from a fresh
-    /// [`KeyIndex::build`] on `new_rel`.
-    fn patched(&self, old_rel: &Relation, new_rel: &Relation, updated: &[u32]) -> KeyIndex {
-        fn add(rows: &mut Vec<u32>, id: u32) {
-            if let Err(at) = rows.binary_search(&id) {
-                rows.insert(at, id);
-            }
-        }
-        fn del(rows: &mut Vec<u32>, id: u32) {
-            if let Ok(at) = rows.binary_search(&id) {
-                rows.remove(at);
-            }
-        }
-        let map = match &self.map {
-            HitMap::Rank(built) => {
-                let a = self.key[0];
-                let mut m: FxHashMap<u128, Vec<u32>> =
-                    built.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-                for &r in updated {
-                    let old = *old_rel.tuple(r as usize).get(a);
-                    let new = *new_rel.tuple(r as usize).get(a);
-                    if old == new {
-                        continue;
-                    }
-                    if !old.is_null() {
-                        if let Some(rows) = m.get_mut(&old.grouping_rank()) {
-                            del(rows, r);
-                        }
-                    }
-                    if !new.is_null() {
-                        add(m.entry(new.grouping_rank()).or_default(), r);
-                    }
-                }
-                for i in old_rel.len()..new_rel.len() {
-                    let v = *new_rel.tuple(i).get(a);
-                    if !v.is_null() {
-                        m.entry(v.grouping_rank()).or_default().push(i as u32);
-                    }
-                }
-                m.retain(|_, rows| !rows.is_empty());
-                HitMap::Rank(m.into_iter().map(|(k, v)| (k, v.into())).collect())
-            }
-            HitMap::Slice(built) => {
-                let project = |rel: &Relation, row: usize| -> Option<Box<[Value]>> {
-                    let mut k = Vec::with_capacity(self.key.len());
-                    for &a in &self.key {
-                        let v = *rel.tuple(row).get(a);
-                        if v.is_null() {
-                            return None;
-                        }
-                        k.push(v);
-                    }
-                    Some(k.into_boxed_slice())
-                };
-                let mut m: FxHashMap<Box<[Value]>, Vec<u32>> =
-                    built.iter().map(|(k, v)| (k.clone(), v.to_vec())).collect();
-                for &r in updated {
-                    let old = project(old_rel, r as usize);
-                    let new = project(new_rel, r as usize);
-                    if old == new {
-                        continue;
-                    }
-                    if let Some(k) = old {
-                        if let Some(rows) = m.get_mut(&k) {
-                            del(rows, r);
-                        }
-                    }
-                    if let Some(k) = new {
-                        add(m.entry(k).or_default(), r);
-                    }
-                }
-                for i in old_rel.len()..new_rel.len() {
-                    if let Some(k) = project(new_rel, i) {
-                        m.entry(k).or_default().push(i as u32);
-                    }
-                }
-                m.retain(|_, rows| !rows.is_empty());
-                HitMap::Slice(m.into_iter().map(|(k, v)| (k, v.into())).collect())
-            }
+        let longest = match &self.spans {
+            SpanMap::Rank(m) => m.values().map(|s| s.1).max(),
+            SpanMap::Slice(m) => m.values().map(|s| s.1).max(),
         };
-        KeyIndex {
-            key: self.key.clone(),
-            map,
-        }
-    }
-}
-
-/// A *factorised* index: a trie over key-prefix values.
-///
-/// Where a [`KeyIndex`] stores one flat hit list per full key, a
-/// `KeyTrie` factorises the hit lists of the whole key-prefix family:
-/// the node reached by descending values `v1 … vd` holds exactly the
-/// row ids a `KeyIndex` over the first `d` key columns would return for
-/// the probe `(v1 … vd)` — same ascending row order, same null
-/// semantics (a row is inserted along its prefix path only while its
-/// key values stay non-null, so a null at column `d` keeps the row out
-/// of every node deeper than `d`).
-///
-/// Two probe disciplines benefit:
-///
-/// * **shared-prefix descent** ([`KeyTrie::cursor`]): a block of probes
-///   sorted by key re-descends only the suffix that differs from the
-///   previous probe, so wide keys with overlapping prefixes share the
-///   partial lookups (the FDB-style factorised representation);
-/// * **prefix lookups** ([`KeyTrie::lookup_prefix`]): the hits of any
-///   key *prefix* come from one descent — no per-prefix sub-index
-///   build.
-///
-/// Row ids are materialized per node, so memory is
-/// `O(|key| · |rows|)` ids in the worst case — fine for the key widths
-/// editing rules use (the compiled plans build one trie per distinct
-/// rule key list).
-#[derive(Debug)]
-pub struct KeyTrie {
-    key: Vec<AttrId>,
-    root: TrieNode,
-}
-
-#[derive(Debug, Default)]
-struct TrieNode {
-    rows: Vec<u32>,
-    children: FxHashMap<Value, TrieNode>,
-}
-
-impl KeyTrie {
-    /// Build the trie eagerly: each row is inserted along its key
-    /// prefix path until the first null (or the full key depth).
-    pub fn build(rel: &Relation, key: &[AttrId]) -> KeyTrie {
-        let mut root = TrieNode::default();
-        for (i, t) in rel.iter().enumerate() {
-            let mut node = &mut root;
-            for &a in key {
-                let v = *t.get(a);
-                if v.is_null() {
-                    break;
-                }
-                node = node.children.entry(v).or_default();
-                node.rows.push(i as u32);
-            }
-        }
-        KeyTrie {
-            key: key.to_vec(),
-            root,
-        }
-    }
-
-    /// The indexed attribute list (maximum descent depth).
-    pub fn key(&self) -> &[AttrId] {
-        &self.key
-    }
-
-    /// Row ids matching `probe` on the first `probe.len()` key columns,
-    /// ascending. Empty when the probe is empty, contains a null, or
-    /// matches nothing — exactly the result a [`KeyIndex`] over those
-    /// columns would return.
-    pub fn lookup_prefix(&self, probe: &[Value]) -> &[u32] {
-        debug_assert!(probe.len() <= self.key.len());
-        let mut node = &self.root;
-        if probe.is_empty() {
-            return &[];
-        }
-        for v in probe {
-            if v.is_null() {
-                return &[];
-            }
-            match node.children.get(v) {
-                Some(child) => node = child,
-                None => return &[],
-            }
-        }
-        &node.rows
-    }
-
-    /// An incremental-descent cursor positioned at the root.
-    pub fn cursor(&self) -> TrieCursor<'_> {
-        TrieCursor {
-            trie: self,
-            path: Vec::with_capacity(self.key.len()),
-        }
-    }
-}
-
-/// An incremental descent through a [`KeyTrie`], for probe sequences
-/// sorted by key: [`truncate`](TrieCursor::truncate) back to the length
-/// of the common prefix with the previous probe, then
-/// [`descend`](TrieCursor::descend) only the differing suffix. Dead
-/// paths (a missing child or a null probe value) are tracked, so a
-/// descent below a miss stays a miss until truncated back above it.
-#[derive(Debug)]
-pub struct TrieCursor<'t> {
-    trie: &'t KeyTrie,
-    /// `path[d]` is the node after consuming `d + 1` probe values;
-    /// `None` marks a dead path.
-    path: Vec<Option<&'t TrieNode>>,
-}
-
-impl<'t> TrieCursor<'t> {
-    /// Number of probe values consumed so far.
-    pub fn depth(&self) -> usize {
-        self.path.len()
-    }
-
-    /// Rewind to `depth` consumed values (no-op if already shallower).
-    pub fn truncate(&mut self, depth: usize) {
-        self.path.truncate(depth);
-    }
-
-    /// Consume one more probe value; returns `false` if the path is
-    /// (or just went) dead.
-    pub fn descend(&mut self, v: Value) -> bool {
-        let parent = match self.path.last() {
-            None => Some(&self.trie.root),
-            Some(p) => *p,
-        };
-        let child = match parent {
-            Some(node) if !v.is_null() => node.children.get(&v),
-            _ => None,
-        };
-        self.path.push(child);
-        child.is_some()
-    }
-
-    /// Row ids at the current position — the hits of the consumed
-    /// prefix. Empty at the root or on a dead path.
-    pub fn hits(&self) -> &'t [u32] {
-        match self.path.last() {
-            Some(Some(node)) => &node.rows,
-            _ => &[],
-        }
+        longest.unwrap_or(0) as usize
     }
 }
 
@@ -502,7 +310,8 @@ impl MasterDelta {
     }
 
     /// `true` iff the batch deletes at least one row (deltas with
-    /// deletes renumber rows and cannot be index-patched).
+    /// deletes renumber rows, and built indexes are left for a lazy
+    /// rebuild).
     pub fn has_deletes(&self) -> bool {
         !self.deletes.is_empty()
     }
@@ -618,15 +427,14 @@ impl MasterIndex {
     /// older generation) keep their rows — this is the non-blocking
     /// half of the invalidation contract.
     ///
-    /// The shared slot cache is maintained eagerly where that is cheap:
-    /// for a **delete-free** delta every already-built index of the
-    /// current generation is *patched* (updated rows move between hit
-    /// lists, inserted rows append the new largest ids) and restamped
-    /// to the new generation — counted by
-    /// [`index_patches`](Self::index_patches), and bit-identical to a
-    /// fresh build. Deltas with deletes renumber rows, so affected
-    /// slots are left stale and rebuilt lazily on the next
-    /// [`index_for`](Self::index_for).
+    /// The shared slot cache is maintained eagerly for a
+    /// **delete-free** delta: every already-built index of the current
+    /// generation is rebuilt over the new rows by
+    /// [`KeyIndex::build`]'s scatter and restamped to the new
+    /// generation — counted by [`index_patches`](Self::index_patches),
+    /// not by [`index_builds`](Self::index_builds). Deltas with deletes
+    /// renumber rows, so affected slots are left stale and rebuilt
+    /// lazily on the next [`index_for`](Self::index_for).
     ///
     /// Row ids in `delta` refer to `self`'s rows. Errors:
     /// [`RelationError::RowOutOfRange`] for an update/delete past the
@@ -665,21 +473,13 @@ impl MasterIndex {
         let rel = Arc::new(Relation::new(Arc::clone(schema), rows)?);
         let generation = self.generation + 1;
         if deletes.is_empty() {
-            // Only the final value of a row matters, and a row may move
-            // between hit lists at most once — dedup the updated ids.
-            let mut updated: Vec<u32> = delta.updates.iter().map(|&(r, _)| r).collect();
-            updated.sort_unstable();
-            updated.dedup();
             let mut w = self.cache.write().expect("index cache poisoned");
-            for entry in w.values_mut() {
-                if entry.generation != self.generation {
+            for (key, entry) in w.iter_mut() {
+                if entry.generation != self.generation || entry.slot.get().is_none() {
                     continue;
                 }
-                let Some(idx) = entry.slot.get().cloned() else {
-                    continue;
-                };
                 let slot = IndexSlot::default();
-                let _ = slot.set(Arc::new(idx.patched(&self.rel, &rel, &updated)));
+                let _ = slot.set(Arc::new(KeyIndex::build(&rel, key)));
                 *entry = GenSlot { generation, slot };
                 self.patches.fetch_add(1, Ordering::Relaxed);
             }
@@ -699,8 +499,9 @@ impl MasterIndex {
         self.generation
     }
 
-    /// Number of already-built indexes maintained by in-place patching
-    /// (delete-free deltas) instead of left for a lazy rebuild.
+    /// Number of already-built indexes maintained eagerly (rebuilt and
+    /// restamped by a delete-free delta) instead of left for a lazy
+    /// rebuild.
     pub fn index_patches(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)
     }
@@ -871,67 +672,37 @@ mod tests {
         }
     }
 
-    /// Every trie node agrees with the flat [`KeyIndex`] over the same
-    /// prefix columns: identical ids, identical (ascending) order, and
-    /// identical null semantics at every depth.
+    /// Every hit list is a span of the one row buffer: spans by value
+    /// and by rank agree with `lookup`, misses and nulls are empty, and
+    /// the buffer holds each indexed row exactly once.
     #[test]
-    fn trie_prefixes_match_per_depth_key_indexes() {
+    fn hit_lists_are_spans_of_one_row_buffer() {
         let rel = master();
-        let key = [AttrId(0), AttrId(1), AttrId(2)];
-        let trie = KeyTrie::build(&rel, &key);
-        assert_eq!(trie.key(), &key);
-        for d in 1..=key.len() {
-            let idx = KeyIndex::build(&rel, &key[..d]);
-            for t in rel.iter() {
-                let probe: Vec<Value> = key[..d].iter().map(|&a| *t.get(a)).collect();
-                assert_eq!(trie.lookup_prefix(&probe), idx.lookup(&probe), "depth {d}");
-            }
-            // misses agree too
-            let miss: Vec<Value> = (0..d).map(|_| Value::str("nope")).collect();
-            assert_eq!(trie.lookup_prefix(&miss), idx.lookup(&miss));
-        }
-        // the null-zip row is reachable at no depth (zip is column 0)
-        assert_eq!(
-            trie.lookup_prefix(&[Value::Null]),
-            &[] as &[u32],
-            "null probes find nothing"
-        );
-        assert_eq!(trie.lookup_prefix(&[]), &[] as &[u32]);
+        let zip = KeyIndex::build(&rel, &[AttrId(0)]);
+        let s = zip.span(&[Value::str("EH7 4AH")]);
+        assert_eq!(zip.hits(s), &[0, 2]);
+        assert_eq!(zip.span_of_rank(Value::str("EH7 4AH").grouping_rank()), s);
+        assert_eq!(zip.span(&[Value::Null]).1, 0);
+        assert_eq!(zip.span_of_rank(0).1, 0);
+        assert_eq!(zip.max_hit_len(), 2);
+        let wide = KeyIndex::build(&rel, &[AttrId(0), AttrId(1), AttrId(2)]);
+        assert_eq!(wide.span(&[Value::str("nope"); 3]).1, 0);
+        let mut all: Vec<u32> = rel
+            .iter()
+            .flat_map(|t| {
+                let probe: Vec<Value> = wide.key().iter().map(|&a| *t.get(a)).collect();
+                wide.lookup(&probe).to_vec()
+            })
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all, [0, 1, 2], "the null-zip row is unindexed");
+        assert_eq!(wide.rows.len(), 3);
     }
 
-    /// The cursor's shared-prefix descent visits the same nodes as
-    /// fresh full descents.
-    #[test]
-    fn trie_cursor_reuses_shared_prefixes() {
-        let rel = master();
-        let key = [AttrId(1), AttrId(2)];
-        let trie = KeyTrie::build(&rel, &key);
-        let mut cur = trie.cursor();
-        // "131" → {0, 2} at depth 1; "131","Edi" → {0, 2} at depth 2
-        assert!(cur.descend(Value::str("131")));
-        assert_eq!(cur.hits(), &[0, 2]);
-        assert!(cur.descend(Value::str("Edi")));
-        assert_eq!(cur.hits(), &[0, 2]);
-        assert_eq!(cur.depth(), 2);
-        // rewind one level, take a dead branch, and stay dead below it
-        cur.truncate(1);
-        assert!(!cur.descend(Value::str("Lnd")));
-        assert_eq!(cur.hits(), &[] as &[u32]);
-        assert_eq!(cur.depth(), 2);
-        // truncating above the miss revives the path
-        cur.truncate(0);
-        assert!(cur.descend(Value::str("020")));
-        assert!(cur.descend(Value::str("Ldn")));
-        assert_eq!(cur.hits(), &[1]);
-        // null values kill the path like a missing child
-        cur.truncate(1);
-        assert!(!cur.descend(Value::Null));
-        assert_eq!(cur.hits(), &[] as &[u32]);
-    }
-
-    /// Patched indexes are indistinguishable from a fresh build: same
-    /// hit lists (ascending), same distinct keys, emptied lists
-    /// dropped — for both the `Rank` and the `Slice` map layout.
+    /// Eagerly maintained indexes are indistinguishable from a fresh
+    /// build: same hit lists (ascending), same distinct keys, emptied
+    /// lists dropped — for both the `Rank` and the `Slice` map layout.
     #[test]
     fn delete_free_deltas_patch_built_indexes() {
         let m0 = MasterIndex::new(master());
@@ -948,11 +719,11 @@ mod tests {
         assert!(!delta.has_deletes());
         let m1 = m0.apply_delta(&delta).unwrap();
         assert_eq!(m1.generation(), 1);
-        assert_eq!(m1.index_patches(), 2, "both built indexes were patched");
+        assert_eq!(m1.index_patches(), 2, "both built indexes were maintained");
         assert_eq!(
             m1.index_builds(),
             builds_before,
-            "patching is not a rebuild"
+            "eager maintenance is not a lazy build"
         );
         let fresh = MasterIndex::new(Arc::clone(m1.relation()));
         for key in [&zip[..], &wide[..]] {
@@ -1032,7 +803,7 @@ mod tests {
         assert_eq!(m1.tuple(1).get(AttrId(2)), &Value::str("Edi"));
     }
 
-    /// Patching drops hit lists that empty out, so `distinct_keys`
+    /// Eager maintenance drops hit lists that empty out, so `distinct_keys`
     /// agrees with a fresh build.
     #[test]
     fn patching_drops_emptied_hit_lists() {

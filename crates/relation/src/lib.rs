@@ -41,7 +41,7 @@ pub use attrset::AttrSet;
 pub use csv::{from_csv, to_csv};
 pub use error::RelationError;
 pub use hashers::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use index::{KeyIndex, KeyTrie, MasterDelta, MasterIndex, TrieCursor};
+pub use index::{KeyIndex, MasterDelta, MasterIndex};
 pub use pattern::{PatternTuple, PatternValue, Tableau};
 pub use relation::Relation;
 pub use schema::{AttrId, Schema, MAX_ATTRS};
@@ -65,7 +65,6 @@ fn _send_sync_audit() {
     check::<AttrSet>();
     check::<Relation>();
     check::<KeyIndex>();
-    check::<KeyTrie>();
     check::<MasterIndex>();
     check::<MasterDelta>();
     check::<Interner>();

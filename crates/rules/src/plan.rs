@@ -37,39 +37,32 @@
 //! identical `(X, Xm)` key are merged into one *probe group*
 //! ([`RulePlan::probe_groups`]) — a rule like ϕ1 of the paper, whose
 //! three set-clauses compile to three rules keyed on the same `zip`,
-//! pays for one key probe per tuple instead of three. Per block and
-//! group, identical keys are hashed **once** and share one hit list,
-//! by one of two disciplines picked at compile time by key width:
+//! pays for one key probe per tuple instead of three. Every group
+//! resolves a block cell to a `(start, len)` span into the rows of its
+//! pinned flat [`KeyIndex`] (see [`KeyIndex::span`]), so a prefetched
+//! hit list is never copied: the scratch holds spans, and block readers
+//! borrow the rows from the plan. By key width:
 //!
-//! * **flat groups** (one- or two-attribute keys, the common case)
-//!   deduplicate in a single pass through a generation-stamped
-//!   open-addressing table keyed on the injective
+//! * **one- and two-attribute groups** (the common case) hash identical
+//!   keys **once** per block: they deduplicate in a single pass through
+//!   a generation-stamped open-addressing table keyed on the injective
 //!   [`Value::grouping_rank`] — the first cell with a given key probes
-//!   the pinned flat index, every later cell pays one mix, one slot
-//!   load, and a rank compare. Below depth 3 a trie descent costs as
-//!   many node hops as the key has attributes while one flat-map hash
-//!   resolves the whole key, so no trie is built;
-//! * **wide groups** (three attributes and up) gather their keys into
-//!   struct-of-arrays scratch columns ([`Value`]s are 16-byte `Copy`
-//!   words, so the gather is memcpy-shaped), **sort-group** them so
-//!   identical keys are adjacent, and resolve by descending the
-//!   group's factorised [`KeyTrie`] — consecutive sorted keys
-//!   re-descend only the suffix that differs, so overlapping prefixes
-//!   reuse partial lookups.
+//!   the pinned index, every later cell pays one mix, one slot load,
+//!   and a rank compare;
+//! * **wider groups** look each needed cell up in the pinned index.
 //!
-//! Pattern pre-checks are hoisted into a per-block bitmask. Short hit
-//! lists land once per distinct key in a scratch-owned arena; fat
-//! ones (over `MAX_PREFETCH_HITS` rows) are shared with the pinned
-//! index by refcount instead of copied. Per-(rule × tuple) spans
-//! point at either.
+//! There is no key-prefix trie: at full key depth its hit lists are the
+//! flat index's, and building one cost more than all the flat indexes
+//! of a plan together. Pattern pre-checks are hoisted into a per-block
+//! bitmask.
 //!
 //! # Determinism contract
 //!
 //! For any rule, tuple, and master data, the plan-backed probes return
 //! exactly the row ids, in exactly the order, of the legacy
 //! [`candidate_masters`](crate::apply::candidate_masters) path — both
-//! read the same [`KeyIndex`] maps, and the block layer's trie is built
-//! from the same rows in the same order. The plain functions remain in
+//! read the same [`KeyIndex`] hit lists, and block spans point into the
+//! rows of that same pinned index. The plain functions remain in
 //! the tree as the *test/property parity oracle* for this contract
 //! (invariant D4) — engines always run the plan. **Block-probed
 //! results are bit-identical to single-tuple probing at every block
@@ -81,9 +74,9 @@
 //! # Slot invalidation (live master data)
 //!
 //! A `RulePlan` is an **immutable per-generation artifact**: every
-//! pinned `Arc<KeyIndex>`, every lazily filled 2^|X| sub-key slot, and
-//! the probe groups' tries all describe the one master generation the
-//! plan was compiled against ([`RulePlan::generation`]). A
+//! pinned `Arc<KeyIndex>` and every lazily filled 2^|X| sub-key slot
+//! describe the one master generation the plan was compiled against
+//! ([`RulePlan::generation`]). A
 //! `MasterDelta` therefore never mutates a plan — invalidation is
 //! *recompilation*: the engine compiles a fresh plan against the
 //! next-generation [`MasterIndex`] and swaps it in at the next epoch
@@ -91,15 +84,13 @@
 //! finish against the generation they started on (nothing blocks,
 //! nothing is torn). Recompilation is cheap on the hot path:
 //! [`MasterIndex::index_for`] is generation-checked, so a delete-free
-//! delta hands the new plan *patched* indexes instead of rebuilds, and
+//! delta hands the new plan the indexes it maintained eagerly, and
 //! cold sub-key slots refill lazily exactly as they did on first
 //! compile. The session layer counts swaps as `plan_rebuilds`.
 
 use std::sync::{Arc, OnceLock};
 
-use certainfix_relation::{
-    AttrId, AttrSet, KeyIndex, KeyTrie, MasterIndex, PatternTuple, Tuple, Value,
-};
+use certainfix_relation::{AttrId, AttrSet, KeyIndex, MasterIndex, PatternTuple, Tuple, Value};
 
 use crate::ruleset::RuleSet;
 
@@ -122,9 +113,8 @@ pub struct ProbeScratch {
 
 /// Struct-of-arrays block-probe state (see the
 /// [module docs](self#block-probing)): per-session results — the
-/// pattern bitmask, the hit arena, and the per-(group × tuple) spans
-/// into it — plus the per-group gather/sort scratch columns. All
-/// buffers are reused across blocks.
+/// pattern bitmask and the per-(group × tuple) hit spans — plus the
+/// dedup tables. All buffers are reused across blocks.
 #[derive(Debug, Default)]
 struct BlockBuffers {
     /// Block length of the current session.
@@ -137,39 +127,18 @@ struct BlockBuffers {
     pattern: Vec<u64>,
     /// `pattern[i]` lanes filled this session.
     pattern_done: Vec<bool>,
-    /// Hit spans, group-major: `spans[g * len + j]` is
-    /// `(start, len)` into `arena`, `(`[`FAT_SPAN`]`, f)` for the
-    /// shared list `fat[f]`, or [`NO_SPAN`] when cell `(g, j)` was not
-    /// prefetched this session.
+    /// Hit spans, group-major: `spans[g * len + j]` is `(start, len)`
+    /// into the rows of group `g`'s pinned index, or [`NO_SPAN`] when
+    /// cell `(g, j)` was not prefetched this session.
     spans: Vec<(u32, u32)>,
     /// Group `g` probed this session.
     group_done: Vec<bool>,
-    /// The shared hit-list arena the spans point into; one copy per
-    /// distinct key per group.
-    arena: Vec<u32>,
-    /// Fat hit lists (`> MAX_PREFETCH_HITS` rows), shared with the
-    /// pinned index by refcount instead of copied into the arena — one
-    /// `Arc` clone per distinct fat key per session.
-    fat: Vec<Arc<[u32]>>,
-    /// Trie-group gather scratch: probed tuples' keys, row-major with
-    /// the group's key length as stride.
-    keys: Vec<Value>,
-    /// Trie-group gather scratch: `keys` mapped through the cheap
-    /// injective grouping rank, same layout (computed once, compared
-    /// many times by the sort).
-    ranks: Vec<u128>,
-    /// Trie-group gather scratch: block positions of the probed
-    /// tuples.
-    idx: Vec<u32>,
-    /// Trie-group gather scratch: positions into `idx`/`keys`, sorted
-    /// by key.
-    order: Vec<u32>,
-    /// Flat-group dedup table for single-attribute keys:
+    /// Dedup table for single-attribute keys:
     /// open-addressed `(rank, gen, span)` entries. An entry whose
     /// `gen` stamp is stale is empty — bumping [`Self::gen`] resets
     /// the whole table in O(1), no per-group clear.
     table1: Vec<(u128, u64, (u32, u32))>,
-    /// Flat-group dedup table for two-attribute keys:
+    /// Dedup table for two-attribute keys:
     /// `(rank0, rank1, gen, span)`.
     table2: Vec<(u128, u128, u64, (u32, u32))>,
     /// Generation stamp of the current `probe_group` call; strictly
@@ -180,13 +149,26 @@ struct BlockBuffers {
     needed: Vec<u64>,
 }
 
-/// Sentinel span for a block cell that was not prefetched.
+/// Sentinel span for a block cell that was not prefetched. A resolved
+/// cell never reads it: a miss is `(0, 0)`.
 const NO_SPAN: (u32, u32) = (u32::MAX, 0);
 
-/// Span tag for a fat hit list: `(FAT_SPAN, f)` reads
-/// `BlockBuffers::fat[f]` instead of an arena slice. The arena can
-/// never legitimately start here — it would need `u32::MAX - 1` rows.
-const FAT_SPAN: u32 = u32::MAX - 1;
+/// Call `f` on every block position below `n` whose bit is set in
+/// `lanes` (bit `j % 64` of `lanes[j / 64]`), ascending.
+#[inline]
+fn for_each_marked(lanes: &[u64], n: usize, mut f: impl FnMut(usize)) {
+    for (l, &lane) in lanes.iter().enumerate() {
+        let mut bits = lane;
+        while bits != 0 {
+            let j = l * 64 + bits.trailing_zeros() as usize;
+            if j >= n {
+                break;
+            }
+            f(j);
+            bits &= bits - 1;
+        }
+    }
+}
 
 impl ProbeScratch {
     /// A fresh scratch (no buffer allocated yet).
@@ -390,38 +372,15 @@ impl std::ops::Deref for PlanHits<'_> {
 
 /// Rules sharing one probe key, merged at compile time: all compiled
 /// rules with identical `(X, Xm)` lists. Block probing pays one key
-/// lookup per (distinct key value × group) instead of per
-/// (tuple × rule); the factorised [`KeyTrie`] additionally shares
-/// partial lookups between sorted keys with a common prefix.
+/// lookup per (tuple × group) — per (distinct key value × group) for
+/// one- and two-attribute keys — instead of per (tuple × rule).
 #[derive(Debug)]
 struct ProbeGroup {
     lhs: Box<[AttrId]>,
     lhs_m: Box<[AttrId]>,
-    /// The group's factorised hit lists: node at depth `d` holds the
-    /// rows matching the first `d` key columns. `None` for one- and
-    /// two-attribute keys: below depth 3 a descent costs as many node
-    /// hops as the key has attributes while one flat-map hash resolves
-    /// the whole key, so those groups probe the member rules' pinned
-    /// flat [`KeyIndex`] directly. From depth 3 up, sorted-neighbor
-    /// keys share long prefixes and the factorised descent pays.
-    trie: Option<KeyTrie>,
-    /// Member rule indexes, ascending.
-    members: Vec<u32>,
-    /// Whether block sessions prefetch this group. Flat-probed groups
-    /// (depth ≤ 2) always do — short hit lists are copied into the
-    /// contiguous arena, fat ones (`> MAX_PREFETCH_HITS` rows) shared
-    /// with the pinned index by refcount, so no fan-out makes the
-    /// block path pay more than the single-tuple borrow. Trie-probed
-    /// groups have no refcounted list to share, so a fat-listed wide
-    /// group opts out and block readers fall back to the single-tuple
-    /// probe (a compile-time property of `(rules, master)`, hence
-    /// identical at every block size and worker count).
-    prefetch: bool,
+    /// The pinned `Xm` index the group's block spans point into.
+    index: Arc<KeyIndex>,
 }
-
-/// Hit lists longer than this are shared by refcount rather than
-/// copied into the block arena (see [`ProbeGroup::prefetch`]).
-const MAX_PREFETCH_HITS: usize = 32;
 
 /// A rule set compiled against one master index; see the
 /// [module docs](self).
@@ -477,12 +436,10 @@ impl RulePlan {
                 }
             })
             .collect();
-        // merge rules with an identical (X, Xm) into probe groups and
-        // build each group's factorised trie (same rows, same order,
-        // same null handling as the pinned flat index)
+        // merge rules with an identical (X, Xm) into probe groups
         let mut groups: Vec<ProbeGroup> = Vec::new();
         let mut group_of = Vec::with_capacity(compiled.len());
-        for (i, cr) in compiled.iter().enumerate() {
+        for cr in compiled.iter() {
             let g = groups
                 .iter()
                 .position(|g| g.lhs == cr.lhs && g.lhs_m == cr.lhs_m)
@@ -490,15 +447,10 @@ impl RulePlan {
                     groups.push(ProbeGroup {
                         lhs: cr.lhs.clone(),
                         lhs_m: cr.lhs_m.clone(),
-                        trie: (cr.lhs_m.len() >= 3)
-                            .then(|| KeyTrie::build(master.relation(), &cr.lhs_m)),
-                        members: Vec::new(),
-                        prefetch: cr.lhs_m.len() <= 2
-                            || cr.index.max_hit_len() <= MAX_PREFETCH_HITS,
+                        index: Arc::clone(&cr.index),
                     });
                     groups.len() - 1
                 });
-            groups[g].members.push(i as u32);
             group_of.push(g as u32);
         }
         RulePlan {
@@ -617,9 +569,7 @@ impl RulePlan {
         b.needed.clear();
         b.needed.resize(self.groups.len() * lanes, 0);
         grew += (b.needed.capacity() != cap) as u64;
-        b.arena.clear();
-        b.fat.clear();
-        // size the flat-group dedup tables to a ≤ ½ load factor for
+        // size the dedup tables to a ≤ ½ load factor for
         // the worst case (every probed cell a distinct key); entries
         // carry a stale `gen` stamp, so growth needs no re-clearing
         let tcap = (2 * n.max(1)).next_power_of_two().max(64);
@@ -660,64 +610,31 @@ impl RulePlan {
         }
     }
 
-    /// Probe group `g`'s marked cells against the block so identical
-    /// keys resolve once per block: flat-probed groups (depth ≤ 2)
-    /// deduplicate through a generation-stamped open-addressing table
-    /// in one pass; wide groups sort-group their keys and descend the
-    /// factorised trie sharing the longest common prefix with the
-    /// previous sorted key. Hit lists land once per distinct key in
-    /// the arena (fat ones shared by refcount); every probed cell gets
-    /// a span.
+    /// Give group `g`'s marked cells their spans into the group's
+    /// pinned index. One- and two-attribute groups deduplicate through
+    /// a generation-stamped open-addressing table in one pass, so
+    /// identical keys hash once per block; wider groups look every
+    /// cell up.
     fn probe_group(&self, g: usize, block: &[&Tuple], scratch: &mut ProbeScratch) {
         let grp = &self.groups[g];
-        let b = &mut scratch.block;
+        let ProbeScratch {
+            probe,
+            block: b,
+            allocs,
+            ..
+        } = scratch;
         if b.group_done[g] {
             return;
         }
         b.group_done[g] = true;
-        if !grp.prefetch {
-            // a fat-listed trie group: its hit lists live in trie
-            // nodes with no refcount to share, so spans remain
-            // `NO_SPAN` and block readers fall back to single-tuple
-            // probes instead of copying the lists into the arena
-            return;
-        }
-        let n = b.len;
-        let k = grp.lhs.len();
-        let lanes = b.lanes;
         b.gen += 1;
-        let gen = b.gen;
-        let BlockBuffers {
-            ref needed,
-            ref mut keys,
-            ref mut ranks,
-            ref mut idx,
-            ref mut order,
-            ref mut table1,
-            ref mut table2,
-            ref mut arena,
-            ref mut fat,
-            ref mut spans,
-            ..
-        } = *b;
-        let caps = (
-            keys.capacity(),
-            ranks.capacity(),
-            idx.capacity(),
-            order.capacity(),
-            arena.capacity(),
-            fat.capacity(),
-        );
-        keys.clear();
-        ranks.clear();
-        idx.clear();
-        order.clear();
+        let (n, gen, index) = (b.len, b.gen, &grp.index);
+        let needed = &b.needed[g * b.lanes..(g + 1) * b.lanes];
+        let spans = &mut b.spans[g * n..(g + 1) * n];
         // Everything below groups by `Value::grouping_rank`, not
-        // semantic order: `Value`'s `Ord` resolves interned strings
-        // and compares text, far too slow for hot equality grouping.
-        // The rank is injective, so rank equality IS key equality —
-        // the dedup tables compare ranks only, and the trie sort needs
-        // adjacency, not semantic order.
+        // semantic order: `Value`'s `Ord` resolves interned strings and
+        // compares text, far too slow for hot equality grouping. The
+        // rank is injective, so rank equality IS key equality.
         //
         // Fibonacci-mix a rank into a table slot: ranks are tag bits
         // over dense interner ids, so a multiply spreads them; the
@@ -727,64 +644,20 @@ impl RulePlan {
             let h = ((r as u64) ^ ((r >> 64) as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (h >> 32) as usize & mask
         }
-        // resolve one distinct key's hit list into a span: short lists
-        // are copied into the contiguous arena, fat ones share the
-        // pinned index's refcounted list — an `Arc` bump per distinct
-        // key instead of a row copy per fan-out. The threshold depends
-        // only on `(master, key)`, so the choice is identical at every
-        // block size and worker count.
-        fn resolve(
-            hits: Option<&Arc<[u32]>>,
-            arena: &mut Vec<u32>,
-            fat: &mut Vec<Arc<[u32]>>,
-        ) -> (u32, u32) {
-            match hits {
-                None => (0, 0),
-                Some(h) if h.len() > MAX_PREFETCH_HITS => {
-                    fat.push(h.clone());
-                    (FAT_SPAN, (fat.len() - 1) as u32)
-                }
-                Some(h) => {
-                    let start = arena.len() as u32;
-                    arena.extend_from_slice(h);
-                    (start, h.len() as u32)
-                }
-            }
-        }
-        let nbase = g * lanes;
-        let mut span = NO_SPAN;
-        let sbase = g * n;
-        if k == 1 {
-            // single-attribute key (the common case): a depth-1 trie
-            // has no prefixes to share and a sort costs more than the
-            // hash it would amortize, so deduplicate in ONE pass
-            // through the open-addressing table — the first cell with
-            // a given rank probes the member rules' pinned flat index
-            // and resolves a span, every later cell pays a mix, one
-            // table slot load and a rank compare. The table is
-            // generation-stamped, so "clearing" it for this group was
-            // the `gen` bump above.
-            let a = grp.lhs[0];
-            let flat = &self.rules[grp.members[0] as usize].index;
-            let mask = table1.len() - 1;
-            for l in 0..lanes {
-                let lane = needed[nbase + l];
-                if lane == 0 {
-                    continue;
-                }
-                let jb = l * 64;
-                // full lanes skip the per-cell bit test entirely
-                let dense = lane == !0 && jb + 64 <= n;
-                for j in jb..(jb + 64).min(n) {
-                    if !dense && lane & (1 << (j - jb)) == 0 {
-                        continue;
-                    }
+        match *grp.lhs {
+            [a] => {
+                // the first cell with a given rank looks the index up,
+                // every later one pays a mix, one slot load and a rank
+                // compare; the `gen` bump above emptied the table
+                let table = &mut b.table1;
+                let mask = table.len() - 1;
+                for_each_marked(needed, n, |j| {
                     let r = block[j].get(a).grouping_rank();
                     let mut h = slot(r, mask);
-                    let span = loop {
-                        let e = &mut table1[h];
+                    spans[j] = loop {
+                        let e = &mut table[h];
                         if e.1 != gen {
-                            let s = resolve(flat.lookup_rank_shared(r), arena, fat);
+                            let s = index.span_of_rank(r);
                             *e = (r, gen, s);
                             break s;
                         }
@@ -793,36 +666,19 @@ impl RulePlan {
                         }
                         h = (h + 1) & mask;
                     };
-                    spans[sbase + j] = span;
-                }
+                });
             }
-        } else if k == 2 {
-            // two-attribute key: one flat-map hash of the pair still
-            // beats two trie node hops, so probe the pinned full-key
-            // index, deduplicating through the pair table in the same
-            // single pass as above
-            let (a0, a1) = (grp.lhs[0], grp.lhs[1]);
-            let flat = &self.rules[grp.members[0] as usize].index;
-            let mask = table2.len() - 1;
-            for l in 0..lanes {
-                let lane = needed[nbase + l];
-                if lane == 0 {
-                    continue;
-                }
-                let jb = l * 64;
-                let dense = lane == !0 && jb + 64 <= n;
-                for j in jb..(jb + 64).min(n) {
-                    if !dense && lane & (1 << (j - jb)) == 0 {
-                        continue;
-                    }
-                    let t = block[j];
-                    let (v0, v1) = (*t.get(a0), *t.get(a1));
+            [a0, a1] => {
+                let table = &mut b.table2;
+                let mask = table.len() - 1;
+                for_each_marked(needed, n, |j| {
+                    let (v0, v1) = (*block[j].get(a0), *block[j].get(a1));
                     let (r0, r1) = (v0.grouping_rank(), v1.grouping_rank());
                     let mut h = slot(r0 ^ r1.rotate_left(64), mask);
-                    let span = loop {
-                        let e = &mut table2[h];
+                    spans[j] = loop {
+                        let e = &mut table[h];
                         if e.2 != gen {
-                            let s = resolve(flat.lookup_shared(&[v0, v1]), arena, fat);
+                            let s = index.span(&[v0, v1]);
                             *e = (r0, r1, gen, s);
                             break s;
                         }
@@ -831,63 +687,18 @@ impl RulePlan {
                         }
                         h = (h + 1) & mask;
                     };
-                    spans[sbase + j] = span;
-                }
+                });
             }
-        } else {
-            for (j, t) in block.iter().enumerate() {
-                if needed[nbase + j / 64] & (1 << (j % 64)) != 0 {
-                    idx.push(j as u32);
-                    for &a in grp.lhs.iter() {
-                        let v = *t.get(a);
-                        keys.push(v);
-                        ranks.push(v.grouping_rank());
-                    }
-                }
-            }
-            let mut cur = grp
-                .trie
-                .as_ref()
-                .expect("wide groups carry a trie")
-                .cursor();
-            order.extend(0..idx.len() as u32);
-            order.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize * k, b as usize * k);
-                ranks[a..a + k].cmp(&ranks[b..b + k])
-            });
-            let mut prev: Option<usize> = None;
-            for &p in order.iter() {
-                let pk = p as usize * k;
-                let lcp = match prev {
-                    None => 0,
-                    Some(qk) => ranks[pk..pk + k]
-                        .iter()
-                        .zip(&ranks[qk..qk + k])
-                        .take_while(|(a, b)| a == b)
-                        .count(),
-                };
-                if lcp < k || prev.is_none() {
-                    // a new distinct key: re-descend only the suffix
-                    // that differs from the previous one
-                    cur.truncate(lcp);
-                    for &v in &keys[pk + lcp..pk + k] {
-                        cur.descend(v);
-                    }
-                    let hits = cur.hits();
-                    let start = arena.len() as u32;
-                    arena.extend_from_slice(hits);
-                    span = (start, hits.len() as u32);
-                }
-                spans[sbase + idx[p as usize] as usize] = span;
-                prev = Some(pk);
+            _ => {
+                let cap = probe.capacity();
+                for_each_marked(needed, n, |j| {
+                    probe.clear();
+                    probe.extend(grp.lhs.iter().map(|&a| *block[j].get(a)));
+                    spans[j] = index.span(probe);
+                });
+                *allocs += (probe.capacity() != cap) as u64;
             }
         }
-        scratch.allocs += (keys.capacity() != caps.0) as u64
-            + (ranks.capacity() != caps.1) as u64
-            + (idx.capacity() != caps.2) as u64
-            + (order.capacity() != caps.3) as u64
-            + (arena.capacity() != caps.4) as u64
-            + (fat.capacity() != caps.5) as u64;
     }
 
     /// Probe rule `i` against a whole block of tuples at once — the
@@ -971,28 +782,24 @@ impl RulePlan {
     }
 
     /// The prefetched raw key probe of rule `i` on block tuple `j` —
-    /// bit-identical to [`probe`](Self::probe) on that tuple. Counts
-    /// one *logical* probe on consumption (so `plan_probes` is
-    /// block-size independent); `None` when the cell was not
-    /// prefetched.
+    /// bit-identical to [`probe`](Self::probe) on that tuple, and
+    /// borrowed from the plan's pinned index like it. Counts one
+    /// *logical* probe on consumption (so `plan_probes` is block-size
+    /// independent); `None` when the cell was not prefetched.
     #[inline]
-    pub fn block_probe<'s>(
-        &self,
+    pub fn block_probe<'p>(
+        &'p self,
         i: usize,
         j: usize,
-        scratch: &'s mut ProbeScratch,
-    ) -> Option<&'s [u32]> {
+        scratch: &mut ProbeScratch,
+    ) -> Option<&'p [u32]> {
         let g = self.group_of[i] as usize;
-        let (start, len) = scratch.block.spans[g * scratch.block.len + j];
-        if (start, len) == NO_SPAN {
+        let span = scratch.block.spans[g * scratch.block.len + j];
+        if span == NO_SPAN {
             return None;
         }
         scratch.probes += 1;
-        Some(if start == FAT_SPAN {
-            &scratch.block.fat[len as usize][..]
-        } else {
-            &scratch.block.arena[start as usize..(start + len) as usize]
-        })
+        Some(self.groups[g].index.hits(span))
     }
 
     /// Block analogue of [`candidates`](Self::candidates): the hit list
@@ -1001,12 +808,12 @@ impl RulePlan {
     /// return). `None` when the pattern matches but the cell was not
     /// prefetched — the caller falls back to a single-tuple probe.
     #[inline]
-    pub fn block_candidates<'s>(
-        &self,
+    pub fn block_candidates<'p>(
+        &'p self,
         i: usize,
         j: usize,
-        scratch: &'s mut ProbeScratch,
-    ) -> Option<&'s [u32]> {
+        scratch: &mut ProbeScratch,
+    ) -> Option<&'p [u32]> {
         if !self.block_pattern_ok(i, j, scratch) {
             return Some(&[]);
         }
@@ -1197,7 +1004,8 @@ mod tests {
     /// The slot-invalidation contract: recompiling against the
     /// next-generation master yields a plan that sees the delta, while
     /// the old plan keeps answering for its own generation; delete-free
-    /// deltas hand the new plan patched indexes, not rebuilds.
+    /// deltas hand the new plan eagerly maintained indexes, so the
+    /// recompile builds none.
     #[test]
     fn recompiled_plans_pick_up_the_next_generation() {
         use certainfix_relation::MasterDelta;
@@ -1227,7 +1035,7 @@ mod tests {
         assert_eq!(
             master.index_builds(),
             builds,
-            "delete-free deltas patch the pinned indexes instead of rebuilding"
+            "delete-free deltas maintain the pinned indexes eagerly"
         );
         let mut scratch = ProbeScratch::new();
         // rule 0 keys on zip: the old plan still sees one master row,

@@ -9,6 +9,8 @@
 //!   Sect. 3),
 //! * `TransFix` ≡ chase on unique instances,
 //! * `CertainFix+` (BDD) ≡ `CertainFix` fix-for-fix,
+//! * a flat [`KeyIndex`] ≡ naive grouping of its relation, built fresh
+//!   or maintained through a delete-free [`MasterDelta`],
 //! * the compiled [`RulePlan`] probe layer ≡ the legacy `MasterIndex`
 //!   path (candidates, distinct fix values, chase, `TransFix`, and
 //!   whole `CertainFix` outcomes — including null-key and
@@ -23,9 +25,11 @@
 //!   workers, under the same random delta sequences,
 //! * metrics bounds and pattern algebra laws.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use certain_fix::core::{
     evaluate_changes, transfix, transfix_block, transfix_with, BatchRepairEngine, CertainFix,
@@ -34,8 +38,8 @@ use certain_fix::core::{
 };
 use certain_fix::reasoning::{suggest, suggest_with, Chase, ChaseResult};
 use certain_fix::relation::{
-    AttrId, AttrSet, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation, Schema, Tuple,
-    Value,
+    AttrId, AttrSet, KeyIndex, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation,
+    Schema, Tuple, Value,
 };
 use certain_fix::rules::{
     candidate_masters, distinct_fix_values, DependencyGraph, EditingRule, ProbeScratch, RulePlan,
@@ -59,11 +63,47 @@ fn arb_master() -> impl Strategy<Value = Vec<Tuple>> {
     proptest::collection::vec(arb_tuple(), 1..8)
 }
 
-/// A random single- or double-key rule with an optional pattern.
-#[allow(clippy::type_complexity)]
-fn arb_rule(idx: usize) -> impl Strategy<Value = (usize, Vec<usize>, usize, Option<(usize, i64)>)> {
+/// A tuple over the two values `0` and `1`, with `0` three times as
+/// likely.
+fn arb_skewed_tuple() -> impl Strategy<Value = Tuple> {
+    proptest::collection::vec(0u8..4, ATTRS).prop_map(|vs| {
+        Tuple::new(
+            vs.into_iter()
+                .map(|v| Value::int(i64::from(v == 3)))
+                .collect(),
+        )
+    })
+}
+
+/// A master of up to 80 [`arb_skewed_tuple`] rows: 1–69 drawn from a
+/// pool of 1–3 tuples, then up to 10 free ones. Even a four-attribute
+/// key gets hit lists of dozens of rows; the pooled rows agree on the
+/// fix column, so rules fire from long lists, and the free rows make
+/// some lists dispute.
+fn arb_pooled_master() -> impl Strategy<Value = Vec<Tuple>> {
     (
-        proptest::collection::vec(0..ATTRS, 1..3),
+        proptest::collection::vec(arb_skewed_tuple(), 1..4),
+        proptest::collection::vec(any::<u8>(), 1..70),
+        proptest::collection::vec(arb_skewed_tuple(), 0..11),
+    )
+        .prop_map(|(pool, picks, free)| {
+            picks
+                .into_iter()
+                .map(|p| pool[usize::from(p) % pool.len()].clone())
+                .chain(free)
+                .collect()
+        })
+}
+
+/// A random rule keyed on `keys` attributes (before deduplication),
+/// with an optional pattern.
+#[allow(clippy::type_complexity)]
+fn arb_rule(
+    idx: usize,
+    keys: std::ops::Range<usize>,
+) -> impl Strategy<Value = (usize, Vec<usize>, usize, Option<(usize, i64)>)> {
+    (
+        proptest::collection::vec(0..ATTRS, keys),
         0..ATTRS,
         proptest::option::of((0..ATTRS, 0i64..4)),
     )
@@ -115,18 +155,72 @@ fn arb_workload() -> impl Strategy<
         u8,
     ),
 > {
+    (arb_master(), arb_rules(1..3), arb_tuple(), any::<u8>())
+}
+
+/// 1–5 random rules keyed on `keys` attributes.
+#[allow(clippy::type_complexity)]
+fn arb_rules(
+    keys: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(usize, Vec<usize>, usize, Option<(usize, i64)>)>> {
+    proptest::collection::vec(any::<u8>(), 1..6).prop_flat_map(move |seeds| {
+        (0..seeds.len())
+            .map(|i| arb_rule(i, keys.clone()))
+            .collect::<Vec<_>>()
+    })
+}
+
+/// The plan-parity workload: rules keyed on one to four attributes over
+/// an [`arb_pooled_master`], so the block layer meets wide probe groups
+/// and consumes hit lists of over 32 rows.
+#[allow(clippy::type_complexity)]
+fn arb_wide_workload() -> impl Strategy<
+    Value = (
+        Vec<Tuple>,
+        Vec<(usize, Vec<usize>, usize, Option<(usize, i64)>)>,
+        Tuple,
+        u8,
+    ),
+> {
     (
-        arb_master(),
-        proptest::collection::vec(any::<u8>(), 1..6).prop_flat_map(|seeds| {
-            seeds
-                .into_iter()
-                .enumerate()
-                .map(|(i, _)| arb_rule(i))
-                .collect::<Vec<_>>()
-        }),
-        arb_tuple(),
+        arb_pooled_master(),
+        arb_rules(1..5),
+        arb_skewed_tuple(),
         any::<u8>(),
     )
+}
+
+/// A master cell for the index property: null, a small int, or a short
+/// string spelling a small int — equal text, different type.
+fn arb_cell() -> impl Strategy<Value = Value> {
+    (0u8..7).prop_map(|d| match d {
+        0 => Value::Null,
+        1..=3 => Value::int(i64::from(d) - 1),
+        _ => Value::str((d - 4).to_string()),
+    })
+}
+
+/// `idx` holds exactly the naive grouping of `rel` on `idx.key()`:
+/// every non-null key's ascending row ids, nothing for null or unknown
+/// keys, and the same distinct-key count and longest list.
+fn assert_naive_grouping(idx: &KeyIndex, rel: &Relation) -> Result<(), TestCaseError> {
+    let mut naive: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
+    let mut probes = vec![vec![Value::int(9); idx.key().len()]];
+    for (i, t) in rel.iter().enumerate() {
+        let k = t.project(idx.key());
+        if !k.iter().any(Value::is_null) {
+            naive.entry(k.clone()).or_default().push(i as u32);
+        }
+        probes.push(k);
+    }
+    for k in &probes {
+        let want = naive.get(k).map_or(&[][..], |v| &v[..]);
+        prop_assert_eq!(idx.lookup(k), want);
+    }
+    prop_assert_eq!(idx.distinct_keys(), naive.len());
+    let longest = naive.values().map(Vec::len).max().unwrap_or(0);
+    prop_assert_eq!(idx.max_hit_len(), longest);
+    Ok(())
 }
 
 proptest! {
@@ -207,6 +301,48 @@ proptest! {
         }
     }
 
+    /// The flat index, randomized: over relations with nulls and mixed
+    /// `Int`/`Str` cells and keys of one to four attributes, every probe
+    /// returns the naive grouping's ascending row ids — and so does the
+    /// index a delete-free delta maintains, which is counted as one
+    /// patch and equals a fresh build over the new rows.
+    #[test]
+    fn key_index_matches_naive_grouping(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), ATTRS), 0..40),
+        key in proptest::collection::vec(0..ATTRS as u16, 1..5),
+        ops in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(arb_cell(), ATTRS), any::<u16>()), 0..6),
+    ) {
+        let mut key: Vec<AttrId> = key.into_iter().map(AttrId).collect();
+        let mut seen = AttrSet::EMPTY;
+        key.retain(|&a| seen.insert(a));
+        let rel = Relation::new(schema(), rows.into_iter().map(Tuple::new).collect()).unwrap();
+        assert_naive_grouping(&KeyIndex::build(&rel, &key), &rel)?;
+
+        let m0 = MasterIndex::new(Arc::new(rel));
+        let _ = m0.index_for(&key);
+        let mut delta = MasterDelta::new();
+        for (insert, cells, r) in ops {
+            delta = if insert || m0.is_empty() {
+                delta.insert(Tuple::new(cells))
+            } else {
+                delta.update(u32::from(r) % m0.len() as u32, Tuple::new(cells))
+            };
+        }
+        let patches = m0.index_patches();
+        let m1 = m0.apply_delta(&delta).unwrap();
+        prop_assert_eq!(m1.index_patches(), patches + 1);
+        let maintained = m1.index_for(&key);
+        // maintained eagerly, not left for a lazy build
+        prop_assert_eq!(m1.index_builds(), 1);
+        assert_naive_grouping(&maintained, m1.relation())?;
+        let fresh = KeyIndex::build(m1.relation(), &key);
+        for t in m1.relation().iter() {
+            let probe = t.project(&key);
+            prop_assert_eq!(maintained.lookup(&probe), fresh.lookup(&probe));
+        }
+    }
+
     /// The tentpole's determinism contract, randomized: on arbitrary
     /// miniature workloads the compiled plan and the legacy probe path
     /// agree on candidate masters, distinct fix values, chase results,
@@ -214,7 +350,7 @@ proptest! {
     /// null-key and pattern-mismatch edges.
     #[test]
     fn compiled_plan_matches_legacy_probes(
-        (master_rows, specs, t, zbits) in arb_workload(),
+        (master_rows, specs, t, zbits) in arb_wide_workload(),
         null_at in 0..ATTRS,
     ) {
         let Some((rules, graph)) = build_rules(specs) else { return Ok(()); };
@@ -292,9 +428,9 @@ proptest! {
     /// collision-rich domain).
     #[test]
     fn block_probing_matches_single_tuple_at_every_block_size(
-        (master_rows, specs, _, zbits) in arb_workload(),
+        (master_rows, specs, _, zbits) in arb_wide_workload(),
         batch in proptest::collection::vec(
-            (arb_tuple(), proptest::option::of(0..ATTRS), any::<u8>()), 1..12),
+            (arb_skewed_tuple(), proptest::option::of(0..ATTRS), any::<u8>()), 1..33),
     ) {
         let Some((rules, graph)) = build_rules(specs) else { return Ok(()); };
         let s = schema();
@@ -579,7 +715,7 @@ proptest! {
     /// The D10 contract, randomized: random rules and master data,
     /// with random insert/update/delete [`MasterDelta`] sequences
     /// interleaved between probe batches. The delta-maintained
-    /// session — patched `KeyIndex` hit lists, re-keyed plans,
+    /// session — eagerly maintained `KeyIndex`es, re-keyed plans,
     /// generation-stamped epochs — is bit-identical (repaired tuples,
     /// certainty, validated sets, and the logical `plan_probes`
     /// count) to fresh engines built from scratch over each batch's
