@@ -6,7 +6,9 @@
 //! without a value, and stray positional arguments instead of silently
 //! running the experiment with defaults (the ROADMAP's typo'd-flag
 //! trap). [`Args::from_env_strict`] prints a usage line and exits with
-//! status 2 on any parse error.
+//! status 2 on any parse error, and [`Spec::fail`] does the same for a
+//! declared flag with a value outside its allowed set
+//! ([`Args::one_of`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,11 +35,7 @@ impl Spec {
 
     /// The flags every `ExpConfig`-driven binary shares: `--dm`,
     /// `--inputs`, `--d`, `--n`, `--seed`, `--compliance`,
-    /// `--initial`, `--threads`, `--schedule {shard,steal}`,
-    /// `--shared-cache {on,off}`, `--skew`, `--free-text`,
-    /// `--ingest {batch,stream}`, `--batch`, `--depth`,
-    /// `--chunk` (work-stealing chunk = block-probe size; 0 = auto),
-    /// `--out`, and the boolean `--no-bdd`.
+    /// `--initial {best,median}`, `--out`, and the boolean `--no-bdd`.
     pub fn exp(bin: &'static str) -> Spec {
         Spec::new(bin)
             .valued(&[
@@ -48,15 +46,6 @@ impl Spec {
                 "seed",
                 "compliance",
                 "initial",
-                "threads",
-                "schedule",
-                "shared-cache",
-                "skew",
-                "free-text",
-                "ingest",
-                "batch",
-                "depth",
-                "chunk",
                 "out",
             ])
             .boolean(&["no-bdd"])
@@ -96,6 +85,14 @@ impl Spec {
         }
         line
     }
+
+    /// Reject the command line: print `err` and the usage line to
+    /// stderr and exit with status 2.
+    pub fn fail(&self, err: impl fmt::Display) -> ! {
+        eprintln!("{}: {err}", self.bin);
+        eprintln!("{}", self.usage_line());
+        std::process::exit(2);
+    }
 }
 
 /// A rejected command line.
@@ -107,6 +104,15 @@ pub enum ArgsError {
     MissingValue(String),
     /// A token that is not a flag (the binaries take no positionals).
     Unexpected(String),
+    /// A value outside the flag's allowed set.
+    Invalid {
+        /// The flag name.
+        flag: String,
+        /// The rejected value.
+        value: String,
+        /// The values the flag accepts.
+        allowed: Vec<&'static str>,
+    },
 }
 
 impl fmt::Display for ArgsError {
@@ -115,6 +121,11 @@ impl fmt::Display for ArgsError {
             ArgsError::Unknown(flag) => write!(f, "unknown flag `--{flag}`"),
             ArgsError::MissingValue(flag) => write!(f, "flag `--{flag}` requires a value"),
             ArgsError::Unexpected(tok) => write!(f, "unexpected argument `{tok}`"),
+            ArgsError::Invalid {
+                flag,
+                value,
+                allowed,
+            } => write!(f, "invalid --{flag} `{value}` ({})", allowed.join("|")),
         }
     }
 }
@@ -183,14 +194,7 @@ impl Args {
     /// Parse the process's own arguments against `spec`; on error,
     /// print the error and the usage line to stderr and exit 2.
     pub fn from_env_strict(spec: &Spec) -> Args {
-        match Args::parse_strict(std::env::args().skip(1), spec) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.bin);
-                eprintln!("{}", spec.usage_line());
-                std::process::exit(2);
-            }
-        }
+        Args::parse_strict(std::env::args().skip(1), spec).unwrap_or_else(|e| spec.fail(e))
     }
 
     /// Raw flag value.
@@ -227,6 +231,27 @@ impl Args {
     /// String lookup with default.
     pub fn str_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.get(name).filter(|v| !v.is_empty()).unwrap_or(default)
+    }
+
+    /// An enumerated flag: its value if it is one of `allowed`
+    /// (`default` when absent), else [`ArgsError::Invalid`] — a typo'd
+    /// mode must never silently run under the default one.
+    pub fn one_of(
+        &self,
+        name: &str,
+        allowed: &[&'static str],
+        default: &'static str,
+    ) -> Result<&'static str, ArgsError> {
+        let value = self.str_or(name, default);
+        allowed
+            .iter()
+            .copied()
+            .find(|&a| a == value)
+            .ok_or_else(|| ArgsError::Invalid {
+                flag: name.to_string(),
+                value: value.to_string(),
+                allowed: allowed.to_vec(),
+            })
     }
 }
 
@@ -354,20 +379,30 @@ mod tests {
             "n",
             "seed",
             "compliance",
-            "threads",
-            "schedule",
-            "shared-cache",
-            "skew",
-            "free-text",
-            "ingest",
-            "batch",
-            "depth",
-            "chunk",
+            "initial",
+            "out",
         ] {
             assert_eq!(s.takes_value(f), Some(true), "{f}");
         }
         assert_eq!(s.takes_value("no-bdd"), Some(false));
-        assert_eq!(s.takes_value("nope"), None);
+        // engine knobs are the workspace tests' business, not a figure's
+        for f in ["nope", "threads", "schedule", "shared-cache", "chunk"] {
+            assert_eq!(s.takes_value(f), None, "{f}");
+        }
+    }
+
+    #[test]
+    fn one_of_accepts_the_allowed_values_only() {
+        let allowed = ["d", "dm", "all"];
+        assert_eq!(parse("").one_of("vary", &allowed, "all"), Ok("all"));
+        assert_eq!(parse("--vary dm").one_of("vary", &allowed, "all"), Ok("dm"));
+        let err = parse("--vary bogus")
+            .one_of("vary", &allowed, "all")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "invalid --vary `bogus` (d|dm|all)");
+        // matching is exact: no case folding, no prefixes
+        assert!(parse("--vary DM").one_of("vary", &allowed, "all").is_err());
+        assert!(parse("--vary a").one_of("vary", &allowed, "all").is_err());
     }
 
     #[test]

@@ -20,8 +20,9 @@ use certainfix_bench::table::{f3, Table};
 use certainfix_core::InitialRegion;
 
 fn main() {
-    let args = Args::from_env_strict(&Spec::exp("exp_initial"));
-    let base = ExpConfig::from_args(&args);
+    let spec = Spec::exp("exp_initial");
+    let args = Args::from_env_strict(&spec);
+    let base = ExpConfig::from_args(&args).unwrap_or_else(|e| spec.fail(e));
     let mut table = Table::new(["dataset", "CRHQ", "CRMQ"]);
 
     for which in Which::BOTH {

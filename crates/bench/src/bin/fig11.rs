@@ -17,60 +17,36 @@
 //!         [--vary d|dm|n|all] [--dm N] [--inputs N] [--out file.csv]`
 
 use certainfix_bench::args::{Args, Spec};
-use certainfix_bench::runner::{run_increp, run_monitored, ExpConfig, Which};
+use certainfix_bench::runner::{
+    run_increp, run_monitored, sweep_points, vary_axes, ExpConfig, Which,
+};
 use certainfix_bench::table::{f3, Table};
 
-fn sweep(which: Which, base: &ExpConfig, vary: &str, table: &mut Table) {
-    let points: Vec<(String, ExpConfig)> = match vary {
-        "d" => [0.1, 0.2, 0.3, 0.4, 0.5]
-            .iter()
-            .map(|&d| (format!("d={d:.1}"), ExpConfig { d, ..*base }))
-            .collect(),
-        "dm" => [0.5, 1.0, 1.5, 2.0, 2.5]
-            .iter()
-            .map(|&f| {
-                let dm = (base.dm as f64 * f) as usize;
-                (format!("|Dm|={dm}"), ExpConfig { dm, ..*base })
-            })
-            .collect(),
-        "n" => [0.1, 0.2, 0.3, 0.4, 0.5]
-            .iter()
-            .map(|&n| (format!("n={n:.1}"), ExpConfig { n, ..*base }))
-            .collect(),
-        other => panic!("unknown sweep `{other}` (use d, dm, n or all)"),
-    };
-    for (label, cfg) in points {
-        let w = which.build(cfg.dm);
-        let result = run_monitored(w.as_ref(), &cfg, 4);
-        let (increp_counts, _) = run_increp(w.as_ref(), &result.dataset);
-        table.row([
-            which.name().to_string(),
-            vary.to_string(),
-            label,
-            f3(result.at_round(1).f_measure),
-            f3(result.at_round(4).f_measure),
-            f3(increp_counts.f_measure()),
-            f3(increp_counts.precision()),
-        ]);
-    }
-}
-
 fn main() {
-    let args = Args::from_env_strict(&Spec::exp("fig11").valued(&["vary"]));
-    let base = ExpConfig::from_args(&args);
-    let vary = args.str_or("vary", "all").to_string();
+    let spec = Spec::exp("fig11").valued(&["vary"]);
+    let args = Args::from_env_strict(&spec);
+    let base = ExpConfig::from_args(&args).unwrap_or_else(|e| spec.fail(e));
+    let sweeps = vary_axes(&args, &["d", "dm", "n"]).unwrap_or_else(|e| spec.fail(e));
     let mut table = Table::new([
         "dataset", "sweep", "point", "F k=1", "F k=4", "F IncRep", "P IncRep",
     ]);
 
-    let sweeps: Vec<&str> = if vary == "all" {
-        vec!["d", "dm", "n"]
-    } else {
-        vec![vary.as_str()]
-    };
     for which in Which::BOTH {
         for s in &sweeps {
-            sweep(which, &base, s, &mut table);
+            for (label, cfg) in sweep_points(&base, s) {
+                let w = which.build(cfg.dm);
+                let result = run_monitored(w.as_ref(), &cfg, 4);
+                let (increp_counts, _) = run_increp(w.as_ref(), &result.dataset);
+                table.row([
+                    which.name().to_string(),
+                    s.to_string(),
+                    label,
+                    f3(result.at_round(1).f_measure),
+                    f3(result.at_round(4).f_measure),
+                    f3(increp_counts.f_measure()),
+                    f3(increp_counts.precision()),
+                ]);
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //!         [--vary dm|d_size|all] [--dm N] [--inputs N] [--out file.csv]`
 
 use certainfix_bench::args::{Args, Spec};
-use certainfix_bench::runner::{run_monitored, ExpConfig, Which};
+use certainfix_bench::runner::{run_monitored, sweep_points, vary_axes, ExpConfig, Which};
 use certainfix_bench::table::{ms, Table};
 
 fn run_point(which: Which, cfg: &ExpConfig) -> (std::time::Duration, f64) {
@@ -31,9 +31,10 @@ fn run_point(which: Which, cfg: &ExpConfig) -> (std::time::Duration, f64) {
 }
 
 fn main() {
-    let args = Args::from_env_strict(&Spec::exp("fig12").valued(&["vary"]));
-    let base = ExpConfig::from_args(&args);
-    let vary = args.str_or("vary", "all").to_string();
+    let spec = Spec::exp("fig12").valued(&["vary"]);
+    let args = Args::from_env_strict(&spec);
+    let base = ExpConfig::from_args(&args).unwrap_or_else(|e| spec.fail(e));
+    let sweeps = vary_axes(&args, &["dm", "d_size"]).unwrap_or_else(|e| spec.fail(e));
     let mut table = Table::new([
         "dataset",
         "sweep",
@@ -43,29 +44,9 @@ fn main() {
         "BDD hit rate",
     ]);
 
-    let sweeps: Vec<&str> = if vary == "all" {
-        vec!["dm", "d_size"]
-    } else {
-        vec![vary.as_str()]
-    };
-
     for which in Which::BOTH {
         for s in &sweeps {
-            let points: Vec<(String, ExpConfig)> = match *s {
-                "dm" => [0.5, 1.0, 1.5, 2.0, 2.5]
-                    .iter()
-                    .map(|&f| {
-                        let dm = (base.dm as f64 * f) as usize;
-                        (format!("|Dm|={dm}"), ExpConfig { dm, ..base })
-                    })
-                    .collect(),
-                "d_size" => [10usize, 100, 1000, base.inputs.max(2000)]
-                    .iter()
-                    .map(|&inputs| (format!("|D|={inputs}"), ExpConfig { inputs, ..base }))
-                    .collect(),
-                other => panic!("unknown sweep `{other}` (use dm, d_size or all)"),
-            };
-            for (label, cfg) in points {
+            for (label, cfg) in sweep_points(&base, s) {
                 let plain = run_point(
                     which,
                     &ExpConfig {

@@ -19,8 +19,9 @@ use certainfix_bench::runner::{run_monitored, ExpConfig, Which};
 use certainfix_bench::table::{f3, Table};
 
 fn main() {
-    let args = Args::from_env_strict(&Spec::exp("fig9"));
-    let mut base = ExpConfig::from_args(&args);
+    let spec = Spec::exp("fig9");
+    let args = Args::from_env_strict(&spec);
+    let mut base = ExpConfig::from_args(&args).unwrap_or_else(|e| spec.fail(e));
     if !args.has("compliance") {
         // partial compliance reveals the multi-round shape of Fig. 9
         base.compliance = 0.7;

@@ -1,53 +1,19 @@
-//! Shared experiment plumbing: workload construction, monitored runs,
-//! metric evaluation, and the `IncRep` comparison run.
+//! Shared experiment plumbing: workload construction, the paper's sweep
+//! points, monitored runs, metric evaluation, and the `IncRep`
+//! comparison run.
 
 use std::time::Duration;
 
 use certainfix_cfd::IncRepConfig;
 use certainfix_core::{
-    evaluate_changes, evaluate_rounds, merge_round_series, BatchRepairEngine, CertainFixConfig,
-    ChangeCounts, FixOutcome, InitialRegion, MonitorStats, RepairOptions, RoundMetrics, Schedule,
-    SessionReport, SimulatedUser, TupleEval, WorkerReport,
+    evaluate_changes, evaluate_rounds, BatchRepairEngine, CertainFixConfig, ChangeCounts,
+    FixOutcome, InitialRegion, MonitorStats, RepairContext, RepairOptions, RoundMetrics,
+    SimulatedUser, TupleEval,
 };
 use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
 use certainfix_relation::Tuple;
 
-use crate::args::Args;
-
-/// How a run feeds tuples to the engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Ingest {
-    /// The whole generated stream as one
-    /// [`RepairSession::push_batch`](certainfix_core::RepairSession::push_batch)
-    /// call (the PR 2/3 batch path).
-    #[default]
-    Batch,
-    /// Backpressured streaming: a producer thread feeds the stream in
-    /// batches through a bounded [`ChannelSource`](certainfix_core::ChannelSource), and the session
-    /// drains it — the paper's point-of-entry monitoring shape. For
-    /// plain `CertainFix` with the caches off the merged metrics are
-    /// bit-identical to [`Ingest::Batch`].
-    Stream,
-}
-
-impl Ingest {
-    /// Parse a CLI-style mode name (`"batch"` / `"stream"`).
-    pub fn parse(s: &str) -> Option<Ingest> {
-        match s {
-            "batch" => Some(Ingest::Batch),
-            "stream" => Some(Ingest::Stream),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style mode name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ingest::Batch => "batch",
-            Ingest::Stream => "stream",
-        }
-    }
-}
+use crate::args::{Args, ArgsError};
 
 /// Which dataset an experiment runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,35 +65,6 @@ pub struct ExpConfig {
     pub use_bdd: bool,
     /// Which precomputed region seeds round 1.
     pub initial: InitialRegion,
-    /// Batch-repair workers (1 = sequential; 0 = one per available
-    /// core).
-    pub threads: usize,
-    /// Scheduling policy for parallel batch repair.
-    pub schedule: Schedule,
-    /// Pool computed suggestions across workers in the engine's shared
-    /// cache.
-    pub shared_cache: bool,
-    /// Zipf-ish positional hardness skew of the dirty stream
-    /// ([`DirtyConfig::skew`]; 0 = the paper's uniform stream).
-    pub skew: f64,
-    /// Probability a corrupted cell carries an adversarial
-    /// high-cardinality free-text payload instead of a typo
-    /// ([`DirtyConfig::free_text`]; 0 = the paper's typo model). The
-    /// interner-watermark CI leg runs with `--free-text 1`.
-    pub free_text: f64,
-    /// How the stream reaches the engine (one batch, or backpressured
-    /// streaming through a bounded channel).
-    pub ingest: Ingest,
-    /// Producer batch size for [`Ingest::Stream`] (`0` = a 256-tuple
-    /// default, clamped to the stream).
-    pub batch: usize,
-    /// Channel depth (in-flight batches) for [`Ingest::Stream`].
-    pub depth: usize,
-    /// Work-stealing chunk size (`--chunk`; 0 = the engine's auto
-    /// sizing). A stolen chunk is also the block-probe unit, and
-    /// outcomes are bit-identical at every value — the flag exists so
-    /// CI can pin different block sizes against each other.
-    pub chunk: usize,
 }
 
 impl Default for ExpConfig {
@@ -141,67 +78,20 @@ impl Default for ExpConfig {
             compliance: 1.0,
             use_bdd: true,
             initial: InitialRegion::Best,
-            threads: 1,
-            schedule: Schedule::Steal,
-            shared_cache: true,
-            skew: 0.0,
-            free_text: 0.0,
-            ingest: Ingest::Batch,
-            batch: 0,
-            depth: 2,
-            chunk: 0,
         }
     }
 }
 
 impl ExpConfig {
-    /// Read overrides from CLI flags; an *invalid value* for an
-    /// enumerated flag (`--initial`, `--schedule`, `--shared-cache`)
-    /// prints the error to stderr and exits 2, matching the strict
-    /// treatment of unknown flag names — a typo'd mode must never
-    /// silently run the experiment under the default mode.
-    pub fn from_args(args: &Args) -> ExpConfig {
-        match Self::try_from_args(args) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// [`from_args`](Self::from_args) without the exit: invalid
-    /// enumerated values come back as `Err`.
-    pub fn try_from_args(args: &Args) -> Result<ExpConfig, String> {
+    /// Read overrides from the [`Spec::exp`](crate::args::Spec::exp)
+    /// flags. An invalid `--initial` is an error, which the binaries
+    /// report through [`Spec::fail`](crate::args::Spec::fail).
+    pub fn from_args(args: &Args) -> Result<ExpConfig, ArgsError> {
         let default = ExpConfig::default();
-        let threads = match args.usize_or("threads", default.threads) {
-            0 => BatchRepairEngine::auto_threads(),
-            t => t,
-        };
-        let initial = match args.str_or("initial", "best") {
-            "best" => InitialRegion::Best,
+        let initial = match args.one_of("initial", &["best", "median"], "best")? {
             "median" => InitialRegion::Median,
-            other => return Err(format!("invalid --initial `{other}` (best|median)")),
+            _ => InitialRegion::Best,
         };
-        let schedule = Schedule::parse(args.str_or("schedule", default.schedule.name()))
-            .ok_or_else(|| {
-                format!(
-                    "invalid --schedule `{}` (shard|steal)",
-                    args.str_or("schedule", "")
-                )
-            })?;
-        let shared_cache = match args.str_or("shared-cache", "on") {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("invalid --shared-cache `{other}` (on|off)")),
-        };
-        let ingest =
-            Ingest::parse(args.str_or("ingest", default.ingest.name())).ok_or_else(|| {
-                format!(
-                    "invalid --ingest `{}` (batch|stream)",
-                    args.str_or("ingest", "")
-                )
-            })?;
         Ok(ExpConfig {
             dm: args.usize_or("dm", default.dm),
             inputs: args.usize_or("inputs", default.inputs),
@@ -211,25 +101,7 @@ impl ExpConfig {
             compliance: args.f64_or("compliance", default.compliance),
             use_bdd: !args.has("no-bdd"),
             initial,
-            threads,
-            schedule,
-            shared_cache,
-            skew: args.f64_or("skew", default.skew),
-            free_text: args.f64_or("free-text", default.free_text),
-            ingest,
-            batch: args.usize_or("batch", default.batch),
-            depth: args.usize_or("depth", default.depth),
-            chunk: args.usize_or("chunk", default.chunk),
         })
-    }
-
-    /// The producer batch size [`Ingest::Stream`] uses for a stream of
-    /// `inputs` tuples (`--batch 0` = a 256-tuple default, clamped).
-    pub fn stream_batch(&self, inputs: usize) -> usize {
-        match self.batch {
-            0 => 256.min(inputs).max(1),
-            b => b.min(inputs.max(1)),
-        }
     }
 
     /// The dirty-data generator knobs this config implies.
@@ -239,43 +111,60 @@ impl ExpConfig {
             noise_rate: self.n,
             input_size: self.inputs,
             seed: self.seed,
-            skew: self.skew,
-            free_text: self.free_text,
             ..DirtyConfig::default()
         }
     }
+}
 
-    /// The engine knobs this config implies. `threads` passes through
-    /// verbatim — the engine itself resolves 0 to one worker per core.
-    pub fn repair_options(&self) -> RepairOptions {
-        RepairOptions {
-            threads: self.threads,
-            schedule: self.schedule,
-            shared_cache: self.shared_cache,
-            chunk: self.chunk,
-        }
+/// The sweeps `--vary` selects out of a figure's `axes`: one axis by
+/// name, or all of them with `all` (the default).
+pub fn vary_axes(args: &Args, axes: &[&'static str]) -> Result<Vec<&'static str>, ArgsError> {
+    let mut allowed = axes.to_vec();
+    allowed.push("all");
+    Ok(match args.one_of("vary", &allowed, "all")? {
+        "all" => axes.to_vec(),
+        axis => vec![axis],
+    })
+}
+
+/// The labelled points of one of the paper's sweeps around `base`:
+/// `d` and `n` over 10–50%, `dm` over 0.5–2.5 × `|Dm|`, and `d_size`
+/// over `|D|` ∈ {10, 100, 1000, max(`|D|`, 2000)}.
+pub fn sweep_points(base: &ExpConfig, axis: &str) -> Vec<(String, ExpConfig)> {
+    const RATES: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
+    match axis {
+        "d" => RATES
+            .iter()
+            .map(|&d| (format!("d={d:.1}"), ExpConfig { d, ..*base }))
+            .collect(),
+        "n" => RATES
+            .iter()
+            .map(|&n| (format!("n={n:.1}"), ExpConfig { n, ..*base }))
+            .collect(),
+        "dm" => [0.5, 1.0, 1.5, 2.0, 2.5]
+            .iter()
+            .map(|&f| {
+                let dm = (base.dm as f64 * f) as usize;
+                (format!("|Dm|={dm}"), ExpConfig { dm, ..*base })
+            })
+            .collect(),
+        "d_size" => [10, 100, 1000, base.inputs.max(2000)]
+            .iter()
+            .map(|&inputs| (format!("|D|={inputs}"), ExpConfig { inputs, ..*base }))
+            .collect(),
+        other => unreachable!("no sweep axis `{other}`"),
     }
 }
 
 /// Result of one monitored run.
 pub struct RunResult {
-    /// Per-round cumulative metrics (rounds `1..=max_rounds`),
-    /// evaluated shard-by-shard and merged.
+    /// Per-round cumulative metrics (rounds `1..=max_rounds`).
     pub metrics: Vec<RoundMetrics>,
-    /// Merged monitor statistics (timing, rounds, certain count,
-    /// interner watermark). With `threads > 1`, `elapsed` sums worker
-    /// time across shards; `wall` is the batch's wall clock.
+    /// Monitor statistics (timing, rounds, certain count, interner
+    /// watermark).
     pub stats: MonitorStats,
-    /// Merged BDD cache statistics.
+    /// BDD cache statistics.
     pub bdd: certainfix_core::bdd::BddStats,
-    /// Wall-clock time of the run: the repair batch's wall for the
-    /// batch path, the end-to-end streaming duration (source stalls
-    /// included) for [`run_stream`].
-    pub wall: Duration,
-    /// Per-worker breakdown, with ranges in *global* stream positions
-    /// (one entry when sequential; one entry per `(batch, worker)`
-    /// when streamed).
-    pub workers: Vec<WorkerReport>,
     /// The dataset used (for follow-up comparisons on the same data).
     pub dataset: Dataset,
     /// Raw per-tuple outcomes.
@@ -299,172 +188,54 @@ impl RunResult {
     }
 }
 
-/// Build the batch-repair engine for a workload under `cfg`. The
-/// compiled rule plan is always the probe layer (the legacy `--plan
-/// off` toggle retired with the plan-required reasoning surface; the
-/// plain probe path survives only as the determinism oracle in tests).
-pub fn build_engine(workload: &dyn Workload, cfg: &ExpConfig) -> BatchRepairEngine {
-    BatchRepairEngine::new(certainfix_core::RepairContext::with_config(
+/// Run the monitored pipeline on `workload` under `cfg` and evaluate
+/// metrics for up to `report_rounds` rounds. This is the paper's
+/// algorithm: one sequential pass over the generated stream through
+/// the compiled rule plan, with the BDD cache per `cfg.use_bdd` and the
+/// repo's shared suggestion cache off. The user for stream index `i`
+/// is seeded from the dataset's seed and `i` alone.
+pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: usize) -> RunResult {
+    let engine = BatchRepairEngine::new(RepairContext::with_config(
         workload.rules().clone(),
         workload.master().clone(),
         cfg.use_bdd,
         cfg.initial,
         CertainFixConfig::default(),
-    ))
-}
-
-/// Session `s`'s generator knobs for the multi-tenant experiments:
-/// size skewed by position (`inputs / (s + 1)`), seed derived from `s`
-/// alone — invariant to the total session count, so a session's data
-/// (and therefore its deterministic results) never depends on how
-/// many other sessions run beside it. Shared by `exp_service` and
-/// `exp_net` precisely so their per-session rows are diffable: CI
-/// holds the loopback rows bit-identical to the in-process ones
-/// (invariant D11).
-pub fn session_dirty_config(base: &ExpConfig, s: usize) -> DirtyConfig {
-    DirtyConfig {
-        input_size: (base.inputs / (s + 1)).max(1),
-        seed: base.seed ^ (s as u64 + 1).wrapping_mul(0x9E37_79B9),
-        ..base.dirty_config()
-    }
-}
-
-/// The oracle factory every runner shares: the user for global stream
-/// index `i`, seeded from the *dataset's* seed (which
-/// [`Dataset::batches`] decorrelates per batch) and `i` only, so
-/// results are independent of the worker count, the schedule, the
-/// batching, and the position of the batch in a stream. Public so the
-/// multi-session `exp_service` binary can hand the same per-index
-/// oracles to a [`certainfix_core::RepairService`] stream.
-pub fn oracle_factory(
-    dataset: &Dataset,
-    compliance: f64,
-) -> impl Fn(usize) -> SimulatedUser + Sync + '_ {
-    let seed = dataset.config.seed;
-    move |i| {
-        let dt = &dataset.inputs[i];
-        if compliance >= 1.0 {
-            SimulatedUser::new(dt.clean.clone())
-        } else {
-            SimulatedUser::with_compliance(dt.clean.clone(), compliance, seed ^ i as u64)
-        }
-    }
-}
-
-/// Fold a [`SessionReport`] into a [`RunResult`]: evaluate metric rows
-/// per `(batch, worker)` slice and merge them (the merge sums raw
-/// counts, so the rows are independent of how the session and the
-/// scheduler partitioned the stream), concatenate outcomes in stream
-/// order, and shift worker ranges to global stream positions. Public
-/// so `exp_service` can fold each multiplexed session's report the
-/// same way the single-session runners do.
-pub fn fold_session(report: SessionReport, dataset: Dataset, report_rounds: usize) -> RunResult {
-    let report_rounds = report_rounds.max(1);
-    let mut metrics: Option<Vec<RoundMetrics>> = None;
-    let mut workers: Vec<WorkerReport> = Vec::new();
-    for (offset, batch) in report.batches_with_offsets() {
-        for worker in &batch.workers {
-            let evals: Vec<TupleEval> = worker
-                .indexes()
-                .map(|i| TupleEval {
-                    outcome: &batch.outcomes[i],
-                    dirty: &dataset.inputs[offset + i].dirty,
-                    clean: &dataset.inputs[offset + i].clean,
-                })
-                .collect();
-            let m = evaluate_rounds(&evals, report_rounds);
-            match &mut metrics {
-                None => metrics = Some(m),
-                Some(acc) => merge_round_series(acc, &m),
-            }
-            workers.push(WorkerReport {
-                worker: worker.worker,
-                ranges: worker
-                    .ranges
-                    .iter()
-                    .map(|r| r.start + offset..r.end + offset)
-                    .collect(),
-                stats: worker.stats,
-                bdd: worker.bdd,
-            });
-        }
-    }
-    let (stats, bdd, wall) = (report.stats, report.bdd, report.wall);
-    let outcomes = report.into_outcomes();
-    RunResult {
-        metrics: metrics.unwrap_or_else(|| evaluate_rounds(&[], report_rounds)),
-        stats,
-        bdd,
-        wall,
-        workers,
-        dataset,
-        outcomes,
-    }
-}
-
-/// Repair one already-generated batch with `cfg.threads` workers under
-/// `cfg`'s schedule and cache knobs — a thin shim over a one-batch
-/// [`RepairSession`](certainfix_core::RepairSession) borrowed from the
-/// engine — and evaluate per-worker metrics, merged into whole-batch
-/// rows.
-pub fn run_batch(
-    engine: &BatchRepairEngine,
-    dataset: Dataset,
-    cfg: &ExpConfig,
-    report_rounds: usize,
-) -> RunResult {
-    let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    let mut session = engine.session_opts(cfg.repair_options());
-    session.push_batch(&dirty, oracle_factory(&dataset, cfg.compliance));
-    fold_session(session.finish(), dataset, report_rounds)
-}
-
-/// Stream an already-generated dataset through a bounded channel
-/// ([`RepairSession::stream_slice`](certainfix_core::RepairSession::stream_slice)):
-/// a producer thread sends the dirty tuples in `cfg.stream_batch`-sized
-/// batches through a [`ChannelSource`](certainfix_core::ChannelSource) of `cfg.depth` in-flight
-/// batches, and a borrowed session drains it. The tuple sequence and
-/// the per-index oracles are exactly those of [`run_batch`], so for
-/// plain `CertainFix` with the caches off the outcomes and merged
-/// metrics are bit-identical to the batch path. Unlike [`run_batch`],
-/// the result's `wall` is the *end-to-end* streaming duration
-/// (producer start to drain finish, source stalls included) — that is
-/// what a backpressure sweep must divide throughput by.
-pub fn run_stream(
-    engine: &BatchRepairEngine,
-    dataset: Dataset,
-    cfg: &ExpConfig,
-    report_rounds: usize,
-) -> RunResult {
-    let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    let batch = cfg.stream_batch(dirty.len());
-    let started = std::time::Instant::now();
-    let mut session = engine.session_opts(cfg.repair_options());
-    session.stream_slice(
-        &dirty,
-        batch,
-        cfg.depth,
-        oracle_factory(&dataset, cfg.compliance),
-    );
-    let end_to_end = started.elapsed();
-    let mut result = fold_session(session.finish(), dataset, report_rounds);
-    result.wall = end_to_end;
-    result
-}
-
-/// Run the monitored pipeline on `workload` under `cfg`, evaluating
-/// metrics for up to `report_rounds` rounds, feeding the engine
-/// through `cfg.ingest` (one batch, or backpressured streaming).
-/// `cfg.threads > 1` repairs the stream with that many workers (under
-/// `cfg.schedule`); for plain `CertainFix` with the caches off, the
-/// outcomes and merged metrics are the same whichever ingest path,
-/// worker count, or schedule is chosen.
-pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: usize) -> RunResult {
-    let engine = build_engine(workload, cfg);
+    ));
     let dataset = Dataset::generate(workload, &cfg.dirty_config());
-    match cfg.ingest {
-        Ingest::Batch => run_batch(&engine, dataset, cfg, report_rounds),
-        Ingest::Stream => run_stream(&engine, dataset, cfg, report_rounds),
+    let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
+    let seed = dataset.config.seed;
+    let opts = RepairOptions {
+        shared_cache: false,
+        ..RepairOptions::default()
+    };
+    let report = engine.repair_opts(&dirty, &opts, |i| {
+        let clean = dataset.inputs[i].clean.clone();
+        if cfg.compliance >= 1.0 {
+            SimulatedUser::new(clean)
+        } else {
+            SimulatedUser::with_compliance(clean, cfg.compliance, seed ^ i as u64)
+        }
+    });
+    let metrics = {
+        let evals: Vec<TupleEval> = report
+            .outcomes
+            .iter()
+            .zip(&dataset.inputs)
+            .map(|(outcome, dt)| TupleEval {
+                outcome,
+                dirty: &dt.dirty,
+                clean: &dt.clean,
+            })
+            .collect();
+        evaluate_rounds(&evals, report_rounds.max(1))
+    };
+    RunResult {
+        metrics,
+        stats: report.stats,
+        bdd: report.bdd,
+        dataset,
+        outcomes: report.outcomes,
     }
 }
 
@@ -477,7 +248,7 @@ pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: us
 /// the oracle is never consulted and the per-tuple outcomes are the
 /// cost-based CFD repairs).
 pub fn run_increp(workload: &dyn Workload, dataset: &Dataset) -> (ChangeCounts, Duration) {
-    let engine = BatchRepairEngine::new(certainfix_core::RepairContext::with_workload(
+    let engine = BatchRepairEngine::new(RepairContext::with_workload(
         workload.rules().clone(),
         workload.master().clone(),
         false,
@@ -513,6 +284,10 @@ mod tests {
         }
     }
 
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from))
+    }
+
     #[test]
     fn monitored_run_produces_metrics() {
         let w = Which::Hosp.build(small().dm);
@@ -544,190 +319,76 @@ mod tests {
 
     #[test]
     fn config_from_args() {
-        let args = Args::parse(
-            "--dm 123 --inputs 45 --d 0.5 --n 0.1 --no-bdd --initial median --threads 3 \
-             --schedule shard --shared-cache off --skew 1.5 --ingest stream --batch 64 --depth 4"
-                .split_whitespace()
-                .map(String::from),
-        );
-        let cfg = ExpConfig::from_args(&args);
+        let cfg = ExpConfig::from_args(&args(
+            "--dm 123 --inputs 45 --d 0.5 --n 0.1 --seed 7 --compliance 0.7 --no-bdd \
+             --initial median",
+        ))
+        .unwrap();
         assert_eq!(cfg.dm, 123);
         assert_eq!(cfg.inputs, 45);
         assert_eq!(cfg.d, 0.5);
+        assert_eq!(cfg.dirty_config().noise_rate, 0.1);
+        assert_eq!(cfg.dirty_config().seed, 7);
+        assert_eq!(cfg.compliance, 0.7);
         assert!(!cfg.use_bdd);
         assert_eq!(cfg.initial, InitialRegion::Median);
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.schedule, Schedule::Shard);
-        assert!(!cfg.shared_cache);
-        assert_eq!(cfg.skew, 1.5);
-        assert_eq!(cfg.dirty_config().skew, 1.5);
-        assert_eq!(cfg.ingest, Ingest::Stream);
-        assert_eq!(cfg.batch, 64);
-        assert_eq!(cfg.depth, 4);
-        assert_eq!(cfg.stream_batch(1000), 64);
-        assert_eq!(cfg.stream_batch(10), 10, "batch clamps to the stream");
-    }
-
-    #[test]
-    fn stream_batch_defaults_and_parses() {
-        let cfg = ExpConfig::default();
-        assert_eq!(cfg.ingest, Ingest::Batch);
-        assert_eq!(cfg.stream_batch(10_000), 256, "0 means the 256 default");
-        assert_eq!(cfg.stream_batch(100), 100);
-        assert_eq!(cfg.stream_batch(0), 1, "never a zero batch");
-        assert_eq!(Ingest::parse("batch"), Some(Ingest::Batch));
-        assert_eq!(Ingest::parse("stream"), Some(Ingest::Stream));
-        assert_eq!(Ingest::parse("streaming"), None);
-        assert_eq!(Ingest::Stream.name(), "stream");
+        let default = ExpConfig::from_args(&args("")).unwrap();
+        assert!(default.use_bdd);
+        assert_eq!(default.initial, InitialRegion::Best);
     }
 
     #[test]
     fn invalid_enumerated_values_are_rejected() {
-        for bad in [
-            "--schedule sahrd",
-            "--schedule Shard",
-            "--shared-cache Off",
-            "--shared-cache false",
-            "--initial worst",
-            "--ingest Stream",
-            "--ingest streaming",
-        ] {
-            let args = Args::parse(bad.split_whitespace().map(String::from));
-            let err = ExpConfig::try_from_args(&args).unwrap_err();
-            assert!(err.starts_with("invalid --"), "{bad}: {err}");
+        for bad in ["--initial worst", "--initial Best"] {
+            let err = ExpConfig::from_args(&args(bad)).unwrap_err();
+            assert!(matches!(err, ArgsError::Invalid { .. }), "{bad}: {err}");
         }
-        // threads 0 passes through repair_options for the engine's
-        // own one-worker-per-core resolution
-        let cfg = ExpConfig {
-            threads: 0,
-            ..ExpConfig::default()
-        };
-        assert_eq!(cfg.repair_options().threads, 0);
-    }
-
-    #[test]
-    fn config_defaults_to_stealing_with_the_shared_cache() {
-        let cfg = ExpConfig::from_args(&Args::parse(std::iter::empty::<String>()));
-        assert_eq!(cfg.schedule, Schedule::Steal);
-        assert!(cfg.shared_cache);
-        assert_eq!(cfg.skew, 0.0);
-        let opts = cfg.repair_options();
-        assert_eq!(opts.schedule, Schedule::Steal);
-        assert!(opts.shared_cache);
-        assert_eq!(opts.threads, 1);
-    }
-
-    #[test]
-    fn threads_zero_resolves_to_available_parallelism() {
-        let args = Args::parse("--threads 0".split_whitespace().map(String::from));
-        let cfg = ExpConfig::from_args(&args);
-        assert!(cfg.threads >= 1);
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_metrics() {
-        // plain CertainFix with both caches off: the engine's full
-        // bit-identical guarantee, in both schedule modes
-        let base = ExpConfig {
-            use_bdd: false,
-            shared_cache: false,
-            skew: 0.6,
-            ..small()
-        };
-        let seq = run_monitored(Which::Hosp.build(base.dm).as_ref(), &base, 3);
-        for schedule in [Schedule::Shard, Schedule::Steal] {
-            let par = run_monitored(
-                Which::Hosp.build(base.dm).as_ref(),
-                &ExpConfig {
-                    threads: 4,
-                    schedule,
-                    ..base
-                },
-                3,
-            );
-            assert_eq!(par.workers.len(), 4);
-            assert_eq!(
-                seq.metrics, par.metrics,
-                "merged rows are bit-identical under {schedule:?}"
-            );
-            assert_eq!(seq.stats.certain, par.stats.certain);
-            assert_eq!(seq.stats.rounds, par.stats.rounds);
-            for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-                assert_eq!(a.tuple, b.tuple);
-            }
+        for bad in ["--vary bogus", "--vary all_", "--vary n"] {
+            assert!(vary_axes(&args(bad), &["dm", "d_size"]).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn vary_selects_one_axis_or_all() {
+        let axes = ["d", "dm", "n"];
+        assert_eq!(vary_axes(&args(""), &axes).unwrap(), axes);
+        assert_eq!(vary_axes(&args("--vary all"), &axes).unwrap(), axes);
+        assert_eq!(vary_axes(&args("--vary dm"), &axes).unwrap(), ["dm"]);
+        for axis in ["d", "dm", "n", "d_size"] {
+            let points = sweep_points(&small(), axis);
+            assert!(points.len() >= 4, "{axis}");
+        }
+        let dm: Vec<usize> = sweep_points(&small(), "dm")
+            .iter()
+            .map(|(_, c)| c.dm)
+            .collect();
+        assert_eq!(dm, [150, 300, 450, 600, 750]);
+        let (label, cfg) = &sweep_points(&small(), "d_size")[3];
+        assert_eq!((label.as_str(), cfg.inputs), ("|D|=2000", 2000));
+    }
+
+    /// The figures report the paper's algorithm: the repo's shared
+    /// suggestion cache is never probed.
+    #[test]
+    fn figures_run_without_the_shared_cache() {
+        let w = Which::Hosp.build(small().dm);
+        let result = run_monitored(w.as_ref(), &small(), 2);
+        assert!(result.stats.rounds > 0);
+        assert_eq!(result.stats.shared_hits + result.stats.shared_misses, 0);
     }
 
     /// With the `--plan off` toggle retired, every run goes through
     /// the compiled probe layer — the runner must actually charge plan
-    /// probes, on both ingest paths.
+    /// probes.
     #[test]
     fn every_run_probes_the_compiled_plan() {
         let base = ExpConfig {
             use_bdd: false,
-            shared_cache: false,
-            skew: 1.0,
-            threads: 2,
             ..small()
         };
         let run = run_monitored(Which::Hosp.build(base.dm).as_ref(), &base, 3);
         assert!(run.stats.plan_probes > 0, "the plan is the probe layer");
         assert_eq!(run.stats.plan_fallbacks, 0, "hosp keys all plan-covered");
-    }
-
-    /// The signature guarantee of the session redesign, exercised at
-    /// the runner level: a streamed run (bounded channel, several
-    /// batches, several workers) merges to metrics and outcomes
-    /// bit-identical to the one-batch path for plain `CertainFix` with
-    /// the caches off.
-    #[test]
-    fn streamed_run_matches_the_batch_path() {
-        let base = ExpConfig {
-            use_bdd: false,
-            shared_cache: false,
-            skew: 0.8,
-            threads: 2,
-            batch: 16,
-            depth: 2,
-            ..small()
-        };
-        let batch = run_monitored(
-            Which::Hosp.build(base.dm).as_ref(),
-            &ExpConfig {
-                ingest: Ingest::Batch,
-                ..base
-            },
-            3,
-        );
-        let stream = run_monitored(
-            Which::Hosp.build(base.dm).as_ref(),
-            &ExpConfig {
-                ingest: Ingest::Stream,
-                ..base
-            },
-            3,
-        );
-        assert!(stream.workers.len() > batch.workers.len(), "really batched");
-        assert_eq!(batch.metrics, stream.metrics, "merged rows bit-identical");
-        assert_eq!(batch.stats.tuples, stream.stats.tuples);
-        assert_eq!(batch.stats.certain, stream.stats.certain);
-        assert_eq!(batch.stats.rounds, stream.stats.rounds);
-        assert_eq!(batch.outcomes.len(), stream.outcomes.len());
-        for (i, (a, b)) in batch.outcomes.iter().zip(&stream.outcomes).enumerate() {
-            assert_eq!(a.tuple, b.tuple, "tuple {i}");
-            assert_eq!(a.certain, b.certain, "tuple {i}");
-        }
-        // streamed worker ranges are global: together they tile the stream
-        let mut seen = vec![false; stream.outcomes.len()];
-        for w in &stream.workers {
-            for r in &w.ranges {
-                for i in r.clone() {
-                    assert!(!seen[i], "index {i} covered twice");
-                    seen[i] = true;
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every index covered");
     }
 
     #[test]

@@ -1128,11 +1128,10 @@ mod tests {
     use crate::metrics::{evaluate_rounds, merge_round_series, RoundMetrics, TupleEval};
     use crate::monitor::DataMonitor;
     use crate::oracle::SimulatedUser;
-    use certainfix_datagen::{Dataset, DirtyConfig, Hosp, WideKey, Workload as GenWorkload};
+    use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, WideKey, Workload as GenWorkload};
     use certainfix_relation::Value;
 
-    fn hosp_batch_skewed(dm: usize, inputs: usize, skew: f64) -> (Hosp, Dataset, Vec<Tuple>) {
-        let hosp = Hosp::generate(dm);
+    fn dirty_batch(workload: &dyn GenWorkload, inputs: usize, skew: f64) -> (Dataset, Vec<Tuple>) {
         let cfg = DirtyConfig {
             duplicate_rate: 0.3,
             noise_rate: 0.2,
@@ -1141,8 +1140,14 @@ mod tests {
             skew,
             ..DirtyConfig::default()
         };
-        let ds = Dataset::generate(&hosp, &cfg);
+        let ds = Dataset::generate(workload, &cfg);
         let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
+        (ds, dirty)
+    }
+
+    fn hosp_batch_skewed(dm: usize, inputs: usize, skew: f64) -> (Hosp, Dataset, Vec<Tuple>) {
+        let hosp = Hosp::generate(dm);
+        let (ds, dirty) = dirty_batch(&hosp, inputs, skew);
         (hosp, ds, dirty)
     }
 
@@ -1223,36 +1228,56 @@ mod tests {
     }
 
     /// The satellite determinism test for the new scheduler: a
-    /// *skewed* 10k-tuple HOSP batch (hard tuples concentrated at the
-    /// head of the stream) repaired in steal mode with 1, 2, and 8
-    /// workers produces identical final tuples and identical merged
-    /// `MonitorStats` counts and `RoundMetrics` rows — work stealing
-    /// redistributes the skew without perturbing a single outcome.
+    /// *skewed* 10k-tuple batch (hard tuples concentrated at the head
+    /// of the stream) repaired in steal mode with 1 worker, with 2 and 8
+    /// workers at the auto chunk size and at forced chunks of 1, 16 and
+    /// 256 tuples, and in shard mode with 4 workers produces identical
+    /// final tuples, identical merged `MonitorStats` counts (logical
+    /// plan probes included) and identical `RoundMetrics` rows: work
+    /// stealing redistributes the skew without perturbing a single
+    /// outcome. A stolen chunk is the probe-block unit, so the chunk
+    /// legs sweep the block size from the degenerate single tuple up
+    /// (D6). HOSP keys are one or two attributes wide; DBLP adds the
+    /// 3- and 5-attribute keys of φ5–φ7, i.e. the wide-group block path.
     #[test]
     fn stealing_repair_is_deterministic_1_2_8_on_skewed_batch() {
-        let (hosp, ds, dirty) = hosp_batch_skewed(500, 10_000, 1.0);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        let workloads: [Box<dyn GenWorkload>; 2] =
+            [Box::new(Hosp::generate(500)), Box::new(Dblp::generate(500))];
+        for w in &workloads {
+            let (ds, dirty) = dirty_batch(w.as_ref(), 10_000, 1.0);
+            let engine = BatchRepairEngine::new(RepairContext::new(
+                w.rules().clone(),
+                w.master().clone(),
+                false,
+            ));
+            let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
-        let sequential = engine.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
-        let seq_metrics = eval_by_worker(&sequential, &ds, 4);
-        let shard = engine.repair_opts(&dirty, &plain_opts(4, Schedule::Shard), oracle_for);
-        assert_outcomes_identical(&sequential, &shard, "shard vs steal baseline");
-        assert_eq!(seq_metrics, eval_by_worker(&shard, &ds, 4));
+            let sequential =
+                engine.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
+            let seq_metrics = eval_by_worker(&sequential, &ds, 4);
+            let shard = engine.repair_opts(&dirty, &plain_opts(4, Schedule::Shard), oracle_for);
+            let what = format!("{}: shard vs steal baseline", w.name());
+            assert_outcomes_identical(&sequential, &shard, &what);
+            assert_eq!(seq_metrics, eval_by_worker(&shard, &ds, 4), "{what}");
 
-        for threads in [2usize, 8] {
-            let parallel =
-                engine.repair_opts(&dirty, &plain_opts(threads, Schedule::Steal), oracle_for);
-            assert_eq!(parallel.workers.len(), threads);
-            assert_outcomes_identical(&sequential, &parallel, &format!("{threads} stealers"));
-            assert_eq!(sequential.stats.tuples, parallel.stats.tuples);
-            assert_eq!(sequential.stats.certain, parallel.stats.certain);
-            assert_eq!(sequential.stats.rounds, parallel.stats.rounds);
-            assert_eq!(seq_metrics, eval_by_worker(&parallel, &ds, 4));
+            for threads in [2usize, 8] {
+                for chunk in [0usize, 1, 16, 256] {
+                    let opts = RepairOptions {
+                        chunk,
+                        ..plain_opts(threads, Schedule::Steal)
+                    };
+                    let parallel = engine.repair_opts(&dirty, &opts, oracle_for);
+                    let what = format!("{}: {threads} stealers, chunk {chunk}", w.name());
+                    assert_eq!(parallel.workers.len(), threads, "{what}");
+                    assert_outcomes_identical(&sequential, &parallel, &what);
+                    let (s, p) = (&sequential.stats, &parallel.stats);
+                    assert_eq!(s.tuples, p.tuples, "{what}");
+                    assert_eq!(s.certain, p.certain, "{what}");
+                    assert_eq!(s.rounds, p.rounds, "{what}");
+                    assert_eq!(s.plan_probes, p.plan_probes, "{what}");
+                    assert_eq!(seq_metrics, eval_by_worker(&parallel, &ds, 4), "{what}");
+                }
+            }
         }
     }
 

@@ -702,11 +702,12 @@ mod tests {
     use crate::metrics::{evaluate_rounds, merge_round_series, RoundMetrics, TupleEval};
     use crate::oracle::SimulatedUser;
     use certainfix_cfd::{repair_tuple, rules_to_cfds, IncRepConfig};
-    use certainfix_datagen::{Dataset, DirtyConfig, DirtyTuple, Hosp};
+    use certainfix_datagen::{
+        Dataset, Dblp, DirtyConfig, DirtyTuple, Hosp, Workload as GenWorkload,
+    };
     use certainfix_relation::{AttrSet, MasterIndex};
 
-    fn hosp_stream(dm: usize, inputs: usize, skew: f64) -> (Hosp, Dataset) {
-        let hosp = Hosp::generate(dm);
+    fn dirty_stream(workload: &dyn GenWorkload, inputs: usize, skew: f64) -> Dataset {
         let cfg = DirtyConfig {
             duplicate_rate: 0.3,
             noise_rate: 0.2,
@@ -715,7 +716,12 @@ mod tests {
             skew,
             ..DirtyConfig::default()
         };
-        let ds = Dataset::generate(&hosp, &cfg);
+        Dataset::generate(workload, &cfg)
+    }
+
+    fn hosp_stream(dm: usize, inputs: usize, skew: f64) -> (Hosp, Dataset) {
+        let hosp = Hosp::generate(dm);
+        let ds = dirty_stream(&hosp, inputs, skew);
         (hosp, ds)
     }
 
@@ -1099,67 +1105,77 @@ mod tests {
     /// workers. Each batch repairs wholly against the generation
     /// current when it was pushed, the generations recorded on the
     /// batch reports strictly increase across the hand-offs, and the
-    /// merged report counts the rebuilds.
+    /// merged report counts the rebuilds. Run on HOSP and on DBLP,
+    /// whose 3- and 5-attribute keys take the wide-group block path.
     #[test]
     fn deltas_between_batches_match_rebuilt_masters_1_2_4() {
-        let (hosp, ds) = hosp_stream(250, 1_200, 0.6);
-        let dirty = dirty_of(&ds);
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let full = hosp.master().clone();
-        let n = full.len();
-        // three master states: 40 rows short, 20 rows short, complete
-        let state = |upto: usize| {
-            Arc::new(
-                Relation::new(full.schema().clone(), full.tuples()[..upto].to_vec())
-                    .expect("prefix master"),
-            )
-        };
-        let states = [state(n - 40), state(n - 20), full.clone()];
-        let cuts = [0usize, 400, 800, 1_200];
-        for workers in [1usize, 2, 4] {
-            let mut session = RepairSessionBuilder::new(hosp.rules().clone(), states[0].clone())
-                .threads(workers)
-                .shared_cache(false)
-                .build();
-            for k in 0..3 {
-                session.push_batch(&dirty[cuts[k]..cuts[k + 1]], oracle_for);
-                if k < 2 {
-                    let mut delta = MasterDelta::new();
-                    for t in &full.tuples()[n - 40 + 20 * k..n - 20 + 20 * k] {
-                        delta = delta.insert(t.clone());
+        let workloads: [Box<dyn GenWorkload>; 2] =
+            [Box::new(Hosp::generate(250)), Box::new(Dblp::generate(250))];
+        for w in &workloads {
+            let name = w.name();
+            let ds = dirty_stream(w.as_ref(), 1_200, 0.6);
+            let dirty = dirty_of(&ds);
+            let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+            let full = w.master().clone();
+            let n = full.len();
+            // three master states: 40 rows short, 20 rows short, complete
+            let state = |upto: usize| {
+                Arc::new(
+                    Relation::new(full.schema().clone(), full.tuples()[..upto].to_vec())
+                        .expect("prefix master"),
+                )
+            };
+            let states = [state(n - 40), state(n - 20), full.clone()];
+            let cuts = [0usize, 400, 800, 1_200];
+            for workers in [1usize, 2, 4] {
+                let mut session = RepairSessionBuilder::new(w.rules().clone(), states[0].clone())
+                    .threads(workers)
+                    .shared_cache(false)
+                    .build();
+                for k in 0..3 {
+                    session.push_batch(&dirty[cuts[k]..cuts[k + 1]], oracle_for);
+                    if k < 2 {
+                        let mut delta = MasterDelta::new();
+                        for t in &full.tuples()[n - 40 + 20 * k..n - 20 + 20 * k] {
+                            delta = delta.insert(t.clone());
+                        }
+                        let generation = session.apply_master_delta(&delta).expect("delta applies");
+                        assert_eq!(generation, session.generation());
                     }
-                    let generation = session.apply_master_delta(&delta).expect("delta applies");
-                    assert_eq!(generation, session.generation());
                 }
-            }
-            let report = session.finish();
-            assert_eq!(report.stats.plan_rebuilds, 2, "both hand-offs counted");
-            assert!(report.batches[0].generation < report.batches[1].generation);
-            assert!(report.batches[1].generation < report.batches[2].generation);
-            for k in 0..3 {
-                let fresh = BatchRepairEngine::new(RepairContext::new(
-                    hosp.rules().clone(),
-                    states[k].clone(),
-                    false,
-                ));
-                let opts = RepairOptions {
-                    threads: 1,
-                    shared_cache: false,
-                    ..RepairOptions::default()
-                };
-                let (lo, hi) = (cuts[k], cuts[k + 1]);
-                let want = fresh.repair_opts(&dirty[lo..hi], &opts, |i| oracle_for(lo + i));
-                let got = &report.batches[k];
-                assert_eq!(got.outcomes.len(), want.outcomes.len());
-                for (i, (a, b)) in got.outcomes.iter().zip(&want.outcomes).enumerate() {
-                    assert_eq!(a.tuple, b.tuple, "batch {k} tuple {i} ({workers} workers)");
-                    assert_eq!(a.certain, b.certain, "batch {k} tuple {i}");
-                    assert_eq!(a.validated, b.validated, "batch {k} tuple {i}");
-                }
+                let report = session.finish();
                 assert_eq!(
-                    got.stats.plan_probes, want.stats.plan_probes,
-                    "batch {k} probes ({workers} workers)"
+                    report.stats.plan_rebuilds, 2,
+                    "{name}: both hand-offs counted"
                 );
+                assert!(report.batches[0].generation < report.batches[1].generation);
+                assert!(report.batches[1].generation < report.batches[2].generation);
+                for k in 0..3 {
+                    let fresh = BatchRepairEngine::new(RepairContext::new(
+                        w.rules().clone(),
+                        states[k].clone(),
+                        false,
+                    ));
+                    let opts = RepairOptions {
+                        threads: 1,
+                        shared_cache: false,
+                        ..RepairOptions::default()
+                    };
+                    let (lo, hi) = (cuts[k], cuts[k + 1]);
+                    let want = fresh.repair_opts(&dirty[lo..hi], &opts, |i| oracle_for(lo + i));
+                    let got = &report.batches[k];
+                    let what = format!("{name}: batch {k}, {workers} workers");
+                    assert_eq!(got.outcomes.len(), want.outcomes.len(), "{what}");
+                    for (i, (a, b)) in got.outcomes.iter().zip(&want.outcomes).enumerate() {
+                        assert_eq!(a.tuple, b.tuple, "tuple {i} ({what})");
+                        assert_eq!(a.certain, b.certain, "tuple {i} ({what})");
+                        assert_eq!(a.validated, b.validated, "tuple {i} ({what})");
+                    }
+                    assert_eq!(
+                        got.stats.plan_probes, want.stats.plan_probes,
+                        "probes ({what})"
+                    );
+                }
             }
         }
     }
