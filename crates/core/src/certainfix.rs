@@ -6,7 +6,7 @@ use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple};
 use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan, RuleSet};
 
 use crate::oracle::UserOracle;
-use crate::transfix::{transfix_block, transfix_with};
+use crate::transfix::transfix_block;
 
 /// Configuration of the interaction loop.
 #[derive(Clone, Debug)]
@@ -81,7 +81,8 @@ impl FixOutcome {
 }
 
 /// The interaction engine: borrows the precomputed structures and runs
-/// the Fig. 3 loop for one tuple at a time.
+/// the Fig. 3 loop over a block of tuples — a lone tuple is a block of
+/// one.
 ///
 /// The per-round `TransFix` pass and the validation chase route their
 /// key probes through the compiled [`RulePlan`] (compiled from the same
@@ -151,136 +152,41 @@ impl<'a> CertainFix<'a> {
         &self,
         dirty: &Tuple,
         initial_suggestion: &[AttrId],
-        oracle: &mut O,
-        mut next_suggestion: F,
+        mut oracle: &mut O,
+        next_suggestion: F,
         scratch: &mut ProbeScratch,
     ) -> FixOutcome
     where
         O: UserOracle + ?Sized,
         F: FnMut(&Tuple, AttrSet, &mut ProbeScratch) -> Option<Vec<AttrId>>,
     {
-        let r_len = self.rules.r_schema().len();
-        let full = AttrSet::full(r_len);
-        let chase = Chase::new(self.rules, self.master).with_plan(Some(self.plan));
-
-        let mut tuple = dirty.clone();
-        let mut validated = AttrSet::EMPTY;
-        let mut rule_fixed = AttrSet::EMPTY;
-        let mut user_changed = AttrSet::EMPTY;
-        let mut rounds: Vec<RoundReport> = Vec::new();
-        let mut suggestion: Vec<AttrId> = initial_suggestion
-            .iter()
-            .copied()
-            .filter(|&a| !validated.contains(a))
-            .collect();
-        let mut gave_up = false;
-
-        while validated != full && rounds.len() < self.config.max_rounds {
-            if suggestion.is_empty() {
-                // nothing left to suggest (degenerate); ask for the rest
-                suggestion = (full - validated).to_vec();
-            }
-            // (2) user asserts S with correct values
-            let asserted = oracle.assert_correct(&tuple, &suggestion);
-            let mut round_user_changed = AttrSet::EMPTY;
-            let mut asserted_attrs = Vec::with_capacity(asserted.len());
-            for (a, v) in asserted {
-                if tuple.get(a) != &v {
-                    round_user_changed.insert(a);
-                }
-                tuple.set(a, v);
-                asserted_attrs.push(a);
-            }
-            let new_validated = validated | asserted_attrs.iter().copied().collect::<AttrSet>();
-
-            // validation: does t[Z′ ∪ S] lead to a unique fix?
-            let validated_ok = chase.run_with(&tuple, new_validated, scratch).is_unique();
-
-            // (3) TransFix propagates master values
-            let out = transfix_with(
-                self.rules,
-                self.master,
-                self.graph,
-                self.plan,
-                scratch,
-                &tuple,
-                new_validated,
-            );
-            tuple = out.tuple;
-            validated = out.validated;
-            rule_fixed |= out.fixed;
-            user_changed |= round_user_changed;
-            rounds.push(RoundReport {
-                suggested: suggestion.clone(),
-                asserted: asserted_attrs,
-                user_changed: round_user_changed,
-                rule_fixed: out.fixed,
-                validated_ok,
-            });
-
-            if validated == full {
-                break;
-            }
-
-            // (4) a new suggestion
-            match next_suggestion(&tuple, validated, scratch) {
-                Some(s) if !s.is_empty() => {
-                    // Does any rule still have something to contribute?
-                    // If the suggested set covers only itself (no rule
-                    // coverage beyond Z′ ∪ S), the rules are exhausted.
-                    let s_set: AttrSet = s.iter().copied().collect();
-                    let rules_exhausted = {
-                        let predicted = suggest_with(
-                            self.rules,
-                            self.master,
-                            &tuple,
-                            validated,
-                            self.plan,
-                            scratch,
-                        )
-                        .map(|sug| sug.covers)
-                        .unwrap_or(validated);
-                        predicted == validated | s_set && out.fixed.is_empty()
-                    };
-                    if rules_exhausted && self.config.stop_when_rules_exhausted {
-                        gave_up = true;
-                        break;
-                    }
-                    suggestion = s;
-                }
-                _ => {
-                    gave_up = true;
-                    break;
-                }
-            }
-        }
-
-        let certain = validated == full;
-        FixOutcome {
-            certain_at_round: certain.then_some(rounds.len()),
-            rule_backed: !rule_fixed.is_empty(),
-            tuple,
-            validated,
-            rule_fixed,
-            user_changed,
-            certain,
-            gave_up,
-            rounds,
-        }
+        self.run_block_scratch(
+            std::slice::from_ref(dirty),
+            initial_suggestion,
+            std::slice::from_mut(&mut oracle),
+            next_suggestion,
+            scratch,
+        )
+        .pop()
+        .expect("a block of one has one outcome")
     }
 
-    /// Run the Fig. 3 loop for a whole **block** of independent tuples
-    /// in round lockstep, so each round's `TransFix` pass vectorizes
-    /// its probes through [`transfix_block`] (key probes grouped,
-    /// sort-grouped by value, pattern checks hoisted to a bitmask).
-    /// `oracles[j]` answers for `dirty[j]`.
+    /// Run the Fig. 3 loop for a **block** of independent tuples in
+    /// round lockstep, so each round's `TransFix` pass vectorizes its
+    /// probes through [`transfix_block`] (key probes grouped by shared
+    /// key and resolved to spans of the pinned index, pattern checks
+    /// hoisted to a bitmask). `oracles[j]` answers for `dirty[j]`. This
+    /// is the only copy of the loop: a lone tuple is a block of one,
+    /// which prefetches nothing and probes live.
     ///
     /// **Bit-identity:** each tuple's per-round call sequence (oracle
     /// assertion, validation chase, `TransFix`, follow-up suggestion)
-    /// is exactly the one [`run_scratch`](Self::run_scratch) performs
-    /// for it alone, and the tuples are independent, so every
-    /// [`FixOutcome`] — and the logical probe count — equals the
-    /// single-tuple path at every block size.
+    /// is exactly the one a block of one performs for it alone, and
+    /// the tuples are independent, so every [`FixOutcome`] — and the
+    /// logical probe count — is the same at every block size. A
+    /// stateful `next_suggestion` (a suggestion cache) sees the
+    /// tuples' calls interleaved round by round, so callers that pass
+    /// one run blocks of one.
     pub fn run_block_scratch<O, F>(
         &self,
         dirty: &[Tuple],
@@ -334,7 +240,7 @@ impl<'a> CertainFix<'a> {
 
         loop {
             // (2) per tuple: suggestion top-up, user assertion, and the
-            // validation chase — same order as the single-tuple loop
+            // validation chase
             let mut preps: Vec<Prep> = Vec::new();
             for (j, st) in sts.iter_mut().enumerate() {
                 if st.done {
@@ -345,6 +251,7 @@ impl<'a> CertainFix<'a> {
                     continue;
                 }
                 if st.suggestion.is_empty() {
+                    // nothing left to suggest (degenerate); ask for the rest
                     st.suggestion = (full - st.validated).to_vec();
                 }
                 let asserted = oracles[j].assert_correct(&st.tuple, &st.suggestion);
@@ -359,6 +266,7 @@ impl<'a> CertainFix<'a> {
                 }
                 let new_validated =
                     st.validated | asserted_attrs.iter().copied().collect::<AttrSet>();
+                // validation: does t[Z′ ∪ S] lead to a unique fix?
                 let validated_ok = chase
                     .run_with(&st.tuple, new_validated, scratch)
                     .is_unique();
@@ -411,6 +319,9 @@ impl<'a> CertainFix<'a> {
                 }
                 match next_suggestion(&st.tuple, st.validated, scratch) {
                     Some(s) if !s.is_empty() => {
+                        // the rules are exhausted when the suggestion
+                        // covers only itself (no rule reaches beyond
+                        // Z′ ∪ S) and this round fixed nothing
                         let s_set: AttrSet = s.iter().copied().collect();
                         let rules_exhausted = {
                             let predicted = suggest_with(
@@ -696,8 +607,8 @@ mod tests {
         assert_eq!(outcome.tuple, clean);
     }
 
-    /// The round-lockstep block loop is bit-identical to running the
-    /// single-tuple loop per tuple — outcomes, round traces, and the
+    /// The round-lockstep block loop is bit-identical to running each
+    /// tuple as a block of one — outcomes, round traces, and the
     /// logical probe count — at every block size, across certain /
     /// gave-up / user-corrected tuples.
     #[test]

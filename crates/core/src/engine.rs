@@ -62,6 +62,14 @@
 //! pool next to its epoch, and commits its workers' publishes in input
 //! order (units in epoch order) once the outcomes are stitched.
 //!
+//! A claimed chunk of plain `CertainFix` (both caches off) is one
+//! *block*: the Fig. 3 loop runs its tuples in round lockstep, so each
+//! round's `TransFix` probes are prefetched across the block
+//! ([`transfix_block`](crate::transfix::transfix_block)). With either
+//! cache consulted the chunk runs tuple by tuple, each a block of one:
+//! the diagram's contents and the pool's publish order follow the order
+//! of the per-tuple suggestion calls, which lockstep would interleave.
+//!
 //! Multi-batch (and streaming) ingest lives one layer up, in
 //! [`session`](crate::session): a
 //! [`RepairSession`](crate::session::RepairSession) drains any
@@ -359,47 +367,66 @@ impl RepairContext {
         Ok(generation)
     }
 
-    /// The per-tuple pipeline: repair one tuple against a caller-pinned
-    /// epoch, charging the caller's BDD cache and statistics
-    /// accumulator. The sequential [`DataMonitor`](crate::DataMonitor)
+    /// The one repair entry: repair the block `dirty` against a
+    /// caller-pinned epoch, charging the caller's BDD cache and
+    /// statistics accumulator; `oracle_for(base + k)` supplies the user
+    /// for `dirty[k]`. The sequential [`DataMonitor`](crate::DataMonitor)
     /// and the engine's workers both produce outcomes through this one
     /// code path, which is what makes the determinism guarantee hold by
     /// construction rather than by parallel maintenance of two loops.
     ///
-    /// `shared` is the worker's [`PinnedPool`] of the shared cache, if
-    /// any — probes of it are charged to `stats` (`shared_hits` /
-    /// `shared_misses`) whichever suggestion path, BDD or plain, is in
-    /// effect. Workers (and the monitor) pin one epoch per batch and
-    /// hold one [`ProbeScratch`] per thread, so the compiled plan's
-    /// probe layer reuses one warm buffer across every tuple the thread
-    /// repairs; the scratch's probe/allocation counters are drained
-    /// into `stats` after each tuple.
+    /// Editing-rule repairs run [`CertainFix::run_block_scratch`] with
+    /// one suggestion closure: the BDD (`CertainFix+`), else the shared
+    /// pool `shared`, else a fresh [`suggest_with`]. A cache's answers
+    /// depend on the order its per-tuple calls arrive in, which round
+    /// lockstep would interleave, so with the BDD on or a pool passed
+    /// the block must be a lone tuple; plain `CertainFix` takes blocks
+    /// of any length, bit-identical to blocks of one (D6). Probes of
+    /// `shared` are charged to `stats` (`shared_hits` /
+    /// `shared_misses`) whichever path consults it, and the scratch's
+    /// probe/allocation counters are drained into `stats` after the
+    /// block. The CFD workload runs its own per-tuple algorithm.
     #[allow(clippy::too_many_arguments)]
-    pub fn process_with_full<O: UserOracle + ?Sized>(
+    pub(crate) fn process_block<O, F>(
         &self,
         epoch: &MasterEpoch,
         bdd: &mut SuggestionBdd,
         stats: &mut MonitorStats,
         mut shared: Option<&mut PinnedPool<'_>>,
         scratch: &mut ProbeScratch,
-        dirty: &Tuple,
-        oracle: &mut O,
-    ) -> FixOutcome {
+        dirty: &[Tuple],
+        base: usize,
+        mut oracle_for: F,
+    ) -> Vec<FixOutcome>
+    where
+        O: UserOracle,
+        F: FnMut(usize) -> O,
+    {
+        debug_assert!(
+            dirty.len() <= 1 || (!self.use_bdd && shared.is_none()),
+            "a consulted suggestion cache runs blocks of one"
+        );
         if let Workload::Cfd(cfg) = &self.workload {
-            return self.process_cfd(epoch, cfg, stats, dirty);
+            return dirty
+                .iter()
+                .map(|t| self.process_cfd(epoch, cfg, stats, t))
+                .collect();
         }
         let started = Instant::now();
         let master = epoch.master();
         let plan = epoch.plan();
         let engine = CertainFix::new(&self.rules, master, &self.graph, plan, self.config.clone());
-        let outcome = if self.use_bdd {
-            let before = bdd.stats();
-            let mut cursor = Cursor::start();
-            let outcome = engine.run_scratch(
-                dirty,
-                epoch.initial_suggestion(),
-                oracle,
-                |t, validated, sc| {
+        let mut oracles: Vec<O> = (0..dirty.len()).map(|k| oracle_for(base + k)).collect();
+        let before = bdd.stats();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        // the lone tuple's walk down the diagram
+        let mut cursor = Cursor::start();
+        let outcomes = engine.run_block_scratch(
+            dirty,
+            epoch.initial_suggestion(),
+            &mut oracles,
+            |t, validated, sc| {
+                if self.use_bdd {
                     bdd.suggest_plus_with(
                         &self.rules,
                         master,
@@ -410,20 +437,7 @@ impl RepairContext {
                         Some(plan),
                         sc,
                     )
-                },
-                scratch,
-            );
-            let after = bdd.stats();
-            stats.shared_hits += after.shared_hits - before.shared_hits;
-            stats.shared_misses += after.shared_misses - before.shared_misses;
-            outcome
-        } else if let Some(pool) = shared {
-            let (mut hits, mut misses) = (0u64, 0u64);
-            let outcome = engine.run_scratch(
-                dirty,
-                epoch.initial_suggestion(),
-                oracle,
-                |t, validated, sc| {
+                } else if let Some(pool) = shared.as_deref_mut() {
                     let (s, hit) = pool.suggest(&self.rules, master, t, validated, Some(plan), sc);
                     if hit {
                         hits += 1;
@@ -431,27 +445,21 @@ impl RepairContext {
                         misses += 1;
                     }
                     s
-                },
-                scratch,
-            );
-            stats.shared_hits += hits;
-            stats.shared_misses += misses;
-            outcome
-        } else {
-            engine.run_scratch(
-                dirty,
-                epoch.initial_suggestion(),
-                oracle,
-                |t, validated, sc| {
+                } else {
                     suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs)
-                },
-                scratch,
-            )
-        };
-        stats.tuples += 1;
-        stats.rounds += outcome.rounds.len() as u64;
-        if outcome.certain {
-            stats.certain += 1;
+                }
+            },
+            scratch,
+        );
+        let after = bdd.stats();
+        stats.shared_hits += hits + after.shared_hits - before.shared_hits;
+        stats.shared_misses += misses + after.shared_misses - before.shared_misses;
+        for outcome in &outcomes {
+            stats.tuples += 1;
+            stats.rounds += outcome.rounds.len() as u64;
+            if outcome.certain {
+                stats.certain += 1;
+            }
         }
         let (probes, allocs, fallbacks) = scratch.take_counters();
         stats.plan_probes += probes;
@@ -459,7 +467,7 @@ impl RepairContext {
         stats.plan_fallbacks += fallbacks;
         stats.elapsed += started.elapsed();
         stats.interner_syms = stats.interner_syms.max(Interner::global().len() as u64);
-        outcome
+        outcomes
     }
 
     /// The CFD workload's per-tuple pipeline: one oracle-free
@@ -503,68 +511,6 @@ impl RepairContext {
         stats.interner_syms = stats.interner_syms.max(Interner::global().len() as u64);
         outcome
     }
-
-    /// The block pipeline: repair a contiguous run of `dirty` tuples
-    /// against a caller-pinned epoch as one probe block through
-    /// [`CertainFix::run_block_scratch`] — each round's `TransFix`
-    /// probes are vectorized across the block (grouped by shared probe
-    /// key, sort-grouped by key value, pattern checks hoisted to a
-    /// bitmask). `oracle_for(base + k)` supplies the user for
-    /// `dirty[k]`.
-    ///
-    /// Editing-rule plain mode only (no CFD workload, no BDD
-    /// suggestion cache, no shared cache — those paths thread
-    /// per-worker caches whose canonical query order is part of their
-    /// own determinism story). Outcomes are bit-identical to calling
-    /// [`process_with_full`](Self::process_with_full) per tuple, at
-    /// every block size.
-    pub fn process_block_full<O, F>(
-        &self,
-        epoch: &MasterEpoch,
-        stats: &mut MonitorStats,
-        scratch: &mut ProbeScratch,
-        dirty: &[Tuple],
-        base: usize,
-        oracle_for: &F,
-    ) -> Vec<FixOutcome>
-    where
-        O: UserOracle,
-        F: Fn(usize) -> O + ?Sized,
-    {
-        debug_assert!(!self.use_bdd, "block repairs are plain-mode only");
-        debug_assert!(
-            matches!(self.workload, Workload::EditRules),
-            "block repairs are editing-rule only"
-        );
-        let started = Instant::now();
-        let master = epoch.master();
-        let plan = epoch.plan();
-        let engine = CertainFix::new(&self.rules, master, &self.graph, plan, self.config.clone());
-        let mut oracles: Vec<O> = (0..dirty.len()).map(|k| oracle_for(base + k)).collect();
-        let outcomes = engine.run_block_scratch(
-            dirty,
-            epoch.initial_suggestion(),
-            &mut oracles,
-            |t, validated, sc| {
-                suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs)
-            },
-            scratch,
-        );
-        for outcome in &outcomes {
-            stats.tuples += 1;
-            stats.rounds += outcome.rounds.len() as u64;
-            if outcome.certain {
-                stats.certain += 1;
-            }
-        }
-        let (probes, allocs, fallbacks) = scratch.take_counters();
-        stats.plan_probes += probes;
-        stats.probe_allocs += allocs;
-        stats.plan_fallbacks += fallbacks;
-        stats.elapsed += started.elapsed();
-        stats.interner_syms = stats.interner_syms.max(Interner::global().len() as u64);
-        outcomes
-    }
 }
 
 /// How a batch is dealt to (and kept on) the workers.
@@ -580,25 +526,6 @@ pub enum Schedule {
     /// skew costs at most one trailing chunk of imbalance.
     #[default]
     Steal,
-}
-
-impl Schedule {
-    /// Parse a CLI-style mode name (`"shard"` / `"steal"`).
-    pub fn parse(s: &str) -> Option<Schedule> {
-        match s {
-            "shard" => Some(Schedule::Shard),
-            "steal" => Some(Schedule::Steal),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style mode name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::Shard => "shard",
-            Schedule::Steal => "steal",
-        }
-    }
 }
 
 /// Knobs of one [`BatchRepairEngine::repair_opts`] call.
@@ -924,14 +851,9 @@ impl BatchRepairEngine {
         // land only at the commit below
         let pinned = opts.shared_cache.then(|| self.shared.pin());
         let pool = pinned.as_deref();
-        // plain-mode editing-rule repairs batch each claimed chunk
-        // through the vectorized block pipeline; BDD / shared-cache
-        // repairs keep the per-tuple path (the caches are consulted per
-        // tuple and round), and the CFD workload is per-tuple by nature.
-        // Outcomes are identical either way — the block layer is
-        // bit-identical by construction.
-        let block_mode =
-            matches!(ctx.workload(), Workload::EditRules) && !ctx.uses_bdd() && pool.is_none();
+        // a claimed chunk is one block unless a suggestion cache is
+        // consulted; then it runs as blocks of one (see the module docs)
+        let cached = ctx.uses_bdd() || pool.is_some();
         // the steal pass is one sweep over the victims after the own
         // queue: queues only ever shrink, so a drained one stays drained
         let sweep = if opts.schedule == Schedule::Steal {
@@ -955,31 +877,20 @@ impl BatchRepairEngine {
                     let rank = deal[d];
                     let (u, span) = (spans[rank].0, spans[rank].1.clone());
                     let (tuples, oracle_for) = &units[u];
-                    let outcomes: Vec<FixOutcome> = if block_mode && span.len() >= 2 {
-                        // a claimed chunk becomes one probe block
-                        let block = &tuples[span.clone()];
-                        ctx.process_block_full(
+                    let len = if cached { 1 } else { span.len() };
+                    let mut outcomes = Vec::with_capacity(span.len());
+                    for lo in span.clone().step_by(len) {
+                        outcomes.extend(ctx.process_block(
                             epoch,
+                            &mut bdd,
                             &mut stats[u],
+                            shared.as_mut(),
                             &mut scratch,
-                            block,
-                            span.start,
+                            &tuples[lo..span.end.min(lo + len)],
+                            lo,
                             oracle_for,
-                        )
-                    } else {
-                        span.map(|i| {
-                            ctx.process_with_full(
-                                epoch,
-                                &mut bdd,
-                                &mut stats[u],
-                                shared.as_mut(),
-                                &mut scratch,
-                                &tuples[i],
-                                &mut oracle_for(i),
-                            )
-                        })
-                        .collect()
-                    };
+                        ));
+                    }
                     // the diagram is per worker; its counters are
                     // charged to the unit of the chunk that ticked them
                     bdd_stats[u].merge(&bdd.take_stats());
@@ -1186,12 +1097,9 @@ mod tests {
 
     fn assert_outcomes_identical(a: &BatchReport, b: &BatchReport, what: &str) {
         assert_eq!(a.outcomes.len(), b.outcomes.len());
+        // whole outcomes, every round's trace included
         for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
-            assert_eq!(x.tuple, y.tuple, "tuple {i} ({what})");
-            assert_eq!(x.certain, y.certain, "tuple {i} ({what})");
-            assert_eq!(x.validated, y.validated, "tuple {i} ({what})");
-            assert_eq!(x.rule_fixed, y.rule_fixed, "tuple {i} ({what})");
-            assert_eq!(x.rounds.len(), y.rounds.len(), "tuple {i} ({what})");
+            assert_eq!(x, y, "tuple {i} ({what})");
         }
     }
 
@@ -1412,21 +1320,81 @@ mod tests {
     }
 
     /// D12 at the engine level: with the BDD off and the shared cache
-    /// on, a skewed two-batch stream repairs bit-identically — outcomes
-    /// and per-batch hit/miss counts — at 1, 2 and 8 workers, each run
-    /// on a fresh engine.
+    /// on, a skewed two-batch stream repairs bit-identically — whole
+    /// outcomes, round traces included, and the per-batch cache stats —
+    /// at 1, 2 and 8 workers and at forced chunks of 1, 16 and 256
+    /// tuples against the auto chunk, each run on a fresh engine. The
+    /// pool serves a key's first passing candidate in commit order, so
+    /// running a pool-on chunk in round lockstep instead of as blocks of
+    /// one would reorder its publishes. The DBLP stream's users answer
+    /// half of each suggestion, so tuples of one chunk publish under the
+    /// same key in different rounds and that reordering shows.
     #[test]
     fn shared_cache_runs_are_worker_count_independent() {
+        let streams: [(Box<dyn GenWorkload>, f64); 2] = [
+            (Box::new(Hosp::generate(300)), 1.0),
+            (Box::new(Dblp::generate(300)), 0.5),
+        ];
+        for (w, compliance) in &streams {
+            let (ds, dirty) = dirty_batch(w.as_ref(), 2_000, 1.0);
+            let oracle_for = |i: usize| {
+                SimulatedUser::with_compliance(ds.inputs[i].clean.clone(), *compliance, i as u64)
+            };
+            let run = |threads: usize, chunk: usize| {
+                let engine = BatchRepairEngine::new(RepairContext::new(
+                    w.rules().clone(),
+                    w.master().clone(),
+                    false,
+                ));
+                let mut session = engine.session_opts(RepairOptions {
+                    threads,
+                    chunk,
+                    ..RepairOptions::default()
+                });
+                for half in dirty.chunks(1_000) {
+                    session.push_batch(half, oracle_for);
+                }
+                session.finish()
+            };
+            let base = run(1, 0);
+            assert!(base.stats.shared_hits > 0, "the second batch was served");
+            for threads in [1usize, 2, 8] {
+                for chunk in [0usize, 1, 16, 256] {
+                    if (threads, chunk) == (1, 0) {
+                        continue;
+                    }
+                    let got = run(threads, chunk);
+                    let what = format!("{}: {threads} workers, chunk {chunk}", w.name());
+                    for (a, b) in base.batches.iter().zip(&got.batches) {
+                        assert_outcomes_identical(a, b, &what);
+                        assert_eq!(a.shared, b.shared, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// With the BDD on, one worker drains its chunks in input order
+    /// through one diagram, so the chunk size must not move anything:
+    /// forced chunks of 1, 16 and 256 tuples give the auto chunk's
+    /// outcomes — every round's suggestion included — and its
+    /// `BddStats`, with the shared cache off and on. Running BDD tuples
+    /// in round lockstep would reorder the diagram's queries and fail
+    /// it.
+    #[test]
+    fn bdd_runs_are_chunk_size_independent_on_one_worker() {
         let (hosp, ds, dirty) = hosp_batch_skewed(300, 2_000, 1.0);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let run = |threads: usize| {
+        let run = |shared_cache: bool, chunk: usize| {
             let engine = BatchRepairEngine::new(RepairContext::new(
                 hosp.rules().clone(),
                 hosp.master().clone(),
-                false,
+                true,
             ));
             let mut session = engine.session_opts(RepairOptions {
-                threads,
+                threads: 1,
+                shared_cache,
+                chunk,
                 ..RepairOptions::default()
             });
             for half in dirty.chunks(1_000) {
@@ -1434,13 +1402,17 @@ mod tests {
             }
             session.finish()
         };
-        let base = run(1);
-        assert!(base.stats.shared_hits > 0, "the second batch was served");
-        for threads in [2usize, 8] {
-            let got = run(threads);
-            for (a, b) in base.batches.iter().zip(&got.batches) {
-                assert_outcomes_identical(a, b, &format!("{threads} workers"));
-                assert_eq!(a.shared, b.shared, "{threads} workers");
+        for shared_cache in [false, true] {
+            let base = run(shared_cache, 0);
+            assert!(base.bdd.hits > 0, "the diagram served suggestions");
+            for chunk in [1usize, 16, 256] {
+                let got = run(shared_cache, chunk);
+                let what = format!("shared cache {shared_cache}, chunk {chunk}");
+                for (a, b) in base.batches.iter().zip(&got.batches) {
+                    assert_outcomes_identical(a, b, &what);
+                    assert_eq!(a.bdd, b.bdd, "{what}");
+                    assert_eq!(a.shared, b.shared, "{what}");
+                }
             }
         }
     }
@@ -1757,6 +1729,7 @@ mod tests {
         assert_eq!(report.outcomes.len(), 20);
         assert!(!report.workers.is_empty());
         assert!(report.workers.len() <= BatchRepairEngine::auto_threads().clamp(1, 20));
+        assert_eq!(RepairOptions::default().schedule, Schedule::Steal);
     }
 
     #[test]
@@ -1780,15 +1753,5 @@ mod tests {
         assert_eq!(report.stats.tuples, 0);
         assert_eq!(report.throughput(), 0.0);
         assert_eq!(report.generation, engine.context().generation());
-    }
-
-    #[test]
-    fn schedule_parses_and_names() {
-        assert_eq!(Schedule::parse("shard"), Some(Schedule::Shard));
-        assert_eq!(Schedule::parse("steal"), Some(Schedule::Steal));
-        assert_eq!(Schedule::parse("work-stealing"), None);
-        assert_eq!(Schedule::Shard.name(), "shard");
-        assert_eq!(Schedule::Steal.name(), "steal");
-        assert_eq!(Schedule::default(), Schedule::Steal);
     }
 }

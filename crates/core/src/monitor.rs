@@ -79,9 +79,9 @@ pub struct MonitorStats {
     pub shared_saturated: u64,
     /// Key probes issued through the compiled
     /// [`RulePlan`](certainfix_rules::RulePlan)'s scratch-buffered
-    /// layer in the `TransFix`/validation hot path (0 with the plan
-    /// off). Deterministic: depends only on the tuples and the
-    /// context, not on scheduling.
+    /// layer in the `TransFix`/validation hot path, which every
+    /// editing-rule repair runs. Deterministic: depends only on the
+    /// tuples and the context, not on scheduling or block size.
     pub plan_probes: u64,
     /// Probe-buffer (re)allocations in that layer. In steady state
     /// this stays at one small constant per worker (the initial buffer
@@ -318,15 +318,21 @@ impl DataMonitor {
     /// two `process` calls takes effect at the second.
     pub fn process<O: UserOracle + ?Sized>(&mut self, dirty: &Tuple, oracle: &mut O) -> FixOutcome {
         let epoch = self.engine.context().epoch();
-        self.engine.context().process_with_full(
-            &epoch,
-            &mut self.bdd,
-            &mut self.stats,
-            None,
-            &mut self.scratch,
-            dirty,
-            oracle,
-        )
+        let mut lent = Some(oracle);
+        self.engine
+            .context()
+            .process_block(
+                &epoch,
+                &mut self.bdd,
+                &mut self.stats,
+                None,
+                &mut self.scratch,
+                std::slice::from_ref(dirty),
+                0,
+                |_| lent.take().expect("a block of one asks for one oracle"),
+            )
+            .pop()
+            .expect("a block of one has one outcome")
     }
 }
 

@@ -32,6 +32,14 @@ impl<O: UserOracle + ?Sized> UserOracle for Box<O> {
     }
 }
 
+/// Borrowed oracles forward too, so a caller's (possibly unsized)
+/// oracle can be lent to the block loop as a block of one.
+impl<O: UserOracle + ?Sized> UserOracle for &mut O {
+    fn assert_correct(&mut self, t: &Tuple, suggestion: &[AttrId]) -> Vec<(AttrId, Value)> {
+        (**self).assert_correct(t, suggestion)
+    }
+}
+
 /// A ground-truth-backed simulated user.
 pub struct SimulatedUser {
     clean: Tuple,

@@ -17,9 +17,8 @@
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple, Value};
 use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan, RuleSet};
 
-/// One prescription scan over a candidate id list, shared by the
-/// plan-backed (borrowed ids), block-prefetched, and legacy (owned
-/// ids) probes: skip null master values, take the first non-null one,
+/// One prescription scan over a candidate id list, whichever source
+/// probed it: skip null master values, take the first non-null one,
 /// flag a conflict if later candidates disagree.
 fn prescribe(master: &MasterIndex, rhs_m: AttrId, ids: &[u32]) -> (Option<(Value, u32)>, bool) {
     let mut prescription: Option<(Value, u32)> = None;
@@ -59,7 +58,8 @@ pub struct TransFixOutcome {
 /// This is the *reference* path: the engine always runs the
 /// plan-backed [`transfix_with`], and this function exists as the
 /// independent oracle that tests and property checks compare it
-/// against. Keep the two in lockstep.
+/// against. All three entry points run one walk; only the probe source
+/// differs.
 pub fn transfix(
     rules: &RuleSet,
     master: &MasterIndex,
@@ -67,11 +67,11 @@ pub fn transfix(
     t: &Tuple,
     validated: AttrSet,
 ) -> TransFixOutcome {
-    transfix_impl(
+    walk(
         rules,
         master,
         graph,
-        None,
+        Probes::Master,
         &mut ProbeScratch::new(),
         t,
         validated,
@@ -98,22 +98,90 @@ pub fn transfix_with(
     t: &Tuple,
     validated: AttrSet,
 ) -> TransFixOutcome {
-    transfix_impl(rules, master, graph, Some(plan), scratch, t, validated)
+    debug_assert_eq!(plan.len(), rules.len());
+    walk(
+        rules,
+        master,
+        graph,
+        Probes::Plan(plan),
+        scratch,
+        t,
+        validated,
+    )
 }
 
-/// Shared walk behind [`transfix`] (no plan: legacy probes) and
-/// [`transfix_with`] (plan-backed probes).
-fn transfix_impl(
+/// Run `TransFix` over a block of independent `(tuple, validated)`
+/// items, vectorizing the probes through the plan's block layer: one
+/// [`RulePlan::probe_block_seeds`] call bulk-prefetches every seed
+/// rule's key probe (grouped by shared probe key, each cell resolved to
+/// a span of the pinned flat index) and hoists every pattern pre-check
+/// into a per-block bitmask, then each tuple's walk consumes its
+/// prefetched cells.
+///
+/// **Bit-identity:** the outcome of every item equals what
+/// [`transfix_with`] returns for it alone, at every block size. A
+/// prefetched cell is only consumed while the attributes it was
+/// computed from are untouched by this walk's fixes (the `fixed` set
+/// is disjoint from the rule's key / pattern attributes); the moment a
+/// fix invalidates them, the walk re-checks live exactly like the
+/// single-tuple path. Consuming a cell counts one logical probe, so
+/// `plan_probes` is block-size independent too.
+///
+/// A block of one prefetches nothing: it is [`transfix_with`].
+pub fn transfix_block(
     rules: &RuleSet,
     master: &MasterIndex,
     graph: &DependencyGraph,
-    plan: Option<&RulePlan>,
+    plan: &RulePlan,
+    scratch: &mut ProbeScratch,
+    items: &[(&Tuple, AttrSet)],
+) -> Vec<TransFixOutcome> {
+    debug_assert_eq!(plan.len(), rules.len());
+    let prefetch = items.len() >= 2;
+    if prefetch {
+        let block: Vec<&Tuple> = items.iter().map(|&(t, _)| t).collect();
+        let zs: Vec<AttrSet> = items.iter().map(|&(_, z)| z).collect();
+        plan.probe_block_seeds(&block, &zs, scratch);
+    }
+    items
+        .iter()
+        .enumerate()
+        .map(|(j, &(t, z))| {
+            let probes = if prefetch {
+                Probes::Block(plan, j)
+            } else {
+                Probes::Plan(plan)
+            };
+            walk(rules, master, graph, probes, scratch, t, z)
+        })
+        .collect()
+}
+
+/// Where a walk's key probes come from. Every source hands out the
+/// same hit list for a `(rule, tuple)` pair — same ids, same order —
+/// so the walk, and with it the outcome, is the same whichever runs.
+#[derive(Clone, Copy)]
+enum Probes<'p> {
+    /// The master's shared lineage indexes, no plan (the D4 oracle).
+    Master,
+    /// The compiled plan, probed live.
+    Plan(&'p RulePlan),
+    /// Block tuple `j`'s prefetched cells and hoisted pattern bits.
+    Block(&'p RulePlan, usize),
+}
+
+/// The one `TransFix` walk behind [`transfix`], [`transfix_with`] and
+/// [`transfix_block`].
+fn walk(
+    rules: &RuleSet,
+    master: &MasterIndex,
+    graph: &DependencyGraph,
+    probes: Probes<'_>,
     scratch: &mut ProbeScratch,
     t: &Tuple,
     validated: AttrSet,
 ) -> TransFixOutcome {
     debug_assert_eq!(graph.len(), rules.len());
-    debug_assert!(plan.map_or(true, |p| p.len() == rules.len()));
     let mut tuple = t.clone();
     let mut z = validated;
     let mut fixed = AttrSet::EMPTY;
@@ -135,173 +203,64 @@ fn transfix_impl(
     while let Some(v) = vset.pop() {
         let rule = rules.rule(v);
         let b = rule.rhs();
-        // apply if the target is not yet validated (protected otherwise)
-        if !z.contains(b) && rule.pattern().matches(&tuple) {
-            let (prescription, conflict) = match plan {
-                Some(p) => {
-                    // pattern checked above; probe the pinned index and
-                    // scan the borrowed hit list without copying it
-                    prescribe(master, rule.rhs_m(), p.probe(v, &tuple, scratch))
-                }
-                None => {
-                    let ids = master.matches_projection(&tuple, rule.lhs(), rule.lhs_m());
-                    prescribe(master, rule.rhs_m(), &ids)
-                }
-            };
-            if conflict {
-                disputed.push(v);
-            } else if let Some((val, id)) = prescription {
-                tuple.set(b, val);
-                z.insert(b);
-                fixed.insert(b);
-                steps.push((v, id));
-                // inspect successors: upgrade or register
-                for &u in graph.successors(v) {
-                    if enqueued[u] {
-                        if in_uset[u] && rules.rule(u).premise().is_subset(&z) {
-                            in_uset[u] = false;
-                            vset.push(u);
-                        }
-                        continue;
-                    }
-                    enqueued[u] = true;
-                    if rules.rule(u).premise().is_subset(&z) {
-                        vset.push(u);
-                    } else {
-                        in_uset[u] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    TransFixOutcome {
-        tuple,
-        validated: z,
-        fixed,
-        steps,
-        disputed,
-    }
-}
-
-/// Run `TransFix` over a block of independent `(tuple, validated)`
-/// items, vectorizing the probes through the plan's block layer: one
-/// [`RulePlan::probe_block_seeds`] call bulk-prefetches every seed
-/// rule's key probe (grouped by shared probe key, each cell resolved to
-/// a span of the pinned flat index) and hoists every pattern pre-check
-/// into a per-block bitmask, then each tuple's walk consumes its
-/// prefetched cells.
-///
-/// **Bit-identity:** the outcome of every item equals what
-/// [`transfix_with`] returns for it alone, at every block size. A
-/// prefetched cell is only consumed while the attributes it was
-/// computed from are untouched by this walk's fixes (the `fixed` set
-/// is disjoint from the rule's key / pattern attributes); the moment a
-/// fix invalidates them, the walk re-checks live exactly like the
-/// single-tuple path. Consuming a cell counts one logical probe, so
-/// `plan_probes` is block-size independent too.
-///
-/// Falls back to per-item [`transfix_with`] when the block is trivial
-/// (`len < 2`).
-pub fn transfix_block(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    graph: &DependencyGraph,
-    plan: &RulePlan,
-    scratch: &mut ProbeScratch,
-    items: &[(&Tuple, AttrSet)],
-) -> Vec<TransFixOutcome> {
-    if items.len() < 2 {
-        return items
-            .iter()
-            .map(|&(t, z)| transfix_with(rules, master, graph, plan, scratch, t, z))
-            .collect();
-    }
-    let block: Vec<&Tuple> = items.iter().map(|&(t, _)| t).collect();
-    let zs: Vec<AttrSet> = items.iter().map(|&(_, z)| z).collect();
-    plan.probe_block_seeds(&block, &zs, scratch);
-    items
-        .iter()
-        .enumerate()
-        .map(|(j, &(t, z))| transfix_one_prefetched(rules, master, graph, plan, scratch, t, z, j))
-        .collect()
-}
-
-/// One walk of [`transfix_block`]: identical to [`transfix_with`]'s
-/// plan path except that the pattern check reads the hoisted bitmask
-/// and the key probe consumes the prefetched block cell — both only
-/// while the attributes they were computed from are `fixed`-disjoint.
-#[allow(clippy::too_many_arguments)]
-fn transfix_one_prefetched(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    graph: &DependencyGraph,
-    p: &RulePlan,
-    scratch: &mut ProbeScratch,
-    t: &Tuple,
-    validated: AttrSet,
-    j: usize,
-) -> TransFixOutcome {
-    let mut tuple = t.clone();
-    let mut z = validated;
-    let mut fixed = AttrSet::EMPTY;
-    let mut steps = Vec::new();
-    let mut disputed = Vec::new();
-
-    let n = rules.len();
-    let mut enqueued = vec![false; n];
-    let mut in_uset = vec![false; n];
-    let mut vset: Vec<usize> = Vec::new();
-    for (i, rule) in rules.iter() {
-        if rule.premise().is_subset(&z) {
-            vset.push(i);
-            enqueued[i] = true;
-        }
-    }
-
-    while let Some(v) = vset.pop() {
-        let rule = rules.rule(v);
-        let b = rule.rhs();
+        // apply only if the target is not yet validated (protected
+        // otherwise)
         if z.contains(b) {
             continue;
         }
+        // a prefetched cell or pattern bit holds only while no fix of
+        // this walk touched the attributes it was computed from
         let untouched = |attrs: &[AttrId]| attrs.iter().all(|&a| !fixed.contains(a));
-        let pattern_ok = if untouched(rule.pattern().attrs()) {
-            p.block_pattern_ok(v, j, scratch)
-        } else {
-            rule.pattern().matches(&tuple)
+        let pattern_ok = match probes {
+            Probes::Block(p, j) if untouched(rule.pattern().attrs()) => {
+                p.block_pattern_ok(v, j, scratch)
+            }
+            _ => rule.pattern().matches(&tuple),
         };
-        if pattern_ok {
-            let prefetched = if untouched(rule.lhs()) {
-                p.block_probe(v, j, scratch)
-            } else {
-                None
-            };
-            // cascaded rule, unseeded cell, or a fix touched the key:
-            // probe live, exactly like the single-tuple path
-            let ids = prefetched.unwrap_or_else(|| p.probe(v, &tuple, scratch));
-            let (prescription, conflict) = prescribe(master, rule.rhs_m(), ids);
-            if conflict {
-                disputed.push(v);
-            } else if let Some((val, id)) = prescription {
-                tuple.set(b, val);
-                z.insert(b);
-                fixed.insert(b);
-                steps.push((v, id));
-                for &u in graph.successors(v) {
-                    if enqueued[u] {
-                        if in_uset[u] && rules.rule(u).premise().is_subset(&z) {
-                            in_uset[u] = false;
-                            vset.push(u);
-                        }
-                        continue;
-                    }
-                    enqueued[u] = true;
-                    if rules.rule(u).premise().is_subset(&z) {
+        if !pattern_ok {
+            continue;
+        }
+        let owned;
+        let ids = match probes {
+            Probes::Master => {
+                owned = master.matches_projection(&tuple, rule.lhs(), rule.lhs_m());
+                &owned[..]
+            }
+            // the hit list is borrowed from the pinned index, not copied
+            Probes::Plan(p) => p.probe(v, &tuple, scratch),
+            Probes::Block(p, j) => {
+                let prefetched = if untouched(rule.lhs()) {
+                    p.block_probe(v, j, scratch)
+                } else {
+                    None
+                };
+                // cascaded rule, unseeded cell, or a fix touched the
+                // key: probe live, exactly like the single-tuple path
+                prefetched.unwrap_or_else(|| p.probe(v, &tuple, scratch))
+            }
+        };
+        let (prescription, conflict) = prescribe(master, rule.rhs_m(), ids);
+        if conflict {
+            disputed.push(v);
+        } else if let Some((val, id)) = prescription {
+            tuple.set(b, val);
+            z.insert(b);
+            fixed.insert(b);
+            steps.push((v, id));
+            // inspect successors: upgrade or register
+            for &u in graph.successors(v) {
+                if enqueued[u] {
+                    if in_uset[u] && rules.rule(u).premise().is_subset(&z) {
+                        in_uset[u] = false;
                         vset.push(u);
-                    } else {
-                        in_uset[u] = true;
                     }
+                    continue;
+                }
+                enqueued[u] = true;
+                if rules.rule(u).premise().is_subset(&z) {
+                    vset.push(u);
+                } else {
+                    in_uset[u] = true;
                 }
             }
         }

@@ -421,8 +421,9 @@ proptest! {
 
     /// The block-probe determinism contract, randomized: chunking an
     /// arbitrary miniature batch through `transfix_block` at block
-    /// sizes 1, 2, 7 and 64 yields the same outcomes — and the same
-    /// logical probe count — as the single-tuple walk, including
+    /// sizes 1, 2, 7 and 64 yields the same outcomes as the plan-less
+    /// `transfix` oracle and the same outcomes — and the same logical
+    /// probe count — as the live-plan single-tuple walk, including
     /// null-key edges (a random cell nulled per tuple) and
     /// pattern-mismatch edges (random `when` cells rarely match the
     /// collision-rich domain).
@@ -456,6 +457,11 @@ proptest! {
             })
             .collect();
         let (want_probes, _, _) = single_scratch.take_counters();
+        // the plan-less walk is the independent probe path
+        let plainly: Vec<_> = items
+            .iter()
+            .map(|(t, z)| transfix(&rules, &master, &graph, t, *z))
+            .collect();
         for size in [1usize, 2, 7, 64] {
             let mut scratch = ProbeScratch::new();
             let mut got = Vec::with_capacity(items.len());
@@ -471,12 +477,14 @@ proptest! {
                 probes == want_probes,
                 "probe count diverged at block size {size}: {probes} != {want_probes}"
             );
-            for (a, b) in singles.iter().zip(&got) {
-                prop_assert_eq!(&a.tuple, &b.tuple);
-                prop_assert_eq!(a.validated, b.validated);
-                prop_assert_eq!(a.fixed, b.fixed);
-                prop_assert_eq!(&a.steps, &b.steps);
-                prop_assert_eq!(&a.disputed, &b.disputed);
+            for ((single, plain), b) in singles.iter().zip(&plainly).zip(&got) {
+                for a in [single, plain] {
+                    prop_assert_eq!(&a.tuple, &b.tuple);
+                    prop_assert_eq!(a.validated, b.validated);
+                    prop_assert_eq!(a.fixed, b.fixed);
+                    prop_assert_eq!(&a.steps, &b.steps);
+                    prop_assert_eq!(&a.disputed, &b.disputed);
+                }
             }
         }
     }
