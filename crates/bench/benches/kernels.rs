@@ -19,9 +19,7 @@ use std::sync::Arc;
 
 use certainfix_bench::runner::Which;
 use certainfix_cfd::{repair_tuple, rules_to_cfds, IncRepConfig};
-use certainfix_core::{
-    transfix, BatchRepairEngine, RepairContext, RepairOptions, Schedule, SimulatedUser,
-};
+use certainfix_core::{transfix, BatchRepairEngine, RepairContext, RepairOptions, SimulatedUser};
 use certainfix_datagen::{Dataset, DirtyConfig};
 use certainfix_reasoning::{is_suggestion, suggest, Chase, RegionCatalog};
 use certainfix_relation::{AttrSet, FxBuildHasher, FxHashMap, Tuple, Value};
@@ -312,28 +310,19 @@ fn bench_value_representation(c: &mut Criterion) {
     });
 }
 
-/// The acceptance kernel for the parallel engine: sequential vs
-/// parallel throughput on a 50k-tuple HOSP batch. The 4-worker variant
-/// should reach ≥ 2× the sequential tuples/s on a ≥ 4-core machine
-/// (tuple repairs are independent; the only shared state is the
-/// read-mostly master index, the lock-free interner, and — when
-/// enabled — the sharded suggestion cache).
-///
-/// Two batch shapes are measured:
-///
-/// * `hosp50k` — the paper's uniform stream, where contiguous shards
-///   are already balanced and `steal` should only have to match
-///   `shard`;
-/// * `hosp50k-skewed` — zipf-ish hardness concentrated at the head of
-///   the stream (`skew = 1.0`), the adversarial case for `shard`
-///   (worker 0 swallows the whole hard region) and the acceptance
-///   case for `steal` + shared cache: at 4 workers on a ≥ 4-core
-///   machine it must be measurably faster than `shard` at 4 workers.
+/// Sequential vs parallel throughput of `CertainFix+` with the shared
+/// cache on, on a 50k-tuple HOSP batch: the 4-worker variant should
+/// reach ≥ 2× the sequential tuples/s on a ≥ 4-core machine (tuple
+/// repairs are independent; the only shared state is the read-mostly
+/// master index, the lock-free interner and the pinned suggestion
+/// pool). Two batch shapes: `hosp50k`, the paper's uniform stream, and
+/// `hosp50k-skewed`, zipf-ish hardness concentrated at the head of the
+/// stream (`skew = 1.0`), which stealing spreads over the workers.
 fn bench_batch_repair(c: &mut Criterion) {
     let w = Which::Hosp.build(10_000);
     // the skewed shape pairs a mostly-duplicate (1-round) tail with a
     // mostly-fresh, noise-saturated head: the per-tuple work ratio
-    // between head and tail is ~2x, all of it dealt to shard worker 0
+    // between head and tail is ~2x
     for (shape, d, skew) in [("hosp50k", 0.3, 0.0), ("hosp50k-skewed", 0.9, 1.0)] {
         let ds = Dataset::generate(
             w.as_ref(),
@@ -347,43 +336,37 @@ fn bench_batch_repair(c: &mut Criterion) {
             },
         );
         let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-        for (mode, schedule, shared_cache) in [
-            ("shard", Schedule::Shard, false),
-            ("steal+shared", Schedule::Steal, true),
-        ] {
-            // a fresh engine per mode: the shared cache persists across
-            // iterations (the streaming setting), but must not leak
-            // between the modes under comparison
-            let engine = BatchRepairEngine::new(RepairContext::new(
-                w.rules().clone(),
-                w.master().clone(),
-                true,
-            ));
-            // warm the lazily built master key indexes out of the
-            // measurement
-            engine.repair_opts(&dirty[..64], &RepairOptions::default(), |i| {
-                SimulatedUser::new(ds.inputs[i].clean.clone())
-            });
-            for threads in [1usize, 4] {
-                let opts = RepairOptions {
-                    threads,
-                    schedule,
-                    shared_cache,
-                    chunk: 0,
-                };
-                c.bench_with_input(
-                    BenchmarkId::new("batch_repair", format!("{shape}/{mode}/threads{threads}")),
-                    &dirty,
-                    |b, dirty| {
-                        b.iter(|| {
-                            let report = engine.repair_opts(dirty, &opts, |i| {
-                                SimulatedUser::new(ds.inputs[i].clean.clone())
-                            });
-                            black_box((report.stats.certain, report.throughput()))
-                        })
-                    },
-                );
-            }
+        // the shared cache persists across iterations (the streaming
+        // setting)
+        let engine = BatchRepairEngine::new(RepairContext::new(
+            w.rules().clone(),
+            w.master().clone(),
+            true,
+        ));
+        // warm the lazily built master key indexes out of the measurement
+        engine.repair_opts(&dirty[..64], &RepairOptions::default(), |i| {
+            SimulatedUser::new(ds.inputs[i].clean.clone())
+        });
+        for threads in [1usize, 4] {
+            let opts = RepairOptions {
+                threads,
+                ..RepairOptions::default()
+            };
+            c.bench_with_input(
+                BenchmarkId::new(
+                    "batch_repair",
+                    format!("{shape}/steal+shared/threads{threads}"),
+                ),
+                &dirty,
+                |b, dirty| {
+                    b.iter(|| {
+                        let report = engine.repair_opts(dirty, &opts, |i| {
+                            SimulatedUser::new(ds.inputs[i].clean.clone())
+                        });
+                        black_box((report.stats.certain, report.throughput()))
+                    })
+                },
+            );
         }
     }
 }

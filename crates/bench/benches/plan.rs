@@ -23,7 +23,7 @@ use std::hint::black_box;
 use certainfix_bench::runner::Which;
 use certainfix_core::{
     transfix_with, BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext,
-    RepairOptions, Schedule, SimulatedUser,
+    RepairOptions, SimulatedUser,
 };
 use certainfix_datagen::{Dataset, DirtyConfig};
 use certainfix_relation::{AttrSet, MasterDelta, Tuple};
@@ -168,9 +168,8 @@ fn bench_batch_repair_plan(c: &mut Criterion) {
     let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
     let opts = RepairOptions {
         threads: 1,
-        schedule: Schedule::Steal,
         shared_cache: false,
-        chunk: 0,
+        ..RepairOptions::default()
     };
     let engine = BatchRepairEngine::new(RepairContext::with_config(
         w.rules().clone(),

@@ -191,9 +191,10 @@ impl RunResult {
 /// Run the monitored pipeline on `workload` under `cfg` and evaluate
 /// metrics for up to `report_rounds` rounds. This is the paper's
 /// algorithm: one sequential pass over the generated stream through
-/// the compiled rule plan, with the BDD cache per `cfg.use_bdd` and the
-/// repo's shared suggestion cache off. The user for stream index `i`
-/// is seeded from the dataset's seed and `i` alone.
+/// the compiled rule plan — one worker, one chunk, so one BDD serves
+/// the whole stream when `cfg.use_bdd` — with the repo's shared
+/// suggestion cache off. The user for stream index `i` is seeded from
+/// the dataset's seed and `i` alone.
 pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: usize) -> RunResult {
     let engine = BatchRepairEngine::new(RepairContext::with_config(
         workload.rules().clone(),
@@ -207,6 +208,7 @@ pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: us
     let seed = dataset.config.seed;
     let opts = RepairOptions {
         shared_cache: false,
+        chunk: dirty.len(),
         ..RepairOptions::default()
     };
     let report = engine.repair_opts(&dirty, &opts, |i| {

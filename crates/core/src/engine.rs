@@ -1,6 +1,5 @@
-//! The parallel batch-repair engine: one work-stealing (or contiguous
-//! shard) fan-out over a shared repair context with epoch-stamped live
-//! master data.
+//! The parallel batch-repair engine: one work-stealing fan-out over a
+//! shared repair context with epoch-stamped live master data.
 //!
 //! The paper's repair model is embarrassingly parallel across tuples:
 //! [`CertainFix`] and [`transfix`](crate::transfix::transfix) read a
@@ -12,8 +11,10 @@
 //! per participating session. Every unit is cut into fixed-size
 //! *chunks* of consecutive tuples, the units' chunks are interleaved
 //! round-robin and dealt to per-worker queues, and the workers drain
-//! them — their own queue first, then (under [`Schedule::Steal`])
-//! anything left in other workers' queues. Claiming is lock-free: each
+//! them — their own queue first, then anything left in other workers'
+//! queues. The chunk size is a function of the unit's length (or the
+//! caller's pinned [`RepairOptions::chunk`]), never of the worker
+//! count. Claiming is lock-free: each
 //! queue is a half-open chunk range with an atomic cursor, and both the
 //! owner and thieves claim via `fetch_add`, so a chunk is handed out
 //! exactly once and an uneven batch (one region full of hard
@@ -55,12 +56,15 @@
 //! CFD repair is oracle-free and single-round; its outcomes flow
 //! through the same [`FixOutcome`] / [`BatchReport`] plumbing.
 //!
-//! Each worker owns its own [`SuggestionBdd`] cache and one
-//! [`MonitorStats`] accumulator per unit; behind the per-worker caches
-//! an optional [`SharedSuggestionCache`] pools computed suggestions
-//! across the batches repaired by the same engine. A fan-out pins its
-//! pool next to its epoch, and commits its workers' publishes in input
-//! order (units in epoch order) once the outcomes are stitched.
+//! Under `CertainFix+` every claimed chunk gets a fresh
+//! [`SuggestionBdd`], so what a diagram can serve is fixed by the
+//! chunk's own tuples; each worker keeps one [`MonitorStats`]
+//! accumulator per unit. The diagram's misses — and, with the BDD off,
+//! every suggestion — go to an optional [`SharedSuggestionCache`] that
+//! pools computed suggestions across the batches repaired by the same
+//! engine, else to a fresh computation. A fan-out pins its pool next to
+//! its epoch, and commits its workers' publishes in input order (units
+//! in epoch order) once the outcomes are stitched.
 //!
 //! A claimed chunk of plain `CertainFix` (both caches off) is one
 //! *block*: the Fig. 3 loop runs its tuples in round lockstep, so each
@@ -91,16 +95,14 @@
 //! tuples, the merged count fields of [`MonitorStats`], and
 //! any [`RoundMetrics`](crate::RoundMetrics) evaluated per worker and
 //! [`merged`](crate::metrics::merge_round_series) are **bit-identical
-//! to a sequential run regardless of schedule, worker count, or
-//! interleaving**. A delta-maintained epoch is bit-identical to an
-//! engine rebuilt from scratch over the same master rows (D10 in
-//! DETERMINISM.md). The shared cache keeps that guarantee across
-//! worker counts and schedules: a batch reads only the pool committed
-//! before it, so its outcomes and hit/miss counts are fixed by the
-//! stream and the batch boundaries (D12). With the per-worker BDD
-//! enabled, served suggestions depend on what the worker repaired
-//! before; they are *checked* rather than recomputed, so a tuple both
-//! runs call certain gets the same fix, but round traces may differ.
+//! to a one-worker run regardless of schedule, worker count, chunk
+//! size, or interleaving**. A delta-maintained epoch is bit-identical
+//! to an engine rebuilt from scratch over the same master rows (D10 in
+//! DETERMINISM.md). The caches keep that guarantee across worker
+//! counts and schedules: a chunk's diagram sees only that chunk's
+//! tuples, and a batch reads only the pool committed before it, so
+//! outcomes, [`BddStats`] and hit/miss counts are fixed by the stream,
+//! the batch boundaries, the chunk size and where deltas fall (D12).
 //! The wall-clock observables ([`MonitorStats::elapsed`], the interner
 //! watermark) are exempt from the guarantee by nature.
 
@@ -226,7 +228,7 @@ pub struct RepairContext {
 
 impl RepairContext {
     /// Build a context over `(Σ, Dm)`. `use_bdd` selects `CertainFix+`
-    /// (per-worker BDD suggestion caches) over plain `CertainFix`.
+    /// (a BDD suggestion cache per chunk) over plain `CertainFix`.
     pub fn new(rules: RuleSet, master: Arc<Relation>, use_bdd: bool) -> RepairContext {
         Self::with_config(
             rules,
@@ -368,24 +370,24 @@ impl RepairContext {
     }
 
     /// The one repair entry: repair the block `dirty` against a
-    /// caller-pinned epoch, charging the caller's BDD cache and
-    /// statistics accumulator; `oracle_for(base + k)` supplies the user
-    /// for `dirty[k]`. The sequential [`DataMonitor`](crate::DataMonitor)
-    /// and the engine's workers both produce outcomes through this one
-    /// code path, which is what makes the determinism guarantee hold by
-    /// construction rather than by parallel maintenance of two loops.
+    /// caller-pinned epoch, charging the chunk's BDD cache and the
+    /// caller's statistics accumulator; `oracle_for(base + k)` supplies
+    /// the user for `dirty[k]`. Every worker of every fan-out produces
+    /// outcomes through this one code path.
     ///
     /// Editing-rule repairs run [`CertainFix::run_block_scratch`] with
-    /// one suggestion closure: the BDD (`CertainFix+`), else the shared
-    /// pool `shared`, else a fresh [`suggest_with`]. A cache's answers
-    /// depend on the order its per-tuple calls arrive in, which round
-    /// lockstep would interleave, so with the BDD on or a pool passed
-    /// the block must be a lone tuple; plain `CertainFix` takes blocks
-    /// of any length, bit-identical to blocks of one (D6). Probes of
-    /// `shared` are charged to `stats` (`shared_hits` /
-    /// `shared_misses`) whichever path consults it, and the scratch's
-    /// probe/allocation counters are drained into `stats` after the
-    /// block. The CFD workload runs its own per-tuple algorithm.
+    /// one miss path: the pinned pool `shared` when one is passed, else
+    /// a fresh [`suggest_with`]. Under `CertainFix+` the diagram `bdd`
+    /// serves first and hands its misses to that path; with the BDD off
+    /// the path answers every suggestion. A cache's answers depend on
+    /// the order its per-tuple calls arrive in, which round lockstep
+    /// would interleave, so with the BDD on or a pool passed the block
+    /// must be a lone tuple; plain `CertainFix` takes blocks of any
+    /// length, bit-identical to blocks of one (D6). Pool probes are
+    /// charged to `stats` (`shared_hits` / `shared_misses`), and the
+    /// scratch's probe/allocation counters are drained into `stats`
+    /// after the block. The CFD workload runs its own per-tuple
+    /// algorithm.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_block<O, F>(
         &self,
@@ -417,8 +419,19 @@ impl RepairContext {
         let plan = epoch.plan();
         let engine = CertainFix::new(&self.rules, master, &self.graph, plan, self.config.clone());
         let mut oracles: Vec<O> = (0..dirty.len()).map(|k| oracle_for(base + k)).collect();
-        let before = bdd.stats();
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut miss =
+            |t: &Tuple, validated: AttrSet, sc: &mut ProbeScratch| match shared.as_deref_mut() {
+                Some(pool) => {
+                    let (s, hit) = pool.suggest(&self.rules, master, plan, t, validated, sc);
+                    if hit {
+                        stats.shared_hits += 1;
+                    } else {
+                        stats.shared_misses += 1;
+                    }
+                    s
+                }
+                None => suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs),
+            };
         // the lone tuple's walk down the diagram
         let mut cursor = Cursor::start();
         let outcomes = engine.run_block_scratch(
@@ -430,30 +443,19 @@ impl RepairContext {
                     bdd.suggest_plus_with(
                         &self.rules,
                         master,
+                        plan,
                         t,
                         validated,
                         &mut cursor,
-                        shared.as_deref_mut(),
-                        Some(plan),
                         sc,
+                        &mut miss,
                     )
-                } else if let Some(pool) = shared.as_deref_mut() {
-                    let (s, hit) = pool.suggest(&self.rules, master, t, validated, Some(plan), sc);
-                    if hit {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                    s
                 } else {
-                    suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs)
+                    miss(t, validated, sc)
                 }
             },
             scratch,
         );
-        let after = bdd.stats();
-        stats.shared_hits += hits + after.shared_hits - before.shared_hits;
-        stats.shared_misses += misses + after.shared_misses - before.shared_misses;
         for outcome in &outcomes {
             stats.tuples += 1;
             stats.rounds += outcome.rounds.len() as u64;
@@ -513,14 +515,11 @@ impl RepairContext {
     }
 }
 
-/// How a batch is dealt to (and kept on) the workers.
+/// How a batch is dealt to (and kept on) the workers. Stealing is the
+/// only policy; the type stays because the `benchmark/` package names
+/// it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// One contiguous shard per worker, no rebalancing: the chunk size
-    /// is `⌈n / threads⌉` and the steal pass is skipped. Minimal
-    /// coordination, but a skewed batch stalls on the worker dealt the
-    /// hard region.
-    Shard,
     /// Chunked per-worker queues with lock-free stealing: a worker
     /// that drains its own queue claims chunks from the others', so
     /// skew costs at most one trailing chunk of imbalance.
@@ -534,15 +533,22 @@ pub struct RepairOptions {
     /// Worker threads (`0` = one per available core, clamped to the
     /// batch size).
     pub threads: usize,
-    /// The scheduling policy.
+    /// The scheduling policy; it has one value, and stays only because
+    /// the `benchmark/` package names it.
     pub schedule: Schedule,
     /// Pool computed suggestions in the engine's
     /// [`SharedSuggestionCache`] so a suggestion computed once is
     /// visible to every later batch.
     pub shared_cache: bool,
-    /// Chunk granularity for [`Schedule::Steal`] (`0` = auto: about 8
-    /// chunks per worker, capped at 512 tuples). Ignored by
-    /// [`Schedule::Shard`], which always deals one chunk per worker.
+    /// Tuples per chunk (`0` = auto: `n / 16` for an `n`-tuple batch,
+    /// clamped to 1..=512; a pinned value is capped at `n`). A
+    /// chunk is the unit workers claim, and it is cut from the batch
+    /// alone, never from the worker count. For plain `CertainFix` it is
+    /// also the probe block and a pure performance knob (D6); under
+    /// `CertainFix+` it is the lifetime of one suggestion diagram, so
+    /// with the BDD on the chunk size is part of the run's input — pin
+    /// it to the stream length to repair a whole stream through one
+    /// diagram, as the paper's sequential monitor does.
     pub chunk: usize,
 }
 
@@ -563,13 +569,12 @@ pub struct WorkerReport {
     /// Worker index (0-based).
     pub worker: usize,
     /// The input ranges this worker repaired: ascending, disjoint,
-    /// adjacent chunks coalesced. Exactly one element under
-    /// [`Schedule::Shard`]; possibly several (or none, if every chunk
-    /// was stolen first) under [`Schedule::Steal`].
+    /// adjacent chunks coalesced — possibly several, or none if every
+    /// chunk was stolen first.
     pub ranges: Vec<Range<usize>>,
     /// The worker's statistics.
     pub stats: MonitorStats,
-    /// The worker's local BDD cache statistics.
+    /// The BDD statistics of the chunks this worker repaired, summed.
     pub bdd: BddStats,
 }
 
@@ -593,7 +598,7 @@ pub struct BatchReport {
     /// Merged statistics ([`MonitorStats::merge`] over all workers;
     /// `elapsed` is summed worker time, not wall clock).
     pub stats: MonitorStats,
-    /// Merged local BDD cache statistics.
+    /// BDD statistics summed over the batch's chunks.
     pub bdd: BddStats,
     /// The engine's [`SharedSuggestionCache`] statistics *attributed to
     /// this batch* (present iff the shared cache was enabled for this
@@ -802,17 +807,16 @@ impl BatchRepairEngine {
         }
         .max(1);
         // every unit's chunks in input order — `spans[rank]` is a
-        // (unit, tuple range) pair and `owned[u]` the ranks of unit `u`
+        // (unit, tuple range) pair and `owned[u]` the ranks of unit `u`;
+        // a chunk's size depends on its unit alone, never on `threads`
         let mut spans: Vec<(usize, Range<usize>)> = Vec::new();
         let mut owned: Vec<Range<usize>> = Vec::with_capacity(units.len());
         for (u, (tuples, _)) in units.iter().enumerate() {
             let n = tuples.len();
-            let chunk_size = match opts.schedule {
-                Schedule::Shard => n.div_ceil(threads),
-                Schedule::Steal if opts.chunk > 0 => opts.chunk.min(n),
-                Schedule::Steal => (n / (threads * 8)).clamp(1, 512),
-            }
-            .max(1);
+            let chunk_size = match opts.chunk {
+                0 => (n / 16).clamp(1, 512),
+                c => c.min(n).max(1),
+            };
             let first = spans.len();
             spans.extend(
                 (0..n)
@@ -834,9 +838,9 @@ impl BatchRepairEngine {
             .collect();
         let n_chunks = deal.len();
         let workers = threads.min(n_chunks);
-        // deal contiguous runs of chunks to the worker queues, so the
-        // initial assignment matches Shard and stealing only kicks in
-        // when the dealt load turns out to be uneven
+        // deal contiguous runs of chunks to the worker queues, so
+        // stealing only kicks in when the dealt load turns out to be
+        // uneven
         let per_worker = n_chunks.div_ceil(workers.max(1));
         let queues: Vec<ChunkQueue> = (0..workers)
             .map(|w| {
@@ -854,16 +858,8 @@ impl BatchRepairEngine {
         // a claimed chunk is one block unless a suggestion cache is
         // consulted; then it runs as blocks of one (see the module docs)
         let cached = ctx.uses_bdd() || pool.is_some();
-        // the steal pass is one sweep over the victims after the own
-        // queue: queues only ever shrink, so a drained one stays drained
-        let sweep = if opts.schedule == Schedule::Steal {
-            workers
-        } else {
-            1
-        };
         let (spans, deal, queues) = (&spans, &deal, &queues);
         let work = move |w: usize| {
-            let mut bdd = SuggestionBdd::new();
             let mut shared = pool.map(PinnedPool::new);
             // one probe scratch per worker: every tuple this thread
             // repairs reuses the same warm buffer
@@ -872,12 +868,17 @@ impl BatchRepairEngine {
             let mut bdd_stats = vec![BddStats::default(); units.len()];
             // (rank, outcomes, shared-cache publishes) in claim order
             let mut chunks = Vec::new();
-            for v in (w..w + sweep).map(|v| v % workers) {
+            // the own queue, then one sweep over the victims: queues
+            // only ever shrink, so a drained one stays drained
+            for v in (w..w + workers).map(|v| v % workers) {
                 while let Some(d) = queues[v].claim() {
                     let rank = deal[d];
                     let (u, span) = (spans[rank].0, spans[rank].1.clone());
                     let (tuples, oracle_for) = &units[u];
                     let len = if cached { 1 } else { span.len() };
+                    // a diagram lives one chunk, so what it serves is
+                    // fixed by the chunk's tuples alone
+                    let mut bdd = SuggestionBdd::new();
                     let mut outcomes = Vec::with_capacity(span.len());
                     for lo in span.clone().step_by(len) {
                         outcomes.extend(ctx.process_block(
@@ -891,9 +892,7 @@ impl BatchRepairEngine {
                             oracle_for,
                         ));
                     }
-                    // the diagram is per worker; its counters are
-                    // charged to the unit of the chunk that ticked them
-                    bdd_stats[u].merge(&bdd.take_stats());
+                    bdd_stats[u].merge(&bdd.stats());
                     let publishes = shared
                         .as_mut()
                         .map(PinnedPool::take_publishes)
@@ -1037,7 +1036,6 @@ fn _send_sync_audit() {
 mod tests {
     use super::*;
     use crate::metrics::{evaluate_rounds, merge_round_series, RoundMetrics, TupleEval};
-    use crate::monitor::DataMonitor;
     use crate::oracle::SimulatedUser;
     use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, WideKey, Workload as GenWorkload};
     use certainfix_relation::Value;
@@ -1066,12 +1064,11 @@ mod tests {
         hosp_batch_skewed(dm, inputs, 0.0)
     }
 
-    fn plain_opts(threads: usize, schedule: Schedule) -> RepairOptions {
+    fn plain_opts(threads: usize) -> RepairOptions {
         RepairOptions {
             threads,
-            schedule,
             shared_cache: false,
-            chunk: 0,
+            ..RepairOptions::default()
         }
     }
 
@@ -1103,10 +1100,10 @@ mod tests {
         }
     }
 
-    /// The PR 2 determinism guarantee, preserved for shard mode: the
-    /// same 10k-tuple dirty HOSP batch repaired with 1, 2, and 8
-    /// workers produces identical final tuples and identical merged
-    /// `MonitorStats` counts and `RoundMetrics` rows.
+    /// The batch sharded across workers: the same uniform 10k-tuple
+    /// dirty HOSP batch repaired with 1, 2, and 8 workers produces
+    /// identical outcomes and identical merged `MonitorStats` counts and
+    /// `RoundMetrics` rows.
     #[test]
     fn sharded_repair_is_deterministic_1_2_8() {
         let (hosp, ds, dirty) = hosp_batch(500, 10_000);
@@ -1117,15 +1114,14 @@ mod tests {
         ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
-        let sequential = engine.repair_opts(&dirty, &plain_opts(1, Schedule::Shard), oracle_for);
+        let sequential = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
         let seq_metrics = eval_by_worker(&sequential, &ds, 4);
         assert_eq!(sequential.workers.len(), 1);
 
         for threads in [2usize, 8] {
-            let parallel =
-                engine.repair_opts(&dirty, &plain_opts(threads, Schedule::Shard), oracle_for);
+            let parallel = engine.repair_opts(&dirty, &plain_opts(threads), oracle_for);
             assert_eq!(parallel.workers.len(), threads);
-            assert_outcomes_identical(&sequential, &parallel, &format!("{threads} shards"));
+            assert_outcomes_identical(&sequential, &parallel, &format!("{threads} workers"));
             // merged deterministic MonitorStats fields
             assert_eq!(sequential.stats.tuples, parallel.stats.tuples);
             assert_eq!(sequential.stats.certain, parallel.stats.certain);
@@ -1135,18 +1131,17 @@ mod tests {
         }
     }
 
-    /// The satellite determinism test for the new scheduler: a
-    /// *skewed* 10k-tuple batch (hard tuples concentrated at the head
-    /// of the stream) repaired in steal mode with 1 worker, with 2 and 8
-    /// workers at the auto chunk size and at forced chunks of 1, 16 and
-    /// 256 tuples, and in shard mode with 4 workers produces identical
-    /// final tuples, identical merged `MonitorStats` counts (logical
-    /// plan probes included) and identical `RoundMetrics` rows: work
-    /// stealing redistributes the skew without perturbing a single
-    /// outcome. A stolen chunk is the probe-block unit, so the chunk
-    /// legs sweep the block size from the degenerate single tuple up
-    /// (D6). HOSP keys are one or two attributes wide; DBLP adds the
-    /// 3- and 5-attribute keys of φ5–φ7, i.e. the wide-group block path.
+    /// A *skewed* 10k-tuple batch (hard tuples concentrated at the head
+    /// of the stream) repaired with 1 worker, and with 2 and 8 workers
+    /// at the auto chunk size and at forced chunks of 1, 16 and 256
+    /// tuples, produces identical outcomes, identical merged
+    /// `MonitorStats` counts (logical plan probes included) and
+    /// identical `RoundMetrics` rows: work stealing redistributes the
+    /// skew without perturbing a single outcome. A stolen chunk is the
+    /// probe-block unit, so the chunk legs sweep the block size from the
+    /// degenerate single tuple up (D6). HOSP keys are one or two
+    /// attributes wide; DBLP adds the 3- and 5-attribute keys of φ5–φ7,
+    /// i.e. the wide-group block path.
     #[test]
     fn stealing_repair_is_deterministic_1_2_8_on_skewed_batch() {
         let workloads: [Box<dyn GenWorkload>; 2] =
@@ -1160,19 +1155,14 @@ mod tests {
             ));
             let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
-            let sequential =
-                engine.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
+            let sequential = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
             let seq_metrics = eval_by_worker(&sequential, &ds, 4);
-            let shard = engine.repair_opts(&dirty, &plain_opts(4, Schedule::Shard), oracle_for);
-            let what = format!("{}: shard vs steal baseline", w.name());
-            assert_outcomes_identical(&sequential, &shard, &what);
-            assert_eq!(seq_metrics, eval_by_worker(&shard, &ds, 4), "{what}");
 
             for threads in [2usize, 8] {
                 for chunk in [0usize, 1, 16, 256] {
                     let opts = RepairOptions {
                         chunk,
-                        ..plain_opts(threads, Schedule::Steal)
+                        ..plain_opts(threads)
                     };
                     let parallel = engine.repair_opts(&dirty, &opts, oracle_for);
                     let what = format!("{}: {threads} stealers, chunk {chunk}", w.name());
@@ -1189,50 +1179,37 @@ mod tests {
         }
     }
 
-    /// With the BDD cache each worker warms its own diagram, so round
-    /// traces may differ across worker counts — but the repaired
-    /// tuples must still agree with the sequential run, with and
-    /// without the shared cache layered behind.
+    /// With the BDD on, each chunk's diagram sees that chunk's tuples
+    /// alone, so a batch repaired by 2 or 4 workers equals the
+    /// one-worker run outcome for outcome, round traces included, and
+    /// on `BddStats`. A cold shared pool behind the diagrams changes
+    /// nothing within one batch: a batch never reads its own publishes,
+    /// so every pool probe computes what the plain miss path computes.
     #[test]
     fn bdd_workers_agree_on_final_tuples() {
         let (hosp, ds, dirty) = hosp_batch(300, 600);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            true,
-        ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let sequential = engine.repair_opts(
-            &dirty,
-            &RepairOptions {
-                threads: 1,
-                schedule: Schedule::Steal,
-                shared_cache: false,
-                chunk: 0,
-            },
-            oracle_for,
-        );
+        let run = |threads, shared_cache| {
+            let engine = BatchRepairEngine::new(RepairContext::new(
+                hosp.rules().clone(),
+                hosp.master().clone(),
+                true,
+            ));
+            let opts = RepairOptions {
+                threads,
+                shared_cache,
+                ..RepairOptions::default()
+            };
+            engine.repair_opts(&dirty, &opts, oracle_for)
+        };
+        let sequential = run(1, false);
+        assert!(sequential.bdd.hits > 0, "the diagrams served suggestions");
         for threads in [2usize, 4] {
             for shared_cache in [false, true] {
-                let parallel = engine.repair_opts(
-                    &dirty,
-                    &RepairOptions {
-                        threads,
-                        schedule: Schedule::Steal,
-                        shared_cache,
-                        chunk: 0,
-                    },
-                    oracle_for,
-                );
-                for (i, (a, b)) in sequential
-                    .outcomes
-                    .iter()
-                    .zip(&parallel.outcomes)
-                    .enumerate()
-                {
-                    assert_eq!(a.tuple, b.tuple, "tuple {i} with {threads} workers");
-                    assert_eq!(a.certain, b.certain, "tuple {i}");
-                }
+                let parallel = run(threads, shared_cache);
+                let what = format!("{threads} workers, shared cache {shared_cache}");
+                assert_outcomes_identical(&sequential, &parallel, &what);
+                assert_eq!(sequential.bdd, parallel.bdd, "{what}");
                 assert_eq!(sequential.stats.certain, parallel.stats.certain);
             }
         }
@@ -1256,16 +1233,7 @@ mod tests {
         // boundary commits them into the engine-lifetime pool (this also
         // pins down the cross-batch persistence — the pool outlives the
         // repair call)
-        let warm = engine.repair_opts(
-            &dirty,
-            &RepairOptions {
-                threads: 1,
-                schedule: Schedule::Steal,
-                shared_cache: true,
-                chunk: 0,
-            },
-            oracle_for,
-        );
+        let warm = engine.repair_opts(&dirty, &RepairOptions::default(), oracle_for);
         assert!(!engine.shared_cache().is_empty(), "suggestions were pooled");
         assert!(warm.stats.shared_misses > 0, "the cold pass computed them");
         assert_eq!(
@@ -1273,16 +1241,14 @@ mod tests {
             "a batch never reads its own publishes"
         );
 
-        // parallel pass on fresh (cold-diagram) workers: every worker's
-        // early local misses probe the pinned warm pool, so pooled
-        // suggestions are observed across workers
+        // parallel pass: every chunk's cold diagram misses probe the
+        // pinned warm pool, so pooled suggestions are observed across
+        // workers
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
                 threads: 4,
-                schedule: Schedule::Shard,
-                shared_cache: true,
-                chunk: 0,
+                ..RepairOptions::default()
             },
             oracle_for,
         );
@@ -1374,47 +1340,120 @@ mod tests {
         }
     }
 
-    /// With the BDD on, one worker drains its chunks in input order
-    /// through one diagram, so the chunk size must not move anything:
-    /// forced chunks of 1, 16 and 256 tuples give the auto chunk's
-    /// outcomes — every round's suggestion included — and its
-    /// `BddStats`, with the shared cache off and on. Running BDD tuples
-    /// in round lockstep would reorder the diagram's queries and fail
-    /// it.
+    /// D12 with the BDD on: every claimed chunk builds its own
+    /// diagram, and chunks are cut from the batch alone, so what a
+    /// diagram serves never depends on which worker claims the chunk. A
+    /// skewed two-batch stream repairs bit-identically at 1, 2 and 8
+    /// workers — whole outcomes, round traces included, and each
+    /// batch's `BddStats` and shared-cache stats — with the pool off and
+    /// on, at the auto chunk and at forced chunks of 1, 16 and 256
+    /// tuples, each run on a fresh engine. A cache-on run's chunk size
+    /// is part of its input, so runs are compared at equal chunk. The
+    /// DBLP stream's users answer half of each suggestion, so a
+    /// diagram meets many validated sets across its tuples' rounds.
     #[test]
-    fn bdd_runs_are_chunk_size_independent_on_one_worker() {
-        let (hosp, ds, dirty) = hosp_batch_skewed(300, 2_000, 1.0);
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let run = |shared_cache: bool, chunk: usize| {
-            let engine = BatchRepairEngine::new(RepairContext::new(
-                hosp.rules().clone(),
-                hosp.master().clone(),
-                true,
-            ));
-            let mut session = engine.session_opts(RepairOptions {
-                threads: 1,
-                shared_cache,
-                chunk,
-                ..RepairOptions::default()
-            });
-            for half in dirty.chunks(1_000) {
-                session.push_batch(half, oracle_for);
-            }
-            session.finish()
-        };
-        for shared_cache in [false, true] {
-            let base = run(shared_cache, 0);
-            assert!(base.bdd.hits > 0, "the diagram served suggestions");
-            for chunk in [1usize, 16, 256] {
-                let got = run(shared_cache, chunk);
-                let what = format!("shared cache {shared_cache}, chunk {chunk}");
-                for (a, b) in base.batches.iter().zip(&got.batches) {
-                    assert_outcomes_identical(a, b, &what);
-                    assert_eq!(a.bdd, b.bdd, "{what}");
-                    assert_eq!(a.shared, b.shared, "{what}");
+    fn bdd_runs_are_worker_count_independent() {
+        let streams: [(Box<dyn GenWorkload>, f64); 2] = [
+            (Box::new(Hosp::generate(300)), 1.0),
+            (Box::new(Dblp::generate(300)), 0.5),
+        ];
+        for (w, compliance) in &streams {
+            let (ds, dirty) = dirty_batch(w.as_ref(), 2_000, 1.0);
+            let oracle_for = |i: usize| {
+                SimulatedUser::with_compliance(ds.inputs[i].clean.clone(), *compliance, i as u64)
+            };
+            let run = |threads: usize, shared_cache: bool, chunk: usize| {
+                let engine = BatchRepairEngine::new(RepairContext::new(
+                    w.rules().clone(),
+                    w.master().clone(),
+                    true,
+                ));
+                let mut session = engine.session_opts(RepairOptions {
+                    threads,
+                    shared_cache,
+                    chunk,
+                    ..RepairOptions::default()
+                });
+                for half in dirty.chunks(1_000) {
+                    session.push_batch(half, oracle_for);
+                }
+                session.finish()
+            };
+            for shared_cache in [false, true] {
+                for chunk in [0usize, 1, 16, 256] {
+                    let base = run(1, shared_cache, chunk);
+                    if chunk == 0 {
+                        assert!(base.bdd.hits > 0, "the diagrams served suggestions");
+                    }
+                    for threads in [2usize, 8] {
+                        let got = run(threads, shared_cache, chunk);
+                        let what = format!(
+                            "{}: {threads} workers, shared cache {shared_cache}, chunk {chunk}",
+                            w.name()
+                        );
+                        for (a, b) in base.batches.iter().zip(&got.batches) {
+                            assert_outcomes_identical(a, b, &what);
+                            assert_eq!(a.bdd, b.bdd, "{what}");
+                            assert_eq!(a.shared, b.shared, "{what}");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// Under `CertainFix+` a chunk runs tuple by tuple through its one
+    /// diagram, so a one-worker run whose chunk is the whole stream is
+    /// the paper's sequential loop: Fig. 3 per tuple, suggestions from
+    /// one `Suggest+` diagram (Fig. 8) — outcome for outcome and on
+    /// `BddStats`. Running the chunk in round lockstep would interleave
+    /// the diagram's queries and fail it.
+    #[test]
+    fn a_bdd_chunk_is_the_sequential_suggest_plus_loop() {
+        let (hosp, ds, dirty) = hosp_batch_skewed(300, 400, 1.0);
+        let engine = BatchRepairEngine::new(RepairContext::new(
+            hosp.rules().clone(),
+            hosp.master().clone(),
+            true,
+        ));
+        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        let opts = RepairOptions {
+            shared_cache: false,
+            chunk: dirty.len(),
+            ..RepairOptions::default()
+        };
+        let report = engine.repair_opts(&dirty, &opts, oracle_for);
+
+        let (rules, epoch) = (engine.context().rules(), engine.context().epoch());
+        let (master, plan) = (epoch.master(), epoch.plan());
+        let graph = DependencyGraph::new(rules);
+        let fix = CertainFix::new(rules, master, &graph, plan, CertainFixConfig::default());
+        let mut bdd = SuggestionBdd::new();
+        let mut scratch = ProbeScratch::new();
+        for (i, t) in dirty.iter().enumerate() {
+            let mut cursor = Cursor::start();
+            let want = fix.run_scratch(
+                t,
+                epoch.initial_suggestion(),
+                &mut oracle_for(i),
+                |t, validated, sc| {
+                    bdd.suggest_plus_with(
+                        rules,
+                        master,
+                        plan,
+                        t,
+                        validated,
+                        &mut cursor,
+                        sc,
+                        |t, v, sc| suggest_with(rules, master, t, v, plan, sc).map(|s| s.attrs),
+                    )
+                },
+                &mut scratch,
+            );
+            assert_eq!(report.outcomes[i], want, "tuple {i}");
+        }
+        assert!(bdd.stats().hits > 0, "the diagram served suggestions");
+        assert_eq!(report.bdd, bdd.stats());
     }
 
     /// The tentpole's determinism contract (D10) at the engine level:
@@ -1460,10 +1499,9 @@ mod tests {
             false,
         ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let baseline = fresh.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
+        let baseline = fresh.repair_opts(&dirty, &plain_opts(1), oracle_for);
         for threads in [1usize, 2, 4] {
-            let got =
-                maintained.repair_opts(&dirty, &plain_opts(threads, Schedule::Steal), oracle_for);
+            let got = maintained.repair_opts(&dirty, &plain_opts(threads), oracle_for);
             assert_outcomes_identical(&baseline, &got, &format!("delta epoch, {threads} workers"));
             assert_eq!(baseline.stats.tuples, got.stats.tuples);
             assert_eq!(baseline.stats.certain, got.stats.certain);
@@ -1516,8 +1554,8 @@ mod tests {
         let fresh =
             BatchRepairEngine::new(RepairContext::new(hosp.rules().clone(), truncated, false));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let want = fresh.repair_opts(&dirty, &plain_opts(2, Schedule::Steal), oracle_for);
-        let got = engine.repair_opts(&dirty, &plain_opts(2, Schedule::Steal), oracle_for);
+        let want = fresh.repair_opts(&dirty, &plain_opts(2), oracle_for);
+        let got = engine.repair_opts(&dirty, &plain_opts(2), oracle_for);
         assert_outcomes_identical(&want, &got, "delete delta");
         assert_eq!(want.stats.plan_probes, got.stats.plan_probes);
     }
@@ -1538,15 +1576,14 @@ mod tests {
         ));
         assert!(matches!(engine.context().workload(), Workload::Cfd(_)));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let sequential = engine.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
+        let sequential = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
         assert_eq!(sequential.stats.tuples, 1_000);
         assert_eq!(
             sequential.stats.rounds, 0,
             "cost-based repair has no rounds"
         );
         for threads in [2usize, 4] {
-            let parallel =
-                engine.repair_opts(&dirty, &plain_opts(threads, Schedule::Steal), oracle_for);
+            let parallel = engine.repair_opts(&dirty, &plain_opts(threads), oracle_for);
             assert_outcomes_identical(&sequential, &parallel, &format!("cfd, {threads} workers"));
             assert_eq!(sequential.stats.certain, parallel.stats.certain);
         }
@@ -1579,13 +1616,13 @@ mod tests {
             CertainFixConfig::default(),
         ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let base = engine.repair_opts(&dirty, &plain_opts(1, Schedule::Steal), oracle_for);
+        let base = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
         assert!(
             base.stats.plan_fallbacks > 0,
             "7-attribute keys exercised the wide-key fallback"
         );
         for threads in [2usize, 4] {
-            let par = engine.repair_opts(&dirty, &plain_opts(threads, Schedule::Steal), oracle_for);
+            let par = engine.repair_opts(&dirty, &plain_opts(threads), oracle_for);
             assert_outcomes_identical(&base, &par, &format!("widekey, {threads} workers"));
             assert_eq!(
                 base.stats.plan_fallbacks, par.stats.plan_fallbacks,
@@ -1598,6 +1635,10 @@ mod tests {
         }
     }
 
+    /// The paper's sequential monitor is a one-worker run whose one
+    /// chunk is the whole stream, so one diagram serves every tuple; a
+    /// 4-worker run over chunks of its own, the shared pool on, still
+    /// gives every tuple the same final value (D8).
     #[test]
     fn engine_matches_the_sequential_monitor() {
         let (hosp, ds, dirty) = hosp_batch(300, 200);
@@ -1606,49 +1647,31 @@ mod tests {
             hosp.master().clone(),
             true,
         ));
+        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        let monitor = engine.repair_opts(
+            &dirty,
+            &RepairOptions {
+                shared_cache: false,
+                chunk: dirty.len(),
+                ..RepairOptions::default()
+            },
+            oracle_for,
+        );
+        assert_eq!(monitor.workers[0].ranges, vec![0..dirty.len()]);
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
                 threads: 4,
                 ..RepairOptions::default()
             },
-            |i| SimulatedUser::new(ds.inputs[i].clean.clone()),
+            oracle_for,
         );
-        let mut monitor = DataMonitor::new(hosp.rules().clone(), hosp.master().clone(), true);
-        for (i, dt) in ds.inputs.iter().enumerate() {
-            let mut user = SimulatedUser::new(dt.clean.clone());
-            let out = monitor.process(&dt.dirty, &mut user);
-            assert_eq!(out.tuple, report.outcomes[i].tuple, "tuple {i}");
-            assert_eq!(out.certain, report.outcomes[i].certain, "tuple {i}");
+        for (i, (out, seq)) in report.outcomes.iter().zip(&monitor.outcomes).enumerate() {
+            assert_eq!(out.tuple, seq.tuple, "tuple {i}");
+            assert_eq!(out.certain, seq.certain, "tuple {i}");
         }
-        assert_eq!(monitor.stats().certain, report.stats.certain);
-        assert_eq!(monitor.stats().tuples, report.stats.tuples);
-    }
-
-    #[test]
-    fn shard_ranges_partition_the_input_in_order() {
-        let (hosp, ds, dirty) = hosp_batch(100, 103);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
-        let report = engine.repair_opts(&dirty, &plain_opts(4, Schedule::Shard), |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        assert_eq!(report.outcomes.len(), 103);
-        let mut next = 0usize;
-        for (k, worker) in report.workers.iter().enumerate() {
-            assert_eq!(worker.worker, k);
-            assert_eq!(worker.ranges.len(), 1, "one contiguous shard per worker");
-            assert_eq!(worker.ranges[0].start, next);
-            assert!(!worker.ranges[0].is_empty());
-            next = worker.ranges[0].end;
-        }
-        assert_eq!(next, 103);
-        // watermark was captured (the interner is never empty here)
-        assert!(report.stats.interner_syms > 0);
-        assert!(report.throughput() > 0.0);
+        assert_eq!(monitor.stats.certain, report.stats.certain);
+        assert_eq!(monitor.stats.tuples, report.stats.tuples);
     }
 
     #[test]
@@ -1662,10 +1685,8 @@ mod tests {
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
-                threads: 4,
-                schedule: Schedule::Steal,
-                shared_cache: false,
                 chunk: 16,
+                ..plain_opts(4)
             },
             |i| SimulatedUser::new(ds.inputs[i].clean.clone()),
         );
@@ -1687,6 +1708,9 @@ mod tests {
         // per-worker stats merge back to the batch totals
         let total: u64 = report.workers.iter().map(|w| w.stats.tuples).sum();
         assert_eq!(total, 509);
+        // watermark was captured (the interner is never empty here)
+        assert!(report.stats.interner_syms > 0);
+        assert!(report.throughput() > 0.0);
     }
 
     #[test]

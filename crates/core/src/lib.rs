@@ -15,13 +15,16 @@
 //!    compute a new suggestion ([`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest())),
 //!    possibly served from the [`bdd`] cache (`Suggest+`), and repeat.
 //!
-//! [`DataMonitor`] packages the precomputation (dependency graph,
-//! region catalog, BDD) and processes tuple streams; [`metrics`]
-//! implements the paper's recall / precision / F-measure at both the
-//! tuple and attribute level. The unified entry-point surface is the
-//! [`session`] API: a [`RepairSession`] drains any [`TupleSource`]
-//! (slice, generator batches, or a bounded channel) through the
-//! work-stealing [`BatchRepairEngine`] and emits a [`SessionReport`];
+//! A [`RepairContext`] packages the precomputation (dependency graph,
+//! compiled plan, region catalog) and the work-stealing
+//! [`BatchRepairEngine`] repairs batches over it, one BDD per chunk
+//! under `CertainFix+`; the paper's sequential monitor is a one-worker
+//! [`BatchRepairEngine::repair_opts`] call whose chunk is the whole
+//! stream. [`metrics`] implements the paper's recall / precision /
+//! F-measure at both the tuple and attribute level. The unified
+//! entry-point surface is the [`session`] API: a [`RepairSession`]
+//! drains any [`TupleSource`] (slice, generator batches, or a bounded
+//! channel) through the engine and emits a [`SessionReport`];
 //! for N concurrent streams over one engine, the [`service`]
 //! multiplexer ([`RepairService`]) schedules the sessions fairly and
 //! reports each one as if it had run alone.
@@ -63,7 +66,7 @@ pub use engine::{
 pub use metrics::{
     evaluate_changes, evaluate_rounds, merge_round_series, ChangeCounts, RoundMetrics, TupleEval,
 };
-pub use monitor::{DataMonitor, InitialRegion, MonitorStats, NetLaneStats};
+pub use monitor::{InitialRegion, MonitorStats, NetLaneStats};
 pub use oracle::{SimulatedUser, UserOracle};
 pub use service::{
     attach_channel, AttachQueue, BoxedOracle, NamedSessionReport, RepairService,

@@ -1,23 +1,18 @@
-//! The data-monitoring façade (Fig. 2): precomputation + per-tuple
-//! processing for `CertainFix` and `CertainFix+`.
+//! What the data monitor of Fig. 2 reports and how it seeds a tuple's
+//! first round.
 //!
 //! [`MonitorStats`] defined here is the statistics currency of every
-//! layer above — engine workers, sessions, and the multi-session
+//! repair layer — engine workers, sessions, and the multi-session
 //! [`RepairService`](crate::RepairService) all account in it and rely
 //! on its merge being an order-independent sum (invariant D2 of
-//! `DETERMINISM.md` at the repository root).
+//! `DETERMINISM.md` at the repository root). [`InitialRegion`] picks
+//! the precomputed certain region whose `Z` is the first suggestion.
+//! The monitor itself is the engine: the paper's sequential pass over
+//! a stream is a one-worker
+//! [`repair_opts`](crate::BatchRepairEngine::repair_opts) call whose
+//! [`chunk`](crate::RepairOptions::chunk) is the stream's length.
 
-use std::sync::Arc;
 use std::time::Duration;
-
-use certainfix_relation::{MasterDelta, Relation, RelationError, Tuple};
-use certainfix_rules::RuleSet;
-
-use crate::bdd::SuggestionBdd;
-use crate::certainfix::{CertainFixConfig, FixOutcome};
-use crate::engine::{BatchRepairEngine, MasterEpoch, RepairContext};
-use crate::oracle::UserOracle;
-use crate::session::TupleSource;
 
 /// Which precomputed region seeds the first suggestion (Exp-1(2)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -46,7 +41,7 @@ pub struct MonitorStats {
     pub certain: u64,
     /// Total interaction rounds.
     pub rounds: u64,
-    /// Wall-clock time spent inside `process`.
+    /// Wall-clock time spent repairing.
     pub elapsed: Duration,
     /// High-water mark of [`certainfix_relation::Interner::len`] on the
     /// global interner, sampled after each processed tuple — the
@@ -195,172 +190,39 @@ impl MonitorStats {
     }
 }
 
-/// Owns a [`RepairContext`] — `(Σ, Dm)` plus everything precomputed
-/// from them: the dependency graph (Fig. 4), the ranked certain-region
-/// catalog (ref.\[20\]'s `CompCRegion`) — and, for `CertainFix+`, the
-/// BDD suggestion cache. This is the sequential, stateful façade
-/// (one tuple at a time through [`process`](Self::process), or a
-/// [`TupleSource`] through [`ingest`](Self::ingest)); the parallel
-/// path over the same context is a
-/// [`RepairSession`](crate::session::RepairSession).
-pub struct DataMonitor {
-    engine: BatchRepairEngine,
-    bdd: SuggestionBdd,
-    stats: MonitorStats,
-    scratch: certainfix_rules::ProbeScratch,
-}
-
-impl DataMonitor {
-    /// Build a monitor over `(Σ, Dm)`. `use_bdd` selects `CertainFix+`
-    /// (suggestions served from the BDD cache) over plain `CertainFix`.
-    pub fn new(rules: RuleSet, master: Arc<Relation>, use_bdd: bool) -> DataMonitor {
-        Self::with_config(
-            rules,
-            master,
-            use_bdd,
-            InitialRegion::Best,
-            CertainFixConfig::default(),
-        )
-    }
-
-    /// Full-control constructor.
-    pub fn with_config(
-        rules: RuleSet,
-        master: Arc<Relation>,
-        use_bdd: bool,
-        initial_region: InitialRegion,
-        config: CertainFixConfig,
-    ) -> DataMonitor {
-        Self::from_context(RepairContext::with_config(
-            rules,
-            master,
-            use_bdd,
-            initial_region,
-            config,
-        ))
-    }
-
-    /// Wrap an already-built context.
-    pub fn from_context(ctx: RepairContext) -> DataMonitor {
-        DataMonitor {
-            engine: BatchRepairEngine::new(ctx),
-            bdd: SuggestionBdd::new(),
-            stats: MonitorStats::default(),
-            scratch: certainfix_rules::ProbeScratch::new(),
-        }
-    }
-
-    /// The shared precomputation.
-    pub fn context(&self) -> &RepairContext {
-        self.engine.context()
-    }
-
-    /// The rule set.
-    pub fn rules(&self) -> &RuleSet {
-        self.context().rules()
-    }
-
-    /// Pin the current [`MasterEpoch`] — the indexed master, compiled
-    /// plan, region catalog, and initial suggestion, all of one
-    /// generation. The snapshot stays valid across subsequent deltas.
-    pub fn epoch(&self) -> Arc<MasterEpoch> {
-        self.context().epoch()
-    }
-
-    /// The current master generation.
-    pub fn generation(&self) -> u64 {
-        self.context().generation()
-    }
-
-    /// Apply a batch of master mutations; the next
-    /// [`process`](Self::process) call picks up the new epoch. Returns
-    /// the new generation.
-    pub fn apply_master_delta(&self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        self.engine.apply_master_delta(delta)
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> MonitorStats {
-        self.stats
-    }
-
-    /// BDD cache statistics (all zeros for plain `CertainFix`).
-    pub fn bdd_stats(&self) -> crate::bdd::BddStats {
-        self.bdd.stats()
-    }
-
-    /// Sequentially drain a [`TupleSource`] through this monitor's own
-    /// persistent BDD cache and statistics — the point-of-entry
-    /// streaming loop of the paper, one tuple at a time.
-    /// `oracle_for(i)` receives the tuple's index within this ingest
-    /// stream (tuples drained by this call before it). For parallel
-    /// draining use a [`RepairSession`](crate::session::RepairSession)
-    /// instead.
-    pub fn ingest<S, F, O>(&mut self, mut source: S, mut oracle_for: F) -> Vec<FixOutcome>
-    where
-        S: TupleSource,
-        F: FnMut(usize) -> O,
-        O: UserOracle,
-    {
-        let (lower, upper) = source.size_hint();
-        let mut outcomes = Vec::with_capacity(upper.unwrap_or(lower));
-        while let Some(batch) = source.next_batch() {
-            for t in &batch {
-                let mut oracle = oracle_for(outcomes.len());
-                outcomes.push(self.process(t, &mut oracle));
-            }
-        }
-        outcomes
-    }
-
-    /// Process one input tuple with the given oracle, against the
-    /// epoch current at the time of the call — a delta applied between
-    /// two `process` calls takes effect at the second.
-    pub fn process<O: UserOracle + ?Sized>(&mut self, dirty: &Tuple, oracle: &mut O) -> FixOutcome {
-        let epoch = self.engine.context().epoch();
-        let mut lent = Some(oracle);
-        self.engine
-            .context()
-            .process_block(
-                &epoch,
-                &mut self.bdd,
-                &mut self.stats,
-                None,
-                &mut self.scratch,
-                std::slice::from_ref(dirty),
-                0,
-                |_| lent.take().expect("a block of one asks for one oracle"),
-            )
-            .pop()
-            .expect("a block of one has one outcome")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certainfix::CertainFixConfig;
+    use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions};
     use crate::metrics::{evaluate_rounds, TupleEval};
     use crate::oracle::SimulatedUser;
     use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
+    use certainfix_relation::Tuple;
 
+    /// The paper's monitor over a generated stream: one worker, one
+    /// chunk (so one diagram under `CertainFix+`), no shared pool.
     fn run_monitor<W: Workload>(
         workload: &W,
         use_bdd: bool,
         cfg: &DirtyConfig,
-    ) -> (Vec<FixOutcome>, Dataset, MonitorStats) {
-        let mut monitor =
-            DataMonitor::new(workload.rules().clone(), workload.master().clone(), use_bdd);
+    ) -> (BatchReport, Dataset) {
+        let engine = BatchRepairEngine::new(RepairContext::new(
+            workload.rules().clone(),
+            workload.master().clone(),
+            use_bdd,
+        ));
         let dataset = Dataset::generate(workload, cfg);
-        let outcomes: Vec<FixOutcome> = dataset
-            .inputs
-            .iter()
-            .map(|dt| {
-                let mut user = SimulatedUser::new(dt.clean.clone());
-                monitor.process(&dt.dirty, &mut user)
-            })
-            .collect();
-        let stats = monitor.stats();
-        (outcomes, dataset, stats)
+        let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
+        let opts = RepairOptions {
+            shared_cache: false,
+            chunk: dirty.len(),
+            ..RepairOptions::default()
+        };
+        let report = engine.repair_opts(&dirty, &opts, |i| {
+            SimulatedUser::new(dataset.inputs[i].clean.clone())
+        });
+        (report, dataset)
     }
 
     #[test]
@@ -373,15 +235,15 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let (outcomes, dataset, stats) = run_monitor(&hosp, false, &cfg);
-        for (out, dt) in outcomes.iter().zip(&dataset.inputs) {
+        let (report, dataset) = run_monitor(&hosp, false, &cfg);
+        for (out, dt) in report.outcomes.iter().zip(&dataset.inputs) {
             assert!(out.certain, "master-backed tuple must be certain");
             assert_eq!(out.certain_at_round, Some(1));
             assert!(out.rule_backed);
             assert_eq!(&out.tuple, &dt.clean, "certain fix equals ground truth");
         }
-        assert_eq!(stats.certain, 60);
-        assert_eq!(stats.avg_rounds(), 1.0);
+        assert_eq!(report.stats.certain, 60);
+        assert_eq!(report.stats.avg_rounds(), 1.0);
     }
 
     #[test]
@@ -394,8 +256,9 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let (outcomes, dataset, _) = run_monitor(&hosp, false, &cfg);
-        let evals: Vec<TupleEval> = outcomes
+        let (report, dataset) = run_monitor(&hosp, false, &cfg);
+        let evals: Vec<TupleEval> = report
+            .outcomes
             .iter()
             .zip(&dataset.inputs)
             .map(|(o, dt)| TupleEval {
@@ -423,9 +286,9 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let (plain, ds1, _) = run_monitor(&dblp, false, &cfg);
-        let (cached, ds2, _) = run_monitor(&dblp, true, &cfg);
-        for (i, (a, b)) in plain.iter().zip(&cached).enumerate() {
+        let (plain, ds1) = run_monitor(&dblp, false, &cfg);
+        let (cached, ds2) = run_monitor(&dblp, true, &cfg);
+        for (i, (a, b)) in plain.outcomes.iter().zip(&cached.outcomes).enumerate() {
             assert_eq!(ds1.inputs[i].dirty, ds2.inputs[i].dirty);
             assert_eq!(a.tuple, b.tuple, "tuple {i}");
             assert_eq!(a.certain, b.certain);
@@ -443,13 +306,7 @@ mod tests {
             seed: 4,
             ..Default::default()
         };
-        let dataset = Dataset::generate(&hosp, &cfg);
-        let mut monitor = DataMonitor::new(hosp.rules().clone(), hosp.master().clone(), true);
-        for dt in &dataset.inputs {
-            let mut user = SimulatedUser::new(dt.clean.clone());
-            monitor.process(&dt.dirty, &mut user);
-        }
-        let stats = monitor.bdd_stats();
+        let stats = run_monitor(&hosp, true, &cfg).0.bdd;
         assert!(
             stats.hits > stats.misses,
             "after the first tuples the cache should serve most suggestions: {stats:?}"
@@ -459,20 +316,16 @@ mod tests {
     #[test]
     fn median_region_is_not_better_than_best() {
         let hosp = Hosp::generate(200);
-        let best = DataMonitor::with_config(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-            InitialRegion::Best,
-            CertainFixConfig::default(),
-        );
-        let median = DataMonitor::with_config(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-            InitialRegion::Median,
-            CertainFixConfig::default(),
-        );
+        let context = |region| {
+            RepairContext::with_config(
+                hosp.rules().clone(),
+                hosp.master().clone(),
+                false,
+                region,
+                CertainFixConfig::default(),
+            )
+        };
+        let (best, median) = (context(InitialRegion::Best), context(InitialRegion::Median));
         assert!(
             best.epoch().initial_suggestion().len() <= median.epoch().initial_suggestion().len()
         );
@@ -507,48 +360,6 @@ mod tests {
         };
         assert_eq!(small.avg_round_latency(), Duration::from_nanos(2_500_000));
         assert_eq!(MonitorStats::default().avg_round_latency(), Duration::ZERO);
-    }
-
-    /// `ingest` drains a source through the monitor's own state:
-    /// identical outcomes and statistics to one `process` call per
-    /// tuple, whatever the batching.
-    #[test]
-    fn ingest_matches_tuple_at_a_time_processing() {
-        use crate::session::SliceSource;
-        let hosp = Hosp::generate(120);
-        let cfg = DirtyConfig {
-            duplicate_rate: 0.4,
-            noise_rate: 0.2,
-            input_size: 40,
-            seed: 21,
-            ..Default::default()
-        };
-        let dataset = Dataset::generate(&hosp, &cfg);
-        let dirty: Vec<_> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-
-        let mut by_tuple = DataMonitor::new(hosp.rules().clone(), hosp.master().clone(), true);
-        let expected: Vec<FixOutcome> = dataset
-            .inputs
-            .iter()
-            .map(|dt| {
-                let mut user = SimulatedUser::new(dt.clean.clone());
-                by_tuple.process(&dt.dirty, &mut user)
-            })
-            .collect();
-
-        let mut streamed = DataMonitor::new(hosp.rules().clone(), hosp.master().clone(), true);
-        let outcomes = streamed.ingest(SliceSource::with_batch(&dirty, 7), |i| {
-            SimulatedUser::new(dataset.inputs[i].clean.clone())
-        });
-        assert_eq!(outcomes.len(), expected.len());
-        for (i, (a, b)) in outcomes.iter().zip(&expected).enumerate() {
-            assert_eq!(a.tuple, b.tuple, "tuple {i}");
-            assert_eq!(a.certain, b.certain, "tuple {i}");
-            assert_eq!(a.rounds.len(), b.rounds.len(), "tuple {i}");
-        }
-        assert_eq!(streamed.stats().tuples, by_tuple.stats().tuples);
-        assert_eq!(streamed.stats().rounds, by_tuple.stats().rounds);
-        assert_eq!(streamed.stats().certain, by_tuple.stats().certain);
     }
 
     #[test]
@@ -702,7 +513,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let (_, _, stats) = run_monitor(&hosp, false, &cfg);
+        let stats = run_monitor(&hosp, false, &cfg).0.stats;
         let global = certainfix_relation::Interner::global().len() as u64;
         assert!(stats.interner_syms > 0);
         assert!(stats.interner_syms <= global);
@@ -718,8 +529,8 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (outcomes, _, stats) = run_monitor(&dblp, false, &cfg);
-        assert!(outcomes.iter().all(|o| !o.rule_backed));
-        assert_eq!(stats.certain, 0);
+        let (report, _) = run_monitor(&dblp, false, &cfg);
+        assert!(report.outcomes.iter().all(|o| !o.rule_backed));
+        assert_eq!(report.stats.certain, 0);
     }
 }

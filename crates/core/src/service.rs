@@ -84,8 +84,10 @@
 //! With the shared cache on, a scheduler epoch reads the pool committed
 //! before it and commits its publishes session by session, each in
 //! stream order — so what a session is served depends on which epochs
-//! it shared with whom, not on the worker count. Per-session attributed
-//! `hits`/`misses` always sum to the engine-global cache counters.
+//! it shared with whom, not on the worker count. A `CertainFix+`
+//! diagram lives one chunk of one session, cut from that session's
+//! batch alone. Per-session attributed `hits`/`misses` always sum to
+//! the engine-global cache counters.
 //!
 //! ```
 //! use certainfix_core::service::{RepairServiceBuilder, ServiceStream};
@@ -128,9 +130,7 @@ use std::sync::Arc;
 
 use crate::bdd::BddStats;
 use crate::certainfix::CertainFixConfig;
-use crate::engine::{
-    BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Schedule, Workload,
-};
+use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Workload};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 use crate::session::{SessionReport, TupleSource};
@@ -283,17 +283,16 @@ pub fn attach_channel<'a>() -> (ServiceAttach<'a>, AttachQueue<'a>) {
 }
 
 /// Knobs of one [`RepairService`]: the pool shape plus the per-session
-/// ingest-lane depth. The service is steal-only (fair multiplexing
-/// *is* chunked stealing; a contiguous shard per worker would undo the
-/// session interleave).
+/// ingest-lane depth.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceOptions {
     /// Worker threads of the shared repair pool (`0` = one per
     /// available core).
     pub threads: usize,
-    /// Chunk granularity (`0` = auto per collected batch: about 8
-    /// chunks per worker, capped at 512 tuples). A chunk is also the
-    /// probe-block unit.
+    /// Tuples per chunk (`0` = auto per collected batch; see
+    /// [`RepairOptions::chunk`]). A chunk is also the probe-block unit
+    /// and, under `CertainFix+`, the lifetime of one suggestion
+    /// diagram.
     pub chunk: usize,
     /// Pool computed suggestions in the engine-lifetime
     /// [`SharedSuggestionCache`](crate::SharedSuggestionCache), shared
@@ -344,7 +343,7 @@ impl RepairServiceBuilder {
         }
     }
 
-    /// Serve suggestions from per-worker BDD caches (`CertainFix+`).
+    /// Serve suggestions from a BDD cache per chunk (`CertainFix+`).
     pub fn bdd(mut self, on: bool) -> Self {
         self.use_bdd = on;
         self
@@ -467,13 +466,11 @@ impl RepairService {
     pub fn run_dynamic(&self, queue: AttachQueue<'_>) -> ServiceReport {
         let started = Instant::now();
         let rebuilds_at_start = self.engine.context().plan_rebuilds();
-        // fair multiplexing *is* chunked stealing: a contiguous shard
-        // per worker would undo the session interleave
         let opts = RepairOptions {
             threads: self.opts.threads,
-            schedule: Schedule::Steal,
             shared_cache: self.opts.shared_cache,
             chunk: self.opts.chunk,
+            ..RepairOptions::default()
         };
         let depth = self.opts.depth.max(1);
 

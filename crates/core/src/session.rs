@@ -69,10 +69,10 @@
 //! same tuples in the same order** — regardless of how the source cuts
 //! the stream into batches, the channel depth, the schedule, or the
 //! worker count. See [`TupleSource`] for the contract that makes this
-//! hold. With the shared cache on (BDD still off), each batch reads the
-//! pool the batches before it committed, so outcomes and hit/miss
-//! counts depend on where the batches and deltas fall — but still not
-//! on the schedule or the worker count (D12).
+//! hold. With a cache on, each batch reads the pool the batches before
+//! it committed and each chunk builds its own diagram, so outcomes and
+//! cache counters depend on where the batches, chunks and deltas fall —
+//! but still not on the schedule or the worker count (D12).
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -84,9 +84,7 @@ use certainfix_rules::RuleSet;
 
 use crate::bdd::BddStats;
 use crate::certainfix::{CertainFixConfig, FixOutcome};
-use crate::engine::{
-    BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Schedule, Workload,
-};
+use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Workload};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 use crate::sharedcache::SharedCacheStats;
@@ -272,8 +270,7 @@ impl TupleSource for ChannelSource {
 
 /// Configures and builds an owned [`RepairSession`]: precomputation
 /// knobs (BDD, initial region, `CertainFix` config) plus the engine
-/// knobs of [`RepairOptions`] (threads / [`Schedule`] / shared cache /
-/// chunk size).
+/// knobs of [`RepairOptions`] (threads / shared cache / chunk size).
 #[derive(Clone)]
 pub struct RepairSessionBuilder {
     rules: RuleSet,
@@ -287,8 +284,7 @@ pub struct RepairSessionBuilder {
 
 impl RepairSessionBuilder {
     /// A session over `(Σ, Dm)` with the defaults: plain `CertainFix`,
-    /// best initial region, one worker, [`Schedule::Steal`], shared
-    /// cache on.
+    /// best initial region, one worker, shared cache on, auto chunk.
     pub fn new(rules: RuleSet, master: Arc<Relation>) -> RepairSessionBuilder {
         RepairSessionBuilder {
             rules,
@@ -301,7 +297,7 @@ impl RepairSessionBuilder {
         }
     }
 
-    /// Serve suggestions from per-worker BDD caches (`CertainFix+`).
+    /// Serve suggestions from a BDD cache per chunk (`CertainFix+`).
     pub fn bdd(mut self, on: bool) -> Self {
         self.use_bdd = on;
         self
@@ -333,19 +329,13 @@ impl RepairSessionBuilder {
         self
     }
 
-    /// The scheduling policy.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.opts.schedule = schedule;
-        self
-    }
-
     /// Pool computed suggestions in the engine-lifetime shared cache.
     pub fn shared_cache(mut self, on: bool) -> Self {
         self.opts.shared_cache = on;
         self
     }
 
-    /// Chunk granularity for [`Schedule::Steal`] (`0` = auto).
+    /// Tuples per chunk (`0` = auto; see [`RepairOptions::chunk`]).
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.opts.chunk = chunk;
         self
@@ -595,7 +585,7 @@ pub struct SessionReport {
     /// Merged monitor statistics ([`MonitorStats::merge`] over all
     /// batches — counts sum, the interner watermark maxes).
     pub stats: MonitorStats,
-    /// Merged per-worker BDD cache statistics.
+    /// BDD statistics summed over every batch's chunks.
     pub bdd: BddStats,
     /// Shared-cache statistics *attributed to this session*: `hits` /
     /// `misses` sum the per-batch attributed counters (so per-session

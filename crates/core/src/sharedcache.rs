@@ -7,11 +7,11 @@
 //! step of an interaction round; *checking* whether a previously
 //! computed suggestion also works for another tuple is one closure
 //! ([`certainfix_reasoning::is_suggestion`]) — that asymmetry is what
-//! the paper's `Suggest+` BDD exploits within one worker. This cache
-//! exploits it **across** workers and batches: suggestions are pooled
-//! by the validated [`AttrSet`] they were computed under, and a worker
-//! whose local diagram misses re-checks the pooled candidates before
-//! paying for a fresh computation.
+//! the paper's `Suggest+` BDD exploits within one chunk. This cache
+//! exploits it **across** chunks and batches: suggestions are pooled
+//! by the validated [`AttrSet`] they were computed under, and a probe
+//! the chunk's diagram cannot serve re-checks the pooled candidates
+//! before paying for a fresh computation.
 //!
 //! # Design
 //!
@@ -47,16 +47,16 @@
 //! candidate is served only after [`certainfix_reasoning::is_suggestion`]
 //! accepts it for the probing tuple (invariant D8). A probe sees exactly
 //! the pool committed before its fan-out pinned, and commits land in
-//! input order, so with the BDD off the outcomes *and* the hit/miss
-//! counters depend only on the stream, the batch boundaries and where
-//! the deltas fall — never on the worker count or the schedule
-//! (invariant D12, DETERMINISM.md). The global hit/miss counters are the
-//! sum of the committed per-batch counts (invariant D9).
+//! input order, so the outcomes *and* the hit/miss counters depend only
+//! on the stream, the batch boundaries, the chunk size and where the
+//! deltas fall — never on the worker count or the schedule (invariant
+//! D12, DETERMINISM.md). The global hit/miss counters are the sum of
+//! the committed per-batch counts (invariant D9).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use certainfix_reasoning::{is_suggestion, is_suggestion_with, suggest, suggest_with};
+use certainfix_reasoning::{is_suggestion_with, suggest_with};
 use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterDelta, MasterIndex, Tuple};
 use certainfix_rules::{ProbeScratch, RulePlan, RuleSet};
 
@@ -136,32 +136,29 @@ impl<'p> PinnedPool<'p> {
     /// Serve a suggestion for `t` under `validated`: the first pooled
     /// candidate that passes the re-check (a hit, `true`), else a fresh
     /// computation, buffered for the next commit (a miss, `false`). The
-    /// pool answers only probes of its own master generation. An
-    /// optional compiled [`RulePlan`] and a caller-owned
-    /// [`ProbeScratch`] route the master probes.
+    /// pool answers only probes of its own master generation. The
+    /// compiled [`RulePlan`] and a caller-owned [`ProbeScratch`] route
+    /// the master probes.
     pub fn suggest(
         &mut self,
         rules: &RuleSet,
         master: &MasterIndex,
+        plan: &RulePlan,
         t: &Tuple,
         validated: AttrSet,
-        plan: Option<&RulePlan>,
         scratch: &mut ProbeScratch,
     ) -> (Option<Vec<AttrId>>, bool) {
         if self.pool.generation == master.generation() {
-            let served = self.pool.candidates(validated).iter().find(|c| match plan {
-                Some(p) => is_suggestion_with(rules, master, t, validated, c, p, scratch),
-                None => is_suggestion(rules, master, t, validated, c),
-            });
+            let served = self
+                .pool
+                .candidates(validated)
+                .iter()
+                .find(|c| is_suggestion_with(rules, master, t, validated, c, plan, scratch));
             if let Some(c) = served {
                 return (Some(c.to_vec()), true);
             }
         }
-        let computed = match plan {
-            Some(p) => suggest_with(rules, master, t, validated, p, scratch),
-            None => suggest(rules, master, t, validated),
-        }
-        .map(|s| s.attrs);
+        let computed = suggest_with(rules, master, t, validated, plan, scratch).map(|s| s.attrs);
         if let Some(attrs) = &computed {
             self.publishes.push((validated, attrs.clone()));
         }
@@ -387,6 +384,7 @@ fn preserves_suggestions(rules: &RuleSet, old_master: &MasterIndex, delta: &Mast
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdd::{Cursor, SuggestionBdd};
     use certainfix_relation::{Relation, Schema, Value};
 
     fn aset(bits: u64) -> AttrSet {
@@ -456,24 +454,33 @@ mod tests {
     ) -> (Option<Vec<AttrId>>, bool, Vec<Publish>) {
         let pool = cache.pin();
         let mut view = PinnedPool::new(&pool);
+        let plan = RulePlan::compile(rules, master);
         let mut scratch = ProbeScratch::new();
-        let (s, hit) = view.suggest(rules, master, &probe_tuple(), validated, None, &mut scratch);
+        let (s, hit) = view.suggest(
+            rules,
+            master,
+            &plan,
+            &probe_tuple(),
+            validated,
+            &mut scratch,
+        );
         (s, hit, view.take_publishes())
     }
 
     #[test]
     fn a_publish_stays_invisible_until_its_batch_commits() {
         let (rules, master) = fixture();
+        let plan = RulePlan::compile(&rules, &master);
         let cache = SharedSuggestionCache::new();
         let validated = aset(0b0001);
         let pool = cache.pin();
         let mut view = PinnedPool::new(&pool);
         let mut scratch = ProbeScratch::new();
         let t = probe_tuple();
-        let (first, hit) = view.suggest(&rules, &master, &t, validated, None, &mut scratch);
+        let (first, hit) = view.suggest(&rules, &master, &plan, &t, validated, &mut scratch);
         assert!(!hit && first.is_some(), "a cold pool misses and computes");
         // the same fan-out probes again: its own publish is not served
-        let (second, hit) = view.suggest(&rules, &master, &t, validated, None, &mut scratch);
+        let (second, hit) = view.suggest(&rules, &master, &plan, &t, validated, &mut scratch);
         assert!(!hit, "a publish is invisible to its own fan-out");
         assert_eq!(first, second);
         let publishes = view.take_publishes();
@@ -496,6 +503,61 @@ mod tests {
             "counts arrive by commit"
         );
         assert_eq!((stats.keys, stats.entries_high_water), (1, 1));
+    }
+
+    /// A diagram miss goes to the caller's closure, here the pinned
+    /// pool: a later batch's own empty diagram misses, and the pool
+    /// answers with the suggestion an earlier batch committed.
+    #[test]
+    fn shared_cache_answers_a_later_batchs_miss() {
+        let (rules, master) = fixture();
+        let plan = RulePlan::compile(&rules, &master);
+        let cache = SharedSuggestionCache::new();
+        let validated = aset(0b0001);
+        // one chunk: a fresh diagram whose misses probe `pool`, counting
+        // the pool's (hits, misses)
+        let chunk = |pool: &mut PinnedPool<'_>| {
+            let mut bdd = SuggestionBdd::new();
+            let mut counts = (0, 0);
+            let mut scratch = ProbeScratch::new();
+            let served = bdd.suggest_plus_with(
+                &rules,
+                &master,
+                &plan,
+                &probe_tuple(),
+                validated,
+                &mut Cursor::start(),
+                &mut scratch,
+                |t, v, sc| {
+                    let (s, hit) = pool.suggest(&rules, &master, &plan, t, v, sc);
+                    if hit {
+                        counts.0 += 1;
+                    } else {
+                        counts.1 += 1;
+                    }
+                    s
+                },
+            );
+            assert_eq!(bdd.stats().misses, 1, "an empty diagram misses");
+            (served.expect("a suggestion exists"), counts)
+        };
+
+        // batch 1: empty diagram, empty pool — computes fresh and
+        // buffers the publish, which the batch boundary commits
+        let pinned = cache.pin();
+        let mut pool1 = PinnedPool::new(&pinned);
+        let (s1, counts) = chunk(&mut pool1);
+        assert_eq!(counts, (0, 1));
+        cache.commit(master.generation(), 0, 1, vec![(0, pool1.take_publishes())]);
+        assert_eq!(cache.len(), 1);
+
+        // batch 2: the pool answers with the exact same suggestion
+        let pinned = cache.pin();
+        let mut pool2 = PinnedPool::new(&pinned);
+        let (s2, counts) = chunk(&mut pool2);
+        assert_eq!(s1, s2, "the pooled candidate passes the check");
+        assert_eq!(counts, (1, 0));
+        assert!(pool2.take_publishes().is_empty(), "a hit publishes nothing");
     }
 
     #[test]

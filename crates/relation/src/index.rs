@@ -466,9 +466,14 @@ impl MasterIndex {
         let mut deletes = delta.deletes.clone();
         deletes.sort_unstable();
         deletes.dedup();
-        for &row in deletes.iter().rev() {
-            rows.remove(row as usize);
-        }
+        // one compaction pass: row ids ascend in step with the sorted ids
+        let mut gone = deletes.iter().copied().peekable();
+        let mut row = 0u32;
+        rows.retain(|_| {
+            let keep = gone.next_if_eq(&row).is_none();
+            row += 1;
+            keep
+        });
         rows.extend(delta.inserts.iter().cloned());
         let rel = Arc::new(Relation::new(Arc::clone(schema), rows)?);
         let generation = self.generation + 1;

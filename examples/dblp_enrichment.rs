@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example dblp_enrichment`
 
-use certain_fix::core::{DataMonitor, SimulatedUser};
+use certain_fix::core::{BatchRepairEngine, RepairContext, RepairOptions, SimulatedUser};
 use certain_fix::datagen::{Dblp, Workload};
 use certain_fix::prelude::*;
 
@@ -49,12 +49,25 @@ fn main() {
         schema.len()
     );
 
-    let mut monitor = DataMonitor::new(dblp.rules().clone(), dblp.master().clone(), true);
+    // the paper's sequential monitor: one worker and one chunk, so one
+    // BDD suggestion cache serves every record; no shared pool
+    let engine = BatchRepairEngine::new(RepairContext::new(
+        dblp.rules().clone(),
+        dblp.master().clone(),
+        true,
+    ));
+    let records: Vec<Tuple> = incomplete.iter().map(|(t, _)| t.clone()).collect();
+    let opts = RepairOptions {
+        shared_cache: false,
+        chunk: records.len(),
+        ..RepairOptions::default()
+    };
+    let report = engine.repair_opts(&records, &opts, |i| {
+        SimulatedUser::new(incomplete[i].1.clone())
+    });
     let mut enriched = 0usize;
     let mut filled_attrs = 0usize;
-    for (t, truth) in &incomplete {
-        let mut librarian = SimulatedUser::new(truth.clone());
-        let outcome = monitor.process(t, &mut librarian);
+    for ((t, truth), outcome) in incomplete.iter().zip(&report.outcomes) {
         if outcome.certain && &outcome.tuple == truth {
             enriched += 1;
         }
@@ -72,8 +85,7 @@ fn main() {
 
     // Show one record in detail.
     let (t, truth) = &incomplete[0];
-    let mut librarian = SimulatedUser::new(truth.clone());
-    let outcome = monitor.process(t, &mut librarian);
+    let outcome = &report.outcomes[0];
     println!("\nbefore: {}", t.render_named(&schema));
     println!("after:  {}", outcome.tuple.render_named(&schema));
     assert_eq!(&outcome.tuple, truth);

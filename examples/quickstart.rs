@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use certain_fix::core::{CertainFixConfig, DataMonitor, InitialRegion, SimulatedUser};
+use certain_fix::core::{
+    BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext, RepairOptions, SimulatedUser,
+};
 use certain_fix::prelude::*;
 use certain_fix::rules::parse_rules;
 
@@ -114,23 +116,30 @@ fn main() {
     println!("Input  t1: {}", t1.render_named(&r));
 
     // ── Monitor: precompute regions, then fix at the point of entry ─
-    let mut monitor = DataMonitor::with_config(
+    let engine = BatchRepairEngine::new(RepairContext::with_config(
         rules,
         master,
         true, // CertainFix+: BDD-cached suggestions
         InitialRegion::Best,
         CertainFixConfig::default(),
-    );
+    ));
     println!(
         "Recommended certain region Z = {}",
-        r.render_attrs(monitor.epoch().initial_suggestion())
+        r.render_attrs(engine.context().epoch().initial_suggestion())
     );
 
     // The "user" here is simulated with the ground truth, exactly like
     // the paper's experiments; swap in your own `UserOracle` for a real
-    // data-entry UI.
-    let mut user = SimulatedUser::new(truth.clone());
-    let outcome = monitor.process(&t1, &mut user);
+    // data-entry UI. One worker, no shared suggestion pool: the paper's
+    // sequential monitor.
+    let opts = RepairOptions {
+        shared_cache: false,
+        ..RepairOptions::default()
+    };
+    let report = engine.repair_opts(std::slice::from_ref(&t1), &opts, |_| {
+        SimulatedUser::new(truth.clone())
+    });
+    let outcome = &report.outcomes[0];
 
     println!("\nAfter {} round(s) of interaction:", outcome.rounds.len());
     for (i, round) in outcome.rounds.iter().enumerate() {

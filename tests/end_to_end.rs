@@ -6,29 +6,39 @@ use std::sync::Arc;
 
 use certain_fix::cfd::{repair_tuple, rules_to_cfds, IncRepConfig};
 use certain_fix::core::{
-    evaluate_changes, evaluate_rounds, BatchesSource, DataMonitor, RepairSessionBuilder,
-    SimulatedUser, TupleEval, Workload as CoreWorkload,
+    evaluate_changes, evaluate_rounds, BatchRepairEngine, BatchesSource, RepairContext,
+    RepairOptions, RepairSessionBuilder, SimulatedUser, TupleEval, Workload as CoreWorkload,
 };
 use certain_fix::datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
 use certain_fix::reasoning::{comp_cregion_in_mode, gregion_in_mode};
 use certain_fix::relation::Value;
+
+/// The paper's sequential monitor: one worker, one chunk over the
+/// whole stream (so one BDD when `use_bdd`), no shared pool.
+fn monitor_opts(tuples: usize) -> RepairOptions {
+    RepairOptions {
+        shared_cache: false,
+        chunk: tuples,
+        ..RepairOptions::default()
+    }
+}
 
 fn run_pipeline<W: Workload>(
     w: &W,
     cfg: &DirtyConfig,
     use_bdd: bool,
 ) -> (Vec<certain_fix::core::FixOutcome>, Dataset) {
-    let mut monitor = DataMonitor::new(w.rules().clone(), w.master().clone(), use_bdd);
+    let engine = BatchRepairEngine::new(RepairContext::new(
+        w.rules().clone(),
+        w.master().clone(),
+        use_bdd,
+    ));
     let ds = Dataset::generate(w, cfg);
-    let outcomes = ds
-        .inputs
-        .iter()
-        .map(|dt| {
-            let mut user = SimulatedUser::new(dt.clean.clone());
-            monitor.process(&dt.dirty, &mut user)
-        })
-        .collect();
-    (outcomes, ds)
+    let dirty: Vec<_> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
+    let report = engine.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
+        SimulatedUser::new(ds.inputs[i].clean.clone())
+    });
+    (report.outcomes, ds)
 }
 
 #[test]
@@ -302,9 +312,9 @@ fn session_over_generator_batches_matches_the_sequential_monitor() {
     // The facade-level session walkthrough: drain the dirty-data
     // generator's decorrelated batch stream through a parallel
     // RepairSession (via BatchesSource) and check it agrees with the
-    // sequential DataMonitor fed the identical stream — plain
-    // CertainFix, caches off, so agreement is bit-exact by the
-    // session's determinism contract.
+    // sequential monitor (one worker, one whole-stream chunk) fed the
+    // identical stream — plain CertainFix, caches off, so agreement is
+    // bit-exact by the session's determinism contract.
     let hosp = Hosp::generate(200);
     let cfg = DirtyConfig {
         duplicate_rate: 0.4,
@@ -330,15 +340,21 @@ fn session_over_generator_batches_matches_the_sequential_monitor() {
     let report = session.finish();
     assert_eq!(report.batches.len(), 3, "120 tuples in batches of 50");
 
-    let mut monitor = DataMonitor::new(hosp.rules().clone(), hosp.master().clone(), false);
-    for (i, (out, dt)) in report.outcomes().zip(&inputs).enumerate() {
-        let mut user = SimulatedUser::new(dt.clean.clone());
-        let seq = monitor.process(&dt.dirty, &mut user);
+    let engine = BatchRepairEngine::new(RepairContext::new(
+        hosp.rules().clone(),
+        hosp.master().clone(),
+        false,
+    ));
+    let dirty: Vec<_> = inputs.iter().map(|dt| dt.dirty.clone()).collect();
+    let monitor = engine.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
+        SimulatedUser::new(inputs[i].clean.clone())
+    });
+    for (i, (out, seq)) in report.outcomes().zip(&monitor.outcomes).enumerate() {
         assert_eq!(out.tuple, seq.tuple, "tuple {i}");
         assert_eq!(out.certain, seq.certain, "tuple {i}");
         assert_eq!(out.rounds.len(), seq.rounds.len(), "tuple {i}");
     }
-    assert_eq!(report.stats.tuples, monitor.stats().tuples);
-    assert_eq!(report.stats.certain, monitor.stats().certain);
-    assert_eq!(report.stats.rounds, monitor.stats().rounds);
+    assert_eq!(report.stats.tuples, monitor.stats.tuples);
+    assert_eq!(report.stats.certain, monitor.stats.certain);
+    assert_eq!(report.stats.rounds, monitor.stats.rounds);
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use certain_fix::cfd::{repair_tuple, Cfd, IncRepConfig};
-use certain_fix::core::{evaluate_changes, DataMonitor, SimulatedUser};
+use certain_fix::core::{evaluate_changes, SimulatedUser};
 use certain_fix::prelude::*;
 use certain_fix::reasoning::{applicable_rules, check_coverage, suggest};
 use certain_fix::relation::tuple;
@@ -213,10 +213,17 @@ fn examples_12_to_14_interactive_fix_via_zip_only() {
     let names: Vec<&str> = sug.attrs.iter().map(|&a| r.attr_name(a)).collect();
     assert_eq!(names, vec!["phn", "type", "item"]);
 
-    // Completion: the full monitor reaches the certain fix in 2 rounds.
-    let mut monitor = DataMonitor::new(rules, master(&rm), true);
-    let mut user = SimulatedUser::new(truth.clone());
-    let outcome = monitor.process(&dirty, &mut user);
+    // Completion: the full monitor (CertainFix+, one worker, no shared
+    // pool) reaches the certain fix.
+    let engine = BatchRepairEngine::new(RepairContext::new(rules, master(&rm), true));
+    let opts = RepairOptions {
+        shared_cache: false,
+        ..RepairOptions::default()
+    };
+    let report = engine.repair_opts(std::slice::from_ref(&dirty), &opts, |_| {
+        SimulatedUser::new(truth.clone())
+    });
+    let outcome = &report.outcomes[0];
     assert!(outcome.certain);
     assert_eq!(outcome.tuple, truth);
 }

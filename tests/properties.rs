@@ -20,12 +20,13 @@
 //! * live master data (D10): random insert/update/delete
 //!   [`MasterDelta`] sequences interleaved with probe batches ≡
 //!   engines rebuilt from scratch over each pinned master state,
-//! * shared-cache snapshots (D12): with the shared cache on, outcomes
-//!   and per-batch hit/miss counts are bit-identical across 1/2/4
-//!   workers, under the same random delta sequences,
+//! * suggestion-cache determinism (D12): with the shared cache on and
+//!   the BDD off or on, outcomes, per-batch hit/miss counts and
+//!   `BddStats` are bit-identical across 1/2/4 workers, under the same
+//!   random delta sequences and chunk size,
 //! * metrics bounds and pattern algebra laws.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -341,6 +342,54 @@ proptest! {
             let probe = t.project(&key);
             prop_assert_eq!(maintained.lookup(&probe), fresh.lookup(&probe));
         }
+    }
+
+    /// `MasterIndex::apply_delta`, randomized: random updates, unsorted
+    /// and repeated deletes, and inserts give exactly the rows of a
+    /// naive reference — updates in order, then the deleted set
+    /// dropped, then inserts appended — and the index rebuilt over them
+    /// on first use holds the naive grouping.
+    #[test]
+    fn delta_rows_match_a_naive_reference(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), ATTRS), 1..40),
+        key in proptest::collection::vec(0..ATTRS as u16, 1..4),
+        updates in proptest::collection::vec(
+            (any::<u16>(), proptest::collection::vec(arb_cell(), ATTRS)), 0..6),
+        deletes in proptest::collection::vec(any::<u16>(), 0..12),
+        inserts in proptest::collection::vec(proptest::collection::vec(arb_cell(), ATTRS), 0..4),
+    ) {
+        let mut key: Vec<AttrId> = key.into_iter().map(AttrId).collect();
+        let mut seen = AttrSet::EMPTY;
+        key.retain(|&a| seen.insert(a));
+        let n = rows.len();
+        let m0 = MasterIndex::new(Arc::new(
+            Relation::new(schema(), rows.into_iter().map(Tuple::new).collect()).unwrap(),
+        ));
+        let _ = m0.index_for(&key);
+        let mut delta = MasterDelta::new();
+        let mut want: Vec<Tuple> = m0.relation().tuples().to_vec();
+        for (r, cells) in updates {
+            let row = usize::from(r) % n;
+            delta = delta.update(row as u32, Tuple::new(cells.clone()));
+            want[row] = Tuple::new(cells);
+        }
+        let gone: BTreeSet<usize> = deletes.iter().map(|&r| usize::from(r) % n).collect();
+        for &r in &deletes {
+            delta = delta.delete((usize::from(r) % n) as u32);
+        }
+        let mut want: Vec<Tuple> = want
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !gone.contains(i))
+            .map(|(_, t)| t)
+            .collect();
+        for cells in inserts {
+            delta = delta.insert(Tuple::new(cells.clone()));
+            want.push(Tuple::new(cells));
+        }
+        let m1 = m0.apply_delta(&delta).unwrap();
+        prop_assert_eq!(m1.relation().tuples(), &want[..]);
+        assert_naive_grouping(&m1.index_for(&key), m1.relation())?;
     }
 
     /// The tentpole's determinism contract, randomized: on arbitrary
@@ -807,12 +856,15 @@ proptest! {
 
     /// The D12 contract, randomized: random rules, master data, and
     /// insert/update/delete/fix-only-update [`MasterDelta`] sequences
-    /// interleaved with probe batches, BDD off, shared cache on. A probe
-    /// sees exactly the pool committed before its batch pinned, and
-    /// commits land in input order, so runs at 1, 2 and 4 workers — and
-    /// a second run at 1 in the same process — are bit-identical on
-    /// `(tuple, certain, validated, rounds)` and on every batch's
-    /// `shared_hits` / `shared_misses`.
+    /// interleaved with probe batches, shared cache on, the BDD off or
+    /// on, at the auto chunk (one tuple per chunk for batches this
+    /// small) or at chunks of 3, where one diagram serves several
+    /// tuples. A probe sees exactly the pool committed before its batch
+    /// pinned, commits land in input order, and a diagram lives one
+    /// chunk cut from the batch alone, so runs at 1, 2 and 4 workers —
+    /// and a second run at 1 in the same process — are bit-identical on
+    /// whole outcomes, on every batch's `shared_hits` / `shared_misses`
+    /// and on its `BddStats`.
     ///
     /// Against a cold engine (shared cache off) over each batch's pinned
     /// master, only certain fixes are compared: a pooled suggestion
@@ -831,6 +883,8 @@ proptest! {
             ),
             1..4,
         ),
+        bdd in any::<bool>(),
+        chunk in (0usize..2).prop_map(|c| 3 * c),
     ) {
         let Some((rules, _)) = build_rules(specs) else { return Ok(()); };
         let master = Arc::new(Relation::new(schema(), master_rows).unwrap());
@@ -856,8 +910,10 @@ proptest! {
         // master and the finished report
         let run = |workers: usize| {
             let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
+                .bdd(bdd)
                 .threads(workers)
                 .shared_cache(true)
+                .chunk(chunk)
                 .build();
             let mut pinned: Vec<Arc<Relation>> = Vec::new();
             for (batch, ops) in &phases {
@@ -896,15 +952,10 @@ proptest! {
             let (_, got) = run(workers);
             prop_assert_eq!(got.batches.len(), base.batches.len());
             for (a, b) in got.batches.iter().zip(&base.batches) {
-                prop_assert_eq!(a.outcomes.len(), b.outcomes.len());
-                for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-                    prop_assert_eq!(&x.tuple, &y.tuple);
-                    prop_assert_eq!(x.certain, y.certain);
-                    prop_assert_eq!(&x.validated, &y.validated);
-                    prop_assert_eq!(x.rounds.len(), y.rounds.len());
-                }
+                prop_assert_eq!(&a.outcomes, &b.outcomes);
                 let (sa, sb) = (a.shared.as_ref().unwrap(), b.shared.as_ref().unwrap());
                 prop_assert_eq!((sa.hits, sa.misses), (sb.hits, sb.misses));
+                prop_assert_eq!(a.bdd, b.bdd);
             }
         }
         // against a cold engine over the master state each batch pinned:
