@@ -192,9 +192,8 @@ impl RunResult {
 /// metrics for up to `report_rounds` rounds. This is the paper's
 /// algorithm: one sequential pass over the generated stream through
 /// the compiled rule plan — one worker, one chunk, so one BDD serves
-/// the whole stream when `cfg.use_bdd` — with the repo's shared
-/// suggestion cache off. The user for stream index `i` is seeded from
-/// the dataset's seed and `i` alone.
+/// the whole stream when `cfg.use_bdd`. The user for stream index `i`
+/// is seeded from the dataset's seed and `i` alone.
 pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: usize) -> RunResult {
     let engine = BatchRepairEngine::new(RepairContext::with_config(
         workload.rules().clone(),
@@ -207,7 +206,6 @@ pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: us
     let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
     let seed = dataset.config.seed;
     let opts = RepairOptions {
-        shared_cache: false,
         chunk: dirty.len(),
         ..RepairOptions::default()
     };
@@ -367,16 +365,6 @@ mod tests {
         assert_eq!(dm, [150, 300, 450, 600, 750]);
         let (label, cfg) = &sweep_points(&small(), "d_size")[3];
         assert_eq!((label.as_str(), cfg.inputs), ("|D|=2000", 2000));
-    }
-
-    /// The figures report the paper's algorithm: the repo's shared
-    /// suggestion cache is never probed.
-    #[test]
-    fn figures_run_without_the_shared_cache() {
-        let w = Which::Hosp.build(small().dm);
-        let result = run_monitored(w.as_ref(), &small(), 2);
-        assert!(result.stats.rounds > 0);
-        assert_eq!(result.stats.shared_hits + result.stats.shared_misses, 0);
     }
 
     /// With the `--plan off` toggle retired, every run goes through

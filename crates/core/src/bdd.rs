@@ -17,8 +17,9 @@
 //! A diagram lives for one chunk of the engine's fan-out, and chunks
 //! are cut from the input alone, so what a diagram can serve never
 //! depends on the worker count (D12 in `DETERMINISM.md`). A walk that
-//! ends in a miss asks the caller's closure — the engine's pinned
-//! shared pool, else a fresh computation.
+//! ends in a miss asks the caller's closure, which the engine answers
+//! with a fresh computation. The diagram is `CertainFix+`'s only
+//! suggestion cache.
 
 use certainfix_reasoning::is_suggestion_with;
 use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterIndex, Tuple};

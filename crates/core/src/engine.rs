@@ -59,20 +59,18 @@
 //! Under `CertainFix+` every claimed chunk gets a fresh
 //! [`SuggestionBdd`], so what a diagram can serve is fixed by the
 //! chunk's own tuples; each worker keeps one [`MonitorStats`]
-//! accumulator per unit. The diagram's misses — and, with the BDD off,
-//! every suggestion — go to an optional [`SharedSuggestionCache`] that
-//! pools computed suggestions across the batches repaired by the same
-//! engine, else to a fresh computation. A fan-out pins its pool next to
-//! its epoch, and commits its workers' publishes in input order (units
-//! in epoch order) once the outcomes are stitched.
+//! accumulator per unit. The diagram is the only suggestion cache: its
+//! misses — and, with the BDD off, every suggestion — are computed
+//! fresh with [`suggest_with`]. Nothing a batch computes outlives its
+//! chunk.
 //!
-//! A claimed chunk of plain `CertainFix` (both caches off) is one
-//! *block*: the Fig. 3 loop runs its tuples in round lockstep, so each
-//! round's `TransFix` probes are prefetched across the block
-//! ([`transfix_block`](crate::transfix::transfix_block)). With either
-//! cache consulted the chunk runs tuple by tuple, each a block of one:
-//! the diagram's contents and the pool's publish order follow the order
-//! of the per-tuple suggestion calls, which lockstep would interleave.
+//! A claimed chunk of plain `CertainFix` (BDD off) is one *block*: the
+//! Fig. 3 loop runs its tuples in round lockstep, so each round's
+//! `TransFix` probes are prefetched across the block
+//! ([`transfix_block`](crate::transfix::transfix_block)). Under
+//! `CertainFix+` the chunk runs tuple by tuple, each a block of one:
+//! the diagram's contents follow the order of the per-tuple suggestion
+//! calls, which lockstep would interleave.
 //!
 //! Multi-batch (and streaming) ingest lives one layer up, in
 //! [`session`](crate::session): a
@@ -91,18 +89,17 @@
 //! compiled [`RulePlan`]; the plain probe functions survive only as
 //! the test-suite's parity oracle. Outcomes are stitched back in input
 //! order, and the merged statistics are integer sums, so for plain
-//! `CertainFix` (`use_bdd = false`, shared cache off) the repaired
+//! `CertainFix` (`use_bdd = false`) the repaired
 //! tuples, the merged count fields of [`MonitorStats`], and
 //! any [`RoundMetrics`](crate::RoundMetrics) evaluated per worker and
 //! [`merged`](crate::metrics::merge_round_series) are **bit-identical
 //! to a one-worker run regardless of schedule, worker count, chunk
 //! size, or interleaving**. A delta-maintained epoch is bit-identical
 //! to an engine rebuilt from scratch over the same master rows (D10 in
-//! DETERMINISM.md). The caches keep that guarantee across worker
+//! DETERMINISM.md). `CertainFix+` keeps that guarantee across worker
 //! counts and schedules: a chunk's diagram sees only that chunk's
-//! tuples, and a batch reads only the pool committed before it, so
-//! outcomes, [`BddStats`] and hit/miss counts are fixed by the stream,
-//! the batch boundaries, the chunk size and where deltas fall (D12).
+//! tuples, so outcomes and [`BddStats`] are fixed by the batch and the
+//! chunk size (D12).
 //! The wall-clock observables ([`MonitorStats::elapsed`], the interner
 //! watermark) are exempt from the guarantee by nature.
 
@@ -122,7 +119,6 @@ use crate::bdd::{BddStats, Cursor, SuggestionBdd};
 use crate::certainfix::{CertainFix, CertainFixConfig, FixOutcome};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
-use crate::sharedcache::{PinnedPool, Publish, SharedCacheStats, SharedSuggestionCache};
 
 /// One immutable snapshot of the master data and everything compiled
 /// from it: the indexed master rows, the compiled [`RulePlan`], the
@@ -337,26 +333,8 @@ impl RepairContext {
     /// epoch write lock is held only for the pointer swap, so pinning
     /// stalls at most microseconds.
     pub fn apply_master_delta(&self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        self.apply_master_delta_maintaining(delta, |_, _| ())
-    }
-
-    /// [`apply_master_delta`](Self::apply_master_delta) that
-    /// additionally runs `maintain(old_master, new_generation)` —
-    /// `old_master` being the index the delta was applied *to* —
-    /// before the delta gate is released. The shared cache decides
-    /// whether its pool survives by diffing the delta's named rows
-    /// against exactly those pre-delta master values, and running it
-    /// under the gate keeps concurrent deltas (the net server applies
-    /// them from multiple connection handlers) from moving the pool out
-    /// of epoch order.
-    pub(crate) fn apply_master_delta_maintaining(
-        &self,
-        delta: &MasterDelta,
-        maintain: impl FnOnce(&MasterIndex, u64),
-    ) -> Result<u64, RelationError> {
         let _gate = self.delta_gate.lock().expect("delta gate poisoned");
-        let current = self.epoch();
-        let next_master = current.master().apply_delta(delta)?;
+        let next_master = self.epoch().master().apply_delta(delta)?;
         let next = Arc::new(MasterEpoch::build(
             &self.rules,
             next_master,
@@ -365,7 +343,6 @@ impl RepairContext {
         let generation = next.generation();
         *self.epoch.write().expect("epoch lock poisoned") = next;
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        maintain(current.master(), generation);
         Ok(generation)
     }
 
@@ -375,26 +352,22 @@ impl RepairContext {
     /// the user for `dirty[k]`. Every worker of every fan-out produces
     /// outcomes through this one code path.
     ///
-    /// Editing-rule repairs run [`CertainFix::run_block_scratch`] with
-    /// one miss path: the pinned pool `shared` when one is passed, else
-    /// a fresh [`suggest_with`]. Under `CertainFix+` the diagram `bdd`
-    /// serves first and hands its misses to that path; with the BDD off
-    /// the path answers every suggestion. A cache's answers depend on
-    /// the order its per-tuple calls arrive in, which round lockstep
-    /// would interleave, so with the BDD on or a pool passed the block
-    /// must be a lone tuple; plain `CertainFix` takes blocks of any
-    /// length, bit-identical to blocks of one (D6). Pool probes are
-    /// charged to `stats` (`shared_hits` / `shared_misses`), and the
-    /// scratch's probe/allocation counters are drained into `stats`
-    /// after the block. The CFD workload runs its own per-tuple
-    /// algorithm.
+    /// Editing-rule repairs run [`CertainFix::run_block_scratch`].
+    /// Under `CertainFix+` the diagram `bdd` serves first and hands its
+    /// misses to a fresh [`suggest_with`]; with the BDD off a fresh
+    /// computation answers every suggestion. The diagram's answers
+    /// depend on the order its per-tuple calls arrive in, which round
+    /// lockstep would interleave, so with the BDD on the block must be
+    /// a lone tuple; plain `CertainFix` takes blocks of any length,
+    /// bit-identical to blocks of one (D6). The scratch's
+    /// probe/allocation counters are drained into `stats` after the
+    /// block. The CFD workload runs its own per-tuple algorithm.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_block<O, F>(
         &self,
         epoch: &MasterEpoch,
         bdd: &mut SuggestionBdd,
         stats: &mut MonitorStats,
-        mut shared: Option<&mut PinnedPool<'_>>,
         scratch: &mut ProbeScratch,
         dirty: &[Tuple],
         base: usize,
@@ -405,8 +378,8 @@ impl RepairContext {
         F: FnMut(usize) -> O,
     {
         debug_assert!(
-            dirty.len() <= 1 || (!self.use_bdd && shared.is_none()),
-            "a consulted suggestion cache runs blocks of one"
+            dirty.len() <= 1 || !self.use_bdd,
+            "a consulted diagram runs blocks of one"
         );
         if let Workload::Cfd(cfg) = &self.workload {
             return dirty
@@ -419,19 +392,9 @@ impl RepairContext {
         let plan = epoch.plan();
         let engine = CertainFix::new(&self.rules, master, &self.graph, plan, self.config.clone());
         let mut oracles: Vec<O> = (0..dirty.len()).map(|k| oracle_for(base + k)).collect();
-        let mut miss =
-            |t: &Tuple, validated: AttrSet, sc: &mut ProbeScratch| match shared.as_deref_mut() {
-                Some(pool) => {
-                    let (s, hit) = pool.suggest(&self.rules, master, plan, t, validated, sc);
-                    if hit {
-                        stats.shared_hits += 1;
-                    } else {
-                        stats.shared_misses += 1;
-                    }
-                    s
-                }
-                None => suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs),
-            };
+        let fresh = |t: &Tuple, validated: AttrSet, sc: &mut ProbeScratch| {
+            suggest_with(&self.rules, master, t, validated, plan, sc).map(|s| s.attrs)
+        };
         // the lone tuple's walk down the diagram
         let mut cursor = Cursor::start();
         let outcomes = engine.run_block_scratch(
@@ -448,10 +411,10 @@ impl RepairContext {
                         validated,
                         &mut cursor,
                         sc,
-                        &mut miss,
+                        fresh,
                     )
                 } else {
-                    miss(t, validated, sc)
+                    fresh(t, validated, sc)
                 }
             },
             scratch,
@@ -527,6 +490,28 @@ pub enum Schedule {
     Steal,
 }
 
+/// The statistics shape of the retired engine-lifetime suggestion
+/// pool. No report carries one any more (every `shared` field is
+/// `None`); the type stays, like [`Schedule`], because the
+/// `benchmark/` package names it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SharedCacheStats {
+    /// Probes served from the pool.
+    pub hits: u64,
+    /// Probes that fell through to a fresh computation.
+    pub misses: u64,
+    /// Candidates dropped because a master delta emptied the pool.
+    pub evicted_delta: u64,
+    /// Candidates evicted at the key cap.
+    pub evicted_lru: u64,
+    /// Candidates carried across a master delta.
+    pub revalidated: u64,
+    /// Publishes that met a full key or a full pool.
+    pub saturated: u64,
+    /// High-water mark of pooled candidates.
+    pub entries_high_water: u64,
+}
+
 /// Knobs of one [`BatchRepairEngine::repair_opts`] call.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
@@ -536,9 +521,10 @@ pub struct RepairOptions {
     /// The scheduling policy; it has one value, and stays only because
     /// the `benchmark/` package names it.
     pub schedule: Schedule,
-    /// Pool computed suggestions in the engine's
-    /// [`SharedSuggestionCache`] so a suggestion computed once is
-    /// visible to every later batch.
+    /// A no-op: the engine-lifetime suggestion pool it switched is
+    /// gone, and `CertainFix+`'s one cache is the per-chunk diagram.
+    /// The field stays, like [`schedule`](Self::schedule), because the
+    /// `benchmark/` package names it.
     pub shared_cache: bool,
     /// Tuples per chunk (`0` = auto: `n / 16` for an `n`-tuple batch,
     /// clamped to 1..=512; a pinned value is capped at `n`). A
@@ -600,13 +586,8 @@ pub struct BatchReport {
     pub stats: MonitorStats,
     /// BDD statistics summed over the batch's chunks.
     pub bdd: BddStats,
-    /// The engine's [`SharedSuggestionCache`] statistics *attributed to
-    /// this batch* (present iff the shared cache was enabled for this
-    /// repair): `hits` / `misses` are this batch's own probe counts —
-    /// exactly what the batch committed, so summing them over every
-    /// batch any session ran reproduces the engine-global counters —
-    /// while the other fields snapshot the engine-lifetime pool after
-    /// the batch's commit.
+    /// Always `None`: there is no engine-lifetime pool to report on
+    /// (see [`SharedCacheStats`]).
     pub shared: Option<SharedCacheStats>,
     /// Wall-clock time of the fan-out that repaired the batch (what
     /// throughput divides by; the batches of one service epoch share
@@ -661,38 +642,16 @@ impl ChunkQueue {
     }
 }
 
-/// The parallel batch-repair engine: a [`RepairContext`], the
-/// engine-lifetime [`SharedSuggestionCache`], and the scheduling /
-/// fan-out / merge machinery.
+/// The parallel batch-repair engine: a [`RepairContext`] and the
+/// scheduling / fan-out / merge machinery.
 pub struct BatchRepairEngine {
     ctx: RepairContext,
-    shared: SharedSuggestionCache,
 }
 
 impl BatchRepairEngine {
-    /// Wrap a prepared context, with an empty shared cache.
+    /// Wrap a prepared context.
     pub fn new(ctx: RepairContext) -> BatchRepairEngine {
-        BatchRepairEngine {
-            ctx,
-            shared: SharedSuggestionCache::new(),
-        }
-    }
-
-    /// Shorthand: build the context and the engine in one step.
-    pub fn with_config(
-        rules: RuleSet,
-        master: Arc<Relation>,
-        use_bdd: bool,
-        initial_region: InitialRegion,
-        config: CertainFixConfig,
-    ) -> BatchRepairEngine {
-        BatchRepairEngine::new(RepairContext::with_config(
-            rules,
-            master,
-            use_bdd,
-            initial_region,
-            config,
-        ))
+        BatchRepairEngine { ctx }
     }
 
     /// The shared context.
@@ -700,44 +659,16 @@ impl BatchRepairEngine {
         &self.ctx
     }
 
-    /// The engine-lifetime shared suggestion cache (consulted by
-    /// workers when [`RepairOptions::shared_cache`] is on; it persists
-    /// across [`repair_opts`](Self::repair_opts) calls, so later
-    /// batches start warm).
-    pub fn shared_cache(&self) -> &SharedSuggestionCache {
-        &self.shared
-    }
-
-    /// Apply a batch of master mutations through the context (see
-    /// [`RepairContext::apply_master_delta`]) **and** move the shared
-    /// cache to the new generation — the engine-level surface every
-    /// delta path (monitor, session, service, network) routes through.
-    /// Returns the new generation.
-    ///
-    /// A suggestion-preserving delta (pure updates that change no
-    /// rule's key column) carries the pool across the generation bump;
-    /// any other delta leaves an empty pool. The cache step runs inside
-    /// the context's delta gate, so concurrent deltas see their epoch
-    /// swap *and* pool swap as one step, in generation order.
-    pub fn apply_master_delta(&self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        self.ctx
-            .apply_master_delta_maintaining(delta, |old_master, generation| {
-                self.shared
-                    .apply_master_delta(self.ctx.rules(), old_master, delta, generation);
-            })
-    }
-
-    /// This machine's available parallelism (the `--threads 0` / "auto"
-    /// resolution used by the bench layer).
-    pub fn auto_threads() -> usize {
+    /// This machine's available parallelism: what `threads = 0`
+    /// resolves to.
+    fn auto_threads() -> usize {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     }
 
     /// A borrowed [`RepairSession`](crate::session::RepairSession)
-    /// over this engine under the default options; pooled suggestions
-    /// persist in the engine after the session ends.
+    /// over this engine under the default options.
     pub fn session(&self) -> crate::session::RepairSession<'_> {
         self.session_opts(RepairOptions::default())
     }
@@ -781,12 +712,12 @@ impl BatchRepairEngine {
     /// the user for `tuples[i]` — a session batch is a one-unit epoch,
     /// a service epoch holds one batch per participating session.
     ///
-    /// Pins the current master epoch (and the shared pool, under
-    /// `opts.shared_cache`), cuts every unit into chunks, interleaves
-    /// the units' chunks round-robin, deals them contiguously to the
-    /// worker queues, repairs, and returns one [`BatchReport`] per unit
-    /// in `units` order: outcomes stitched back in the unit's input
-    /// order, statistics merged per `(worker, unit)`. A chunk never
+    /// Pins the current master epoch, cuts every unit into chunks,
+    /// interleaves the units' chunks round-robin, deals them
+    /// contiguously to the worker queues, repairs, and returns one
+    /// [`BatchReport`] per unit in `units` order: outcomes stitched back
+    /// in the unit's input order, statistics merged per
+    /// `(worker, unit)`. A chunk never
     /// mixes units. The pinned epoch is the fan-out's world: a
     /// concurrent [`RepairContext::apply_master_delta`] never perturbs
     /// work already fanned out. The calling thread runs as worker 0.
@@ -850,23 +781,17 @@ impl BatchRepairEngine {
 
         let ctx = &self.ctx;
         let epoch = &*epoch;
-        // the shared pool is pinned next to the epoch: every worker of
-        // this fan-out reads the same snapshot, and its own publishes
-        // land only at the commit below
-        let pinned = opts.shared_cache.then(|| self.shared.pin());
-        let pool = pinned.as_deref();
-        // a claimed chunk is one block unless a suggestion cache is
-        // consulted; then it runs as blocks of one (see the module docs)
-        let cached = ctx.uses_bdd() || pool.is_some();
+        // a claimed chunk is one block unless the diagram is consulted;
+        // then it runs as blocks of one (see the module docs)
+        let cached = ctx.uses_bdd();
         let (spans, deal, queues) = (&spans, &deal, &queues);
         let work = move |w: usize| {
-            let mut shared = pool.map(PinnedPool::new);
             // one probe scratch per worker: every tuple this thread
             // repairs reuses the same warm buffer
             let mut scratch = ProbeScratch::new();
             let mut stats = vec![MonitorStats::default(); units.len()];
             let mut bdd_stats = vec![BddStats::default(); units.len()];
-            // (rank, outcomes, shared-cache publishes) in claim order
+            // (rank, outcomes) in claim order
             let mut chunks = Vec::new();
             // the own queue, then one sweep over the victims: queues
             // only ever shrink, so a drained one stays drained
@@ -885,7 +810,6 @@ impl BatchRepairEngine {
                             epoch,
                             &mut bdd,
                             &mut stats[u],
-                            shared.as_mut(),
                             &mut scratch,
                             &tuples[lo..span.end.min(lo + len)],
                             lo,
@@ -893,11 +817,7 @@ impl BatchRepairEngine {
                         ));
                     }
                     bdd_stats[u].merge(&bdd.stats());
-                    let publishes = shared
-                        .as_mut()
-                        .map(PinnedPool::take_publishes)
-                        .unwrap_or_default();
-                    chunks.push((rank, outcomes, publishes));
+                    chunks.push((rank, outcomes));
                 }
             }
             (chunks, stats, bdd_stats)
@@ -919,32 +839,18 @@ impl BatchRepairEngine {
         // claimed ranks sorted for its coalesced ranges
         let mut by_rank: Vec<Option<Vec<FixOutcome>>> = Vec::new();
         by_rank.resize_with(n_chunks, || None);
-        let mut publishes: Vec<(usize, Vec<Publish>)> = Vec::with_capacity(n_chunks);
         let mut accounts = Vec::with_capacity(workers);
         for (chunks, stats, bdd) in outs {
             let mut ranks = Vec::with_capacity(chunks.len());
-            for (rank, outcomes, chunk_publishes) in chunks {
+            for (rank, outcomes) in chunks {
                 debug_assert!(by_rank[rank].is_none(), "chunk {rank} claimed twice");
                 by_rank[rank] = Some(outcomes);
-                publishes.push((rank, chunk_publishes));
                 ranks.push(rank);
             }
             ranks.sort_unstable();
             accounts.push((ranks, stats, bdd));
         }
-        // the epoch boundary: commit the publishes in input order —
-        // units in epoch order, each in its own order — with the probe
-        // counts the units are attributed below (the pin goes first, so
-        // the commit need not copy the pool)
-        drop(pinned);
         let generation = epoch.generation();
-        if opts.shared_cache {
-            let (hits, misses) = accounts
-                .iter()
-                .flat_map(|(_, stats, _)| stats)
-                .fold((0, 0), |(h, m), s| (h + s.shared_hits, m + s.shared_misses));
-            self.shared.commit(generation, hits, misses, publishes);
-        }
         let wall = started.elapsed();
         let mut reports = Vec::with_capacity(units.len());
         for (u, (tuples, _)) in units.iter().enumerate() {
@@ -980,24 +886,11 @@ impl BatchRepairEngine {
                         .expect("every chunk claimed exactly once"),
                 );
             }
-            let shared = opts.shared_cache.then(|| {
-                self.shared
-                    .attributed(stats.shared_hits, stats.shared_misses)
-            });
-            if let Some(s) = &shared {
-                // lifecycle counters are engine-global monotone
-                // snapshots, so the batch stats carry the sample and
-                // merges take the max (see `MonitorStats::merge`)
-                stats.shared_evicted_delta = s.evicted_delta;
-                stats.shared_evicted_lru = s.evicted_lru;
-                stats.shared_revalidated = s.revalidated;
-                stats.shared_saturated = s.saturated;
-            }
             reports.push(BatchReport {
                 outcomes,
                 stats,
                 bdd,
-                shared,
+                shared: None,
                 wall,
                 generation,
                 workers,
@@ -1017,7 +910,6 @@ fn _send_sync_audit() {
     check::<MasterEpoch>();
     check::<Workload>();
     check::<BatchRepairEngine>();
-    check::<SharedSuggestionCache>();
     check::<ChunkQueue>();
     check::<crate::service::RepairService>();
     check::<crate::service::ServiceOptions>();
@@ -1067,7 +959,6 @@ mod tests {
     fn plain_opts(threads: usize) -> RepairOptions {
         RepairOptions {
             threads,
-            shared_cache: false,
             ..RepairOptions::default()
         }
     }
@@ -1179,178 +1070,17 @@ mod tests {
         }
     }
 
-    /// With the BDD on, each chunk's diagram sees that chunk's tuples
-    /// alone, so a batch repaired by 2 or 4 workers equals the
-    /// one-worker run outcome for outcome, round traces included, and
-    /// on `BddStats`. A cold shared pool behind the diagrams changes
-    /// nothing within one batch: a batch never reads its own publishes,
-    /// so every pool probe computes what the plain miss path computes.
-    #[test]
-    fn bdd_workers_agree_on_final_tuples() {
-        let (hosp, ds, dirty) = hosp_batch(300, 600);
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let run = |threads, shared_cache| {
-            let engine = BatchRepairEngine::new(RepairContext::new(
-                hosp.rules().clone(),
-                hosp.master().clone(),
-                true,
-            ));
-            let opts = RepairOptions {
-                threads,
-                shared_cache,
-                ..RepairOptions::default()
-            };
-            engine.repair_opts(&dirty, &opts, oracle_for)
-        };
-        let sequential = run(1, false);
-        assert!(sequential.bdd.hits > 0, "the diagrams served suggestions");
-        for threads in [2usize, 4] {
-            for shared_cache in [false, true] {
-                let parallel = run(threads, shared_cache);
-                let what = format!("{threads} workers, shared cache {shared_cache}");
-                assert_outcomes_identical(&sequential, &parallel, &what);
-                assert_eq!(sequential.bdd, parallel.bdd, "{what}");
-                assert_eq!(sequential.stats.certain, parallel.stats.certain);
-            }
-        }
-    }
-
-    /// The cache-sharing test at the engine level: with the shared
-    /// cache on, a batch never reads its own publishes, its commit
-    /// fills the engine's pool, and every worker of a later batch is
-    /// served from it — hits land in the merged, per-worker monitor
-    /// statistics and sum to the engine-global counters.
-    #[test]
-    fn shared_cache_is_populated_and_hit_across_workers() {
-        let (hosp, ds, dirty) = hosp_batch(200, 800);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            true,
-        ));
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        // warm pass: a single worker computes suggestions, and the batch
-        // boundary commits them into the engine-lifetime pool (this also
-        // pins down the cross-batch persistence — the pool outlives the
-        // repair call)
-        let warm = engine.repair_opts(&dirty, &RepairOptions::default(), oracle_for);
-        assert!(!engine.shared_cache().is_empty(), "suggestions were pooled");
-        assert!(warm.stats.shared_misses > 0, "the cold pass computed them");
-        assert_eq!(
-            warm.stats.shared_hits, 0,
-            "a batch never reads its own publishes"
-        );
-
-        // parallel pass: every chunk's cold diagram misses probe the
-        // pinned warm pool, so pooled suggestions are observed across
-        // workers
-        let report = engine.repair_opts(
-            &dirty,
-            &RepairOptions {
-                threads: 4,
-                ..RepairOptions::default()
-            },
-            oracle_for,
-        );
-        let shared = report.shared.as_ref().expect("shared stats snapshot");
-        // `BatchReport::shared` is attributed per batch: each report
-        // carries its own workers' probe counts, not the engine-global
-        // cumulative ones
-        let warm_shared = warm.shared.as_ref().expect("shared stats snapshot");
-        assert_eq!(warm_shared.hits, warm.stats.shared_hits);
-        assert_eq!(warm_shared.misses, warm.stats.shared_misses);
-        assert_eq!(shared.hits, report.stats.shared_hits);
-        assert_eq!(shared.misses, report.stats.shared_misses);
-        // ... and summing the attributed counters over every batch the
-        // engine ran reproduces the engine-global cache-side counters
-        // exactly (the satellite identity)
-        let global = engine.shared_cache().stats();
-        assert_eq!(
-            global.hits + global.misses,
-            warm_shared.hits + warm_shared.misses + shared.hits + shared.misses,
-            "attributed batch counters sum to the engine-global ones"
-        );
-        assert_eq!(global.hits, warm_shared.hits + shared.hits);
-        assert_eq!(global.misses, warm_shared.misses + shared.misses);
-        assert!(
-            report.stats.shared_hits > 0,
-            "pooled suggestions were served across workers: {shared:?}"
-        );
-        // worker-side counters merge through MonitorStats::merge
-        let mut remerged = MonitorStats::default();
-        for w in &report.workers {
-            remerged.merge(&w.stats);
-        }
-        assert_eq!(remerged.shared_hits, report.stats.shared_hits);
-        assert_eq!(remerged.shared_misses, report.stats.shared_misses);
-    }
-
-    /// D12 at the engine level: with the BDD off and the shared cache
-    /// on, a skewed two-batch stream repairs bit-identically — whole
-    /// outcomes, round traces included, and the per-batch cache stats —
-    /// at 1, 2 and 8 workers and at forced chunks of 1, 16 and 256
-    /// tuples against the auto chunk, each run on a fresh engine. The
-    /// pool serves a key's first passing candidate in commit order, so
-    /// running a pool-on chunk in round lockstep instead of as blocks of
-    /// one would reorder its publishes. The DBLP stream's users answer
-    /// half of each suggestion, so tuples of one chunk publish under the
-    /// same key in different rounds and that reordering shows.
-    #[test]
-    fn shared_cache_runs_are_worker_count_independent() {
-        let streams: [(Box<dyn GenWorkload>, f64); 2] = [
-            (Box::new(Hosp::generate(300)), 1.0),
-            (Box::new(Dblp::generate(300)), 0.5),
-        ];
-        for (w, compliance) in &streams {
-            let (ds, dirty) = dirty_batch(w.as_ref(), 2_000, 1.0);
-            let oracle_for = |i: usize| {
-                SimulatedUser::with_compliance(ds.inputs[i].clean.clone(), *compliance, i as u64)
-            };
-            let run = |threads: usize, chunk: usize| {
-                let engine = BatchRepairEngine::new(RepairContext::new(
-                    w.rules().clone(),
-                    w.master().clone(),
-                    false,
-                ));
-                let mut session = engine.session_opts(RepairOptions {
-                    threads,
-                    chunk,
-                    ..RepairOptions::default()
-                });
-                for half in dirty.chunks(1_000) {
-                    session.push_batch(half, oracle_for);
-                }
-                session.finish()
-            };
-            let base = run(1, 0);
-            assert!(base.stats.shared_hits > 0, "the second batch was served");
-            for threads in [1usize, 2, 8] {
-                for chunk in [0usize, 1, 16, 256] {
-                    if (threads, chunk) == (1, 0) {
-                        continue;
-                    }
-                    let got = run(threads, chunk);
-                    let what = format!("{}: {threads} workers, chunk {chunk}", w.name());
-                    for (a, b) in base.batches.iter().zip(&got.batches) {
-                        assert_outcomes_identical(a, b, &what);
-                        assert_eq!(a.shared, b.shared, "{what}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// D12 with the BDD on: every claimed chunk builds its own
-    /// diagram, and chunks are cut from the batch alone, so what a
-    /// diagram serves never depends on which worker claims the chunk. A
-    /// skewed two-batch stream repairs bit-identically at 1, 2 and 8
-    /// workers — whole outcomes, round traces included, and each
-    /// batch's `BddStats` and shared-cache stats — with the pool off and
-    /// on, at the auto chunk and at forced chunks of 1, 16 and 256
-    /// tuples, each run on a fresh engine. A cache-on run's chunk size
-    /// is part of its input, so runs are compared at equal chunk. The
-    /// DBLP stream's users answer half of each suggestion, so a
-    /// diagram meets many validated sets across its tuples' rounds.
+    /// D12: every claimed chunk builds its own diagram, and chunks are
+    /// cut from the batch alone, so what a diagram serves never depends
+    /// on which worker claims the chunk. A skewed two-batch stream
+    /// repairs bit-identically at 1, 2 and 8 workers — whole outcomes,
+    /// round traces included, and each batch's `BddStats` — at the auto
+    /// chunk and at forced chunks of 1, 16 and 256 tuples, each run on a
+    /// fresh engine. The reference runs with `shared_cache` off and the
+    /// others with it on: the option is a no-op. A `CertainFix+` run's
+    /// chunk size is part of its input, so runs are compared at equal
+    /// chunk. The DBLP stream's users answer half of each suggestion, so
+    /// a diagram meets many validated sets across its tuples' rounds.
     #[test]
     fn bdd_runs_are_worker_count_independent() {
         let streams: [(Box<dyn GenWorkload>, f64); 2] = [
@@ -1379,23 +1109,18 @@ mod tests {
                 }
                 session.finish()
             };
-            for shared_cache in [false, true] {
-                for chunk in [0usize, 1, 16, 256] {
-                    let base = run(1, shared_cache, chunk);
-                    if chunk == 0 {
-                        assert!(base.bdd.hits > 0, "the diagrams served suggestions");
-                    }
-                    for threads in [2usize, 8] {
-                        let got = run(threads, shared_cache, chunk);
-                        let what = format!(
-                            "{}: {threads} workers, shared cache {shared_cache}, chunk {chunk}",
-                            w.name()
-                        );
-                        for (a, b) in base.batches.iter().zip(&got.batches) {
-                            assert_outcomes_identical(a, b, &what);
-                            assert_eq!(a.bdd, b.bdd, "{what}");
-                            assert_eq!(a.shared, b.shared, "{what}");
-                        }
+            for chunk in [0usize, 1, 16, 256] {
+                let base = run(1, false, chunk);
+                if chunk == 0 {
+                    assert!(base.bdd.hits > 0, "the diagrams served suggestions");
+                }
+                for threads in [1usize, 2, 8] {
+                    let got = run(threads, true, chunk);
+                    let what = format!("{}: {threads} workers, chunk {chunk}", w.name());
+                    for (a, b) in base.batches.iter().zip(&got.batches) {
+                        assert_outcomes_identical(a, b, &what);
+                        assert_eq!(a.bdd, b.bdd, "{what}");
+                        assert!(b.shared.is_none(), "{what}");
                     }
                 }
             }
@@ -1418,7 +1143,6 @@ mod tests {
         ));
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let opts = RepairOptions {
-            shared_cache: false,
             chunk: dirty.len(),
             ..RepairOptions::default()
         };
@@ -1637,7 +1361,7 @@ mod tests {
 
     /// The paper's sequential monitor is a one-worker run whose one
     /// chunk is the whole stream, so one diagram serves every tuple; a
-    /// 4-worker run over chunks of its own, the shared pool on, still
+    /// 4-worker run over chunks of its own, one diagram each, still
     /// gives every tuple the same final value (D8).
     #[test]
     fn engine_matches_the_sequential_monitor() {
@@ -1651,7 +1375,6 @@ mod tests {
         let monitor = engine.repair_opts(
             &dirty,
             &RepairOptions {
-                shared_cache: false,
                 chunk: dirty.len(),
                 ..RepairOptions::default()
             },

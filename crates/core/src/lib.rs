@@ -54,14 +54,13 @@ pub mod monitor;
 pub mod oracle;
 pub mod service;
 pub mod session;
-pub mod sharedcache;
 pub mod transfix;
 
 pub use bdd::SuggestionBdd;
 pub use certainfix::{CertainFix, CertainFixConfig, FixOutcome, RoundReport};
 pub use engine::{
     BatchRepairEngine, BatchReport, MasterEpoch, RepairContext, RepairOptions, Schedule,
-    WorkerReport, Workload,
+    SharedCacheStats, WorkerReport, Workload,
 };
 pub use metrics::{
     evaluate_changes, evaluate_rounds, merge_round_series, ChangeCounts, RoundMetrics, TupleEval,
@@ -77,5 +76,4 @@ pub use session::{
     BatchesSource, ChannelSource, RepairSession, RepairSessionBuilder, SessionReport, SliceSource,
     TupleSource,
 };
-pub use sharedcache::{SharedCacheStats, SharedSuggestionCache};
 pub use transfix::{transfix, transfix_block, transfix_with, TransFixOutcome};

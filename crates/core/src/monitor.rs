@@ -28,8 +28,7 @@ pub enum InitialRegion {
 ///
 /// `tuples` / `certain` / `rounds` / `plan_probes` /
 /// `plan_fallbacks` are deterministic counts: merging per-worker
-/// instances reproduces the sequential run's values exactly, and with
-/// the BDD off so are the shared-cache probe counters (D12). `elapsed`,
+/// instances reproduces the sequential run's values exactly. `elapsed`,
 /// `interner_syms` and `probe_allocs` (each worker warms its own
 /// scratch buffer) are wall-clock/scheduling observables and are
 /// excluded from that guarantee.
@@ -48,30 +47,6 @@ pub struct MonitorStats {
     /// ROADMAP monitoring hook for the append-only interner's growth
     /// under streaming ingest.
     pub interner_syms: u64,
-    /// Probes of the
-    /// [`SharedSuggestionCache`](crate::SharedSuggestionCache)
-    /// answered by a pooled candidate (0 when the shared cache is
-    /// off).
-    pub shared_hits: u64,
-    /// Probes of the shared cache that fell through to a fresh
-    /// computation.
-    pub shared_misses: u64,
-    /// Shared-cache candidates dropped because a master delta installed
-    /// an empty pool. Unlike the probe counters this is not ticked per
-    /// worker: it is a monotone snapshot of the engine-global cache,
-    /// sampled after each batch, so [`merge`](Self::merge) takes the
-    /// maximum (like the interner watermark) rather than summing.
-    pub shared_evicted_delta: u64,
-    /// Shared-cache candidates evicted with the oldest key at the key
-    /// cap (same snapshot/merge semantics as `shared_evicted_delta`).
-    pub shared_evicted_lru: u64,
-    /// Shared-cache candidates carried to a new master generation by a
-    /// suggestion-preserving delta (same snapshot/merge semantics as
-    /// `shared_evicted_delta`).
-    pub shared_revalidated: u64,
-    /// Committed shared-cache publishes that met a full key or a full
-    /// pool (same snapshot/merge semantics as `shared_evicted_delta`).
-    pub shared_saturated: u64,
     /// Key probes issued through the compiled
     /// [`RulePlan`](certainfix_rules::RulePlan)'s scratch-buffered
     /// layer in the `TransFix`/validation hot path, which every
@@ -155,12 +130,6 @@ impl MonitorStats {
         self.rounds += other.rounds;
         self.elapsed += other.elapsed;
         self.interner_syms = self.interner_syms.max(other.interner_syms);
-        self.shared_hits += other.shared_hits;
-        self.shared_misses += other.shared_misses;
-        self.shared_evicted_delta = self.shared_evicted_delta.max(other.shared_evicted_delta);
-        self.shared_evicted_lru = self.shared_evicted_lru.max(other.shared_evicted_lru);
-        self.shared_revalidated = self.shared_revalidated.max(other.shared_revalidated);
-        self.shared_saturated = self.shared_saturated.max(other.shared_saturated);
         self.plan_probes += other.plan_probes;
         self.probe_allocs += other.probe_allocs;
         self.plan_fallbacks += other.plan_fallbacks;
@@ -201,7 +170,7 @@ mod tests {
     use certainfix_relation::Tuple;
 
     /// The paper's monitor over a generated stream: one worker, one
-    /// chunk (so one diagram under `CertainFix+`), no shared pool.
+    /// chunk (so one diagram under `CertainFix+`).
     fn run_monitor<W: Workload>(
         workload: &W,
         use_bdd: bool,
@@ -215,7 +184,6 @@ mod tests {
         let dataset = Dataset::generate(workload, cfg);
         let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
         let opts = RepairOptions {
-            shared_cache: false,
             chunk: dirty.len(),
             ..RepairOptions::default()
         };
@@ -370,12 +338,6 @@ mod tests {
             rounds: 12,
             elapsed: std::time::Duration::from_millis(5),
             interner_syms: 100,
-            shared_hits: 6,
-            shared_misses: 2,
-            shared_evicted_delta: 8,
-            shared_evicted_lru: 3,
-            shared_revalidated: 5,
-            shared_saturated: 2,
             plan_probes: 40,
             probe_allocs: 1,
             plan_fallbacks: 3,
@@ -395,12 +357,6 @@ mod tests {
             rounds: 9,
             elapsed: std::time::Duration::from_millis(3),
             interner_syms: 250,
-            shared_hits: 1,
-            shared_misses: 4,
-            shared_evicted_delta: 2,
-            shared_evicted_lru: 9,
-            shared_revalidated: 1,
-            shared_saturated: 6,
             plan_probes: 2,
             probe_allocs: 1,
             plan_fallbacks: 1,
@@ -421,15 +377,6 @@ mod tests {
         assert_eq!(merged.rounds, 21);
         assert_eq!(merged.elapsed, std::time::Duration::from_millis(8));
         assert_eq!(merged.interner_syms, 250, "watermark is a max, not a sum");
-        assert_eq!(merged.shared_hits, 7, "shared probes sum");
-        assert_eq!(merged.shared_misses, 6);
-        assert_eq!(
-            merged.shared_evicted_delta, 8,
-            "lifecycle snapshots max, not sum"
-        );
-        assert_eq!(merged.shared_evicted_lru, 9);
-        assert_eq!(merged.shared_revalidated, 5);
-        assert_eq!(merged.shared_saturated, 6);
         assert_eq!(merged.plan_probes, 42, "plan probes sum");
         assert_eq!(merged.probe_allocs, 2, "scratch warm-ups sum");
         assert_eq!(merged.plan_fallbacks, 4, "wide-key fallbacks sum");

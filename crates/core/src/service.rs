@@ -5,11 +5,12 @@
 //! master relation; a deployment is rarely that lucky. [`RepairService`]
 //! is the service shape the ROADMAP aims at: one
 //! [`BatchRepairEngine`] — one compiled
-//! [`RulePlan`](certainfix_rules::RulePlan), one
-//! [`SharedSuggestionCache`](crate::SharedSuggestionCache), one
-//! work-stealing worker pool — shared by N independent sessions, each
-//! with its own [`TupleSource`], its own oracle space, and its own
-//! [`SessionReport`].
+//! [`RulePlan`](certainfix_rules::RulePlan), one work-stealing worker
+//! pool — shared by N independent sessions, each with its own
+//! [`TupleSource`], its own oracle space, and its own
+//! [`SessionReport`]. Nothing a session's repairs compute is shared
+//! with another session: a `CertainFix+` diagram lives one chunk of
+//! one session.
 //!
 //! # Architecture
 //!
@@ -69,25 +70,21 @@
 //! Every tuple's repair depends only on the tuple, its oracle, and the
 //! shared immutable context. A session's tuples are chunked in stream
 //! order, each chunk is one probe block of that session alone, and
-//! block probing is bit-identical at every block size (the PR 6
-//! contract), so for plain `CertainFix` (`bdd(false)`, shared cache
-//! off) each session's outcomes and merged deterministic
-//! [`MonitorStats`] counts (`tuples`, `certain`, `rounds`,
-//! `plan_probes`, `plan_fallbacks`) are **bit-identical to draining
-//! that session alone through a [`RepairSession`](crate::RepairSession)**
-//! — regardless of
-//! how many other sessions run concurrently, how the epochs happen to
-//! compose, or the worker count — and the aggregate
-//! [`ServiceReport::stats`] merge equals running the sessions one at a
-//! time. Wall-clock observables (`elapsed`, the interner watermark,
-//! `probe_allocs`, per-epoch worker breakdowns) are exempt as always.
-//! With the shared cache on, a scheduler epoch reads the pool committed
-//! before it and commits its publishes session by session, each in
-//! stream order — so what a session is served depends on which epochs
-//! it shared with whom, not on the worker count. A `CertainFix+`
-//! diagram lives one chunk of one session, cut from that session's
-//! batch alone. Per-session attributed `hits`/`misses` always sum to
-//! the engine-global cache counters.
+//! block probing is bit-identical at every block size (the D6
+//! contract), so for plain `CertainFix` each session's outcomes and
+//! merged deterministic [`MonitorStats`] counts (`tuples`, `certain`,
+//! `rounds`, `plan_probes`, `plan_fallbacks`) are **bit-identical to
+//! draining that session alone through a
+//! [`RepairSession`](crate::RepairSession)** — regardless of how many
+//! other sessions run concurrently, how the epochs happen to compose,
+//! or the worker count — and the aggregate [`ServiceReport::stats`]
+//! merge equals running the sessions one at a time. Under
+//! `CertainFix+` the same holds for whole outcomes and [`BddStats`]: a
+//! session's batches reach the fan-out exactly as its source cut them,
+//! and a diagram lives one chunk of one session's batch. Wall-clock
+//! observables (`elapsed`, the
+//! interner watermark, `probe_allocs`, per-epoch worker breakdowns) are
+//! exempt as always.
 //!
 //! ```
 //! use certainfix_core::service::{RepairServiceBuilder, ServiceStream};
@@ -130,11 +127,12 @@ use std::sync::Arc;
 
 use crate::bdd::BddStats;
 use crate::certainfix::CertainFixConfig;
-use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Workload};
+use crate::engine::{
+    BatchRepairEngine, BatchReport, RepairContext, RepairOptions, SharedCacheStats, Workload,
+};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 use crate::session::{SessionReport, TupleSource};
-use crate::sharedcache::SharedCacheStats;
 
 /// A boxed oracle as the service hands them to its workers.
 pub type BoxedOracle<'a> = Box<dyn UserOracle + 'a>;
@@ -191,8 +189,10 @@ pub enum SessionEvent {
     /// session's own stream order.
     Batch(BatchReport),
     /// The session's source is exhausted (or its producer went away)
-    /// and every buffered batch has been repaired; this is the same
-    /// report the final [`ServiceReport`] will carry.
+    /// and every buffered batch has been repaired; this is the final
+    /// [`ServiceReport`]'s fold for the session *without* its
+    /// `batches` — the observer already received each one as a
+    /// [`Batch`](SessionEvent::Batch).
     Finished(SessionReport),
 }
 
@@ -294,9 +294,9 @@ pub struct ServiceOptions {
     /// and, under `CertainFix+`, the lifetime of one suggestion
     /// diagram.
     pub chunk: usize,
-    /// Pool computed suggestions in the engine-lifetime
-    /// [`SharedSuggestionCache`](crate::SharedSuggestionCache), shared
-    /// by *all* sessions (one pool, not per-tenant copies).
+    /// A no-op, like [`RepairOptions::shared_cache`]: there is no
+    /// suggestion pool to share between sessions. The field stays
+    /// because the `benchmark/` package names it.
     pub shared_cache: bool,
     /// Bounded ingest-lane depth: batches a producer may have in
     /// flight before its `send` blocks (clamped to at least 1).
@@ -330,7 +330,7 @@ pub struct RepairServiceBuilder {
 
 impl RepairServiceBuilder {
     /// A service over `(Σ, Dm)` with the defaults: plain `CertainFix`,
-    /// best initial region, one worker, shared cache on, lane depth 2.
+    /// best initial region, one worker, lane depth 2.
     pub fn new(rules: RuleSet, master: Arc<Relation>) -> RepairServiceBuilder {
         RepairServiceBuilder {
             rules,
@@ -381,12 +381,6 @@ impl RepairServiceBuilder {
         self
     }
 
-    /// Pool computed suggestions across sessions.
-    pub fn shared_cache(mut self, on: bool) -> Self {
-        self.opts.shared_cache = on;
-        self
-    }
-
     /// Bounded ingest-lane depth per session.
     pub fn depth(mut self, depth: usize) -> Self {
         self.opts.depth = depth;
@@ -417,9 +411,7 @@ impl RepairServiceBuilder {
 /// architecture and the fairness / determinism contract.
 ///
 /// A service owns one engine and is reusable: each [`run`](Self::run)
-/// multiplexes one set of streams to completion, and the engine-
-/// lifetime shared cache stays warm across runs (exactly as it does
-/// across the batches of a solo session).
+/// multiplexes one set of streams to completion.
 pub struct RepairService {
     engine: BatchRepairEngine,
     opts: ServiceOptions,
@@ -468,7 +460,6 @@ impl RepairService {
         let rebuilds_at_start = self.engine.context().plan_rebuilds();
         let opts = RepairOptions {
             threads: self.opts.threads,
-            shared_cache: self.opts.shared_cache,
             chunk: self.opts.chunk,
             ..RepairOptions::default()
         };
@@ -582,10 +573,12 @@ impl RepairService {
                         finished[s] = true;
                         let a = std::mem::take(&mut acc[s]);
                         let mut report = SessionReport::from_batches(&a.batches, a.wall, a.tuples);
-                        report.batches = a.batches;
                         if let Some(ev) = events[s].take() {
+                            // the fold alone: the observer already has
+                            // every batch
                             let _ = ev.send(SessionEvent::Finished(report.clone()));
                         }
+                        report.batches = a.batches;
                         done[s] = Some(report);
                     }
                 }
@@ -605,23 +598,14 @@ impl RepairService {
         let mut sessions = Vec::with_capacity(names.len());
         let mut stats = MonitorStats::default();
         let mut bdd = BddStats::default();
-        let mut shared: Option<SharedCacheStats> = None;
         let mut tuples = 0usize;
         for (name, report) in names.into_iter().zip(done) {
             let report = report.expect("every attached session is finalized before exit");
             stats.merge(&report.stats);
             bdd.merge(&report.bdd);
-            if let Some(s) = &report.shared {
-                let agg = shared.get_or_insert_with(SharedCacheStats::default);
-                agg.hits += s.hits;
-                agg.misses += s.misses;
-            }
             tuples += report.tuples;
             sessions.push(NamedSessionReport { name, report });
         }
-        // attributed counters summed over the sessions; pool occupancy
-        // and the lifetime counters are the engine's final snapshot
-        let shared = shared.map(|agg| self.engine.shared_cache().attributed(agg.hits, agg.misses));
         // deltas reach the context from sessions' callers and from
         // connection handlers alike; the context counts them all
         stats.plan_rebuilds = self.engine.context().plan_rebuilds() - rebuilds_at_start;
@@ -629,7 +613,7 @@ impl RepairService {
             sessions,
             stats,
             bdd,
-            shared,
+            shared: None,
             wall: started.elapsed(),
             epochs,
             tuples,
@@ -668,10 +652,8 @@ pub struct ServiceReport {
     pub stats: MonitorStats,
     /// Merged BDD statistics over all sessions.
     pub bdd: BddStats,
-    /// Shared-cache statistics: attributed `hits` / `misses` summed
-    /// over the sessions (equal to the engine-global probe counters
-    /// this run added), pool occupancy from the engine's final
-    /// snapshot. `None` when the shared cache was off.
+    /// Always `None`: there is no engine-lifetime pool to report on
+    /// (see [`SharedCacheStats`]).
     pub shared: Option<SharedCacheStats>,
     /// End-to-end wall clock of the run, *including* time spent
     /// waiting on producers (unlike the per-session `wall`s, which sum
@@ -738,153 +720,89 @@ mod tests {
         ds.inputs.iter().map(|dt| dt.dirty.clone()).collect()
     }
 
-    /// The tentpole determinism test: three unevenly sized HOSP
-    /// streams (one skewed) multiplexed at 1, 2, and 4 workers — each
-    /// session's outcomes and deterministic merged counts are
+    /// D7: three unevenly sized HOSP streams (one skewed) multiplexed
+    /// at 1, 2, and 4 workers — each session's whole outcomes, round
+    /// traces included, and deterministic merged counts are
     /// bit-identical to draining that session alone through a solo
-    /// [`RepairSession`], and the aggregate merge equals the sum of
-    /// the solo runs.
+    /// [`RepairSession`], and the aggregate merge equals the sum of the
+    /// solo runs. Plain `CertainFix` and `CertainFix+` (default options,
+    /// `BddStats` compared too) alike.
     #[test]
     fn multiplexed_sessions_match_solo_runs_1_2_4() {
         let (hosp, datasets) = hosp_sessions(200, &[900, 150, 420]);
         let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
 
-        // solo baselines: each stream drained alone, sequentially
-        let solo: Vec<SessionReport> = datasets
-            .iter()
-            .zip(&dirty)
-            .map(|(ds, tuples)| {
-                let mut session =
-                    RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                        .threads(1)
-                        .shared_cache(false)
-                        .build();
-                session.drain(SliceSource::with_batch(tuples, 128), |i| {
-                    SimulatedUser::new(ds.inputs[i].clean.clone())
-                });
-                session.finish()
-            })
-            .collect();
-
-        for workers in [1usize, 2, 4] {
-            let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                .threads(workers)
-                .shared_cache(false)
-                .build();
-            let streams = datasets
+        for bdd in [false, true] {
+            // solo baselines: each stream drained alone, sequentially
+            let solo: Vec<SessionReport> = datasets
                 .iter()
                 .zip(&dirty)
-                .enumerate()
-                .map(|(s, (ds, tuples))| {
-                    ServiceStream::new(
-                        format!("s{s}"),
-                        SliceSource::with_batch(tuples, 128),
-                        move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
-                    )
+                .map(|(ds, tuples)| {
+                    let mut session =
+                        RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                            .bdd(bdd)
+                            .threads(1)
+                            .build();
+                    session.drain(SliceSource::with_batch(tuples, 128), |i| {
+                        SimulatedUser::new(ds.inputs[i].clean.clone())
+                    });
+                    session.finish()
                 })
                 .collect();
-            let report = service.run(streams);
-            assert_eq!(report.sessions.len(), 3);
-            assert!(report.epochs > 0);
-            let mut merged = MonitorStats::default();
-            for (s, named) in report.sessions.iter().enumerate() {
-                let (got, want) = (&named.report, &solo[s]);
-                assert_eq!(named.name, format!("s{s}"));
-                assert_eq!(got.tuples, want.tuples, "session {s}, {workers} workers");
-                for (i, (a, b)) in got.outcomes().zip(want.outcomes()).enumerate() {
-                    assert_eq!(
-                        a.tuple, b.tuple,
-                        "session {s} tuple {i} ({workers} workers)"
-                    );
-                    assert_eq!(a.certain, b.certain, "session {s} tuple {i}");
-                    assert_eq!(a.validated, b.validated, "session {s} tuple {i}");
-                    assert_eq!(a.rounds.len(), b.rounds.len(), "session {s} tuple {i}");
-                }
-                // the deterministic MonitorStats fields, bit-for-bit
-                assert_eq!(got.stats.tuples, want.stats.tuples, "session {s}");
-                assert_eq!(got.stats.certain, want.stats.certain, "session {s}");
-                assert_eq!(got.stats.rounds, want.stats.rounds, "session {s}");
-                assert_eq!(got.stats.plan_probes, want.stats.plan_probes, "session {s}");
-                assert_eq!(
-                    got.stats.plan_fallbacks, want.stats.plan_fallbacks,
-                    "session {s}"
-                );
-                merged.merge(&got.stats);
+            if bdd {
+                assert!(solo[0].bdd.hits > 0, "the diagrams served suggestions");
             }
-            // the aggregate is the order-independent merge of the
-            // per-session stats — i.e. the sequential one-at-a-time run
-            assert_eq!(report.stats.tuples, merged.tuples);
-            assert_eq!(report.stats.certain, merged.certain);
-            assert_eq!(report.stats.rounds, merged.rounds);
-            assert_eq!(report.stats.plan_probes, merged.plan_probes);
-            assert_eq!(report.tuples, 900 + 150 + 420);
-            assert!(report.shared.is_none(), "shared cache was off");
-        }
-    }
 
-    /// The satellite identity at the service level: with the shared
-    /// cache on, per-session attributed hit/miss counters sum exactly
-    /// to the engine-global cache-side counters.
-    #[test]
-    fn attributed_shared_counters_sum_to_engine_global() {
-        let (hosp, datasets) = hosp_sessions(150, &[300, 200]);
-        let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(true)
-            .threads(3)
-            .shared_cache(true)
-            .build();
-        let streams = datasets
-            .iter()
-            .zip(&dirty)
-            .enumerate()
-            .map(|(s, (ds, tuples))| {
-                ServiceStream::new(
-                    format!("s{s}"),
-                    SliceSource::with_batch(tuples, 64),
-                    move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
-                )
-            })
-            .collect();
-        let report = service.run(streams);
-        let global = service.engine().shared_cache().stats();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for named in &report.sessions {
-            let shared = named.report.shared.as_ref().expect("shared cache was on");
-            assert_eq!(shared.hits, named.report.stats.shared_hits);
-            assert_eq!(shared.misses, named.report.stats.shared_misses);
-            hits += shared.hits;
-            misses += shared.misses;
-        }
-        assert_eq!(
-            (hits, misses),
-            (global.hits, global.misses),
-            "per-session attributed counters sum to the engine-global ones"
-        );
-        let agg = report.shared.as_ref().expect("aggregate shared stats");
-        assert_eq!((agg.hits, agg.misses), (hits, misses));
-        assert_eq!(agg.entries, global.entries);
-        assert!(misses > 0, "something was computed");
-        // repaired tuples still agree with solo runs even with the
-        // caches on (checked reuse changes traces, never fixes)
-        for (s, (ds, tuples)) in datasets.iter().zip(&dirty).enumerate() {
-            let mut solo = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                .bdd(true)
-                .threads(1)
-                .shared_cache(false)
-                .build();
-            solo.drain(SliceSource::new(tuples), |i| {
-                SimulatedUser::new(ds.inputs[i].clean.clone())
-            });
-            let solo = solo.finish();
-            for (i, (a, b)) in report.sessions[s]
-                .report
-                .outcomes()
-                .zip(solo.outcomes())
-                .enumerate()
-            {
-                assert_eq!(a.tuple, b.tuple, "session {s} tuple {i}");
-                assert_eq!(a.certain, b.certain, "session {s} tuple {i}");
+            for workers in [1usize, 2, 4] {
+                let service =
+                    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                        .bdd(bdd)
+                        .threads(workers)
+                        .build();
+                let streams = datasets
+                    .iter()
+                    .zip(&dirty)
+                    .enumerate()
+                    .map(|(s, (ds, tuples))| {
+                        ServiceStream::new(
+                            format!("s{s}"),
+                            SliceSource::with_batch(tuples, 128),
+                            move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
+                        )
+                    })
+                    .collect();
+                let report = service.run(streams);
+                assert_eq!(report.sessions.len(), 3);
+                assert!(report.epochs > 0);
+                let mut merged = MonitorStats::default();
+                for (s, named) in report.sessions.iter().enumerate() {
+                    let (got, want) = (&named.report, &solo[s]);
+                    let what = format!("session {s}, {workers} workers, bdd {bdd}");
+                    assert_eq!(named.name, format!("s{s}"));
+                    assert_eq!(got.tuples, want.tuples, "{what}");
+                    for (i, (a, b)) in got.outcomes().zip(want.outcomes()).enumerate() {
+                        assert_eq!(a, b, "{what}, tuple {i}");
+                    }
+                    assert_eq!(got.bdd, want.bdd, "{what}");
+                    // the deterministic MonitorStats fields, bit-for-bit
+                    assert_eq!(got.stats.tuples, want.stats.tuples, "{what}");
+                    assert_eq!(got.stats.certain, want.stats.certain, "{what}");
+                    assert_eq!(got.stats.rounds, want.stats.rounds, "{what}");
+                    assert_eq!(got.stats.plan_probes, want.stats.plan_probes, "{what}");
+                    assert_eq!(
+                        got.stats.plan_fallbacks, want.stats.plan_fallbacks,
+                        "{what}"
+                    );
+                    merged.merge(&got.stats);
+                }
+                // the aggregate is the order-independent merge of the
+                // per-session stats — i.e. the sequential one-at-a-time run
+                assert_eq!(report.stats.tuples, merged.tuples);
+                assert_eq!(report.stats.certain, merged.certain);
+                assert_eq!(report.stats.rounds, merged.rounds);
+                assert_eq!(report.stats.plan_probes, merged.plan_probes);
+                assert_eq!(report.tuples, 900 + 150 + 420);
+                assert!(report.shared.is_none());
             }
         }
     }
@@ -899,7 +817,6 @@ mod tests {
 
         let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
             .threads(2)
-            .shared_cache(false)
             .depth(1)
             .build();
 
@@ -942,7 +859,6 @@ mod tests {
         // stream cut the same way
         let mut solo = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
             .threads(1)
-            .shared_cache(false)
             .build();
         solo.drain(SliceSource::with_batch(&dirty, 16), |i| {
             SimulatedUser::new(ds.inputs[i].clean.clone())
@@ -959,7 +875,8 @@ mod tests {
     /// The dynamic-attach hooks behind the network server: sessions
     /// attached to a *running* `run_dynamic` at staggered times get
     /// per-epoch [`SessionEvent::Batch`]es, exactly one
-    /// [`SessionEvent::Finished`] equal to the final report, and
+    /// [`SessionEvent::Finished`] carrying the final fold without its
+    /// batches, and
     /// results bit-identical to the all-up-front [`run`] (which is
     /// itself bit-identical to solo drains).
     #[test]
@@ -969,7 +886,6 @@ mod tests {
         let mk_service = || {
             RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
                 .threads(2)
-                .shared_cache(false)
                 .build()
         };
 
@@ -1034,7 +950,7 @@ mod tests {
             assert_eq!(named.report.stats.plan_probes, want.stats.plan_probes);
 
             // the observer channel saw one Batch per epoch the session
-            // took part in, then Finished with the very same report
+            // took part in, then Finished
             let evs: Vec<SessionEvent> = event_rxs[s].try_iter().collect();
             let batches: Vec<&BatchReport> = evs
                 .iter()
@@ -1047,9 +963,13 @@ mod tests {
             for (eb, rb) in batches.iter().zip(&named.report.batches) {
                 assert_eq!(eb.outcomes, rb.outcomes, "session {s}");
             }
+            // ... carrying the fold alone: the batches went out as
+            // they completed
             match evs.last() {
                 Some(SessionEvent::Finished(final_report)) => {
+                    assert!(final_report.batches.is_empty(), "session {s}");
                     assert_eq!(final_report.tuples, named.report.tuples);
+                    assert_eq!(final_report.stats.tuples, named.report.stats.tuples);
                     assert_eq!(final_report.stats.rounds, named.report.stats.rounds);
                 }
                 other => panic!("session {s}: expected trailing Finished, got {other:?}"),
@@ -1072,9 +992,8 @@ mod tests {
     fn run_dynamic_returns_promptly_after_the_last_attach_handle_drops() {
         let (hosp, datasets) = hosp_sessions(60, &[4]);
         let dirty = dirty_of(&datasets[0]);
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .shared_cache(false)
-            .build();
+        let service =
+            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).build();
         let mut took = Vec::with_capacity(50);
         for round in 0..50 {
             let (attach, queue) = attach_channel();
@@ -1123,27 +1042,25 @@ mod tests {
     }
 
     /// A one-stream service and a session run the same fan-out on the
-    /// same units, so with the shared cache on and a key-column master
-    /// delta between two batches, the service's batches carry exactly
-    /// the session's cache statistics — the lifecycle counters
-    /// (`shared_evicted_delta` and the rest, sampled after each commit)
-    /// included, in every batch and in both merged reports.
+    /// same units, so under `CertainFix+` with a key-column master delta
+    /// between two batches, the service's batches equal the session's:
+    /// whole outcomes, `BddStats` and the generation each pinned.
     #[test]
-    fn a_one_stream_service_reports_the_session_cache_lifecycle() {
+    fn a_one_stream_service_matches_the_session_across_a_delta() {
         let (hosp, datasets) = hosp_sessions(150, &[240]);
         let ds = &datasets[0];
         let dirty = dirty_of(ds);
         let (head, tail) = dirty.split_at(120);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        // rewrite a rule's master key column: the pool cannot survive it
+        // rewrite a rule's master key column
         let (_, rule) = hosp.rules().iter().next().expect("HOSP has rules");
         let mut keyed = hosp.master().tuple(0).clone();
         keyed.set(rule.lhs_m()[0], Value::str("KEY-COLUMN-REWRITTEN"));
         let delta = MasterDelta::new().update(0, keyed);
 
         let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .bdd(true)
             .threads(2)
-            .shared_cache(true)
             .build();
         session.push_batch(head, oracle_for);
         session.apply_master_delta(&delta).expect("delta applies");
@@ -1151,8 +1068,8 @@ mod tests {
         let want = session.finish();
 
         let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .bdd(true)
             .threads(2)
-            .shared_cache(true)
             .depth(1)
             .build();
         let (attach, queue) = attach_channel();
@@ -1171,6 +1088,7 @@ mod tests {
                 assert!(matches!(ev_rx.recv(), Ok(SessionEvent::Batch(_))));
                 service
                     .engine()
+                    .context()
                     .apply_master_delta(&delta)
                     .expect("delta applies");
                 tx.send(tail.to_vec()).expect("lane open");
@@ -1178,30 +1096,16 @@ mod tests {
             service.run_dynamic(queue)
         });
 
-        let lifecycle = |s: &MonitorStats| {
-            (
-                s.shared_hits,
-                s.shared_misses,
-                s.shared_evicted_delta,
-                s.shared_evicted_lru,
-                s.shared_revalidated,
-                s.shared_saturated,
-            )
-        };
         let got = &report.sessions[0].report;
         assert_eq!(got.batches.len(), 2);
-        assert!(
-            want.batches[1].stats.shared_evicted_delta > 0,
-            "the key-column delta dropped a non-empty pool"
-        );
+        assert!(want.batches[0].generation < want.batches[1].generation);
         for (k, (a, b)) in got.batches.iter().zip(&want.batches).enumerate() {
             assert_eq!(a.outcomes, b.outcomes, "batch {k}");
-            assert_eq!(a.shared, b.shared, "batch {k}");
-            assert_eq!(lifecycle(&a.stats), lifecycle(&b.stats), "batch {k}");
+            assert_eq!(a.bdd, b.bdd, "batch {k}");
+            assert_eq!(a.generation, b.generation, "batch {k}");
         }
-        assert_eq!(got.shared, want.shared);
-        assert_eq!(lifecycle(&got.stats), lifecycle(&want.stats));
-        assert_eq!(lifecycle(&report.stats), lifecycle(&want.stats));
+        assert_eq!(got.bdd, want.bdd);
+        assert_eq!(report.stats.plan_rebuilds, 1);
     }
 
     /// Worker 0 of every fan-out is the submitting thread, so a

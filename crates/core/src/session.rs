@@ -8,9 +8,7 @@
 //! in-memory slice, the dirty-data generator's batch iterator, or a
 //! bounded channel fed by a live producer), and a [`RepairSession`]
 //! drains any source through the work-stealing
-//! [`BatchRepairEngine`] and its engine-lifetime
-//! [`SharedSuggestionCache`](crate::SharedSuggestionCache), emitting
-//! one unified [`SessionReport`]. Each pushed batch is a one-unit epoch
+//! [`BatchRepairEngine`], emitting one unified [`SessionReport`]. Each pushed batch is a one-unit epoch
 //! of the engine's single fan-out — the same function a
 //! [`RepairService`](crate::service::RepairService) epoch runs through
 //! — and the calling thread is its worker 0, so a one-worker session
@@ -62,17 +60,16 @@
 //! # Determinism
 //!
 //! A session inherits the engine's guarantee and extends it across
-//! batching: for plain `CertainFix` (`bdd(false)`) with the shared
-//! cache off, the concatenated outcomes and the merged count fields of
+//! batching: for plain `CertainFix` (`bdd(false)`), the concatenated
+//! outcomes and the merged count fields of
 //! a drained stream are **bit-identical to a single sequential
 //! [`repair_opts`](crate::BatchRepairEngine::repair_opts) call over the
 //! same tuples in the same order** — regardless of how the source cuts
 //! the stream into batches, the channel depth, the schedule, or the
 //! worker count. See [`TupleSource`] for the contract that makes this
-//! hold. With a cache on, each batch reads the pool the batches before
-//! it committed and each chunk builds its own diagram, so outcomes and
-//! cache counters depend on where the batches, chunks and deltas fall —
-//! but still not on the schedule or the worker count (D12).
+//! hold. Under `CertainFix+` each chunk builds its own diagram, so
+//! outcomes and [`BddStats`] depend on where the batches and chunks
+//! fall — but still not on the schedule or the worker count (D12).
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -84,10 +81,11 @@ use certainfix_rules::RuleSet;
 
 use crate::bdd::BddStats;
 use crate::certainfix::{CertainFixConfig, FixOutcome};
-use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions, Workload};
+use crate::engine::{
+    BatchRepairEngine, BatchReport, RepairContext, RepairOptions, SharedCacheStats, Workload,
+};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
-use crate::sharedcache::SharedCacheStats;
 
 /// A pull-based source of dirty-tuple batches — the ingest side of a
 /// [`RepairSession`].
@@ -102,7 +100,7 @@ use crate::sharedcache::SharedCacheStats;
 /// oracle factory, so a tuple meets the same oracle whether it arrives
 /// in one batch of 10 000 or 10 000 batches of one. Under that
 /// contract, draining a source through a session is — for plain
-/// `CertainFix` with the caches off — bit-identical in outcomes and
+/// `CertainFix` — bit-identical in outcomes and
 /// merged metric counts to repairing the concatenated stream as one
 /// sequential batch. Sources must *not* reorder, drop, or duplicate
 /// tuples; a source that did would silently misalign tuples and
@@ -113,8 +111,8 @@ use crate::sharedcache::SharedCacheStats;
 /// its streams owns one source and one stream-index space, its ingest
 /// lane pulls `next_batch` exactly like a session drain does, and the
 /// per-stream indexes never mix — so a stream meets the same oracles
-/// (and, caches off, produces the same outcomes) whether it is drained
-/// alone or multiplexed with any number of other streams.
+/// (and produces the same outcomes) whether it is drained alone or
+/// multiplexed with any number of other streams.
 pub trait TupleSource {
     /// Pull the next batch of dirty tuples; `None` ends the stream.
     /// An empty batch is permitted (the session skips it) but a source
@@ -270,7 +268,7 @@ impl TupleSource for ChannelSource {
 
 /// Configures and builds an owned [`RepairSession`]: precomputation
 /// knobs (BDD, initial region, `CertainFix` config) plus the engine
-/// knobs of [`RepairOptions`] (threads / shared cache / chunk size).
+/// knobs of [`RepairOptions`] (threads / chunk size).
 #[derive(Clone)]
 pub struct RepairSessionBuilder {
     rules: RuleSet,
@@ -284,7 +282,7 @@ pub struct RepairSessionBuilder {
 
 impl RepairSessionBuilder {
     /// A session over `(Σ, Dm)` with the defaults: plain `CertainFix`,
-    /// best initial region, one worker, shared cache on, auto chunk.
+    /// best initial region, one worker, auto chunk.
     pub fn new(rules: RuleSet, master: Arc<Relation>) -> RepairSessionBuilder {
         RepairSessionBuilder {
             rules,
@@ -329,12 +327,6 @@ impl RepairSessionBuilder {
         self
     }
 
-    /// Pool computed suggestions in the engine-lifetime shared cache.
-    pub fn shared_cache(mut self, on: bool) -> Self {
-        self.opts.shared_cache = on;
-        self
-    }
-
     /// Tuples per chunk (`0` = auto; see [`RepairOptions::chunk`]).
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.opts.chunk = chunk;
@@ -364,8 +356,7 @@ impl RepairSessionBuilder {
 /// Owned or borrowed engine behind a session: the builder produces an
 /// owning session, while [`BatchRepairEngine::session_opts`] (and the
 /// one-batch [`repair_opts`](BatchRepairEngine::repair_opts) shim)
-/// wrap a borrowed engine so the engine-lifetime shared cache keeps
-/// its owner.
+/// wrap a borrowed engine.
 enum EngineRef<'e> {
     Owned(Box<BatchRepairEngine>),
     Borrowed(&'e BatchRepairEngine),
@@ -398,15 +389,13 @@ pub struct RepairSession<'e> {
 }
 
 impl<'e> RepairSession<'e> {
-    /// Wrap an engine the session will own (the shared suggestion
-    /// cache then lives exactly as long as the session).
+    /// Wrap an engine the session will own.
     pub fn from_engine(engine: BatchRepairEngine, opts: RepairOptions) -> RepairSession<'static> {
         RepairSession::open(EngineRef::Owned(Box::new(engine)), opts)
     }
 
     /// Wrap a borrowed engine (see
-    /// [`BatchRepairEngine::session_opts`]); pooled suggestions persist
-    /// in the engine after the session ends.
+    /// [`BatchRepairEngine::session_opts`]).
     pub fn borrowed(engine: &'e BatchRepairEngine, opts: RepairOptions) -> RepairSession<'e> {
         RepairSession::open(EngineRef::Borrowed(engine), opts)
     }
@@ -433,7 +422,7 @@ impl<'e> RepairSession<'e> {
     /// and any other delta applied to the engine meanwhile — in
     /// [`MonitorStats::plan_rebuilds`].
     pub fn apply_master_delta(&mut self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        self.engine.get().apply_master_delta(delta)
+        self.engine.get().context().apply_master_delta(delta)
     }
 
     /// The master generation the next pushed batch will repair against.
@@ -490,7 +479,7 @@ impl<'e> RepairSession<'e> {
     /// overlaps repair, with real backpressure. Equivalent in outcomes
     /// and merged counts to draining
     /// [`SliceSource::with_batch`]`(tuples, batch)` (and, for plain
-    /// `CertainFix` with the caches off, to one sequential batch).
+    /// `CertainFix`, to one sequential batch).
     /// Returns the number of tuples drained.
     pub fn stream_slice<F, O>(
         &mut self,
@@ -563,9 +552,8 @@ impl<'e> RepairSession<'e> {
         report
     }
 
-    /// End the session and emit the unified report. An owned engine
-    /// (and its shared cache) is dropped with the session; a borrowed
-    /// engine keeps its pool.
+    /// End the session and emit the unified report. An owned engine is
+    /// dropped with the session.
     pub fn finish(self) -> SessionReport {
         let mut report = self.merged();
         report.batches = self.batches;
@@ -587,12 +575,8 @@ pub struct SessionReport {
     pub stats: MonitorStats,
     /// BDD statistics summed over every batch's chunks.
     pub bdd: BddStats,
-    /// Shared-cache statistics *attributed to this session*: `hits` /
-    /// `misses` sum the per-batch attributed counters (so per-session
-    /// numbers across any set of sessions over one engine sum to the
-    /// engine-global counters), while the other fields snapshot the
-    /// engine-lifetime pool after the session's last cache-enabled
-    /// batch. `None` when the shared cache was off.
+    /// Always `None`: there is no engine-lifetime pool to report on
+    /// (see [`SharedCacheStats`]).
     pub shared: Option<SharedCacheStats>,
     /// Summed repair wall-clock over all batches. Time the session
     /// spent *waiting on the source* (e.g. a backpressured channel) is
@@ -605,9 +589,8 @@ pub struct SessionReport {
 impl SessionReport {
     /// Fold per-batch reports into a session report: statistics merge
     /// ([`MonitorStats::merge`] / [`BddStats::merge`] — counts sum, the
-    /// interner watermark maxes), attributed shared-cache counters sum
-    /// (the other cache fields keep the last batch's pool snapshot),
-    /// and the returned report's `batches` list is left empty — attach
+    /// interner watermark maxes), and the returned report's `batches`
+    /// list is left empty — attach
     /// the folded reports afterwards if the caller wants them carried.
     /// Both [`RepairSession`] and the [`service`](crate::service)
     /// multiplexer stitch their reports through this one fold, so a
@@ -616,27 +599,15 @@ impl SessionReport {
     pub fn from_batches(folded: &[BatchReport], wall: Duration, tuples: usize) -> SessionReport {
         let mut stats = MonitorStats::default();
         let mut bdd = BddStats::default();
-        let mut shared: Option<SharedCacheStats> = None;
         for batch in folded {
             stats.merge(&batch.stats);
             bdd.merge(&batch.bdd);
-            if let Some(s) = &batch.shared {
-                // per-batch counters are attributed, so they sum, while
-                // occupancy and the lifetime counters are snapshots:
-                // keep the latest
-                let (hits, misses) = shared.as_ref().map_or((0, 0), |a| (a.hits, a.misses));
-                shared = Some(SharedCacheStats {
-                    hits: hits + s.hits,
-                    misses: misses + s.misses,
-                    ..s.clone()
-                });
-            }
         }
         SessionReport {
             batches: Vec::new(),
             stats,
             bdd,
-            shared,
+            shared: None,
             wall,
             tuples,
         }
@@ -678,14 +649,6 @@ impl SessionReport {
     }
 }
 
-/// A session can also be built straight from a prepared
-/// [`RepairContext`].
-impl From<RepairContext> for RepairSession<'static> {
-    fn from(ctx: RepairContext) -> RepairSession<'static> {
-        RepairSession::from_engine(BatchRepairEngine::new(ctx), RepairOptions::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,7 +685,6 @@ mod tests {
     fn plain_session(hosp: &Hosp, threads: usize) -> RepairSession<'static> {
         RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
             .threads(threads)
-            .shared_cache(false)
             .build()
     }
 
@@ -784,7 +746,6 @@ mod tests {
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let opts = RepairOptions {
             threads: 1,
-            shared_cache: false,
             ..RepairOptions::default()
         };
         let batch = engine.repair_opts(&dirty, &opts, oracle_for);
@@ -861,6 +822,10 @@ mod tests {
             assert_eq!(report.stats.certain, whole.stats.certain);
             assert_eq!(report.stats.rounds, whole.stats.rounds);
             assert_eq!(report.tuples, whole.tuples);
+            // offsets tile the stream
+            let offsets: Vec<usize> = report.batches_with_offsets().map(|(o, _)| o).collect();
+            assert_eq!(offsets, (0..600).step_by(batch).collect::<Vec<_>>());
+            assert_eq!(report.into_outcomes().len(), 600);
         }
     }
 
@@ -908,77 +873,6 @@ mod tests {
             seen.push(batch);
         }
         assert_eq!(seen, expected);
-    }
-
-    /// An owned session's engine-lifetime shared cache stays warm
-    /// across the batches of one stream.
-    #[test]
-    fn session_shared_cache_warms_across_batches() {
-        let (hosp, ds) = hosp_stream(150, 400, 0.0);
-        let dirty = dirty_of(&ds);
-        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(true)
-            .threads(2)
-            .shared_cache(true)
-            .build();
-        session.drain(SliceSource::with_batch(&dirty, 100), |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        assert!(!session.engine().shared_cache().is_empty());
-        let global = session.engine().shared_cache().stats();
-        let report = session.finish();
-        assert_eq!(report.batches.len(), 4);
-        let shared = report.shared.as_ref().expect("shared cache was on");
-        assert_eq!(
-            (shared.hits, shared.misses),
-            (report.stats.shared_hits, report.stats.shared_misses),
-            "per-batch attributed counters sum to the session's own probes"
-        );
-        assert_eq!(
-            (shared.hits, shared.misses),
-            (global.hits, global.misses),
-            "one session over a fresh engine accounts for every global probe"
-        );
-        assert!(
-            report.stats.shared_hits > 0,
-            "later batches reused pooled suggestions: {shared:?}"
-        );
-        // offsets tile the stream
-        let offsets: Vec<usize> = report.batches_with_offsets().map(|(o, _)| o).collect();
-        assert_eq!(offsets, vec![0, 100, 200, 300]);
-        assert_eq!(report.tuples, 400);
-        let outcomes = report.into_outcomes();
-        assert_eq!(outcomes.len(), 400);
-    }
-
-    /// A borrowed session leaves its pooled suggestions in the engine.
-    #[test]
-    fn borrowed_session_persists_the_engine_pool() {
-        let (hosp, ds) = hosp_stream(100, 120, 0.0);
-        let dirty = dirty_of(&ds);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            true,
-        ));
-        let mut session = engine.session();
-        session.drain(SliceSource::with_batch(&dirty, 60), |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        let first = session.finish();
-        assert_eq!(first.tuples, 120);
-        assert!(
-            !engine.shared_cache().is_empty(),
-            "pool outlives the session"
-        );
-
-        // a later session over the same engine starts warm
-        let mut warm = engine.session();
-        warm.push_batch(&dirty[..60], |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        let warm = warm.finish();
-        assert!(warm.stats.shared_hits > 0, "warm pool served suggestions");
     }
 
     #[test]
@@ -1120,7 +1014,6 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let mut session = RepairSessionBuilder::new(w.rules().clone(), states[0].clone())
                     .threads(workers)
-                    .shared_cache(false)
                     .build();
                 for k in 0..3 {
                     session.push_batch(&dirty[cuts[k]..cuts[k + 1]], oracle_for);
@@ -1148,7 +1041,6 @@ mod tests {
                     ));
                     let opts = RepairOptions {
                         threads: 1,
-                        shared_cache: false,
                         ..RepairOptions::default()
                     };
                     let (lo, hi) = (cuts[k], cuts[k + 1]);
@@ -1194,7 +1086,6 @@ mod tests {
                 RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
                     .workload(Workload::Cfd(cfg.clone()))
                     .threads(workers)
-                    .shared_cache(false)
                     .build();
             session.drain(SliceSource::with_batch(&dirty, 128), |i| {
                 SimulatedUser::new(ds.inputs[i].clean.clone())

@@ -43,6 +43,11 @@
 //! [`Frame::Shutdown`] (or a bare EOF at a frame boundary) ends the
 //! stream the same way minus the error accounting.
 //!
+//! Connections share the engine's rules, master epoch and workers, but
+//! never a cached suggestion: a `CertainFix+` diagram lives one chunk of
+//! one session, so a session's results do not depend on which other
+//! connections were open (D7, D11).
+//!
 //! [`ChannelSource`]: certainfix_core::ChannelSource
 //! [`ServiceOptions::depth`]: certainfix_core::ServiceOptions
 
@@ -557,9 +562,12 @@ fn handle_conn(
                         writer.lock().unwrap().send_all(&frames);
                     }
                     SessionEvent::Finished(report) => {
+                        // the fold carries no batches; this responder
+                        // counted every one it reported
+                        let batches = fs.lock().unwrap().reported;
                         writer.lock().unwrap().send(&Frame::SessionEnd {
                             tuples: report.tuples as u64,
-                            batches: report.batches.len() as u64,
+                            batches,
                             wall: report.wall,
                             stats: report.stats,
                         });
@@ -598,7 +606,7 @@ fn handle_conn(
             }
             Ok(Some(Frame::Delta(delta))) => {
                 frames_in += 1;
-                match service.engine().apply_master_delta(&delta) {
+                match service.engine().context().apply_master_delta(&delta) {
                     Ok(generation) => {
                         writer.lock().unwrap().send(&Frame::DeltaAck { generation });
                     }
@@ -717,7 +725,6 @@ mod tests {
         let service = Arc::new(
             RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
                 .threads(2)
-                .shared_cache(false)
                 .build(),
         );
         let window = service.options().depth + 1;

@@ -25,7 +25,7 @@
 //! `TCP_NODELAY` besides, so a frame the kernel has to split is not
 //! held back either).
 //!
-//! # The Batch payload (VERSION 3)
+//! # The Batch payload (since VERSION 3)
 //!
 //! `seq u64, pairs u32`, then per pair the `dirty` tuple in full
 //! (`arity u16` + values) and the `clean` tuple as one of
@@ -67,10 +67,10 @@ use certainfix_relation::{AttrId, AttrSet, MasterDelta, Tuple, Value};
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"CFXW";
 /// Protocol version this build speaks (rejects everything else).
-/// Version 2 added the shared-cache lifecycle counters to the stats
-/// payload; version 3 writes a Batch pair's clean tuple as a delta
-/// against its dirty tuple.
-pub const VERSION: u16 = 3;
+/// Version 3 writes a Batch pair's clean tuple as a delta against its
+/// dirty tuple; version 4 drops the six shared-cache counters from the
+/// stats payload.
+pub const VERSION: u16 = 4;
 /// Fixed header size in bytes: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame's payload length. A header declaring more is
@@ -352,12 +352,6 @@ impl Payload<'_> {
         self.u64(s.rounds);
         self.duration(s.elapsed);
         self.u64(s.interner_syms);
-        self.u64(s.shared_hits);
-        self.u64(s.shared_misses);
-        self.u64(s.shared_evicted_delta);
-        self.u64(s.shared_evicted_lru);
-        self.u64(s.shared_revalidated);
-        self.u64(s.shared_saturated);
         self.u64(s.plan_probes);
         self.u64(s.probe_allocs);
         self.u64(s.plan_fallbacks);
@@ -792,12 +786,6 @@ impl<'a> Buf<'a> {
             rounds: self.u64()?,
             elapsed: self.duration()?,
             interner_syms: self.u64()?,
-            shared_hits: self.u64()?,
-            shared_misses: self.u64()?,
-            shared_evicted_delta: self.u64()?,
-            shared_evicted_lru: self.u64()?,
-            shared_revalidated: self.u64()?,
-            shared_saturated: self.u64()?,
             plan_probes: self.u64()?,
             probe_allocs: self.u64()?,
             plan_fallbacks: self.u64()?,

@@ -52,11 +52,11 @@ fn clean_of(ds: &Dataset) -> Vec<Tuple> {
 }
 
 /// Solo baseline: the dataset drained alone, in process, through a
-/// `SliceSource` with the given batch size.
-fn solo_run(hosp: &Hosp, ds: &Dataset, dirty: &[Tuple], batch: usize) -> SessionReport {
+/// `SliceSource` with the given batch size; `CertainFix+` iff `bdd`.
+fn solo_run(hosp: &Hosp, bdd: bool, ds: &Dataset, dirty: &[Tuple], batch: usize) -> SessionReport {
     let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+        .bdd(bdd)
         .threads(1)
-        .shared_cache(false)
         .build();
     session.drain(SliceSource::with_batch(dirty, batch), |i| {
         SimulatedUser::new(ds.inputs[i].clean.clone())
@@ -65,9 +65,7 @@ fn solo_run(hosp: &Hosp, ds: &Dataset, dirty: &[Tuple], batch: usize) -> Session
 }
 
 fn service_builder(hosp: &Hosp, workers: usize) -> RepairServiceBuilder {
-    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-        .threads(workers)
-        .shared_cache(false)
+    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).threads(workers)
 }
 
 /// Assert the deterministic observables of `got` are bit-identical to
@@ -100,84 +98,95 @@ fn assert_bit_identical(got: &SessionReport, want: &SessionReport, ctx: &str) {
 
 /// D11: 1/2/4 workers × 1/2/4 co-resident connections, with a
 /// different client-side chunk size per connection. Server-side and
-/// client-side session reports both match the solo in-process drains.
+/// client-side session reports both match the solo in-process drains,
+/// for plain `CertainFix` and for `CertainFix+` under default options
+/// (server-side `BddStats` compared too; the wire does not carry them).
 #[test]
 fn loopback_sessions_match_in_process_runs_d11() {
     let (hosp, datasets) = hosp_sessions(150, &[240, 100, 60, 150]);
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
     let chunks = [64usize, 17, 30, 128];
-    let solo: Vec<SessionReport> = datasets
-        .iter()
-        .zip(&dirty)
-        .zip(chunks)
-        .map(|((ds, tuples), chunk)| solo_run(&hosp, ds, tuples, chunk))
-        .collect();
 
-    for workers in [1usize, 2, 4] {
-        for conns in [1usize, 2, 4] {
-            let service = service_builder(&hosp, workers).build();
-            let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
-            let addr = server.local_addr().unwrap();
+    for bdd in [false, true] {
+        let solo: Vec<SessionReport> = datasets
+            .iter()
+            .zip(&dirty)
+            .zip(chunks)
+            .map(|((ds, tuples), chunk)| solo_run(&hosp, bdd, ds, tuples, chunk))
+            .collect();
+        if bdd {
+            assert!(solo[0].bdd.hits > 0, "the diagrams served suggestions");
+        }
 
-            let client_reports: Vec<(usize, SessionReport)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..conns)
-                    .map(|s| {
-                        let (dirty, clean) = (&dirty[s], &clean[s]);
-                        scope.spawn(move || {
-                            let mut client =
-                                RepairClient::connect_tcp(addr, &format!("s{s}"), None).unwrap();
-                            for (d, c) in dirty.chunks(chunks[s]).zip(clean.chunks(chunks[s])) {
-                                client.send_batch(d, c).unwrap();
-                            }
-                            (s, client.finish().unwrap())
+        for workers in [1usize, 2, 4] {
+            for conns in [1usize, 2, 4] {
+                let service = service_builder(&hosp, workers).bdd(bdd).build();
+                let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
+                let addr = server.local_addr().unwrap();
+
+                let client_reports: Vec<(usize, SessionReport)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..conns)
+                        .map(|s| {
+                            let (dirty, clean) = (&dirty[s], &clean[s]);
+                            scope.spawn(move || {
+                                let mut client =
+                                    RepairClient::connect_tcp(addr, &format!("s{s}"), None)
+                                        .unwrap();
+                                for (d, c) in dirty.chunks(chunks[s]).zip(clean.chunks(chunks[s])) {
+                                    client.send_batch(d, c).unwrap();
+                                }
+                                (s, client.finish().unwrap())
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        let (s, cr) = h.join().unwrap();
-                        // server's closing numbers agree with the
-                        // client-side reassembly
-                        assert_eq!(cr.server_tuples as usize, cr.report.tuples);
-                        assert_eq!(cr.server_batches as usize, cr.report.batches.len());
-                        assert_eq!(cr.server_stats.tuples, cr.report.stats.tuples);
-                        assert_eq!(cr.server_stats.certain, cr.report.stats.certain);
-                        (s, cr.report)
-                    })
-                    .collect()
-            });
-            let report = server.shutdown();
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            let (s, cr) = h.join().unwrap();
+                            // server's closing numbers agree with the
+                            // client-side reassembly
+                            assert_eq!(cr.server_tuples as usize, cr.report.tuples);
+                            assert_eq!(cr.server_batches as usize, cr.report.batches.len());
+                            assert_eq!(cr.server_stats.tuples, cr.report.stats.tuples);
+                            assert_eq!(cr.server_stats.certain, cr.report.stats.certain);
+                            (s, cr.report)
+                        })
+                        .collect()
+                });
+                let report = server.shutdown();
 
-            let ctx = |side: &str, s: usize| format!("{side} s{s}, {workers}w × {conns}c");
-            // client-side reconstruction vs solo
-            for (s, client_report) in &client_reports {
-                assert_bit_identical(client_report, &solo[*s], &ctx("client", *s));
-            }
-            // server-side session reports vs solo
-            assert_eq!(report.sessions.len(), conns);
-            let by_name: HashMap<&str, &SessionReport> = report
-                .sessions
-                .iter()
-                .map(|n| (n.name.as_str(), &n.report))
-                .collect();
-            for s in 0..conns {
-                let got = by_name[format!("s{s}").as_str()];
-                assert_bit_identical(got, &solo[s], &ctx("server", s));
-            }
-            // transport counters are plumbed: every session moved
-            // frames both ways, cleanly
-            assert!(report.stats.net.frames_in as usize >= conns * 2);
-            assert!(report.stats.net.frames_out as usize >= conns * 2);
-            assert!(report.stats.net.bytes_in > 0 && report.stats.net.bytes_out > 0);
-            assert_eq!(report.stats.net.decode_errors, 0);
-            assert_eq!(report.stats.net.sessions_torn, 0);
-            for named in &report.sessions {
-                assert!(
-                    named.report.stats.net.frames_in >= 2,
-                    "per-session lane counters"
-                );
+                let ctx =
+                    |side: &str, s: usize| format!("{side} s{s}, {workers}w × {conns}c, bdd {bdd}");
+                // client-side reconstruction vs solo
+                for (s, client_report) in &client_reports {
+                    assert_bit_identical(client_report, &solo[*s], &ctx("client", *s));
+                }
+                // server-side session reports vs solo
+                assert_eq!(report.sessions.len(), conns);
+                let by_name: HashMap<&str, &SessionReport> = report
+                    .sessions
+                    .iter()
+                    .map(|n| (n.name.as_str(), &n.report))
+                    .collect();
+                for s in 0..conns {
+                    let got = by_name[format!("s{s}").as_str()];
+                    assert_bit_identical(got, &solo[s], &ctx("server", s));
+                    assert_eq!(got.bdd, solo[s].bdd, "{}", ctx("server", s));
+                }
+                // transport counters are plumbed: every session moved
+                // frames both ways, cleanly
+                assert!(report.stats.net.frames_in as usize >= conns * 2);
+                assert!(report.stats.net.frames_out as usize >= conns * 2);
+                assert!(report.stats.net.bytes_in > 0 && report.stats.net.bytes_out > 0);
+                assert_eq!(report.stats.net.decode_errors, 0);
+                assert_eq!(report.stats.net.sessions_torn, 0);
+                for named in &report.sessions {
+                    assert!(
+                        named.report.stats.net.frames_in >= 2,
+                        "per-session lane counters"
+                    );
+                }
             }
         }
     }
@@ -194,11 +203,11 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     let (hosp, datasets) = hosp_sessions(120, &[160, 90, 48, 48]);
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
-    let solo0 = solo_run(&hosp, &datasets[0], &dirty[0], 32);
-    let solo1 = solo_run(&hosp, &datasets[1], &dirty[1], 20);
+    let solo0 = solo_run(&hosp, false, &datasets[0], &dirty[0], 32);
+    let solo1 = solo_run(&hosp, false, &datasets[1], &dirty[1], 20);
     // the torn sessions' one delivered batch, repaired solo
-    let solo2 = solo_run(&hosp, &datasets[2], &dirty[2][..16], 16);
-    let solo3 = solo_run(&hosp, &datasets[3], &dirty[3][..16], 16);
+    let solo2 = solo_run(&hosp, false, &datasets[2], &dirty[2][..16], 16);
+    let solo3 = solo_run(&hosp, false, &datasets[3], &dirty[3][..16], 16);
 
     let service = service_builder(&hosp, 2).build();
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
@@ -358,7 +367,7 @@ fn token_mismatch_is_refused_without_disturbing_others() {
     let (hosp, datasets) = hosp_sessions(80, &[60]);
     let dirty = dirty_of(&datasets[0]);
     let clean = clean_of(&datasets[0]);
-    let solo = solo_run(&hosp, &datasets[0], &dirty, 30);
+    let solo = solo_run(&hosp, false, &datasets[0], &dirty, 30);
 
     let service = service_builder(&hosp, 2).build();
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", Some("sesame".into())).unwrap();
@@ -389,7 +398,7 @@ fn unix_socket_session_matches_in_process_run() {
     let (hosp, datasets) = hosp_sessions(80, &[72]);
     let dirty = dirty_of(&datasets[0]);
     let clean = clean_of(&datasets[0]);
-    let solo = solo_run(&hosp, &datasets[0], &dirty, 24);
+    let solo = solo_run(&hosp, false, &datasets[0], &dirty, 24);
 
     let path = std::env::temp_dir().join(format!("certainfix-net-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -546,8 +555,8 @@ fn shutdown_drains_finished_and_mid_stream_clients() {
     let (hosp, datasets) = hosp_sessions(100, &[48, 96]);
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
-    let solo_idle = solo_run(&hosp, &datasets[0], &dirty[0], 24);
-    let solo_live = solo_run(&hosp, &datasets[1], &dirty[1], 24);
+    let solo_idle = solo_run(&hosp, false, &datasets[0], &dirty[0], 24);
+    let solo_live = solo_run(&hosp, false, &datasets[1], &dirty[1], 24);
 
     let server =
         RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();

@@ -3,7 +3,7 @@
 //! rejects truncated / oversized / bad-magic / bad-version inputs
 //! with a typed error — never a panic. Plus the two rules of the
 //! write path: one `write` per frame, whatever its size, and the
-//! VERSION 3 delta form of a Batch pair.
+//! delta form of a Batch pair.
 //!
 //! The vendored proptest has no alternation combinator, so each frame
 //! family gets its own property instead of one `prop_oneof` tree.
@@ -40,7 +40,7 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
     vec(arb_value(), 0..5).prop_map(Tuple::new)
 }
 
-/// A Batch pair in each of the shapes the VERSION 3 payload tells
+/// A Batch pair in each of the shapes the Batch payload tells
 /// apart: unrelated tuples (arities mostly differ: the full form),
 /// identical in every cell (an empty delta), and equal arity with
 /// some cells replaced (a proper delta).
@@ -102,35 +102,25 @@ fn arb_stats() -> impl Strategy<Value = MonitorStats> {
             any::<u64>(),
             arb_duration(),
             any::<u64>(),
-            any::<u64>(),
         ),
         (
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
-            any::<u64>(),
             arb_net(),
         ),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
             |(
-                (tuples, certain, rounds, elapsed, interner_syms, shared_hits),
-                (shared_misses, plan_probes, probe_allocs, plan_fallbacks, plan_rebuilds, net),
-                (shared_evicted_delta, shared_evicted_lru, shared_revalidated, shared_saturated),
+                (tuples, certain, rounds, elapsed, interner_syms),
+                (plan_probes, probe_allocs, plan_fallbacks, plan_rebuilds, net),
             )| MonitorStats {
                 tuples,
                 certain,
                 rounds,
                 elapsed,
                 interner_syms,
-                shared_hits,
-                shared_misses,
-                shared_evicted_delta,
-                shared_evicted_lru,
-                shared_revalidated,
-                shared_saturated,
                 plan_probes,
                 probe_allocs,
                 plan_fallbacks,
@@ -469,14 +459,16 @@ fn raw_frame(version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// The previous protocol version is refused by its header alone.
+/// Earlier protocol versions are refused by their header alone.
 #[test]
-fn a_version_2_header_is_rejected() {
-    let buf = raw_frame(2, 0x04, &[]); // Flush
-    assert!(matches!(
-        Frame::decode(&mut &buf[..]),
-        Err(WireError::BadVersion(2))
-    ));
+fn version_2_and_3_headers_are_rejected() {
+    for old in [2, 3] {
+        let buf = raw_frame(old, 0x04, &[]); // Flush
+        assert!(matches!(
+            Frame::decode(&mut &buf[..]),
+            Err(WireError::BadVersion(v)) if v == old
+        ));
+    }
 }
 
 /// Malformed clean-tuple deltas are typed errors: a mask naming a cell

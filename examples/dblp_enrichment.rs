@@ -50,7 +50,7 @@ fn main() {
     );
 
     // the paper's sequential monitor: one worker and one chunk, so one
-    // BDD suggestion cache serves every record; no shared pool
+    // BDD suggestion cache serves every record
     let engine = BatchRepairEngine::new(RepairContext::new(
         dblp.rules().clone(),
         dblp.master().clone(),
@@ -58,7 +58,6 @@ fn main() {
     ));
     let records: Vec<Tuple> = incomplete.iter().map(|(t, _)| t.clone()).collect();
     let opts = RepairOptions {
-        shared_cache: false,
         chunk: records.len(),
         ..RepairOptions::default()
     };

@@ -81,12 +81,8 @@ fn main() {
         report.throughput()
     );
     println!(
-        "suggestion cache: {} hits, {} misses, {} failed checks; shared pool: {} hits, {} misses",
-        report.bdd.hits,
-        report.bdd.misses,
-        report.bdd.failed_checks,
-        stats.shared_hits,
-        stats.shared_misses
+        "suggestion cache (one diagram per chunk): {} hits, {} misses, {} failed checks",
+        report.bdd.hits, report.bdd.misses, report.bdd.failed_checks
     );
 
     let outcomes: Vec<_> = report.outcomes().collect();

@@ -130,13 +130,8 @@ fn main() {
 
     // The "user" here is simulated with the ground truth, exactly like
     // the paper's experiments; swap in your own `UserOracle` for a real
-    // data-entry UI. One worker, no shared suggestion pool: the paper's
-    // sequential monitor.
-    let opts = RepairOptions {
-        shared_cache: false,
-        ..RepairOptions::default()
-    };
-    let report = engine.repair_opts(std::slice::from_ref(&t1), &opts, |_| {
+    // data-entry UI. One worker: the paper's sequential monitor.
+    let report = engine.repair_opts(std::slice::from_ref(&t1), &RepairOptions::default(), |_| {
         SimulatedUser::new(truth.clone())
     });
     let outcome = &report.outcomes[0];

@@ -14,10 +14,9 @@ use certain_fix::reasoning::{comp_cregion_in_mode, gregion_in_mode};
 use certain_fix::relation::Value;
 
 /// The paper's sequential monitor: one worker, one chunk over the
-/// whole stream (so one BDD when `use_bdd`), no shared pool.
+/// whole stream (so one BDD when `use_bdd`).
 fn monitor_opts(tuples: usize) -> RepairOptions {
     RepairOptions {
-        shared_cache: false,
         chunk: tuples,
         ..RepairOptions::default()
     }
@@ -292,7 +291,6 @@ fn increp_works_through_the_facade() {
     let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
         .workload(CoreWorkload::Cfd(IncRepConfig::default()))
         .threads(2)
-        .shared_cache(false)
         .build();
     session.push_batch(&dirty, |i| SimulatedUser::new(ds.inputs[i].clean.clone()));
     let report = session.finish();
@@ -331,7 +329,6 @@ fn session_over_generator_batches_matches_the_sequential_monitor() {
 
     let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
         .threads(2)
-        .shared_cache(false)
         .build();
     let drained = session.drain(BatchesSource::new(Dataset::batches(&hosp, &cfg, 50)), |i| {
         SimulatedUser::new(inputs[i].clean.clone())

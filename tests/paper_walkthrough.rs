@@ -213,13 +213,10 @@ fn examples_12_to_14_interactive_fix_via_zip_only() {
     let names: Vec<&str> = sug.attrs.iter().map(|&a| r.attr_name(a)).collect();
     assert_eq!(names, vec!["phn", "type", "item"]);
 
-    // Completion: the full monitor (CertainFix+, one worker, no shared
-    // pool) reaches the certain fix.
+    // Completion: the full monitor (CertainFix+, one worker) reaches
+    // the certain fix.
     let engine = BatchRepairEngine::new(RepairContext::new(rules, master(&rm), true));
-    let opts = RepairOptions {
-        shared_cache: false,
-        ..RepairOptions::default()
-    };
+    let opts = RepairOptions::default();
     let report = engine.repair_opts(std::slice::from_ref(&dirty), &opts, |_| {
         SimulatedUser::new(truth.clone())
     });

@@ -20,10 +20,9 @@
 //! * live master data (D10): random insert/update/delete
 //!   [`MasterDelta`] sequences interleaved with probe batches ≡
 //!   engines rebuilt from scratch over each pinned master state,
-//! * suggestion-cache determinism (D12): with the shared cache on and
-//!   the BDD off or on, outcomes, per-batch hit/miss counts and
-//!   `BddStats` are bit-identical across 1/2/4 workers, under the same
-//!   random delta sequences and chunk size,
+//! * suggestion-cache determinism (D12): under `CertainFix+`, outcomes
+//!   and `BddStats` are bit-identical across 1/2/4 workers, under the
+//!   same random delta sequences and chunk size,
 //! * metrics bounds and pattern algebra laws.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -716,7 +715,6 @@ proptest! {
             .map(|(d, c)| {
                 let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
                     .threads(1)
-                    .shared_cache(false)
                     .build();
                 session.drain(SliceSource::with_batch(d, batch), |i| {
                     SimulatedUser::new(c[i].clone())
@@ -728,7 +726,6 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let service = RepairServiceBuilder::new(rules.clone(), master.clone())
                 .threads(workers)
-                .shared_cache(false)
                 .build();
             let streams = dirty
                 .iter()
@@ -799,7 +796,6 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
                 .threads(workers)
-                .shared_cache(false)
                 .build();
             // the master state each batch pins, captured just before the push
             let mut pinned: Vec<Arc<Relation>> = Vec::new();
@@ -835,7 +831,6 @@ proptest! {
                     BatchRepairEngine::new(RepairContext::new(rules.clone(), base.clone(), false));
                 let opts = RepairOptions {
                     threads: 1,
-                    shared_cache: false,
                     ..RepairOptions::default()
                 };
                 let want = fresh.repair_opts(&dirty, &opts, |i| {
@@ -855,35 +850,28 @@ proptest! {
     }
 
     /// The D12 contract, randomized: random rules, master data, and
-    /// insert/update/delete/fix-only-update [`MasterDelta`] sequences
-    /// interleaved with probe batches, shared cache on, the BDD off or
-    /// on, at the auto chunk (one tuple per chunk for batches this
-    /// small) or at chunks of 3, where one diagram serves several
-    /// tuples. A probe sees exactly the pool committed before its batch
-    /// pinned, commits land in input order, and a diagram lives one
-    /// chunk cut from the batch alone, so runs at 1, 2 and 4 workers —
-    /// and a second run at 1 in the same process — are bit-identical on
-    /// whole outcomes, on every batch's `shared_hits` / `shared_misses`
-    /// and on its `BddStats`.
+    /// insert/update/delete [`MasterDelta`] sequences interleaved with
+    /// probe batches under `CertainFix+`, at the auto chunk (one tuple
+    /// per chunk for batches this small) or at chunks of 3, where one
+    /// diagram serves several tuples. A diagram lives one chunk cut
+    /// from the batch alone, so runs at 1, 2 and 4 workers — and a
+    /// second run at 1 in the same process — are bit-identical on whole
+    /// outcomes and on every batch's `BddStats`.
     ///
-    /// Against a cold engine (shared cache off) over each batch's pinned
-    /// master, only certain fixes are compared: a pooled suggestion
+    /// Against a plain `CertainFix` engine over each batch's pinned
+    /// master, only certain fixes are compared: a cached suggestion
     /// passes the re-check but is valid, not canonical, so it may steer
-    /// a tuple to a different non-certain end. A 3000-case single-core
-    /// probe of the old property found 108 warm-vs-cold tuple
-    /// differences, each with at least one side not certain, and none
-    /// where both sides were (D8).
+    /// a tuple to a different non-certain end (D8).
     #[test]
     fn cache_snapshots_are_schedule_independent(
         (master_rows, specs, _, _) in arb_workload(),
         phases in proptest::collection::vec(
             (
                 proptest::collection::vec((arb_tuple(), arb_tuple()), 1..8),
-                proptest::collection::vec((0u8..4, arb_tuple(), any::<u16>()), 0..4),
+                proptest::collection::vec((0u8..3, arb_tuple(), any::<u16>()), 0..4),
             ),
             1..4,
         ),
-        bdd in any::<bool>(),
         chunk in (0usize..2).prop_map(|c| 3 * c),
     ) {
         let Some((rules, _)) = build_rules(specs) else { return Ok(()); };
@@ -892,27 +880,12 @@ proptest! {
             .iter()
             .flat_map(|(b, _)| b.iter().map(|(_, c)| c.clone()))
             .collect();
-        // the master attrs some rule probes as a key; updates that
-        // avoid them are suggestion-preserving (the pool carries over)
-        let mut key_attrs = AttrSet::default();
-        for (_, rule) in rules.iter() {
-            key_attrs |= AttrSet::collect_from(rule.lhs_m().iter().copied());
-            for &a in rule.lhs_p() {
-                if let Some(m) = rule.master_attr_for(a) {
-                    key_attrs.insert(m);
-                }
-            }
-        }
-        let fix_attr = (0..ATTRS as u16)
-            .map(AttrId)
-            .find(|a| !key_attrs.contains(*a));
-        // one warm session over the stream; returns each batch's pinned
+        // one session over the stream; returns each batch's pinned
         // master and the finished report
         let run = |workers: usize| {
             let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
-                .bdd(bdd)
+                .bdd(true)
                 .threads(workers)
-                .shared_cache(true)
                 .chunk(chunk)
                 .build();
             let mut pinned: Vec<Arc<Relation>> = Vec::new();
@@ -921,25 +894,11 @@ proptest! {
                 let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
                 session.push_batch(&dirty, |i| SimulatedUser::new(cleans[i].clone()));
                 for (kind, t, r) in ops {
-                    let rel = session.engine().context().epoch().master().relation().clone();
-                    let rows = rel.len() as u32;
+                    let rows = session.engine().context().epoch().master().relation().len() as u32;
                     let delta = match kind {
                         0 => MasterDelta::new().insert(t.clone()),
                         1 if rows > 0 => MasterDelta::new().update(*r as u32 % rows, t.clone()),
                         2 if rows > 1 => MasterDelta::new().delete(*r as u32 % rows),
-                        // fix-column-only update: change one non-key
-                        // attr, keep the rest of the row
-                        3 if rows > 0 && fix_attr.is_some() => {
-                            let fa = fix_attr.unwrap();
-                            let row = *r as u32 % rows;
-                            let new = Tuple::new(
-                                rel.tuples()[row as usize]
-                                    .iter()
-                                    .map(|(a, v)| if a == fa { *t.get(fa) } else { *v })
-                                    .collect(),
-                            );
-                            MasterDelta::new().update(row, new)
-                        }
                         _ => continue,
                     };
                     session.apply_master_delta(&delta).expect("delta applies");
@@ -953,13 +912,11 @@ proptest! {
             prop_assert_eq!(got.batches.len(), base.batches.len());
             for (a, b) in got.batches.iter().zip(&base.batches) {
                 prop_assert_eq!(&a.outcomes, &b.outcomes);
-                let (sa, sb) = (a.shared.as_ref().unwrap(), b.shared.as_ref().unwrap());
-                prop_assert_eq!((sa.hits, sa.misses), (sb.hits, sb.misses));
                 prop_assert_eq!(a.bdd, b.bdd);
             }
         }
-        // against a cold engine over the master state each batch pinned:
-        // a tuple both runs call certain gets the same value
+        // against a plain engine over the master state each batch
+        // pinned: a tuple both runs call certain gets the same value
         let mut offset = 0usize;
         for (k, ((batch, _), base_master)) in phases.iter().zip(pinned).enumerate() {
             let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
@@ -967,7 +924,6 @@ proptest! {
                 BatchRepairEngine::new(RepairContext::new(rules.clone(), base_master, false));
             let opts = RepairOptions {
                 threads: 1,
-                shared_cache: false,
                 ..RepairOptions::default()
             };
             let cold = fresh.repair_opts(&dirty, &opts, |i| {
