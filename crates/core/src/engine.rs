@@ -64,9 +64,8 @@
 //! calls, which lockstep would interleave.
 //!
 //! Multi-batch (and streaming) ingest lives one layer up, in
-//! [`session`](crate::session): a [`RepairSession`] drains any
-//! [`TupleSource`](crate::session::TupleSource) through this engine,
-//! one one-unit fan-out per batch. The [`service`](crate::service)
+//! [`session`](crate::session): a [`RepairSession`] drains any stream
+//! of batches through this engine, one one-unit fan-out per batch. The [`service`](crate::service)
 //! multiplexer schedules N independent sessions fairly over a single
 //! engine by submitting their ready batches as one epoch to the same
 //! fan-out.

@@ -24,11 +24,12 @@
 //! stream. [`metrics`] implements the paper's recall / precision /
 //! F-measure at both the tuple and attribute level. The unified
 //! entry-point surface is the [`session`] API: a [`RepairSession`]
-//! drains any [`TupleSource`] (a slice or a bounded channel) through
-//! the engine and emits a [`SessionReport`];
-//! for N concurrent streams over one engine, the [`service`]
-//! multiplexer ([`RepairService`]) schedules the sessions fairly and
-//! reports each one as if it had run alone.
+//! drains any iterator of batches (a [`SliceSource`], a generator, a
+//! channel's receiver) through the engine and emits a
+//! [`SessionReport`]; for N concurrent streams over one engine, the
+//! [`service`] multiplexer ([`RepairService`]) schedules the sessions
+//! fairly, takes each one's batches through a bounded ingest lane
+//! ([`LaneSender`]), and reports each one as if it had run alone.
 //!
 //! The master data is *live*: a
 //! [`MasterDelta`](certainfix_relation::MasterDelta) applied through
@@ -69,11 +70,8 @@ pub use metrics::{
 pub use monitor::{InitialRegion, MonitorStats, NetLaneStats};
 pub use oracle::{SimulatedUser, UserOracle};
 pub use service::{
-    attach_channel, AttachQueue, BoxedOracle, NamedSessionReport, RepairService,
-    RepairServiceBuilder, ServiceAttach, ServiceOptions, ServiceReport, ServiceStream,
-    SessionEvent,
+    AttachQueue, BoxedOracle, LaneSender, NamedSessionReport, RepairService, RepairServiceBuilder,
+    ServiceAttach, ServiceOptions, ServiceReport, ServiceStream, SessionEvent,
 };
-pub use session::{
-    ChannelSource, RepairSession, RepairSessionBuilder, SessionReport, SliceSource, TupleSource,
-};
+pub use session::{RepairSession, RepairSessionBuilder, SessionReport, SliceSource};
 pub use transfix::{transfix, transfix_block, transfix_with, TransFixOutcome};

@@ -1,5 +1,5 @@
-//! The multi-session repair service: fair multiplexing of N
-//! [`TupleSource`] streams over one engine.
+//! The multi-session repair service: fair multiplexing of N streams of
+//! dirty-tuple batches over one engine.
 //!
 //! The paper's monitor repairs *one* stream of dirty tuples against one
 //! master relation; a deployment is rarely that lucky. [`RepairService`]
@@ -7,7 +7,7 @@
 //! [`BatchRepairEngine`] — one compiled
 //! [`RulePlan`](certainfix_rules::RulePlan), one work-stealing worker
 //! pool — shared by N independent sessions, each with its own
-//! [`TupleSource`], its own oracle space, and its own
+//! ingest lane, its own oracle space, and its own
 //! [`SessionReport`]. Nothing a session's repairs compute is shared
 //! with another session: a `CertainFix+` diagram lives one chunk of
 //! one session.
@@ -18,13 +18,16 @@
 //! (the HTAP-style isolation: producers never run repair code, repair
 //! workers never block on a producer):
 //!
-//! * **Ingest lanes** — one feeder thread per stream pulls
-//!   `next_batch()` into a *bounded* channel of
-//!   [`ServiceOptions::depth`] in-flight batches. The bound is real
-//!   backpressure: a producer that outruns the repair pool blocks in
-//!   `send`, and a producer that stalls simply leaves its lane empty —
-//!   it can never wedge the pool, because the scheduler only ever
-//!   *try*-receives.
+//! * **Ingest lanes** — each session's producer pushes batches through
+//!   its [`LaneSender`] into a *bounded* channel of exactly
+//!   [`ServiceOptions::depth`] batches. The bound is real backpressure:
+//!   a producer that outruns the repair pool blocks in
+//!   [`send`](LaneSender::send), and a producer that stalls simply
+//!   leaves its lane empty — it can never wedge the pool, because the
+//!   scheduler only ever *try*-receives. The producer is whoever holds
+//!   the lane: a network connection's reader thread, or one scoped
+//!   feeder per stream that [`RepairService::run`] spawns to push an
+//!   in-process [`ServiceStream`]'s batches.
 //! * **Epoch scheduler** — the caller's thread repeatedly collects at
 //!   most one pending batch per session (polling sessions round-robin,
 //!   skipping lanes with nothing ready) and submits the collected
@@ -118,7 +121,9 @@
 //! assert_eq!(report.session("tenant-a").unwrap().tuples, 30);
 //! ```
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, SendError, Sender, SyncSender, TryRecvError,
+};
 use std::time::{Duration, Instant};
 
 use certainfix_relation::{Relation, Tuple};
@@ -132,48 +137,55 @@ use crate::engine::{
 };
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
-use crate::session::{SessionReport, TupleSource};
+use crate::session::SessionReport;
 
 /// A boxed oracle as the service hands them to its workers.
 pub type BoxedOracle<'a> = Box<dyn UserOracle + 'a>;
 
 type OracleFactory<'a> = Box<dyn Fn(usize) -> BoxedOracle<'a> + Send + Sync + 'a>;
 
-/// One stream a [`RepairService`] multiplexes: a name (for the
-/// report), a [`TupleSource`], and the stream's oracle factory.
+fn boxed_factory<'a, F, O>(oracle_for: F) -> OracleFactory<'a>
+where
+    F: Fn(usize) -> O + Send + Sync + 'a,
+    O: UserOracle + 'a,
+{
+    Box::new(move |i| Box::new(oracle_for(i)) as BoxedOracle<'a>)
+}
+
+/// One stream [`RepairService::run`] multiplexes: a name (for the
+/// report), its batches in stream order, and the stream's oracle
+/// factory.
 ///
 /// The factory receives the **session-local stream index** — the
 /// number of tuples this stream yielded before the one being repaired
-/// — exactly the index a solo [`RepairSession`](crate::RepairSession)
-/// drain would pass. Index spaces of different streams never mix, and
-/// like the engine's, the factory is called from worker threads and
-/// must depend only on the index.
+/// — exactly the index a solo
+/// [`RepairSession::drain`](crate::RepairSession::drain) would pass.
+/// Index spaces of different streams never mix, and like the engine's,
+/// the factory is called from worker threads and must depend only on
+/// the index.
 pub struct ServiceStream<'a> {
     name: String,
-    source: Box<dyn TupleSource + Send + 'a>,
+    source: Box<dyn Iterator<Item = Vec<Tuple>> + Send + 'a>,
     oracle_for: OracleFactory<'a>,
 }
 
 impl<'a> ServiceStream<'a> {
-    /// Bundle a named stream. `source` yields the stream in order (the
-    /// [`TupleSource`] contract); `oracle_for(i)` supplies the user for
-    /// the stream's `i`-th tuple.
+    /// Bundle a named stream. `source` yields the stream's batches in
+    /// order (the [`RepairSession::drain`](crate::RepairSession::drain)
+    /// contract); `oracle_for(i)` supplies the user for the stream's
+    /// `i`-th tuple.
     pub fn new<S, F, O>(name: impl Into<String>, source: S, oracle_for: F) -> ServiceStream<'a>
     where
-        S: TupleSource + Send + 'a,
+        S: IntoIterator<Item = Vec<Tuple>>,
+        S::IntoIter: Send + 'a,
         F: Fn(usize) -> O + Send + Sync + 'a,
         O: UserOracle + 'a,
     {
         ServiceStream {
             name: name.into(),
-            source: Box::new(source),
-            oracle_for: Box::new(move |i| Box::new(oracle_for(i)) as BoxedOracle<'a>),
+            source: Box::new(source.into_iter()),
+            oracle_for: boxed_factory(oracle_for),
         }
-    }
-
-    /// The stream's name, as it will appear in the report.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -188,57 +200,80 @@ pub enum SessionEvent {
     /// The session's [`BatchReport`] for one completed epoch, in the
     /// session's own stream order.
     Batch(BatchReport),
-    /// The session's source is exhausted (or its producer went away)
-    /// and every buffered batch has been repaired; this is the final
-    /// [`ServiceReport`]'s fold for the session *without* its
-    /// `batches` — the observer already received each one as a
-    /// [`Batch`](SessionEvent::Batch).
+    /// The session's lane is closed (its [`LaneSender`] dropped, or
+    /// its producer went away) and every buffered batch has been
+    /// repaired; this is the final [`ServiceReport`]'s fold for the
+    /// session *without* its `batches` — the observer already received
+    /// each one as a [`Batch`](SessionEvent::Batch).
     Finished(SessionReport),
 }
 
-/// One dynamically attached session in flight to the scheduler.
+/// One attached session in flight to the scheduler: its name, its
+/// oracles, the receiving end of its lane, and its observer.
 struct DynamicSession<'a> {
-    stream: ServiceStream<'a>,
+    name: String,
+    oracle_for: OracleFactory<'a>,
+    lane: Receiver<Vec<Tuple>>,
     events: Option<Sender<SessionEvent>>,
 }
 
-/// The attach side of [`attach_channel`]: clonable, sendable to other
-/// threads, hands new [`ServiceStream`]s to a running
+/// The attach side of [`RepairService::attach_channel`]: clonable,
+/// sendable to other threads, opens new sessions on a running
 /// [`RepairService::run_dynamic`]. Dropping every clone is the
 /// shutdown signal — the service finishes draining the sessions it
 /// has, then returns.
+#[derive(Clone)]
 pub struct ServiceAttach<'a> {
     /// `Some` until `drop`, which must disconnect it *before* it rings.
     tx: Option<Sender<DynamicSession<'a>>>,
     bell: Sender<()>,
-}
-
-impl<'a> Clone for ServiceAttach<'a> {
-    fn clone(&self) -> Self {
-        ServiceAttach {
-            tx: self.tx.clone(),
-            bell: self.bell.clone(),
-        }
-    }
+    /// The service's lane depth, at least 1.
+    depth: usize,
 }
 
 impl<'a> ServiceAttach<'a> {
-    /// Hand a new stream to the scheduler. `events`, if given,
+    /// Open a session named `name` whose `i`-th tuple is repaired with
+    /// `oracle_for(i)`, and return its ingest lane. `events`, if given,
     /// receives one [`SessionEvent::Batch`] per epoch the session
-    /// participates in and a final [`SessionEvent::Finished`]. Returns
-    /// the stream back if the service already returned.
-    pub fn attach(
+    /// participates in and a final [`SessionEvent::Finished`] once the
+    /// lane is dropped and drained. Returns `None` if the service
+    /// already returned.
+    pub fn attach<F, O>(
         &self,
-        stream: ServiceStream<'a>,
+        name: impl Into<String>,
+        oracle_for: F,
         events: Option<Sender<SessionEvent>>,
-    ) -> Result<(), ServiceStream<'a>> {
+    ) -> Option<LaneSender>
+    where
+        F: Fn(usize) -> O + Send + Sync + 'a,
+        O: UserOracle + 'a,
+    {
+        self.attach_boxed(name.into(), boxed_factory(oracle_for), events)
+    }
+
+    fn attach_boxed(
+        &self,
+        name: String,
+        oracle_for: OracleFactory<'a>,
+        events: Option<Sender<SessionEvent>>,
+    ) -> Option<LaneSender> {
+        let (tx, lane) = sync_channel(self.depth);
+        let session = DynamicSession {
+            name,
+            oracle_for,
+            lane,
+            events,
+        };
         self.tx
             .as_ref()
             .expect("the sender lives until drop")
-            .send(DynamicSession { stream, events })
-            .map_err(|e| e.0.stream)?;
+            .send(session)
+            .ok()?;
         let _ = self.bell.send(());
-        Ok(())
+        Some(LaneSender {
+            tx: Some(tx),
+            bell: self.bell.clone(),
+        })
     }
 }
 
@@ -254,32 +289,47 @@ impl<'a> Drop for ServiceAttach<'a> {
     }
 }
 
-/// The receive side of [`attach_channel`], consumed by
+/// One session's ingest lane: the producer end of a bounded channel of
+/// [`ServiceOptions::depth`] batches that the scheduler drains, plus
+/// its doorbell. Dropping it ends the session's stream: the batches
+/// already sent still repair, in order, and then the session finishes.
+pub struct LaneSender {
+    /// `Some` until `drop`, which must disconnect it *before* it rings.
+    tx: Option<SyncSender<Vec<Tuple>>>,
+    bell: Sender<()>,
+}
+
+impl LaneSender {
+    /// Queue the stream's next batch. An empty batch is dropped
+    /// (nothing to repair, nothing to report). Blocks while `depth`
+    /// batches are queued — the lane's backpressure — and fails, handing
+    /// the batch back, only if the service stopped draining.
+    pub fn send(&self, batch: Vec<Tuple>) -> Result<(), SendError<Vec<Tuple>>> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.tx
+            .as_ref()
+            .expect("the sender lives until drop")
+            .send(batch)?;
+        let _ = self.bell.send(());
+        Ok(())
+    }
+}
+
+impl Drop for LaneSender {
+    fn drop(&mut self) {
+        // as `ServiceAttach::drop`: disconnect, then ring
+        drop(self.tx.take());
+        let _ = self.bell.send(());
+    }
+}
+
+/// The receive side of [`RepairService::attach_channel`], consumed by
 /// [`RepairService::run_dynamic`].
 pub struct AttachQueue<'a> {
     rx: Receiver<DynamicSession<'a>>,
-    bell_tx: Sender<()>,
     bell_rx: Receiver<()>,
-}
-
-/// Create the attach handle / queue pair for
-/// [`RepairService::run_dynamic`]. The handle end is clonable and may
-/// outlive any individual session; the service returns once every
-/// handle is dropped *and* every attached session has drained.
-pub fn attach_channel<'a>() -> (ServiceAttach<'a>, AttachQueue<'a>) {
-    let (tx, rx) = channel();
-    let (bell_tx, bell_rx) = channel();
-    (
-        ServiceAttach {
-            tx: Some(tx),
-            bell: bell_tx.clone(),
-        },
-        AttachQueue {
-            rx,
-            bell_tx,
-            bell_rx,
-        },
-    )
 }
 
 /// Knobs of one [`RepairService`]: the pool shape plus the per-session
@@ -298,8 +348,10 @@ pub struct ServiceOptions {
     /// suggestion pool to share between sessions. The field stays
     /// because the `benchmark/` package names it.
     pub shared_cache: bool,
-    /// Bounded ingest-lane depth: batches a producer may have in
-    /// flight before its `send` blocks (clamped to at least 1).
+    /// Ingest-lane depth, the exact bound on the batches a session's
+    /// lane holds: a producer's `depth`-th [`LaneSender::send`] returns,
+    /// and the next blocks until the scheduler takes a batch (clamped
+    /// to at least 1).
     pub depth: usize,
 }
 
@@ -422,28 +474,64 @@ impl RepairService {
         &self.opts
     }
 
+    /// Create the attach handle / queue pair for
+    /// [`run_dynamic`](Self::run_dynamic). Every lane the handle opens
+    /// is bounded by this service's [`ServiceOptions::depth`]. The
+    /// handle end is clonable and may outlive any individual session;
+    /// the service returns once every handle is dropped *and* every
+    /// attached session has drained.
+    pub fn attach_channel<'a>(&self) -> (ServiceAttach<'a>, AttachQueue<'a>) {
+        let (tx, rx) = channel();
+        let (bell, bell_rx) = channel();
+        (
+            ServiceAttach {
+                tx: Some(tx),
+                bell,
+                depth: self.opts.depth.max(1),
+            },
+            AttachQueue { rx, bell_rx },
+        )
+    }
+
     /// Multiplex `streams` to completion and report per-session plus
     /// aggregate results. Returns when every stream's source is
     /// exhausted; sessions that finish early simply stop contributing
-    /// epochs while the rest keep the pool busy.
+    /// epochs while the rest keep the pool busy. Each stream gets one
+    /// scoped feeder thread that pushes its batches into the stream's
+    /// lane; the calling thread runs [`run_dynamic`](Self::run_dynamic)
+    /// and stays the fan-out's worker 0.
     pub fn run(&self, streams: Vec<ServiceStream<'_>>) -> ServiceReport {
-        let (attach, queue) = attach_channel();
-        for stream in streams {
-            let _ = attach.attach(stream, None);
-        }
-        drop(attach);
-        self.run_dynamic(queue)
+        let (attach, queue) = self.attach_channel();
+        std::thread::scope(|scope| {
+            for stream in streams {
+                let lane = attach
+                    .attach_boxed(stream.name, stream.oracle_for, None)
+                    .expect("the queue is open until run_dynamic returns");
+                let source = stream.source;
+                scope.spawn(move || {
+                    for batch in source {
+                        if lane.send(batch).is_err() {
+                            break; // the service stopped draining
+                        }
+                    }
+                });
+            }
+            drop(attach);
+            self.run_dynamic(queue)
+        })
     }
 
-    /// Multiplex a *dynamic* set of streams: sessions attach (and
-    /// detach, by exhausting their source) while the service runs.
-    /// Consumes the [`AttachQueue`] half of an [`attach_channel`];
-    /// returns once every [`ServiceAttach`] clone is dropped and every
-    /// attached session has drained — the drain-then-shutdown path.
-    /// Scheduling, fairness, and the determinism contract are exactly
-    /// [`run`](Self::run)'s (which is this method with all sessions
-    /// attached up front): a session's outcomes depend only on its own
-    /// stream, never on when its neighbours arrived.
+    /// Multiplex a *dynamic* set of sessions: sessions attach (and
+    /// detach, by dropping their [`LaneSender`]) while the service runs.
+    /// Consumes the [`AttachQueue`] half of an
+    /// [`attach_channel`](Self::attach_channel); returns once every
+    /// [`ServiceAttach`] clone is dropped and every attached session has
+    /// drained — the drain-then-shutdown path. Spawns no thread of its
+    /// own beyond the fan-out's workers: producers push into their
+    /// lanes, and this thread polls them. Scheduling, fairness, and the
+    /// determinism contract are exactly [`run`](Self::run)'s (which
+    /// feeds its streams into this method): a session's outcomes depend
+    /// only on its own stream, never on when its neighbours arrived.
     pub fn run_dynamic(&self, queue: AttachQueue<'_>) -> ServiceReport {
         let started = Instant::now();
         let rebuilds_at_start = self.engine.context().plan_rebuilds();
@@ -452,155 +540,121 @@ impl RepairService {
             chunk: self.opts.chunk,
             ..RepairOptions::default()
         };
-        let depth = self.opts.depth.max(1);
 
-        let mut names: Vec<String> = Vec::new();
-        let mut factories: Vec<OracleFactory<'_>> = Vec::new();
-        let mut acc: Vec<SessionAcc> = Vec::new();
-        let mut done: Vec<Option<SessionReport>> = Vec::new();
+        let mut admitted: Vec<Admitted<'_>> = Vec::new();
         let mut epochs = 0u64;
-
-        std::thread::scope(|scope| {
-            // ingest lanes: one feeder per attached stream, bounded
-            // channel, plus the queue's doorbell so an idle scheduler
-            // blocks instead of spinning
-            let mut lanes: Vec<Receiver<Vec<Tuple>>> = Vec::new();
-            let mut open: Vec<bool> = Vec::new();
-            let mut finished: Vec<bool> = Vec::new();
-            let mut events: Vec<Option<Sender<SessionEvent>>> = Vec::new();
-            let mut attach_open = true;
-            // rotate which session is polled first so no stream is
-            // systematically served ahead of the others
-            let mut first = 0usize;
-            loop {
-                // admit newly attached sessions before each poll sweep
-                while attach_open {
-                    match queue.rx.try_recv() {
-                        Ok(ds) => {
-                            let (tx, rx) = sync_channel::<Vec<Tuple>>(depth);
-                            let bell = queue.bell_tx.clone();
-                            let source = ds.stream.source;
-                            scope.spawn(move || {
-                                let mut source = source;
-                                while let Some(batch) = source.next_batch() {
-                                    if batch.is_empty() {
-                                        continue;
-                                    }
-                                    if tx.send(batch).is_err() {
-                                        break; // the service stopped draining
-                                    }
-                                    let _ = bell.send(());
-                                }
-                                // dropping tx disconnects the lane; ring
-                                // once more so a blocked scheduler
-                                // notices the end
-                                drop(tx);
-                                let _ = bell.send(());
-                            });
-                            names.push(ds.stream.name);
-                            factories.push(ds.stream.oracle_for);
-                            acc.push(SessionAcc {
-                                rebuilds_at_admit: self.engine.context().plan_rebuilds(),
-                                ..SessionAcc::default()
-                            });
-                            done.push(None);
-                            lanes.push(rx);
-                            open.push(true);
-                            finished.push(false);
-                            events.push(ds.events);
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            attach_open = false;
-                        }
-                    }
-                }
-
-                let n = lanes.len();
-                let mut collected: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                for k in 0..n {
-                    let s = (first + k) % n;
-                    if !open[s] {
-                        continue;
-                    }
-                    match lanes[s].try_recv() {
-                        Ok(batch) => collected.push((s, batch)),
-                        Err(TryRecvError::Empty) => {}
-                        Err(TryRecvError::Disconnected) => open[s] = false,
-                    }
-                }
-                if n > 0 {
-                    first = (first + 1) % n;
-                }
-
-                let idle = collected.is_empty();
-                if !idle {
-                    epochs += 1;
-                    // one unit per collected batch, its oracles keyed by
-                    // the session-local stream offset the batch starts at
-                    let units: Vec<_> = collected
-                        .iter()
-                        .map(|(s, tuples)| {
-                            let (factory, base) = (&factories[*s], acc[*s].tuples);
-                            (tuples.as_slice(), move |i: usize| factory(base + i))
-                        })
-                        .collect();
-                    let reports = self.engine.fan_out(&units, &opts);
-                    for (&(s, _), report) in collected.iter().zip(reports) {
-                        if let Some(ev) = &events[s] {
-                            let _ = ev.send(SessionEvent::Batch(report.clone()));
-                        }
-                        acc[s].tuples += report.outcomes.len();
-                        acc[s].wall += report.wall;
-                        acc[s].batches.push(report);
-                    }
-                }
-
-                // finalize drained sessions promptly — a disconnected
-                // lane has, by mpsc semantics, already yielded every
-                // buffered batch — so observers get `Finished` while
-                // their neighbours keep running
-                for s in 0..n {
-                    if !open[s] && !finished[s] {
-                        finished[s] = true;
-                        let a = std::mem::take(&mut acc[s]);
-                        let mut report = SessionReport::from_batches(&a.batches, a.wall, a.tuples);
-                        // as a solo session does: charge the epochs the
-                        // context rebuilt while the session was attached
-                        report.stats.plan_rebuilds +=
-                            self.engine.context().plan_rebuilds() - a.rebuilds_at_admit;
-                        if let Some(ev) = events[s].take() {
-                            // the fold alone: the observer already has
-                            // every batch
-                            let _ = ev.send(SessionEvent::Finished(report.clone()));
-                        }
-                        report.batches = a.batches;
-                        done[s] = Some(report);
-                    }
-                }
-
-                if idle {
-                    if !attach_open && !open.iter().any(|&o| o) {
-                        break; // no attachers left, every stream drained
-                    }
-                    // nothing ready: sleep until a feeder or attacher
-                    // rings; rings are buffered so wakeups are never
-                    // lost — the timeout is a belt-and-braces backstop
-                    let _ = queue.bell_rx.recv_timeout(Duration::from_millis(25));
+        let mut attach_open = true;
+        // rotate which session is polled first so no stream is
+        // systematically served ahead of the others
+        let mut first = 0usize;
+        loop {
+            // admit newly attached sessions before each poll sweep
+            while attach_open {
+                match queue.rx.try_recv() {
+                    Ok(session) => admitted.push(Admitted {
+                        session,
+                        open: true,
+                        batches: Vec::new(),
+                        tuples: 0,
+                        wall: Duration::ZERO,
+                        rebuilds_at_admit: self.engine.context().plan_rebuilds(),
+                        report: None,
+                    }),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => attach_open = false,
                 }
             }
-        });
 
-        let mut sessions = Vec::with_capacity(names.len());
+            let n = admitted.len();
+            let mut collected: Vec<(usize, Vec<Tuple>)> = Vec::new();
+            for k in 0..n {
+                let s = (first + k) % n;
+                let a = &mut admitted[s];
+                if a.open {
+                    match a.session.lane.try_recv() {
+                        Ok(batch) => collected.push((s, batch)),
+                        Err(TryRecvError::Empty) => {}
+                        Err(TryRecvError::Disconnected) => a.open = false,
+                    }
+                }
+            }
+            if n > 0 {
+                first = (first + 1) % n;
+            }
+
+            let idle = collected.is_empty();
+            if !idle {
+                epochs += 1;
+                // one unit per collected batch, its oracles keyed by
+                // the session-local stream offset the batch starts at
+                let units: Vec<_> = collected
+                    .iter()
+                    .map(|(s, tuples)| {
+                        let (factory, base) =
+                            (&admitted[*s].session.oracle_for, admitted[*s].tuples);
+                        (tuples.as_slice(), move |i: usize| factory(base + i))
+                    })
+                    .collect();
+                let reports = self.engine.fan_out(&units, &opts);
+                for (&(s, _), report) in collected.iter().zip(reports) {
+                    let a = &mut admitted[s];
+                    if let Some(ev) = &a.session.events {
+                        let _ = ev.send(SessionEvent::Batch(report.clone()));
+                    }
+                    a.tuples += report.outcomes.len();
+                    a.wall += report.wall;
+                    a.batches.push(report);
+                }
+            }
+
+            // finalize drained sessions promptly — a disconnected
+            // lane has, by mpsc semantics, already yielded every
+            // buffered batch — so observers get `Finished` while
+            // their neighbours keep running
+            for a in admitted
+                .iter_mut()
+                .filter(|a| !a.open && a.report.is_none())
+            {
+                let mut report = SessionReport::from_batches(&a.batches, a.wall, a.tuples);
+                // as a solo session does: charge the epochs the
+                // context rebuilt while the session was attached
+                report.stats.plan_rebuilds +=
+                    self.engine.context().plan_rebuilds() - a.rebuilds_at_admit;
+                if let Some(ev) = a.session.events.take() {
+                    // the fold alone: the observer already has every
+                    // batch
+                    let _ = ev.send(SessionEvent::Finished(report.clone()));
+                }
+                report.batches = std::mem::take(&mut a.batches);
+                a.report = Some(report);
+            }
+
+            if idle {
+                if !attach_open && admitted.iter().all(|a| !a.open) {
+                    break; // no attachers left, every stream drained
+                }
+                // nothing ready: sleep until a producer or attacher
+                // rings; rings are buffered so wakeups are never
+                // lost — the timeout is a belt-and-braces backstop
+                let _ = queue.bell_rx.recv_timeout(Duration::from_millis(25));
+            }
+        }
+
+        let mut sessions = Vec::with_capacity(admitted.len());
         let mut stats = MonitorStats::default();
         let mut bdd = BddStats::default();
         let mut tuples = 0usize;
-        for (name, report) in names.into_iter().zip(done) {
-            let report = report.expect("every attached session is finalized before exit");
+        for a in admitted {
+            let report = a
+                .report
+                .expect("every attached session is finalized before exit");
             stats.merge(&report.stats);
             bdd.merge(&report.bdd);
             tuples += report.tuples;
-            sessions.push(NamedSessionReport { name, report });
+            sessions.push(NamedSessionReport {
+                name: a.session.name,
+                report,
+            });
         }
         // deltas reach the context from sessions' callers and from
         // connection handlers alike; the context counts them all
@@ -617,14 +671,18 @@ impl RepairService {
     }
 }
 
-/// Per-session accumulation across epochs.
-#[derive(Default)]
-struct SessionAcc {
+/// An admitted session as the scheduler tracks it across epochs.
+struct Admitted<'a> {
+    session: DynamicSession<'a>,
+    /// Until the lane is found disconnected and drained.
+    open: bool,
     batches: Vec<BatchReport>,
     tuples: usize,
     wall: Duration,
     /// The context's plan rebuilds when the session was admitted.
     rebuilds_at_admit: u64,
+    /// The final fold, once the lane closed.
+    report: Option<SessionReport>,
 }
 
 /// One multiplexed session's result: the stream's name plus a
@@ -633,7 +691,8 @@ struct SessionAcc {
 /// are the epochs the session took part in).
 #[derive(Clone, Debug)]
 pub struct NamedSessionReport {
-    /// The [`ServiceStream`]'s name.
+    /// The session's name, as given to [`RepairService::run`] or
+    /// [`ServiceAttach::attach`].
     pub name: String,
     /// The session's report.
     pub report: SessionReport,
@@ -718,6 +777,22 @@ mod tests {
         ds.inputs.iter().map(|dt| dt.dirty.clone()).collect()
     }
 
+    /// The user who knows `ds`'s clean tuples.
+    fn user(ds: &Dataset) -> impl Fn(usize) -> SimulatedUser + Copy + Send + Sync + '_ {
+        move |i| SimulatedUser::new(ds.inputs[i].clean.clone())
+    }
+
+    /// `tuples` of `ds` drained alone through a one-worker session, in
+    /// batches of `batch`.
+    fn solo(hosp: &Hosp, bdd: bool, ds: &Dataset, tuples: &[Tuple], batch: usize) -> SessionReport {
+        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .bdd(bdd)
+            .threads(1)
+            .build();
+        session.drain(SliceSource::with_batch(tuples, batch), user(ds));
+        session.finish()
+    }
+
     /// D7: three unevenly sized HOSP streams (one skewed) multiplexed
     /// at 1, 2, and 4 workers — each session's whole outcomes, round
     /// traces included, and deterministic merged counts are
@@ -735,17 +810,7 @@ mod tests {
             let solo: Vec<SessionReport> = datasets
                 .iter()
                 .zip(&dirty)
-                .map(|(ds, tuples)| {
-                    let mut session =
-                        RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                            .bdd(bdd)
-                            .threads(1)
-                            .build();
-                    session.drain(SliceSource::with_batch(tuples, 128), |i| {
-                        SimulatedUser::new(ds.inputs[i].clean.clone())
-                    });
-                    session.finish()
-                })
+                .map(|(ds, tuples)| solo(&hosp, bdd, ds, tuples, 128))
                 .collect();
             if bdd {
                 assert!(solo[0].bdd.hits > 0, "the diagrams served suggestions");
@@ -765,7 +830,7 @@ mod tests {
                         ServiceStream::new(
                             format!("s{s}"),
                             SliceSource::with_batch(tuples, 128),
-                            move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
+                            user(ds),
                         )
                     })
                     .collect();
@@ -806,7 +871,7 @@ mod tests {
     }
 
     /// Degenerate shapes: no streams, an empty stream next to a live
-    /// one, and backpressured channel ingest all hold together.
+    /// one, and backpressured lane ingest all hold together.
     #[test]
     fn empty_and_channel_streams() {
         let (hosp, datasets) = hosp_sessions(100, &[120]);
@@ -825,27 +890,21 @@ mod tests {
         assert_eq!(empty.epochs, 0);
         assert_eq!(empty.throughput(), 0.0);
 
-        // an exhausted-immediately stream riding along a channel-fed
-        // one (the producer thread outruns depth=1 and blocks — real
+        // an exhausted-immediately stream riding along a lane-fed one
+        // (the producer thread outruns depth=1 and blocks — real
         // backpressure — while the empty lane disconnects right away)
-        let (tx, channel) = crate::session::ChannelSource::bounded(1);
+        let (attach, queue) = service.attach_channel();
+        drop(attach.attach("empty", user(ds), None));
+        let live = attach.attach("live", user(ds), None).expect("open");
+        drop(attach);
         let report = std::thread::scope(|s| {
             let producer_dirty = &dirty;
             s.spawn(move || {
                 for chunk in producer_dirty.chunks(16) {
-                    if tx.send(chunk.to_vec()).is_err() {
-                        break;
-                    }
+                    live.send(chunk.to_vec()).expect("lane open");
                 }
             });
-            service.run(vec![
-                ServiceStream::new("empty", SliceSource::new(&[]), |_: usize| {
-                    SimulatedUser::new(ds.inputs[0].clean.clone())
-                }),
-                ServiceStream::new("live", channel, |i: usize| {
-                    SimulatedUser::new(ds.inputs[i].clean.clone())
-                }),
-            ])
+            service.run_dynamic(queue)
         });
         assert_eq!(report.sessions[0].report.tuples, 0);
         assert!(report.sessions[0].report.batches.is_empty());
@@ -853,21 +912,96 @@ mod tests {
         assert_eq!(report.tuples, 120);
         assert!(report.epochs > 0);
 
-        // the channel-fed session matches a solo drain of the same
+        // the lane-fed session matches a solo drain of the same
         // stream cut the same way
-        let mut solo = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(1)
-            .build();
-        solo.drain(SliceSource::with_batch(&dirty, 16), |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        let solo = solo.finish();
+        let solo = solo(&hosp, false, ds, &dirty, 16);
         let live = report.session("live").expect("named lookup");
         for (i, (a, b)) in live.outcomes().zip(solo.outcomes()).enumerate() {
             assert_eq!(a.tuple, b.tuple, "tuple {i}");
         }
         assert_eq!(live.stats.rounds, solo.stats.rounds);
         assert!(report.session("nope").is_none());
+    }
+
+    /// The lane's disconnect-drain contract, which a torn network
+    /// session leans on: a producer that dies (here: panics) with
+    /// batches still queued in its lane loses none of them. Every
+    /// buffered batch repairs, in order, the session gets `Finished`,
+    /// and its outcomes equal a solo drain of exactly those tuples. An
+    /// empty batch sent into the lane produces no report.
+    #[test]
+    fn a_lane_drains_its_buffered_batches_after_its_producer_panics() {
+        let (hosp, datasets) = hosp_sessions(60, &[24]);
+        let ds = &datasets[0];
+        let dirty = dirty_of(ds);
+        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .threads(2)
+            .depth(3)
+            .build();
+        let (attach, queue) = service.attach_channel();
+        let (ev_tx, ev_rx) = channel();
+        let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
+        drop(attach);
+        let batches: Vec<Vec<Tuple>> = dirty.chunks(8).map(<[Tuple]>::to_vec).collect();
+        let producer = std::thread::spawn(move || {
+            for batch in std::iter::once(Vec::new()).chain(batches) {
+                lane.send(batch).expect("lane open");
+            }
+            panic!("the producer dies with its lane full");
+        });
+        assert!(producer.join().is_err(), "the producer did panic");
+        let report = service.run_dynamic(queue);
+
+        let (got, want) = (
+            &report.sessions[0].report,
+            solo(&hosp, false, ds, &dirty, 8),
+        );
+        assert_eq!(got.batches.len(), 3, "the empty batch made no report");
+        for (k, (a, b)) in got.batches.iter().zip(&want.batches).enumerate() {
+            assert_eq!(a.outcomes, b.outcomes, "batch {k}, in order");
+        }
+        let evs: Vec<SessionEvent> = ev_rx.try_iter().collect();
+        assert_eq!(evs.len(), 4, "three batches, then Finished");
+        assert!(matches!(evs[3], SessionEvent::Finished(_)));
+    }
+
+    /// A lane holds exactly `depth` batches (at least one): with no
+    /// scheduler running, a producer's `depth`-th send returns and the
+    /// next one does not; once `run_dynamic` starts, every batch
+    /// repairs. The check is one-sided — a correct lane can never let
+    /// the extra send through early — so it cannot fail spuriously.
+    #[test]
+    fn a_lane_holds_exactly_depth_batches() {
+        let (hosp, datasets) = hosp_sessions(60, &[8]);
+        let ds = &datasets[0];
+        let dirty = dirty_of(ds);
+        for depth in [0usize, 1, 2, 3] {
+            let bound = depth.max(1);
+            let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                .depth(depth)
+                .build();
+            let (attach, queue) = service.attach_channel();
+            let lane = attach.attach("s", user(ds), None).expect("open");
+            drop(attach);
+            let (sent_tx, sent_rx) = channel();
+            let report = std::thread::scope(|scope| {
+                let batches = dirty.chunks(2).take(bound + 1).map(<[Tuple]>::to_vec);
+                scope.spawn(move || {
+                    for (k, batch) in batches.enumerate() {
+                        lane.send(batch).expect("lane open");
+                        sent_tx.send(k + 1).expect("the test listens");
+                    }
+                });
+                for k in 1..=bound {
+                    assert_eq!(sent_rx.recv(), Ok(k), "depth {depth}: send {k} returns");
+                }
+                let early = sent_rx.recv_timeout(Duration::from_millis(50));
+                assert!(early.is_err(), "depth {depth}: {early:?} before a drain");
+                service.run_dynamic(queue)
+            });
+            assert_eq!(sent_rx.recv(), Ok(bound + 1), "depth {depth}");
+            assert_eq!(report.sessions[0].report.batches.len(), bound + 1);
+        }
     }
 
     /// The dynamic-attach hooks behind the network server: sessions
@@ -896,14 +1030,14 @@ mod tests {
                     ServiceStream::new(
                         format!("s{s}"),
                         SliceSource::with_batch(tuples, 32),
-                        move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
+                        user(ds),
                     )
                 })
                 .collect(),
         );
 
         let service = mk_service();
-        let (attach, queue) = attach_channel();
+        let (attach, queue) = service.attach_channel();
         let mut event_rxs = Vec::new();
         let report = std::thread::scope(|scope| {
             let attacher_sets = &datasets;
@@ -915,18 +1049,16 @@ mod tests {
             scope.spawn(move || {
                 for (s, ev) in [(0usize, ev0_tx), (1usize, ev1_tx)] {
                     let ds = &attacher_sets[s];
-                    let tuples = &attacher_dirty[s];
-                    attach
-                        .attach(
-                            ServiceStream::new(
-                                format!("s{s}"),
-                                SliceSource::with_batch(tuples, 32),
-                                move |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone()),
-                            ),
-                            Some(ev),
-                        )
-                        .ok()
+                    let lane = attach
+                        .attach(format!("s{s}"), user(ds), Some(ev))
                         .expect("service is draining");
+                    // each session's producer feeds its lane, then
+                    // drops it to end the stream
+                    scope.spawn(move || {
+                        for batch in SliceSource::with_batch(&attacher_dirty[s], 32) {
+                            lane.send(batch).expect("service is draining");
+                        }
+                    });
                     // stagger: the second session arrives while the
                     // first is (likely) mid-flight
                     std::thread::sleep(Duration::from_millis(10));
@@ -994,7 +1126,7 @@ mod tests {
             RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).build();
         let mut took = Vec::with_capacity(50);
         for round in 0..50 {
-            let (attach, queue) = attach_channel();
+            let (attach, queue) = service.attach_channel();
             let (ev_tx, ev_rx) = channel();
             let ds = &datasets[0];
             std::thread::scope(|scope| {
@@ -1002,15 +1134,11 @@ mod tests {
                     service.run_dynamic(queue);
                     Instant::now()
                 });
-                attach
-                    .attach(
-                        ServiceStream::new("s", SliceSource::with_batch(&dirty, 4), move |i| {
-                            SimulatedUser::new(ds.inputs[i].clean.clone())
-                        }),
-                        Some(ev_tx),
-                    )
-                    .ok()
+                let lane = attach
+                    .attach("s", user(ds), Some(ev_tx))
                     .expect("service is running");
+                lane.send(dirty.clone()).expect("service is running");
+                drop(lane);
                 // the session is over and nothing else is attached: the
                 // scheduler has nothing left to do but wait for the
                 // handle to drop
@@ -1050,7 +1178,7 @@ mod tests {
         let ds = &datasets[0];
         let dirty = dirty_of(ds);
         let (head, tail) = dirty.split_at(120);
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
+        let oracle_for = user(ds);
         // rewrite a rule's master key column
         let (_, rule) = hosp.rules().iter().next().expect("HOSP has rules");
         let mut keyed = hosp.master().tuple(0).clone();
@@ -1071,18 +1199,16 @@ mod tests {
             .threads(2)
             .depth(1)
             .build();
-        let (attach, queue) = attach_channel();
-        let (tx, source) = crate::session::ChannelSource::bounded(1);
+        let (attach, queue) = service.attach_channel();
         let (ev_tx, ev_rx) = channel();
-        attach
-            .attach(ServiceStream::new("s", source, oracle_for), Some(ev_tx))
-            .ok()
+        let lane = attach
+            .attach("s", oracle_for, Some(ev_tx))
             .expect("the queue is open");
         drop(attach);
         let service = &service;
         let report = std::thread::scope(|scope| {
             scope.spawn(move || {
-                tx.send(head.to_vec()).expect("lane open");
+                lane.send(head.to_vec()).expect("lane open");
                 // the delta lands between the two batches' epochs
                 assert!(matches!(ev_rx.recv(), Ok(SessionEvent::Batch(_))));
                 service
@@ -1090,7 +1216,7 @@ mod tests {
                     .context()
                     .apply_master_delta(&delta)
                     .expect("delta applies");
-                tx.send(tail.to_vec()).expect("lane open");
+                lane.send(tail.to_vec()).expect("lane open");
             });
             service.run_dynamic(queue)
         });

@@ -1,13 +1,14 @@
-//! The unified repair-session API: streaming ingest behind a
-//! [`TupleSource`] abstraction.
+//! The unified repair-session API: streaming ingest of dirty-tuple
+//! batches.
 //!
 //! The paper's framework is a *data monitor* — it repairs tuples at the
 //! point of entry, i.e. it is fundamentally a streaming system. This
-//! module makes that the primary entry-point surface: a pull-based
-//! [`TupleSource`] abstracts over where dirty tuples come from (an
-//! in-memory slice, or a bounded channel fed by a live producer), and
-//! a [`RepairSession`] drains any source through the work-stealing
-//! [`BatchRepairEngine`], emitting one unified [`SessionReport`]. Each pushed batch is a one-unit epoch
+//! module makes that the primary entry-point surface: a source is any
+//! iterator of batches (`Vec<Tuple>`s in stream order — a
+//! [`SliceSource`] over an in-memory slice, a generator, the receiving
+//! half of a channel), and a [`RepairSession`] drains it through the
+//! work-stealing [`BatchRepairEngine`], emitting one unified
+//! [`SessionReport`]. Each pushed batch is a one-unit epoch
 //! of the engine's single fan-out — the same function a
 //! [`RepairService`](crate::service::RepairService) epoch runs through
 //! — and the calling thread is its worker 0, so a one-worker session
@@ -55,13 +56,12 @@
 //! a drained stream are **bit-identical to a single sequential
 //! [`repair_opts`](crate::BatchRepairEngine::repair_opts) call over the
 //! same tuples in the same order** — regardless of how the source cuts
-//! the stream into batches, the channel depth, the schedule, or the
-//! worker count. See [`TupleSource`] for the contract that makes this
-//! hold. Under `CertainFix+` each chunk builds its own diagram, so
+//! the stream into batches, the schedule, or the worker count. See
+//! [`RepairSession::drain`] for the contract that makes this hold.
+//! Under `CertainFix+` each chunk builds its own diagram, so
 //! outcomes and [`BddStats`] depend on where the batches and chunks
 //! fall — but still not on the schedule or the worker count (D12).
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,49 +76,8 @@ use crate::engine::{
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 
-/// A pull-based source of dirty-tuple batches — the ingest side of a
-/// [`RepairSession`].
-///
-/// # Ordering and determinism contract
-///
-/// A source yields the tuples of one logical stream, **in stream
-/// order**: concatenating the yielded batches must always produce the
-/// same tuple sequence, no matter how the stream is cut into batches.
-/// The session assigns each tuple its *global stream index* (the
-/// number of tuples drained before it) and hands that index to the
-/// oracle factory, so a tuple meets the same oracle whether it arrives
-/// in one batch of 10 000 or 10 000 batches of one. Under that
-/// contract, draining a source through a session is — for plain
-/// `CertainFix` — bit-identical in outcomes and
-/// merged metric counts to repairing the concatenated stream as one
-/// sequential batch. Sources must *not* reorder, drop, or duplicate
-/// tuples; a source that did would silently misalign tuples and
-/// oracles.
-///
-/// The same contract is what the multi-session
-/// [`RepairService`](crate::service::RepairService) builds on: each of
-/// its streams owns one source and one stream-index space, its ingest
-/// lane pulls `next_batch` exactly like a session drain does, and the
-/// per-stream indexes never mix — so a stream meets the same oracles
-/// (and produces the same outcomes) whether it is drained alone or
-/// multiplexed with any number of other streams.
-pub trait TupleSource {
-    /// Pull the next batch of dirty tuples; `None` ends the stream.
-    /// An empty batch is permitted (the session skips it) but a source
-    /// should avoid yielding them indefinitely.
-    fn next_batch(&mut self) -> Option<Vec<Tuple>>;
-
-    /// Bounds on the number of **tuples** (not batches) still to come,
-    /// `(lower, Some(upper))` when known. Sessions use it to
-    /// preallocate outcome buffers; like [`Iterator::size_hint`] it is
-    /// advisory and must never be trusted for correctness.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, None)
-    }
-}
-
-/// Today's batch entry point as a source: a borrowed `&[Tuple]`,
-/// yielded in stream order in batches of a configurable size.
+/// A borrowed `&[Tuple]` as a source: an iterator yielding the slice in
+/// stream order, in batches of a configurable size.
 #[derive(Clone, Debug)]
 pub struct SliceSource<'a> {
     tuples: &'a [Tuple],
@@ -139,84 +98,16 @@ impl<'a> SliceSource<'a> {
     }
 }
 
-impl TupleSource for SliceSource<'_> {
-    fn next_batch(&mut self) -> Option<Vec<Tuple>> {
+impl Iterator for SliceSource<'_> {
+    type Item = Vec<Tuple>;
+
+    fn next(&mut self) -> Option<Vec<Tuple>> {
         if self.tuples.is_empty() {
             return None;
         }
         let (head, rest) = self.tuples.split_at(self.batch.min(self.tuples.len()));
         self.tuples = rest;
         Some(head.to_vec())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.tuples.len(), Some(self.tuples.len()))
-    }
-}
-
-/// Real backpressured streaming ingest: a [`TupleSource`] over the
-/// receiving half of a bounded [`std::sync::mpsc`] channel.
-///
-/// [`ChannelSource::bounded`] returns the producer handle and the
-/// source; `depth` bounds how many batches may be in flight, so a
-/// producer that outruns the repair workers blocks on
-/// [`SyncSender::send`] instead of buffering the stream unboundedly.
-/// The stream ends when every sender is dropped. Channel delivery is
-/// FIFO, so the ordering contract of [`TupleSource`] reduces to the
-/// producer sending the stream in order.
-///
-/// A producer that goes away *mid-stream* (its thread panics, its
-/// socket drops — anything that drops the sender with batches still
-/// buffered) ends the stream gracefully: every batch sent before the
-/// disconnect is still yielded, in order, and only then does
-/// [`next_batch`](TupleSource::next_batch) report end-of-stream. No
-/// tuple the consumer was promised is lost, and nothing panics — the
-/// property the network ingest lane (`crates/net`) leans on to tear
-/// down a dead connection's session cleanly.
-pub struct ChannelSource {
-    rx: Receiver<Vec<Tuple>>,
-    hint: (usize, Option<usize>),
-}
-
-impl ChannelSource {
-    /// A bounded channel of `depth` in-flight batches (clamped to at
-    /// least 1) and the source draining it.
-    pub fn bounded(depth: usize) -> (SyncSender<Vec<Tuple>>, ChannelSource) {
-        let (tx, rx) = sync_channel(depth.max(1));
-        (
-            tx,
-            ChannelSource {
-                rx,
-                hint: (0, None),
-            },
-        )
-    }
-
-    /// Attach a tuple-count hint (the producer often knows the stream
-    /// length even though the channel cannot).
-    pub fn with_size_hint(mut self, lower: usize, upper: Option<usize>) -> ChannelSource {
-        self.hint = (lower, upper);
-        self
-    }
-}
-
-impl TupleSource for ChannelSource {
-    fn next_batch(&mut self) -> Option<Vec<Tuple>> {
-        loop {
-            match self.rx.recv() {
-                Ok(batch) if batch.is_empty() => continue,
-                Ok(batch) => {
-                    self.hint.0 = self.hint.0.saturating_sub(batch.len());
-                    self.hint.1 = self.hint.1.map(|u| u.saturating_sub(batch.len()));
-                    return Some(batch);
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.hint
     }
 }
 
@@ -314,7 +205,7 @@ impl EngineRef<'_> {
     }
 }
 
-/// A repair session: drains [`TupleSource`]s (or explicit batches)
+/// A repair session: drains streams of batches (or explicit batches)
 /// through the work-stealing engine under one fixed set of
 /// [`RepairOptions`], accumulating per-batch [`BatchReport`]s and the
 /// global stream offset. [`finish`](Self::finish) folds them into a
@@ -415,62 +306,34 @@ impl<'e> RepairSession<'e> {
         report
     }
 
-    /// Stream a slice through a bounded channel drained by this
-    /// session: a producer thread sends `batch`-sized chunks with
-    /// `depth` in-flight batches ([`ChannelSource::bounded`]) while
-    /// the session's workers repair them — generation/transport
-    /// overlaps repair, with real backpressure. Equivalent in outcomes
-    /// and merged counts to draining
-    /// [`SliceSource::with_batch`]`(tuples, batch)` (and, for plain
-    /// `CertainFix`, to one sequential batch).
-    /// Returns the number of tuples drained.
-    pub fn stream_slice<F, O>(
-        &mut self,
-        tuples: &[Tuple],
-        batch: usize,
-        depth: usize,
-        oracle_for: F,
-    ) -> usize
+    /// Drain a stream of batches to exhaustion, one
+    /// [`push_batch`](Self::push_batch) per yielded batch (empty batches
+    /// are skipped). Returns the number of tuples drained.
+    ///
+    /// # Ordering and determinism contract
+    ///
+    /// `source` yields the tuples of one logical stream **in stream
+    /// order**, and must not reorder, drop or duplicate them. Each
+    /// tuple's oracle is `oracle_for(i)` with `i` its *global stream
+    /// index* (the tuples ingested before it), so a tuple meets the same
+    /// oracle whether it arrives in one batch of 10 000 or 10 000
+    /// batches of one. Under that contract a drain is — for plain
+    /// `CertainFix` — bit-identical in outcomes and merged counts to
+    /// repairing the concatenated stream as one sequential batch,
+    /// however the stream is cut into batches. A
+    /// [`RepairService`](crate::service::RepairService) stream keeps the
+    /// same contract: its indexes are its own, whatever else is
+    /// multiplexed beside it.
+    pub fn drain<I, F, O>(&mut self, source: I, oracle_for: F) -> usize
     where
+        I: IntoIterator<Item = Vec<Tuple>>,
         F: Fn(usize) -> O + Sync,
         O: UserOracle,
     {
-        assert!(batch > 0, "batch size must be positive");
-        let (tx, source) = ChannelSource::bounded(depth);
-        let source = source.with_size_hint(tuples.len(), Some(tuples.len()));
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for chunk in tuples.chunks(batch) {
-                    if tx.send(chunk.to_vec()).is_err() {
-                        break; // the session stopped draining
-                    }
-                }
-            });
-            self.drain(source, oracle_for)
-        })
-    }
-
-    /// Drain a source to exhaustion, one [`push_batch`](Self::push_batch)
-    /// per yielded batch (empty batches are skipped). Returns the
-    /// number of tuples drained.
-    pub fn drain<S, F, O>(&mut self, mut source: S, oracle_for: F) -> usize
-    where
-        S: TupleSource,
-        F: Fn(usize) -> O + Sync,
-        O: UserOracle,
-    {
-        let (_, upper) = source.size_hint();
         let mut drained = 0usize;
-        while let Some(batch) = source.next_batch() {
+        for batch in source {
             if batch.is_empty() {
                 continue;
-            }
-            if drained == 0 {
-                if let Some(hi) = upper {
-                    // preallocate the per-batch report list, assuming
-                    // the first batch's size is typical of the stream
-                    self.batches.reserve(hi.div_ceil(batch.len()));
-                }
             }
             self.push_batch(&batch, &oracle_for);
             drained += batch.len();
@@ -657,13 +520,12 @@ mod tests {
         assert_eq!(streamed.stats.rounds, batch.stats.rounds, "{what}");
     }
 
-    /// The satellite determinism test: a skewed 10k HOSP stream
-    /// drained through a bounded [`ChannelSource`] at 1, 2, and 4
-    /// workers yields outcomes and merged metrics bit-identical to one
-    /// [`repair_opts`](BatchRepairEngine::repair_opts) call over the
-    /// whole stream.
+    /// D5: a skewed 10k HOSP stream drained in 512-tuple batches at 1,
+    /// 2, and 4 workers yields outcomes and merged metrics bit-identical
+    /// to one [`repair_opts`](BatchRepairEngine::repair_opts) call over
+    /// the whole stream.
     #[test]
-    fn channel_stream_is_bit_identical_to_one_batch_1_2_4() {
+    fn batched_stream_is_bit_identical_to_one_batch_1_2_4() {
         let (hosp, ds) = hosp_stream(500, 10_000, 1.0);
         let dirty = dirty_of(&ds);
         let engine = BatchRepairEngine::new(RepairContext::new(
@@ -676,45 +538,18 @@ mod tests {
             threads: 1,
             ..RepairOptions::default()
         };
-        let batch = engine.repair_opts(&dirty, &opts, oracle_for);
-        let batch_metrics = {
-            let mut rows: Option<Vec<RoundMetrics>> = None;
-            for worker in &batch.workers {
-                let evals: Vec<TupleEval> = worker
-                    .indexes()
-                    .map(|i| TupleEval {
-                        outcome: &batch.outcomes[i],
-                        dirty: &ds.inputs[i].dirty,
-                        clean: &ds.inputs[i].clean,
-                    })
-                    .collect();
-                let m = evaluate_rounds(&evals, 4);
-                match &mut rows {
-                    None => rows = Some(m),
-                    Some(acc) => merge_round_series(acc, &m),
-                }
-            }
-            rows.unwrap()
+        let whole = SessionReport {
+            batches: vec![engine.repair_opts(&dirty, &opts, oracle_for)],
+            ..SessionReport::from_batches(&[], Duration::ZERO, dirty.len())
         };
+        let (batch, batch_metrics) = (&whole.batches[0], eval_merged(&whole, &ds.inputs, 4));
 
         for workers in [1usize, 2, 4] {
             let mut session = plain_session(&hosp, workers);
-            let (tx, source) = ChannelSource::bounded(2);
-            let source = source.with_size_hint(dirty.len(), Some(dirty.len()));
-            let report = std::thread::scope(|s| {
-                let producer_dirty = &dirty;
-                s.spawn(move || {
-                    for chunk in producer_dirty.chunks(512) {
-                        if tx.send(chunk.to_vec()).is_err() {
-                            break;
-                        }
-                    }
-                });
-                session.drain(source, oracle_for);
-                session.finish()
-            });
+            session.drain(dirty.chunks(512).map(<[Tuple]>::to_vec), oracle_for);
+            let report = session.finish();
             assert!(report.batches.len() > 1, "the stream really was batched");
-            assert_stream_equals_batch(&report, &batch, &format!("{workers} workers"));
+            assert_stream_equals_batch(&report, batch, &format!("{workers} workers"));
             assert_eq!(
                 eval_merged(&report, &ds.inputs, 4),
                 batch_metrics,
@@ -757,27 +592,6 @@ mod tests {
         }
     }
 
-    /// The channel convenience is equivalent to the slice source cut
-    /// the same way (and so, transitively, to one sequential batch).
-    #[test]
-    fn stream_slice_matches_slice_source() {
-        let (hosp, ds) = hosp_stream(150, 300, 0.0);
-        let dirty = dirty_of(&ds);
-        let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
-        let mut sliced = plain_session(&hosp, 2);
-        sliced.drain(SliceSource::with_batch(&dirty, 64), oracle_for);
-        let sliced = sliced.finish();
-        let mut streamed = plain_session(&hosp, 2);
-        assert_eq!(streamed.stream_slice(&dirty, 64, 2, oracle_for), 300);
-        let streamed = streamed.finish();
-        assert_eq!(sliced.batches.len(), streamed.batches.len());
-        for (i, (a, b)) in sliced.outcomes().zip(streamed.outcomes()).enumerate() {
-            assert_eq!(a.tuple, b.tuple, "tuple {i}");
-        }
-        assert_eq!(sliced.stats.certain, streamed.stats.certain);
-        assert_eq!(sliced.stats.rounds, streamed.stats.rounds);
-    }
-
     #[test]
     fn empty_sources_finish_empty() {
         let hosp = Hosp::generate(30);
@@ -788,10 +602,15 @@ mod tests {
             )),
             0
         );
-        let (tx, source) = ChannelSource::bounded(1);
-        drop(tx);
         assert_eq!(
-            session.drain(source, |_| SimulatedUser::new(
+            session.drain(std::iter::empty(), |_| SimulatedUser::new(
+                hosp.master().tuple(0).clone()
+            )),
+            0
+        );
+        // a stream of empty batches repairs nothing and reports nothing
+        assert_eq!(
+            session.drain(vec![Vec::new(); 3], |_| SimulatedUser::new(
                 hosp.master().tuple(0).clone()
             )),
             0
@@ -802,87 +621,6 @@ mod tests {
         assert_eq!(report.stats.tuples, 0);
         assert_eq!(report.throughput(), 0.0);
         assert!(report.shared.is_none());
-    }
-
-    #[test]
-    fn channel_source_skips_empty_batches_and_tracks_its_hint() {
-        let hosp = Hosp::generate(30);
-        let t = hosp.master().tuple(0).clone();
-        let (tx, mut source) = ChannelSource::bounded(4);
-        let source_hint = {
-            tx.send(Vec::new()).unwrap();
-            tx.send(vec![t.clone(), t.clone()]).unwrap();
-            tx.send(vec![t.clone()]).unwrap();
-            drop(tx);
-            source = source.with_size_hint(3, Some(3));
-            assert_eq!(source.next_batch().map(|b| b.len()), Some(2));
-            assert_eq!(source.size_hint(), (1, Some(1)));
-            assert_eq!(source.next_batch().map(|b| b.len()), Some(1));
-            assert!(source.next_batch().is_none());
-            source.size_hint()
-        };
-        assert_eq!(source_hint, (0, Some(0)));
-    }
-
-    /// Producer-side disconnect mid-stream: a producer that dies (here:
-    /// panics) with batches still buffered in the bounded channel must
-    /// not lose them — the source drains every batch sent before the
-    /// disconnect, in order, then reports end-of-stream, and a session
-    /// drain over the truncated stream completes without panicking.
-    #[test]
-    fn channel_source_drains_buffered_batches_after_producer_disconnect() {
-        let (hosp, ds) = hosp_stream(60, 24, 0.5);
-        let dirty = dirty_of(&ds);
-
-        // raw source level: 3 batches buffered, producer gone
-        let (tx, mut source) = ChannelSource::bounded(4);
-        let producer = {
-            let chunks: Vec<Vec<Tuple>> = dirty.chunks(8).map(|c| c.to_vec()).collect();
-            std::thread::spawn(move || {
-                for c in chunks {
-                    tx.send(c).unwrap();
-                }
-                panic!("producer dies mid-stream with its buffer full");
-            })
-        };
-        assert!(producer.join().is_err(), "the producer did panic");
-        let mut drained = Vec::new();
-        while let Some(batch) = source.next_batch() {
-            drained.extend(batch);
-        }
-        assert_eq!(drained, dirty, "every buffered batch survives, in order");
-        assert!(source.next_batch().is_none(), "end-of-stream is sticky");
-
-        // session level: the truncated stream repairs cleanly and the
-        // report covers exactly the tuples that made it through
-        let (tx, source) = ChannelSource::bounded(2);
-        let mut session = plain_session(&hosp, 2);
-        let drained = std::thread::scope(|s| {
-            let producer_dirty = &dirty;
-            s.spawn(move || {
-                // send half the stream, then vanish without a goodbye
-                for c in producer_dirty[..16].chunks(4) {
-                    if tx.send(c.to_vec()).is_err() {
-                        break;
-                    }
-                }
-            });
-            session.drain(source, |i| SimulatedUser::new(ds.inputs[i].clean.clone()))
-        });
-        assert_eq!(drained, 16);
-        let report = session.finish();
-        assert_eq!(report.tuples, 16);
-        assert_eq!(report.stats.tuples, 16);
-        // the truncated stream is bit-identical to intentionally
-        // draining only those 16 tuples
-        let mut solo = plain_session(&hosp, 1);
-        solo.drain(SliceSource::with_batch(&dirty[..16], 4), |i| {
-            SimulatedUser::new(ds.inputs[i].clean.clone())
-        });
-        let solo = solo.finish();
-        for (i, (a, b)) in report.outcomes().zip(solo.outcomes()).enumerate() {
-            assert_eq!(a, b, "tuple {i}");
-        }
     }
 
     /// The D10 contract at the session level: a session whose master

@@ -8,8 +8,8 @@
 //!   `SessionEnd`/`Error` responses, symmetric `encode`/`decode` over
 //!   any `Read`/`Write` with strict bounds checks.
 //! * [`RepairServer`] — listens on TCP or a unix socket and maps each
-//!   authenticated connection onto one bounded `ServiceStream` lane
-//!   of a shared [`RepairService`], so per-session backpressure
+//!   authenticated connection onto one bounded ingest lane of a
+//!   shared [`RepairService`], so per-session backpressure
 //!   reaches all the way to the client's socket writes. A malformed
 //!   frame or disconnect tears down only that session;
 //!   [`RepairServer::shutdown`] drains and returns the final

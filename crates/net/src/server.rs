@@ -1,22 +1,22 @@
 //! [`RepairServer`]: the socket front of a
 //! [`RepairService`] — TCP or unix-socket listener, one protocol
-//! session per authenticated connection, each mapped to one
-//! [`ServiceStream`] lane of the shared engine.
+//! session per authenticated connection, each mapped to one service
+//! ingest lane ([`LaneSender`]) of the shared engine.
 //!
 //! # Backpressure, end to end
 //!
-//! A connection's batches travel socket → bounded
-//! [`ChannelSource`] → bounded service ingest lane → repair pool.
-//! Both channels are bounded by [`ServiceOptions::depth`]
-//! (`ServiceOptions::depth` batches each), so when the engine falls
-//! behind, the connection's reader thread blocks in `send`, stops
-//! consuming the socket, the kernel's receive window fills, and the
-//! *client's* writes stall — a slow engine costs the producer
-//! latency, never the server memory. Response frames ride an
-//! unbounded event channel per session: bounding it would let one
-//! client that stops reading stall the shared scheduler for everyone
-//! (the cost is instead bounded per misbehaving connection, by its
-//! own unread reports).
+//! A connection's batches travel socket → the session's ingest lane
+//! → repair pool. The connection's reader thread decodes each batch and
+//! pushes it straight into its [`LaneSender`], a channel of exactly
+//! [`ServiceOptions::depth`] batches, so when the engine falls behind,
+//! the reader blocks in `send`, stops consuming the socket, the
+//! kernel's receive window fills, and the *client's* writes stall — a
+//! slow engine costs the producer latency, never the server memory.
+//! A connection costs two threads: the reader and the responder.
+//! Response frames ride an unbounded event channel per session:
+//! bounding it would let one client that stops reading stall the
+//! shared scheduler for everyone (the cost is instead bounded per
+//! misbehaving connection, by its own unread reports).
 //!
 //! Nothing on the write side waits on a timer: every response frame
 //! is encoded whole and leaves in one write, a `Report` together with
@@ -30,26 +30,28 @@
 //! The clean tuples backing a session's oracles are held only while
 //! their batch is in flight: the responder releases a batch's share
 //! when it sees that batch's report, so a session's memory is bounded
-//! by the lanes' depth, not by the length of its stream.
+//! by the lane's depth, not by the length of its stream.
 //!
 //! # Fault isolation
 //!
-//! A malformed frame, a protocol violation, or a transport error
-//! tears down *only* its own session: the reader answers with one
+//! A malformed frame, a batch whose tuples do not fit the service's
+//! schema, a protocol violation, or a transport error tears down
+//! *only* its own session: the reader answers with one
 //! [`Frame::Error`] (best effort), drops the lane, and the service
 //! finalizes that session from whatever had arrived — batches already
-//! buffered still repair (the [`ChannelSource`] disconnect-drain
-//! contract), and every other connection proceeds untouched. Clean
-//! [`Frame::Shutdown`] (or a bare EOF at a frame boundary) ends the
-//! stream the same way minus the error accounting.
+//! queued still repair (the lane's disconnect-drain contract), and
+//! every other connection proceeds untouched. A tuple of the wrong
+//! arity never reaches the engine. Clean [`Frame::Shutdown`] (or a
+//! bare EOF at a frame boundary) ends the stream the same way minus
+//! the error accounting.
 //!
 //! Connections share the engine's rules, master epoch and workers, but
 //! never a cached suggestion: a `CertainFix+` diagram lives one chunk of
 //! one session, so a session's results do not depend on which other
 //! connections were open (D7, D11).
 //!
-//! [`ChannelSource`]: certainfix_core::ChannelSource
-//! [`ServiceOptions::depth`]: certainfix_core::ServiceOptions
+//! [`LaneSender`]: certainfix_core::LaneSender
+//! [`ServiceOptions::depth`]: certainfix_core::ServiceOptions::depth
 
 use std::collections::VecDeque;
 use std::io::{BufReader, Read, Write};
@@ -64,8 +66,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use certainfix_core::{
-    attach_channel, ChannelSource, NetLaneStats, RepairService, ServiceAttach, ServiceReport,
-    ServiceStream, SessionEvent, SimulatedUser,
+    NetLaneStats, RepairService, ServiceAttach, ServiceReport, SessionEvent, SimulatedUser,
 };
 use certainfix_relation::Tuple;
 
@@ -302,7 +303,7 @@ impl RepairServer {
     ) -> std::io::Result<RepairServer> {
         let service = Arc::new(service);
         let stop = Arc::new(AtomicBool::new(false));
-        let (attach, queue) = attach_channel::<'static>();
+        let (attach, queue) = service.attach_channel();
         let sched = {
             let service = Arc::clone(&service);
             std::thread::spawn(move || service.run_dynamic(queue))
@@ -500,19 +501,17 @@ fn handle_conn(
         }
     };
 
-    // one ServiceStream lane per connection: the clean store backs the
-    // oracle factory (appended before the lane send, so any index the
-    // engine can ask for is already present), the bounded channel is
-    // the backpressure hand-off
-    let depth = service.options().depth;
-    let (lane_tx, lane_src) = ChannelSource::bounded(depth);
+    // one service lane per connection: the clean store backs the oracle
+    // factory (appended before the lane send, so any index the engine
+    // can ask for is already present), the lane is the backpressure
+    // hand-off
     let (ev_tx, ev_rx) = channel::<SessionEvent>();
     let oracle_cleans = Arc::clone(&cleans);
-    let stream = ServiceStream::new(session.clone(), lane_src, move |i: usize| {
+    let oracle_for = move |i: usize| {
         let clean = oracle_cleans.lock().unwrap().get(i).clone();
         SimulatedUser::new(clean)
-    });
-    if attach.attach(stream, Some(ev_tx)).is_err() {
+    };
+    let Some(lane) = attach.attach(session.clone(), oracle_for, Some(ev_tx)) else {
         writer.lock().unwrap().send(&Frame::Error {
             code: 3,
             message: "service is shut down".into(),
@@ -521,8 +520,9 @@ fn handle_conn(
         net.frames_in = frames_in;
         net.bytes_in = reader.bytes;
         return (session, net);
-    }
+    };
     drop(attach); // this connection's interest in attaching is over
+    let arity = service.engine().context().rules().r_schema().len();
     writer.lock().unwrap().send(&Frame::HelloAck {
         generation: service.engine().context().generation(),
     });
@@ -585,6 +585,25 @@ fn handle_conn(
                 if pairs.is_empty() {
                     continue; // nothing to repair, nothing to report
                 }
+                // the wire checks a pair against its own arity only; a
+                // tuple that does not fit the schema must not reach
+                // the engine, which indexes it by the schema's attributes
+                if let Some((d, c)) = pairs
+                    .iter()
+                    .find(|(d, c)| d.arity() != arity || c.arity() != arity)
+                {
+                    net.decode_errors += 1;
+                    net.sessions_torn += 1;
+                    writer.lock().unwrap().send(&Frame::Error {
+                        code: 2,
+                        message: format!(
+                            "a Batch pair has arity {}/{}, the schema {arity}",
+                            d.arity(),
+                            c.arity()
+                        ),
+                    });
+                    break;
+                }
                 let (dirty, clean): (Vec<Tuple>, Vec<Tuple>) = pairs.into_iter().unzip();
                 cleans.lock().unwrap().push_batch(clean);
                 {
@@ -595,7 +614,7 @@ fn handle_conn(
                 // bounded: blocks when the engine is `depth` batches
                 // behind, which stops the socket reads — backpressure
                 // reaches the client as stalled writes
-                if lane_tx.send(dirty).is_err() {
+                if lane.send(dirty).is_err() {
                     writer.lock().unwrap().send(&Frame::Error {
                         code: 3,
                         message: "service is shut down".into(),
@@ -668,7 +687,7 @@ fn handle_conn(
     // end the stream: the service drains whatever the lane still
     // buffers, finalizes the session, and the responder forwards the
     // final SessionEnd before exiting
-    drop(lane_tx);
+    drop(lane);
     let _ = responder.join();
 
     let w = writer.lock().unwrap();
@@ -728,7 +747,7 @@ mod tests {
                 .build(),
         );
         let window = service.options().depth + 1;
-        let (attach, queue) = attach_channel::<'static>();
+        let (attach, queue) = service.attach_channel();
         let sched = {
             let service = Arc::clone(&service);
             std::thread::spawn(move || service.run_dynamic(queue))

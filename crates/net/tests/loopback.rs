@@ -10,7 +10,8 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use certainfix_core::{
     MonitorStats, RepairServiceBuilder, RepairSessionBuilder, SessionReport, SimulatedUser,
@@ -19,7 +20,7 @@ use certainfix_core::{
 use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 use certainfix_net::wire::Frame;
 use certainfix_net::{RepairClient, RepairServer};
-use certainfix_relation::{MasterDelta, Tuple};
+use certainfix_relation::{MasterDelta, Tuple, Value};
 
 fn hosp_sessions(dm: usize, sizes: &[usize]) -> (Hosp, Vec<Dataset>) {
     let hosp = Hosp::generate(dm);
@@ -192,15 +193,39 @@ fn loopback_sessions_match_in_process_runs_d11() {
     }
 }
 
-/// Fault injection: four co-resident connections — two healthy, one
+/// A raw client for fault injection: handshake as `session`, then send
+/// one valid batch of `dirty`/`clean` pairs.
+fn open_with_one_batch(
+    addr: SocketAddr,
+    session: &str,
+    dirty: &[Tuple],
+    clean: &[Tuple],
+) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Frame::Hello {
+        session: session.into(),
+        token: None,
+    };
+    hello.encode(&mut stream).unwrap();
+    match Frame::decode(&mut stream).unwrap().unwrap() {
+        Frame::HelloAck { .. } => {}
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+    let pairs = dirty.iter().cloned().zip(clean.iter().cloned()).collect();
+    Frame::Batch { seq: 0, pairs }.encode(&mut stream).unwrap();
+    stream
+}
+
+/// Fault injection: five co-resident connections — two healthy, one
 /// that sends garbage after a valid batch, one that disconnects in
-/// the middle of a frame. Only the offending sessions are torn down;
-/// the survivors stay bit-identical to their solo runs, and the
-/// buffered batches of the torn sessions still repair (disconnect
-/// drain).
+/// the middle of a frame, and one whose second batch holds one-cell
+/// tuples that the wire decodes but the schema does not fit. Only the
+/// offending sessions are torn down; the survivors stay bit-identical
+/// to their solo runs, the buffered batches of the torn sessions still
+/// repair (disconnect drain), and the server shuts down cleanly.
 #[test]
 fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
-    let (hosp, datasets) = hosp_sessions(120, &[160, 90, 48, 48]);
+    let (hosp, datasets) = hosp_sessions(120, &[160, 90, 48, 48, 48]);
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
     let solo0 = solo_run(&hosp, false, &datasets[0], &dirty[0], 32);
@@ -208,6 +233,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     // the torn sessions' one delivered batch, repaired solo
     let solo2 = solo_run(&hosp, false, &datasets[2], &dirty[2][..16], 16);
     let solo3 = solo_run(&hosp, false, &datasets[3], &dirty[3][..16], 16);
+    let solo4 = solo_run(&hosp, false, &datasets[4], &dirty[4][..16], 16);
 
     let service = service_builder(&hosp, 2).build();
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
@@ -231,23 +257,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         // garbage: proper handshake, one valid batch, then bytes that
         // are not a frame
         scope.spawn(|| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            Frame::Hello {
-                session: "garbage".into(),
-                token: None,
-            }
-            .encode(&mut stream)
-            .unwrap();
-            match Frame::decode(&mut stream).unwrap().unwrap() {
-                Frame::HelloAck { .. } => {}
-                other => panic!("expected HelloAck, got {other:?}"),
-            }
-            let pairs = dirty[2][..16]
-                .iter()
-                .cloned()
-                .zip(clean[2][..16].iter().cloned())
-                .collect();
-            Frame::Batch { seq: 0, pairs }.encode(&mut stream).unwrap();
+            let mut stream = open_with_one_batch(addr, "garbage", &dirty[2][..16], &clean[2][..16]);
             stream.write_all(b"!!!! this is not a frame !!!!").unwrap();
             let _ = stream.flush();
             // leave the socket open until the server answers (Error
@@ -257,23 +267,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         // mid-batch disconnect: valid batch, then a header promising
         // 4096 payload bytes that never arrive
         scope.spawn(|| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            Frame::Hello {
-                session: "cut".into(),
-                token: None,
-            }
-            .encode(&mut stream)
-            .unwrap();
-            match Frame::decode(&mut stream).unwrap().unwrap() {
-                Frame::HelloAck { .. } => {}
-                other => panic!("expected HelloAck, got {other:?}"),
-            }
-            let pairs = dirty[3][..16]
-                .iter()
-                .cloned()
-                .zip(clean[3][..16].iter().cloned())
-                .collect();
-            Frame::Batch { seq: 0, pairs }.encode(&mut stream).unwrap();
+            let mut stream = open_with_one_batch(addr, "cut", &dirty[3][..16], &clean[3][..16]);
             let mut partial = Vec::new();
             partial.extend_from_slice(b"CFXW");
             partial.extend_from_slice(&1u16.to_le_bytes()); // version
@@ -283,6 +277,24 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
             stream.write_all(&partial).unwrap();
             let _ = stream.flush();
             drop(stream); // vanish
+        });
+        // wrong arity: one valid batch, then a well-formed batch of
+        // one-cell tuples, which the server must refuse before the
+        // engine indexes them
+        scope.spawn(|| {
+            let mut stream = open_with_one_batch(addr, "arity", &dirty[4][..16], &clean[4][..16]);
+            // a server that never answers fails this leg instead of
+            // hanging it
+            let timeout = Some(Duration::from_secs(30));
+            stream.set_read_timeout(timeout).unwrap();
+            let cell = Tuple::new(vec![Value::str("one cell")]);
+            let pairs = vec![(cell.clone(), cell); 4];
+            Frame::Batch { seq: 1, pairs }.encode(&mut stream).unwrap();
+            let mut refused = false;
+            while let Ok(Some(frame)) = Frame::decode(&mut stream) {
+                refused |= matches!(frame, Frame::Error { code: 2, .. });
+            }
+            assert!(refused, "the wrong-arity batch is answered with an Error");
         });
         (h0.join().unwrap(), h1.join().unwrap())
     });
@@ -296,18 +308,24 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         .iter()
         .map(|n| (n.name.as_str(), &n.report))
         .collect();
-    assert_eq!(report.sessions.len(), 4, "all four sessions attached");
+    assert_eq!(report.sessions.len(), 5, "all five sessions attached");
     assert_bit_identical(by_name["good0"], &solo0, "server good0");
     assert_bit_identical(by_name["good1"], &solo1, "server good1");
     // the torn sessions' delivered batch still repaired (drain on
     // teardown), and matches its solo run
     assert_bit_identical(by_name["garbage"], &solo2, "server garbage");
     assert_bit_identical(by_name["cut"], &solo3, "server cut");
+    assert_bit_identical(by_name["arity"], &solo4, "server arity");
     // the faults were charged to the lane counters
-    assert!(report.stats.net.decode_errors >= 2, "garbage + truncation");
-    assert!(report.stats.net.sessions_torn >= 2, "two sessions torn");
+    assert!(
+        report.stats.net.decode_errors >= 3,
+        "garbage + truncation + arity"
+    );
+    assert!(report.stats.net.sessions_torn >= 3, "three sessions torn");
     assert!(by_name["garbage"].stats.net.decode_errors >= 1);
     assert!(by_name["cut"].stats.net.decode_errors >= 1);
+    assert!(by_name["arity"].stats.net.decode_errors >= 1);
+    assert!(by_name["arity"].stats.net.sessions_torn >= 1);
     assert_eq!(by_name["good0"].stats.net.decode_errors, 0);
     assert_eq!(by_name["good0"].stats.net.sessions_torn, 0);
 }

@@ -1,9 +1,8 @@
 //! Hospital data-entry monitoring (the paper's HOSP workload).
 //!
 //! Simulates a *stream* of hospital/measure records arriving at a data
-//! entry point: a producer thread plays the role of the entry queue,
-//! feeding 100-record batches through a bounded channel, and a
-//! `RepairSession` with two repair workers drains it — 30% of records
+//! entry point: records arrive in 100-record batches, and a
+//! `RepairSession` with two repair workers drains them — 30% of records
 //! duplicate master entities (their errors are certain-fixable), 20%
 //! of attributes are corrupted. The monitor asks the clerk to confirm
 //! a *two-attribute* certain region (phone number and measure code)
@@ -11,7 +10,9 @@
 //!
 //! Run with: `cargo run --release --example hospital_monitoring`
 
-use certain_fix::core::{evaluate_rounds, RepairSessionBuilder, SimulatedUser, TupleEval};
+use certain_fix::core::{
+    evaluate_rounds, RepairSessionBuilder, SimulatedUser, SliceSource, TupleEval,
+};
 use certain_fix::datagen::{Dataset, DirtyConfig, Hosp, Workload};
 use certain_fix::relation::Tuple;
 
@@ -51,12 +52,10 @@ fn main() {
             .render_attrs(session.engine().context().epoch().initial_suggestion())
     );
 
-    // the entry point: a producer thread feeds 100-record batches of
-    // arriving records through a bounded channel (backpressure: at
-    // most two batches in flight), and the session's workers repair
-    // them as they land
+    // the entry point: arriving records come in 100-record batches, and
+    // the session's workers repair each batch as it lands
     let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    session.stream_slice(&dirty, 100, 2, |i| {
+    session.drain(SliceSource::with_batch(&dirty, 100), |i| {
         SimulatedUser::new(dataset.inputs[i].clean.clone())
     });
     let report = session.finish();

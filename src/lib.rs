@@ -49,10 +49,10 @@ pub use certainfix_rules as rules;
 /// Commonly used items, importable as `use certain_fix::prelude::*`.
 pub mod prelude {
     pub use certainfix_core::{
-        BatchRepairEngine, CertainFix, CertainFixConfig, ChannelSource, FixOutcome, InitialRegion,
+        BatchRepairEngine, CertainFix, CertainFixConfig, FixOutcome, InitialRegion,
         NamedSessionReport, RepairContext, RepairOptions, RepairService, RepairServiceBuilder,
         RepairSession, RepairSessionBuilder, ServiceOptions, ServiceReport, ServiceStream,
-        SessionReport, SimulatedUser, SliceSource, TupleSource, UserOracle,
+        SessionReport, SimulatedUser, SliceSource, UserOracle,
     };
     pub use certainfix_net::{Frame, RepairClient, RepairServer, WireError};
     pub use certainfix_reasoning::{Chase, ChaseResult, Region, RegionCatalog};
