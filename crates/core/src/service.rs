@@ -18,19 +18,21 @@
 //! (the HTAP-style isolation: producers never run repair code, repair
 //! workers never block on a producer):
 //!
-//! * **Ingest lanes** — each session's producer pushes batches through
-//!   its [`LaneSender`] into a *bounded* channel of exactly
-//!   [`ServiceOptions::depth`] batches. The bound is real backpressure:
-//!   a producer that outruns the repair pool blocks in
-//!   [`send`](LaneSender::send), and a producer that stalls simply
-//!   leaves its lane empty — it can never wedge the pool, because the
-//!   scheduler only ever *try*-receives. The producer is whoever holds
-//!   the lane: a network connection's reader thread, or one scoped
-//!   feeder per stream that [`RepairService::run`] spawns to push an
-//!   in-process [`ServiceStream`]'s batches.
-//! * **Epoch scheduler** — the caller's thread repeatedly collects at
-//!   most one pending batch per session (polling sessions round-robin,
-//!   skipping lanes with nothing ready) and submits the collected
+//! * **Ingest lanes** — each session's producer pushes batches, master
+//!   deltas and flushes through its [`LaneSender`] into a *bounded*
+//!   channel of exactly [`ServiceOptions::depth`] items, in send order.
+//!   The bound is real backpressure: a producer that outruns the repair
+//!   pool blocks in [`send`](LaneSender::send), and a producer that
+//!   stalls simply leaves its lane empty — it can never wedge the pool,
+//!   because the scheduler only ever *try*-receives. The producer is
+//!   whoever holds the lane: a network connection's reader thread, or
+//!   one scoped feeder per stream that [`RepairService::run`] spawns to
+//!   push an in-process [`ServiceStream`]'s batches.
+//! * **Epoch scheduler** — the caller's thread repeatedly takes each
+//!   session's queued items in order up to its first batch (polling
+//!   sessions round-robin, skipping lanes with nothing ready),
+//!   answering the deltas and flushes in front of it, and submits the
+//!   collected
 //!   batches, one unit each, as one epoch to the engine's fan-out — the
 //!   very function a [`RepairSession`](crate::RepairSession) batch runs
 //!   through as a one-unit epoch. The fan-out chunks every unit,
@@ -57,6 +59,13 @@
 //! [`generation`](BatchReport::generation) it repaired against, so a
 //! stream's reports show exactly where the hand-off landed in its own
 //! stream order.
+//!
+//! A delta sent through a lane ([`LaneSender::send_delta`]) is applied
+//! by the scheduler after every batch its session sent before it, and
+//! before any sent after it, as a [`RepairSession`](crate::RepairSession)
+//! applies one between `push_batch`es; other sessions see it from the
+//! next epoch on. The rebuild runs on the scheduler's thread, so every
+//! session pauses for it.
 //!
 //! # Fairness
 //!
@@ -126,7 +135,7 @@ use std::sync::mpsc::{
 };
 use std::time::{Duration, Instant};
 
-use certainfix_relation::{Relation, Tuple};
+use certainfix_relation::{MasterDelta, Relation, RelationError, Tuple};
 use certainfix_rules::RuleSet;
 use std::sync::Arc;
 
@@ -190,16 +199,23 @@ impl<'a> ServiceStream<'a> {
 }
 
 /// An event [`RepairService::run_dynamic`] emits to a session's
-/// observer channel (if one was supplied at attach time): one
-/// [`Batch`](SessionEvent::Batch) per scheduler epoch the session took
-/// part in, then exactly one [`Finished`](SessionEvent::Finished) once
-/// its lane is drained and the final report folded. The `net` crate's
-/// `RepairServer` turns these into response frames.
+/// observer channel (if one was supplied at attach time): one per lane
+/// item, in send order (a [`Batch`](SessionEvent::Batch) per batch, one
+/// scheduler epoch each), then exactly one
+/// [`Finished`](SessionEvent::Finished) once its lane is drained and
+/// the final report folded. The `net` crate's `RepairServer` turns each
+/// into one response frame.
 #[derive(Clone, Debug)]
 pub enum SessionEvent {
     /// The session's [`BatchReport`] for one completed epoch, in the
     /// session's own stream order.
     Batch(BatchReport),
+    /// The outcome of a [`LaneSender::send_delta`]: the new generation,
+    /// or why the master refused the delta (the epoch is unchanged).
+    Delta(Result<u64, RelationError>),
+    /// Every batch sent before the [`LaneSender::send_flush`] has been
+    /// reported.
+    Flushed,
     /// The session's lane is closed (its [`LaneSender`] dropped, or
     /// its producer went away) and every buffered batch has been
     /// repaired; this is the final [`ServiceReport`]'s fold for the
@@ -208,12 +224,19 @@ pub enum SessionEvent {
     Finished(SessionReport),
 }
 
+/// What a lane carries, in send order.
+enum LaneItem {
+    Batch(Vec<Tuple>),
+    Delta(MasterDelta),
+    Flush,
+}
+
 /// One attached session in flight to the scheduler: its name, its
 /// oracles, the receiving end of its lane, and its observer.
 struct DynamicSession<'a> {
     name: String,
     oracle_for: OracleFactory<'a>,
-    lane: Receiver<Vec<Tuple>>,
+    lane: Receiver<LaneItem>,
     events: Option<Sender<SessionEvent>>,
 }
 
@@ -234,10 +257,9 @@ pub struct ServiceAttach<'a> {
 impl<'a> ServiceAttach<'a> {
     /// Open a session named `name` whose `i`-th tuple is repaired with
     /// `oracle_for(i)`, and return its ingest lane. `events`, if given,
-    /// receives one [`SessionEvent::Batch`] per epoch the session
-    /// participates in and a final [`SessionEvent::Finished`] once the
-    /// lane is dropped and drained. Returns `None` if the service
-    /// already returned.
+    /// receives one [`SessionEvent`] per lane item, in send order, and a
+    /// final [`SessionEvent::Finished`] once the lane is dropped and
+    /// drained. Returns `None` if the service already returned.
     pub fn attach<F, O>(
         &self,
         name: impl Into<String>,
@@ -290,28 +312,45 @@ impl<'a> Drop for ServiceAttach<'a> {
 }
 
 /// One session's ingest lane: the producer end of a bounded channel of
-/// [`ServiceOptions::depth`] batches that the scheduler drains, plus
-/// its doorbell. Dropping it ends the session's stream: the batches
-/// already sent still repair, in order, and then the session finishes.
+/// [`ServiceOptions::depth`] items — batches, deltas and flushes — that
+/// the scheduler drains in send order, plus its doorbell. Dropping it
+/// ends the session's stream: the items already sent are still
+/// answered, in order, and then the session finishes.
 pub struct LaneSender {
     /// `Some` until `drop`, which must disconnect it *before* it rings.
-    tx: Option<SyncSender<Vec<Tuple>>>,
+    tx: Option<SyncSender<LaneItem>>,
     bell: Sender<()>,
 }
 
 impl LaneSender {
     /// Queue the stream's next batch. An empty batch is dropped
     /// (nothing to repair, nothing to report). Blocks while `depth`
-    /// batches are queued — the lane's backpressure — and fails, handing
-    /// the batch back, only if the service stopped draining.
-    pub fn send(&self, batch: Vec<Tuple>) -> Result<(), SendError<Vec<Tuple>>> {
+    /// items are queued — the lane's backpressure — and fails only if
+    /// the service stopped draining.
+    pub fn send(&self, batch: Vec<Tuple>) -> Result<(), SendError<()>> {
         if batch.is_empty() {
             return Ok(());
         }
-        self.tx
-            .as_ref()
-            .expect("the sender lives until drop")
-            .send(batch)?;
+        self.push(LaneItem::Batch(batch))
+    }
+
+    /// Queue a master delta, applied once the batches sent before it
+    /// are repaired and answered by [`SessionEvent::Delta`]. Blocks and
+    /// fails as [`send`](Self::send) does.
+    pub fn send_delta(&self, delta: MasterDelta) -> Result<(), SendError<()>> {
+        self.push(LaneItem::Delta(delta))
+    }
+
+    /// Queue a flush, answered by [`SessionEvent::Flushed`] once the
+    /// batches sent before it are reported. Blocks and fails as
+    /// [`send`](Self::send) does.
+    pub fn send_flush(&self) -> Result<(), SendError<()>> {
+        self.push(LaneItem::Flush)
+    }
+
+    fn push(&self, item: LaneItem) -> Result<(), SendError<()>> {
+        let tx = self.tx.as_ref().expect("the sender lives until drop");
+        tx.send(item).map_err(|_| SendError(()))?;
         let _ = self.bell.send(());
         Ok(())
     }
@@ -348,10 +387,10 @@ pub struct ServiceOptions {
     /// suggestion pool to share between sessions. The field stays
     /// because the `benchmark/` package names it.
     pub shared_cache: bool,
-    /// Ingest-lane depth, the exact bound on the batches a session's
-    /// lane holds: a producer's `depth`-th [`LaneSender::send`] returns,
-    /// and the next blocks until the scheduler takes a batch (clamped
-    /// to at least 1).
+    /// Ingest-lane depth, the exact bound on the items a session's
+    /// lane holds — batches, deltas and flushes alike: a producer's
+    /// `depth`-th send returns, and the next blocks until the scheduler
+    /// takes an item (clamped to at least 1).
     pub depth: usize,
 }
 
@@ -528,7 +567,8 @@ impl RepairService {
     /// [`ServiceAttach`] clone is dropped and every attached session has
     /// drained — the drain-then-shutdown path. Spawns no thread of its
     /// own beyond the fan-out's workers: producers push into their
-    /// lanes, and this thread polls them. Scheduling, fairness, and the
+    /// lanes, and this thread polls them and applies the deltas they
+    /// carry (see the [module docs](self)). Scheduling, fairness, and the
     /// determinism contract are exactly [`run`](Self::run)'s (which
     /// feeds its streams into this method): a session's outcomes depend
     /// only on its own stream, never on when its neighbours arrived.
@@ -567,23 +607,43 @@ impl RepairService {
 
             let n = admitted.len();
             let mut collected: Vec<(usize, Vec<Tuple>)> = Vec::new();
+            let mut answered = false;
             for k in 0..n {
                 let s = (first + k) % n;
                 let a = &mut admitted[s];
-                if a.open {
-                    match a.session.lane.try_recv() {
-                        Ok(batch) => collected.push((s, batch)),
-                        Err(TryRecvError::Empty) => {}
-                        Err(TryRecvError::Disconnected) => a.open = false,
+                // the session's items in send order, up to its first
+                // batch: every batch it sent before a delta or a flush
+                // has been reported by now. At most a full lane's worth,
+                // so a producer refilling with flushes cannot hold the
+                // sweep
+                for _ in 0..self.opts.depth.max(1) {
+                    let event = match a.session.lane.try_recv() {
+                        Ok(LaneItem::Batch(batch)) => {
+                            collected.push((s, batch));
+                            break;
+                        }
+                        Ok(LaneItem::Delta(delta)) => {
+                            SessionEvent::Delta(self.engine.context().apply_master_delta(&delta))
+                        }
+                        Ok(LaneItem::Flush) => SessionEvent::Flushed,
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            a.open = false;
+                            break;
+                        }
+                    };
+                    if let Some(ev) = &a.session.events {
+                        let _ = ev.send(event);
                     }
+                    answered = true;
                 }
             }
             if n > 0 {
                 first = (first + 1) % n;
             }
 
-            let idle = collected.is_empty();
-            if !idle {
+            let idle = collected.is_empty() && !answered;
+            if !collected.is_empty() {
                 epochs += 1;
                 // one unit per collected batch, its oracles keyed by
                 // the session-local stream offset the batch starts at
@@ -609,7 +669,7 @@ impl RepairService {
 
             // finalize drained sessions promptly — a disconnected
             // lane has, by mpsc semantics, already yielded every
-            // buffered batch — so observers get `Finished` while
+            // buffered item — so observers get `Finished` while
             // their neighbours keep running
             for a in admitted
                 .iter_mut()
@@ -656,8 +716,8 @@ impl RepairService {
                 report,
             });
         }
-        // deltas reach the context from sessions' callers and from
-        // connection handlers alike; the context counts them all
+        // deltas reach the context through lanes and from direct
+        // callers alike; the context counts them all
         stats.plan_rebuilds = self.engine.context().plan_rebuilds() - rebuilds_at_start;
         ServiceReport {
             sessions,
@@ -965,42 +1025,142 @@ mod tests {
         assert!(matches!(evs[3], SessionEvent::Finished(_)));
     }
 
-    /// A lane holds exactly `depth` batches (at least one): with no
-    /// scheduler running, a producer's `depth`-th send returns and the
-    /// next one does not; once `run_dynamic` starts, every batch
-    /// repairs. The check is one-sided — a correct lane can never let
-    /// the extra send through early — so it cannot fail spuriously.
+    /// The kinds of `events`, in order, with a delta's answer spelled out.
+    fn event_shape(events: impl Iterator<Item = SessionEvent>) -> Vec<String> {
+        events
+            .map(|ev| match ev {
+                SessionEvent::Batch(_) => "Batch".to_string(),
+                SessionEvent::Delta(applied) => format!("Delta({applied:?})"),
+                SessionEvent::Flushed => "Flushed".to_string(),
+                SessionEvent::Finished(_) => "Finished".to_string(),
+            })
+            .collect()
+    }
+
+    /// A lane holds exactly `depth` items (at least one), control items
+    /// counted like batches: with no scheduler running, a producer's
+    /// `depth`-th send returns and the next one does not; once
+    /// `run_dynamic` starts, every item is answered, in order. Two
+    /// producers per depth: one sends only batches, one cycles flush,
+    /// batch, delta. The check is one-sided — a correct lane can never
+    /// let the extra send through early — so it cannot fail spuriously.
     #[test]
     fn a_lane_holds_exactly_depth_batches() {
         let (hosp, datasets) = hosp_sessions(60, &[8]);
         let ds = &datasets[0];
         let dirty = dirty_of(ds);
-        for depth in [0usize, 1, 2, 3] {
+        // a duplicate master row: inert, but a new generation
+        let delta = MasterDelta::new().insert(hosp.master().tuple(0).clone());
+        let producers: [&[&str]; 2] = [&["Batch"], &["Flushed", "Batch", "Delta(Ok(1))"]];
+        for (depth, cycle) in [0usize, 1, 2, 3]
+            .into_iter()
+            .flat_map(|d| producers.map(|c| (d, c)))
+        {
             let bound = depth.max(1);
+            let what = format!("depth {depth}, producer {cycle:?}");
+            let kinds: Vec<&str> = (0..=bound).map(|k| cycle[k % cycle.len()]).collect();
             let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
                 .depth(depth)
                 .build();
             let (attach, queue) = service.attach_channel();
-            let lane = attach.attach("s", user(ds), None).expect("open");
+            let (ev_tx, ev_rx) = channel();
+            let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
             drop(attach);
             let (sent_tx, sent_rx) = channel();
             let report = std::thread::scope(|scope| {
-                let batches = dirty.chunks(2).take(bound + 1).map(<[Tuple]>::to_vec);
+                let (dirty, delta, kinds) = (&dirty, &delta, &kinds);
                 scope.spawn(move || {
-                    for (k, batch) in batches.enumerate() {
-                        lane.send(batch).expect("lane open");
+                    for (k, &kind) in kinds.iter().enumerate() {
+                        match kind {
+                            "Batch" => lane.send(dirty[2 * k..2 * k + 2].to_vec()),
+                            "Flushed" => lane.send_flush(),
+                            _ => lane.send_delta(delta.clone()),
+                        }
+                        .expect("lane open");
                         sent_tx.send(k + 1).expect("the test listens");
                     }
                 });
                 for k in 1..=bound {
-                    assert_eq!(sent_rx.recv(), Ok(k), "depth {depth}: send {k} returns");
+                    assert_eq!(sent_rx.recv(), Ok(k), "{what}: send {k} returns");
                 }
                 let early = sent_rx.recv_timeout(Duration::from_millis(50));
-                assert!(early.is_err(), "depth {depth}: {early:?} before a drain");
+                assert!(early.is_err(), "{what}: {early:?} before a drain");
                 service.run_dynamic(queue)
             });
-            assert_eq!(sent_rx.recv(), Ok(bound + 1), "depth {depth}");
-            assert_eq!(report.sessions[0].report.batches.len(), bound + 1);
+            assert_eq!(sent_rx.recv(), Ok(bound + 1), "{what}");
+            let batches = kinds.iter().filter(|&&k| k == "Batch").count();
+            assert_eq!(report.sessions[0].report.batches.len(), batches, "{what}");
+            let got = event_shape(ev_rx.try_iter());
+            let want: Vec<&str> = kinds.iter().copied().chain(["Finished"]).collect();
+            assert_eq!(got, want, "{what}: one event per item, in order");
+        }
+    }
+
+    /// A lane's items are answered in send order. A producer queues
+    /// `batch, batch, delta, batch, flush` without waiting on any
+    /// answer; the events come back as `Batch, Batch, Delta(Ok(g)),
+    /// Batch, Flushed, Finished`, and the batches equal a session that
+    /// calls `apply_master_delta` at the same position — whole outcomes,
+    /// `BddStats` and generations — at 1, 2 and 4 workers.
+    #[test]
+    fn a_lane_answers_its_items_in_send_order() {
+        let (hosp, datasets) = hosp_sessions(150, &[240]);
+        let ds = &datasets[0];
+        let dirty = dirty_of(ds);
+        let parts: Vec<&[Tuple]> = dirty.chunks(80).collect();
+        // rewrite a rule's master key column
+        let (_, rule) = hosp.rules().iter().next().expect("HOSP has rules");
+        let mut keyed = hosp.master().tuple(0).clone();
+        keyed.set(rule.lhs_m()[0], Value::str("KEY-COLUMN-REWRITTEN"));
+        let delta = MasterDelta::new().update(0, keyed);
+
+        for bdd in [false, true] {
+            let mut session =
+                RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                    .bdd(bdd)
+                    .threads(1)
+                    .build();
+            session.push_batch(parts[0], user(ds));
+            session.push_batch(parts[1], user(ds));
+            let g = session.apply_master_delta(&delta).expect("delta applies");
+            session.push_batch(parts[2], user(ds));
+            let want = session.finish();
+
+            for workers in [1usize, 2, 4] {
+                let what = format!("bdd {bdd}, {workers} workers");
+                let service =
+                    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
+                        .bdd(bdd)
+                        .threads(workers)
+                        .depth(5)
+                        .build();
+                let (attach, queue) = service.attach_channel();
+                let (ev_tx, ev_rx) = channel();
+                let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
+                drop(attach);
+                lane.send(parts[0].to_vec()).expect("lane open");
+                lane.send(parts[1].to_vec()).expect("lane open");
+                lane.send_delta(delta.clone()).expect("lane open");
+                lane.send(parts[2].to_vec()).expect("lane open");
+                lane.send_flush().expect("lane open");
+                drop(lane);
+                let report = service.run_dynamic(queue);
+
+                let delta_ok = format!("Delta(Ok({g}))");
+                assert_eq!(
+                    event_shape(ev_rx.try_iter()),
+                    ["Batch", "Batch", &delta_ok, "Batch", "Flushed", "Finished"],
+                    "{what}"
+                );
+                let got = &report.sessions[0].report;
+                assert_eq!(got.batches.len(), 3, "{what}");
+                for (k, (a, b)) in got.batches.iter().zip(&want.batches).enumerate() {
+                    assert_eq!(a.outcomes, b.outcomes, "{what}, batch {k}");
+                    assert_eq!(a.bdd, b.bdd, "{what}, batch {k}");
+                    assert_eq!(a.generation, b.generation, "{what}, batch {k}");
+                }
+                assert_eq!(got.stats.plan_rebuilds, 1, "{what}");
+            }
         }
     }
 
@@ -1086,7 +1246,7 @@ mod tests {
                 .iter()
                 .filter_map(|e| match e {
                     SessionEvent::Batch(b) => Some(b),
-                    SessionEvent::Finished(_) => None,
+                    _ => None,
                 })
                 .collect();
             assert_eq!(batches.len(), named.report.batches.len(), "session {s}");

@@ -152,7 +152,11 @@ impl RepairClient {
     }
 
     /// Apply a master-data delta through this session; returns the
-    /// new generation once the server acknowledges it.
+    /// new generation once the server acknowledges it. The server
+    /// applies it in stream order: after every batch sent before it has
+    /// been repaired (their reports are absorbed on the way to the
+    /// ack), before any batch sent after it. A refused delta is an
+    /// `Err`, and the session stays open on the old generation.
     pub fn apply_delta(&mut self, delta: &MasterDelta) -> Result<u64, WireError> {
         self.send(&Frame::Delta(delta.clone()))?;
         loop {

@@ -3,29 +3,39 @@
 //! session per authenticated connection, each mapped to one service
 //! ingest lane ([`LaneSender`]) of the shared engine.
 //!
-//! # Backpressure, end to end
+//! # One ordered lane, end to end
 //!
-//! A connection's batches travel socket → the session's ingest lane
-//! → repair pool. The connection's reader thread decodes each batch and
-//! pushes it straight into its [`LaneSender`], a channel of exactly
-//! [`ServiceOptions::depth`] batches, so when the engine falls behind,
-//! the reader blocks in `send`, stops consuming the socket, the
-//! kernel's receive window fills, and the *client's* writes stall — a
-//! slow engine costs the producer latency, never the server memory.
-//! A connection costs two threads: the reader and the responder.
-//! Response frames ride an unbounded event channel per session:
-//! bounding it would let one client that stops reading stall the
-//! shared scheduler for everyone (the cost is instead bounded per
-//! misbehaving connection, by its own unread reports).
+//! A connection's requests travel socket → the session's ingest lane
+//! → scheduler. The connection's reader thread is a decoder: it checks
+//! each batch's arity, keeps its clean tuples for the oracles, and
+//! pushes every `Batch`, `Delta` and `Flush` into its [`LaneSender`]
+//! in the order they arrived. It never mutates the engine: the
+//! scheduler applies a delta after the batches sent before it and
+//! answers a flush after their reports, so a session's outcomes are a
+//! function of its frame sequence (D11). The reader itself writes only
+//! the `HelloAck` and the `Error` that tears a session down. A flush,
+//! even an empty one, waits behind the epoch or rebuild in progress.
+//!
+//! The lane holds exactly [`ServiceOptions::depth`] items, batches and
+//! control frames alike, so when the engine falls behind, the reader
+//! blocks in `send`, stops consuming the socket, the kernel's receive
+//! window fills, and the *client's* writes stall — a slow engine costs
+//! the producer latency, never the server memory. A connection costs
+//! two threads: the reader and the responder, which turns each
+//! [`SessionEvent`] into one response frame. Events ride an unbounded
+//! channel per session: bounding it would let one client that stops
+//! reading stall the shared scheduler for everyone (the cost is instead
+//! bounded per misbehaving connection, by its own unread reports).
 //!
 //! Nothing on the write side waits on a timer: every response frame
-//! is encoded whole and leaves in one write, a `Report` together with
-//! the `FlushAck`s it discharges, and TCP connections are
-//! `TCP_NODELAY` from `accept` on (the [`wire`](crate::wire) module
-//! docs have the why: Nagle × delayed ACK cost a form page two 44 ms
-//! timers). That changes when bytes leave, not how many may be in
-//! flight — backpressure is untouched: a full lane still stops the
-//! reads, and a full socket still blocks the writer.
+//! is encoded whole, the frames of every event already queued when the
+//! responder wakes leave in one write, and TCP connections are
+//! `TCP_NODELAY` from `accept` on (the
+//! [`wire`](crate::wire) module docs have the why: Nagle × delayed ACK
+//! cost a form page two 44 ms timers). That changes when bytes leave,
+//! not how many may be in flight — backpressure is untouched: a full
+//! lane still stops the reads, and a full socket still blocks the
+//! writer.
 //!
 //! The clean tuples backing a session's oracles are held only while
 //! their batch is in flight: the responder releases a batch's share
@@ -160,8 +170,9 @@ impl<R: Read> Read for CountingReader<R> {
     }
 }
 
-/// Serialises response frames onto one socket (reader and writer
-/// threads both answer) and tallies the outbound lane counters.
+/// Serialises response frames onto one socket (the reader's handshake
+/// and teardown, the responder's answers) and tallies the outbound lane
+/// counters.
 pub(crate) struct FrameWriter {
     w: Conn,
     /// The frames of the write in progress, encoded back to back.
@@ -206,24 +217,6 @@ impl FrameWriter {
             Err(_) => self.dead = true,
         }
     }
-}
-
-/// Per-session bookkeeping shared between the connection's reader
-/// (forwards batches, registers flush thresholds) and writer (emits
-/// reports, discharges flushes) threads. One lock, so the
-/// reported-vs-pending race has no window.
-#[derive(Default)]
-struct FlushState {
-    /// Batches forwarded into the lane so far.
-    forwarded: u64,
-    /// Batches reported back so far.
-    reported: u64,
-    /// `seq`s of forwarded batches, FIFO — the scheduler repairs at
-    /// most one batch per session per epoch, in lane order, so the
-    /// n-th `Batch` event answers the n-th forwarded `seq`.
-    seqs: VecDeque<u64>,
-    /// Flush thresholds (`forwarded` at `Flush` time) not yet reached.
-    pending: Vec<u64>,
 }
 
 /// The clean tuples of a session's in-flight batches, addressed by
@@ -505,7 +498,7 @@ fn handle_conn(
     // factory (appended before the lane send, so any index the engine
     // can ask for is already present), the lane is the backpressure
     // hand-off
-    let (ev_tx, ev_rx) = channel::<SessionEvent>();
+    let (ev_tx, events) = channel::<SessionEvent>();
     let oracle_cleans = Arc::clone(&cleans);
     let oracle_for = move |i: usize| {
         let clean = oracle_cleans.lock().unwrap().get(i).clone();
@@ -527,61 +520,73 @@ fn handle_conn(
         generation: service.engine().context().generation(),
     });
 
-    let fs = Arc::new(Mutex::new(FlushState::default()));
+    // the scheduler answers a session's batches in lane order, so the
+    // n-th `Batch` event answers the n-th `seq` the reader queued
+    let (seq_tx, seqs) = channel::<u64>();
+    // the responder: one frame per event, until the scheduler drops the
+    // event channel after `Finished`; the frames of every event already
+    // queued leave in one write
     let responder = {
         let writer = Arc::clone(&writer);
-        let fs = Arc::clone(&fs);
         let cleans = Arc::clone(&cleans);
         std::thread::spawn(move || {
-            for ev in ev_rx {
-                match ev {
-                    SessionEvent::Batch(batch) => {
-                        cleans.lock().unwrap().release(batch.outcomes.len());
-                        let (seq, acks) = {
-                            let mut st = fs.lock().unwrap();
-                            let seq = st.seqs.pop_front().unwrap_or(st.reported);
-                            st.reported += 1;
-                            let reported = st.reported;
-                            let acks: Vec<u64> = {
-                                let (due, keep) = st.pending.iter().partition(|&&p| p <= reported);
-                                st.pending = keep;
-                                due
-                            };
-                            (seq, acks)
-                        };
-                        // the report and the flushes it discharges
-                        // leave as one write
-                        let mut frames = vec![Frame::Report {
-                            seq,
-                            generation: batch.generation,
-                            wall: batch.wall,
-                            stats: batch.stats,
-                            outcomes: batch.outcomes,
-                        }];
-                        frames.extend(acks.into_iter().map(|batches| Frame::FlushAck { batches }));
-                        writer.lock().unwrap().send_all(&frames);
-                    }
-                    SessionEvent::Finished(report) => {
-                        // the fold carries no batches; this responder
-                        // counted every one it reported
-                        let batches = fs.lock().unwrap().reported;
-                        writer.lock().unwrap().send(&Frame::SessionEnd {
+            let mut reported = 0u64;
+            let mut frames = Vec::new();
+            while let Ok(first) = events.recv() {
+                for ev in std::iter::once(first).chain(events.try_iter()) {
+                    frames.push(match ev {
+                        SessionEvent::Batch(batch) => {
+                            cleans.lock().unwrap().release(batch.outcomes.len());
+                            reported += 1;
+                            Frame::Report {
+                                seq: seqs.try_recv().expect("the reader queues it first"),
+                                generation: batch.generation,
+                                wall: batch.wall,
+                                stats: batch.stats,
+                                outcomes: batch.outcomes,
+                            }
+                        }
+                        SessionEvent::Delta(Ok(generation)) => Frame::DeltaAck { generation },
+                        // the delta is refused, the session lives on
+                        SessionEvent::Delta(Err(e)) => Frame::Error {
+                            code: 3,
+                            message: e.to_string(),
+                        },
+                        SessionEvent::Flushed => Frame::FlushAck { batches: reported },
+                        // the fold carries no batches; this responder counted
+                        // every one it reported
+                        SessionEvent::Finished(report) => Frame::SessionEnd {
                             tuples: report.tuples as u64,
-                            batches,
+                            batches: reported,
                             wall: report.wall,
                             stats: report.stats,
-                        });
-                        break;
-                    }
+                        },
+                    });
                 }
+                writer.lock().unwrap().send_all(&frames);
+                frames.clear();
             }
         })
     };
 
-    loop {
-        match Frame::decode_with(&mut reader, &mut scratch) {
-            Ok(Some(Frame::Batch { seq, pairs })) => {
-                frames_in += 1;
+    // a session that ends on a fault gets one `Error`, and is torn down
+    let fault: Option<(u16, String)> = loop {
+        let frame = match Frame::decode_with(&mut reader, &mut scratch) {
+            Ok(Some(frame)) => frame,
+            // abrupt-but-frame-aligned disconnect: same drain as
+            // Shutdown, the client just won't read the answers
+            Ok(None) => break None,
+            Err(e) => {
+                net.decode_errors += 1;
+                break Some((2, e.to_string()));
+            }
+        };
+        frames_in += 1;
+        // bounded: a send blocks while the lane holds `depth` items,
+        // which stops the socket reads — backpressure reaches the
+        // client as stalled writes
+        let sent = match frame {
+            Frame::Batch { seq, pairs } => {
                 if pairs.is_empty() {
                     continue; // nothing to repair, nothing to report
                 }
@@ -593,95 +598,29 @@ fn handle_conn(
                     .find(|(d, c)| d.arity() != arity || c.arity() != arity)
                 {
                     net.decode_errors += 1;
-                    net.sessions_torn += 1;
-                    writer.lock().unwrap().send(&Frame::Error {
-                        code: 2,
-                        message: format!(
-                            "a Batch pair has arity {}/{}, the schema {arity}",
-                            d.arity(),
-                            c.arity()
-                        ),
-                    });
-                    break;
+                    let (d, c) = (d.arity(), c.arity());
+                    break Some((
+                        2,
+                        format!("a Batch pair has arity {d}/{c}, the schema {arity}"),
+                    ));
                 }
                 let (dirty, clean): (Vec<Tuple>, Vec<Tuple>) = pairs.into_iter().unzip();
                 cleans.lock().unwrap().push_batch(clean);
-                {
-                    let mut st = fs.lock().unwrap();
-                    st.forwarded += 1;
-                    st.seqs.push_back(seq);
-                }
-                // bounded: blocks when the engine is `depth` batches
-                // behind, which stops the socket reads — backpressure
-                // reaches the client as stalled writes
-                if lane.send(dirty).is_err() {
-                    writer.lock().unwrap().send(&Frame::Error {
-                        code: 3,
-                        message: "service is shut down".into(),
-                    });
-                    net.sessions_torn += 1;
-                    break;
-                }
+                let _ = seq_tx.send(seq);
+                lane.send(dirty).is_ok()
             }
-            Ok(Some(Frame::Delta(delta))) => {
-                frames_in += 1;
-                match service.engine().context().apply_master_delta(&delta) {
-                    Ok(generation) => {
-                        writer.lock().unwrap().send(&Frame::DeltaAck { generation });
-                    }
-                    Err(e) => {
-                        // the delta is refused, the session lives on
-                        writer.lock().unwrap().send(&Frame::Error {
-                            code: 3,
-                            message: e.to_string(),
-                        });
-                    }
-                }
-            }
-            Ok(Some(Frame::Flush)) => {
-                frames_in += 1;
-                let ack = {
-                    let mut st = fs.lock().unwrap();
-                    if st.reported >= st.forwarded {
-                        Some(st.forwarded)
-                    } else {
-                        let threshold = st.forwarded;
-                        st.pending.push(threshold);
-                        None
-                    }
-                };
-                if let Some(batches) = ack {
-                    writer.lock().unwrap().send(&Frame::FlushAck { batches });
-                }
-            }
-            Ok(Some(Frame::Shutdown)) => {
-                frames_in += 1;
-                break; // clean end-of-stream: drain, SessionEnd, close
-            }
-            Ok(Some(_)) => {
-                frames_in += 1;
-                writer.lock().unwrap().send(&Frame::Error {
-                    code: 2,
-                    message: "response frame on the request lane".into(),
-                });
-                net.sessions_torn += 1;
-                break;
-            }
-            Ok(None) => {
-                // abrupt-but-frame-aligned disconnect: same drain as
-                // Shutdown, the client just won't read the answers
-                break;
-            }
-            Err(e) => {
-                net.decode_errors += 1;
-                net.sessions_torn += 1;
-                writer.lock().unwrap().send(&Frame::Error {
-                    code: 2,
-                    message: e.to_string(),
-                });
-                break;
-            }
+            Frame::Delta(delta) => lane.send_delta(delta).is_ok(),
+            Frame::Flush => lane.send_flush().is_ok(),
+            Frame::Shutdown => break None, // clean end-of-stream: drain, SessionEnd, close
+            _ => break Some((2, "response frame on the request lane".into())),
+        };
+        if !sent {
+            break Some((3, "service is shut down".into()));
         }
+    };
+    if let Some((code, message)) = fault {
+        net.sessions_torn += 1;
+        writer.lock().unwrap().send(&Frame::Error { code, message });
     }
 
     // end the stream: the service drains whatever the lane still

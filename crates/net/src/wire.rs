@@ -176,11 +176,16 @@ pub enum Frame {
         /// The batch's `(dirty, clean)` tuple pairs, in stream order.
         pairs: Vec<(Tuple, Tuple)>,
     },
-    /// Apply a [`MasterDelta`] to the shared engine (answered by
-    /// [`DeltaAck`](Frame::DeltaAck) with the new generation).
+    /// Apply a [`MasterDelta`] to the shared engine, in stream order:
+    /// after every batch sent before it has been repaired, before any
+    /// batch sent after it. Answered, after the `Report`s of the
+    /// earlier batches, by [`DeltaAck`](Frame::DeltaAck) with the new
+    /// generation, or by an [`Error`](Frame::Error) with code `3` if the
+    /// master refuses it.
     Delta(MasterDelta),
-    /// Ask for a [`FlushAck`](Frame::FlushAck) once every batch sent
-    /// before this frame has been repaired and reported.
+    /// Ask for a [`FlushAck`](Frame::FlushAck), which follows the
+    /// `Report` of every batch sent before this frame (and the answer
+    /// to every delta sent before it).
     Flush,
     /// Clean end-of-stream: drain everything sent, answer the final
     /// [`SessionEnd`](Frame::SessionEnd), close.
@@ -206,8 +211,9 @@ pub enum Frame {
         /// Per-tuple outcomes, in the batch's input order.
         outcomes: Vec<FixOutcome>,
     },
-    /// Delta applied; the generation every later batch repairs against
-    /// (at the latest — earlier ones may already pick it up).
+    /// Delta applied; the generation the session's later batches repair
+    /// against (or a later one, once another delta lands). Batches sent
+    /// before the delta repaired on an earlier generation.
     DeltaAck {
         /// The new master generation.
         generation: u64,
@@ -232,8 +238,9 @@ pub enum Frame {
         /// The session's merged [`MonitorStats`].
         stats: MonitorStats,
     },
-    /// The server refuses a frame or the session; after an `Error`
-    /// the session is torn down and the connection closed.
+    /// The server refuses a frame or the session. After an `Error` the
+    /// session is torn down and the connection closed, except for the
+    /// answer to a refused [`Delta`](Frame::Delta): the session goes on.
     Error {
         /// Machine-readable code (`1` auth, `2` protocol, `3` engine).
         code: u16,

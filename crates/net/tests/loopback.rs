@@ -193,6 +193,137 @@ fn loopback_sessions_match_in_process_runs_d11() {
     }
 }
 
+/// A master delta that rewrites the key column of the first HOSP rule in
+/// master rows `rows`: the dirty tuples that duplicate those rows stop
+/// matching them.
+fn key_rewrite(hosp: &Hosp, rows: std::ops::Range<u32>, tag: &str) -> MasterDelta {
+    let (_, rule) = hosp.rules().iter().next().expect("HOSP has rules");
+    rows.fold(MasterDelta::new(), |delta, row| {
+        let mut keyed = hosp.master().tuple(row as usize).clone();
+        keyed.set(rule.lhs_m()[0], Value::str(format!("{tag}-{row}")));
+        delta.update(row, keyed)
+    })
+}
+
+/// D11 with master deltas: one connection streams HOSP batches with an
+/// overwriting `Delta` frame after batches 3 and 7, with no flush in
+/// front of either, at 1/2/4 workers with the BDD off and on. The
+/// client's reassembly and the server's report both equal an in-process
+/// `RepairSession` that calls `apply_master_delta` at the same
+/// positions: whole outcomes, deterministic stats, and every batch's
+/// generation. The deltas change outcomes, so a batch that crossed a
+/// delta would show.
+#[test]
+fn loopback_deltas_match_in_process_positions_d11() {
+    const BATCH: usize = 32;
+    let (hosp, datasets) = hosp_sessions(150, &[320]);
+    let ds = &datasets[0];
+    let (dirty, clean) = (dirty_of(ds), clean_of(ds));
+    let deltas = [
+        (3, key_rewrite(&hosp, 0..40, "FIRST")),
+        (7, key_rewrite(&hosp, 40..80, "SECOND")),
+    ];
+    let delta_after = |k: usize| deltas.iter().find(|(at, _)| *at == k).map(|(_, d)| d);
+
+    for bdd in [false, true] {
+        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
+            .bdd(bdd)
+            .threads(1)
+            .build();
+        let mut generations = Vec::new();
+        for (k, d) in dirty.chunks(BATCH).enumerate() {
+            session.push_batch(d, |i| SimulatedUser::new(ds.inputs[i].clean.clone()));
+            if let Some(delta) = delta_after(k + 1) {
+                generations.push(session.apply_master_delta(delta).unwrap());
+            }
+        }
+        let want = session.finish();
+        assert_eq!(want.stats.plan_rebuilds, 2);
+        let plain = solo_run(&hosp, bdd, ds, &dirty, BATCH);
+        assert!(
+            want.outcomes().zip(plain.outcomes()).any(|(a, b)| a != b),
+            "bdd {bdd}: the deltas change some outcome"
+        );
+
+        for workers in [1usize, 2, 4] {
+            let ctx = |side: &str| format!("{side}, {workers}w, bdd {bdd}");
+            let service = service_builder(&hosp, workers).bdd(bdd).build();
+            let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
+            let mut client =
+                RepairClient::connect_tcp(server.local_addr().unwrap(), "d", None).unwrap();
+            let mut acked = Vec::new();
+            for (k, (d, c)) in dirty.chunks(BATCH).zip(clean.chunks(BATCH)).enumerate() {
+                client.send_batch(d, c).unwrap();
+                if let Some(delta) = delta_after(k + 1) {
+                    acked.push(client.apply_delta(delta).unwrap());
+                }
+            }
+            assert_eq!(acked, generations, "{}", ctx("acks"));
+            let cr = client.finish().unwrap();
+            let report = server.shutdown();
+
+            let server_side = &report.sessions[0].report;
+            for (side, got) in [("client", &cr.report), ("server", server_side)] {
+                assert_bit_identical(got, &want, &ctx(side));
+                let gens = |r: &SessionReport| -> Vec<u64> {
+                    r.batches.iter().map(|b| b.generation).collect()
+                };
+                assert_eq!(gens(got), gens(&want), "{}: generations", ctx(side));
+            }
+            assert_eq!(server_side.bdd, want.bdd, "{}", ctx("server"));
+            assert_eq!(cr.server_stats.plan_rebuilds, 2, "{}", ctx("SessionEnd"));
+            assert_eq!(server_side.stats.plan_rebuilds, 2, "{}", ctx("server"));
+        }
+    }
+}
+
+/// A refused delta — its update row is out of range — answers `Error`
+/// code 3 after the `Report`s of the batches sent before it, and the
+/// session streams on: its later batches repair on the unchanged
+/// generation, equal to a solo run, and no end counts a plan rebuild.
+#[test]
+fn a_refused_delta_answers_in_order_and_the_session_streams_on() {
+    let (hosp, datasets) = hosp_sessions(100, &[96]);
+    let ds = &datasets[0];
+    let (dirty, clean) = (dirty_of(ds), clean_of(ds));
+    let solo = solo_run(&hosp, false, ds, &dirty, 24);
+    let row = hosp.master().len() as u32 + 5;
+    let refused = MasterDelta::new().update(row, hosp.master().tuple(0).clone());
+
+    let server =
+        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let mut client =
+        RepairClient::connect_tcp(server.local_addr().unwrap(), "refused", None).unwrap();
+    let g0 = client.generation();
+    let mut pages = dirty.chunks(24).zip(clean.chunks(24));
+    for (d, c) in pages.by_ref().take(2) {
+        client.send_batch(d, c).unwrap();
+    }
+    let err = client.apply_delta(&refused).unwrap_err().to_string();
+    assert!(err.contains("code 3"), "{err}");
+    assert_eq!(
+        client.batches().len(),
+        2,
+        "both earlier reports arrived before the Error"
+    );
+    for (d, c) in pages {
+        client.send_batch(d, c).unwrap();
+    }
+    let cr = client.finish().unwrap();
+    let report = server.shutdown();
+
+    assert_bit_identical(&cr.report, &solo, "client");
+    assert_bit_identical(&report.sessions[0].report, &solo, "server");
+    assert!(cr.report.batches.iter().all(|b| b.generation == g0));
+    assert_eq!(cr.server_stats.plan_rebuilds, 0);
+    assert_eq!(report.sessions[0].report.stats.plan_rebuilds, 0);
+    assert_eq!(report.stats.plan_rebuilds, 0);
+    assert_eq!(
+        report.stats.net.sessions_torn, 0,
+        "the session was not torn"
+    );
+}
+
 /// A raw client for fault injection: handshake as `session`, then send
 /// one valid batch of `dirty`/`clean` pairs.
 fn open_with_one_batch(
