@@ -15,11 +15,18 @@
 //! are correct") intact.
 
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple, Value};
-use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan, RuleSet};
+use certainfix_rules::{DependencyGraph, FixHits, ProbeScratch, RulePlan, RuleSet};
 
-/// One prescription scan over a candidate id list, whichever source
-/// probed it: skip null master values, take the first non-null one,
-/// flag a conflict if later candidates disagree.
+/// What a rule's candidates prescribe for its target: the first
+/// non-null master value (with its row), and whether a later non-null
+/// value disputes it.
+///
+/// The plan-less path scans the candidate id list: skip null master
+/// values, take the first non-null one, flag a conflict if a later
+/// candidate disagrees. The plan paths (live and block) read the same
+/// two facts off the hit list's span summary in O(1) — its `non_null`
+/// and `split` rows are exactly where that scan takes its prescription
+/// and stops — so a rule's cost no longer grows with its hit list.
 fn prescribe(master: &MasterIndex, rhs_m: AttrId, ids: &[u32]) -> (Option<(Value, u32)>, bool) {
     let mut prescription: Option<(Value, u32)> = None;
     for &id in ids {
@@ -34,6 +41,14 @@ fn prescribe(master: &MasterIndex, rhs_m: AttrId, ids: &[u32]) -> (Option<(Value
         }
     }
     (prescription, false)
+}
+
+/// [`prescribe`] from a span summary.
+fn prescribe_summarised(hits: FixHits<'_>) -> (Option<(Value, u32)>, bool) {
+    (
+        hits.first_non_null().map(|(id, v)| (v, id)),
+        hits.is_split(),
+    )
 }
 
 /// Result of a `TransFix` run.
@@ -83,9 +98,11 @@ pub fn transfix(
 ///
 /// Each rule's key probe goes straight to its pinned index: no
 /// `RwLock`, no key-list hashing, the projection lands in the reused
-/// scratch buffer, and the hit list is *borrowed* from the index
-/// rather than cloned. The plan probes the same hash maps as the
-/// reference [`transfix`] path, so the outcome is bit-identical.
+/// scratch buffer, and the hit list is read through its span summary
+/// ([`RulePlan::probe_fix`]) rather than walked. The plan probes the
+/// same hash maps as the reference [`transfix`] path, and a summary
+/// names the rows the reference scan stops at, so the outcome is
+/// bit-identical.
 ///
 /// The plan must be compiled against `master`'s generation; after a
 /// master delta, recompile (or pick up the next epoch) before calling.
@@ -157,9 +174,10 @@ pub fn transfix_block(
         .collect()
 }
 
-/// Where a walk's key probes come from. Every source hands out the
-/// same hit list for a `(rule, tuple)` pair — same ids, same order —
-/// so the walk, and with it the outcome, is the same whichever runs.
+/// Where a walk's key probes come from. Every source reads the same
+/// hit list for a `(rule, tuple)` pair — the master source walks its
+/// ids, the plan sources read its span summary — so the walk, and with
+/// it the outcome, is the same whichever runs.
 #[derive(Clone, Copy)]
 enum Probes<'p> {
     /// The master's shared lineage indexes, no plan (the D4 oracle).
@@ -220,26 +238,24 @@ fn walk(
         if !pattern_ok {
             continue;
         }
-        let owned;
-        let ids = match probes {
-            Probes::Master => {
-                owned = master.matches_projection(&tuple, rule.lhs(), rule.lhs_m());
-                &owned[..]
-            }
-            // the hit list is borrowed from the pinned index, not copied
-            Probes::Plan(p) => p.probe(v, &tuple, scratch),
+        let (prescription, conflict) = match probes {
+            Probes::Master => prescribe(
+                master,
+                rule.rhs_m(),
+                &master.matches_projection(&tuple, rule.lhs(), rule.lhs_m()),
+            ),
+            Probes::Plan(p) => prescribe_summarised(p.probe_fix(v, &tuple, scratch)),
             Probes::Block(p, j) => {
                 let prefetched = if untouched(rule.lhs()) {
-                    p.block_probe(v, j, scratch)
+                    p.block_probe_fix(v, j, scratch)
                 } else {
                     None
                 };
                 // cascaded rule, unseeded cell, or a fix touched the
                 // key: probe live, exactly like the single-tuple path
-                prefetched.unwrap_or_else(|| p.probe(v, &tuple, scratch))
+                prescribe_summarised(prefetched.unwrap_or_else(|| p.probe_fix(v, &tuple, scratch)))
             }
         };
-        let (prescription, conflict) = prescribe(master, rule.rhs_m(), ids);
         if conflict {
             disputed.push(v);
         } else if let Some((val, id)) = prescription {

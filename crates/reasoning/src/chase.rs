@@ -18,6 +18,13 @@
 //!    [`ConflictKind::Overwrite`] conflict (step (g)): applying that
 //!    rule in a different order would have produced a different fix.
 //!
+//! Steps 1 and 3 never need the frontier's pairs one by one: per target
+//! attribute only the first pair and the first disagreeing pair
+//! matter. With a compiled plan bound, a round reads both off each
+//! applicable rule's hit-list summary (see [`Chase::run_with`]) and so
+//! costs O(|Σ|) probes whatever the lists' lengths; the plan-less
+//! round walks the full frontier and is the oracle for it.
+//!
 //! Step 5 omits the `dep(·)` cycle guard of the paper's step (g) and
 //! reports every disagreement with a derived value. This is
 //! *conservative*: it never accepts an inconsistent instance, but may
@@ -72,6 +79,21 @@ impl fmt::Display for Conflict {
 
 /// One applied step: `(rule index, master row id)`.
 pub type Step = (usize, u32);
+
+/// Per target attribute of `R`, the first `(rule, master row, value)`
+/// claim of a round.
+type Claims = Vec<Option<(usize, u32, Value)>>;
+
+/// The step (e) conflict on `attr` between the claim of rule `rules.0`
+/// and rule `rules.1`.
+fn same_round(attr: AttrId, values: (Value, Value), rules: (usize, usize)) -> Conflict {
+    Conflict {
+        attr,
+        values,
+        rules,
+        kind: ConflictKind::SameRound,
+    }
+}
 
 /// A successful chase: the unique fix of `t` by `(Σ, Dm)` w.r.t. the
 /// initial validated set.
@@ -138,10 +160,11 @@ impl ChaseResult {
 
 /// The chase engine: borrows `(Σ, Dm)` and runs on many tuples.
 ///
-/// With [`with_plan`](Chase::with_plan) the frontier's key probes go
-/// through a compiled [`RulePlan`] (pinned indexes, reusable probe
-/// buffer) instead of the `MasterIndex` convenience path; the probed
-/// maps are the same, so results are bit-identical either way.
+/// With [`with_plan`](Chase::with_plan) the rounds read each rule's hit
+/// list through a compiled [`RulePlan`] (pinned indexes, reusable probe
+/// buffer, span summaries) instead of walking the `MasterIndex`
+/// convenience path's copies; both read the same maps, so results are
+/// bit-identical either way.
 #[derive(Clone, Copy)]
 pub struct Chase<'a> {
     rules: &'a RuleSet,
@@ -226,6 +249,15 @@ impl<'a> Chase<'a> {
     /// [`run`](Self::run) with a caller-owned probe scratch, so a
     /// worker draining many tuples reuses one probe buffer across all
     /// of them.
+    ///
+    /// With a plan bound, a round takes one claim per applicable rule
+    /// from its hit list's span summary ([`RulePlan::probe_fix`]): the
+    /// first row, and the first row whose value differs from the
+    /// attribute's claim. It never builds a step per hit row, so a
+    /// round costs O(|Σ|) probes however long the lists are. Without a
+    /// plan, a round walks the full [`frontier`](Self::frontier) — the
+    /// oracle the summarised rounds are diffed against (invariant D4):
+    /// same steps, rounds and conflict content.
     pub fn run_with(&self, t: &Tuple, initial: AttrSet, scratch: &mut ProbeScratch) -> ChaseResult {
         let mut tuple = t.clone();
         let mut validated = initial;
@@ -233,8 +265,17 @@ impl<'a> Chase<'a> {
         let mut rounds = 0usize;
 
         loop {
-            let frontier = self.frontier_with(&tuple, validated, scratch);
-            if frontier.is_empty() {
+            // Steps (c) and (e): per target attribute, the first
+            // (rule, row, value) claim, or the first disagreement.
+            let claimed = match self.plan {
+                Some(plan) => self.claims_summarised(plan, &tuple, validated, scratch),
+                None => self.claims_walked(&tuple, validated),
+            };
+            let claims = match claimed {
+                Ok(claims) => claims,
+                Err(c) => return ChaseResult::Conflict(c),
+            };
+            if claims.iter().all(Option::is_none) {
                 return ChaseResult::Fixed(Fix {
                     tuple,
                     validated,
@@ -244,29 +285,6 @@ impl<'a> Chase<'a> {
                 });
             }
             rounds += 1;
-
-            // Step (e): detect same-round disagreement per target attr.
-            // `claims[b]` remembers the first (rule, value) for b.
-            let mut claims: Vec<Option<(usize, u32, Value)>> =
-                vec![None; self.rules.r_schema().len()];
-            for &(i, id) in &frontier {
-                let rule = self.rules.rule(i);
-                let v = *self.master.tuple(id).get(rule.rhs_m());
-                let slot = &mut claims[rule.rhs().index()];
-                match slot {
-                    None => *slot = Some((i, id, v)),
-                    Some((j, _, w)) => {
-                        if *w != v {
-                            return ChaseResult::Conflict(Conflict {
-                                attr: rule.rhs(),
-                                values: (*w, v),
-                                rules: (*j, i),
-                                kind: ConflictKind::SameRound,
-                            });
-                        }
-                    }
-                }
-            }
 
             // Step (f): apply one pair per target, extend Z.
             for (b, slot) in claims.iter().enumerate() {
@@ -283,6 +301,69 @@ impl<'a> Chase<'a> {
                 return ChaseResult::Conflict(c);
             }
         }
+    }
+
+    /// The walked claims of one round: the frontier's pairs in order,
+    /// the first pair per target attribute claiming it, and the first
+    /// pair whose value differs from its target's claim a conflict.
+    fn claims_walked(&self, tuple: &Tuple, validated: AttrSet) -> Result<Claims, Conflict> {
+        let mut claims: Claims = vec![None; self.rules.r_schema().len()];
+        for (i, id) in self.frontier(tuple, validated) {
+            let rule = self.rules.rule(i);
+            let v = *self.master.tuple(id).get(rule.rhs_m());
+            match &mut claims[rule.rhs().index()] {
+                slot @ None => *slot = Some((i, id, v)),
+                Some((j, _, w)) if *w != v => {
+                    return Err(same_round(rule.rhs(), (*w, v), (*j, i)));
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(claims)
+    }
+
+    /// [`claims_walked`](Self::claims_walked) from span summaries: per
+    /// applicable rule, in rule order, its first row claims an
+    /// unclaimed target, and the first row of its list whose value
+    /// differs from the target's claim is the conflict — the pair the
+    /// walk would have stopped at. Like the walk, which probes the whole
+    /// frontier before it reads a claim, every applicable rule is
+    /// probed, so `plan_probes` does not depend on where a conflict
+    /// sits.
+    fn claims_summarised(
+        &self,
+        plan: &RulePlan,
+        tuple: &Tuple,
+        validated: AttrSet,
+        scratch: &mut ProbeScratch,
+    ) -> Result<Claims, Conflict> {
+        let mut claims: Claims = vec![None; self.rules.r_schema().len()];
+        let mut conflict = None;
+        for (i, rule) in self.rules.iter() {
+            if validated.contains(rule.rhs())
+                || !rule.premise().is_subset(&validated)
+                || !rule.pattern().matches(tuple)
+            {
+                continue;
+            }
+            let hits = plan.probe_fix(i, tuple, scratch);
+            let Some(first) = hits.first().filter(|_| conflict.is_none()) else {
+                continue;
+            };
+            let slot = &mut claims[rule.rhs().index()];
+            let (j, w) = match *slot {
+                Some((j, _, w)) => (j, w),
+                None => {
+                    let v = hits.value(first);
+                    *slot = Some((i, first, v));
+                    (i, v)
+                }
+            };
+            if let Some((_, v)) = hits.first_unequal(&w) {
+                conflict = Some(same_round(rule.rhs(), (w, v), (j, i)));
+            }
+        }
+        conflict.map_or(Ok(claims), Err)
     }
 
     fn overwrite_conflict(
@@ -302,41 +383,32 @@ impl<'a> Chase<'a> {
             if !rule.pattern().matches(tuple) {
                 continue;
             }
-            let hit = |v: &Value, this: &Self| {
-                if v.agrees_with(tuple.get(b)) {
-                    return None;
-                }
+            // the first candidate whose value does not agree with t[b]
+            let disagreeing = match self.plan {
+                Some(plan) => plan
+                    .probe_fix(i, tuple, scratch)
+                    .first_disagreeing(tuple.get(b))
+                    .map(|(_, v)| v),
+                None => self
+                    .master
+                    .matches_projection(tuple, rule.lhs(), rule.lhs_m())
+                    .into_iter()
+                    .map(|id| *self.master.tuple(id).get(rule.rhs_m()))
+                    .find(|v| !v.agrees_with(tuple.get(b))),
+            };
+            if let Some(v) = disagreeing {
                 // find which step derived b, for diagnostics
                 let deriver = steps
                     .iter()
-                    .find(|&&(j, _)| this.rules.rule(j).rhs() == b)
+                    .find(|&&(j, _)| self.rules.rule(j).rhs() == b)
                     .map(|&(j, _)| j)
                     .unwrap_or(i);
-                Some(Conflict {
+                return Some(Conflict {
                     attr: b,
-                    values: (*tuple.get(b), *v),
+                    values: (*tuple.get(b), v),
                     rules: (deriver, i),
                     kind: ConflictKind::Overwrite,
-                })
-            };
-            match self.plan {
-                Some(plan) => {
-                    for &id in plan.probe(i, tuple, scratch) {
-                        if let Some(c) = hit(self.master.tuple(id).get(rule.rhs_m()), self) {
-                            return Some(c);
-                        }
-                    }
-                }
-                None => {
-                    for id in self
-                        .master
-                        .matches_projection(tuple, rule.lhs(), rule.lhs_m())
-                    {
-                        if let Some(c) = hit(self.master.tuple(id).get(rule.rhs_m()), self) {
-                            return Some(c);
-                        }
-                    }
-                }
+                });
             }
         }
         None

@@ -132,6 +132,20 @@ fn applicable_rules_impl(
             Some(c) => c.validated_mask(validated) == 0,
             None => !rule.lhs().iter().any(|a| validated.contains(*a)),
         };
+        // With the whole key and the target validated and no pattern
+        // cell on a key, the plan answers (c) and (a) — the agreement
+        // scan — from the hit list's span summary. (With the target
+        // unvalidated the scan below stops at the first candidate.)
+        let full_key = match (plan, compiled) {
+            (Some(p), Some(c))
+                if rhs_validated
+                    && !c.pattern_on_keys()
+                    && c.validated_mask(validated).count_ones() as usize == c.lhs().len() =>
+            {
+                Some(p.probe_fix(i, t, scratch))
+            }
+            _ => None,
+        };
         if no_validated_keys {
             // No validated key pins a master tuple yet.
             if master.is_empty() {
@@ -144,20 +158,30 @@ fn applicable_rules_impl(
                 continue;
             }
             if pattern_on_keys {
-                // Existence scan with early exit.
-                let supported = master.relation().iter().any(|tm| {
-                    rule.lhs_p()
-                        .iter()
-                        .zip(rule.pattern().cells())
-                        .enumerate()
-                        .all(|(j, (&a, cell))| match pattern_master(j, a) {
-                            Some(ma) => cell.matches(tm.get(ma)),
-                            None => true,
-                        })
-                });
+                // Existence scan with early exit; it reads the rule and
+                // the master alone, so a plan scanned it at compile time.
+                let supported = match compiled {
+                    Some(c) => c.pattern_supported(),
+                    None => master.relation().iter().any(|tm| {
+                        rule.lhs_p()
+                            .iter()
+                            .zip(rule.pattern().cells())
+                            .enumerate()
+                            .all(|(j, (&a, cell))| match pattern_master(j, a) {
+                                Some(ma) => cell.matches(tm.get(ma)),
+                                None => true,
+                            })
+                    }),
+                };
                 if !supported {
                     continue;
                 }
+            }
+        } else if let Some(hits) = full_key {
+            // every candidate supports the rule, and it is kept only if
+            // none of them disagrees with the validated t[B]
+            if hits.first().is_none() || hits.first_disagreeing(t.get(rule.rhs())).is_some() {
+                continue;
             }
         } else {
             let mut supported = false;
@@ -585,6 +609,26 @@ mod tests {
                     &mut scratch,
                 ));
             }
+        }
+    }
+
+    /// ϕ4 pins `AC = '0800'`, a constant no master row holds. With no
+    /// key validated, the plain path scans all of Dm for ϕ4's support
+    /// on every call; the plan scanned once at compile time and reads a
+    /// bool, dropping ϕ4 exactly as the scan does.
+    #[test]
+    fn absent_pattern_constant_is_unsupported_at_compile_time() {
+        use certainfix_rules::RulePlan;
+        let (r, rules, master) = fig1();
+        let plan = RulePlan::compile(&rules, &master);
+        let phi4 = rules.iter().position(|(_, r)| r.name() == "phi4").unwrap();
+        assert!(!plan.rule(phi4).pattern_supported());
+        let mut scratch = ProbeScratch::new();
+        for z in [AttrSet::EMPTY, attrs(&r, &["item"]), attrs(&r, &["type"])] {
+            let planned =
+                applicable_rules_with(&rules, &master, &t1_fixed(), z, &plan, &mut scratch);
+            assert!(planned.iter().all(|r| r.name() != "phi4"), "Z = {z:?}");
+            assert_eq!(planned, applicable_rules(&rules, &master, &t1_fixed(), z));
         }
     }
 

@@ -16,6 +16,14 @@
 //! for as long as the index is pinned, which is what lets the block
 //! layer of `certainfix-rules` hold spans instead of copies.
 //!
+//! Every span of two or more rows also gets a dense **span slot**
+//! `0..span_slots()`, assigned by the same scatter
+//! ([`Span::slot`]; a one-row or empty span has [`NO_SLOT`]). The slot
+//! is what lets a caller keep a flat side table with one entry per
+//! multi-row hit list — the compiled rule plans of `certainfix-rules`
+//! store their per-span summaries of a fix column that way — while a
+//! one-row span needs no entry: its row is its own summary.
+//!
 //! Two probe disciplines coexist:
 //!
 //! * the convenience path ([`MasterIndex::matches_projection`]) hashes
@@ -69,8 +77,47 @@ pub struct KeyIndex {
     key: Vec<AttrId>,
     /// Every indexed row id, grouped by key; each group is ascending.
     rows: Box<[u32]>,
-    /// Distinct key → `(start, len)` of its group in `rows`.
+    /// Distinct key → its group's packed span in `rows` (see
+    /// [`MULTI`]).
     spans: SpanMap,
+    /// Span slot → the length of its hit list.
+    slot_len: Box<[u32]>,
+}
+
+/// A key's map entry is `(start, len)` for a hit list of at most one
+/// row and `(start, MULTI | slot)` for a longer one, whose length
+/// `slot_len[slot]` holds: an entry stays two words.
+const MULTI: u32 = 1 << 31;
+
+/// The [`Span::slot`] of a span with fewer than two rows.
+pub const NO_SLOT: u32 = u32::MAX;
+
+/// Where one hit list sits in a [`KeyIndex`]: `(start, len)` into its
+/// rows, plus the dense span slot of a multi-row list (see the
+/// [module docs](self)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span {
+    /// First position of the list in the index's rows.
+    pub start: u32,
+    /// Number of rows in the list.
+    pub len: u32,
+    /// `0..span_slots()` when `len >= 2`, [`NO_SLOT`] otherwise.
+    pub slot: u32,
+}
+
+impl Span {
+    /// The span of a miss.
+    pub const EMPTY: Span = Span {
+        start: 0,
+        len: 0,
+        slot: NO_SLOT,
+    };
+
+    /// `(start, len)`, as [`KeyIndex::span`] returns it.
+    #[inline]
+    pub fn range(self) -> (u32, u32) {
+        (self.start, self.len)
+    }
 }
 
 /// The key → span map behind a [`KeyIndex`], specialized by key width.
@@ -91,7 +138,8 @@ impl KeyIndex {
     /// Build the index eagerly, by a counting scatter: one pass gives
     /// every distinct key a dense group id and counts its rows, a prefix
     /// sum gives each group its start, and a second pass places the row
-    /// ids — in row order, so every hit list comes out ascending.
+    /// ids — in row order, so every hit list comes out ascending. Groups
+    /// of two or more rows take span slots as they are placed.
     pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
         // per row, its group id; per group, its row count. While
         // counting, a key's map value holds `(group id, 0)`.
@@ -151,9 +199,20 @@ impl KeyIndex {
                 *at += 1;
             }
         }
+        // the multi-row groups take dense slots as they are placed; the
+        // map's iteration order is a function of the rows alone, so a
+        // rebuild over the same rows numbers them alike
+        let mut slot_len: Vec<u32> = Vec::new();
         let place = |s: &mut (u32, u32)| {
             let len = counts[s.0 as usize];
-            *s = (end[s.0 as usize] - len, len);
+            let start = end[s.0 as usize] - len;
+            *s = if len < 2 {
+                (start, len)
+            } else {
+                debug_assert!(len < MULTI && slot_len.len() < MULTI as usize);
+                slot_len.push(len);
+                (start, MULTI | (slot_len.len() - 1) as u32)
+            };
         };
         match &mut spans {
             SpanMap::Rank(m) => m.values_mut().for_each(place),
@@ -163,6 +222,26 @@ impl KeyIndex {
             key: key.to_vec(),
             rows: rows.into_boxed_slice(),
             spans,
+            slot_len: slot_len.into_boxed_slice(),
+        }
+    }
+
+    /// Unpack a map entry (see [`MULTI`]).
+    #[inline]
+    fn unpack(&self, (start, tag): (u32, u32)) -> Span {
+        if tag & MULTI == 0 {
+            Span {
+                start,
+                len: tag,
+                slot: NO_SLOT,
+            }
+        } else {
+            let slot = tag & !MULTI;
+            Span {
+                start,
+                len: self.slot_len[slot as usize],
+                slot,
+            }
         }
     }
 
@@ -183,28 +262,39 @@ impl KeyIndex {
     /// span. Use this when the list must be named beyond the borrow —
     /// the span stays valid for as long as the index is pinned.
     pub fn span(&self, probe: &[Value]) -> (u32, u32) {
+        self.locate(probe).range()
+    }
+
+    /// [`span`](Self::span) with the hit list's span slot: the full
+    /// [`Span`] of `probe`'s hit list ([`Span::EMPTY`] on a miss).
+    pub fn locate(&self, probe: &[Value]) -> Span {
         debug_assert_eq!(probe.len(), self.key.len());
         // keys holding a null are never stored, so a null probe misses
         let hit = match &self.spans {
             SpanMap::Rank(m) => m.get(&probe[0].grouping_rank()),
             SpanMap::Slice(m) => m.get(probe),
         };
-        hit.copied().unwrap_or((0, 0))
+        hit.map_or(Span::EMPTY, |&e| self.unpack(e))
     }
 
-    /// Rank-keyed variant of [`span`](Self::span) for single-attribute
-    /// indexes, when the caller has already computed
+    /// Rank-keyed variant of [`locate`](Self::locate) for
+    /// single-attribute indexes, when the caller has already computed
     /// [`Value::grouping_rank`] (rank 0 is `Null`, which matches
     /// nothing). Panics on a wider index.
-    pub fn span_of_rank(&self, rank: u128) -> (u32, u32) {
+    pub fn locate_rank(&self, rank: u128) -> Span {
         match &self.spans {
-            SpanMap::Rank(m) => m.get(&rank).copied().unwrap_or((0, 0)),
+            SpanMap::Rank(m) => m.get(&rank).map_or(Span::EMPTY, |&e| self.unpack(e)),
             SpanMap::Slice(_) => panic!("rank probes require a single-attribute index"),
         }
     }
 
-    /// The row ids of a span returned by [`span`](Self::span) or
-    /// [`span_of_rank`](Self::span_of_rank) on this index.
+    /// Number of span slots: the hit lists of two or more rows.
+    pub fn span_slots(&self) -> usize {
+        self.slot_len.len()
+    }
+
+    /// The row ids of a span returned by [`span`](Self::span) (or of
+    /// a [`Span::range`]) on this index.
     #[inline]
     pub fn hits(&self, (start, len): (u32, u32)) -> &[u32] {
         &self.rows[start as usize..(start + len) as usize]
@@ -234,8 +324,8 @@ impl KeyIndex {
     /// worst-case fan-out of one probe.
     pub fn max_hit_len(&self) -> usize {
         let longest = match &self.spans {
-            SpanMap::Rank(m) => m.values().map(|s| s.1).max(),
-            SpanMap::Slice(m) => m.values().map(|s| s.1).max(),
+            SpanMap::Rank(m) => m.values().map(|&e| self.unpack(e).len).max(),
+            SpanMap::Slice(m) => m.values().map(|&e| self.unpack(e).len).max(),
         };
         longest.unwrap_or(0) as usize
     }
@@ -686,9 +776,13 @@ mod tests {
         let zip = KeyIndex::build(&rel, &[AttrId(0)]);
         let s = zip.span(&[Value::str("EH7 4AH")]);
         assert_eq!(zip.hits(s), &[0, 2]);
-        assert_eq!(zip.span_of_rank(Value::str("EH7 4AH").grouping_rank()), s);
+        assert_eq!(
+            zip.locate_rank(Value::str("EH7 4AH").grouping_rank())
+                .range(),
+            s
+        );
         assert_eq!(zip.span(&[Value::Null]).1, 0);
-        assert_eq!(zip.span_of_rank(0).1, 0);
+        assert_eq!(zip.locate_rank(0), Span::EMPTY);
         assert_eq!(zip.max_hit_len(), 2);
         let wide = KeyIndex::build(&rel, &[AttrId(0), AttrId(1), AttrId(2)]);
         assert_eq!(wide.span(&[Value::str("nope"); 3]).1, 0);
@@ -703,6 +797,37 @@ mod tests {
         all.dedup();
         assert_eq!(all, [0, 1, 2], "the null-zip row is unindexed");
         assert_eq!(wide.rows.len(), 3);
+    }
+
+    /// Multi-row spans take the dense slots `0..span_slots()` in key
+    /// order; one-row spans and misses take none.
+    #[test]
+    fn multi_row_spans_take_dense_slots() {
+        let rel = master();
+        let zip = KeyIndex::build(&rel, &[AttrId(0)]);
+        assert_eq!(zip.span_slots(), 1, "only EH7 4AH repeats");
+        let dup = zip.locate(&[Value::str("EH7 4AH")]);
+        assert_eq!((dup.range(), dup.slot), ((0, 2), 0));
+        assert_eq!(zip.locate(&[Value::str("WC1H 9SE")]).slot, NO_SLOT);
+        assert_eq!(zip.locate(&[Value::str("nope")]), Span::EMPTY);
+        assert_eq!(zip.locate_rank(Value::str("EH7 4AH").grouping_rank()), dup);
+        let city = KeyIndex::build(&rel, &[AttrId(2)]);
+        assert_eq!(city.span_slots(), 1);
+        assert_eq!(city.locate(&[Value::str("Edi")]).slot, 0);
+        let wide = KeyIndex::build(&rel, &[AttrId(0), AttrId(1)]);
+        let pair = wide.locate(&[Value::str("EH7 4AH"), Value::str("131")]);
+        assert_eq!((pair.range(), pair.slot), ((0, 2), 0));
+        assert_eq!(
+            wide.locate(&[Value::str("WC1H 9SE"), Value::str("020")])
+                .slot,
+            NO_SLOT
+        );
+        let full = KeyIndex::build(&rel, &[AttrId(1), AttrId(2), AttrId(0)]);
+        assert_eq!(
+            (full.max_hit_len(), full.span_slots()),
+            (2, 1),
+            "rows 0 and 2 coincide"
+        );
     }
 
     /// Eagerly maintained indexes are indistinguishable from a fresh
@@ -736,9 +861,10 @@ mod tests {
             let rebuilt = fresh.index_for(key);
             assert_eq!(patched.distinct_keys(), rebuilt.distinct_keys());
             assert_eq!(patched.max_hit_len(), rebuilt.max_hit_len());
+            assert_eq!(patched.span_slots(), rebuilt.span_slots());
             for t in m1.relation().iter() {
                 let probe: Vec<Value> = key.iter().map(|&a| *t.get(a)).collect();
-                assert_eq!(patched.lookup(&probe), rebuilt.lookup(&probe));
+                assert_eq!(patched.locate(&probe), rebuilt.locate(&probe));
             }
             let miss = vec![Value::str("nope"); key.len()];
             assert_eq!(patched.lookup(&miss), &[] as &[u32]);

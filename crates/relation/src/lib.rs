@@ -41,7 +41,7 @@ pub use attrset::AttrSet;
 pub use csv::{from_csv, to_csv};
 pub use error::RelationError;
 pub use hashers::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use index::{KeyIndex, MasterDelta, MasterIndex};
+pub use index::{KeyIndex, MasterDelta, MasterIndex, Span, NO_SLOT};
 pub use pattern::{PatternTuple, PatternValue, Tableau};
 pub use relation::Relation;
 pub use schema::{AttrId, Schema, MAX_ATTRS};

@@ -21,16 +21,13 @@
 //!
 //! **Determinism contract.** Both paths read the same [`KeyIndex`](certainfix_relation::KeyIndex)
 //! maps: [`candidate_masters`] and [`RulePlan::candidates`](crate::plan::RulePlan::candidates)
-//! return identical row ids in identical order, and
-//! [`distinct_fix_values`] and
-//! [`RulePlan::distinct_fix_values_into`](crate::plan::RulePlan::distinct_fix_values_into)
-//! return identical values in identical (ascending) order — so an
-//! engine may be switched between the legacy and the compiled probe
-//! layer without perturbing a single outcome. The functions here are
+//! return identical row ids in identical order — so an engine may be
+//! switched between the legacy and the compiled probe layer without
+//! perturbing a single outcome. The functions here are
 //! kept as the convenient, allocation-per-call shims for analyses and
 //! tests.
 
-use certainfix_relation::{MasterIndex, Tuple, Value};
+use certainfix_relation::{MasterIndex, Tuple};
 
 use crate::rule::EditingRule;
 
@@ -61,29 +58,6 @@ pub fn candidate_masters(rule: &EditingRule, t: &Tuple, master: &MasterIndex) ->
         return Vec::new();
     }
     master.matches_projection(t, rule.lhs(), rule.lhs_m())
-}
-
-/// The distinct values `tm[Bm]` over all candidate master tuples,
-/// ascending (`Value`'s order — nulls, then integers, then text).
-///
-/// * an empty result means `(ϕ, ·)` does not apply to `t`;
-/// * exactly one value means the rule prescribes a unique fix for
-///   `t[B]`;
-/// * two or more values are a conflict *within* the rule (the master
-///   data is not key-consistent for this rule on this tuple).
-///
-/// Deduplication is sort-based: `O(n log n)` over the candidate count
-/// where the former `Vec::contains` loop was `O(n²)` — master data
-/// with thousands of same-key rows (deliberately inconsistent
-/// workloads) no longer makes this quadratic.
-pub fn distinct_fix_values(rule: &EditingRule, t: &Tuple, master: &MasterIndex) -> Vec<Value> {
-    let mut out: Vec<Value> = candidate_masters(rule, t, master)
-        .into_iter()
-        .map(|id| *master.tuple(id).get(rule.rhs_m()))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]
@@ -235,10 +209,6 @@ mod tests {
             .finish()
             .unwrap();
         assert_eq!(candidate_masters(&phi1, &t1(), &m), vec![0]);
-        assert_eq!(
-            distinct_fix_values(&phi1, &t1(), &m),
-            vec![Value::str("131")]
-        );
     }
 
     #[test]
@@ -262,36 +232,12 @@ mod tests {
             .finish()
             .unwrap();
         let t = tuple!["Z1", Value::Null];
-        let vals = distinct_fix_values(&phi, &t, &m);
-        assert_eq!(vals.len(), 2, "conflicting prescriptions must surface");
+        let ids = candidate_masters(&phi, &t, &m);
+        assert_eq!(ids, vec![0, 1], "both conflicting masters are candidates");
+        let city = |id: u32| *m.tuple(id).get(phi.rhs_m());
+        assert_ne!(city(0), city(1), "conflicting prescriptions must surface");
         let t2 = tuple!["Z2", Value::Null];
-        assert_eq!(distinct_fix_values(&phi, &t2, &m), vec![Value::str("Gla")]);
-    }
-
-    /// The sort-dedup satellite: many same-key master rows with few
-    /// distinct prescriptions dedup correctly (and in ascending value
-    /// order), where the old `Vec::contains` loop was quadratic.
-    #[test]
-    fn many_candidates_dedup_to_distinct_values() {
-        let r = Schema::new("R", ["zip", "city"]).unwrap();
-        let rm = Schema::new("Rm", ["zip", "city"]).unwrap();
-        let n = 5_000;
-        let rows: Vec<_> = (0..n)
-            // 7 distinct cities, deliberately not in sorted insertion order
-            .map(|i| tuple!["Z1", format!("city-{}", (i * 5) % 7)])
-            .collect();
-        let master = MasterIndex::new(Arc::new(Relation::new(rm.clone(), rows).unwrap()));
-        let phi = EditingRule::build(&r, &rm)
-            .key("zip", "zip")
-            .fix("city", "city")
-            .finish()
-            .unwrap();
-        let t = tuple!["Z1", Value::Null];
-        assert_eq!(candidate_masters(&phi, &t, &master).len(), n as usize);
-        let vals = distinct_fix_values(&phi, &t, &master);
-        assert_eq!(vals.len(), 7);
-        let expected: Vec<Value> = (0..7).map(|i| Value::str(format!("city-{i}"))).collect();
-        assert_eq!(vals, expected, "ascending value order");
+        assert_eq!(candidate_masters(&phi, &t2, &m), vec![2]);
     }
 
     #[test]

@@ -39,11 +39,11 @@ pub mod plan;
 pub mod rule;
 pub mod ruleset;
 
-pub use apply::{applies, apply, candidate_masters, distinct_fix_values};
+pub use apply::{applies, apply, candidate_masters};
 pub use depgraph::DependencyGraph;
 pub use error::RuleError;
 pub use parse::parse_rules;
-pub use plan::{CompiledRule, CompiledRuleSet, PlanHits, ProbeScratch, RulePlan};
+pub use plan::{CompiledRule, CompiledRuleSet, FixHits, PlanHits, ProbeScratch, RulePlan};
 pub use rule::{EditingRule, RuleBuilder};
 pub use ruleset::RuleSet;
 

@@ -56,13 +56,51 @@
 //! of a plan together. Pattern pre-checks are hoisted into a per-block
 //! bitmask.
 //!
+//! # Factorised spans
+//!
+//! A probe answers "which master rows match?", but its readers only
+//! ask what those rows *say* about one fix column `Bm`: the chase
+//! wants the first row and the first row whose value differs from a
+//! claim, `TransFix` wants the first non-null value and whether a
+//! later one disputes it, and the suggestion derivation wants the
+//! first row that does not agree with a validated `t[B]`. On a key
+//! with few distinct values (HOSP's `mCode`: 40 values, so 1 250 rows
+//! per list at |Dm| = 50 000) walking the list for each of those is
+//! the one repair cost that grows with the master. Following FDB's
+//! factorised representations — store what a group says once per
+//! group, not once per tuple — the plan keeps one `SpanSummary` per
+//! multi-row span of each probe group's pinned index and per fix
+//! column its rules read: four row ids (first row, first non-null,
+//! first null, first later non-null that differs from the first
+//! non-null). Every question above is then O(1) for any value and
+//! stays **exact** ([`FixHits`]). The summaries sit in one flat table
+//! per group, indexed by the index's dense span slot
+//! ([`KeyIndex::locate`]) times the group's column count; a one-row
+//! span is its own summary (its row is read directly), so an index
+//! whose hit lists are all unique carries no table at all
+//! ([`RulePlan::summary_bytes`] reports the tables' size).
+//!
+//! Compile only allocates a table; each entry is filled by its first
+//! reader, with one walk of its span, and read with one atomic load
+//! thereafter, like the sub-key slots. Filling every entry at compile
+//! time would touch every master row of every summarised group, one
+//! cache miss per row, whether or not a tuple ever reads the span:
+//! DBLP's proceedings keys, whose lists cover the whole master, would
+//! pay that in every context build and every delta. A lazy entry
+//! costs one walk of its span, once per plan instead of once per
+//! read. Sub-key probes
+//! ([`RulePlan::validated_candidates`] on a partial key) still return
+//! walked hit lists.
+//!
 //! # Determinism contract
 //!
 //! For any rule, tuple, and master data, the plan-backed probes return
 //! exactly the row ids, in exactly the order, of the legacy
 //! [`candidate_masters`](crate::apply::candidate_masters) path — both
 //! read the same [`KeyIndex`] hit lists, and block spans point into the
-//! rows of that same pinned index. The plain functions remain in
+//! rows of that same pinned index. A span summary is derived from that
+//! same hit list, so every [`FixHits`] answer names the row a walk of
+//! the list would have stopped at. The plain functions remain in
 //! the tree as the *test/property parity oracle* for this contract
 //! (invariant D4) — engines always run the plan. **Block-probed
 //! results are bit-identical to single-tuple probing at every block
@@ -74,8 +112,9 @@
 //! # Slot invalidation (live master data)
 //!
 //! A `RulePlan` is an **immutable per-generation artifact**: every
-//! pinned `Arc<KeyIndex>` and every lazily filled 2^|X| sub-key slot
-//! describe the one master generation the plan was compiled against
+//! pinned `Arc<KeyIndex>`, every span summary and every lazily filled
+//! 2^|X| sub-key slot describe the one master generation the plan was
+//! compiled against
 //! ([`RulePlan::generation`]). A
 //! `MasterDelta` therefore never mutates a plan — invalidation is
 //! *recompilation*: the engine compiles a fresh plan against the
@@ -86,11 +125,16 @@
 //! [`MasterIndex::index_for`] is generation-checked, so a delete-free
 //! delta hands the new plan the indexes it maintained eagerly, and
 //! cold sub-key slots refill lazily exactly as they did on first
-//! compile. The session layer counts swaps as `plan_rebuilds`.
+//! compile. Every compile starts empty summary tables, so the
+//! summaries live and die with the plan and refill against the new
+//! generation's rows. The session layer counts swaps as
+//! `plan_rebuilds`.
 
 use std::sync::{Arc, OnceLock};
 
-use certainfix_relation::{AttrId, AttrSet, KeyIndex, MasterIndex, PatternTuple, Tuple, Value};
+use certainfix_relation::{
+    AttrId, AttrSet, KeyIndex, MasterIndex, PatternTuple, Relation, Span, Tuple, Value, NO_SLOT,
+};
 
 use crate::ruleset::RuleSet;
 
@@ -127,20 +171,20 @@ struct BlockBuffers {
     pattern: Vec<u64>,
     /// `pattern[i]` lanes filled this session.
     pattern_done: Vec<bool>,
-    /// Hit spans, group-major: `spans[g * len + j]` is `(start, len)`
-    /// into the rows of group `g`'s pinned index, or [`NO_SPAN`] when
+    /// Hit spans, group-major: `spans[g * len + j]` is the span into
+    /// the rows of group `g`'s pinned index, or [`NO_SPAN`] when
     /// cell `(g, j)` was not prefetched this session.
-    spans: Vec<(u32, u32)>,
+    spans: Vec<Span>,
     /// Group `g` probed this session.
     group_done: Vec<bool>,
     /// Dedup table for single-attribute keys:
     /// open-addressed `(rank, gen, span)` entries. An entry whose
     /// `gen` stamp is stale is empty — bumping [`Self::gen`] resets
     /// the whole table in O(1), no per-group clear.
-    table1: Vec<(u128, u64, (u32, u32))>,
+    table1: Vec<(u128, u64, Span)>,
     /// Dedup table for two-attribute keys:
     /// `(rank0, rank1, gen, span)`.
-    table2: Vec<(u128, u128, u64, (u32, u32))>,
+    table2: Vec<(u128, u128, u64, Span)>,
     /// Generation stamp of the current `probe_group` call; strictly
     /// increasing across groups and sessions (a `u64` cannot wrap).
     gen: u64,
@@ -150,8 +194,12 @@ struct BlockBuffers {
 }
 
 /// Sentinel span for a block cell that was not prefetched. A resolved
-/// cell never reads it: a miss is `(0, 0)`.
-const NO_SPAN: (u32, u32) = (u32::MAX, 0);
+/// cell never reads it: a miss is [`Span::EMPTY`].
+const NO_SPAN: Span = Span {
+    start: u32::MAX,
+    len: 0,
+    slot: NO_SLOT,
+};
 
 /// Call `f` on every block position below `n` whose bit is set in
 /// `lanes` (bit `j % 64` of `lanes[j / 64]`), ascending.
@@ -213,13 +261,20 @@ impl ProbeScratch {
     /// ([`KeyIndex::lookup_projection`]), counting one probe and any
     /// capacity growth.
     fn lookup<'p>(&mut self, idx: &'p KeyIndex, t: &Tuple, from: &[AttrId]) -> &'p [u32] {
+        idx.hits(self.locate(idx, t, from).range())
+    }
+
+    /// [`lookup`](Self::lookup), answering with the hit list's
+    /// [`Span`] (slot included) instead of its rows.
+    fn locate(&mut self, idx: &KeyIndex, t: &Tuple, from: &[AttrId]) -> Span {
         let cap = self.probe.capacity();
-        let hits = idx.lookup_projection(t, from, &mut self.probe);
+        self.probe.clear();
+        self.probe.extend(from.iter().map(|&a| *t.get(a)));
         if self.probe.capacity() != cap {
             self.allocs += 1;
         }
         self.probes += 1;
-        hits
+        idx.locate(&self.probe)
     }
 
     /// Probe `idx` with the masked subset of `t[attrs]` (ascending
@@ -267,6 +322,11 @@ pub struct CompiledRule {
     /// `true` iff some pattern attribute is a key (precomputed for the
     /// no-validated-key branch of `applicable_rules`).
     pattern_on_keys: bool,
+    /// `true` iff some master row matches the pattern cells on key
+    /// attributes (trivially when none is): the master-side support
+    /// check of `applicable_rules` when no key is validated, which
+    /// depends on the rule and the master alone.
+    pattern_supported: bool,
     /// The pinned full-key index (`Xm`).
     index: Arc<KeyIndex>,
     /// Lock-free per-subset index slots (`1 << |X|` entries when
@@ -329,6 +389,13 @@ impl CompiledRule {
         self.pattern_on_keys
     }
 
+    /// `true` iff some master row `tm` satisfies
+    /// `tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X]` — scanned once, at compile time
+    /// (always `true` when no pattern attribute is a key).
+    pub fn pattern_supported(&self) -> bool {
+        self.pattern_supported
+    }
+
     /// The pinned full-key index.
     pub fn index(&self) -> &Arc<KeyIndex> {
         &self.index
@@ -380,6 +447,133 @@ struct ProbeGroup {
     lhs_m: Box<[AttrId]>,
     /// The pinned `Xm` index the group's block spans point into.
     index: Arc<KeyIndex>,
+    /// The distinct fix columns `Bm` of the group's rules.
+    cols: Box<[AttrId]>,
+    /// Span slot `s`'s summary on `cols[c]` at `s * cols.len() + c`,
+    /// filled on first read (see the
+    /// [module docs](self#factorised-spans)); empty when the index has
+    /// no multi-row span.
+    summaries: Box<[OnceLock<SpanSummary>]>,
+}
+
+/// "No such row" in a [`SpanSummary`].
+const NO_ROW: u32 = u32::MAX;
+
+/// What one hit list says about one master column `Bm`, in four row
+/// ids ([`NO_ROW`] when absent); see the
+/// [module docs](self#factorised-spans). Read it through [`FixHits`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SpanSummary {
+    /// The first row.
+    first: u32,
+    /// The first row whose `Bm` is non-null.
+    non_null: u32,
+    /// The first row whose `Bm` is null.
+    null: u32,
+    /// The first row after `non_null` whose non-null `Bm` differs from
+    /// `non_null`'s.
+    split: u32,
+}
+
+impl SpanSummary {
+    /// The summary of an empty hit list.
+    const EMPTY: SpanSummary = SpanSummary {
+        first: NO_ROW,
+        non_null: NO_ROW,
+        null: NO_ROW,
+        split: NO_ROW,
+    };
+
+    /// Summarise the ascending hit list `rows` on column `col` of
+    /// `rel`: one walk, which stops once every field is known.
+    fn of(rows: &[u32], rel: &Relation, col: AttrId) -> SpanSummary {
+        let mut s = SpanSummary::EMPTY;
+        let mut seen = Value::Null;
+        for &row in rows {
+            let v = *rel.tuple(row as usize).get(col);
+            if s.first == NO_ROW {
+                s.first = row;
+            }
+            if v.is_null() {
+                if s.null == NO_ROW {
+                    s.null = row;
+                }
+            } else if s.non_null == NO_ROW {
+                s.non_null = row;
+                seen = v;
+            } else if s.split == NO_ROW && v != seen {
+                s.split = row;
+            }
+            if s.split != NO_ROW && s.null != NO_ROW {
+                break;
+            }
+        }
+        s
+    }
+}
+
+/// One rule's hit list on one tuple, read through its `SpanSummary`:
+/// each question the chase, `TransFix` and the suggestion derivation
+/// ask of a hit list, answered in O(1) with the row a walk of the list
+/// would stop at ([`RulePlan::probe_fix`],
+/// [`RulePlan::block_probe_fix`]).
+#[derive(Clone, Copy, Debug)]
+pub struct FixHits<'p> {
+    summary: SpanSummary,
+    rel: &'p Relation,
+    col: AttrId,
+}
+
+impl FixHits<'_> {
+    /// `tm[Bm]` of master row `row`.
+    #[inline]
+    pub fn value(&self, row: u32) -> Value {
+        *self.rel.tuple(row as usize).get(self.col)
+    }
+
+    fn with_value(&self, row: u32) -> Option<(u32, Value)> {
+        (row != NO_ROW).then(|| (row, self.value(row)))
+    }
+
+    /// The first row, if the list is non-empty.
+    pub fn first(&self) -> Option<u32> {
+        (self.summary.first != NO_ROW).then_some(self.summary.first)
+    }
+
+    /// The first row with a non-null `Bm`, and that value.
+    pub fn first_non_null(&self) -> Option<(u32, Value)> {
+        self.with_value(self.summary.non_null)
+    }
+
+    /// `true` iff two rows carry different non-null values of `Bm`.
+    pub fn is_split(&self) -> bool {
+        self.summary.split != NO_ROW
+    }
+
+    /// The first row whose `Bm` is not `== x` (a null equals a null),
+    /// with its value.
+    pub fn first_unequal(&self, x: &Value) -> Option<(u32, Value)> {
+        let s = &self.summary;
+        if x.is_null() {
+            return self.first_non_null();
+        }
+        // the first non-null row unless it holds x, then the first
+        // later non-null value that differs from it
+        let non_null = match self.first_non_null() {
+            Some((row, v)) if v != *x => row,
+            _ => s.split,
+        };
+        self.with_value(non_null.min(s.null))
+    }
+
+    /// The first row whose `Bm` does not [`agrees_with`](Value::agrees_with)
+    /// `x`, with its value (with a null `x`, that is the first row).
+    pub fn first_disagreeing(&self, x: &Value) -> Option<(u32, Value)> {
+        if x.is_null() {
+            return self.with_value(self.summary.first);
+        }
+        self.first_unequal(x)
+    }
 }
 
 /// A rule set compiled against one master index; see the
@@ -395,6 +589,8 @@ pub struct RulePlan {
     groups: Box<[ProbeGroup]>,
     /// Rule index → probe-group index.
     group_of: Box<[u32]>,
+    /// Rule index → its fix column's position in its group's `cols`.
+    col_of: Box<[u32]>,
 }
 
 /// Alias matching the paper-facing name used in docs and the ROADMAP.
@@ -403,7 +599,8 @@ pub type CompiledRuleSet = RulePlan;
 impl RulePlan {
     /// Compile `rules` against `master`: pin one full-key index per
     /// rule (building it if cold — builds are single-flight in the
-    /// [`MasterIndex`]) and precompute the per-rule probe layout.
+    /// [`MasterIndex`]), precompute the per-rule probe layout, and
+    /// summarise every probe group's multi-row spans on its fix columns.
     pub fn compile(rules: &RuleSet, master: &MasterIndex) -> RulePlan {
         let compiled: Box<[CompiledRule]> = rules
             .iter()
@@ -414,6 +611,14 @@ impl RulePlan {
                     .map(|&a| rule.master_attr_for(a))
                     .collect();
                 let pattern_on_keys = pattern_master.iter().any(Option::is_some);
+                let pattern_supported = !pattern_on_keys
+                    || master.relation().iter().any(|tm| {
+                        rule.pattern()
+                            .cells()
+                            .iter()
+                            .zip(&pattern_master)
+                            .all(|(cell, ma)| ma.map_or(true, |ma| cell.matches(tm.get(ma))))
+                    });
                 let sub_len = if rule.lhs().len() <= MAX_SUB_KEY_BITS {
                     1usize << rule.lhs().len()
                 } else {
@@ -431,14 +636,18 @@ impl RulePlan {
                     pattern: rule.pattern().clone(),
                     pattern_master,
                     pattern_on_keys,
+                    pattern_supported,
                     index: master.index_for(rule.lhs_m()),
                     sub: sub.into_boxed_slice(),
                 }
             })
             .collect();
-        // merge rules with an identical (X, Xm) into probe groups
+        // merge rules with an identical (X, Xm) into probe groups, and
+        // give each group the distinct fix columns its rules read
         let mut groups: Vec<ProbeGroup> = Vec::new();
+        let mut cols: Vec<Vec<AttrId>> = Vec::new();
         let mut group_of = Vec::with_capacity(compiled.len());
+        let mut col_of = Vec::with_capacity(compiled.len());
         for cr in compiled.iter() {
             let g = groups
                 .iter()
@@ -448,16 +657,33 @@ impl RulePlan {
                         lhs: cr.lhs.clone(),
                         lhs_m: cr.lhs_m.clone(),
                         index: Arc::clone(&cr.index),
+                        cols: Box::default(),
+                        summaries: Box::default(),
                     });
+                    cols.push(Vec::new());
                     groups.len() - 1
                 });
+            let c = cols[g]
+                .iter()
+                .position(|&c| c == cr.rhs_m)
+                .unwrap_or_else(|| {
+                    cols[g].push(cr.rhs_m);
+                    cols[g].len() - 1
+                });
             group_of.push(g as u32);
+            col_of.push(c as u32);
+        }
+        for (grp, cols) in groups.iter_mut().zip(cols) {
+            let entries = grp.index.span_slots() * cols.len();
+            grp.summaries = (0..entries).map(|_| OnceLock::new()).collect();
+            grp.cols = cols.into_boxed_slice();
         }
         RulePlan {
             master: master.clone(),
             rules: compiled,
             groups: groups.into_boxed_slice(),
             group_of: group_of.into_boxed_slice(),
+            col_of: col_of.into_boxed_slice(),
         }
     }
 
@@ -514,6 +740,48 @@ impl RulePlan {
     pub fn probe<'p>(&'p self, i: usize, t: &Tuple, scratch: &mut ProbeScratch) -> &'p [u32] {
         let rule = &self.rules[i];
         scratch.lookup(&rule.index, t, &rule.lhs)
+    }
+
+    /// Rule `i`'s raw key probe on `t`, like [`probe`](Self::probe)
+    /// (one logical probe), answered by the hit list's span summary on
+    /// the rule's fix column instead of its rows.
+    pub fn probe_fix<'p>(&'p self, i: usize, t: &Tuple, scratch: &mut ProbeScratch) -> FixHits<'p> {
+        let g = self.group_of[i] as usize;
+        let grp = &self.groups[g];
+        let span = scratch.locate(&grp.index, t, &grp.lhs);
+        self.fix_hits(i, span)
+    }
+
+    /// Rule `i`'s [`FixHits`] for a span of its group's pinned index.
+    fn fix_hits(&self, i: usize, span: Span) -> FixHits<'_> {
+        let g = self.group_of[i] as usize;
+        FixHits {
+            summary: self.summary(g, span, self.col_of[i] as usize),
+            rel: self.master.relation(),
+            col: self.rules[i].rhs_m,
+        }
+    }
+
+    /// Group `g`'s summary of `span` on its `c`-th fix column: a
+    /// one-row or empty span is read directly, a multi-row span's
+    /// table entry is filled by its first reader.
+    fn summary(&self, g: usize, span: Span, c: usize) -> SpanSummary {
+        let grp = &self.groups[g];
+        let (rows, rel) = (grp.index.hits(span.range()), self.master.relation());
+        if span.slot == NO_SLOT {
+            return SpanSummary::of(rows, rel, grp.cols[c]);
+        }
+        *grp.summaries[span.slot as usize * grp.cols.len() + c]
+            .get_or_init(|| SpanSummary::of(rows, rel, grp.cols[c]))
+    }
+
+    /// Bytes of span-summary tables the plan holds, over all probe
+    /// groups.
+    pub fn summary_bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| std::mem::size_of_val(&*g.summaries))
+            .sum()
     }
 
     /// Look rule `i`'s pinned full-key index up with caller-supplied
@@ -574,11 +842,11 @@ impl RulePlan {
         // carry a stale `gen` stamp, so growth needs no re-clearing
         let tcap = (2 * n.max(1)).next_power_of_two().max(64);
         if b.table1.len() < tcap {
-            b.table1.resize(tcap, (0, 0, (0, 0)));
+            b.table1.resize(tcap, (0, 0, Span::EMPTY));
             grew += 1;
         }
         if b.table2.len() < tcap {
-            b.table2.resize(tcap, (0, 0, 0, (0, 0)));
+            b.table2.resize(tcap, (0, 0, 0, Span::EMPTY));
             grew += 1;
         }
         b.len = n;
@@ -657,7 +925,7 @@ impl RulePlan {
                     spans[j] = loop {
                         let e = &mut table[h];
                         if e.1 != gen {
-                            let s = index.span_of_rank(r);
+                            let s = index.locate_rank(r);
                             *e = (r, gen, s);
                             break s;
                         }
@@ -678,7 +946,7 @@ impl RulePlan {
                     spans[j] = loop {
                         let e = &mut table[h];
                         if e.2 != gen {
-                            let s = index.span(&[v0, v1]);
+                            let s = index.locate(&[v0, v1]);
                             *e = (r0, r1, gen, s);
                             break s;
                         }
@@ -694,7 +962,7 @@ impl RulePlan {
                 for_each_marked(needed, n, |j| {
                     probe.clear();
                     probe.extend(grp.lhs.iter().map(|&a| *block[j].get(a)));
-                    spans[j] = index.span(probe);
+                    spans[j] = index.locate(probe);
                 });
                 *allocs += (probe.capacity() != cap) as u64;
             }
@@ -794,12 +1062,34 @@ impl RulePlan {
         scratch: &mut ProbeScratch,
     ) -> Option<&'p [u32]> {
         let g = self.group_of[i] as usize;
+        let span = self.block_span(i, j, scratch)?;
+        Some(self.groups[g].index.hits(span.range()))
+    }
+
+    /// [`block_probe`](Self::block_probe) answered by the span summary
+    /// on rule `i`'s fix column, like [`probe_fix`](Self::probe_fix).
+    #[inline]
+    pub fn block_probe_fix<'p>(
+        &'p self,
+        i: usize,
+        j: usize,
+        scratch: &mut ProbeScratch,
+    ) -> Option<FixHits<'p>> {
+        let span = self.block_span(i, j, scratch)?;
+        Some(self.fix_hits(i, span))
+    }
+
+    /// Consume rule `i`'s prefetched cell for block tuple `j` (one
+    /// logical probe), `None` when it was not prefetched.
+    #[inline]
+    fn block_span(&self, i: usize, j: usize, scratch: &mut ProbeScratch) -> Option<Span> {
+        let g = self.group_of[i] as usize;
         let span = scratch.block.spans[g * scratch.block.len + j];
         if span == NO_SPAN {
             return None;
         }
         scratch.probes += 1;
-        Some(self.groups[g].index.hits(span))
+        Some(span)
     }
 
     /// Block analogue of [`candidates`](Self::candidates): the hit list
@@ -875,25 +1165,6 @@ impl RulePlan {
     pub fn fix_value(&self, i: usize, id: u32) -> Value {
         *self.master.tuple(id).get(self.rules[i].rhs_m)
     }
-
-    /// The distinct values `tm[Bm]` over rule `i`'s candidate masters,
-    /// written into `out` (cleared first) in ascending [`Value`] order
-    /// — the same order as
-    /// [`distinct_fix_values`](crate::apply::distinct_fix_values).
-    pub fn distinct_fix_values_into(
-        &self,
-        i: usize,
-        t: &Tuple,
-        scratch: &mut ProbeScratch,
-        out: &mut Vec<Value>,
-    ) {
-        out.clear();
-        let rhs_m = self.rules[i].rhs_m;
-        let ids = self.candidates(i, t, scratch);
-        out.extend(ids.iter().map(|&id| *self.master.tuple(id).get(rhs_m)));
-        out.sort_unstable();
-        out.dedup();
-    }
 }
 
 /// Compile-time audit: the plan is shared by reference across repair
@@ -909,7 +1180,7 @@ fn _send_sync_audit() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::{candidate_masters, distinct_fix_values};
+    use crate::apply::candidate_masters;
     use crate::parse::parse_rules;
     use certainfix_relation::{tuple, Relation, Schema};
     use std::sync::Arc;
@@ -1115,16 +1386,83 @@ mod tests {
         assert_eq!(master.index_builds(), builds);
     }
 
+    /// Every [`FixHits`] answer names the row a walk of the hit list
+    /// stops at: multi-row spans mixing equal values, nulls and a
+    /// split, a one-row span, a null-only span and a miss.
     #[test]
-    fn distinct_fix_values_into_matches_legacy() {
-        let (_, rules, master) = fig1();
+    fn fix_hits_answer_like_a_walk() {
+        let r = Schema::new("R", ["zip", "city", "ac"]).unwrap();
+        let rows = vec![
+            tuple!["Z1", "Edi", "131"],
+            tuple!["Z1", Value::Null, "131"],
+            tuple!["Z2", Value::Null, Value::Null],
+            tuple!["Z1", "Edi", Value::Null],
+            tuple!["Z3", "Gla", "141"],
+            tuple!["Z1", "Lnd", "131"],
+            tuple!["Z4", Value::Null, "020"],
+            tuple!["Z4", Value::Null, "020"],
+        ];
+        let master = MasterIndex::new(Arc::new(Relation::new(r.clone(), rows).unwrap()));
+        let rules = parse_rules("p: match zip ~ zip set city := city, ac := ac", &r, &r).unwrap();
         let plan = RulePlan::compile(&rules, &master);
+        assert_eq!(plan.probe_groups(), 1);
+        let entry = std::mem::size_of::<OnceLock<SpanSummary>>();
+        assert_eq!(
+            plan.summary_bytes(),
+            2 * 2 * entry,
+            "Z1 and Z4, on city and ac"
+        );
         let mut scratch = ProbeScratch::new();
-        let mut out = Vec::new();
-        for (i, rule) in rules.iter() {
-            plan.distinct_fix_values_into(i, &t1(), &mut scratch, &mut out);
-            assert_eq!(out, distinct_fix_values(rule, &t1(), &master), "rule {i}");
+        let xs = [
+            Value::Null,
+            Value::str("Edi"),
+            Value::str("Lnd"),
+            Value::str("131"),
+        ];
+        for zip in ["Z1", "Z2", "Z3", "Z4", "Z9"] {
+            let t = tuple![zip, Value::Null, Value::Null];
+            for i in 0..plan.len() {
+                let ids = plan.probe(i, &t, &mut scratch).to_vec();
+                let hits = plan.probe_fix(i, &t, &mut scratch);
+                let val = |id: &u32| hits.value(*id);
+                let find = |p: &dyn Fn(&Value) -> bool| {
+                    ids.iter().find(|id| p(&val(id))).map(|&id| (id, val(&id)))
+                };
+                assert_eq!(hits.first(), ids.first().copied(), "{zip} rule {i}");
+                let first_non_null = find(&|v| !v.is_null());
+                assert_eq!(hits.first_non_null(), first_non_null);
+                let split = first_non_null.and_then(|(_, w)| find(&|v| !v.is_null() && *v != w));
+                assert_eq!(hits.is_split(), split.is_some());
+                for x in &xs {
+                    assert_eq!(hits.first_unequal(x), find(&|v| v != x), "{zip} {x}");
+                    assert_eq!(
+                        hits.first_disagreeing(x),
+                        find(&|v| !v.agrees_with(x)),
+                        "{zip} {x}"
+                    );
+                }
+            }
         }
+    }
+
+    /// The pattern-support scan of `applicable_rules` runs once, at
+    /// compile time: `phi4` pins `AC = '0800'`, which no master row
+    /// holds, so it compiles unsupported; the other rules are
+    /// supported (phi3's `AC != '0800'` matches both rows).
+    #[test]
+    fn pattern_support_is_compiled_once() {
+        let (_, rules, master) = fig1();
+        let phi4 = parse_rules(
+            "phi4: match AC ~ AC set city := city when AC = '0800'",
+            rules.r_schema(),
+            rules.m_schema(),
+        )
+        .unwrap();
+        let plan = RulePlan::compile(&phi4, &master);
+        assert!(plan.rule(0).pattern_on_keys());
+        assert!(!plan.rule(0).pattern_supported(), "no master AC is 0800");
+        let plan = RulePlan::compile(&rules, &master);
+        assert!(plan.iter().all(|(_, r)| r.pattern_supported()));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! * a flat [`KeyIndex`] ≡ naive grouping of its relation, built fresh
 //!   or maintained through a delete-free [`MasterDelta`],
 //! * the compiled [`RulePlan`] probe layer ≡ the legacy `MasterIndex`
-//!   path (candidates, distinct fix values, chase, `TransFix`, and
-//!   whole `CertainFix` outcomes — including null-key and
-//!   pattern-mismatch edges),
+//!   path (candidates, chase, `TransFix`, and whole `CertainFix`
+//!   outcomes — including null-key and pattern-mismatch edges),
+//! * the plan's span summaries ≡ walks of the hit lists they summarise
+//!   (every `FixHits` answer, and the chase, `TransFix` and
+//!   `applicable_rules` run on them), also across an overwriting DBLP
+//!   master delta,
 //! * session-interleaving-independence: N randomly sized streams
 //!   multiplexed through a `RepairService` ≡ each stream drained alone,
 //! * live master data (D10): random insert/update/delete
@@ -36,14 +39,17 @@ use certain_fix::core::{
     CertainFixConfig, MonitorStats, RepairContext, RepairOptions, RepairServiceBuilder,
     RepairSessionBuilder, ServiceStream, SimulatedUser, SliceSource,
 };
-use certain_fix::reasoning::{suggest, suggest_with, Chase, ChaseResult};
+use certain_fix::datagen::{Dblp, Workload};
+use certain_fix::reasoning::{
+    applicable_rules, applicable_rules_with, suggest, suggest_with, Chase, ChaseResult,
+    ConflictKind,
+};
 use certain_fix::relation::{
     AttrId, AttrSet, KeyIndex, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation,
     Schema, Tuple, Value,
 };
 use certain_fix::rules::{
-    candidate_masters, distinct_fix_values, DependencyGraph, EditingRule, ProbeScratch, RulePlan,
-    RuleSet,
+    candidate_masters, DependencyGraph, EditingRule, ProbeScratch, RulePlan, RuleSet,
 };
 
 const ATTRS: usize = 5;
@@ -221,6 +227,309 @@ fn assert_naive_grouping(idx: &KeyIndex, rel: &Relation) -> Result<(), TestCaseE
     let longest = naive.values().map(Vec::len).max().unwrap_or(0);
     prop_assert_eq!(idx.max_hit_len(), longest);
     Ok(())
+}
+
+/// A cell of the span-summary property: null one time in five, else
+/// one of three integers.
+fn arb_summary_cell() -> impl Strategy<Value = Value> {
+    (0u8..10).prop_map(|d| match d {
+        0 | 1 => Value::Null,
+        _ => Value::int(i64::from(d % 3)),
+    })
+}
+
+fn arb_summary_tuple() -> impl Strategy<Value = Tuple> {
+    proptest::collection::vec(arb_summary_cell(), ATTRS).prop_map(Tuple::new)
+}
+
+/// A master of 100–300 rows copied from a pool of 1–3
+/// [`arb_summary_tuple`]s, where none, one in eight, or one in three
+/// rows has one cell redrawn. Keys of one or two attributes then have
+/// hit lists of dozens of rows, some all equal, some with nulls among
+/// equal values, some split.
+fn arb_summary_master() -> impl Strategy<Value = Vec<Tuple>> {
+    (
+        proptest::collection::vec(arb_summary_tuple(), 1..4),
+        proptest::collection::vec((any::<u8>(), any::<u8>(), arb_summary_cell()), 100..300),
+        (0usize..3).prop_map(|k| [0u8, 32, 85][k]),
+    )
+        .prop_map(|(pool, rows, noise)| {
+            rows.into_iter()
+                .map(|(pick, roll, cell)| {
+                    let mut t = pool[usize::from(pick) % pool.len()].clone();
+                    if roll < noise {
+                        t.set(AttrId(u16::from(roll) % ATTRS as u16), cell);
+                    }
+                    t
+                })
+                .collect()
+        })
+}
+
+/// The plan-backed chase result equals the plain one: the fix (tuple,
+/// validated sets, steps, rounds) or the conflict (attribute, values,
+/// rules, kind).
+fn assert_same_chase(want: &ChaseResult, got: &ChaseResult) -> Result<(), TestCaseError> {
+    match (want, got) {
+        (ChaseResult::Fixed(a), ChaseResult::Fixed(b)) => {
+            prop_assert_eq!(&a.tuple, &b.tuple);
+            prop_assert_eq!(a.validated, b.validated);
+            prop_assert_eq!(a.initial, b.initial);
+            prop_assert_eq!(&a.steps, &b.steps);
+            prop_assert_eq!(a.rounds, b.rounds);
+        }
+        (ChaseResult::Conflict(a), ChaseResult::Conflict(b)) => prop_assert_eq!(a, b),
+        _ => prop_assert!(false, "chase outcome diverged: {want:?} vs {got:?}"),
+    }
+    Ok(())
+}
+
+/// Every answer a [`FixHits`] gives about rule `i`'s hit list on `t`,
+/// asked about each of `xs`: the first row, the first non-null row,
+/// whether the list splits, and per `x` the first row not `== x` and
+/// the first row that does not agree with `x`.
+type FixAnswers = (
+    Option<u32>,
+    Option<(u32, Value)>,
+    bool,
+    Vec<Option<(u32, Value)>>,
+    Vec<Option<(u32, Value)>>,
+);
+
+fn fix_answers(
+    plan: &RulePlan,
+    i: usize,
+    t: &Tuple,
+    xs: &[Value],
+    scratch: &mut ProbeScratch,
+) -> FixAnswers {
+    let hits = plan.probe_fix(i, t, scratch);
+    (
+        hits.first(),
+        hits.first_non_null(),
+        hits.is_split(),
+        xs.iter().map(|x| hits.first_unequal(x)).collect(),
+        xs.iter().map(|x| hits.first_disagreeing(x)).collect(),
+    )
+}
+
+/// The same answers read off a walk of the probed hit list.
+fn walked_answers(
+    plan: &RulePlan,
+    master: &MasterIndex,
+    i: usize,
+    t: &Tuple,
+    xs: &[Value],
+    scratch: &mut ProbeScratch,
+) -> FixAnswers {
+    let rhs_m = plan.rule(i).rhs_m();
+    let rows: Vec<(u32, Value)> = plan
+        .probe(i, t, scratch)
+        .iter()
+        .map(|&id| (id, *master.tuple(id).get(rhs_m)))
+        .collect();
+    let find = |p: &dyn Fn(&Value) -> bool| rows.iter().copied().find(|(_, v)| p(v));
+    let first_non_null = find(&|v| !v.is_null());
+    let split = first_non_null.and_then(|(_, w)| find(&|v| !v.is_null() && *v != w));
+    (
+        rows.first().map(|&(id, _)| id),
+        first_non_null,
+        split.is_some(),
+        xs.iter().map(|x| find(&|v| v != x)).collect(),
+        xs.iter().map(|x| find(&|v| !v.agrees_with(x))).collect(),
+    )
+}
+
+/// Every run that reads span summaries equals the plan-less walk over
+/// `items`: the chase (plan-backed `run_with` against the plain
+/// `run`), `applicable_rules_with` against `applicable_rules`, and
+/// `transfix_with` and `transfix_block` at block sizes 1, 2 and 7
+/// against the plain `transfix`.
+fn assert_summarised_runs_match_the_walk(
+    rules: &RuleSet,
+    master: &MasterIndex,
+    graph: &DependencyGraph,
+    plan: &RulePlan,
+    items: &[(Tuple, AttrSet)],
+) -> Result<(), TestCaseError> {
+    let plain = Chase::new(rules, master);
+    let planned = Chase::new(rules, master).with_plan(Some(plan));
+    let mut scratch = ProbeScratch::new();
+    for (t, z) in items {
+        assert_same_chase(&plain.run(t, *z), &planned.run_with(t, *z, &mut scratch))?;
+        prop_assert_eq!(
+            applicable_rules(rules, master, t, *z),
+            applicable_rules_with(rules, master, t, *z, plan, &mut scratch)
+        );
+    }
+    let want: Vec<_> = items
+        .iter()
+        .map(|(t, z)| transfix(rules, master, graph, t, *z))
+        .collect();
+    let live: Vec<_> = items
+        .iter()
+        .map(|(t, z)| transfix_with(rules, master, graph, plan, &mut scratch, t, *z))
+        .collect();
+    let mut runs = vec![live];
+    for size in [1usize, 2, 7] {
+        runs.push(
+            items
+                .chunks(size)
+                .flat_map(|chunk| {
+                    let refs: Vec<(&Tuple, AttrSet)> = chunk.iter().map(|(t, z)| (t, *z)).collect();
+                    transfix_block(rules, master, graph, plan, &mut scratch, &refs)
+                })
+                .collect(),
+        );
+    }
+    for run in &runs {
+        for (a, b) in want.iter().zip(run) {
+            prop_assert_eq!(&a.tuple, &b.tuple);
+            prop_assert_eq!(a.validated, b.validated);
+            prop_assert_eq!(&a.steps, &b.steps);
+            prop_assert_eq!(&a.disputed, &b.disputed);
+        }
+    }
+    Ok(())
+}
+
+/// An overwriting delta makes DBLP's master disagree with itself:
+/// `Author …1` is row 1's first author (`a1`, homepage `hp1`) and row
+/// 0's second author (`a2`, homepage `hp2`), and the delta rewrites
+/// row 0's `hp2`, so the rules reading the author via `a1` and via
+/// `a2` prescribe different homepages. It also rewrites row 3's
+/// `publisher`, splitting its proceedings' 25-row hit lists, and nulls
+/// row 30's, leaving a null among equal values in the next
+/// proceedings' lists. After the
+/// delta the plan-backed runs equal the plan-less walk, and the
+/// recompiled plan's summaries equal those of a plan compiled from
+/// scratch over the same rows: the summaries change how fixes are
+/// computed, not which fixes are certified.
+#[test]
+fn dblp_overwriting_delta_summaries_match_a_fresh_compile() {
+    let dblp = Dblp::generate(200);
+    let (s, rules) = (dblp.schema(), dblp.rules());
+    let graph = DependencyGraph::new(rules);
+    let attr = |name: &str| s.attr(name).unwrap();
+    let m0 = MasterIndex::new(dblp.master().clone());
+    // warm the lineage, so the delta patches the indexes in place
+    let _ = RulePlan::compile(rules, &m0);
+    let author = *m0.tuple(1).get(attr("a1"));
+    assert_eq!(m0.tuple(0).get(attr("a2")), &author);
+    let mut row0 = m0.tuple(0).clone();
+    row0.set(attr("hp2"), Value::str("https://elsewhere.example.org/"));
+    let mut row3 = m0.tuple(3).clone();
+    row3.set(attr("publisher"), Value::str("Nobody Press"));
+    let mut row30 = m0.tuple(30).clone();
+    row30.set(attr("publisher"), Value::Null);
+    let delta = MasterDelta::new()
+        .update(0, row0)
+        .update(3, row3)
+        .update(30, row30);
+    let m1 = m0.apply_delta(&delta).unwrap();
+    let plan = RulePlan::compile(rules, &m1);
+    let fresh = RulePlan::compile(rules, &MasterIndex::new(m1.relation().clone()));
+    assert_eq!(plan.summary_bytes(), fresh.summary_bytes());
+    assert!(plan.summary_bytes() > 0, "the proceedings keys repeat");
+    // every hit list of every rule, probed with each master row: the
+    // recompiled plan's summaries answer like a fresh compile's and
+    // like a walk, for a value the list holds, one it does not, and null
+    let mut scratch = ProbeScratch::new();
+    for t in m1.relation().iter() {
+        for (i, _) in rules.iter() {
+            let mut xs = vec![Value::Null, Value::str("not in the master")];
+            xs.extend(
+                plan.probe_fix(i, t, &mut scratch)
+                    .first_non_null()
+                    .map(|(_, v)| v),
+            );
+            let answers = fix_answers(&plan, i, t, &xs, &mut scratch);
+            assert_eq!(
+                answers,
+                fix_answers(&fresh, i, t, &xs, &mut scratch),
+                "rule {i}"
+            );
+            assert_eq!(
+                answers,
+                walked_answers(&plan, &m1, i, t, &xs, &mut scratch),
+                "rule {i}"
+            );
+        }
+    }
+
+    let keys: [&[&str]; 6] = [
+        &["a1"],
+        &["a2"],
+        &["a1", "a2"],
+        &["type", "crossref"],
+        &["type", "btitle", "year"],
+        &["ptitle", "a1", "a2", "type", "pages"],
+    ];
+    let mut items = Vec::new();
+    for row in [0, 1, 2, 3, 4, 29, 30, 31] {
+        let mut blank = m1.tuple(row).clone();
+        for hp in ["hp1", "hp2", "publisher"] {
+            blank.set(attr(hp), Value::Null);
+        }
+        for t in [m1.tuple(row).clone(), blank] {
+            for key in keys {
+                items.push((t.clone(), key.iter().map(|a| attr(a)).collect::<AttrSet>()));
+            }
+        }
+    }
+    assert_summarised_runs_match_the_walk(rules, &m1, &graph, &plan, &items).unwrap();
+
+    // the split is real: via a1 the author's homepage is now disputed
+    let via_a1 = Chase::new(rules, &m1)
+        .with_plan(Some(&plan))
+        .run(m1.tuple(1), AttrSet::singleton(attr("a1")));
+    let c = via_a1.conflict().expect("hp1 via a1 and via a2 disagree");
+    assert_eq!((c.attr, c.kind), (attr("hp1"), ConflictKind::SameRound));
+    let before = Chase::new(rules, &m0).run(m0.tuple(1), AttrSet::singleton(attr("a1")));
+    assert!(before.is_unique(), "the generated master is consistent");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The span summaries are exact: on masters whose hit lists run to
+    /// dozens of rows mixing equal values, nulls and splits, every
+    /// [`FixHits`](certain_fix::rules::FixHits) answer of every rule on
+    /// every probe tuple names the row a walk of the probed hit list
+    /// stops at, and the chase, `applicable_rules` and `TransFix` (live
+    /// and blocked) that read them equal the plan-less walk.
+    #[test]
+    fn span_summaries_match_the_walk(
+        master_rows in arb_summary_master(),
+        specs in arb_rules(1..3),
+        probes in proptest::collection::vec(
+            (any::<u16>(), arb_summary_tuple(), any::<bool>(), any::<u8>()), 1..12),
+    ) {
+        let Some((rules, graph)) = build_rules(specs) else { return Ok(()); };
+        let n = master_rows.len();
+        let master = MasterIndex::new(Arc::new(
+            Relation::new(schema(), master_rows.clone()).unwrap(),
+        ));
+        let plan = RulePlan::compile(&rules, &master);
+        let items: Vec<(Tuple, AttrSet)> = probes
+            .into_iter()
+            .map(|(row, free, from_master, z)| {
+                let t = if from_master { master_rows[usize::from(row) % n].clone() } else { free };
+                (t, AttrSet::from_bits(u64::from(z) & ((1 << ATTRS) - 1)))
+            })
+            .collect();
+        let mut scratch = ProbeScratch::new();
+        let xs = [Value::Null, Value::int(0), Value::int(1), Value::int(2)];
+        for (t, _) in &items {
+            for (i, _) in rules.iter() {
+                prop_assert_eq!(
+                    fix_answers(&plan, i, t, &xs, &mut scratch),
+                    walked_answers(&plan, &master, i, t, &xs, &mut scratch)
+                );
+            }
+        }
+        assert_summarised_runs_match_the_walk(&rules, &master, &graph, &plan, &items)?;
+    }
 }
 
 proptest! {
@@ -411,13 +720,10 @@ proptest! {
         // a null-key variant of t exercises the null edge explicitly
         let mut t_null = t.clone();
         t_null.set(AttrId(null_at as u16), Value::Null);
-        let mut vals = Vec::new();
         for probe_t in [&t, &t_null] {
             for (i, rule) in rules.iter() {
                 let legacy = candidate_masters(rule, probe_t, &master);
                 prop_assert_eq!(plan.candidates(i, probe_t, &mut scratch), &legacy[..]);
-                plan.distinct_fix_values_into(i, probe_t, &mut scratch, &mut vals);
-                prop_assert_eq!(&vals, &distinct_fix_values(rule, probe_t, &master));
             }
         }
         let initial = AttrSet::from_bits(u64::from(zbits) & ((1 << ATTRS) - 1));
