@@ -4,9 +4,8 @@
 
 use certainfix_cfd::{repair_tuple, rules_to_cfds, IncRepConfig};
 use certainfix_core::{
-    evaluate_changes, evaluate_rounds, BatchRepairEngine, CertainFixConfig, ChangeCounts,
-    FixOutcome, InitialRegion, MonitorStats, RepairContext, RepairOptions, RoundMetrics,
-    SimulatedUser, TupleEval,
+    evaluate_changes, evaluate_rounds, CertainFixConfig, ChangeCounts, FixOutcome, InitialRegion,
+    MonitorStats, RepairContext, RepairOptions, RoundMetrics, SimulatedUser, TupleEval,
 };
 use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
 use certainfix_relation::Tuple;
@@ -193,13 +192,13 @@ impl RunResult {
 /// the whole stream when `cfg.use_bdd`. The user for stream index `i`
 /// is seeded from the dataset's seed and `i` alone.
 pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: usize) -> RunResult {
-    let engine = BatchRepairEngine::new(RepairContext::with_config(
+    let ctx = RepairContext::with_config(
         workload.rules().clone(),
         workload.master().clone(),
         cfg.use_bdd,
         cfg.initial,
         CertainFixConfig::default(),
-    ));
+    );
     let dataset = Dataset::generate(workload, &cfg.dirty_config());
     let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
     let seed = dataset.config.seed;
@@ -207,7 +206,7 @@ pub fn run_monitored(workload: &dyn Workload, cfg: &ExpConfig, report_rounds: us
         chunk: dirty.len(),
         ..RepairOptions::default()
     };
-    let report = engine.repair_opts(&dirty, &opts, |i| {
+    let report = ctx.repair_opts(&dirty, &opts, |i| {
         let clean = dataset.inputs[i].clean.clone();
         if cfg.compliance >= 1.0 {
             SimulatedUser::new(clean)

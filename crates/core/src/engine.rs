@@ -4,8 +4,8 @@
 //! The paper's repair model is embarrassingly parallel across tuples:
 //! [`CertainFix`] and [`transfix`](crate::transfix::transfix) read a
 //! shared immutable `(Σ, Dm)` precomputation and mutate only the tuple
-//! they are repairing. [`BatchRepairEngine`] exploits that with a single
-//! fan-out that serves every batch. Its input is an *epoch* of units —
+//! they are repairing. The context's one fan-out exploits that: it
+//! serves every batch. Its input is an *epoch* of units —
 //! one batch plus its oracle factory each: a session batch is a
 //! one-unit epoch, a [`service`](crate::service) epoch holds one batch
 //! per participating session. Every unit is cut into fixed-size
@@ -27,7 +27,7 @@
 //!
 //! The `(Dm, plan)` precomputation is no longer a field of the context
 //! but a [`MasterEpoch`] — one immutable snapshot of the master at a
-//! given [`generation`](MasterEpoch::generation), bundling the indexed
+//! given [`generation`](RepairContext::generation), bundling the indexed
 //! master, the compiled [`RulePlan`], and the initial suggestion ranked
 //! from the region catalog, all built against the *same* master rows.
 //! [`RepairContext::apply_master_delta`] builds the next epoch from a
@@ -64,8 +64,9 @@
 //! calls, which lockstep would interleave.
 //!
 //! Multi-batch (and streaming) ingest lives one layer up, in
-//! [`session`](crate::session): a [`RepairSession`] drains any stream
-//! of batches through this engine, one one-unit fan-out per batch. The [`service`](crate::service)
+//! [`session`](crate::session): a [`RepairSession`](crate::RepairSession)
+//! drains any stream of batches through this fan-out, one one-unit
+//! epoch per batch. The [`service`](crate::service)
 //! multiplexer schedules N independent sessions fairly over a single
 //! engine by submitting their ready batches as one epoch to the same
 //! fan-out.
@@ -107,12 +108,11 @@ use crate::bdd::{BddStats, Cursor, SuggestionBdd};
 use crate::certainfix::{CertainFix, CertainFixConfig, FixOutcome};
 use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
-use crate::session::RepairSession;
 
 /// One immutable snapshot of the master data and everything compiled
 /// from it: the indexed master rows, the compiled [`RulePlan`], and
 /// the initial suggestion ranked from the certain-region catalog — all
-/// built against the same [`generation`](Self::generation). Workers
+/// built against the same master generation. Workers
 /// pin an epoch (one `Arc` clone) for the duration of a batch; a
 /// [`MasterDelta`] produces the *next* epoch without touching this
 /// one, so in-flight repairs are never invalidated mid-batch.
@@ -156,11 +156,6 @@ impl MasterEpoch {
     /// The initial suggestion (the seeded region's `Z`).
     pub fn initial_suggestion(&self) -> &[AttrId] {
         &self.initial
-    }
-
-    /// The master generation this epoch was compiled against.
-    pub fn generation(&self) -> u64 {
-        self.master.generation()
     }
 }
 
@@ -239,17 +234,12 @@ impl RepairContext {
     /// The current master generation (the one the *next* fan-out will
     /// pin).
     pub fn generation(&self) -> u64 {
-        self.epoch().generation()
+        self.epoch().master.generation()
     }
 
     /// How many epochs were rebuilt by deltas since construction.
     pub fn plan_rebuilds(&self) -> u64 {
         self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// `true` iff suggestions are served from a BDD cache.
-    pub fn uses_bdd(&self) -> bool {
-        self.use_bdd
     }
 
     /// Apply a batch of master mutations: build the next
@@ -270,7 +260,7 @@ impl RepairContext {
             next_master,
             self.initial_region,
         ));
-        let generation = next.generation();
+        let generation = next.master.generation();
         *self.epoch.write().expect("epoch lock poisoned") = next;
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         Ok(generation)
@@ -394,7 +384,7 @@ pub struct SharedCacheStats {
     pub entries_high_water: u64,
 }
 
-/// Knobs of one [`BatchRepairEngine::repair_opts`] call.
+/// Knobs of one [`RepairContext::repair_opts`] call.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
     /// Worker threads (`0` = one per available core, clamped to the
@@ -451,11 +441,6 @@ impl WorkerReport {
     pub fn tuples(&self) -> usize {
         self.ranges.iter().map(ExactSizeIterator::len).sum()
     }
-
-    /// The input indexes this worker repaired, ascending.
-    pub fn indexes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ranges.iter().flat_map(Clone::clone)
-    }
 }
 
 /// The merged result of one batch repair.
@@ -485,18 +470,6 @@ pub struct BatchReport {
     pub workers: Vec<WorkerReport>,
 }
 
-impl BatchReport {
-    /// Batch throughput in tuples per second (wall clock).
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.outcomes.len() as f64 / secs
-        }
-    }
-}
-
 /// One worker's chunk queue: a half-open range of chunk indexes with
 /// an atomic claim cursor. The owner and thieves both claim through
 /// [`ChunkQueue::claim`]; `fetch_add` hands each chunk out exactly
@@ -524,10 +497,16 @@ impl ChunkQueue {
     }
 }
 
-/// The parallel batch-repair engine: a [`RepairContext`] and the
-/// scheduling / fan-out / merge machinery.
+/// A [`RepairContext`] as [`RepairSession::from_engine`],
+/// [`RepairSession::borrowed`] and [`RepairService::from_engine`] take
+/// it. The fan-out is the context's; the shell stays, like
+/// [`Schedule`], because the `benchmark/` package names it.
+///
+/// [`RepairSession::from_engine`]: crate::RepairSession::from_engine
+/// [`RepairSession::borrowed`]: crate::RepairSession::borrowed
+/// [`RepairService::from_engine`]: crate::RepairService::from_engine
 pub struct BatchRepairEngine {
-    ctx: RepairContext,
+    pub(crate) ctx: RepairContext,
 }
 
 impl BatchRepairEngine {
@@ -540,7 +519,9 @@ impl BatchRepairEngine {
     pub fn context(&self) -> &RepairContext {
         &self.ctx
     }
+}
 
+impl RepairContext {
     /// This machine's available parallelism: what `threads = 0`
     /// resolves to.
     fn auto_threads() -> usize {
@@ -549,8 +530,9 @@ impl BatchRepairEngine {
             .unwrap_or(1)
     }
 
-    /// Repair `dirty` under `opts` — a thin shim over a one-batch
-    /// [`RepairSession`].
+    /// Repair `dirty` under `opts` as one batch: a one-unit epoch of
+    /// the fan-out, as a [`RepairSession`](crate::RepairSession) batch
+    /// is.
     ///
     /// `oracle_for(i)` supplies the (simulated or real) user for input
     /// index `i`; it is called from worker threads, so it must be
@@ -566,13 +548,9 @@ impl BatchRepairEngine {
         F: Fn(usize) -> O + Sync,
         O: UserOracle,
     {
-        let mut session = RepairSession::borrowed(self, *opts);
-        session.push_batch(dirty, oracle_for);
-        session
-            .finish()
-            .batches
+        self.fan_out(&[(dirty, oracle_for)], opts)
             .pop()
-            .expect("exactly one batch was pushed")
+            .expect("one report per unit")
     }
 
     /// The one fan-out every batch runs through. `units` is an epoch:
@@ -599,7 +577,7 @@ impl BatchRepairEngine {
         O: UserOracle,
     {
         let started = Instant::now();
-        let epoch = self.ctx.epoch();
+        let epoch = self.epoch();
         let threads = match opts.threads {
             0 => Self::auto_threads(),
             t => t,
@@ -647,11 +625,11 @@ impl BatchRepairEngine {
             })
             .collect();
 
-        let ctx = &self.ctx;
+        let ctx = self;
         let epoch = &*epoch;
         // a claimed chunk is one block unless the diagram is consulted;
         // then it runs as blocks of one (see the module docs)
-        let cached = ctx.uses_bdd();
+        let cached = ctx.use_bdd;
         let (spans, deal, queues) = (&spans, &deal, &queues);
         let work = move |w: usize| {
             // one probe scratch per worker: every tuple this thread
@@ -718,7 +696,7 @@ impl BatchRepairEngine {
             ranks.sort_unstable();
             accounts.push((ranks, stats, bdd));
         }
-        let generation = epoch.generation();
+        let generation = epoch.master.generation();
         let wall = started.elapsed();
         let mut reports = Vec::with_capacity(units.len());
         for (u, (tuples, _)) in units.iter().enumerate() {
@@ -796,6 +774,7 @@ mod tests {
     use super::*;
     use crate::metrics::{evaluate_rounds, merge_round_series, RoundMetrics, TupleEval};
     use crate::oracle::SimulatedUser;
+    use crate::session::RepairSession;
     use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, WideKey, Workload as GenWorkload};
     use certainfix_relation::Value;
 
@@ -833,8 +812,8 @@ mod tests {
     fn eval_by_worker(report: &BatchReport, ds: &Dataset, rounds: usize) -> Vec<RoundMetrics> {
         let mut merged: Option<Vec<RoundMetrics>> = None;
         for worker in &report.workers {
-            let evals: Vec<TupleEval> = worker
-                .indexes()
+            let evals: Vec<TupleEval> = (worker.ranges.iter())
+                .flat_map(Clone::clone)
                 .map(|i| TupleEval {
                     outcome: &report.outcomes[i],
                     dirty: &ds.inputs[i].dirty,
@@ -865,11 +844,7 @@ mod tests {
     #[test]
     fn sharded_repair_is_deterministic_1_2_8() {
         let (hosp, ds, dirty) = hosp_batch(500, 10_000);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
         let sequential = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
@@ -906,11 +881,7 @@ mod tests {
             [Box::new(Hosp::generate(500)), Box::new(Dblp::generate(500))];
         for w in &workloads {
             let (ds, dirty) = dirty_batch(w.as_ref(), 10_000, 1.0);
-            let engine = BatchRepairEngine::new(RepairContext::new(
-                w.rules().clone(),
-                w.master().clone(),
-                false,
-            ));
+            let engine = RepairContext::new(w.rules().clone(), w.master().clone(), false);
             let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
             let sequential = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
@@ -960,11 +931,8 @@ mod tests {
                 SimulatedUser::with_compliance(ds.inputs[i].clean.clone(), *compliance, i as u64)
             };
             let run = |threads: usize, shared_cache: bool, chunk: usize| {
-                let engine = BatchRepairEngine::new(RepairContext::new(
-                    w.rules().clone(),
-                    w.master().clone(),
-                    true,
-                ));
+                let ctx = RepairContext::new(w.rules().clone(), w.master().clone(), true);
+                let engine = BatchRepairEngine::new(ctx);
                 let mut session = RepairSession::borrowed(
                     &engine,
                     RepairOptions {
@@ -1006,11 +974,7 @@ mod tests {
     #[test]
     fn a_bdd_chunk_is_the_sequential_suggest_plus_loop() {
         let (hosp, ds, dirty) = hosp_batch_skewed(300, 400, 1.0);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            true,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), true);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let opts = RepairOptions {
             chunk: dirty.len(),
@@ -1018,7 +982,7 @@ mod tests {
         };
         let report = engine.repair_opts(&dirty, &opts, oracle_for);
 
-        let (rules, epoch) = (engine.context().rules(), engine.context().epoch());
+        let (rules, epoch) = (engine.rules(), engine.epoch());
         let (master, plan) = (epoch.master(), epoch.plan());
         let graph = DependencyGraph::new(rules);
         let fix = CertainFix::new(rules, master, &graph, plan, CertainFixConfig::default());
@@ -1071,27 +1035,21 @@ mod tests {
         seed_rows[0] = stale;
         let seed = Arc::new(Relation::new(full.schema().clone(), seed_rows).expect("seed master"));
 
-        let maintained =
-            BatchRepairEngine::new(RepairContext::new(hosp.rules().clone(), seed, false));
-        let before_gen = maintained.context().generation();
+        let maintained = RepairContext::new(hosp.rules().clone(), seed, false);
+        let before_gen = maintained.generation();
         // One delta batch: repair row 0 and append the missing rows.
         let mut delta = MasterDelta::new().update(0, full.tuple(0).clone());
         for t in &full.tuples()[n - 20..] {
             delta = delta.insert(t.clone());
         }
         let gen = maintained
-            .context()
             .apply_master_delta(&delta)
             .expect("delta applies");
         assert!(gen > before_gen, "delta advanced the generation");
-        assert_eq!(maintained.context().generation(), gen);
-        assert_eq!(maintained.context().plan_rebuilds(), 1);
+        assert_eq!(maintained.generation(), gen);
+        assert_eq!(maintained.plan_rebuilds(), 1);
 
-        let fresh = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            full.clone(),
-            false,
-        ));
+        let fresh = RepairContext::new(hosp.rules().clone(), full.clone(), false);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let baseline = fresh.repair_opts(&dirty, &plain_opts(1), oracle_for);
         for threads in [1usize, 2, 4] {
@@ -1117,7 +1075,7 @@ mod tests {
             );
             assert_eq!(got.generation, gen, "batch pinned the delta'd epoch");
         }
-        assert_eq!(baseline.generation, fresh.context().generation());
+        assert_eq!(baseline.generation, fresh.generation());
     }
 
     /// Delete deltas force the lazy index rebuild path; the rebuilt
@@ -1127,26 +1085,18 @@ mod tests {
     fn delete_delta_matches_fresh_rebuild() {
         let (hosp, ds, dirty) = hosp_batch(200, 500);
         let full = hosp.master().clone();
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            full.clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), full.clone(), false);
         // drop the last two master rows through a delta ...
         let n = full.len() as u32;
         let delta = MasterDelta::new().delete(n - 1).delete(n - 2);
         assert!(delta.has_deletes());
-        let gen = engine
-            .context()
-            .apply_master_delta(&delta)
-            .expect("delta applies");
-        assert_eq!(engine.context().generation(), gen);
+        let gen = engine.apply_master_delta(&delta).expect("delta applies");
+        assert_eq!(engine.generation(), gen);
         // ... and rebuild the same master from scratch
         let survivors: Vec<Tuple> = full.tuples()[..full.len() - 2].to_vec();
         let truncated =
             Arc::new(Relation::new(full.schema().clone(), survivors).expect("truncated master"));
-        let fresh =
-            BatchRepairEngine::new(RepairContext::new(hosp.rules().clone(), truncated, false));
+        let fresh = RepairContext::new(hosp.rules().clone(), truncated, false);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let want = fresh.repair_opts(&dirty, &plain_opts(2), oracle_for);
         let got = engine.repair_opts(&dirty, &plain_opts(2), oracle_for);
@@ -1173,13 +1123,13 @@ mod tests {
         };
         let ds = Dataset::generate(&wk, &cfg);
         let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-        let engine = BatchRepairEngine::new(RepairContext::with_config(
+        let engine = RepairContext::with_config(
             wk.rules().clone(),
             wk.master().clone(),
             false,
             InitialRegion::Best,
             CertainFixConfig::default(),
-        ));
+        );
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let base = engine.repair_opts(&dirty, &plain_opts(1), oracle_for);
         assert!(
@@ -1207,11 +1157,7 @@ mod tests {
     #[test]
     fn engine_matches_the_sequential_monitor() {
         let (hosp, ds, dirty) = hosp_batch(300, 200);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            true,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), true);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let monitor = engine.repair_opts(
             &dirty,
@@ -1241,11 +1187,7 @@ mod tests {
     #[test]
     fn stolen_ranges_partition_the_input() {
         let (hosp, ds, dirty) = hosp_batch(100, 509);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
@@ -1262,7 +1204,7 @@ mod tests {
             for pair in worker.ranges.windows(2) {
                 assert!(pair[0].end < pair[1].start, "ascending, non-adjacent");
             }
-            for i in worker.indexes() {
+            for i in worker.ranges.iter().flat_map(Clone::clone) {
                 assert!(!seen[i], "index {i} repaired twice");
                 seen[i] = true;
             }
@@ -1274,17 +1216,13 @@ mod tests {
         assert_eq!(total, 509);
         // watermark was captured (the interner is never empty here)
         assert!(report.stats.interner_syms > 0);
-        assert!(report.throughput() > 0.0);
+        assert!(report.wall > Duration::ZERO);
     }
 
     #[test]
     fn more_threads_than_tuples_is_clamped() {
         let (hosp, ds, dirty) = hosp_batch(50, 3);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
@@ -1301,11 +1239,7 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_auto() {
         let (hosp, ds, dirty) = hosp_batch(50, 20);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let report = engine.repair_opts(
             &dirty,
             &RepairOptions {
@@ -1316,18 +1250,14 @@ mod tests {
         );
         assert_eq!(report.outcomes.len(), 20);
         assert!(!report.workers.is_empty());
-        assert!(report.workers.len() <= BatchRepairEngine::auto_threads().clamp(1, 20));
+        assert!(report.workers.len() <= RepairContext::auto_threads().clamp(1, 20));
         assert_eq!(RepairOptions::default().schedule, Schedule::Steal);
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let hosp = Hosp::generate(20);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let engine = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let report = engine.repair_opts(
             &[],
             &RepairOptions {
@@ -1339,7 +1269,6 @@ mod tests {
         assert!(report.outcomes.is_empty());
         assert!(report.workers.is_empty());
         assert_eq!(report.stats.tuples, 0);
-        assert_eq!(report.throughput(), 0.0);
-        assert_eq!(report.generation, engine.context().generation());
+        assert_eq!(report.generation, engine.generation());
     }
 }

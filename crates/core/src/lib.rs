@@ -17,19 +17,22 @@
 //!
 //! A [`RepairContext`] packages the precomputation (dependency graph,
 //! compiled plan, the initial suggestion ranked from the region
-//! catalog) and the work-stealing
-//! [`BatchRepairEngine`] repairs batches over it, one BDD per chunk
-//! under `CertainFix+`; the paper's sequential monitor is a one-worker
-//! [`BatchRepairEngine::repair_opts`] call whose chunk is the whole
-//! stream. [`metrics`] implements the paper's recall / precision /
-//! F-measure at both the tuple and attribute level. The unified
-//! entry-point surface is the [`session`] API: a [`RepairSession`]
-//! drains any iterator of batches (a [`SliceSource`], a generator, a
-//! channel's receiver) through the engine and emits a
-//! [`SessionReport`]; for N concurrent streams over one engine, the
-//! [`service`] multiplexer ([`RepairService`]) schedules the sessions
-//! fairly, takes each one's batches through a bounded ingest lane
-//! ([`LaneSender`]), and reports each one as if it had run alone.
+//! catalog) and owns the one work-stealing fan-out that repairs every
+//! batch, one BDD per chunk under `CertainFix+`; the paper's sequential
+//! monitor is a one-worker [`RepairContext::repair_opts`] call whose
+//! chunk is the whole stream. [`metrics`] implements the paper's
+//! recall / precision / F-measure at both the tuple and attribute
+//! level. The unified entry-point surface is the [`session`] API: a
+//! [`RepairSession`] drains any iterator of batches (a
+//! [`SliceSource`], a generator, a channel's receiver) through the
+//! fan-out and emits a [`SessionReport`]; for N concurrent streams over
+//! one context, the [`service`] multiplexer ([`RepairService`])
+//! schedules the sessions fairly, takes each one's batches through a
+//! bounded ingest lane ([`LaneSender`]), and reports each one as if it
+//! had run alone. Both open the same way: a context, wrapped in a
+//! [`BatchRepairEngine`], then [`RepairSession::from_engine`] (or
+//! [`borrowed`](RepairSession::borrowed)) or
+//! [`RepairService::from_engine`] with an options literal.
 //!
 //! The master data is *live*: a
 //! [`MasterDelta`](certainfix_relation::MasterDelta) applied through
@@ -70,8 +73,8 @@ pub use metrics::{
 pub use monitor::{InitialRegion, MonitorStats, NetLaneStats};
 pub use oracle::{SimulatedUser, UserOracle};
 pub use service::{
-    AttachQueue, BoxedOracle, LaneSender, NamedSessionReport, RepairService, RepairServiceBuilder,
-    ServiceAttach, ServiceOptions, ServiceReport, ServiceStream, SessionEvent,
+    AttachQueue, BoxedOracle, LaneSender, NamedSessionReport, RepairService, ServiceAttach,
+    ServiceOptions, ServiceReport, ServiceStream, SessionEvent,
 };
-pub use session::{RepairSession, RepairSessionBuilder, SessionReport, SliceSource};
+pub use session::{RepairSession, SessionReport, SliceSource};
 pub use transfix::{transfix, transfix_block, transfix_with, TransFixOutcome};

@@ -9,7 +9,7 @@
 //! the precomputed certain region whose `Z` is the first suggestion.
 //! The monitor itself is the engine: the paper's sequential pass over
 //! a stream is a one-worker
-//! [`repair_opts`](crate::BatchRepairEngine::repair_opts) call whose
+//! [`repair_opts`](crate::RepairContext::repair_opts) call whose
 //! [`chunk`](crate::RepairOptions::chunk) is the stream's length.
 
 use std::time::Duration;
@@ -163,7 +163,7 @@ impl MonitorStats {
 mod tests {
     use super::*;
     use crate::certainfix::CertainFixConfig;
-    use crate::engine::{BatchRepairEngine, BatchReport, RepairContext, RepairOptions};
+    use crate::engine::{BatchReport, RepairContext, RepairOptions};
     use crate::metrics::{evaluate_rounds, TupleEval};
     use crate::oracle::SimulatedUser;
     use certainfix_datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
@@ -176,18 +176,14 @@ mod tests {
         use_bdd: bool,
         cfg: &DirtyConfig,
     ) -> (BatchReport, Dataset) {
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            workload.rules().clone(),
-            workload.master().clone(),
-            use_bdd,
-        ));
+        let ctx = RepairContext::new(workload.rules().clone(), workload.master().clone(), use_bdd);
         let dataset = Dataset::generate(workload, cfg);
         let dirty: Vec<Tuple> = dataset.inputs.iter().map(|dt| dt.dirty.clone()).collect();
         let opts = RepairOptions {
             chunk: dirty.len(),
             ..RepairOptions::default()
         };
-        let report = engine.repair_opts(&dirty, &opts, |i| {
+        let report = ctx.repair_opts(&dirty, &opts, |i| {
             SimulatedUser::new(dataset.inputs[i].clean.clone())
         });
         (report, dataset)

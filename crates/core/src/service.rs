@@ -3,14 +3,21 @@
 //!
 //! The paper's monitor repairs *one* stream of dirty tuples against one
 //! master relation; a deployment is rarely that lucky. [`RepairService`]
-//! is the service shape the ROADMAP aims at: one
-//! [`BatchRepairEngine`] — one compiled
-//! [`RulePlan`](certainfix_rules::RulePlan), one work-stealing worker
-//! pool — shared by N independent sessions, each with its own
-//! ingest lane, its own oracle space, and its own
+//! is the service shape the ROADMAP aims at: one [`RepairContext`] —
+//! one compiled [`RulePlan`](certainfix_rules::RulePlan), one
+//! work-stealing fan-out — shared by N independent sessions, each with
+//! its own ingest lane, its own oracle space, and its own
 //! [`SessionReport`]. Nothing a session's repairs compute is shared
 //! with another session: a `CertainFix+` diagram lives one chunk of
 //! one session.
+//!
+//! A service opens through the same front door as a
+//! [`RepairSession`]: a [`RepairContext`] wrapped in a
+//! [`BatchRepairEngine`], then [`RepairService::from_engine`] with a
+//! [`ServiceOptions`] literal. The scheduler records each session's
+//! batches in a [`RepairSession`] of its own and folds its report
+//! through [`RepairSession::finish`], so a multiplexed session's report
+//! is made exactly as a solo one is.
 //!
 //! # Architecture
 //!
@@ -33,8 +40,8 @@
 //!   sessions round-robin, skipping lanes with nothing ready),
 //!   answering the deltas and flushes in front of it, and submits the
 //!   collected
-//!   batches, one unit each, as one epoch to the engine's fan-out — the
-//!   very function a [`RepairSession`](crate::RepairSession) batch runs
+//!   batches, one unit each, as one epoch to the context's fan-out — the
+//!   very function a [`RepairSession`] batch runs
 //!   through as a one-unit epoch. The fan-out chunks every unit,
 //!   interleaves the chunks round-robin across the sessions, and lets
 //!   its workers claim them; a claimed chunk stays one probe block of
@@ -62,7 +69,7 @@
 //!
 //! A delta sent through a lane ([`LaneSender::send_delta`]) is applied
 //! by the scheduler after every batch its session sent before it, and
-//! before any sent after it, as a [`RepairSession`](crate::RepairSession)
+//! before any sent after it, as a [`RepairSession`]
 //! applies one between `push_batch`es; other sessions see it from the
 //! next epoch on. The rebuild runs on the scheduler's thread, so every
 //! session pauses for it.
@@ -87,7 +94,7 @@
 //! merged deterministic [`MonitorStats`] counts (`tuples`, `certain`,
 //! `rounds`, `plan_probes`, `plan_fallbacks`) are **bit-identical to
 //! draining that session alone through a
-//! [`RepairSession`](crate::RepairSession)** — regardless of how many
+//! [`RepairSession`]** — regardless of how many
 //! other sessions run concurrently, how the epochs happen to compose,
 //! or the worker count — and the aggregate [`ServiceReport::stats`]
 //! merge equals running the sessions one at a time. Under
@@ -99,9 +106,8 @@
 //! exempt as always.
 //!
 //! ```
-//! use certainfix_core::service::{RepairServiceBuilder, ServiceStream};
-//! use certainfix_core::session::SliceSource;
-//! use certainfix_core::SimulatedUser;
+//! use certainfix_core::{BatchRepairEngine, RepairContext, RepairService, ServiceOptions};
+//! use certainfix_core::{ServiceStream, SimulatedUser, SliceSource};
 //! use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 //!
 //! let hosp = Hosp::generate(100);
@@ -114,9 +120,9 @@
 //!     b.inputs.iter().map(|dt| dt.dirty.clone()).collect(),
 //! );
 //!
-//! let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-//!     .threads(2)
-//!     .build();
+//! let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
+//! let opts = ServiceOptions { threads: 2, ..ServiceOptions::default() };
+//! let service = RepairService::from_engine(BatchRepairEngine::new(ctx), opts);
 //! let report = service.run(vec![
 //!     ServiceStream::new("tenant-a", SliceSource::with_batch(&da, 8), |i| {
 //!         SimulatedUser::new(a.inputs[i].clean.clone())
@@ -127,7 +133,8 @@
 //! ]);
 //! assert_eq!(report.sessions.len(), 2);
 //! assert_eq!(report.tuples, 60);
-//! assert_eq!(report.session("tenant-a").unwrap().tuples, 30);
+//! assert_eq!(report.sessions[0].name, "tenant-a");
+//! assert_eq!(report.sessions[0].report.tuples, 30);
 //! ```
 
 use std::sync::mpsc::{
@@ -135,18 +142,15 @@ use std::sync::mpsc::{
 };
 use std::time::{Duration, Instant};
 
-use certainfix_relation::{MasterDelta, Relation, RelationError, Tuple};
-use certainfix_rules::RuleSet;
-use std::sync::Arc;
+use certainfix_relation::{MasterDelta, RelationError, Tuple};
 
 use crate::bdd::BddStats;
-use crate::certainfix::CertainFixConfig;
 use crate::engine::{
     BatchRepairEngine, BatchReport, RepairContext, RepairOptions, SharedCacheStats,
 };
-use crate::monitor::{InitialRegion, MonitorStats};
+use crate::monitor::MonitorStats;
 use crate::oracle::UserOracle;
-use crate::session::SessionReport;
+use crate::session::{ContextRef, RepairSession, SessionReport};
 
 /// A boxed oracle as the service hands them to its workers.
 pub type BoxedOracle<'a> = Box<dyn UserOracle + 'a>;
@@ -168,7 +172,7 @@ where
 /// The factory receives the **session-local stream index** — the
 /// number of tuples this stream yielded before the one being repaired
 /// — exactly the index a solo
-/// [`RepairSession::drain`](crate::RepairSession::drain) would pass.
+/// [`RepairSession::drain`] would pass.
 /// Index spaces of different streams never mix, and like the engine's,
 /// the factory is called from worker threads and must depend only on
 /// the index.
@@ -180,7 +184,7 @@ pub struct ServiceStream<'a> {
 
 impl<'a> ServiceStream<'a> {
     /// Bundle a named stream. `source` yields the stream's batches in
-    /// order (the [`RepairSession::drain`](crate::RepairSession::drain)
+    /// order (the [`RepairSession::drain`]
     /// contract); `oracle_for(i)` supplies the user for the stream's
     /// `i`-th tuple.
     pub fn new<S, F, O>(name: impl Into<String>, source: S, oracle_for: F) -> ServiceStream<'a>
@@ -405,112 +409,28 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Configures and builds an owned [`RepairService`] — the multi-stream
-/// sibling of [`RepairSessionBuilder`](crate::RepairSessionBuilder),
-/// with the same precomputation knobs.
-#[derive(Clone)]
-pub struct RepairServiceBuilder {
-    rules: RuleSet,
-    master: Arc<Relation>,
-    use_bdd: bool,
-    initial: InitialRegion,
-    config: CertainFixConfig,
-    opts: ServiceOptions,
-}
-
-impl RepairServiceBuilder {
-    /// A service over `(Σ, Dm)` with the defaults: plain `CertainFix`,
-    /// best initial region, one worker, lane depth 2.
-    pub fn new(rules: RuleSet, master: Arc<Relation>) -> RepairServiceBuilder {
-        RepairServiceBuilder {
-            rules,
-            master,
-            use_bdd: false,
-            initial: InitialRegion::default(),
-            config: CertainFixConfig::default(),
-            opts: ServiceOptions::default(),
-        }
-    }
-
-    /// Serve suggestions from a BDD cache per chunk (`CertainFix+`).
-    pub fn bdd(mut self, on: bool) -> Self {
-        self.use_bdd = on;
-        self
-    }
-
-    /// Which precomputed region seeds the first suggestion.
-    pub fn initial_region(mut self, region: InitialRegion) -> Self {
-        self.initial = region;
-        self
-    }
-
-    /// The `CertainFix` interaction-loop configuration.
-    pub fn config(mut self, config: CertainFixConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Worker threads of the shared pool (`0` = one per core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
-    /// Chunk / probe-block granularity (`0` = auto).
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.opts.chunk = chunk;
-        self
-    }
-
-    /// Bounded ingest-lane depth per session.
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.opts.depth = depth;
-        self
-    }
-
-    /// Replace all service knobs at once.
-    pub fn options(mut self, opts: ServiceOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Build the precomputation and the service (owning its engine).
-    pub fn build(self) -> RepairService {
-        let engine = BatchRepairEngine::new(RepairContext::with_config(
-            self.rules,
-            self.master,
-            self.use_bdd,
-            self.initial,
-            self.config,
-        ));
-        RepairService::from_engine(engine, self.opts)
-    }
-}
-
 /// The session multiplexer; see the [module docs](self) for the
 /// architecture and the fairness / determinism contract.
 ///
-/// A service owns one engine and is reusable: each [`run`](Self::run)
-/// multiplexes one set of streams to completion.
+/// A service owns one repair context and is reusable: each
+/// [`run`](Self::run) multiplexes one set of streams to completion.
 pub struct RepairService {
-    engine: BatchRepairEngine,
+    ctx: RepairContext,
     opts: ServiceOptions,
 }
 
 impl RepairService {
-    /// Wrap a prepared engine.
+    /// Open a service that owns the engine's context.
     pub fn from_engine(engine: BatchRepairEngine, opts: ServiceOptions) -> RepairService {
-        RepairService { engine, opts }
+        RepairService {
+            ctx: engine.ctx,
+            opts,
+        }
     }
 
-    /// The shared engine.
-    pub fn engine(&self) -> &BatchRepairEngine {
-        &self.engine
-    }
-
-    /// The service knobs every run uses.
-    pub fn options(&self) -> &ServiceOptions {
-        &self.opts
+    /// The shared repair context.
+    pub fn context(&self) -> &RepairContext {
+        &self.ctx
     }
 
     /// Create the attach handle / queue pair for
@@ -574,14 +494,14 @@ impl RepairService {
     /// only on its own stream, never on when its neighbours arrived.
     pub fn run_dynamic(&self, queue: AttachQueue<'_>) -> ServiceReport {
         let started = Instant::now();
-        let rebuilds_at_start = self.engine.context().plan_rebuilds();
+        let rebuilds_at_start = self.ctx.plan_rebuilds();
         let opts = RepairOptions {
             threads: self.opts.threads,
             chunk: self.opts.chunk,
             ..RepairOptions::default()
         };
 
-        let mut admitted: Vec<Admitted<'_>> = Vec::new();
+        let mut admitted: Vec<Admitted<'_, '_>> = Vec::new();
         let mut epochs = 0u64;
         let mut attach_open = true;
         // rotate which session is polled first so no stream is
@@ -591,13 +511,9 @@ impl RepairService {
             // admit newly attached sessions before each poll sweep
             while attach_open {
                 match queue.rx.try_recv() {
-                    Ok(session) => admitted.push(Admitted {
-                        session,
-                        open: true,
-                        batches: Vec::new(),
-                        tuples: 0,
-                        wall: Duration::ZERO,
-                        rebuilds_at_admit: self.engine.context().plan_rebuilds(),
+                    Ok(attached) => admitted.push(Admitted {
+                        attached,
+                        session: Some(RepairSession::open(ContextRef::Borrowed(&self.ctx), opts)),
                         report: None,
                     }),
                     Err(TryRecvError::Empty) => break,
@@ -611,28 +527,35 @@ impl RepairService {
             for k in 0..n {
                 let s = (first + k) % n;
                 let a = &mut admitted[s];
+                if a.session.is_none() {
+                    continue; // finished
+                }
                 // the session's items in send order, up to its first
                 // batch: every batch it sent before a delta or a flush
                 // has been reported by now. At most a full lane's worth,
                 // so a producer refilling with flushes cannot hold the
                 // sweep
                 for _ in 0..self.opts.depth.max(1) {
-                    let event = match a.session.lane.try_recv() {
+                    let event = match a.attached.lane.try_recv() {
                         Ok(LaneItem::Batch(batch)) => {
                             collected.push((s, batch));
                             break;
                         }
                         Ok(LaneItem::Delta(delta)) => {
-                            SessionEvent::Delta(self.engine.context().apply_master_delta(&delta))
+                            SessionEvent::Delta(self.ctx.apply_master_delta(&delta))
                         }
                         Ok(LaneItem::Flush) => SessionEvent::Flushed,
                         Err(TryRecvError::Empty) => break,
+                        // a disconnected lane has, by mpsc semantics,
+                        // already yielded every buffered item: finish
+                        // the session now, so its observer gets
+                        // `Finished` while its neighbours keep running
                         Err(TryRecvError::Disconnected) => {
-                            a.open = false;
+                            a.finish();
                             break;
                         }
                     };
-                    if let Some(ev) = &a.session.events {
+                    if let Some(ev) = &a.attached.events {
                         let _ = ev.send(event);
                     }
                     answered = true;
@@ -650,47 +573,24 @@ impl RepairService {
                 let units: Vec<_> = collected
                     .iter()
                     .map(|(s, tuples)| {
-                        let (factory, base) =
-                            (&admitted[*s].session.oracle_for, admitted[*s].tuples);
+                        let a = &admitted[*s];
+                        let session = a.session.as_ref().expect("it sent a batch");
+                        let (factory, base) = (&a.attached.oracle_for, session.tuples_ingested());
                         (tuples.as_slice(), move |i: usize| factory(base + i))
                     })
                     .collect();
-                let reports = self.engine.fan_out(&units, &opts);
+                let reports = self.ctx.fan_out(&units, &opts);
                 for (&(s, _), report) in collected.iter().zip(reports) {
                     let a = &mut admitted[s];
-                    if let Some(ev) = &a.session.events {
+                    if let Some(ev) = &a.attached.events {
                         let _ = ev.send(SessionEvent::Batch(report.clone()));
                     }
-                    a.tuples += report.outcomes.len();
-                    a.wall += report.wall;
-                    a.batches.push(report);
+                    a.session.as_mut().expect("it sent a batch").record(report);
                 }
-            }
-
-            // finalize drained sessions promptly — a disconnected
-            // lane has, by mpsc semantics, already yielded every
-            // buffered item — so observers get `Finished` while
-            // their neighbours keep running
-            for a in admitted
-                .iter_mut()
-                .filter(|a| !a.open && a.report.is_none())
-            {
-                let mut report = SessionReport::from_batches(&a.batches, a.wall, a.tuples);
-                // as a solo session does: charge the epochs the
-                // context rebuilt while the session was attached
-                report.stats.plan_rebuilds +=
-                    self.engine.context().plan_rebuilds() - a.rebuilds_at_admit;
-                if let Some(ev) = a.session.events.take() {
-                    // the fold alone: the observer already has every
-                    // batch
-                    let _ = ev.send(SessionEvent::Finished(report.clone()));
-                }
-                report.batches = std::mem::take(&mut a.batches);
-                a.report = Some(report);
             }
 
             if idle {
-                if !attach_open && admitted.iter().all(|a| !a.open) {
+                if !attach_open && admitted.iter().all(|a| a.session.is_none()) {
                     break; // no attachers left, every stream drained
                 }
                 // nothing ready: sleep until a producer or attacher
@@ -707,18 +607,18 @@ impl RepairService {
         for a in admitted {
             let report = a
                 .report
-                .expect("every attached session is finalized before exit");
+                .expect("every attached session is finished before exit");
             stats.merge(&report.stats);
             bdd.merge(&report.bdd);
             tuples += report.tuples;
             sessions.push(NamedSessionReport {
-                name: a.session.name,
+                name: a.attached.name,
                 report,
             });
         }
         // deltas reach the context through lanes and from direct
         // callers alike; the context counts them all
-        stats.plan_rebuilds = self.engine.context().plan_rebuilds() - rebuilds_at_start;
+        stats.plan_rebuilds = self.ctx.plan_rebuilds() - rebuilds_at_start;
         ServiceReport {
             sessions,
             stats,
@@ -731,18 +631,30 @@ impl RepairService {
     }
 }
 
-/// An admitted session as the scheduler tracks it across epochs.
-struct Admitted<'a> {
-    session: DynamicSession<'a>,
-    /// Until the lane is found disconnected and drained.
-    open: bool,
-    batches: Vec<BatchReport>,
-    tuples: usize,
-    wall: Duration,
-    /// The context's plan rebuilds when the session was admitted.
-    rebuilds_at_admit: u64,
-    /// The final fold, once the lane closed.
+/// An admitted session as the scheduler tracks it across epochs: what
+/// was attached, and the [`RepairSession`] its batches are recorded in
+/// until its lane is found disconnected and drained.
+struct Admitted<'a, 's> {
+    attached: DynamicSession<'a>,
+    session: Option<RepairSession<'s>>,
+    /// The session's report, once its lane closed.
     report: Option<SessionReport>,
+}
+
+impl Admitted<'_, '_> {
+    /// Fold the session's report through [`RepairSession::finish`], as
+    /// a solo session does. The observer gets the fold alone: it
+    /// already has every batch.
+    fn finish(&mut self) {
+        let session = self.session.take().expect("a session finishes once");
+        let mut report = session.finish();
+        if let Some(ev) = self.attached.events.take() {
+            let batches = std::mem::take(&mut report.batches);
+            let _ = ev.send(SessionEvent::Finished(report.clone()));
+            report.batches = batches;
+        }
+        self.report = Some(report);
+    }
 }
 
 /// One multiplexed session's result: the stream's name plus a
@@ -782,34 +694,30 @@ pub struct ServiceReport {
     pub tuples: usize,
 }
 
-impl ServiceReport {
-    /// Look up one session's report by stream name (the first match,
-    /// if names were reused).
-    pub fn session(&self, name: &str) -> Option<&SessionReport> {
-        self.sessions
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| &s.report)
-    }
-
-    /// Aggregate throughput in tuples per second (end-to-end wall).
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.tuples as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::SimulatedUser;
-    use crate::session::{RepairSessionBuilder, SliceSource};
+    use crate::session::SliceSource;
     use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
     use certainfix_relation::{MasterDelta, Value};
+
+    /// A solo session over HOSP at `threads` workers; `CertainFix+`
+    /// iff `bdd`.
+    fn solo_session(hosp: &Hosp, bdd: bool, threads: usize) -> RepairSession<'static> {
+        let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), bdd);
+        let opts = RepairOptions {
+            threads,
+            ..RepairOptions::default()
+        };
+        RepairSession::from_engine(BatchRepairEngine::new(ctx), opts)
+    }
+
+    /// A service over HOSP under `opts`; `CertainFix+` iff `bdd`.
+    fn open_service(hosp: &Hosp, bdd: bool, opts: ServiceOptions) -> RepairService {
+        let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), bdd);
+        RepairService::from_engine(BatchRepairEngine::new(ctx), opts)
+    }
 
     fn hosp_sessions(dm: usize, sizes: &[usize]) -> (Hosp, Vec<Dataset>) {
         let hosp = Hosp::generate(dm);
@@ -845,10 +753,7 @@ mod tests {
     /// `tuples` of `ds` drained alone through a one-worker session, in
     /// batches of `batch`.
     fn solo(hosp: &Hosp, bdd: bool, ds: &Dataset, tuples: &[Tuple], batch: usize) -> SessionReport {
-        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(bdd)
-            .threads(1)
-            .build();
+        let mut session = solo_session(hosp, bdd, 1);
         session.drain(SliceSource::with_batch(tuples, batch), user(ds));
         session.finish()
     }
@@ -877,11 +782,14 @@ mod tests {
             }
 
             for workers in [1usize, 2, 4] {
-                let service =
-                    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                        .bdd(bdd)
-                        .threads(workers)
-                        .build();
+                let service = open_service(
+                    &hosp,
+                    bdd,
+                    ServiceOptions {
+                        threads: workers,
+                        ..ServiceOptions::default()
+                    },
+                );
                 let streams = datasets
                     .iter()
                     .zip(&dirty)
@@ -938,17 +846,21 @@ mod tests {
         let ds = &datasets[0];
         let dirty = dirty_of(ds);
 
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(2)
-            .depth(1)
-            .build();
+        let service = open_service(
+            &hosp,
+            false,
+            ServiceOptions {
+                threads: 2,
+                depth: 1,
+                ..ServiceOptions::default()
+            },
+        );
 
         // no streams at all
         let empty = service.run(Vec::new());
         assert_eq!(empty.sessions.len(), 0);
         assert_eq!(empty.tuples, 0);
         assert_eq!(empty.epochs, 0);
-        assert_eq!(empty.throughput(), 0.0);
 
         // an exhausted-immediately stream riding along a lane-fed one
         // (the producer thread outruns depth=1 and blocks — real
@@ -975,12 +887,13 @@ mod tests {
         // the lane-fed session matches a solo drain of the same
         // stream cut the same way
         let solo = solo(&hosp, false, ds, &dirty, 16);
-        let live = report.session("live").expect("named lookup");
+        let names: Vec<&str> = report.sessions.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["empty", "live"], "in attach order");
+        let live = &report.sessions[1].report;
         for (i, (a, b)) in live.outcomes().zip(solo.outcomes()).enumerate() {
             assert_eq!(a.tuple, b.tuple, "tuple {i}");
         }
         assert_eq!(live.stats.rounds, solo.stats.rounds);
-        assert!(report.session("nope").is_none());
     }
 
     /// The lane's disconnect-drain contract, which a torn network
@@ -994,10 +907,15 @@ mod tests {
         let (hosp, datasets) = hosp_sessions(60, &[24]);
         let ds = &datasets[0];
         let dirty = dirty_of(ds);
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(2)
-            .depth(3)
-            .build();
+        let service = open_service(
+            &hosp,
+            false,
+            ServiceOptions {
+                threads: 2,
+                depth: 3,
+                ..ServiceOptions::default()
+            },
+        );
         let (attach, queue) = service.attach_channel();
         let (ev_tx, ev_rx) = channel();
         let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
@@ -1059,9 +977,14 @@ mod tests {
             let bound = depth.max(1);
             let what = format!("depth {depth}, producer {cycle:?}");
             let kinds: Vec<&str> = (0..=bound).map(|k| cycle[k % cycle.len()]).collect();
-            let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                .depth(depth)
-                .build();
+            let service = open_service(
+                &hosp,
+                false,
+                ServiceOptions {
+                    depth,
+                    ..ServiceOptions::default()
+                },
+            );
             let (attach, queue) = service.attach_channel();
             let (ev_tx, ev_rx) = channel();
             let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
@@ -1115,11 +1038,7 @@ mod tests {
         let delta = MasterDelta::new().update(0, keyed);
 
         for bdd in [false, true] {
-            let mut session =
-                RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                    .bdd(bdd)
-                    .threads(1)
-                    .build();
+            let mut session = solo_session(&hosp, bdd, 1);
             session.push_batch(parts[0], user(ds));
             session.push_batch(parts[1], user(ds));
             let g = session.apply_master_delta(&delta).expect("delta applies");
@@ -1128,12 +1047,15 @@ mod tests {
 
             for workers in [1usize, 2, 4] {
                 let what = format!("bdd {bdd}, {workers} workers");
-                let service =
-                    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                        .bdd(bdd)
-                        .threads(workers)
-                        .depth(5)
-                        .build();
+                let service = open_service(
+                    &hosp,
+                    bdd,
+                    ServiceOptions {
+                        threads: workers,
+                        depth: 5,
+                        ..ServiceOptions::default()
+                    },
+                );
                 let (attach, queue) = service.attach_channel();
                 let (ev_tx, ev_rx) = channel();
                 let lane = attach.attach("s", user(ds), Some(ev_tx)).expect("open");
@@ -1176,9 +1098,14 @@ mod tests {
         let (hosp, datasets) = hosp_sessions(150, &[240, 90]);
         let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
         let mk_service = || {
-            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                .threads(2)
-                .build()
+            open_service(
+                &hosp,
+                false,
+                ServiceOptions {
+                    threads: 2,
+                    ..ServiceOptions::default()
+                },
+            )
         };
 
         let baseline = mk_service().run(
@@ -1282,8 +1209,7 @@ mod tests {
     fn run_dynamic_returns_promptly_after_the_last_attach_handle_drops() {
         let (hosp, datasets) = hosp_sessions(60, &[4]);
         let dirty = dirty_of(&datasets[0]);
-        let service =
-            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).build();
+        let service = open_service(&hosp, false, ServiceOptions::default());
         let mut took = Vec::with_capacity(50);
         for round in 0..50 {
             let (attach, queue) = service.attach_channel();
@@ -1345,20 +1271,21 @@ mod tests {
         keyed.set(rule.lhs_m()[0], Value::str("KEY-COLUMN-REWRITTEN"));
         let delta = MasterDelta::new().update(0, keyed);
 
-        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(true)
-            .threads(2)
-            .build();
+        let mut session = solo_session(&hosp, true, 2);
         session.push_batch(head, oracle_for);
         session.apply_master_delta(&delta).expect("delta applies");
         session.push_batch(tail, oracle_for);
         let want = session.finish();
 
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(true)
-            .threads(2)
-            .depth(1)
-            .build();
+        let service = open_service(
+            &hosp,
+            true,
+            ServiceOptions {
+                threads: 2,
+                depth: 1,
+                ..ServiceOptions::default()
+            },
+        );
         let (attach, queue) = service.attach_channel();
         let (ev_tx, ev_rx) = channel();
         let lane = attach
@@ -1372,7 +1299,6 @@ mod tests {
                 // the delta lands between the two batches' epochs
                 assert!(matches!(ev_rx.recv(), Ok(SessionEvent::Batch(_))));
                 service
-                    .engine()
                     .context()
                     .apply_master_delta(&delta)
                     .expect("delta applies");
@@ -1411,14 +1337,17 @@ mod tests {
             SimulatedUser::new(ds.inputs[i].clean.clone())
         };
 
-        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(1)
-            .build();
+        let mut session = solo_session(&hosp, false, 1);
         session.drain(SliceSource::with_batch(&dirty, 16), oracle_for);
         assert_eq!(session.finish().tuples, 40);
-        let service = RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(1)
-            .build();
+        let service = open_service(
+            &hosp,
+            false,
+            ServiceOptions {
+                threads: 1,
+                ..ServiceOptions::default()
+            },
+        );
         let report = service.run(vec![ServiceStream::new(
             "s",
             SliceSource::with_batch(&dirty, 16),

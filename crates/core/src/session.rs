@@ -7,40 +7,42 @@
 //! iterator of batches (`Vec<Tuple>`s in stream order — a
 //! [`SliceSource`] over an in-memory slice, a generator, the receiving
 //! half of a channel), and a [`RepairSession`] drains it through the
-//! work-stealing [`BatchRepairEngine`], emitting one unified
-//! [`SessionReport`]. Each pushed batch is a one-unit epoch
-//! of the engine's single fan-out — the same function a
+//! work-stealing fan-out of a [`RepairContext`], emitting one unified
+//! [`SessionReport`]. Each pushed batch is a one-unit epoch of that
+//! fan-out — the same function a
 //! [`RepairService`](crate::service::RepairService) epoch runs through
 //! — and the calling thread is its worker 0, so a one-worker session
 //! spawns no thread. The session is also where the master data goes
 //! *live*: [`apply_master_delta`](RepairSession::apply_master_delta)
 //! applies a [`MasterDelta`] between batches; the next batch repairs
-//! against the new [generation](RepairSession::generation), each
+//! against the new [generation](RepairContext::generation), each
 //! [`BatchReport::generation`] records the epoch it pinned, and the
 //! merged report counts the hand-offs in
 //! [`MonitorStats::plan_rebuilds`].
 //!
-//! A session is the surface for **one** logical stream; the engine
-//! behind it was never limited to one session. Borrowed sessions
-//! ([`RepairSession::borrowed`]) may take turns over one warm
-//! engine, and for N streams that must run *concurrently* — many
-//! tenants feeding one deployment — the
-//! [`service`](crate::service) layer multiplexes N sessions fairly
-//! over a single engine and hands back one [`SessionReport`] per
+//! There is one front door. Build a [`RepairContext`] (`new`, or
+//! `with_config` for the initial region and the `CertainFix`
+//! configuration), wrap it in a [`BatchRepairEngine`], and open a
+//! session over it with a [`RepairOptions`] literal:
+//! [`from_engine`](RepairSession::from_engine) owns the engine,
+//! [`borrowed`](RepairSession::borrowed) lets sessions take turns
+//! over one warm engine. For N streams that must run *concurrently* —
+//! many tenants feeding one deployment — the [`service`](crate::service)
+//! layer opens the same way and hands back one [`SessionReport`] per
 //! stream, shaped exactly as if each had run alone here.
 //!
 //! ```
-//! use certainfix_core::session::{RepairSessionBuilder, SliceSource};
-//! use certainfix_core::SimulatedUser;
+//! use certainfix_core::{BatchRepairEngine, RepairContext, RepairOptions, RepairSession};
+//! use certainfix_core::{SimulatedUser, SliceSource};
 //! use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 //!
 //! let hosp = Hosp::generate(100);
 //! let ds = Dataset::generate(&hosp, &DirtyConfig { input_size: 40, ..Default::default() });
 //! let dirty: Vec<_> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
 //!
-//! let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-//!     .threads(2)
-//!     .build();
+//! let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
+//! let opts = RepairOptions { threads: 2, ..RepairOptions::default() };
+//! let mut session = RepairSession::from_engine(BatchRepairEngine::new(ctx), opts);
 //! session.drain(SliceSource::with_batch(&dirty, 16), |i| {
 //!     SimulatedUser::new(ds.inputs[i].clean.clone())
 //! });
@@ -51,10 +53,10 @@
 //! # Determinism
 //!
 //! A session inherits the engine's guarantee and extends it across
-//! batching: for plain `CertainFix` (`bdd(false)`), the concatenated
-//! outcomes and the merged count fields of
+//! batching: for plain `CertainFix` (`use_bdd = false`), the
+//! concatenated outcomes and the merged count fields of
 //! a drained stream are **bit-identical to a single sequential
-//! [`repair_opts`](crate::BatchRepairEngine::repair_opts) call over the
+//! [`repair_opts`](RepairContext::repair_opts) call over the
 //! same tuples in the same order** — regardless of how the source cuts
 //! the stream into batches, the schedule, or the worker count. See
 //! [`RepairSession::drain`] for the contract that makes this hold.
@@ -62,18 +64,17 @@
 //! outcomes and [`BddStats`] depend on where the batches and chunks
 //! fall — but still not on the schedule or the worker count (D12).
 
-use std::sync::Arc;
+use std::ops::Deref;
 use std::time::Duration;
 
-use certainfix_relation::{MasterDelta, Relation, RelationError, Tuple};
-use certainfix_rules::RuleSet;
+use certainfix_relation::{MasterDelta, RelationError, Tuple};
 
 use crate::bdd::BddStats;
-use crate::certainfix::{CertainFixConfig, FixOutcome};
+use crate::certainfix::FixOutcome;
 use crate::engine::{
     BatchRepairEngine, BatchReport, RepairContext, RepairOptions, SharedCacheStats,
 };
-use crate::monitor::{InitialRegion, MonitorStats};
+use crate::monitor::MonitorStats;
 use crate::oracle::UserOracle;
 
 /// A borrowed `&[Tuple]` as a source: an iterator yielding the slice in
@@ -85,12 +86,6 @@ pub struct SliceSource<'a> {
 }
 
 impl<'a> SliceSource<'a> {
-    /// The whole slice as a single batch (the exact shape of a
-    /// [`repair_opts`](crate::BatchRepairEngine::repair_opts) call).
-    pub fn new(tuples: &'a [Tuple]) -> SliceSource<'a> {
-        Self::with_batch(tuples, tuples.len().max(1))
-    }
-
     /// The slice cut into batches of (up to) `batch` tuples.
     pub fn with_batch(tuples: &'a [Tuple], batch: usize) -> SliceSource<'a> {
         assert!(batch > 0, "batch size must be positive");
@@ -111,111 +106,36 @@ impl Iterator for SliceSource<'_> {
     }
 }
 
-/// Configures and builds an owned [`RepairSession`]: precomputation
-/// knobs (BDD, initial region, `CertainFix` config) plus the engine
-/// knobs of [`RepairOptions`] (threads / chunk size).
-#[derive(Clone)]
-pub struct RepairSessionBuilder {
-    rules: RuleSet,
-    master: Arc<Relation>,
-    use_bdd: bool,
-    initial: InitialRegion,
-    config: CertainFixConfig,
-    opts: RepairOptions,
+/// The context behind a session: owned by a
+/// [`from_engine`](RepairSession::from_engine) session, borrowed by a
+/// [`borrowed`](RepairSession::borrowed) one and by the service's
+/// sessions.
+pub(crate) enum ContextRef<'e> {
+    Owned(Box<RepairContext>),
+    Borrowed(&'e RepairContext),
 }
 
-impl RepairSessionBuilder {
-    /// A session over `(Σ, Dm)` with the defaults: plain `CertainFix`,
-    /// best initial region, one worker, auto chunk.
-    pub fn new(rules: RuleSet, master: Arc<Relation>) -> RepairSessionBuilder {
-        RepairSessionBuilder {
-            rules,
-            master,
-            use_bdd: false,
-            initial: InitialRegion::default(),
-            config: CertainFixConfig::default(),
-            opts: RepairOptions::default(),
-        }
-    }
+impl Deref for ContextRef<'_> {
+    type Target = RepairContext;
 
-    /// Serve suggestions from a BDD cache per chunk (`CertainFix+`).
-    pub fn bdd(mut self, on: bool) -> Self {
-        self.use_bdd = on;
-        self
-    }
-
-    /// Which precomputed region seeds the first suggestion.
-    pub fn initial_region(mut self, region: InitialRegion) -> Self {
-        self.initial = region;
-        self
-    }
-
-    /// The `CertainFix` interaction-loop configuration.
-    pub fn config(mut self, config: CertainFixConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Worker threads per batch (`0` = one per available core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
-    /// Tuples per chunk (`0` = auto; see [`RepairOptions::chunk`]).
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.opts.chunk = chunk;
-        self
-    }
-
-    /// Replace all engine knobs at once.
-    pub fn options(mut self, opts: RepairOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Build the precomputation and the session (owning its engine).
-    pub fn build(self) -> RepairSession<'static> {
-        let engine = BatchRepairEngine::new(RepairContext::with_config(
-            self.rules,
-            self.master,
-            self.use_bdd,
-            self.initial,
-            self.config,
-        ));
-        RepairSession::from_engine(engine, self.opts)
-    }
-}
-
-/// Owned or borrowed engine behind a session: the builder produces an
-/// owning session, while [`RepairSession::borrowed`] (and the
-/// one-batch [`repair_opts`](BatchRepairEngine::repair_opts) shim)
-/// wrap a borrowed engine.
-enum EngineRef<'e> {
-    Owned(Box<BatchRepairEngine>),
-    Borrowed(&'e BatchRepairEngine),
-}
-
-impl EngineRef<'_> {
-    fn get(&self) -> &BatchRepairEngine {
+    fn deref(&self) -> &RepairContext {
         match self {
-            EngineRef::Owned(engine) => engine,
-            EngineRef::Borrowed(engine) => engine,
+            ContextRef::Owned(ctx) => ctx,
+            ContextRef::Borrowed(ctx) => ctx,
         }
     }
 }
 
 /// A repair session: drains streams of batches (or explicit batches)
-/// through the work-stealing engine under one fixed set of
+/// through the context's fan-out under one fixed set of
 /// [`RepairOptions`], accumulating per-batch [`BatchReport`]s and the
 /// global stream offset. [`finish`](Self::finish) folds them into a
 /// [`SessionReport`].
 pub struct RepairSession<'e> {
-    engine: EngineRef<'e>,
+    ctx: ContextRef<'e>,
     opts: RepairOptions,
     batches: Vec<BatchReport>,
     tuples: usize,
-    wall: Duration,
     /// The context's [`plan_rebuilds`](RepairContext::plan_rebuilds)
     /// when the session opened; the merged report charges the epochs
     /// rebuilt since.
@@ -223,74 +143,57 @@ pub struct RepairSession<'e> {
 }
 
 impl<'e> RepairSession<'e> {
-    /// Wrap an engine the session will own.
+    /// Open a session that owns the engine's context.
     pub fn from_engine(engine: BatchRepairEngine, opts: RepairOptions) -> RepairSession<'static> {
-        RepairSession::open(EngineRef::Owned(Box::new(engine)), opts)
+        RepairSession::open(ContextRef::Owned(Box::new(engine.ctx)), opts)
     }
 
-    /// Wrap a borrowed engine: several sessions may take turns over
-    /// one warm engine.
+    /// Open a session over a borrowed engine: several sessions may take
+    /// turns over one warm engine.
     pub fn borrowed(engine: &'e BatchRepairEngine, opts: RepairOptions) -> RepairSession<'e> {
-        RepairSession::open(EngineRef::Borrowed(engine), opts)
+        RepairSession::open(ContextRef::Borrowed(&engine.ctx), opts)
     }
 
-    fn open(engine: EngineRef<'e>, opts: RepairOptions) -> RepairSession<'e> {
-        let rebuilds_at_open = engine.get().context().plan_rebuilds();
+    pub(crate) fn open(ctx: ContextRef<'e>, opts: RepairOptions) -> RepairSession<'e> {
         RepairSession {
-            engine,
+            rebuilds_at_open: ctx.plan_rebuilds(),
+            ctx,
             opts,
             batches: Vec::new(),
             tuples: 0,
-            wall: Duration::ZERO,
-            rebuilds_at_open,
         }
     }
 
+    /// The repair context behind this session.
+    pub fn context(&self) -> &RepairContext {
+        &self.ctx
+    }
+
     /// Apply a batch of master mutations to the live master: the
-    /// engine builds the next epoch (delta-maintained index, recompiled
+    /// context builds the next epoch (delta-maintained index, recompiled
     /// plan, re-ranked catalog) and swaps it in; batches pushed after
     /// this call repair against the new generation, while any batch
     /// already fanned out finishes on the epoch it pinned. Returns the
     /// new generation. The merged [`SessionReport`] counts the epochs
     /// the context rebuilt while the session was open — these hand-offs
-    /// and any other delta applied to the engine meanwhile — in
+    /// and any other delta applied to the context meanwhile — in
     /// [`MonitorStats::plan_rebuilds`].
     pub fn apply_master_delta(&mut self, delta: &MasterDelta) -> Result<u64, RelationError> {
-        self.engine.get().context().apply_master_delta(delta)
+        self.context().apply_master_delta(delta)
     }
 
-    /// The master generation the next pushed batch will repair against.
-    pub fn generation(&self) -> u64 {
-        self.engine.get().context().generation()
-    }
-
-    /// The engine behind this session.
-    pub fn engine(&self) -> &BatchRepairEngine {
-        self.engine.get()
-    }
-
-    /// The engine knobs every batch of this session runs under.
-    pub fn options(&self) -> &RepairOptions {
-        &self.opts
-    }
-
-    /// Tuples ingested so far (the global stream offset the next batch
-    /// starts at).
-    pub fn tuples_ingested(&self) -> usize {
+    /// Tuples ingested so far: the global stream offset the next batch
+    /// starts at.
+    pub(crate) fn tuples_ingested(&self) -> usize {
         self.tuples
     }
 
-    /// The per-batch reports accumulated so far, in stream order.
-    pub fn batches(&self) -> &[BatchReport] {
-        &self.batches
-    }
-
-    /// Repair one batch — a one-unit epoch of the engine's fan-out.
+    /// Repair one batch — a one-unit epoch of the context's fan-out.
     /// `oracle_for` receives the **global stream index** (tuples
     /// ingested before this batch + offset within it), so a stream
-    /// meets the same oracles however it is batched; like the
-    /// engine's, it is called from worker threads and must depend only
-    /// on the index. Returns the appended report.
+    /// meets the same oracles however it is batched; it is called from
+    /// worker threads and must depend only on the index. Returns the
+    /// appended report.
     pub fn push_batch<F, O>(&mut self, dirty: &[Tuple], oracle_for: F) -> &BatchReport
     where
         F: Fn(usize) -> O + Sync,
@@ -298,12 +201,16 @@ impl<'e> RepairSession<'e> {
     {
         let base = self.tuples;
         let unit = (dirty, |i: usize| oracle_for(base + i));
-        self.batches
-            .extend(self.engine.get().fan_out(&[unit], &self.opts));
-        self.tuples += dirty.len();
-        let report = self.batches.last().expect("one report per unit");
-        self.wall += report.wall;
-        report
+        let report = self.context().fan_out(&[unit], &self.opts).pop();
+        self.record(report.expect("one report per unit"))
+    }
+
+    /// Append the report of the session's next batch, however it was
+    /// fanned out (the service runs one unit per session per epoch).
+    pub(crate) fn record(&mut self, report: BatchReport) -> &BatchReport {
+        self.tuples += report.outcomes.len();
+        self.batches.push(report);
+        self.batches.last().expect("just pushed")
     }
 
     /// Drain a stream of batches to exhaustion, one
@@ -341,16 +248,11 @@ impl<'e> RepairSession<'e> {
         drained
     }
 
-    /// End the session and emit the unified report. An owned engine is
-    /// dropped with the session.
+    /// End the session and emit the unified report. An owned context
+    /// is dropped with the session.
     pub fn finish(self) -> SessionReport {
-        let mut report = SessionReport::from_batches(&self.batches, self.wall, self.tuples);
-        // deltas are a context-level event: the per-batch worker stats
-        // never see them, so the fold charges the context's count here
-        report.stats.plan_rebuilds +=
-            self.engine.get().context().plan_rebuilds() - self.rebuilds_at_open;
-        report.batches = self.batches;
-        report
+        let rebuilds = self.context().plan_rebuilds() - self.rebuilds_at_open;
+        SessionReport::from_batches(self.batches, rebuilds)
     }
 }
 
@@ -359,9 +261,7 @@ impl<'e> RepairSession<'e> {
 #[derive(Clone, Debug)]
 pub struct SessionReport {
     /// Per-batch reports, in stream order; each batch's outcomes and
-    /// worker ranges are indexed from the *batch's* start (see
-    /// [`batches_with_offsets`](Self::batches_with_offsets) for global
-    /// positions).
+    /// worker ranges are indexed from the *batch's* start.
     pub batches: Vec<BatchReport>,
     /// Merged monitor statistics ([`MonitorStats::merge`] over all
     /// batches — counts sum, the interner watermark maxes).
@@ -380,24 +280,29 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
-    /// Fold per-batch reports into a session report: statistics merge
-    /// ([`MonitorStats::merge`] / [`BddStats::merge`] — counts sum, the
-    /// interner watermark maxes), and the returned report's `batches`
-    /// list is left empty — attach
-    /// the folded reports afterwards if the caller wants them carried.
-    /// Both [`RepairSession`] and the [`service`](crate::service)
-    /// multiplexer stitch their reports through this one fold, so a
-    /// session's merged numbers are the same whether it ran alone or
-    /// multiplexed.
-    pub fn from_batches(folded: &[BatchReport], wall: Duration, tuples: usize) -> SessionReport {
+    /// The one fold of a session's batches, in stream order, into its
+    /// report: statistics merge ([`MonitorStats::merge`] /
+    /// [`BddStats::merge`] — counts sum, the interner watermark maxes),
+    /// `wall` and `tuples` sum, and the batches are attached.
+    /// `plan_rebuilds` is the epochs the context rebuilt while the
+    /// session was open: deltas are a context-level event that no
+    /// batch's worker stats see. A solo [`RepairSession`], the
+    /// [`service`](crate::service) scheduler and the wire client all
+    /// report through this fold, so a session's numbers are the same
+    /// whether it ran alone, multiplexed, or over a socket.
+    pub fn from_batches(batches: Vec<BatchReport>, plan_rebuilds: u64) -> SessionReport {
         let mut stats = MonitorStats::default();
         let mut bdd = BddStats::default();
-        for batch in folded {
+        let (mut wall, mut tuples) = (Duration::ZERO, 0);
+        for batch in &batches {
             stats.merge(&batch.stats);
             bdd.merge(&batch.bdd);
+            wall += batch.wall;
+            tuples += batch.outcomes.len();
         }
+        stats.plan_rebuilds += plan_rebuilds;
         SessionReport {
-            batches: Vec::new(),
+            batches,
             stats,
             bdd,
             shared: None,
@@ -409,26 +314,6 @@ impl SessionReport {
     /// Per-tuple outcomes across all batches, in global stream order.
     pub fn outcomes(&self) -> impl Iterator<Item = &FixOutcome> {
         self.batches.iter().flat_map(|b| b.outcomes.iter())
-    }
-
-    /// The batches paired with their global stream offsets.
-    pub fn batches_with_offsets(&self) -> impl Iterator<Item = (usize, &BatchReport)> {
-        let mut offset = 0usize;
-        self.batches.iter().map(move |b| {
-            let at = offset;
-            offset += b.outcomes.len();
-            (at, b)
-        })
-    }
-
-    /// Flatten into the outcome vector of the equivalent single-batch
-    /// run (preallocated from the session's tuple count).
-    pub fn into_outcomes(self) -> Vec<FixOutcome> {
-        let mut outcomes = Vec::with_capacity(self.tuples);
-        for batch in self.batches {
-            outcomes.extend(batch.outcomes);
-        }
-        outcomes
     }
 
     /// Session throughput in tuples per second (repair wall clock).
@@ -445,11 +330,14 @@ impl SessionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::metrics::{evaluate_rounds, merge_round_series, RoundMetrics, TupleEval};
     use crate::oracle::SimulatedUser;
     use certainfix_datagen::{
         Dataset, Dblp, DirtyConfig, DirtyTuple, Hosp, Workload as GenWorkload,
     };
+    use certainfix_relation::Relation;
 
     fn dirty_stream(workload: &dyn GenWorkload, inputs: usize, skew: f64) -> Dataset {
         let cfg = DirtyConfig {
@@ -474,9 +362,12 @@ mod tests {
     }
 
     fn plain_session(hosp: &Hosp, threads: usize) -> RepairSession<'static> {
-        RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .threads(threads)
-            .build()
+        let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
+        let opts = RepairOptions {
+            threads,
+            ..RepairOptions::default()
+        };
+        RepairSession::from_engine(BatchRepairEngine::new(ctx), opts)
     }
 
     /// Merge per-(batch, worker) metric rows — any partition of the
@@ -487,10 +378,11 @@ mod tests {
         rounds: usize,
     ) -> Vec<RoundMetrics> {
         let mut merged: Option<Vec<RoundMetrics>> = None;
-        for (offset, batch) in report.batches_with_offsets() {
+        let mut offset = 0;
+        for batch in &report.batches {
             for worker in &batch.workers {
-                let evals: Vec<TupleEval> = worker
-                    .indexes()
+                let evals: Vec<TupleEval> = (worker.ranges.iter())
+                    .flat_map(Clone::clone)
                     .map(|i| TupleEval {
                         outcome: &batch.outcomes[i],
                         dirty: &inputs[offset + i].dirty,
@@ -503,6 +395,7 @@ mod tests {
                     Some(acc) => merge_round_series(acc, &m),
                 }
             }
+            offset += batch.outcomes.len();
         }
         merged.expect("at least one batch")
     }
@@ -522,26 +415,20 @@ mod tests {
 
     /// D5: a skewed 10k HOSP stream drained in 512-tuple batches at 1,
     /// 2, and 4 workers yields outcomes and merged metrics bit-identical
-    /// to one [`repair_opts`](BatchRepairEngine::repair_opts) call over
+    /// to one [`repair_opts`](RepairContext::repair_opts) call over
     /// the whole stream.
     #[test]
     fn batched_stream_is_bit_identical_to_one_batch_1_2_4() {
         let (hosp, ds) = hosp_stream(500, 10_000, 1.0);
         let dirty = dirty_of(&ds);
-        let engine = BatchRepairEngine::new(RepairContext::new(
-            hosp.rules().clone(),
-            hosp.master().clone(),
-            false,
-        ));
+        let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let opts = RepairOptions {
             threads: 1,
             ..RepairOptions::default()
         };
-        let whole = SessionReport {
-            batches: vec![engine.repair_opts(&dirty, &opts, oracle_for)],
-            ..SessionReport::from_batches(&[], Duration::ZERO, dirty.len())
-        };
+        let whole =
+            SessionReport::from_batches(vec![ctx.repair_opts(&dirty, &opts, oracle_for)], 0);
         let (batch, batch_metrics) = (&whole.batches[0], eval_merged(&whole, &ds.inputs, 4));
 
         for workers in [1usize, 2, 4] {
@@ -568,7 +455,7 @@ mod tests {
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
 
         let mut whole = plain_session(&hosp, 2);
-        whole.drain(SliceSource::new(&dirty), oracle_for);
+        whole.drain(SliceSource::with_batch(&dirty, dirty.len()), oracle_for);
         let whole = whole.finish();
         assert_eq!(whole.batches.len(), 1);
 
@@ -576,7 +463,6 @@ mod tests {
             let mut session = plain_session(&hosp, 2);
             let drained = session.drain(SliceSource::with_batch(&dirty, batch), oracle_for);
             assert_eq!(drained, 600);
-            assert_eq!(session.tuples_ingested(), 600);
             let report = session.finish();
             assert_eq!(report.batches.len(), 600usize.div_ceil(batch));
             for (i, (a, b)) in report.outcomes().zip(whole.outcomes()).enumerate() {
@@ -585,10 +471,14 @@ mod tests {
             assert_eq!(report.stats.certain, whole.stats.certain);
             assert_eq!(report.stats.rounds, whole.stats.rounds);
             assert_eq!(report.tuples, whole.tuples);
-            // offsets tile the stream
-            let offsets: Vec<usize> = report.batches_with_offsets().map(|(o, _)| o).collect();
+            // the batches tile the stream
+            let offsets: Vec<usize> = (report.batches.iter())
+                .scan(0, |at, b| {
+                    Some(std::mem::replace(at, *at + b.outcomes.len()))
+                })
+                .collect();
             assert_eq!(offsets, (0..600).step_by(batch).collect::<Vec<_>>());
-            assert_eq!(report.into_outcomes().len(), 600);
+            assert_eq!(report.outcomes().count(), 600);
         }
     }
 
@@ -597,7 +487,7 @@ mod tests {
         let hosp = Hosp::generate(30);
         let mut session = plain_session(&hosp, 2);
         assert_eq!(
-            session.drain(SliceSource::new(&[]), |_| SimulatedUser::new(
+            session.drain(SliceSource::with_batch(&[], 1), |_| SimulatedUser::new(
                 hosp.master().tuple(0).clone()
             )),
             0
@@ -653,9 +543,12 @@ mod tests {
             let states = [state(n - 40), state(n - 20), full.clone()];
             let cuts = [0usize, 400, 800, 1_200];
             for workers in [1usize, 2, 4] {
-                let mut session = RepairSessionBuilder::new(w.rules().clone(), states[0].clone())
-                    .threads(workers)
-                    .build();
+                let ctx = RepairContext::new(w.rules().clone(), states[0].clone(), false);
+                let opts = RepairOptions {
+                    threads: workers,
+                    ..RepairOptions::default()
+                };
+                let mut session = RepairSession::from_engine(BatchRepairEngine::new(ctx), opts);
                 for k in 0..3 {
                     session.push_batch(&dirty[cuts[k]..cuts[k + 1]], oracle_for);
                     if k < 2 {
@@ -664,7 +557,7 @@ mod tests {
                             delta = delta.insert(t.clone());
                         }
                         let generation = session.apply_master_delta(&delta).expect("delta applies");
-                        assert_eq!(generation, session.generation());
+                        assert_eq!(generation, session.context().generation());
                     }
                 }
                 let report = session.finish();
@@ -675,11 +568,7 @@ mod tests {
                 assert!(report.batches[0].generation < report.batches[1].generation);
                 assert!(report.batches[1].generation < report.batches[2].generation);
                 for k in 0..3 {
-                    let fresh = BatchRepairEngine::new(RepairContext::new(
-                        w.rules().clone(),
-                        states[k].clone(),
-                        false,
-                    ));
+                    let fresh = RepairContext::new(w.rules().clone(), states[k].clone(), false);
                     let opts = RepairOptions {
                         threads: 1,
                         ..RepairOptions::default()

@@ -12,7 +12,7 @@
 //!
 //! [`MonitorStats::interner_syms`]: certainfix_core::MonitorStats::interner_syms
 
-use certainfix_core::{BatchRepairEngine, RepairContext, RepairOptions, SimulatedUser};
+use certainfix_core::{RepairContext, RepairOptions, SimulatedUser};
 use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 use certainfix_relation::{Interner, Tuple, Value};
 
@@ -52,13 +52,9 @@ fn free_text_interner_growth_is_one_symbol_per_corrupted_cell() {
         "free-text corruption never repeats a payload"
     );
 
-    let engine = BatchRepairEngine::new(RepairContext::new(
-        hosp.rules().clone(),
-        hosp.master().clone(),
-        false,
-    ));
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
     let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    let report = engine.repair_opts(&dirty, &RepairOptions::default(), |i| {
+    let report = ctx.repair_opts(&dirty, &RepairOptions::default(), |i| {
         SimulatedUser::new(ds.inputs[i].clean.clone())
     });
 

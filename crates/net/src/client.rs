@@ -7,8 +7,11 @@
 //! The reassembly leans on D2 (partition-independence): the client
 //! does not know how the server's epoch scheduler split a batch
 //! across workers, so each decoded report becomes a [`BatchReport`]
-//! with a single synthetic worker covering the whole outcome range.
-//! Every downstream consumer (`fold_session`, the bench metric rows)
+//! with a single synthetic worker covering the whole outcome range,
+//! and [`finish`](RepairClient::finish) folds them with the one fold
+//! every session report goes through ([`SessionReport::from_batches`]),
+//! charged with the plan rebuilds the server counted in `SessionEnd`.
+//! Every downstream consumer (the fold, the bench metric rows)
 //! only ever walks `workers × ranges`, and D2 guarantees the walk is
 //! partition-invariant — so the synthetic single-worker shape folds
 //! to the same numbers as the server's real worker layout.
@@ -59,7 +62,6 @@ pub struct RepairClient {
     seq: u64,
     generation: u64,
     batches: Vec<BatchReport>,
-    tuples: usize,
 }
 
 impl RepairClient {
@@ -99,7 +101,6 @@ impl RepairClient {
             seq: 0,
             generation: 0,
             batches: Vec::new(),
-            tuples: 0,
         };
         client.send(&Frame::Hello {
             session: session.to_string(),
@@ -197,13 +198,13 @@ impl RepairClient {
                 Frame::SessionEnd {
                     tuples,
                     batches,
-                    wall,
+                    wall: _,
                     stats,
                 } => {
-                    let mut report = SessionReport::from_batches(&self.batches, wall, self.tuples);
-                    report.batches = std::mem::take(&mut self.batches);
+                    // no `Report` frame carries the session's rebuild
+                    // charge; `SessionEnd` does
                     return Ok(ClientReport {
-                        report,
+                        report: SessionReport::from_batches(self.batches, stats.plan_rebuilds),
                         server_tuples: tuples,
                         server_batches: batches,
                         server_stats: stats,
@@ -252,7 +253,6 @@ impl RepairClient {
                     stats,
                     bdd: Default::default(),
                 };
-                self.tuples += outcomes.len();
                 self.batches.push(BatchReport {
                     outcomes,
                     stats,
@@ -278,14 +278,20 @@ impl RepairClient {
 mod tests {
     use super::*;
     use crate::RepairServer;
-    use certainfix_core::RepairServiceBuilder;
+    use certainfix_core::{BatchRepairEngine, RepairContext, RepairService, ServiceOptions};
     use certainfix_datagen::{Hosp, Workload};
 
     #[test]
     fn connected_tcp_streams_are_nodelay() {
         let hosp = Hosp::generate(20);
-        let service =
-            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).build();
+        let service = RepairService::from_engine(
+            BatchRepairEngine::new(RepairContext::new(
+                hosp.rules().clone(),
+                hosp.master().clone(),
+                false,
+            )),
+            ServiceOptions::default(),
+        );
         let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
         let client =
             RepairClient::connect_tcp(server.local_addr().unwrap(), "nodelay", None).unwrap();

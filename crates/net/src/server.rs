@@ -248,11 +248,15 @@ impl CleanStore {
     }
 }
 
+/// What a finished connection reports: its session's admission
+/// position (`None` if it never attached) and its lane counters.
+type ConnStats = (Option<usize>, NetLaneStats);
+
 /// A running repair server. Dropping the handle does *not* stop it;
 /// call [`shutdown`](Self::shutdown) for the drain-then-shutdown path.
 pub struct RepairServer {
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<Vec<(String, NetLaneStats)>>>,
+    accept: Option<JoinHandle<Vec<ConnStats>>>,
     sched: Option<JoinHandle<ServiceReport>>,
     local_addr: Option<SocketAddr>,
     #[cfg(unix)]
@@ -344,8 +348,8 @@ impl RepairServer {
     /// neither streams nor disconnects keeps the server up — draining
     /// means serving it out, not cutting it off), collect the
     /// service's final per-session reports, and fold each
-    /// connection's transport counters into them — per session where
-    /// the lane is attributable, and in aggregate
+    /// connection's transport counters into them — into the session
+    /// the connection attached, if it got that far, and in aggregate
     /// ([`ServiceReport::stats`]`.net`) over every connection
     /// including ones that failed before a session existed.
     pub fn shutdown(mut self) -> ServiceReport {
@@ -363,18 +367,13 @@ impl RepairServer {
             .expect("shutdown runs once")
             .join()
             .expect("scheduler does not panic");
+        // a connection's admission position is its session's index in
+        // the report (names may repeat)
         let mut lane_total = NetLaneStats::default();
-        for (_, net) in &conn_stats {
+        for (admitted, net) in &conn_stats {
             lane_total.merge(net);
-        }
-        // attribute lanes to sessions by name, first unconsumed match
-        // (names repeat across reconnects; order is attach order on
-        // one side, completion order on the other)
-        let mut conn_stats = conn_stats;
-        for named in &mut report.sessions {
-            if let Some(pos) = conn_stats.iter().position(|(n, _)| *n == named.name) {
-                let (_, net) = conn_stats.remove(pos);
-                named.report.stats.net.merge(&net);
+            if let Some(at) = *admitted {
+                report.sessions[at].report.stats.net.merge(net);
             }
         }
         report.stats.net.merge(&lane_total);
@@ -392,9 +391,10 @@ fn accept_loop(
     attach: ServiceAttach<'static>,
     service: Arc<RepairService>,
     token: Option<String>,
-) -> Vec<(String, NetLaneStats)> {
+) -> Vec<ConnStats> {
     let token = Arc::new(token);
-    let mut conns: Vec<JoinHandle<(String, NetLaneStats)>> = Vec::new();
+    let admissions = Arc::new(Mutex::new(0));
+    let mut conns: Vec<JoinHandle<ConnStats>> = Vec::new();
     loop {
         match listener.accept() {
             // `shutdown` sets `stop` before it connects to wake this
@@ -405,8 +405,9 @@ fn accept_loop(
                 let attach = attach.clone();
                 let service = Arc::clone(&service);
                 let token = Arc::clone(&token);
+                let admissions = Arc::clone(&admissions);
                 conns.push(std::thread::spawn(move || {
-                    handle_conn(conn, attach, service, token, Arc::default())
+                    handle_conn(conn, attach, service, token, admissions, Arc::default())
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -427,22 +428,25 @@ fn accept_loop(
 
 /// Drive one connection: authenticate, attach a session lane, then
 /// pump request frames until shutdown/disconnect/fault. Returns the
-/// session name (empty if none was established) and the lane's
-/// transport counters. `cleans` starts empty; it is a parameter so a
-/// test can watch it.
+/// session's admission position (`None` if it never attached) and the
+/// lane's transport counters. `admissions` counts the server's
+/// attaches: taken around each one, it numbers the sessions in the
+/// order the scheduler admits them. `cleans` starts empty; it is a
+/// parameter so a test can watch it.
 fn handle_conn(
     conn: Conn,
     attach: ServiceAttach<'static>,
     service: Arc<RepairService>,
     token: Arc<Option<String>>,
+    admissions: Arc<Mutex<usize>>,
     cleans: Arc<Mutex<CleanStore>>,
-) -> (String, NetLaneStats) {
+) -> ConnStats {
     let mut net = NetLaneStats::default();
     let writer = match conn.try_clone() {
         Ok(w) => Arc::new(Mutex::new(FrameWriter::new(w))),
         Err(_) => {
             net.sessions_torn += 1;
-            return (String::new(), net);
+            return (None, net);
         }
     };
     let mut reader = CountingReader::new(BufReader::new(conn));
@@ -464,7 +468,7 @@ fn handle_conn(
                 net.sessions_torn += 1;
                 net.frames_in = frames_in;
                 net.bytes_in = reader.bytes;
-                return (String::new(), net);
+                return (None, net);
             }
             session
         }
@@ -476,11 +480,11 @@ fn handle_conn(
             net.sessions_torn += 1;
             net.frames_in = frames_in + 1;
             net.bytes_in = reader.bytes;
-            return (String::new(), net);
+            return (None, net);
         }
         Ok(None) => {
             net.bytes_in = reader.bytes;
-            return (String::new(), net); // connected and left; no session
+            return (None, net); // connected and left; no session
         }
         Err(e) => {
             net.decode_errors += 1;
@@ -490,7 +494,7 @@ fn handle_conn(
                 message: e.to_string(),
             });
             net.bytes_in = reader.bytes;
-            return (String::new(), net);
+            return (None, net);
         }
     };
 
@@ -504,7 +508,15 @@ fn handle_conn(
         let clean = oracle_cleans.lock().unwrap().get(i).clone();
         SimulatedUser::new(clean)
     };
-    let Some(lane) = attach.attach(session.clone(), oracle_for, Some(ev_tx)) else {
+    let attached = {
+        let mut next = admissions.lock().unwrap();
+        let lane = attach.attach(session, oracle_for, Some(ev_tx));
+        lane.map(|lane| {
+            *next += 1;
+            (*next - 1, lane)
+        })
+    };
+    let Some((admitted, lane)) = attached else {
         writer.lock().unwrap().send(&Frame::Error {
             code: 3,
             message: "service is shut down".into(),
@@ -512,12 +524,12 @@ fn handle_conn(
         net.sessions_torn += 1;
         net.frames_in = frames_in;
         net.bytes_in = reader.bytes;
-        return (session, net);
+        return (None, net);
     };
     drop(attach); // this connection's interest in attaching is over
-    let arity = service.engine().context().rules().r_schema().len();
+    let arity = service.context().rules().r_schema().len();
     writer.lock().unwrap().send(&Frame::HelloAck {
-        generation: service.engine().context().generation(),
+        generation: service.context().generation(),
     });
 
     // the scheduler answers a session's batches in lane order, so the
@@ -635,14 +647,14 @@ fn handle_conn(
     net.frames_out = w.frames;
     net.bytes_out = w.bytes;
     drop(w);
-    (session, net)
+    (Some(admitted), net)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::RepairClient;
-    use certainfix_core::RepairServiceBuilder;
+    use certainfix_core::{BatchRepairEngine, RepairContext, ServiceOptions};
     use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 
     /// A connected loopback TCP pair: `(accepted by a Listener, peer)`.
@@ -680,12 +692,16 @@ mod tests {
         let dirty: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
         let clean: Vec<Tuple> = ds.inputs.iter().map(|dt| dt.clean.clone()).collect();
 
-        let service = Arc::new(
-            RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone())
-                .threads(2)
-                .build(),
-        );
-        let window = service.options().depth + 1;
+        let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
+        let opts = ServiceOptions {
+            threads: 2,
+            ..ServiceOptions::default()
+        };
+        let window = opts.depth + 1;
+        let service = Arc::new(RepairService::from_engine(
+            BatchRepairEngine::new(ctx),
+            opts,
+        ));
         let (attach, queue) = service.attach_channel();
         let sched = {
             let service = Arc::clone(&service);
@@ -695,7 +711,16 @@ mod tests {
         let cleans = Arc::new(Mutex::new(CleanStore::default()));
         let server_side = {
             let cleans = Arc::clone(&cleans);
-            std::thread::spawn(move || handle_conn(conn, attach, service, Arc::new(None), cleans))
+            std::thread::spawn(move || {
+                handle_conn(
+                    conn,
+                    attach,
+                    service,
+                    Arc::new(None),
+                    Arc::default(),
+                    cleans,
+                )
+            })
         };
 
         let mut client = RepairClient::handshake(Conn::Tcp(peer), "bounded", None).unwrap();

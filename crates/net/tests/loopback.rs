@@ -14,8 +14,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use certainfix_core::{
-    MonitorStats, RepairServiceBuilder, RepairSessionBuilder, SessionReport, SimulatedUser,
-    SliceSource,
+    BatchRepairEngine, MonitorStats, RepairContext, RepairOptions, RepairService, RepairSession,
+    ServiceOptions, SessionReport, SimulatedUser, SliceSource,
 };
 use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
 use certainfix_net::wire::Frame;
@@ -52,21 +52,35 @@ fn clean_of(ds: &Dataset) -> Vec<Tuple> {
     ds.inputs.iter().map(|dt| dt.clean.clone()).collect()
 }
 
+/// A one-worker in-process session over HOSP; `CertainFix+` iff `bdd`.
+fn solo_session(hosp: &Hosp, bdd: bool) -> RepairSession<'static> {
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), bdd);
+    let opts = RepairOptions {
+        threads: 1,
+        ..RepairOptions::default()
+    };
+    RepairSession::from_engine(BatchRepairEngine::new(ctx), opts)
+}
+
 /// Solo baseline: the dataset drained alone, in process, through a
 /// `SliceSource` with the given batch size; `CertainFix+` iff `bdd`.
 fn solo_run(hosp: &Hosp, bdd: bool, ds: &Dataset, dirty: &[Tuple], batch: usize) -> SessionReport {
-    let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-        .bdd(bdd)
-        .threads(1)
-        .build();
+    let mut session = solo_session(hosp, bdd);
     session.drain(SliceSource::with_batch(dirty, batch), |i| {
         SimulatedUser::new(ds.inputs[i].clean.clone())
     });
     session.finish()
 }
 
-fn service_builder(hosp: &Hosp, workers: usize) -> RepairServiceBuilder {
-    RepairServiceBuilder::new(hosp.rules().clone(), hosp.master().clone()).threads(workers)
+/// A service over HOSP's rules and master at `workers` threads;
+/// `CertainFix+` iff `bdd`.
+fn service(hosp: &Hosp, bdd: bool, workers: usize) -> RepairService {
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), bdd);
+    let opts = ServiceOptions {
+        threads: workers,
+        ..ServiceOptions::default()
+    };
+    RepairService::from_engine(BatchRepairEngine::new(ctx), opts)
 }
 
 /// Assert the deterministic observables of `got` are bit-identical to
@@ -91,6 +105,11 @@ fn assert_bit_identical(got: &SessionReport, want: &SessionReport, ctx: &str) {
             "plan_fallbacks",
             got.stats.plan_fallbacks,
             want.stats.plan_fallbacks,
+        ),
+        (
+            "plan_rebuilds",
+            got.stats.plan_rebuilds,
+            want.stats.plan_rebuilds,
         ),
     ] {
         assert_eq!(a, b, "{ctx}: stats.{field}");
@@ -122,7 +141,7 @@ fn loopback_sessions_match_in_process_runs_d11() {
 
         for workers in [1usize, 2, 4] {
             for conns in [1usize, 2, 4] {
-                let service = service_builder(&hosp, workers).bdd(bdd).build();
+                let service = service(&hosp, bdd, workers);
                 let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
                 let addr = server.local_addr().unwrap();
 
@@ -226,10 +245,7 @@ fn loopback_deltas_match_in_process_positions_d11() {
     let delta_after = |k: usize| deltas.iter().find(|(at, _)| *at == k).map(|(_, d)| d);
 
     for bdd in [false, true] {
-        let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-            .bdd(bdd)
-            .threads(1)
-            .build();
+        let mut session = solo_session(&hosp, bdd);
         let mut generations = Vec::new();
         for (k, d) in dirty.chunks(BATCH).enumerate() {
             session.push_batch(d, |i| SimulatedUser::new(ds.inputs[i].clean.clone()));
@@ -247,7 +263,7 @@ fn loopback_deltas_match_in_process_positions_d11() {
 
         for workers in [1usize, 2, 4] {
             let ctx = |side: &str| format!("{side}, {workers}w, bdd {bdd}");
-            let service = service_builder(&hosp, workers).bdd(bdd).build();
+            let service = service(&hosp, bdd, workers);
             let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
             let mut client =
                 RepairClient::connect_tcp(server.local_addr().unwrap(), "d", None).unwrap();
@@ -290,8 +306,7 @@ fn a_refused_delta_answers_in_order_and_the_session_streams_on() {
     let row = hosp.master().len() as u32 + 5;
     let refused = MasterDelta::new().update(row, hosp.master().tuple(0).clone());
 
-    let server =
-        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let server = RepairServer::serve_tcp(service(&hosp, false, 2), "127.0.0.1:0", None).unwrap();
     let mut client =
         RepairClient::connect_tcp(server.local_addr().unwrap(), "refused", None).unwrap();
     let g0 = client.generation();
@@ -366,7 +381,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     let solo3 = solo_run(&hosp, false, &datasets[3], &dirty[3][..16], 16);
     let solo4 = solo_run(&hosp, false, &datasets[4], &dirty[4][..16], 16);
 
-    let service = service_builder(&hosp, 2).build();
+    let service = service(&hosp, false, 2);
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
     let addr = server.local_addr().unwrap();
 
@@ -461,6 +476,59 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     assert_eq!(by_name["good0"].stats.net.sessions_torn, 0);
 }
 
+/// Per-session lane counters follow the connection, not the session
+/// name. A connects first but sends its `Hello` only after B, accepted
+/// second, has attached under the same name, so B's session is admitted
+/// first. A sends one batch and B three, and each session's
+/// `stats.net.frames_in` is its own connection's: its `Hello`, its
+/// batches and its `Shutdown`.
+#[test]
+fn lane_counters_follow_the_connection_when_names_repeat() {
+    const PAGE: usize = 16;
+    let (hosp, datasets) = hosp_sessions(80, &[PAGE * 3]);
+    let (dirty, clean) = (dirty_of(&datasets[0]), clean_of(&datasets[0]));
+    let server = RepairServer::serve_tcp(service(&hosp, false, 1), "127.0.0.1:0", None).unwrap();
+    let addr = server.local_addr().unwrap();
+
+    let mut a = TcpStream::connect(addr).unwrap();
+    let mut b = RepairClient::connect_tcp(addr, "x", None).unwrap();
+    let hello = Frame::Hello {
+        session: "x".into(),
+        token: None,
+    };
+    hello.encode(&mut a).unwrap();
+    assert!(matches!(
+        Frame::decode(&mut a).unwrap(),
+        Some(Frame::HelloAck { .. })
+    ));
+    let pairs = dirty.iter().cloned().zip(clean.iter().cloned()).take(PAGE);
+    let batch = Frame::Batch {
+        seq: 0,
+        pairs: pairs.collect(),
+    };
+    batch.encode(&mut a).unwrap();
+    Frame::Shutdown.encode(&mut a).unwrap();
+    while !matches!(
+        Frame::decode(&mut a).unwrap(),
+        Some(Frame::SessionEnd { .. })
+    ) {}
+    for (d, c) in dirty.chunks(PAGE).zip(clean.chunks(PAGE)) {
+        b.send_batch(d, c).unwrap();
+    }
+    b.finish().unwrap();
+    let report = server.shutdown();
+
+    assert_eq!(report.sessions.len(), 2);
+    for named in &report.sessions {
+        // Hello + batches + Shutdown: A sent one batch, B three
+        let (who, frames_in) = match named.report.tuples {
+            PAGE => ("A", 3),
+            _ => ("B", 5),
+        };
+        assert_eq!(named.report.stats.net.frames_in, frames_in, "{who}");
+    }
+}
+
 /// Flush semantics and live master data over the wire: a `Flush`
 /// acks only after every prior batch reported, a `Delta` bumps the
 /// generation, reports record which generation repaired them, and the
@@ -472,7 +540,7 @@ fn flush_blocks_until_reported_and_delta_bumps_generation() {
     let dirty = dirty_of(&datasets[0]);
     let clean = clean_of(&datasets[0]);
 
-    let service = service_builder(&hosp, 2).build();
+    let service = service(&hosp, false, 2);
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
     let addr = server.local_addr().unwrap();
 
@@ -524,7 +592,7 @@ fn token_mismatch_is_refused_without_disturbing_others() {
     let clean = clean_of(&datasets[0]);
     let solo = solo_run(&hosp, false, &datasets[0], &dirty, 30);
 
-    let service = service_builder(&hosp, 2).build();
+    let service = service(&hosp, false, 2);
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", Some("sesame".into())).unwrap();
     let addr = server.local_addr().unwrap();
 
@@ -557,7 +625,7 @@ fn unix_socket_session_matches_in_process_run() {
 
     let path = std::env::temp_dir().join(format!("certainfix-net-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let service = service_builder(&hosp, 2).build();
+    let service = service(&hosp, false, 2);
     let server = RepairServer::serve_unix(service, &path, None).unwrap();
 
     let mut client = RepairClient::connect_unix(&path, "ux", None).unwrap();
@@ -587,7 +655,7 @@ fn net_counters_merge_is_conservative() {
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
 
-    let service = service_builder(&hosp, 2).build();
+    let service = service(&hosp, false, 2);
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
     let addr = server.local_addr().unwrap();
     std::thread::scope(|scope| {
@@ -647,8 +715,7 @@ fn a_form_page_round_trip_does_not_wait_on_a_timer() {
     let dirty = dirty_of(&datasets[0]);
     let clean = clean_of(&datasets[0]);
 
-    let server =
-        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let server = RepairServer::serve_tcp(service(&hosp, false, 2), "127.0.0.1:0", None).unwrap();
     let mut client = RepairClient::connect_tcp(server.local_addr().unwrap(), "page", None).unwrap();
     let tcp_ms = median_page_ms(&mut client, &dirty, &clean);
     client.finish().unwrap();
@@ -660,8 +727,7 @@ fn a_form_page_round_trip_does_not_wait_on_a_timer() {
         let path =
             std::env::temp_dir().join(format!("certainfix-page-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let server =
-            RepairServer::serve_unix(service_builder(&hosp, 2).build(), &path, None).unwrap();
+        let server = RepairServer::serve_unix(service(&hosp, false, 2), &path, None).unwrap();
         let mut client = RepairClient::connect_unix(&path, "page", None).unwrap();
         let unix_ms = median_page_ms(&mut client, &dirty, &clean);
         client.finish().unwrap();
@@ -677,8 +743,7 @@ fn a_form_page_round_trip_does_not_wait_on_a_timer() {
 #[test]
 fn shutdown_with_no_connections_returns_and_counts_nothing() {
     let (hosp, _) = hosp_sessions(40, &[]);
-    let server =
-        RepairServer::serve_tcp(service_builder(&hosp, 1).build(), "127.0.0.1:0", None).unwrap();
+    let server = RepairServer::serve_tcp(service(&hosp, false, 1), "127.0.0.1:0", None).unwrap();
     let report = server.shutdown();
     assert!(report.sessions.is_empty());
     assert_eq!(
@@ -692,8 +757,7 @@ fn shutdown_with_no_connections_returns_and_counts_nothing() {
         let path =
             std::env::temp_dir().join(format!("certainfix-idle-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let server =
-            RepairServer::serve_unix(service_builder(&hosp, 1).build(), &path, None).unwrap();
+        let server = RepairServer::serve_unix(service(&hosp, false, 1), &path, None).unwrap();
         let report = server.shutdown();
         assert!(report.sessions.is_empty());
         assert_eq!(report.stats.net, certainfix_core::NetLaneStats::default());
@@ -713,8 +777,7 @@ fn shutdown_drains_finished_and_mid_stream_clients() {
     let solo_idle = solo_run(&hosp, false, &datasets[0], &dirty[0], 24);
     let solo_live = solo_run(&hosp, false, &datasets[1], &dirty[1], 24);
 
-    let server =
-        RepairServer::serve_tcp(service_builder(&hosp, 2).build(), "127.0.0.1:0", None).unwrap();
+    let server = RepairServer::serve_tcp(service(&hosp, false, 2), "127.0.0.1:0", None).unwrap();
     let addr = server.local_addr().unwrap();
 
     // connected, idle through an empty flush, then a whole session

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example dblp_enrichment`
 
-use certain_fix::core::{BatchRepairEngine, RepairContext, RepairOptions, SimulatedUser};
+use certain_fix::core::{RepairContext, RepairOptions, SimulatedUser};
 use certain_fix::datagen::{Dblp, Workload};
 use certain_fix::prelude::*;
 
@@ -51,17 +51,13 @@ fn main() {
 
     // the paper's sequential monitor: one worker and one chunk, so one
     // BDD suggestion cache serves every record
-    let engine = BatchRepairEngine::new(RepairContext::new(
-        dblp.rules().clone(),
-        dblp.master().clone(),
-        true,
-    ));
+    let ctx = RepairContext::new(dblp.rules().clone(), dblp.master().clone(), true);
     let records: Vec<Tuple> = incomplete.iter().map(|(t, _)| t.clone()).collect();
     let opts = RepairOptions {
         chunk: records.len(),
         ..RepairOptions::default()
     };
-    let report = engine.repair_opts(&records, &opts, |i| {
+    let report = ctx.repair_opts(&records, &opts, |i| {
         SimulatedUser::new(incomplete[i].1.clone())
     });
     let mut enriched = 0usize;

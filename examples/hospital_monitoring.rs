@@ -11,7 +11,8 @@
 //! Run with: `cargo run --release --example hospital_monitoring`
 
 use certain_fix::core::{
-    evaluate_rounds, RepairSessionBuilder, SimulatedUser, SliceSource, TupleEval,
+    evaluate_rounds, BatchRepairEngine, RepairContext, RepairOptions, RepairSession, SimulatedUser,
+    SliceSource, TupleEval,
 };
 use certain_fix::datagen::{Dataset, DirtyConfig, Hosp, Workload};
 use certain_fix::relation::Tuple;
@@ -42,14 +43,17 @@ fn main() {
         dataset.erroneous_attrs()
     );
 
-    let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-        .bdd(true)
-        .threads(2)
-        .build();
+    // CertainFix+: one suggestion diagram per chunk, two workers
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), true);
+    let opts = RepairOptions {
+        threads: 2,
+        ..RepairOptions::default()
+    };
+    let mut session = RepairSession::from_engine(BatchRepairEngine::new(ctx), opts);
     println!(
         "initial certain region Z = {} (assure these and the rest follows)",
         hosp.schema()
-            .render_attrs(session.engine().context().epoch().initial_suggestion())
+            .render_attrs(session.context().epoch().initial_suggestion())
     );
 
     // the entry point: arriving records come in 100-record batches, and

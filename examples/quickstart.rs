@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use certain_fix::core::{
-    BatchRepairEngine, CertainFixConfig, InitialRegion, RepairContext, RepairOptions, SimulatedUser,
+    CertainFixConfig, InitialRegion, RepairContext, RepairOptions, SimulatedUser,
 };
 use certain_fix::prelude::*;
 use certain_fix::rules::parse_rules;
@@ -116,22 +116,22 @@ fn main() {
     println!("Input  t1: {}", t1.render_named(&r));
 
     // ── Monitor: precompute regions, then fix at the point of entry ─
-    let engine = BatchRepairEngine::new(RepairContext::with_config(
+    let ctx = RepairContext::with_config(
         rules,
         master,
         true, // CertainFix+: BDD-cached suggestions
         InitialRegion::Best,
         CertainFixConfig::default(),
-    ));
+    );
     println!(
         "Recommended certain region Z = {}",
-        r.render_attrs(engine.context().epoch().initial_suggestion())
+        r.render_attrs(ctx.epoch().initial_suggestion())
     );
 
     // The "user" here is simulated with the ground truth, exactly like
     // the paper's experiments; swap in your own `UserOracle` for a real
     // data-entry UI. One worker: the paper's sequential monitor.
-    let report = engine.repair_opts(std::slice::from_ref(&t1), &RepairOptions::default(), |_| {
+    let report = ctx.repair_opts(std::slice::from_ref(&t1), &RepairOptions::default(), |_| {
         SimulatedUser::new(truth.clone())
     });
     let outcome = &report.outcomes[0];

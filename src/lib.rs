@@ -50,9 +50,9 @@ pub use certainfix_rules as rules;
 pub mod prelude {
     pub use certainfix_core::{
         BatchRepairEngine, CertainFix, CertainFixConfig, FixOutcome, InitialRegion,
-        NamedSessionReport, RepairContext, RepairOptions, RepairService, RepairServiceBuilder,
-        RepairSession, RepairSessionBuilder, ServiceOptions, ServiceReport, ServiceStream,
-        SessionReport, SimulatedUser, SliceSource, UserOracle,
+        NamedSessionReport, RepairContext, RepairOptions, RepairService, RepairSession,
+        ServiceOptions, ServiceReport, ServiceStream, SessionReport, SimulatedUser, SliceSource,
+        UserOracle,
     };
     pub use certainfix_net::{Frame, RepairClient, RepairServer, WireError};
     pub use certainfix_reasoning::{Chase, ChaseResult, Region, RegionCatalog};

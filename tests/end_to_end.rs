@@ -5,7 +5,7 @@
 use certain_fix::cfd::{repair_tuple, rules_to_cfds, IncRepConfig};
 use certain_fix::core::{
     evaluate_changes, evaluate_rounds, BatchRepairEngine, RepairContext, RepairOptions,
-    RepairSessionBuilder, SimulatedUser, TupleEval,
+    RepairSession, SimulatedUser, TupleEval,
 };
 use certain_fix::datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
 use certain_fix::reasoning::{comp_cregion_in_mode, gregion_in_mode};
@@ -25,14 +25,10 @@ fn run_pipeline<W: Workload>(
     cfg: &DirtyConfig,
     use_bdd: bool,
 ) -> (Vec<certain_fix::core::FixOutcome>, Dataset) {
-    let engine = BatchRepairEngine::new(RepairContext::new(
-        w.rules().clone(),
-        w.master().clone(),
-        use_bdd,
-    ));
+    let ctx = RepairContext::new(w.rules().clone(), w.master().clone(), use_bdd);
     let ds = Dataset::generate(w, cfg);
     let dirty: Vec<_> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    let report = engine.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
+    let report = ctx.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
         SimulatedUser::new(ds.inputs[i].clean.clone())
     });
     (report.outcomes, ds)
@@ -291,24 +287,23 @@ fn session_over_generator_batches_matches_the_sequential_monitor() {
     let batches: Vec<Dataset> = Dataset::batches(&hosp, &cfg, 50).collect();
     let inputs: Vec<_> = batches.iter().flat_map(|ds| &ds.inputs).collect();
 
-    let mut session = RepairSessionBuilder::new(hosp.rules().clone(), hosp.master().clone())
-        .threads(2)
-        .build();
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
+    let opts = RepairOptions {
+        threads: 2,
+        ..RepairOptions::default()
+    };
+    let mut session = RepairSession::from_engine(BatchRepairEngine::new(ctx), opts);
     for ds in &batches {
         let dirty: Vec<_> = ds.inputs.iter().map(|dt| dt.dirty.clone()).collect();
         session.push_batch(&dirty, |i| SimulatedUser::new(inputs[i].clean.clone()));
     }
-    assert_eq!(session.tuples_ingested(), 120);
     let report = session.finish();
+    assert_eq!(report.tuples, 120);
     assert_eq!(report.batches.len(), 3, "120 tuples in batches of 50");
 
-    let engine = BatchRepairEngine::new(RepairContext::new(
-        hosp.rules().clone(),
-        hosp.master().clone(),
-        false,
-    ));
+    let ctx = RepairContext::new(hosp.rules().clone(), hosp.master().clone(), false);
     let dirty: Vec<_> = inputs.iter().map(|dt| dt.dirty.clone()).collect();
-    let monitor = engine.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
+    let monitor = ctx.repair_opts(&dirty, &monitor_opts(dirty.len()), |i| {
         SimulatedUser::new(inputs[i].clean.clone())
     });
     for (i, (out, seq)) in report.outcomes().zip(&monitor.outcomes).enumerate() {

@@ -215,9 +215,9 @@ fn examples_12_to_14_interactive_fix_via_zip_only() {
 
     // Completion: the full monitor (CertainFix+, one worker) reaches
     // the certain fix.
-    let engine = BatchRepairEngine::new(RepairContext::new(rules, master(&rm), true));
+    let ctx = RepairContext::new(rules, master(&rm), true);
     let opts = RepairOptions::default();
-    let report = engine.repair_opts(std::slice::from_ref(&dirty), &opts, |_| {
+    let report = ctx.repair_opts(std::slice::from_ref(&dirty), &opts, |_| {
         SimulatedUser::new(truth.clone())
     });
     let outcome = &report.outcomes[0];

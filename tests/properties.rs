@@ -36,8 +36,8 @@ use proptest::test_runner::TestCaseError;
 
 use certain_fix::core::{
     evaluate_changes, transfix, transfix_block, transfix_with, BatchRepairEngine, CertainFix,
-    CertainFixConfig, MonitorStats, RepairContext, RepairOptions, RepairServiceBuilder,
-    RepairSessionBuilder, ServiceStream, SimulatedUser, SliceSource,
+    CertainFixConfig, MonitorStats, RepairContext, RepairOptions, RepairService, RepairSession,
+    ServiceOptions, ServiceStream, SimulatedUser, SliceSource,
 };
 use certain_fix::datagen::{Dblp, Workload};
 use certain_fix::reasoning::{
@@ -53,6 +53,30 @@ use certain_fix::rules::{
 };
 
 const ATTRS: usize = 5;
+
+/// A session that owns a fresh context over `(rules, master)`;
+/// `CertainFix+` iff `bdd`.
+fn open_session(
+    rules: &RuleSet,
+    master: &Arc<Relation>,
+    bdd: bool,
+    opts: RepairOptions,
+) -> RepairSession<'static> {
+    let ctx = RepairContext::new(rules.clone(), master.clone(), bdd);
+    RepairSession::from_engine(BatchRepairEngine::new(ctx), opts)
+}
+
+/// A service that owns a fresh context over `(rules, master)`;
+/// `CertainFix+` iff `bdd`.
+fn open_service(
+    rules: &RuleSet,
+    master: &Arc<Relation>,
+    bdd: bool,
+    opts: ServiceOptions,
+) -> RepairService {
+    let ctx = RepairContext::new(rules.clone(), master.clone(), bdd);
+    RepairService::from_engine(BatchRepairEngine::new(ctx), opts)
+}
 
 fn schema() -> Arc<Schema> {
     Schema::new("R", ["a", "b", "c", "d", "e"]).unwrap()
@@ -1019,9 +1043,11 @@ proptest! {
             .iter()
             .zip(&cleans)
             .map(|(d, c)| {
-                let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
-                    .threads(1)
-                    .build();
+                let opts = RepairOptions {
+                    threads: 1,
+                    ..RepairOptions::default()
+                };
+                let mut session = open_session(&rules, &master, false, opts);
                 session.drain(SliceSource::with_batch(d, batch), |i| {
                     SimulatedUser::new(c[i].clone())
                 });
@@ -1030,9 +1056,11 @@ proptest! {
             .collect();
 
         for workers in [1usize, 2, 4] {
-            let service = RepairServiceBuilder::new(rules.clone(), master.clone())
-                .threads(workers)
-                .build();
+            let opts = ServiceOptions {
+                threads: workers,
+                ..ServiceOptions::default()
+            };
+            let service = open_service(&rules, &master, false, opts);
             let streams = dirty
                 .iter()
                 .zip(&cleans)
@@ -1100,15 +1128,17 @@ proptest! {
             .flat_map(|(b, _)| b.iter().map(|(_, c)| c.clone()))
             .collect();
         for workers in [1usize, 2, 4] {
-            let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
-                .threads(workers)
-                .build();
+            let opts = RepairOptions {
+                threads: workers,
+                ..RepairOptions::default()
+            };
+            let mut session = open_session(&rules, &master, false, opts);
             // the master state each batch pins, captured just before the push
             let mut pinned: Vec<Arc<Relation>> = Vec::new();
             let mut applied = 0u64;
             let mut last_gen = 0u64;
             for (batch, ops) in &phases {
-                pinned.push(session.engine().context().epoch().master().relation().clone());
+                pinned.push(session.context().epoch().master().relation().clone());
                 let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
                 let generation = session
                     .push_batch(&dirty, |i| SimulatedUser::new(cleans[i].clone()))
@@ -1116,7 +1146,7 @@ proptest! {
                 prop_assert!(generation >= last_gen);
                 last_gen = generation;
                 for (kind, t, r) in ops {
-                    let rows = session.engine().context().epoch().master().relation().len() as u32;
+                    let rows = session.context().epoch().master().relation().len() as u32;
                     let delta = match kind {
                         0 => MasterDelta::new().insert(t.clone()),
                         1 if rows > 0 => MasterDelta::new().update(*r as u32 % rows, t.clone()),
@@ -1134,7 +1164,7 @@ proptest! {
             for (k, ((batch, _), base)) in phases.iter().zip(&pinned).enumerate() {
                 let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
                 let fresh =
-                    BatchRepairEngine::new(RepairContext::new(rules.clone(), base.clone(), false));
+                    RepairContext::new(rules.clone(), base.clone(), false);
                 let opts = RepairOptions {
                     threads: 1,
                     ..RepairOptions::default()
@@ -1189,18 +1219,19 @@ proptest! {
         // one session over the stream; returns each batch's pinned
         // master and the finished report
         let run = |workers: usize| {
-            let mut session = RepairSessionBuilder::new(rules.clone(), master.clone())
-                .bdd(true)
-                .threads(workers)
-                .chunk(chunk)
-                .build();
+            let opts = RepairOptions {
+                threads: workers,
+                chunk,
+                ..RepairOptions::default()
+            };
+            let mut session = open_session(&rules, &master, true, opts);
             let mut pinned: Vec<Arc<Relation>> = Vec::new();
             for (batch, ops) in &phases {
-                pinned.push(session.engine().context().epoch().master().relation().clone());
+                pinned.push(session.context().epoch().master().relation().clone());
                 let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
                 session.push_batch(&dirty, |i| SimulatedUser::new(cleans[i].clone()));
                 for (kind, t, r) in ops {
-                    let rows = session.engine().context().epoch().master().relation().len() as u32;
+                    let rows = session.context().epoch().master().relation().len() as u32;
                     let delta = match kind {
                         0 => MasterDelta::new().insert(t.clone()),
                         1 if rows > 0 => MasterDelta::new().update(*r as u32 % rows, t.clone()),
@@ -1227,7 +1258,7 @@ proptest! {
         for (k, ((batch, _), base_master)) in phases.iter().zip(pinned).enumerate() {
             let dirty: Vec<Tuple> = batch.iter().map(|(d, _)| d.clone()).collect();
             let fresh =
-                BatchRepairEngine::new(RepairContext::new(rules.clone(), base_master, false));
+                RepairContext::new(rules.clone(), base_master, false);
             let opts = RepairOptions {
                 threads: 1,
                 ..RepairOptions::default()
