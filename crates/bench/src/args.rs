@@ -139,25 +139,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Lenient parse (no spec): every `--flag [value]` pair is kept,
-    /// non-flag tokens are skipped. Used by unit tests and library
-    /// callers that assemble flag maps programmatically; the binaries
-    /// go through [`Args::from_env_strict`].
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
-        let mut flags = BTreeMap::new();
-        let mut iter = args.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap(),
-                    _ => String::new(),
-                };
-                flags.insert(name.to_string(), value);
-            }
-        }
-        Args { flags }
-    }
-
     /// Strict parse against a declared flag set.
     ///
     /// * an undeclared `--flag` is [`ArgsError::Unknown`];
@@ -259,10 +240,6 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
-    }
-
     fn strict(s: &str, spec: &Spec) -> Result<Args, ArgsError> {
         Args::parse_strict(s.split_whitespace().map(String::from), spec)
     }
@@ -275,7 +252,7 @@ mod tests {
 
     #[test]
     fn parses_key_value_pairs() {
-        let a = parse("--dm 5000 --d 0.3 --vary n --quiet");
+        let a = strict("--dm 5000 --d 0.3 --vary n --quiet", &spec()).unwrap();
         assert_eq!(a.usize_or("dm", 0), 5000);
         assert_eq!(a.f64_or("d", 0.0), 0.3);
         assert_eq!(a.str_or("vary", "d"), "n");
@@ -285,23 +262,15 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let a = parse("");
+        let a = strict("", &spec()).unwrap();
         assert_eq!(a.usize_or("dm", 10_000), 10_000);
         assert_eq!(a.u64_or("seed", 42), 42);
         assert_eq!(a.str_or("vary", "d"), "d");
     }
 
     #[test]
-    fn flag_followed_by_flag_has_empty_value() {
-        let a = parse("--bdd --dm 10");
-        assert!(a.has("bdd"));
-        assert_eq!(a.get("bdd"), Some(""));
-        assert_eq!(a.usize_or("dm", 0), 10);
-    }
-
-    #[test]
     fn bad_numbers_fall_back() {
-        let a = parse("--dm abc");
+        let a = strict("--dm abc", &spec()).unwrap();
         assert_eq!(a.usize_or("dm", 7), 7);
     }
 
@@ -393,6 +362,7 @@ mod tests {
 
     #[test]
     fn one_of_accepts_the_allowed_values_only() {
+        let parse = |s: &str| strict(s, &spec()).unwrap();
         let allowed = ["d", "dm", "all"];
         assert_eq!(parse("").one_of("vary", &allowed, "all"), Ok("all"));
         assert_eq!(parse("--vary dm").one_of("vary", &allowed, "all"), Ok("dm"));

@@ -260,6 +260,7 @@ pub fn run_increp(workload: &dyn Workload, dataset: &Dataset) -> ChangeCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Spec;
 
     fn small() -> ExpConfig {
         ExpConfig {
@@ -270,7 +271,8 @@ mod tests {
     }
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
+        let spec = Spec::exp("test-bin").valued(&["vary"]);
+        Args::parse_strict(s.split_whitespace().map(String::from), &spec).unwrap()
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! depends on the worker count (D12 in `DETERMINISM.md`). A walk that
 //! ends in a miss asks the caller's closure, which the engine answers
 //! with a fresh computation. The diagram is `CertainFix+`'s only
-//! suggestion cache.
+//! suggestion cache. A round the diagram serves derives no suggestion
+//! at all: the Fig. 3 loop reads its exhaustion stop off the served
+//! suggestion instead of deriving a second one.
 
 use certainfix_reasoning::is_suggestion_with;
 use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterIndex, Tuple};

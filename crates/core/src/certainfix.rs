@@ -1,7 +1,7 @@
 //! Algorithm `CertainFix` (Fig. 3 of the paper): the per-tuple
 //! interaction loop.
 
-use certainfix_reasoning::{suggest_with, Chase};
+use certainfix_reasoning::Chase;
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple};
 use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan, RuleSet};
 
@@ -9,25 +9,24 @@ use crate::oracle::UserOracle;
 use crate::transfix::transfix_block;
 
 /// Configuration of the interaction loop.
+///
+/// The loop stops on its own once every attribute is validated, or
+/// once no editing rule can contribute anything further: the next
+/// suggestion asks for every unvalidated attribute and this round's
+/// `TransFix` fixed nothing, or no suggestion is left. That is the
+/// behaviour the paper observes for tuples irrelevant to `Σ` and
+/// `Dm`: the process ends without a rule-backed certain fix (see
+/// [`FixOutcome::gave_up`]).
 #[derive(Clone, Debug)]
 pub struct CertainFixConfig {
-    /// Hard cap on interaction rounds (safety net; the loop normally
-    /// terminates earlier — see [`FixOutcome::gave_up`]).
+    /// Hard cap on interaction rounds (a safety net; the loop normally
+    /// stops earlier).
     pub max_rounds: usize,
-    /// Stop interacting once no editing rule can contribute anything
-    /// further (suggestions have degenerated to "type everything in").
-    /// This is the behaviour the paper observes for tuples irrelevant
-    /// to `Σ` and `Dm`: the process ends without a rule-backed certain
-    /// fix.
-    pub stop_when_rules_exhausted: bool,
 }
 
 impl Default for CertainFixConfig {
     fn default() -> Self {
-        CertainFixConfig {
-            max_rounds: 16,
-            stop_when_rules_exhausted: true,
-        }
+        CertainFixConfig { max_rounds: 16 }
     }
 }
 
@@ -67,7 +66,10 @@ pub struct FixOutcome {
     /// master data rather than produced purely by user assertions.
     pub rule_backed: bool,
     /// `true` iff the loop stopped because no rule could contribute
-    /// (tuple irrelevant to `Σ`/`Dm`), leaving attributes unvalidated.
+    /// (tuple irrelevant to `Σ`/`Dm`), leaving attributes unvalidated:
+    /// the next suggestion asked for every unvalidated attribute and
+    /// the last round's `TransFix` fixed nothing, or no suggestion was
+    /// left.
     pub gave_up: bool,
     /// Per-round trace.
     pub rounds: Vec<RoundReport>,
@@ -320,23 +322,10 @@ impl<'a> CertainFix<'a> {
                 match next_suggestion(&st.tuple, st.validated, scratch) {
                     Some(s) if !s.is_empty() => {
                         // the rules are exhausted when the suggestion
-                        // covers only itself (no rule reaches beyond
-                        // Z′ ∪ S) and this round fixed nothing
+                        // asks for every unvalidated attribute (no rule
+                        // would fix one) and this round fixed nothing
                         let s_set: AttrSet = s.iter().copied().collect();
-                        let rules_exhausted = {
-                            let predicted = suggest_with(
-                                self.rules,
-                                self.master,
-                                &st.tuple,
-                                st.validated,
-                                self.plan,
-                                scratch,
-                            )
-                            .map(|sug| sug.covers)
-                            .unwrap_or(st.validated);
-                            predicted == st.validated | s_set && out.fixed.is_empty()
-                        };
-                        if rules_exhausted && self.config.stop_when_rules_exhausted {
+                        if st.validated | s_set == full && out.fixed.is_empty() {
                             st.gave_up = true;
                             st.done = true;
                         } else {
@@ -575,38 +564,6 @@ mod tests {
         assert!(outcome.rounds.len() <= 3);
     }
 
-    #[test]
-    fn fully_user_driven_when_exhaustion_stop_disabled() {
-        let (r, rules, master, graph, plan) = fig1();
-        let config = CertainFixConfig {
-            stop_when_rules_exhausted: false,
-            ..Default::default()
-        };
-        let engine = CertainFix::new(&rules, &master, &graph, &plan, config);
-        let clean = tuple![
-            "Tim",
-            "Poth",
-            "990",
-            "9978543",
-            1,
-            "Baker St.",
-            "Gla",
-            "XX9 9XX",
-            "BOOK"
-        ];
-        let mut user = SimulatedUser::new(clean.clone());
-        let outcome = engine.run(
-            &clean,
-            &ids(&r, &["zip", "phn", "type", "item"]),
-            &mut user,
-            |t, validated, _| suggest(&rules, &master, t, validated).map(|s| s.attrs),
-        );
-        // the user eventually validates everything by hand
-        assert!(outcome.certain);
-        assert!(!outcome.rule_backed, "no rule fired");
-        assert_eq!(outcome.tuple, clean);
-    }
-
     /// The round-lockstep block loop is bit-identical to running each
     /// tuple as a block of one — outcomes, round traces, and the
     /// logical probe count — at every block size, across certain /
@@ -688,10 +645,7 @@ mod tests {
     #[test]
     fn rounds_are_bounded() {
         let (r, rules, master, graph, plan) = fig1();
-        let config = CertainFixConfig {
-            max_rounds: 2,
-            stop_when_rules_exhausted: false,
-        };
+        let config = CertainFixConfig { max_rounds: 2 };
         let engine = CertainFix::new(&rules, &master, &graph, &plan, config);
         let clean = tuple![
             "Tim",

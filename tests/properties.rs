@@ -41,8 +41,8 @@ use certain_fix::core::{
 };
 use certain_fix::datagen::{Dblp, Workload};
 use certain_fix::reasoning::{
-    applicable_rules, applicable_rules_with, suggest, suggest_with, Chase, ChaseResult,
-    ConflictKind,
+    applicable_rules, applicable_rules_with, closure, is_suggestion, suggest, suggest_with, Chase,
+    ChaseResult, ConflictKind,
 };
 use certain_fix::relation::{
     AttrId, AttrSet, KeyIndex, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation,
@@ -727,7 +727,8 @@ proptest! {
     /// The tentpole's determinism contract, randomized: on arbitrary
     /// miniature workloads the compiled plan and the legacy probe path
     /// agree on candidate masters, distinct fix values, chase results,
-    /// `TransFix`, and complete `CertainFix` outcomes — including
+    /// `TransFix`, suggestions (each of which completes the validated
+    /// set) and complete `CertainFix` outcomes — including
     /// null-key and pattern-mismatch edges.
     #[test]
     fn compiled_plan_matches_legacy_probes(
@@ -772,6 +773,23 @@ proptest! {
         prop_assert_eq!(a.validated, b.validated);
         prop_assert_eq!(a.steps, b.steps);
         prop_assert_eq!(a.disputed, b.disputed);
+        // suggestion parity, and the invariant the loop's exhaustion
+        // stop reads: a returned suggestion completes Z′ ∪ S to R
+        let legacy_sug = suggest(&rules, &master, &t, initial);
+        let plan_sug = suggest_with(&rules, &master, &t, initial, &plan, &mut scratch);
+        prop_assert_eq!(&legacy_sug, &plan_sug);
+        match legacy_sug {
+            Some(sg) if sg.attrs.is_empty() => {
+                // Σ_t[Z] alone closes Z′ (no suggestion is left: the
+                // loop gives up on an empty one)
+                let refined = applicable_rules(&rules, &master, &t, initial);
+                let (r, rm) = (rules.r_schema().clone(), rules.m_schema().clone());
+                let sigma_tz = RuleSet::from_rules(r, rm, refined).unwrap();
+                prop_assert_eq!(closure(&sigma_tz, initial).covered, AttrSet::full(ATTRS));
+            }
+            Some(sg) => prop_assert!(is_suggestion(&rules, &master, &t, initial, &sg.attrs)),
+            None => prop_assert_eq!(initial, AttrSet::full(ATTRS)),
+        }
         // whole-outcome parity: the full interaction loop with a
         // simulated user whose ground truth is the first master row
         let clean = master_rows[0].clone();
