@@ -3,7 +3,7 @@
 //! Computing a suggestion runs the greedy set-cover loop of
 //! [`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest::suggest); *checking* whether a previously
 //! computed suggestion still works for a new tuple is one closure
-//! ([`certainfix_reasoning::is_suggestion`]). The cache is a binary
+//! ([`Applicable::is_suggestion`]). The cache is a binary
 //! decision diagram: each node holds a cached suggestion; the `true`
 //! edge leads to the node consulted after this suggestion was used, the
 //! `false` edge to the next candidate when the check fails. Nodes are
@@ -14,16 +14,20 @@
 //! interaction rounds, resuming where it left off — mirroring "in the
 //! next round of interaction, checking resumes at node u".
 //!
+//! A round derives the applicable rules `Σ_t[Z]` at most once, and only
+//! when a check needs them (a cached suggestion that overlaps `Z` fails
+//! without them): every cached node on the walk is checked against that
+//! one derivation, and a walk that ends in a miss completes a fresh
+//! suggestion from it, which the diagram then caches.
+//!
 //! A diagram lives for one chunk of the engine's fan-out, and chunks
 //! are cut from the input alone, so what a diagram can serve never
-//! depends on the worker count (D12 in `DETERMINISM.md`). A walk that
-//! ends in a miss asks the caller's closure, which the engine answers
-//! with a fresh computation. The diagram is `CertainFix+`'s only
-//! suggestion cache. A round the diagram serves derives no suggestion
-//! at all: the Fig. 3 loop reads its exhaustion stop off the served
-//! suggestion instead of deriving a second one.
+//! depends on the worker count (D12 in `DETERMINISM.md`). The diagram is
+//! `CertainFix+`'s only suggestion cache. A round the diagram serves
+//! derives no suggestion at all: the Fig. 3 loop reads its exhaustion
+//! stop off the served suggestion instead of deriving a second one.
 
-use certainfix_reasoning::is_suggestion_with;
+use certainfix_reasoning::Applicable;
 use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterIndex, Tuple};
 use certainfix_rules::{ProbeScratch, RulePlan, RuleSet};
 
@@ -148,11 +152,10 @@ impl SuggestionBdd {
 
     /// `Suggest+` (Fig. 8): serve the next suggestion for `t` given the
     /// validated set, walking (and growing) the diagram from `cursor`.
-    /// Cached nodes are re-checked through the compiled `plan` with the
-    /// caller's `scratch`; when the walk ends in a miss, `miss(t,
-    /// validated, scratch)` supplies the suggestion, which the diagram
-    /// then caches. Returns `None` when every attribute is validated
-    /// (or the miss closure finds no suggestion).
+    /// Cached nodes are checked, and a miss is completed, against one
+    /// `Σ_t[Z]` derived through the compiled `plan` with the caller's
+    /// `scratch`; the diagram caches what a miss computes. Returns
+    /// `None` when every attribute is validated.
     #[allow(clippy::too_many_arguments)]
     pub fn suggest_plus_with(
         &mut self,
@@ -163,11 +166,11 @@ impl SuggestionBdd {
         validated: AttrSet,
         cursor: &mut Cursor,
         scratch: &mut ProbeScratch,
-        miss: impl FnOnce(&Tuple, AttrSet, &mut ProbeScratch) -> Option<Vec<AttrId>>,
     ) -> Option<Vec<AttrId>> {
         if validated == AttrSet::full(rules.r_schema().len()) {
             return None;
         }
+        let sigma = Applicable::new(rules, master, Some(plan), t, validated);
         let mut at = cursor.at.unwrap_or(CursorAt::Root);
         // Structural dedup makes the diagram a DAG whose false-edges may
         // close a cycle; remember visited nodes to stay terminating.
@@ -177,7 +180,7 @@ impl SuggestionBdd {
                 Some(i) if !visited.contains(&i) => {
                     visited.push(i);
                     let cached = &self.nodes[i].suggestion;
-                    if is_suggestion_with(rules, master, t, validated, cached, plan, scratch) {
+                    if sigma.is_suggestion(cached, scratch) {
                         self.stats.hits += 1;
                         cursor.at = Some(CursorAt::Hi(i));
                         return Some(cached.clone());
@@ -187,15 +190,15 @@ impl SuggestionBdd {
                 }
                 Some(_) => {
                     // walked into a false-edge cycle: every cached
-                    // candidate on this path failed; ask the miss path
+                    // candidate on this path failed; compute fresh
                     // without extending the diagram.
-                    let computed = miss(t, validated, scratch)?;
+                    let computed = sigma.suggest(scratch)?.attrs;
                     self.stats.misses += 1;
                     cursor.at = Some(CursorAt::Root);
                     return Some(computed);
                 }
                 None => {
-                    let computed = miss(t, validated, scratch)?;
+                    let computed = sigma.suggest(scratch)?.attrs;
                     self.stats.misses += 1;
                     let node = self.intern(&computed);
                     // interning may return a node already on this walk;
@@ -215,7 +218,6 @@ impl SuggestionBdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certainfix_reasoning::suggest_with;
     use certainfix_relation::{tuple, Relation, Schema};
     use certainfix_rules::parse_rules;
     use std::sync::Arc;
@@ -229,23 +231,21 @@ mod tests {
     }
 
     impl Fig1 {
-        /// One `Suggest+` call whose misses compute fresh.
+        /// One `Suggest+` call for `t1_fixed()`.
         fn walk(
             &self,
             bdd: &mut SuggestionBdd,
             validated: AttrSet,
             cursor: &mut Cursor,
         ) -> Option<Vec<AttrId>> {
-            let (rules, master, plan) = (&self.rules, &self.master, &self.plan);
             bdd.suggest_plus_with(
-                rules,
-                master,
-                plan,
+                &self.rules,
+                &self.master,
+                &self.plan,
                 &t1_fixed(),
                 validated,
                 cursor,
                 &mut ProbeScratch::new(),
-                |t, v, sc| suggest_with(rules, master, t, v, plan, sc).map(|s| s.attrs),
             )
         }
     }
@@ -437,6 +437,41 @@ mod tests {
         assert!(s.iter().all(|a| !z.contains(*a)));
         assert_eq!(bdd.stats().failed_checks, 2);
         assert_eq!(bdd.stats().misses, 1);
+    }
+
+    /// A round derives `Σ_t[Z]` once, however many cached checks fail
+    /// before its miss: the round probes the master exactly as much as
+    /// one fresh suggestion does.
+    #[test]
+    fn a_round_with_failed_checks_and_a_miss_derives_once() {
+        use certainfix_reasoning::suggest_with;
+        let fx = fig1();
+        let z = attrs(&fx.r, &["zip", "AC", "str", "city"]);
+        let mut one = ProbeScratch::new();
+        let fresh = suggest_with(&fx.rules, &fx.master, &t1_fixed(), z, &fx.plan, &mut one);
+        let one_derivation = one.probes();
+        assert!(one_derivation > 0);
+
+        // two cached suggestions that are disjoint from Z, so each check
+        // needs Σ_t[Z], and that do not complete it
+        let mut bdd = SuggestionBdd::new();
+        let a = bdd.intern(&[fx.r.attr("item").unwrap()]);
+        let b = bdd.intern(&[fx.r.attr("phn").unwrap()]);
+        bdd.root = Some(a);
+        bdd.nodes[a].lo = Some(b);
+        let mut scratch = ProbeScratch::new();
+        let served = bdd.suggest_plus_with(
+            &fx.rules,
+            &fx.master,
+            &fx.plan,
+            &t1_fixed(),
+            z,
+            &mut Cursor::start(),
+            &mut scratch,
+        );
+        assert_eq!(served, fresh.map(|s| s.attrs));
+        assert_eq!((bdd.stats().failed_checks, bdd.stats().misses), (2, 1));
+        assert_eq!(scratch.probes(), one_derivation);
     }
 
     #[test]

@@ -51,8 +51,9 @@
 //! `CertainFix+` every claimed chunk gets a fresh [`SuggestionBdd`], so
 //! what a diagram can serve is fixed by the chunk's own tuples; each
 //! worker keeps one [`MonitorStats`] accumulator per unit. The diagram
-//! is the only suggestion cache: its misses — and, with the BDD off,
-//! every suggestion — are computed fresh with [`suggest_with`].
+//! is the only suggestion cache: its misses are computed fresh from the
+//! applicable rules its round's checks derived, and with the BDD off
+//! every suggestion is computed fresh with [`suggest_with`].
 //! Nothing a batch computes outlives its chunk.
 //!
 //! A claimed chunk of plain `CertainFix` (BDD off) is one *block*: the
@@ -273,9 +274,9 @@ impl RepairContext {
     /// outcomes through this one code path.
     ///
     /// Editing-rule repairs run [`CertainFix::run_block_scratch`].
-    /// Under `CertainFix+` the diagram `bdd` serves first and hands its
-    /// misses to a fresh [`suggest_with`]; with the BDD off a fresh
-    /// computation answers every suggestion. The diagram's answers
+    /// Under `CertainFix+` the diagram `bdd` answers every suggestion,
+    /// computing its misses fresh; with the BDD off a fresh
+    /// [`suggest_with`] answers every suggestion. The diagram's answers
     /// depend on the order its per-tuple calls arrive in, which round
     /// lockstep would interleave, so with the BDD on the block must be
     /// a lone tuple; plain `CertainFix` takes blocks of any length,
@@ -317,16 +318,7 @@ impl RepairContext {
             &mut oracles,
             |t, validated, sc| {
                 if self.use_bdd {
-                    bdd.suggest_plus_with(
-                        &self.rules,
-                        master,
-                        plan,
-                        t,
-                        validated,
-                        &mut cursor,
-                        sc,
-                        fresh,
-                    )
+                    bdd.suggest_plus_with(&self.rules, master, plan, t, validated, &mut cursor, sc)
                 } else {
                     fresh(t, validated, sc)
                 }
@@ -995,16 +987,7 @@ mod tests {
                 epoch.initial_suggestion(),
                 &mut oracle_for(i),
                 |t, validated, sc| {
-                    bdd.suggest_plus_with(
-                        rules,
-                        master,
-                        plan,
-                        t,
-                        validated,
-                        &mut cursor,
-                        sc,
-                        |t, v, sc| suggest_with(rules, master, t, v, plan, sc).map(|s| s.attrs),
-                    )
+                    bdd.suggest_plus_with(rules, master, plan, t, validated, &mut cursor, sc)
                 },
                 &mut scratch,
             );

@@ -16,10 +16,15 @@
 //! constants, so region derivation enumerates *modes* — assignments of
 //! pattern attributes to pattern constants (e.g. `type = 2` vs
 //! `type = 1` in Example 9) — and derives one candidate region per mode.
-//! [`RegionCatalog`] ranks all derived regions by a quality metric; the
-//! framework seeds interaction with the best one (CRHQ) and the
-//! experiments also exercise the median (CRMQ).
+//! The rules guaranteed to fire in a mode are a subset of `Σ`, computed
+//! once per mode; both deductions close over that subset and take the
+//! greedy completion, the local minimisation and the smallest-subset
+//! search from [`crate::closure`](mod@crate::closure), which suggestion
+//! generation shares. [`RegionCatalog`] ranks all derived regions by a
+//! quality metric; the framework seeds interaction with the best one
+//! (CRHQ) and the experiments also exercise the median (CRMQ).
 
+use std::convert::Infallible;
 use std::fmt;
 
 use certainfix_relation::{
@@ -27,6 +32,7 @@ use certainfix_relation::{
 };
 use certainfix_rules::RuleSet;
 
+use crate::closure::{closure_over, complete, minimise, smallest_subset, ClosureTrace};
 use crate::error::AnalysisError;
 use crate::region::Region;
 
@@ -41,11 +47,12 @@ const EXACT_MAX_K: usize = 4;
 /// from the map are unconstrained.
 type Mode = Vec<(AttrId, Value)>;
 
-/// Closure under the sub-ruleset guaranteed to fire in `mode`.
-fn closure_in_mode(rules: &RuleSet, mode: &Mode, z: AttrSet) -> (AttrSet, Vec<usize>) {
-    let enabled: Vec<bool> = rules
+/// The rules guaranteed to fire in `mode`, ascending: every pattern
+/// cell is matched by the mode's constant on its attribute.
+fn enabled(rules: &RuleSet, mode: &Mode) -> Vec<usize> {
+    rules
         .iter()
-        .map(|(_, rule)| {
+        .filter(|(_, rule)| {
             rule.lhs_p()
                 .iter()
                 .zip(rule.pattern().cells())
@@ -56,27 +63,8 @@ fn closure_in_mode(rules: &RuleSet, mode: &Mode, z: AttrSet) -> (AttrSet, Vec<us
                     None => cell.is_wildcard(),
                 })
         })
-        .collect();
-    let mut covered = z;
-    let mut fired = Vec::new();
-    let mut done = vec![false; rules.len()];
-    loop {
-        let mut changed = false;
-        for (i, rule) in rules.iter() {
-            if done[i] || !enabled[i] || covered.contains(rule.rhs()) {
-                continue;
-            }
-            if rule.premise().is_subset(&covered) {
-                covered.insert(rule.rhs());
-                fired.push(i);
-                done[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return (covered, fired);
-        }
-    }
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// The paper's greedy baseline (Sect. 6, "GRegion"): at each stage
@@ -91,12 +79,19 @@ pub fn gregion(rules: &RuleSet) -> Vec<AttrId> {
 
 /// `gregion` restricted to rules guaranteed to fire in `mode`.
 pub fn gregion_in_mode(rules: &RuleSet, mode: &Mode) -> Vec<AttrId> {
+    gregion_over(rules, mode, &enabled(rules, mode))
+}
+
+fn gregion_over(rules: &RuleSet, mode: &Mode, enabled: &[usize]) -> Vec<AttrId> {
     let full = AttrSet::full(rules.r_schema().len());
+    let close = |z| closure_over(rules, enabled.iter().copied(), z).covered;
     let mut z: AttrSet = mode.iter().map(|&(a, _)| a).collect();
-    let mut covered = closure_in_mode(rules, mode, z).0;
+    let mut covered = close(z);
     while covered != full {
         // one-step gain: rules whose premise becomes satisfied by adding
-        // `a`, counting their uncovered targets
+        // `a`, counting their uncovered targets. The scan reads all of
+        // Σ, not the mode's subset: restricting it changes which
+        // attribute wins and so moves the median region (CRMQ).
         let mut best: Option<(AttrId, usize)> = None;
         for a in (full - covered).iter() {
             let with_a = covered | AttrSet::singleton(a);
@@ -116,7 +111,7 @@ pub fn gregion_in_mode(rules: &RuleSet, mode: &Mode) -> Vec<AttrId> {
         }
         let (pick, _) = best.expect("some attribute is uncovered");
         z.insert(pick);
-        covered = closure_in_mode(rules, mode, z).0;
+        covered = close(z);
     }
     z.to_vec()
 }
@@ -131,117 +126,39 @@ pub fn comp_cregion(rules: &RuleSet) -> Vec<AttrId> {
 
 /// `comp_cregion` restricted to rules guaranteed to fire in `mode`.
 pub fn comp_cregion_in_mode(rules: &RuleSet, mode: &Mode) -> Vec<AttrId> {
+    comp_cregion_over(rules, mode, &enabled(rules, mode))
+}
+
+fn comp_cregion_over(rules: &RuleSet, mode: &Mode, enabled: &[usize]) -> Vec<AttrId> {
     let full = AttrSet::full(rules.r_schema().len());
+    let close = |z| closure_over(rules, enabled.iter().copied(), z).covered;
     let mode_attrs: AttrSet = mode.iter().map(|&(a, _)| a).collect();
 
     // Must-haves: mode attributes plus attributes unfixable in this mode
     // (no enabled rule targets them).
-    let coverable = closure_in_mode(rules, mode, full).0; // = full, trivially
-    debug_assert_eq!(coverable, full);
-    let fixable: AttrSet = rules
-        .iter()
-        .filter(|(_, rule)| {
-            rule.lhs_p()
-                .iter()
-                .zip(rule.pattern().cells())
-                .all(|(&a, cell)| match mode.iter().find(|(ma, _)| *ma == a) {
-                    Some((_, v)) => cell.matches(v),
-                    None => cell.is_wildcard(),
-                })
-        })
-        .map(|(_, rule)| rule.rhs())
-        .collect();
+    let fixable: AttrSet = enabled.iter().map(|&i| rules.rule(i).rhs()).collect();
     let seed = mode_attrs | (full - fixable);
-
-    let mut z = if closure_in_mode(rules, mode, seed).0 == full {
+    let reached = close(seed);
+    let z = if reached == full {
         seed
     } else {
-        // Candidates: attributes that appear as rule prerequisites.
-        let candidates: Vec<AttrId> = rules
-            .touched_attrs()
-            .difference(&seed)
-            .iter()
-            .filter(|&a| !closure_in_mode(rules, mode, seed).0.contains(a))
-            .collect();
-        exact_completion(rules, mode, seed, &candidates, full)
-            .unwrap_or_else(|| greedy_completion(rules, mode, seed, full))
+        // Exact search over small completions drawn from the rule
+        // prerequisites the seed does not reach, smallest first; greedy
+        // when there are too many candidates or nothing small works.
+        let candidates = (rules.touched_attrs() - seed - reached).to_vec();
+        let exact = if candidates.len() > EXACT_MAX_CANDIDATES {
+            None
+        } else {
+            smallest_subset(&candidates, EXACT_MAX_K, |picked| {
+                Ok(close(seed | picked) == full)
+            })
+            .unwrap_or_else(|never: Infallible| match never {})
+        };
+        seed | exact.unwrap_or_else(|| complete(rules, enabled, seed))
     };
-
     // Local minimization: drop any attribute whose removal keeps
     // closure(Z) = R (mode attributes stay).
-    for a in z.to_vec() {
-        if mode_attrs.contains(a) {
-            continue;
-        }
-        let without = z - AttrSet::singleton(a);
-        if closure_in_mode(rules, mode, without).0 == full {
-            z = without;
-        }
-    }
-    z.to_vec()
-}
-
-/// Try all completions of `seed` with up to [`EXACT_MAX_K`] candidate
-/// attributes, smallest first. Returns the first (hence minimum-size)
-/// hit, or `None` if the search space is too large or nothing ≤ K works.
-fn exact_completion(
-    rules: &RuleSet,
-    mode: &Mode,
-    seed: AttrSet,
-    candidates: &[AttrId],
-    full: AttrSet,
-) -> Option<AttrSet> {
-    if candidates.len() > EXACT_MAX_CANDIDATES {
-        return None;
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        rules: &RuleSet,
-        mode: &Mode,
-        seed: AttrSet,
-        candidates: &[AttrId],
-        full: AttrSet,
-        k: usize,
-        start: usize,
-        picked: AttrSet,
-    ) -> Option<AttrSet> {
-        if k == 0 {
-            let z = seed | picked;
-            return (closure_in_mode(rules, mode, z).0 == full).then_some(z);
-        }
-        // not enough candidates left
-        if candidates.len() - start < k {
-            return None;
-        }
-        for i in start..candidates.len() {
-            let next = picked | AttrSet::singleton(candidates[i]);
-            if let Some(z) = search(rules, mode, seed, candidates, full, k - 1, i + 1, next) {
-                return Some(z);
-            }
-        }
-        None
-    }
-    (0..=EXACT_MAX_K.min(candidates.len()))
-        .find_map(|k| search(rules, mode, seed, candidates, full, k, 0, AttrSet::EMPTY))
-}
-
-fn greedy_completion(rules: &RuleSet, mode: &Mode, seed: AttrSet, full: AttrSet) -> AttrSet {
-    let mut z = seed;
-    let mut covered = closure_in_mode(rules, mode, z).0;
-    while covered != full {
-        let mut best: Option<(AttrId, usize)> = None;
-        for a in (full - covered).iter() {
-            let gain = closure_in_mode(rules, mode, covered | AttrSet::singleton(a))
-                .0
-                .len();
-            if best.map(|(_, g)| gain > g).unwrap_or(true) {
-                best = Some((a, gain));
-            }
-        }
-        z.insert(best.expect("uncovered attr").0);
-        covered = closure_in_mode(rules, mode, z).0;
-    }
-    z
+    (mode_attrs | minimise(rules, enabled, mode_attrs, z - mode_attrs)).to_vec()
 }
 
 /// A deduced candidate certain region: `Z`, the mode's pattern
@@ -269,11 +186,6 @@ impl DerivedRegion {
     /// The mode pattern (constants on pattern attributes).
     pub fn mode(&self) -> &PatternTuple {
         &self.mode
-    }
-
-    /// Indices of the rules the region's coverage relies on.
-    pub fn fired_rules(&self) -> &[usize] {
-        &self.fired
     }
 
     /// Quality score in `[0, 1]`; higher is better (smaller `Z`).
@@ -356,12 +268,14 @@ impl RegionCatalog {
         let r_len = rules.r_schema().len();
         let mut regions: Vec<DerivedRegion> = Vec::new();
         for mode in enumerate_modes(rules) {
+            let enabled = enabled(rules, &mode);
             for z in [
-                comp_cregion_in_mode(rules, &mode),
-                gregion_in_mode(rules, &mode),
+                comp_cregion_over(rules, &mode, &enabled),
+                gregion_over(rules, &mode, &enabled),
             ] {
                 let z_set: AttrSet = z.iter().copied().collect();
-                let (covered, fired) = closure_in_mode(rules, &mode, z_set);
+                let ClosureTrace { covered, fired } =
+                    closure_over(rules, enabled.iter().copied(), z_set);
                 if covered != AttrSet::full(r_len) {
                     continue;
                 }
@@ -581,7 +495,7 @@ mod tests {
         let (r, rules, _m) = fig1();
         for mode in enumerate_modes(&rules) {
             let z: AttrSet = comp_cregion_in_mode(&rules, &mode).into_iter().collect();
-            let (covered, _) = closure_in_mode(&rules, &mode, z);
+            let covered = closure_over(&rules, enabled(&rules, &mode).into_iter(), z).covered;
             assert_eq!(covered, AttrSet::full(r.len()));
         }
     }

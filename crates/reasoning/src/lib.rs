@@ -37,7 +37,7 @@ pub mod suggest;
 pub mod zproblems;
 
 pub use chase::{Chase, ChaseResult, Conflict, ConflictKind, Fix};
-pub use closure::{closure, firing_rules, ClosureTrace};
+pub use closure::{closure, closure_over, ClosureTrace};
 pub use consistency::{check_consistency, ConsistencyReport};
 pub use coverage::{check_coverage, CoverageReport};
 pub use derive::{
@@ -46,8 +46,5 @@ pub use derive::{
 pub use direct::{direct_consistent, direct_covers, direct_covers_with, DirectReport};
 pub use error::AnalysisError;
 pub use region::Region;
-pub use suggest::{
-    applicable_rules, applicable_rules_with, is_suggestion, is_suggestion_with, suggest,
-    suggest_with, Suggestion,
-};
+pub use suggest::{applicable_rules, is_suggestion, suggest, suggest_with, Applicable, Suggestion};
 pub use zproblems::{z_count, z_minimum, z_validate, ZBudget};

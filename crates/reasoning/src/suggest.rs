@@ -6,11 +6,29 @@
 //! approximation-hard (it contains Z-minimum), so this module provides
 //! the heuristic the framework actually runs:
 //!
-//! 1. derive the *applicable rules* `Σ_t[Z]` — rules refined with the
-//!    concrete values of `t[Z]` (Prop. 20 shows `Σ_t[Z]` suffices);
+//! 1. derive the *applicable rules* `Σ_t[Z]` (Prop. 20 shows `Σ_t[Z]`
+//!    suffices) — as a subset of `Σ`, by rule id;
 //! 2. greedily pick attributes that maximize schema-level closure
 //!    growth under `Σ_t[Z]` until `closure(Z ∪ S) = R`;
 //! 3. locally minimize `S` by dropping redundant attributes.
+//!
+//! The paper's `Σ_t[Z]` holds *refined* rules `ϕ+`, whose patterns pin
+//! the validated cells to `t`'s values. Refinement changes neither a
+//! rule's premise `X ∪ Xp` nor its `rhs`, which are all the closure
+//! reads, so steps 2 and 3 close over the ids and no refined rule is
+//! built on the repair path. [`applicable_rules`] still returns the
+//! refined rules (Example 14), by refining the same subset. Steps 2
+//! and 3 are the greedy completion and minimisation of
+//! [`crate::closure`](mod@crate::closure), shared with region
+//! derivation.
+//!
+//! [`Applicable`] is `Σ_t[Z]` for one `(t, Z)`, derived on first use:
+//! a round of the `Suggest+` diagram checks cached suggestions against
+//! it and completes a miss from it, all from one derivation. Checking
+//! a suggestion is one closure, where deriving one is a closure per
+//! candidate attribute per greedy step — the asymmetry the paper's
+//! cache rests on ("it is far less costly to check whether a region is
+//! certain than computing new certain regions").
 //!
 //! The fallback is always available: `S` can include attributes no rule
 //! fixes, which the user then validates directly (that is how `item`
@@ -21,8 +39,8 @@
 //! for every unvalidated attribute means no rule reaches beyond it.
 //!
 //! Probes here ride the same compiled [`RulePlan`] as the repair hot
-//! path (`validated_candidates` resolves each rule's validated-key
-//! split through the plan's sub-key slots). Suggestion derivation is
+//! path (the derivation resolves each rule's validated-key split
+//! through the plan's sub-key slots). Suggestion derivation is
 //! per-tuple by nature — it runs after a specific `t[Z]` is validated
 //! — so it consumes the plan's single-tuple entry points; the
 //! *vectorized block layer* (`RulePlan::plan_probe_block`, see the
@@ -31,10 +49,12 @@
 //! both layers return bit-identical hit lists by the block-size
 //! independence contract.
 
+use std::cell::OnceCell;
+
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, PatternValue, Tuple};
 use certainfix_rules::{EditingRule, ProbeScratch, RulePlan, RuleSet};
 
-use crate::closure::closure;
+use crate::closure::{closure_over, complete, minimise};
 
 /// A recommended set of attributes for the user to assert. It always
 /// completes: `closure(Z ∪ S) = R` under `Σ_t[Z]`.
@@ -51,9 +71,10 @@ impl Suggestion {
     }
 }
 
-/// Derive the applicable-rule set `Σ_t[Z]` (Sect. 5.2).
+/// `Σ_t[Z]` for one tuple `t` and validated set `Z`, as a subset of
+/// `Σ`: derived on the first call that needs it, then reused.
 ///
-/// For each `ϕ ∈ Σ` with pattern `tp[Xp]`, `ϕ+` is included iff:
+/// For each `ϕ ∈ Σ` with pattern `tp[Xp]`, `ϕ` is applicable iff:
 ///
 /// * (a) `ϕ` does not *change* validated attributes: either
 ///   `rhs(ϕ) ∉ Z`, or every master candidate agrees with the already
@@ -63,221 +84,264 @@ impl Suggestion {
 /// * (c) some master tuple `tm` satisfies `tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X]`
 ///   and `tm[λϕ(X ∩ Z)] = t[X ∩ Z]`.
 ///
-/// `ϕ+` extends the pattern attributes with `X ∩ Z` and pins every
-/// pattern cell on a validated attribute to `t`'s concrete value.
+/// With a compiled [`RulePlan`], each rule's *validated-key split* —
+/// which key positions of `X` lie in `Z`, and the master columns they
+/// align with — is resolved through the plan's precomputed layout and
+/// per-subset index slots, and the `λϕ` lookups of the master-side
+/// pattern check use the plan's precomputed alignment. Without one the
+/// derivation probes the [`MasterIndex`] directly; both derive the same
+/// subset, and tests keep the plan-less path as the parity oracle.
+#[derive(Debug)]
+pub struct Applicable<'a> {
+    rules: &'a RuleSet,
+    master: &'a MasterIndex,
+    plan: Option<&'a RulePlan>,
+    t: &'a Tuple,
+    validated: AttrSet,
+    ids: OnceCell<Vec<usize>>,
+}
+
+impl<'a> Applicable<'a> {
+    /// `Σ_t[Z]` for `t` with `validated = Z`, not derived yet. `plan`,
+    /// if any, must be compiled over `rules` and `master`.
+    pub fn new(
+        rules: &'a RuleSet,
+        master: &'a MasterIndex,
+        plan: Option<&'a RulePlan>,
+        t: &'a Tuple,
+        validated: AttrSet,
+    ) -> Applicable<'a> {
+        debug_assert!(plan.map_or(true, |p| p.len() == rules.len()));
+        Applicable {
+            rules,
+            master,
+            plan,
+            t,
+            validated,
+            ids: OnceCell::new(),
+        }
+    }
+
+    /// The applicable rule ids, ascending; the first call derives them.
+    pub fn ids(&self, scratch: &mut ProbeScratch) -> &[usize] {
+        self.ids.get_or_init(|| self.derive(scratch))
+    }
+
+    /// Is `attrs` a suggestion: non-empty, disjoint from `Z`, and
+    /// `closure(Z ∪ S) = R` under `Σ_t[Z]`? An `attrs` that fails the
+    /// first two tests derives nothing.
+    pub fn is_suggestion(&self, attrs: &[AttrId], scratch: &mut ProbeScratch) -> bool {
+        let s: AttrSet = attrs.iter().copied().collect();
+        if !s.is_disjoint(&self.validated) || s.is_empty() {
+            return false;
+        }
+        let ids = self.ids(scratch).iter().copied();
+        closure_over(self.rules, ids, self.validated | s).covered
+            == AttrSet::full(self.rules.r_schema().len())
+    }
+
+    /// A suggestion for `t`, or `None` when `Z = R` (which derives
+    /// nothing).
+    pub fn suggest(&self, scratch: &mut ProbeScratch) -> Option<Suggestion> {
+        let (rules, z) = (self.rules, self.validated);
+        if z == AttrSet::full(rules.r_schema().len()) {
+            return None;
+        }
+        let ids = self.ids(scratch);
+        let s = minimise(rules, ids, z, complete(rules, ids, z));
+        Some(Suggestion { attrs: s.to_vec() })
+    }
+
+    /// The derivation: every rule meeting (a)–(c), ascending.
+    fn derive(&self, scratch: &mut ProbeScratch) -> Vec<usize> {
+        let (rules, master, t, validated, plan) =
+            (self.rules, self.master, self.t, self.validated, self.plan);
+        let mut out = Vec::new();
+        'rules: for (i, rule) in rules.iter() {
+            // (b) validated pattern cells must match t.
+            for (&a, cell) in rule.lhs_p().iter().zip(rule.pattern().cells()) {
+                if validated.contains(a) && !cell.matches(t.get(a)) {
+                    continue 'rules;
+                }
+            }
+            // (c) master support. The λϕ alignment of pattern attrs with
+            // master columns comes precomputed from the plan when bound.
+            let compiled = plan.map(|p| p.rule(i));
+            let pattern_master = |j: usize, a: AttrId| -> Option<AttrId> {
+                match compiled {
+                    Some(c) => c.pattern_master()[j],
+                    None => rule.master_attr_for(a),
+                }
+            };
+            let rhs_validated = validated.contains(rule.rhs());
+            let pattern_on_keys = match compiled {
+                Some(c) => c.pattern_on_keys(),
+                None => rule
+                    .lhs_p()
+                    .iter()
+                    .any(|a| rule.master_attr_for(*a).is_some()),
+            };
+            let no_validated_keys = match compiled {
+                Some(c) => c.validated_mask(validated) == 0,
+                None => !rule.lhs().iter().any(|a| validated.contains(*a)),
+            };
+            // With the whole key and the target validated and no pattern
+            // cell on a key, the plan answers (c) and (a) — the agreement
+            // scan — from the hit list's span summary. (With the target
+            // unvalidated the scan below stops at the first candidate.)
+            let full_key = match (plan, compiled) {
+                (Some(p), Some(c))
+                    if rhs_validated
+                        && !c.pattern_on_keys()
+                        && c.validated_mask(validated).count_ones() as usize == c.lhs().len() =>
+                {
+                    Some(p.probe_fix(i, t, scratch))
+                }
+                _ => None,
+            };
+            if no_validated_keys {
+                // No validated key pins a master tuple yet.
+                if master.is_empty() {
+                    continue;
+                }
+                if rhs_validated {
+                    // Keeping the rule would require proving every candidate
+                    // master agrees with the validated t[B] — a full scan for
+                    // a rule the closure gains nothing from. Drop it.
+                    continue;
+                }
+                if pattern_on_keys {
+                    // Existence scan with early exit; it reads the rule and
+                    // the master alone, so a plan scanned it at compile time.
+                    let supported = match compiled {
+                        Some(c) => c.pattern_supported(),
+                        None => master.relation().iter().any(|tm| {
+                            rule.lhs_p()
+                                .iter()
+                                .zip(rule.pattern().cells())
+                                .enumerate()
+                                .all(|(j, (&a, cell))| match pattern_master(j, a) {
+                                    Some(ma) => cell.matches(tm.get(ma)),
+                                    None => true,
+                                })
+                        }),
+                    };
+                    if !supported {
+                        continue;
+                    }
+                }
+            } else if let Some(hits) = full_key {
+                // every candidate supports the rule, and it is kept only if
+                // none of them disagrees with the validated t[B]
+                if hits.first().is_none() || hits.first_disagreeing(t.get(rule.rhs())).is_some() {
+                    continue;
+                }
+            } else {
+                let mut supported = false;
+                let mut rhs_agrees = true;
+                let mut check = |id: u32| -> bool {
+                    // returns `true` to stop the scan
+                    let tm = master.tuple(id);
+                    // pattern cells on key attributes, checked master-side
+                    let pattern_ok = rule
+                        .lhs_p()
+                        .iter()
+                        .zip(rule.pattern().cells())
+                        .enumerate()
+                        .all(|(j, (&a, cell))| match pattern_master(j, a) {
+                            Some(ma) => cell.matches(tm.get(ma)),
+                            None => true,
+                        });
+                    if pattern_ok {
+                        supported = true;
+                        if !rhs_validated {
+                            // existence is all that matters: a weakly
+                            // selective validated key (e.g. only `type` of a
+                            // composite) can match most of Dm — don't scan it
+                            return true;
+                        }
+                        if !tm.get(rule.rhs_m()).agrees_with(t.get(rule.rhs())) {
+                            rhs_agrees = false;
+                            return true;
+                        }
+                    }
+                    false
+                };
+                match plan {
+                    Some(p) => {
+                        let hits = p
+                            .validated_candidates(i, t, validated, scratch)
+                            .expect("mask is non-zero on this branch");
+                        for &id in hits.iter() {
+                            if check(id) {
+                                break;
+                            }
+                        }
+                    }
+                    None => {
+                        let validated_keys: Vec<(usize, AttrId)> = rule
+                            .lhs()
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, a)| validated.contains(*a))
+                            .map(|(i, &a)| (i, a))
+                            .collect();
+                        let from: Vec<AttrId> = validated_keys.iter().map(|&(_, a)| a).collect();
+                        let to: Vec<AttrId> = validated_keys
+                            .iter()
+                            .map(|&(i, _)| rule.lhs_m()[i])
+                            .collect();
+                        for id in master.matches_projection(t, &from, &to) {
+                            if check(id) {
+                                break;
+                            }
+                        }
+                    }
+                }
+                if !supported {
+                    continue;
+                }
+                // (a) a rule targeting a validated attribute is kept only if
+                // it cannot change it.
+                if rhs_validated && !rhs_agrees {
+                    continue;
+                }
+            }
+            out.push(i);
+        }
+        out
+    }
+}
+
+/// The refined applicable rules `Σ_t[Z]` of Sect. 5.2: each rule of
+/// [`Applicable::ids`] as `ϕ+`, its pattern attributes extended by
+/// `X ∩ Z` and every pattern cell on a validated attribute pinned to
+/// `t`'s value.
 pub fn applicable_rules(
     rules: &RuleSet,
     master: &MasterIndex,
     t: &Tuple,
     validated: AttrSet,
 ) -> Vec<EditingRule> {
-    applicable_rules_impl(rules, master, t, validated, None, &mut ProbeScratch::new())
-}
-
-/// [`applicable_rules`] through a compiled [`RulePlan`].
-///
-/// Each rule's *validated-key split* — which key positions of `X` lie
-/// in `Z`, and the master columns they align with — is resolved
-/// through the plan's precomputed layout and per-subset index slots
-/// instead of rebuilding `from`/`to` vectors and re-hashing a key list
-/// per rule per call; the `λϕ` lookups of the master-side pattern
-/// check use the plan's precomputed alignment. The derived rule set is
-/// identical to the plain [`applicable_rules`] reference path, which
-/// tests keep as the parity oracle.
-pub fn applicable_rules_with(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    t: &Tuple,
-    validated: AttrSet,
-    plan: &RulePlan,
-    scratch: &mut ProbeScratch,
-) -> Vec<EditingRule> {
-    applicable_rules_impl(rules, master, t, validated, Some(plan), scratch)
-}
-
-/// Shared derivation behind [`applicable_rules`] (legacy probes) and
-/// [`applicable_rules_with`] (plan-routed probes).
-fn applicable_rules_impl(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    t: &Tuple,
-    validated: AttrSet,
-    plan: Option<&RulePlan>,
-    scratch: &mut ProbeScratch,
-) -> Vec<EditingRule> {
-    debug_assert!(plan.map_or(true, |p| p.len() == rules.len()));
-    let mut out = Vec::new();
-    'rules: for (i, rule) in rules.iter() {
-        // (b) validated pattern cells must match t.
-        for (&a, cell) in rule.lhs_p().iter().zip(rule.pattern().cells()) {
-            if validated.contains(a) && !cell.matches(t.get(a)) {
-                continue 'rules;
-            }
-        }
-        // (c) master support. The λϕ alignment of pattern attrs with
-        // master columns comes precomputed from the plan when bound.
-        let compiled = plan.map(|p| p.rule(i));
-        let pattern_master = |j: usize, a: AttrId| -> Option<AttrId> {
-            match compiled {
-                Some(c) => c.pattern_master()[j],
-                None => rule.master_attr_for(a),
-            }
-        };
-        let rhs_validated = validated.contains(rule.rhs());
-        let pattern_on_keys = match compiled {
-            Some(c) => c.pattern_on_keys(),
-            None => rule
-                .lhs_p()
+    let sigma = Applicable::new(rules, master, None, t, validated);
+    let ids = sigma.ids(&mut ProbeScratch::new());
+    ids.iter()
+        .map(|&i| {
+            let rule = rules.rule(i);
+            let extra: Vec<(AttrId, PatternValue)> = rule
+                .lhs()
                 .iter()
-                .any(|a| rule.master_attr_for(*a).is_some()),
-        };
-        let no_validated_keys = match compiled {
-            Some(c) => c.validated_mask(validated) == 0,
-            None => !rule.lhs().iter().any(|a| validated.contains(*a)),
-        };
-        // With the whole key and the target validated and no pattern
-        // cell on a key, the plan answers (c) and (a) — the agreement
-        // scan — from the hit list's span summary. (With the target
-        // unvalidated the scan below stops at the first candidate.)
-        let full_key = match (plan, compiled) {
-            (Some(p), Some(c))
-                if rhs_validated
-                    && !c.pattern_on_keys()
-                    && c.validated_mask(validated).count_ones() as usize == c.lhs().len() =>
-            {
-                Some(p.probe_fix(i, t, scratch))
-            }
-            _ => None,
-        };
-        if no_validated_keys {
-            // No validated key pins a master tuple yet.
-            if master.is_empty() {
-                continue;
-            }
-            if rhs_validated {
-                // Keeping the rule would require proving every candidate
-                // master agrees with the validated t[B] — a full scan for
-                // a rule the closure gains nothing from. Drop it.
-                continue;
-            }
-            if pattern_on_keys {
-                // Existence scan with early exit; it reads the rule and
-                // the master alone, so a plan scanned it at compile time.
-                let supported = match compiled {
-                    Some(c) => c.pattern_supported(),
-                    None => master.relation().iter().any(|tm| {
-                        rule.lhs_p()
-                            .iter()
-                            .zip(rule.pattern().cells())
-                            .enumerate()
-                            .all(|(j, (&a, cell))| match pattern_master(j, a) {
-                                Some(ma) => cell.matches(tm.get(ma)),
-                                None => true,
-                            })
-                    }),
-                };
-                if !supported {
-                    continue;
-                }
-            }
-        } else if let Some(hits) = full_key {
-            // every candidate supports the rule, and it is kept only if
-            // none of them disagrees with the validated t[B]
-            if hits.first().is_none() || hits.first_disagreeing(t.get(rule.rhs())).is_some() {
-                continue;
-            }
-        } else {
-            let mut supported = false;
-            let mut rhs_agrees = true;
-            let mut check = |id: u32| -> bool {
-                // returns `true` to stop the scan
-                let tm = master.tuple(id);
-                // pattern cells on key attributes, checked master-side
-                let pattern_ok = rule
-                    .lhs_p()
-                    .iter()
-                    .zip(rule.pattern().cells())
-                    .enumerate()
-                    .all(|(j, (&a, cell))| match pattern_master(j, a) {
-                        Some(ma) => cell.matches(tm.get(ma)),
-                        None => true,
-                    });
-                if pattern_ok {
-                    supported = true;
-                    if !rhs_validated {
-                        // existence is all that matters: a weakly
-                        // selective validated key (e.g. only `type` of a
-                        // composite) can match most of Dm — don't scan it
-                        return true;
-                    }
-                    if !tm.get(rule.rhs_m()).agrees_with(t.get(rule.rhs())) {
-                        rhs_agrees = false;
-                        return true;
-                    }
-                }
-                false
-            };
-            match plan {
-                Some(p) => {
-                    let hits = p
-                        .validated_candidates(i, t, validated, scratch)
-                        .expect("mask is non-zero on this branch");
-                    for &id in hits.iter() {
-                        if check(id) {
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    let validated_keys: Vec<(usize, AttrId)> = rule
-                        .lhs()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, a)| validated.contains(*a))
-                        .map(|(i, &a)| (i, a))
-                        .collect();
-                    let from: Vec<AttrId> = validated_keys.iter().map(|&(_, a)| a).collect();
-                    let to: Vec<AttrId> = validated_keys
-                        .iter()
-                        .map(|&(i, _)| rule.lhs_m()[i])
-                        .collect();
-                    for id in master.matches_projection(t, &from, &to) {
-                        if check(id) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !supported {
-                continue;
-            }
-            // (a) a rule targeting a validated attribute is kept only if
-            // it cannot change it.
-            if rhs_validated && !rhs_agrees {
-                continue;
-            }
-        }
-        // Refine: extend Xp with X ∩ Z, pin validated cells to t.
-        let extra: Vec<(AttrId, PatternValue)> = rule
-            .lhs()
-            .iter()
-            .chain(rule.lhs_p())
-            .filter(|&&a| validated.contains(a))
-            .map(|&a| (a, PatternValue::Const(*t.get(a))))
-            .collect();
-        out.push(rule.with_pattern(rule.pattern().refined_with(&extra)));
-    }
-    out
+                .chain(rule.lhs_p())
+                .filter(|&&a| validated.contains(a))
+                .map(|&a| (a, PatternValue::Const(*t.get(a))))
+                .collect();
+            rule.with_pattern(rule.pattern().refined_with(&extra))
+        })
+        .collect()
 }
 
 /// Is `attrs` (still) a suggestion for `t` given the validated set?
-///
-/// This is the cheap re-*check* the BDD cache of Sect. 5.2 performs
-/// instead of re-*deriving* a suggestion: one `Σ_t[Z]` derivation and
-/// one closure, rather than a closure per candidate attribute per
-/// greedy step. The paper's optimization rests on exactly this
-/// asymmetry ("it is far less costly to check whether a region is
-/// certain than computing new certain regions").
+/// (See [`Applicable::is_suggestion`].)
 pub fn is_suggestion(
     rules: &RuleSet,
     master: &MasterIndex,
@@ -285,49 +349,8 @@ pub fn is_suggestion(
     validated: AttrSet,
     attrs: &[AttrId],
 ) -> bool {
-    is_suggestion_impl(
-        rules,
-        master,
-        t,
-        validated,
-        attrs,
-        None,
-        &mut ProbeScratch::new(),
-    )
-}
-
-/// [`is_suggestion`] with a compiled [`RulePlan`] routing the
-/// underlying `Σ_t[Z]` derivation's probes.
-pub fn is_suggestion_with(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    t: &Tuple,
-    validated: AttrSet,
-    attrs: &[AttrId],
-    plan: &RulePlan,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_suggestion_impl(rules, master, t, validated, attrs, Some(plan), scratch)
-}
-
-fn is_suggestion_impl(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    t: &Tuple,
-    validated: AttrSet,
-    attrs: &[AttrId],
-    plan: Option<&RulePlan>,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    let s: AttrSet = attrs.iter().copied().collect();
-    if !s.is_disjoint(&validated) || s.is_empty() {
-        return false;
-    }
-    let refined = applicable_rules_impl(rules, master, t, validated, plan, scratch);
-    let sigma_tz = RuleSet::from_rules(rules.r_schema().clone(), rules.m_schema().clone(), refined)
-        .expect("refined rules share the original schemas");
-    let full = AttrSet::full(rules.r_schema().len());
-    closure(&sigma_tz, validated | s).covered == full
+    Applicable::new(rules, master, None, t, validated)
+        .is_suggestion(attrs, &mut ProbeScratch::new())
 }
 
 /// Compute a suggestion for `t` given the validated set, or `None` if
@@ -338,7 +361,7 @@ pub fn suggest(
     t: &Tuple,
     validated: AttrSet,
 ) -> Option<Suggestion> {
-    suggest_impl(rules, master, t, validated, None, &mut ProbeScratch::new())
+    Applicable::new(rules, master, None, t, validated).suggest(&mut ProbeScratch::new())
 }
 
 /// [`suggest`] with a compiled [`RulePlan`] routing the `Σ_t[Z]`
@@ -353,51 +376,7 @@ pub fn suggest_with(
     plan: &RulePlan,
     scratch: &mut ProbeScratch,
 ) -> Option<Suggestion> {
-    suggest_impl(rules, master, t, validated, Some(plan), scratch)
-}
-
-fn suggest_impl(
-    rules: &RuleSet,
-    master: &MasterIndex,
-    t: &Tuple,
-    validated: AttrSet,
-    plan: Option<&RulePlan>,
-    scratch: &mut ProbeScratch,
-) -> Option<Suggestion> {
-    let full = AttrSet::full(rules.r_schema().len());
-    if validated == full {
-        return None;
-    }
-    let refined = applicable_rules_impl(rules, master, t, validated, plan, scratch);
-    let sigma_tz = RuleSet::from_rules(rules.r_schema().clone(), rules.m_schema().clone(), refined)
-        .expect("refined rules share the original schemas");
-
-    // Greedy: grow S until closure(Z ∪ S) = R.
-    let mut s = AttrSet::EMPTY;
-    let mut covered = closure(&sigma_tz, validated).covered;
-    while covered != full {
-        let mut best: Option<(AttrId, usize)> = None;
-        for a in (full - covered).iter() {
-            let gain = closure(&sigma_tz, covered | AttrSet::singleton(a))
-                .covered
-                .len();
-            if best.map(|(_, g)| gain > g).unwrap_or(true) {
-                best = Some((a, gain));
-            }
-        }
-        let (pick, _) = best.expect("uncovered attribute exists");
-        s.insert(pick);
-        covered = closure(&sigma_tz, validated | s).covered;
-    }
-
-    // Local minimization: drop redundant members of S.
-    for a in s.to_vec() {
-        let without = s - AttrSet::singleton(a);
-        if closure(&sigma_tz, validated | without).covered == full {
-            s = without;
-        }
-    }
-    Some(Suggestion { attrs: s.to_vec() })
+    Applicable::new(rules, master, Some(plan), t, validated).suggest(scratch)
 }
 
 #[cfg(test)]
@@ -589,24 +568,17 @@ mod tests {
             attrs(&r, &["phn", "type"]),
             AttrSet::EMPTY,
         ];
+        let t = t1_fixed();
         for z in zs {
-            let legacy = applicable_rules(&rules, &master, &t1_fixed(), z);
-            let planned =
-                applicable_rules_with(&rules, &master, &t1_fixed(), z, &plan, &mut scratch);
-            assert_eq!(legacy, planned, "Z = {z:?}");
-            let s1 = suggest(&rules, &master, &t1_fixed(), z);
-            let s2 = suggest_with(&rules, &master, &t1_fixed(), z, &plan, &mut scratch);
+            let legacy = Applicable::new(&rules, &master, None, &t, z);
+            let planned = Applicable::new(&rules, &master, Some(&plan), &t, z);
+            let want = legacy.ids(&mut scratch).to_vec();
+            assert_eq!(planned.ids(&mut scratch), want, "Z = {z:?}");
+            let s1 = suggest(&rules, &master, &t, z);
+            let s2 = suggest_with(&rules, &master, &t, z, &plan, &mut scratch);
             assert_eq!(s1, s2, "Z = {z:?}");
             if let Some(s) = s1 {
-                assert!(is_suggestion_with(
-                    &rules,
-                    &master,
-                    &t1_fixed(),
-                    z,
-                    &s.attrs,
-                    &plan,
-                    &mut scratch,
-                ));
+                assert!(planned.is_suggestion(&s.attrs, &mut scratch));
             }
         }
     }
@@ -623,11 +595,14 @@ mod tests {
         let phi4 = rules.iter().position(|(_, r)| r.name() == "phi4").unwrap();
         assert!(!plan.rule(phi4).pattern_supported());
         let mut scratch = ProbeScratch::new();
+        let t = t1_fixed();
         for z in [AttrSet::EMPTY, attrs(&r, &["item"]), attrs(&r, &["type"])] {
-            let planned =
-                applicable_rules_with(&rules, &master, &t1_fixed(), z, &plan, &mut scratch);
-            assert!(planned.iter().all(|r| r.name() != "phi4"), "Z = {z:?}");
-            assert_eq!(planned, applicable_rules(&rules, &master, &t1_fixed(), z));
+            let planned = Applicable::new(&rules, &master, Some(&plan), &t, z)
+                .ids(&mut scratch)
+                .to_vec();
+            assert!(!planned.contains(&phi4), "Z = {z:?}");
+            let legacy = Applicable::new(&rules, &master, None, &t, z);
+            assert_eq!(planned, legacy.ids(&mut scratch));
         }
     }
 
@@ -642,15 +617,14 @@ mod tests {
         let (r, rules, master) = fig1();
         let z = attrs(&r, &["zip", "AC", "str", "city"]);
         let sug = suggest(&rules, &master, &t1_fixed(), z).unwrap();
-        let refined = applicable_rules(&rules, &master, &t1_fixed(), z);
-        let sigma =
-            RuleSet::from_rules(rules.r_schema().clone(), rules.m_schema().clone(), refined)
-                .unwrap();
+        let t = t1_fixed();
+        let sigma = Applicable::new(&rules, &master, None, &t, z);
+        let ids = sigma.ids(&mut ProbeScratch::new());
         let full = AttrSet::full(r.len());
         for a in sug.attr_set().iter() {
             let without = sug.attr_set() - AttrSet::singleton(a);
             assert_ne!(
-                closure(&sigma, z | without).covered,
+                closure_over(&rules, ids.iter().copied(), z | without).covered,
                 full,
                 "dropping {:?} should break coverage",
                 r.attr_name(a)

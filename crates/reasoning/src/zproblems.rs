@@ -20,7 +20,7 @@
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, PatternTuple, PatternValue, Value};
 use certainfix_rules::RuleSet;
 
-use crate::closure::closure;
+use crate::closure::{closure, smallest_subset};
 use crate::consistency::decision_domain;
 use crate::coverage::check_coverage;
 use crate::error::AnalysisError;
@@ -134,82 +134,24 @@ pub fn z_count(
 /// certain tableau, or `None`.
 ///
 /// Attributes no rule fixes are forced into `Z`; the completion is
-/// searched over rule-relevant attributes in ascending subset size,
-/// each candidate decided by [`z_validate`].
+/// searched over rule-relevant attributes in ascending subset size (the
+/// search `CompCRegion`'s exact completion shares), each candidate
+/// decided by [`z_validate`].
 pub fn z_minimum(
     rules: &RuleSet,
     master: &MasterIndex,
     k: usize,
     budget: &ZBudget,
 ) -> Result<Option<Vec<AttrId>>, AnalysisError> {
-    let full = AttrSet::full(rules.r_schema().len());
     let seed = rules.unfixable_attrs();
     if seed.len() > k {
         return Ok(None);
     }
     let candidates: Vec<AttrId> = (rules.touched_attrs() - seed).to_vec();
-
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        rules: &RuleSet,
-        master: &MasterIndex,
-        budget: &ZBudget,
-        candidates: &[AttrId],
-        seed: AttrSet,
-        full: AttrSet,
-        extra: usize,
-        start: usize,
-        picked: AttrSet,
-    ) -> Result<Option<Vec<AttrId>>, AnalysisError> {
-        if extra == 0 {
-            let z = seed | picked;
-            if closure(rules, z).covered != full {
-                return Ok(None);
-            }
-            let z_vec = z.to_vec();
-            if z_validate(rules, master, &z_vec, budget)?.is_some() {
-                return Ok(Some(z_vec));
-            }
-            return Ok(None);
-        }
-        if candidates.len() - start < extra {
-            return Ok(None);
-        }
-        for i in start..candidates.len() {
-            let next = picked | AttrSet::singleton(candidates[i]);
-            if let Some(z) = search(
-                rules,
-                master,
-                budget,
-                candidates,
-                seed,
-                full,
-                extra - 1,
-                i + 1,
-                next,
-            )? {
-                return Ok(Some(z));
-            }
-        }
-        Ok(None)
-    }
-
-    for extra in 0..=(k - seed.len()).min(candidates.len()) {
-        if let Some(z) = search(
-            rules,
-            master,
-            budget,
-            &candidates,
-            seed,
-            full,
-            extra,
-            0,
-            AttrSet::EMPTY,
-        )? {
-            return Ok(Some(z));
-        }
-    }
-    Ok(None)
+    let found = smallest_subset(&candidates, k - seed.len(), |picked| {
+        Ok(z_validate(rules, master, &(seed | picked).to_vec(), budget)?.is_some())
+    })?;
+    Ok(found.map(|picked| (seed | picked).to_vec()))
 }
 
 #[cfg(test)]

@@ -48,14 +48,15 @@
 //! inserts/updates/deletes) and returns the **next-generation**
 //! snapshot; the receiver is never mutated, so probes pinned against an
 //! older generation keep seeing exactly the rows they started with —
-//! invalidation never blocks an in-flight probe. All generations of a
-//! lineage share one slot cache whose entries are *generation-stamped*:
-//! [`MasterIndex::index_for`] only reuses a slot stamped with its own
-//! generation and restamps stale ones, so a delta invalidates every
-//! affected [`KeyIndex`] without touching threads still probing the old
-//! snapshot. Delete-free deltas go further and maintain already-built
-//! indexes eagerly — each is rebuilt over the new rows by the same
-//! scatter and restamped — which [`MasterIndex::index_patches`] counts.
+//! invalidation never blocks an in-flight probe. Each snapshot keeps
+//! its own slot cache (its clones share it), so a delta never touches
+//! the indexes of the snapshot it was applied to, and two snapshots of
+//! one lineage — siblings, or an older and a newer generation — never
+//! serve or evict each other's indexes. A delete-free delta fills the
+//! next snapshot's cache eagerly: every index built so far is rebuilt
+//! over the new rows by the same scatter, which
+//! [`MasterIndex::index_patches`] counts. A delta with deletes leaves
+//! the next snapshot's cache empty, to fill lazily.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -335,18 +336,6 @@ impl KeyIndex {
 /// [`OnceLock`] race; losers block on the lock and share the result.
 type IndexSlot = Arc<OnceLock<Arc<KeyIndex>>>;
 
-/// A cache entry stamped with the generation its index was built
-/// against. [`MasterIndex::index_for`] only trusts an entry whose
-/// stamp matches its own generation; anything else is stale and gets
-/// restamped (fresh empty slot) under the write lock. The stale slot's
-/// `Arc` stays alive in whoever pinned it, so restamping never blocks
-/// or invalidates an in-flight probe.
-#[derive(Clone, Debug)]
-struct GenSlot {
-    generation: u64,
-    slot: IndexSlot,
-}
-
 /// A batch of master-data mutations, applied atomically by
 /// [`MasterIndex::apply_delta`] to produce the next generation.
 ///
@@ -424,7 +413,7 @@ impl MasterDelta {
 
 /// A master relation bundled with a cache of [`KeyIndex`]es.
 ///
-/// Cloning is cheap (`Arc` inside); the cache is shared and grows
+/// Cloning is cheap (`Arc` inside); clones share the cache, which grows
 /// monotonically as new key lists are probed. Builds are single-flight
 /// (see the [module docs](self)) and counted —
 /// [`MasterIndex::index_builds`] is the monitoring hook asserting that
@@ -432,14 +421,14 @@ impl MasterDelta {
 ///
 /// A `MasterIndex` is one immutable **generation** of an evolving
 /// lineage: [`apply_delta`](Self::apply_delta) returns the next
-/// generation and leaves the receiver untouched, while all generations
-/// share one slot cache with generation-stamped entries (see the
-/// [module docs](self#live-master-data)).
+/// generation and leaves the receiver untouched. Each snapshot has its
+/// own cache; the build and patch counters are shared by the whole
+/// lineage (see the [module docs](self#live-master-data)).
 #[derive(Clone, Debug)]
 pub struct MasterIndex {
     rel: Arc<Relation>,
     generation: u64,
-    cache: Arc<RwLock<FxHashMap<Vec<AttrId>, GenSlot>>>,
+    cache: Arc<RwLock<FxHashMap<Vec<AttrId>, IndexSlot>>>,
     builds: Arc<AtomicU64>,
     patches: Arc<AtomicU64>,
 }
@@ -473,37 +462,23 @@ impl MasterIndex {
 
     /// Get (or lazily build) the index for `key`.
     ///
-    /// Builds are *single-flight per generation*: the slot for `key` is
-    /// reserved (or restamped, if a delta left it stale) under the
-    /// write lock, but the build itself runs outside any lock,
-    /// serialized by the slot's [`OnceLock`] — concurrent callers for
-    /// the same cold key block until the one build finishes and then
-    /// share it. A slot stamped with a different generation is never
-    /// reused: it belongs to another snapshot of the lineage, whose
-    /// pinned `Arc`s keep it alive independently of the cache. Callers
-    /// on the steady-state path should pin the returned `Arc` instead
-    /// of re-calling this (each call hashes `key` and takes the read
-    /// lock).
+    /// Builds are *single-flight per snapshot*: the slot for `key` is
+    /// reserved under the write lock, but the build itself runs outside
+    /// any lock, serialized by the slot's [`OnceLock`] — concurrent
+    /// callers for the same cold key block until the one build finishes
+    /// and then share it. Callers on the steady-state path should pin
+    /// the returned `Arc` instead of re-calling this (each call hashes
+    /// `key` and takes the read lock).
     pub fn index_for(&self, key: &[AttrId]) -> Arc<KeyIndex> {
-        let slot = {
-            let r = self.cache.read().expect("index cache poisoned");
-            r.get(key)
-                .filter(|e| e.generation == self.generation)
-                .map(|e| e.slot.clone())
-        };
+        let slot = self
+            .cache
+            .read()
+            .expect("index cache poisoned")
+            .get(key)
+            .cloned();
         let slot = slot.unwrap_or_else(|| {
             let mut w = self.cache.write().expect("index cache poisoned");
-            let entry = w.entry(key.to_vec()).or_insert_with(|| GenSlot {
-                generation: self.generation,
-                slot: IndexSlot::default(),
-            });
-            if entry.generation != self.generation {
-                *entry = GenSlot {
-                    generation: self.generation,
-                    slot: IndexSlot::default(),
-                };
-            }
-            entry.slot.clone()
+            w.entry(key.to_vec()).or_default().clone()
         });
         slot.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
@@ -517,14 +492,13 @@ impl MasterIndex {
     /// older generation) keep their rows — this is the non-blocking
     /// half of the invalidation contract.
     ///
-    /// The shared slot cache is maintained eagerly for a
-    /// **delete-free** delta: every already-built index of the current
-    /// generation is rebuilt over the new rows by
-    /// [`KeyIndex::build`]'s scatter and restamped to the new
-    /// generation — counted by [`index_patches`](Self::index_patches),
-    /// not by [`index_builds`](Self::index_builds). Deltas with deletes
-    /// renumber rows, so affected slots are left stale and rebuilt
-    /// lazily on the next [`index_for`](Self::index_for).
+    /// For a **delete-free** delta the next snapshot's cache starts
+    /// full: every index `self` has built is rebuilt over the new rows
+    /// by [`KeyIndex::build`]'s scatter — counted by
+    /// [`index_patches`](Self::index_patches), not by
+    /// [`index_builds`](Self::index_builds). Deltas with deletes
+    /// renumber rows, so the next snapshot's cache starts empty and
+    /// builds lazily on [`index_for`](Self::index_for).
     ///
     /// Row ids in `delta` refer to `self`'s rows. Errors:
     /// [`RelationError::RowOutOfRange`] for an update/delete past the
@@ -566,23 +540,20 @@ impl MasterIndex {
         });
         rows.extend(delta.inserts.iter().cloned());
         let rel = Arc::new(Relation::new(Arc::clone(schema), rows)?);
-        let generation = self.generation + 1;
+        let mut cache = FxHashMap::default();
         if deletes.is_empty() {
-            let mut w = self.cache.write().expect("index cache poisoned");
-            for (key, entry) in w.iter_mut() {
-                if entry.generation != self.generation || entry.slot.get().is_none() {
-                    continue;
-                }
-                let slot = IndexSlot::default();
-                let _ = slot.set(Arc::new(KeyIndex::build(&rel, key)));
-                *entry = GenSlot { generation, slot };
+            let r = self.cache.read().expect("index cache poisoned");
+            for (key, _) in r.iter().filter(|(_, slot)| slot.get().is_some()) {
+                let patched = IndexSlot::default();
+                let _ = patched.set(Arc::new(KeyIndex::build(&rel, key)));
+                cache.insert(key.clone(), patched);
                 self.patches.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(MasterIndex {
             rel,
-            generation,
-            cache: Arc::clone(&self.cache),
+            generation: self.generation + 1,
+            cache: Arc::new(RwLock::new(cache)),
             builds: Arc::clone(&self.builds),
             patches: Arc::clone(&self.patches),
         })
@@ -594,16 +565,17 @@ impl MasterIndex {
         self.generation
     }
 
-    /// Number of already-built indexes maintained eagerly (rebuilt and
-    /// restamped by a delete-free delta) instead of left for a lazy
-    /// rebuild.
+    /// Number of already-built indexes maintained eagerly (rebuilt for
+    /// the next snapshot by a delete-free delta) instead of left for a
+    /// lazy rebuild, across the whole lineage.
     pub fn index_patches(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)
     }
 
-    /// Number of [`KeyIndex`] builds actually executed (diagnostics;
-    /// with single-flight builds this equals the number of distinct
-    /// key lists ever probed, however many workers raced on them).
+    /// Number of [`KeyIndex`] builds actually executed across the
+    /// whole lineage (diagnostics; with single-flight builds a snapshot
+    /// builds each key list it probes once, however many workers raced
+    /// on it).
     pub fn index_builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
@@ -618,26 +590,6 @@ impl MasterIndex {
     pub fn matches_projection(&self, t: &Tuple, from: &[AttrId], to: &[AttrId]) -> Vec<u32> {
         let probe = t.project(from);
         self.matches(to, &probe)
-    }
-
-    /// [`matches_projection`](Self::matches_projection) with reusable
-    /// buffers: the projection goes through `probe` and the hit list is
-    /// copied into `out` (both cleared first). One lock acquisition and
-    /// — once the buffers are warm — zero heap allocations per call.
-    /// Hot paths that can also pin the index should prefer
-    /// [`KeyIndex::lookup_projection`], which skips the lock *and* the
-    /// copy.
-    pub fn matches_projection_into(
-        &self,
-        t: &Tuple,
-        from: &[AttrId],
-        to: &[AttrId],
-        probe: &mut Vec<Value>,
-        out: &mut Vec<u32>,
-    ) {
-        let idx = self.index_for(to);
-        out.clear();
-        out.extend_from_slice(idx.lookup_projection(t, from, probe));
     }
 
     /// Resolve a row id.
@@ -750,21 +702,6 @@ mod tests {
         assert!(idx
             .lookup_projection(&n, &[AttrId(0)], &mut probe)
             .is_empty());
-    }
-
-    #[test]
-    fn matches_projection_into_agrees_with_owned_path() {
-        let m = MasterIndex::new(master());
-        let mut probe = Vec::new();
-        let mut out = Vec::new();
-        for t in [
-            tuple!["131", "x"],
-            tuple!["nope", "x"],
-            tuple![Value::Null, "x"],
-        ] {
-            m.matches_projection_into(&t, &[AttrId(0)], &[AttrId(1)], &mut probe, &mut out);
-            assert_eq!(out, m.matches_projection(&t, &[AttrId(0)], &[AttrId(1)]));
-        }
     }
 
     /// Every hit list is a span of the one row buffer: spans by value
@@ -894,7 +831,44 @@ mod tests {
         assert_eq!((m0.generation(), m1.generation()), (0, 1));
     }
 
-    /// Deltas with deletes renumber rows: slots go stale and rebuild
+    /// Two deltas applied to one snapshot make two generation-1
+    /// siblings; each serves the index over its own rows.
+    #[test]
+    fn sibling_snapshots_keep_their_own_indexes() {
+        let m0 = MasterIndex::new(master());
+        let zip = [AttrId(0)];
+        let _ = m0.index_for(&zip);
+        let a = m0
+            .apply_delta(&MasterDelta::new().insert(tuple!["A1", "1", "x"]))
+            .unwrap();
+        let b = m0
+            .apply_delta(&MasterDelta::new().insert(tuple!["B1", "2", "y"]))
+            .unwrap();
+        assert_eq!((a.generation(), b.generation()), (1, 1));
+        assert_eq!(a.index_for(&zip).lookup(&[Value::str("A1")]), &[4]);
+        assert_eq!(b.index_for(&zip).lookup(&[Value::str("B1")]), &[4]);
+        assert_eq!(b.index_for(&zip).lookup(&[Value::str("A1")]), &[] as &[u32]);
+        assert_eq!((m0.index_builds(), m0.index_patches()), (1, 2));
+    }
+
+    /// An older snapshot's probe neither evicts nor rebuilds the newer
+    /// snapshot's maintained index.
+    #[test]
+    fn an_older_snapshot_leaves_the_newer_index_alone() {
+        let m0 = MasterIndex::new(master());
+        let zip = [AttrId(0)];
+        let _ = m0.index_for(&zip);
+        let m1 = m0
+            .apply_delta(&MasterDelta::new().update(1, tuple!["N", "0", "z"]))
+            .unwrap();
+        let maintained = m1.index_for(&zip);
+        assert_eq!(m0.index_for(&zip).lookup(&[Value::str("N")]), &[] as &[u32]);
+        assert!(Arc::ptr_eq(&m1.index_for(&zip), &maintained));
+        assert_eq!(m1.index_for(&zip).lookup(&[Value::str("N")]), &[1]);
+        assert_eq!(m0.index_builds(), 1, "one build, then one patch");
+    }
+
+    /// Deltas with deletes renumber rows: the next snapshot builds
     /// lazily, duplicate deletes collapse, survivors keep their order.
     #[test]
     fn deletes_renumber_and_rebuild_lazily() {

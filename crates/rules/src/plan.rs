@@ -121,11 +121,11 @@
 //! next-generation [`MasterIndex`] and swaps it in at the next epoch
 //! boundary, while in-flight probes keep the old plan's `Arc`s and
 //! finish against the generation they started on (nothing blocks,
-//! nothing is torn). Recompilation is cheap on the hot path:
-//! [`MasterIndex::index_for`] is generation-checked, so a delete-free
-//! delta hands the new plan the indexes it maintained eagerly, and
-//! cold sub-key slots refill lazily exactly as they did on first
-//! compile. Every compile starts empty summary tables, so the
+//! nothing is torn). Recompilation is cheap on the hot path: each
+//! [`MasterIndex`] snapshot has its own index cache, which a
+//! delete-free delta fills eagerly, so the new plan finds the indexes
+//! maintained for it, and cold sub-key slots refill lazily exactly as
+//! they did on first compile. Every compile starts empty summary tables, so the
 //! summaries live and die with the plan and refill against the new
 //! generation's rows. The session layer counts swaps as
 //! `plan_rebuilds`.
@@ -746,7 +746,7 @@ impl RulePlan {
     /// (one logical probe), answered by the hit list's span summary on
     /// the rule's fix column instead of its rows.
     pub fn probe_fix<'p>(&'p self, i: usize, t: &Tuple, scratch: &mut ProbeScratch) -> FixHits<'p> {
-        let g = self.group_of[i] as usize;
+        let g = self.group_of(i);
         let grp = &self.groups[g];
         let span = scratch.locate(&grp.index, t, &grp.lhs);
         self.fix_hits(i, span)
@@ -754,7 +754,7 @@ impl RulePlan {
 
     /// Rule `i`'s [`FixHits`] for a span of its group's pinned index.
     fn fix_hits(&self, i: usize, span: Span) -> FixHits<'_> {
-        let g = self.group_of[i] as usize;
+        let g = self.group_of(i);
         FixHits {
             summary: self.summary(g, span, self.col_of[i] as usize),
             rel: self.master.relation(),
@@ -800,7 +800,7 @@ impl RulePlan {
 
     /// The probe group rule `i` belongs to.
     #[inline]
-    pub fn group_of(&self, i: usize) -> usize {
+    fn group_of(&self, i: usize) -> usize {
         self.group_of[i] as usize
     }
 
@@ -985,7 +985,7 @@ impl RulePlan {
             "begin_block sizes the session"
         );
         self.fill_pattern_lane(i, block, scratch);
-        let g = self.group_of[i] as usize;
+        let g = self.group_of(i);
         if !scratch.block.group_done[g] {
             let b = &mut scratch.block;
             let nbase = g * b.lanes;
@@ -1014,7 +1014,7 @@ impl RulePlan {
             let b = &mut scratch.block;
             for (i, rule) in self.rules.iter().enumerate() {
                 let pbase = i * b.lanes;
-                let nbase = self.group_of[i] as usize * b.lanes;
+                let nbase = self.group_of(i) * b.lanes;
                 for (j, z) in zs.iter().enumerate() {
                     if rule.premise.is_subset(z)
                         && !z.contains(rule.rhs)
@@ -1046,7 +1046,7 @@ impl RulePlan {
     #[inline]
     pub fn block_prefetched(&self, i: usize, j: usize, scratch: &ProbeScratch) -> bool {
         let b = &scratch.block;
-        b.spans[self.group_of[i] as usize * b.len + j] != NO_SPAN
+        b.spans[self.group_of(i) * b.len + j] != NO_SPAN
     }
 
     /// The prefetched raw key probe of rule `i` on block tuple `j` —
@@ -1061,7 +1061,7 @@ impl RulePlan {
         j: usize,
         scratch: &mut ProbeScratch,
     ) -> Option<&'p [u32]> {
-        let g = self.group_of[i] as usize;
+        let g = self.group_of(i);
         let span = self.block_span(i, j, scratch)?;
         Some(self.groups[g].index.hits(span.range()))
     }
@@ -1083,7 +1083,7 @@ impl RulePlan {
     /// logical probe), `None` when it was not prefetched.
     #[inline]
     fn block_span(&self, i: usize, j: usize, scratch: &mut ProbeScratch) -> Option<Span> {
-        let g = self.group_of[i] as usize;
+        let g = self.group_of(i);
         let span = scratch.block.spans[g * scratch.block.len + j];
         if span == NO_SPAN {
             return None;
@@ -1158,12 +1158,6 @@ impl RulePlan {
                 scratch.lookup_masked(&idx, t, &rule.lhs, mask).to_vec(),
             ))
         }
-    }
-
-    /// The fix value rule `i` prescribes from master row `id`
-    /// (`tm[Bm]`).
-    pub fn fix_value(&self, i: usize, id: u32) -> Value {
-        *self.master.tuple(id).get(self.rules[i].rhs_m)
     }
 }
 

@@ -18,6 +18,9 @@
 //!   (every `FixHits` answer, and the chase, `TransFix` and
 //!   `applicable_rules` run on them), also across an overwriting DBLP
 //!   master delta,
+//! * `Σ_t[Z]` as a subset of rule ids ≡ the refined rules
+//!   `applicable_rules` returns (the same rules, the same closures, the
+//!   same suggestions), on random workloads, HOSP and DBLP,
 //! * session-interleaving-independence: N randomly sized streams
 //!   multiplexed through a `RepairService` ≡ each stream drained alone,
 //! * live master data (D10): random insert/update/delete
@@ -39,10 +42,10 @@ use certain_fix::core::{
     CertainFixConfig, MonitorStats, RepairContext, RepairOptions, RepairService, RepairSession,
     ServiceOptions, ServiceStream, SimulatedUser, SliceSource,
 };
-use certain_fix::datagen::{Dblp, Workload};
+use certain_fix::datagen::{Dataset, Dblp, DirtyConfig, Hosp, Workload};
 use certain_fix::reasoning::{
-    applicable_rules, applicable_rules_with, closure, is_suggestion, suggest, suggest_with, Chase,
-    ChaseResult, ConflictKind,
+    applicable_rules, closure, closure_over, is_suggestion, suggest, suggest_with, Applicable,
+    Chase, ChaseResult, ConflictKind, RegionCatalog, Suggestion,
 };
 use certain_fix::relation::{
     AttrId, AttrSet, KeyIndex, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation,
@@ -366,9 +369,9 @@ fn walked_answers(
 
 /// Every run that reads span summaries equals the plan-less walk over
 /// `items`: the chase (plan-backed `run_with` against the plain
-/// `run`), `applicable_rules_with` against `applicable_rules`, and
-/// `transfix_with` and `transfix_block` at block sizes 1, 2 and 7
-/// against the plain `transfix`.
+/// `run`), the plan-routed `Σ_t[Z]` derivation against the plan-less
+/// one, and `transfix_with` and `transfix_block` at block sizes 1, 2
+/// and 7 against the plain `transfix`.
 fn assert_summarised_runs_match_the_walk(
     rules: &RuleSet,
     master: &MasterIndex,
@@ -381,10 +384,11 @@ fn assert_summarised_runs_match_the_walk(
     let mut scratch = ProbeScratch::new();
     for (t, z) in items {
         assert_same_chase(&plain.run(t, *z), &planned.run_with(t, *z, &mut scratch))?;
-        prop_assert_eq!(
-            applicable_rules(rules, master, t, *z),
-            applicable_rules_with(rules, master, t, *z, plan, &mut scratch)
-        );
+        let want = Applicable::new(rules, master, None, t, *z)
+            .ids(&mut scratch)
+            .to_vec();
+        let sigma = Applicable::new(rules, master, Some(plan), t, *z);
+        prop_assert_eq!(sigma.ids(&mut scratch), &want[..]);
     }
     let want: Vec<_> = items
         .iter()
@@ -511,6 +515,139 @@ fn dblp_overwriting_delta_summaries_match_a_fresh_compile() {
     assert_eq!((c.attr, c.kind), (attr("hp1"), ConflictKind::SameRound));
     let before = Chase::new(rules, &m0).run(m0.tuple(1), AttrSet::singleton(attr("a1")));
     assert!(before.is_unique(), "the generated master is consistent");
+}
+
+/// Suggestion generation as it ran over a rebuilt `RuleSet` of the
+/// refined rules `applicable_rules` returns: greedy closure growth, then
+/// local minimisation. The oracle for suggestions closing over rule ids.
+fn refined_ruleset_suggestion(
+    rules: &RuleSet,
+    master: &MasterIndex,
+    t: &Tuple,
+    z: AttrSet,
+) -> Option<Suggestion> {
+    let full = AttrSet::full(rules.r_schema().len());
+    if z == full {
+        return None;
+    }
+    let (r, rm) = (rules.r_schema().clone(), rules.m_schema().clone());
+    let sigma = RuleSet::from_rules(r, rm, applicable_rules(rules, master, t, z)).unwrap();
+    let close = |zz: AttrSet| closure(&sigma, zz).covered;
+    let mut s = AttrSet::EMPTY;
+    let mut covered = close(z);
+    while covered != full {
+        let mut best: Option<(AttrId, usize)> = None;
+        for a in (full - covered).iter() {
+            let gain = close(covered | AttrSet::singleton(a)).len();
+            if best.map(|(_, g)| gain > g).unwrap_or(true) {
+                best = Some((a, gain));
+            }
+        }
+        s.insert(best.unwrap().0);
+        covered = close(z | s);
+    }
+    for a in s.to_vec() {
+        let without = s - AttrSet::singleton(a);
+        if close(z | without) == full {
+            s = without;
+        }
+    }
+    Some(Suggestion { attrs: s.to_vec() })
+}
+
+/// D4's suggestion leg: `Σ_t[Z]` as a subset of `Σ` is the refined rule
+/// set of Sect. 5.2. For each `(t, Z)`, the plan-routed and plan-less
+/// subsets name exactly the rules `applicable_rules` refines; closing
+/// over the subset equals closing over the refined rules, from `Z` and
+/// from every `Z ∪ {a}`; and `suggest_with` equals the suggestion
+/// derived over the refined `RuleSet`.
+fn assert_subset_is_sigma_tz(
+    rules: &RuleSet,
+    master: &MasterIndex,
+    plan: &RulePlan,
+    items: &[(Tuple, AttrSet)],
+) -> Result<(), TestCaseError> {
+    let mut scratch = ProbeScratch::new();
+    let (r, rm) = (rules.r_schema().clone(), rules.m_schema().clone());
+    let full = AttrSet::full(r.len());
+    for (t, z) in items {
+        let plain = Applicable::new(rules, master, None, t, *z)
+            .ids(&mut scratch)
+            .to_vec();
+        let planned = Applicable::new(rules, master, Some(plan), t, *z)
+            .ids(&mut scratch)
+            .to_vec();
+        let refined = applicable_rules(rules, master, t, *z);
+        let named: Vec<usize> = refined
+            .iter()
+            .map(|rule| {
+                rules
+                    .iter()
+                    .position(|(_, r)| r.name() == rule.name())
+                    .unwrap()
+            })
+            .collect();
+        prop_assert_eq!(&plain, &named);
+        prop_assert_eq!(&planned, &named);
+        let sigma = RuleSet::from_rules(r.clone(), rm.clone(), refined).unwrap();
+        for from in
+            std::iter::once(*z).chain((full - *z).iter().map(|a| *z | AttrSet::singleton(a)))
+        {
+            prop_assert_eq!(
+                closure_over(rules, plain.iter().copied(), from).covered,
+                closure(&sigma, from).covered
+            );
+        }
+        prop_assert_eq!(
+            suggest_with(rules, master, t, *z, plan, &mut scratch),
+            refined_ruleset_suggestion(rules, master, t, *z)
+        );
+    }
+    Ok(())
+}
+
+/// The D4 suggestion leg on HOSP and DBLP: dirty and clean inputs,
+/// each also after `TransFix` from the best catalog region, against the
+/// empty set, that region, and every rule's key with and without its
+/// target.
+#[test]
+fn applicable_subsets_are_sigma_tz_on_hosp_and_dblp() {
+    let workloads: [Box<dyn Workload>; 2] =
+        [Box::new(Hosp::generate(200)), Box::new(Dblp::generate(200))];
+    for w in &workloads {
+        let (rules, master) = (w.rules(), w.master_index());
+        let plan = RulePlan::compile(rules, master);
+        let graph = DependencyGraph::new(rules);
+        let best = RegionCatalog::build(rules, master).best().unwrap().z_set();
+        let mut zs = vec![AttrSet::EMPTY, best];
+        for (_, rule) in rules.iter() {
+            let key: AttrSet = rule.lhs().iter().copied().collect();
+            zs.extend([key, key | AttrSet::singleton(rule.rhs())]);
+        }
+        zs.sort_by_key(|z| z.bits());
+        zs.dedup();
+        let cfg = DirtyConfig {
+            duplicate_rate: 0.5,
+            noise_rate: 0.3,
+            input_size: 6,
+            seed: 4,
+            ..Default::default()
+        };
+        let mut scratch = ProbeScratch::new();
+        let mut items = Vec::new();
+        for input in Dataset::generate(w.as_ref(), &cfg).inputs {
+            let mut user_view = input.dirty.clone();
+            for a in best.iter() {
+                user_view.set(a, *input.clean.get(a));
+            }
+            let fixed = transfix_with(rules, master, &graph, &plan, &mut scratch, &user_view, best);
+            items.push((fixed.tuple, fixed.validated));
+            for t in [input.dirty, input.clean] {
+                items.extend(zs.iter().map(|&z| (t.clone(), z)));
+            }
+        }
+        assert_subset_is_sigma_tz(rules, master, &plan, &items).unwrap();
+    }
 }
 
 proptest! {
@@ -790,6 +927,8 @@ proptest! {
             Some(sg) => prop_assert!(is_suggestion(&rules, &master, &t, initial, &sg.attrs)),
             None => prop_assert_eq!(initial, AttrSet::full(ATTRS)),
         }
+        let items = [(t.clone(), initial), (t_null.clone(), initial)];
+        assert_subset_is_sigma_tz(&rules, &master, &plan, &items)?;
         // whole-outcome parity: the full interaction loop with a
         // simulated user whose ground truth is the first master row
         let clean = master_rows[0].clone();
