@@ -2,8 +2,8 @@
 //!
 //! Rule application must find master tuples `tm` with `tm[Xm] = t[X]`
 //! (Sect. 2). A `TransFix` run probes many different key lists `Xm`, so
-//! [`MasterIndex`] lazily builds and caches one [`KeyIndex`] per
-//! distinct attribute list. The paper's complexity analysis of
+//! [`MasterIndex`] builds and caches one [`KeyIndex`] per distinct
+//! attribute list. The paper's complexity analysis of
 //! `TransFix` ("it takes constant time to check whether there exists a
 //! master tuple that is applicable, by using a hash table that stores
 //! `tm[Xm]` as a key") is realized here.
@@ -11,14 +11,25 @@
 //! A [`KeyIndex`] is that one flat hash table and nothing more: all of
 //! its hit lists share one contiguous `rows` buffer, grouped by key, and
 //! the table maps each distinct key to its `(start, len)` span there.
-//! [`KeyIndex::build`] is a counting scatter, so the buffer is allocated
-//! once however many distinct keys the column holds. A span stays valid
+//! [`KeyIndex::build`] is a counting scatter into buffers sized before
+//! it starts: one pass over the rows counts the key's indexed rows and
+//! estimates its distinct keys, so no buffer, table included, is ever
+//! regrown however many distinct keys the column holds. A span stays valid
 //! for as long as the index is pinned, which is what lets the block
 //! layer of `certainfix-rules` hold spans instead of copies.
 //!
+//! A single-attribute key is hashed by its injective
+//! [`Value::grouping_rank`]. A wider key is stored once, in one flat
+//! `Value` buffer of distinct keys × width (numbered in order of first
+//! appearance), and found through a map from its 64-bit fingerprint to
+//! a chain of the keys sharing it: no key is boxed on its own, and a
+//! build hashes each row's key once.
+//!
 //! Every span of two or more rows also gets a dense **span slot**
-//! `0..span_slots()`, assigned by the same scatter
-//! ([`Span::slot`]; a one-row or empty span has [`NO_SLOT`]). The slot
+//! `0..span_slots()`, numbered in order of its key's first row
+//! ([`Span::slot`]; a one-row or empty span has [`NO_SLOT`]), so an
+//! index — rows, spans and slots — is a function of the rows and the
+//! key alone, however its maps lay out their entries. The slot
 //! is what lets a caller keep a flat side table with one entry per
 //! multi-row hit list — the compiled rule plans of `certainfix-rules`
 //! store their per-span summaries of a fix column that way — while a
@@ -38,7 +49,14 @@
 //!
 //! Index *builds* are single-flight: two workers racing on a cold key
 //! list block on one [`OnceLock`] and share the one built index instead
-//! of both paying for (and one discarding) a full build.
+//! of both paying for (and one discarding) a full build. They are also
+//! eager where the keys are known: [`MasterIndex::build_all`] builds
+//! every cold index of a list of keys at once, on all cores when the
+//! master is large, and a rule plan's compile calls it for the rules'
+//! keys, so a context is ready before its first probe. Its calling
+//! thread allocates everything the builds write, so the helpers
+//! allocate and free nothing (see `Room` for why that matters).
+//! Whichever thread builds an index, it is the same index.
 //!
 //! # Live master data
 //!
@@ -54,15 +72,18 @@
 //! one lineage — siblings, or an older and a newer generation — never
 //! serve or evict each other's indexes. A delete-free delta fills the
 //! next snapshot's cache eagerly: every index built so far is rebuilt
-//! over the new rows by the same scatter, which
+//! over the new rows, through [`MasterIndex::build_all`]'s pool, which
 //! [`MasterIndex::index_patches`] counts. A delta with deletes leaves
-//! the next snapshot's cache empty, to fill lazily.
+//! the next snapshot's cache empty, for the next compile to fill.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::hash::Hasher;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::thread;
 
 use crate::error::RelationError;
-use crate::hashers::FxHashMap;
+use crate::hashers::{FxHashMap, FxHasher};
 use crate::relation::Relation;
 use crate::schema::AttrId;
 use crate::tuple::Tuple;
@@ -77,12 +98,15 @@ use crate::value::Value;
 pub struct KeyIndex {
     key: Vec<AttrId>,
     /// Every indexed row id, grouped by key; each group is ascending.
-    rows: Box<[u32]>,
+    /// (The buffers are `Vec`s because a [`Room`] sizes them before the
+    /// build, and shrinking one would reallocate it on the building
+    /// thread.)
+    rows: Vec<u32>,
     /// Distinct key → its group's packed span in `rows` (see
     /// [`MULTI`]).
     spans: SpanMap,
     /// Span slot → the length of its hit list.
-    slot_len: Box<[u32]>,
+    slot_len: Vec<u32>,
 }
 
 /// A key's map entry is `(start, len)` for a hit list of at most one
@@ -128,103 +152,348 @@ enum SpanMap {
     /// [`Value::grouping_rank`] directly — no boxed key and no slice
     /// hashing on the probe path.
     Rank(FxHashMap<u128, (u32, u32)>),
-    /// Wider keys hash the boxed value slice.
-    Slice(FxHashMap<Box<[Value]>, (u32, u32)>),
+    /// Wider keys live in one flat buffer ([`WideKeys`]).
+    Wide(WideKeys),
+}
+
+/// The distinct keys of a wider index, each stored once: group `g`'s
+/// key is `keys[g * width..][..width]`, groups numbered in order of
+/// first appearance. A key's [`fingerprint`] leads through `heads` to
+/// the newest group with that fingerprint and `links` chains to the
+/// older ones, so a probe hashes its key once and compares it against
+/// the groups of one (almost always one-long) chain. The head's packed
+/// span entry (see [`MULTI`]) sits in its map entry, so a hit on a
+/// chain's head reads the map and the key and nothing else.
+#[derive(Debug)]
+struct WideKeys {
+    width: usize,
+    keys: Vec<Value>,
+    /// Fingerprint → the newest group with it, and its entry.
+    heads: FxHashMap<u64, (u32, (u32, u32))>,
+    /// Group → the next older group with its fingerprint (or
+    /// [`NO_GROUP`]), and its own entry.
+    links: Vec<(u32, (u32, u32))>,
+}
+
+impl WideKeys {
+    /// The first pass of a build on a wider key, as [`group_by_rank`]: a
+    /// new key's cells go to `keys` and head the chain of its
+    /// fingerprint; the entries are left for
+    /// [`set_entries`](Self::set_entries).
+    fn group(
+        &mut self,
+        rel: &Relation,
+        key: &[AttrId],
+        group: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) {
+        let WideKeys {
+            width,
+            keys,
+            heads,
+            links,
+        } = self;
+        let width = *width;
+        for t in rel.iter() {
+            let cells = || key.iter().map(|&a| t.get(a));
+            group.push(if cells().any(Value::is_null) {
+                UNINDEXED
+            } else {
+                let head = &mut heads
+                    .entry(fingerprint(cells()))
+                    .or_insert((NO_GROUP, (0, 0)))
+                    .0;
+                let mut g = *head;
+                while g != NO_GROUP && !keys[g as usize * width..][..width].iter().eq(cells()) {
+                    g = links[g as usize].0;
+                }
+                if g == NO_GROUP {
+                    g = links.len() as u32;
+                    links.push((*head, (0, 0)));
+                    *head = g;
+                    keys.extend(cells());
+                }
+                tally(counts, g)
+            });
+        }
+    }
+
+    /// Give every group its packed span entry, by group id.
+    fn set_entries(&mut self, entries: &[(u32, u32)]) {
+        for (link, &entry) in self.links.iter_mut().zip(entries) {
+            link.1 = entry;
+        }
+        for head in self.heads.values_mut() {
+            head.1 = entries[head.0 as usize];
+        }
+    }
+
+    /// The packed span entry of the key equal to `probe`. A key holding
+    /// a null is never stored, so a probe holding one misses.
+    fn find(&self, probe: &[Value]) -> Option<(u32, u32)> {
+        let &(mut g, mut entry) = self.heads.get(&fingerprint(probe.iter()))?;
+        while self.keys[g as usize * self.width..][..self.width] != *probe {
+            g = self.links[g as usize].0;
+            if g == NO_GROUP {
+                return None;
+            }
+            entry = self.links[g as usize].1;
+        }
+        Some(entry)
+    }
+}
+
+/// The end of a [`WideKeys`] collision chain.
+const NO_GROUP: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Makes every [`fingerprint`] on this thread 0, so every wide key
+    /// of an index built here shares one collision chain.
+    static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The 64-bit hash of a wide key: the Fx hash of one word per cell,
+/// its grouping rank's payload with the rank's type tag folded into the
+/// top two bits (injective within a type; an `Int` and a `Str` share a
+/// word only for an integer near −2⁶²). Equal keys share a fingerprint;
+/// a collision costs one more key compare.
+#[inline]
+fn fingerprint<'a>(cells: impl Iterator<Item = &'a Value>) -> u64 {
+    #[cfg(test)]
+    if COLLIDE.with(std::cell::Cell::get) {
+        return 0;
+    }
+    let mut h = FxHasher::default();
+    for v in cells {
+        let rank = v.grouping_rank();
+        h.write_u64(rank as u64 ^ (((rank >> 64) as u64) << 62));
+    }
+    h.finish()
 }
 
 /// Group id of a row whose key holds a null, during [`KeyIndex::build`].
 const UNINDEXED: u32 = u32::MAX;
 
-impl KeyIndex {
-    /// Build the index eagerly, by a counting scatter: one pass gives
-    /// every distinct key a dense group id and counts its rows, a prefix
-    /// sum gives each group its start, and a second pass places the row
-    /// ids — in row order, so every hit list comes out ascending. Groups
-    /// of two or more rows take span slots as they are placed.
-    pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
-        // per row, its group id; per group, its row count. While
-        // counting, a key's map value holds `(group id, 0)`.
-        let mut group: Vec<u32> = Vec::with_capacity(rel.len());
-        let mut counts: Vec<u32> = Vec::new();
-        let mut tally = |g: u32| {
-            match counts.get_mut(g as usize) {
-                Some(c) => *c += 1,
-                None => counts.push(1),
-            }
-            g
-        };
-        let mut spans = if let [a] = *key {
-            let mut m: FxHashMap<u128, (u32, u32)> = FxHashMap::default();
-            for t in rel.iter() {
-                let v = t.get(a);
-                group.push(if v.is_null() {
-                    UNINDEXED
-                } else {
-                    let fresh = (m.len() as u32, 0);
-                    tally(m.entry(v.grouping_rank()).or_insert(fresh).0)
-                });
-            }
-            SpanMap::Rank(m)
+/// Count one more row of group `g` (a new group is the next id).
+#[inline]
+fn tally(counts: &mut Vec<u32>, g: u32) -> u32 {
+    match counts.get_mut(g as usize) {
+        Some(c) => *c += 1,
+        None => counts.push(1),
+    }
+    g
+}
+
+/// The first pass of a build on a single-attribute key: each row's
+/// group id into `group` (groups numbered in order of first
+/// appearance), each group's row count into `counts`, and each distinct
+/// rank into `m`, mapped to `(group id, 0)`.
+fn group_by_rank(
+    m: &mut FxHashMap<u128, (u32, u32)>,
+    rel: &Relation,
+    a: AttrId,
+    group: &mut Vec<u32>,
+    counts: &mut Vec<u32>,
+) {
+    for t in rel.iter() {
+        let v = t.get(a);
+        group.push(if v.is_null() {
+            UNINDEXED
         } else {
-            let mut m: FxHashMap<Box<[Value]>, (u32, u32)> = FxHashMap::default();
-            let mut k: Vec<Value> = Vec::with_capacity(key.len());
-            for t in rel.iter() {
-                k.clear();
-                k.extend(key.iter().map(|&a| *t.get(a)));
-                group.push(if k.iter().any(Value::is_null) {
-                    UNINDEXED
-                } else if let Some(&(g, _)) = m.get(&k[..]) {
-                    tally(g)
-                } else {
-                    let g = m.len() as u32;
-                    m.insert(k[..].into(), (g, 0));
-                    tally(g)
-                });
-            }
-            SpanMap::Slice(m)
-        };
-        // prefix sum, then scatter: `end[g]` walks group g's slots
-        let mut total = 0u32;
-        let mut end: Vec<u32> = counts
-            .iter()
-            .map(|&c| {
-                total += c;
-                total - c
-            })
-            .collect();
-        let mut rows = vec![0u32; total as usize];
-        for (i, &g) in group.iter().enumerate() {
-            if g != UNINDEXED {
-                let at = &mut end[g as usize];
-                rows[*at as usize] = i as u32;
-                *at += 1;
+            let fresh = (m.len() as u32, 0);
+            tally(counts, m.entry(v.grouping_rank()).or_insert(fresh).0)
+        });
+    }
+}
+
+/// For each of `keys`, how many rows its index over `rel` holds,
+/// exactly, and how many distinct keys, estimated, in one pass over the
+/// rows that allocates one bitmap per key: each key's [`fingerprint`]
+/// sets one of `m` ≥ 2 × rows bits, and with `z` bits left clear the
+/// distinct count is about m·ln(m/z) (linear counting; at m = 2¹⁷ its
+/// standard error is about 0.2 %).
+fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<(usize, usize)> {
+    let m = (2 * rel.len()).next_power_of_two().max(64);
+    let shift = 64 - m.trailing_zeros();
+    let mut bits = vec![0u64; keys.len() * m / 64];
+    let mut rows = vec![0; keys.len()];
+    for t in rel.iter() {
+        for (k, key) in keys.iter().enumerate() {
+            let cells = || key.iter().map(|&a| t.get(a));
+            if !cells().any(Value::is_null) {
+                rows[k] += 1;
+                let bit = k * m + (fingerprint(cells()) >> shift) as usize;
+                bits[bit / 64] |= 1 << (bit % 64);
             }
         }
-        // the multi-row groups take dense slots as they are placed; the
-        // map's iteration order is a function of the rows alone, so a
-        // rebuild over the same rows numbers them alike
-        let mut slot_len: Vec<u32> = Vec::new();
-        let place = |s: &mut (u32, u32)| {
-            let len = counts[s.0 as usize];
-            let start = end[s.0 as usize] - len;
-            *s = if len < 2 {
+    }
+    let m64 = m as f64;
+    let clear = bits
+        .chunks(m / 64)
+        .map(|b| b.iter().map(|w| w.count_zeros()).sum::<u32>());
+    let estimate = |clear: u32| (m64 * (m64 / f64::from(clear)).ln()).round() as usize;
+    rows.into_iter().zip(clear.map(estimate)).collect()
+}
+
+/// Everything one build writes, allocated before it starts and sized
+/// from [`measure`]: the index's buffers, with room for its rows and
+/// for its distinct keys plus several times the estimate's error, and
+/// the `Arc` it is published in. A build fills them in place, so it
+/// regrows nothing (a regrowth rehashes or copies every entry and frees
+/// the old buffer) and allocates nothing itself.
+///
+/// That is what lets [`MasterIndex::build_all`] hand builds to helper
+/// threads at no cost in memory. It allocates every cold key's room,
+/// and every builder's [`Scratch`], on its calling thread, before any
+/// build starts, and frees the scratch there after the last one ends.
+/// Under glibc each thread allocates from a malloc arena of its own,
+/// and a chunk goes back to the arena it came from. Helpers that built
+/// into memory of their own left it in arenas apart from the caller's,
+/// whose free memory the caller never reuses and whose layout shifted
+/// with how the threads interleaved: `hosp_bulk`'s peak RSS read
+/// 352–365 MB against the sequential build's 341–343 MB. Copying the
+/// helpers' indexes over, or keeping the helper threads alive, still
+/// read 350–355 MB.
+struct Room {
+    index: Arc<KeyIndex>,
+    rows: Vec<u32>,
+    slot_len: Vec<u32>,
+    spans: SpanMap,
+}
+
+/// A build's per-row and per-group working buffers, with room for every
+/// row to hold a key of its own; cleared and reused from one build to
+/// the next.
+struct Scratch {
+    /// Per row, its group id.
+    group: Vec<u32>,
+    /// Per group, its row count, then its next position in `rows`.
+    counts: Vec<u32>,
+    /// Per group, its packed entry (see [`MULTI`]).
+    entries: Vec<(u32, u32)>,
+}
+
+impl Scratch {
+    /// Room for builds over `rows` rows.
+    fn new(rows: usize) -> Scratch {
+        Scratch {
+            group: Vec::with_capacity(rows),
+            counts: Vec::with_capacity(rows),
+            entries: Vec::with_capacity(rows),
+        }
+    }
+}
+
+impl Room {
+    /// The room of an index on `key` of `rows` rows and about
+    /// `estimate` distinct keys (as [`measure`] gives them).
+    fn new(key: &[AttrId], (rows, estimate): (usize, usize)) -> Room {
+        fn map<K, V>(len: usize) -> FxHashMap<K, V> {
+            FxHashMap::with_capacity_and_hasher(len, Default::default())
+        }
+        let margin = estimate / 32 + 16;
+        let groups = (estimate + margin).min(rows);
+        // a multi-row group holds two rows or more, so there are at most
+        // rows − groups of them
+        let slots = groups.min(rows - estimate.saturating_sub(margin).min(rows));
+        let width = key.len();
+        Room {
+            index: Arc::new(KeyIndex {
+                key: key.to_vec(),
+                rows: Vec::new(),
+                spans: SpanMap::Rank(FxHashMap::default()),
+                slot_len: Vec::new(),
+            }),
+            rows: Vec::with_capacity(rows),
+            slot_len: Vec::with_capacity(slots),
+            spans: if width == 1 {
+                SpanMap::Rank(map(groups))
+            } else {
+                SpanMap::Wide(WideKeys {
+                    width,
+                    keys: Vec::with_capacity(groups * width),
+                    heads: map(groups),
+                    links: Vec::with_capacity(groups),
+                })
+            },
+        }
+    }
+
+    /// [`KeyIndex::build`], on this thread alone.
+    fn build_one(rel: &Relation, key: &[AttrId]) -> Arc<KeyIndex> {
+        let room = Room::new(key, measure(rel, &[key])[0]);
+        room.build(rel, &mut Scratch::new(rel.len()))
+    }
+
+    /// [`KeyIndex::build`] into this room, working in `scratch`.
+    fn build(self, rel: &Relation, scratch: &mut Scratch) -> Arc<KeyIndex> {
+        let Room {
+            mut index,
+            mut rows,
+            mut slot_len,
+            mut spans,
+        } = self;
+        let Scratch {
+            group,
+            counts,
+            entries,
+        } = scratch;
+        group.clear();
+        counts.clear();
+        entries.clear();
+        let key = &index.key;
+        match &mut spans {
+            SpanMap::Rank(m) => group_by_rank(m, rel, key[0], group, counts),
+            SpanMap::Wide(w) => w.group(rel, key, group, counts),
+        }
+        // per group, its packed entry: a prefix sum gives its start, and
+        // a prefix count over the multi-row groups its span slot
+        let mut total = 0u32;
+        entries.extend(counts.iter_mut().map(|count| {
+            let (start, len) = (total, *count);
+            total += len;
+            *count = start;
+            if len < 2 {
                 (start, len)
             } else {
                 debug_assert!(len < MULTI && slot_len.len() < MULTI as usize);
                 slot_len.push(len);
                 (start, MULTI | (slot_len.len() - 1) as u32)
-            };
-        };
+            }
+        }));
+        // scatter: `counts[g]` now walks group g's positions
+        rows.resize(total as usize, 0);
+        for (i, &g) in group.iter().enumerate() {
+            if g != UNINDEXED {
+                let at = &mut counts[g as usize];
+                rows[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
         match &mut spans {
-            SpanMap::Rank(m) => m.values_mut().for_each(place),
-            SpanMap::Slice(m) => m.values_mut().for_each(place),
+            SpanMap::Rank(m) => m.values_mut().for_each(|e| *e = entries[e.0 as usize]),
+            SpanMap::Wide(w) => w.set_entries(entries),
         }
-        KeyIndex {
-            key: key.to_vec(),
-            rows: rows.into_boxed_slice(),
-            spans,
-            slot_len: slot_len.into_boxed_slice(),
-        }
+        let built = Arc::get_mut(&mut index).expect("a room's index is its own");
+        built.rows = rows;
+        built.spans = spans;
+        built.slot_len = slot_len;
+        index
+    }
+}
+
+impl KeyIndex {
+    /// Build the index eagerly, by a counting scatter: one pass gives
+    /// every distinct key a dense group id, in order of first
+    /// appearance, and counts its rows; a prefix sum gives each group
+    /// its start, and a second pass places the row ids — in row order,
+    /// so every hit list comes out ascending. The multi-row groups take
+    /// span slots in group order, so the whole index is a function of
+    /// the rows and the key alone. (A pass before them sizes every
+    /// buffer, so none is ever regrown.)
+    pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
+        Arc::into_inner(Room::build_one(rel, key)).expect("a fresh index is not shared")
     }
 
     /// Unpack a map entry (see [`MULTI`]).
@@ -272,10 +541,10 @@ impl KeyIndex {
         debug_assert_eq!(probe.len(), self.key.len());
         // keys holding a null are never stored, so a null probe misses
         let hit = match &self.spans {
-            SpanMap::Rank(m) => m.get(&probe[0].grouping_rank()),
-            SpanMap::Slice(m) => m.get(probe),
+            SpanMap::Rank(m) => m.get(&probe[0].grouping_rank()).copied(),
+            SpanMap::Wide(w) => w.find(probe),
         };
-        hit.map_or(Span::EMPTY, |&e| self.unpack(e))
+        hit.map_or(Span::EMPTY, |e| self.unpack(e))
     }
 
     /// Rank-keyed variant of [`locate`](Self::locate) for
@@ -285,7 +554,7 @@ impl KeyIndex {
     pub fn locate_rank(&self, rank: u128) -> Span {
         match &self.spans {
             SpanMap::Rank(m) => m.get(&rank).map_or(Span::EMPTY, |&e| self.unpack(e)),
-            SpanMap::Slice(_) => panic!("rank probes require a single-attribute index"),
+            SpanMap::Wide(_) => panic!("rank probes require a single-attribute index"),
         }
     }
 
@@ -317,24 +586,54 @@ impl KeyIndex {
     pub fn distinct_keys(&self) -> usize {
         match &self.spans {
             SpanMap::Rank(m) => m.len(),
-            SpanMap::Slice(m) => m.len(),
+            SpanMap::Wide(w) => w.links.len(),
         }
     }
 
     /// Length of the longest hit list (0 for an empty index) — the
     /// worst-case fan-out of one probe.
     pub fn max_hit_len(&self) -> usize {
-        let longest = match &self.spans {
-            SpanMap::Rank(m) => m.values().map(|&e| self.unpack(e).len).max(),
-            SpanMap::Slice(m) => m.values().map(|&e| self.unpack(e).len).max(),
-        };
-        longest.unwrap_or(0) as usize
+        // every longer list has a slot; any other key holds one row
+        let longest = self.slot_len.iter().max().copied();
+        longest.map_or(usize::from(self.distinct_keys() > 0), |len| len as usize)
     }
 }
 
 /// One cache slot: filled exactly once, by whichever thread wins the
 /// [`OnceLock`] race; losers block on the lock and share the result.
 type IndexSlot = Arc<OnceLock<Arc<KeyIndex>>>;
+
+/// Rows × cold keys below which [`MasterIndex::build_all`] builds on
+/// the calling thread. Measured on a 2-core box over HOSP masters of
+/// 250–16 000 rows with 2 and 9 keys: two threads lose to one up to
+/// about 4 500 rows × keys, break even near 9 000, and halve the time
+/// from 36 000.
+pub const PARALLEL_BUILD_MIN: usize = 1 << 13;
+
+/// The index in `slot`, made by `build` (and counted in `count`) if no
+/// thread has filled the slot yet.
+fn fill<'s>(
+    slot: &'s IndexSlot,
+    count: &AtomicU64,
+    build: impl FnOnce() -> Arc<KeyIndex>,
+) -> &'s Arc<KeyIndex> {
+    slot.get_or_init(|| {
+        #[cfg(test)]
+        if let Some(hook) = IN_BUILD.take() {
+            hook();
+        }
+        count.fetch_add(1, Ordering::Relaxed);
+        build()
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs once, on this thread, inside the next build it fills a slot
+    /// with.
+    static IN_BUILD: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
 
 /// A batch of master-data mutations, applied atomically by
 /// [`MasterIndex::apply_delta`] to produce the next generation.
@@ -414,7 +713,7 @@ impl MasterDelta {
 /// A master relation bundled with a cache of [`KeyIndex`]es.
 ///
 /// Cloning is cheap (`Arc` inside); clones share the cache, which grows
-/// monotonically as new key lists are probed. Builds are single-flight
+/// monotonically as new key lists are built. Builds are single-flight
 /// (see the [module docs](self)) and counted —
 /// [`MasterIndex::index_builds`] is the monitoring hook asserting that
 /// racing workers never duplicate a build.
@@ -470,21 +769,99 @@ impl MasterIndex {
     /// the returned `Arc` instead of re-calling this (each call hashes
     /// `key` and takes the read lock).
     pub fn index_for(&self, key: &[AttrId]) -> Arc<KeyIndex> {
+        let slot = self.slot(key);
+        fill(&slot, &self.builds, || Room::build_one(&self.rel, key)).clone()
+    }
+
+    /// Build every cold index among `keys` now, into the same
+    /// single-flight slots [`index_for`](Self::index_for) fills, so each
+    /// key still counts one build in [`index_builds`](Self::index_builds)
+    /// whoever wins its slot.
+    ///
+    /// When the cold keys cover at least [`PARALLEL_BUILD_MIN`] rows ×
+    /// keys, they are built on a scoped pool of
+    /// [`available_parallelism`](thread::available_parallelism) threads,
+    /// the calling thread among them, which claim keys widest first
+    /// through one shared cursor; below that, on the calling thread
+    /// alone. A warm master builds and allocates nothing. Either way the
+    /// calling thread first measures every cold key in one pass over the
+    /// rows and allocates each index's buffers, and an index is
+    /// [`KeyIndex::build`] over this snapshot's rows, so its contents do
+    /// not depend on the thread that built it.
+    pub fn build_all<K: AsRef<[AttrId]>>(&self, keys: &[K]) {
+        self.fill_all(keys, &self.builds);
+    }
+
+    /// [`build_all`](Self::build_all), counting each build in `count`.
+    fn fill_all<K: AsRef<[AttrId]>>(&self, keys: &[K], count: &AtomicU64) {
+        let mut keys: Vec<&[AttrId]> = keys.iter().map(AsRef::as_ref).collect();
+        keys.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        keys.dedup();
+        keys.retain(|key| self.slot(key).get().is_none());
+        if keys.is_empty() {
+            // a warm master: nothing to measure, allocate or build
+            return;
+        }
+        // every cold key's room comes from this thread (see `Room`)
+        let cold: Vec<_> = keys
+            .iter()
+            .zip(measure(&self.rel, &keys))
+            .map(|(&key, size)| (key, self.slot(key), Mutex::new(Some(Room::new(key, size)))))
+            .collect();
+        // asking for the core count reads the cgroup limits: not for
+        // work too small to share
+        let threads = if self.rel.len() * cold.len() < PARALLEL_BUILD_MIN {
+            1
+        } else {
+            thread::available_parallelism()
+                .map_or(1, NonZeroUsize::get)
+                .min(cold.len())
+        };
+        // the cursor only hands out key numbers; the built indexes are
+        // published by their `OnceLock`s and the scope's join
+        let cursor = AtomicUsize::new(0);
+        let work = |mut scratch: Scratch| {
+            while let Some((key, slot, room)) = cold.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                fill(slot, count, || {
+                    let room = room.lock().expect("index room poisoned").take();
+                    match room {
+                        Some(room) => room.build(&self.rel, &mut scratch),
+                        // gone only if a build in it panicked
+                        None => Room::build_one(&self.rel, key),
+                    }
+                });
+            }
+            scratch
+        };
+        let scratch: Vec<Scratch> = thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|_| {
+                    let scratch = Scratch::new(self.rel.len());
+                    s.spawn(move || work(scratch))
+                })
+                .collect();
+            let mine = work(Scratch::new(self.rel.len()));
+            let theirs = helpers
+                .into_iter()
+                .map(|h| h.join().expect("an index build panicked"));
+            theirs.chain([mine]).collect()
+        });
+        // freed here, by the thread that allocated it
+        drop(scratch);
+    }
+
+    /// The cache slot of `key`, reserved empty if there is none yet.
+    fn slot(&self, key: &[AttrId]) -> IndexSlot {
         let slot = self
             .cache
             .read()
             .expect("index cache poisoned")
             .get(key)
             .cloned();
-        let slot = slot.unwrap_or_else(|| {
+        slot.unwrap_or_else(|| {
             let mut w = self.cache.write().expect("index cache poisoned");
             w.entry(key.to_vec()).or_default().clone()
-        });
-        slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(KeyIndex::build(&self.rel, key))
         })
-        .clone()
     }
 
     /// Apply a batch of mutations, returning the **next-generation**
@@ -494,11 +871,14 @@ impl MasterIndex {
     ///
     /// For a **delete-free** delta the next snapshot's cache starts
     /// full: every index `self` has built is rebuilt over the new rows
-    /// by [`KeyIndex::build`]'s scatter — counted by
+    /// as [`build_all`](Self::build_all) builds — counted by
     /// [`index_patches`](Self::index_patches), not by
-    /// [`index_builds`](Self::index_builds). Deltas with deletes
-    /// renumber rows, so the next snapshot's cache starts empty and
-    /// builds lazily on [`index_for`](Self::index_for).
+    /// [`index_builds`](Self::index_builds). The key lists are copied
+    /// out of `self`'s cache first, so a cold
+    /// [`index_for`](Self::index_for) on `self` does not wait for the
+    /// rebuild. Deltas with deletes renumber rows, so the next
+    /// snapshot's cache starts empty and builds on
+    /// [`build_all`](Self::build_all) or [`index_for`](Self::index_for).
     ///
     /// Row ids in `delta` refer to `self`'s rows. Errors:
     /// [`RelationError::RowOutOfRange`] for an update/delete past the
@@ -539,24 +919,28 @@ impl MasterIndex {
             keep
         });
         rows.extend(delta.inserts.iter().cloned());
-        let rel = Arc::new(Relation::new(Arc::clone(schema), rows)?);
-        let mut cache = FxHashMap::default();
-        if deletes.is_empty() {
-            let r = self.cache.read().expect("index cache poisoned");
-            for (key, _) in r.iter().filter(|(_, slot)| slot.get().is_some()) {
-                let patched = IndexSlot::default();
-                let _ = patched.set(Arc::new(KeyIndex::build(&rel, key)));
-                cache.insert(key.clone(), patched);
-                self.patches.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(MasterIndex {
-            rel,
+        let next = MasterIndex {
+            rel: Arc::new(Relation::new(Arc::clone(schema), rows)?),
             generation: self.generation + 1,
-            cache: Arc::new(RwLock::new(cache)),
+            cache: Arc::new(RwLock::new(FxHashMap::default())),
             builds: Arc::clone(&self.builds),
             patches: Arc::clone(&self.patches),
-        })
+        };
+        if deletes.is_empty() {
+            // the guard ends with this statement: a cold `index_for` on
+            // `self` takes the write lock, and must not wait for the
+            // rebuild below
+            let built: Vec<Vec<AttrId>> = self
+                .cache
+                .read()
+                .expect("index cache poisoned")
+                .iter()
+                .filter(|(_, slot)| slot.get().is_some())
+                .map(|(key, _)| key.clone())
+                .collect();
+            next.fill_all(&built, &self.patches);
+        }
+        Ok(next)
     }
 
     /// The generation of this snapshot: 0 for [`new`](Self::new), +1
@@ -608,6 +992,7 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::tuple;
+    use std::sync::mpsc;
 
     fn master() -> Arc<Relation> {
         let s = Schema::new("Rm", ["zip", "ac", "city"]).unwrap();
@@ -623,6 +1008,52 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    /// `a` and `b` are the same index of `rel`: the same span (rows
+    /// and slot) for every row's key and for a miss, and the same
+    /// distinct keys, longest list and slot count.
+    fn assert_same_index(a: &KeyIndex, b: &KeyIndex, rel: &Relation) {
+        assert_eq!(a.key(), b.key());
+        assert_eq!(a.distinct_keys(), b.distinct_keys());
+        assert_eq!(a.max_hit_len(), b.max_hit_len());
+        assert_eq!(a.span_slots(), b.span_slots());
+        for t in rel.iter() {
+            let probe: Vec<Value> = a.key().iter().map(|&k| *t.get(k)).collect();
+            assert_eq!(a.locate(&probe), b.locate(&probe));
+            assert_eq!(a.lookup(&probe), b.lookup(&probe));
+        }
+        let miss = vec![Value::str("nope"); a.key().len()];
+        assert_eq!(a.locate(&miss), Span::EMPTY);
+        assert_eq!(b.locate(&miss), Span::EMPTY);
+    }
+
+    /// A master of `n` rows over four integer columns of 5, 7, 11 and
+    /// 13 values, with a null in one cell of every 17th row: keys of
+    /// one to four columns mix long, short and one-row hit lists.
+    fn wide_master(n: usize) -> Arc<Relation> {
+        let s = Schema::new("Rm", ["a", "b", "c", "d"]).unwrap();
+        let rows = (0..n as i64)
+            .map(|i| {
+                let mut cells: Vec<Value> =
+                    [5, 7, 11, 13].iter().map(|m| Value::int(i % m)).collect();
+                if i % 17 == 0 {
+                    cells[(i as usize / 17) % 4] = Value::Null;
+                }
+                Tuple::new(cells)
+            })
+            .collect();
+        Arc::new(Relation::new(s, rows).unwrap())
+    }
+
+    /// The keys the wide-master tests build: widths 1 to 4.
+    fn wide_keys() -> Vec<Vec<AttrId>> {
+        vec![
+            vec![AttrId(0)],
+            vec![AttrId(1), AttrId(0)],
+            vec![AttrId(0), AttrId(1), AttrId(2)],
+            vec![AttrId(3), AttrId(2), AttrId(1), AttrId(0)],
+        ]
     }
 
     #[test]
@@ -736,8 +1167,8 @@ mod tests {
         assert_eq!(wide.rows.len(), 3);
     }
 
-    /// Multi-row spans take the dense slots `0..span_slots()` in key
-    /// order; one-row spans and misses take none.
+    /// Multi-row spans take the dense slots `0..span_slots()` in order
+    /// of their key's first row; one-row spans and misses take none.
     #[test]
     fn multi_row_spans_take_dense_slots() {
         let rel = master();
@@ -765,6 +1196,59 @@ mod tests {
             (2, 1),
             "rows 0 and 2 coincide"
         );
+        // keys first seen at rows 0 (b), 1 (a) and 4 (c): slots 0, 1, 2
+        let s = Schema::new("Rm", ["k", "l"]).unwrap();
+        let rows = ["b", "a", "b", "a", "c", "d", "c"]
+            .iter()
+            .map(|&k| tuple![k, "x"])
+            .collect();
+        let rel = Relation::new(s, rows).unwrap();
+        for key in [&[AttrId(0)][..], &[AttrId(0), AttrId(1)]] {
+            let idx = KeyIndex::build(&rel, key);
+            let slot = |k: &str| {
+                idx.locate(&[Value::str(k), Value::str("x")][..key.len()])
+                    .slot
+            };
+            assert_eq!(
+                [slot("b"), slot("a"), slot("c"), slot("d")],
+                [0, 1, 2, NO_SLOT]
+            );
+        }
+    }
+
+    /// A fingerprint shared by every wide key puts all of them on one
+    /// collision chain: the index still answers exactly as one built
+    /// with real fingerprints. (Probes hash like the build they probe,
+    /// so each index is probed with its own fingerprints.)
+    #[test]
+    fn colliding_wide_keys_share_one_chain() {
+        let rel = wide_master(300);
+        let answers = |idx: &KeyIndex| {
+            let mut probes: Vec<Vec<Value>> = rel.iter().map(|t| t.project(idx.key())).collect();
+            probes.push(vec![Value::str("nope"); idx.key().len()]);
+            let spans: Vec<Span> = probes.iter().map(|p| idx.locate(p)).collect();
+            (
+                spans,
+                idx.distinct_keys(),
+                idx.max_hit_len(),
+                idx.span_slots(),
+            )
+        };
+        for key in &wide_keys()[1..] {
+            let apart = KeyIndex::build(&rel, key);
+            let want = answers(&apart);
+            COLLIDE.with(|c| c.set(true));
+            let chained = KeyIndex::build(&rel, key);
+            let got = answers(&chained);
+            COLLIDE.with(|c| c.set(false));
+            assert_eq!(got, want);
+            assert_eq!(*want.0.last().unwrap(), Span::EMPTY);
+            let SpanMap::Wide(w) = &chained.spans else {
+                panic!("a wide key has a wide map")
+            };
+            assert_eq!(w.heads.len(), 1, "one fingerprint, one chain");
+            assert!(w.links.len() >= 35, "a chain of {} keys", w.links.len());
+        }
     }
 
     /// Eagerly maintained indexes are indistinguishable from a fresh
@@ -792,19 +1276,9 @@ mod tests {
             builds_before,
             "eager maintenance is not a lazy build"
         );
-        let fresh = MasterIndex::new(Arc::clone(m1.relation()));
         for key in [&zip[..], &wide[..]] {
-            let patched = m1.index_for(key);
-            let rebuilt = fresh.index_for(key);
-            assert_eq!(patched.distinct_keys(), rebuilt.distinct_keys());
-            assert_eq!(patched.max_hit_len(), rebuilt.max_hit_len());
-            assert_eq!(patched.span_slots(), rebuilt.span_slots());
-            for t in m1.relation().iter() {
-                let probe: Vec<Value> = key.iter().map(|&a| *t.get(a)).collect();
-                assert_eq!(patched.locate(&probe), rebuilt.locate(&probe));
-            }
-            let miss = vec![Value::str("nope"); key.len()];
-            assert_eq!(patched.lookup(&miss), &[] as &[u32]);
+            let rebuilt = KeyIndex::build(m1.relation(), key);
+            assert_same_index(&m1.index_for(key), &rebuilt, m1.relation());
         }
         // ascending with the inserted row's (largest) id at the end
         assert_eq!(m1.index_for(&zip).lookup(&[Value::str("EH7 4AH")]), &[2, 4]);
@@ -966,5 +1440,134 @@ mod tests {
         let _ = m.index_for(&[AttrId(1), AttrId(2)]);
         let _ = m.index_for(&[AttrId(1), AttrId(2)]);
         assert_eq!(m.index_builds(), 2);
+
+        // `build_all` racing `index_for` on a master past the parallel
+        // cutoff: still one build per key, and every caller gets it
+        let rel = wide_master(PARALLEL_BUILD_MIN / 2);
+        let keys = wide_keys();
+        let m = MasterIndex::new(Arc::clone(&rel));
+        let start = std::sync::Barrier::new(1 + keys.len());
+        let got: Vec<Arc<KeyIndex>> = std::thread::scope(|s| {
+            let racers: Vec<_> = keys
+                .iter()
+                .map(|key| {
+                    s.spawn(|| {
+                        start.wait();
+                        m.index_for(key)
+                    })
+                })
+                .collect();
+            start.wait();
+            m.build_all(&keys);
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(m.index_builds(), keys.len() as u64);
+        assert_eq!(m.cached_indexes(), keys.len());
+        for (key, idx) in keys.iter().zip(&got) {
+            assert!(Arc::ptr_eq(idx, &m.index_for(key)));
+            assert_same_index(idx, &KeyIndex::build(&rel, key), &rel);
+        }
+        m.build_all(&keys);
+        assert_eq!(
+            m.index_builds(),
+            keys.len() as u64,
+            "a warm master builds nothing"
+        );
+    }
+
+    /// `measure` counts a key's rows exactly and its distinct keys
+    /// within the margin a room adds, and a build fits its room: no
+    /// buffer grows past the capacity the room gave it.
+    #[test]
+    fn a_build_fits_its_room() {
+        let rel = wide_master(PARALLEL_BUILD_MIN);
+        let keys = wide_keys();
+        let keys: Vec<&[AttrId]> = keys.iter().map(Vec::as_slice).collect();
+        for (&key, size) in keys.iter().zip(measure(&rel, &keys)) {
+            let built = KeyIndex::build(&rel, key);
+            assert_eq!(size.0, built.rows.len(), "{key:?}");
+            let distinct = built.distinct_keys();
+            assert!(
+                size.1.abs_diff(distinct) <= distinct / 32 + 16,
+                "{key:?}: {size:?} for {distinct}"
+            );
+            let capacities = |rows: &Vec<u32>, slot_len: &Vec<u32>, spans: &SpanMap| {
+                let spans = match spans {
+                    SpanMap::Rank(m) => vec![m.capacity()],
+                    SpanMap::Wide(w) => {
+                        vec![w.heads.capacity(), w.keys.capacity(), w.links.capacity()]
+                    }
+                };
+                (rows.capacity(), slot_len.capacity(), spans)
+            };
+            let room = Room::new(key, size);
+            let before = capacities(&room.rows, &room.slot_len, &room.spans);
+            let index = room.build(&rel, &mut Scratch::new(rel.len()));
+            let after = capacities(&index.rows, &index.slot_len, &index.spans);
+            assert_eq!(before, after, "{key:?}");
+            assert_same_index(&index, &built, &rel);
+        }
+    }
+
+    /// `build_all` on a master past the parallel cutoff builds exactly
+    /// what `KeyIndex::build` builds, once per distinct key however
+    /// often a key is named.
+    #[test]
+    fn parallel_builds_match_sequential_builds() {
+        let rel = wide_master(PARALLEL_BUILD_MIN);
+        let m = MasterIndex::new(Arc::clone(&rel));
+        let mut keys = wide_keys();
+        keys.push(keys[1].clone());
+        m.build_all(&keys);
+        assert_eq!(m.index_builds(), 4);
+        for key in &keys {
+            assert_same_index(&m.index_for(key), &KeyIndex::build(&rel, key), &rel);
+        }
+        assert_eq!(m.index_builds(), 4);
+    }
+
+    /// A delta copies the built key lists out of its snapshot's cache
+    /// before it rebuilds them, so a cold `index_for` on that snapshot
+    /// runs to the end while the rebuild is held inside its build (had
+    /// the delta kept the cache's read guard, the cold build would wait
+    /// for the write lock, and the hold would time out); both answer as
+    /// fresh builds.
+    #[test]
+    fn a_delta_and_a_cold_build_on_one_snapshot_run_together() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let rel = master();
+        let m0 = MasterIndex::new(Arc::clone(&rel));
+        let (zip, city) = ([AttrId(0)], [AttrId(2)]);
+        let _ = m0.index_for(&zip);
+        let (rebuilding, rebuild_started) = mpsc::channel();
+        let (cold_done, cold_built) = mpsc::channel();
+        let beside = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&beside);
+        IN_BUILD.set(Some(Box::new(move || {
+            rebuilding.send(()).unwrap();
+            let done = cold_built.recv_timeout(Duration::from_secs(10));
+            seen.store(done.is_ok(), Ordering::Relaxed);
+        })));
+        let delta = MasterDelta::new().insert(tuple!["EH7 4AH", "131", "Edi"]);
+        let (m1, cold) = thread::scope(|s| {
+            let old = m0.clone();
+            let cold = s.spawn(move || {
+                rebuild_started.recv().unwrap();
+                let idx = old.index_for(&city);
+                cold_done.send(()).unwrap();
+                idx
+            });
+            let m1 = m0.apply_delta(&delta).unwrap();
+            (m1, cold.join().unwrap())
+        });
+        assert!(
+            beside.load(Ordering::Relaxed),
+            "the cold build waited for the rebuild"
+        );
+        assert_same_index(&cold, &KeyIndex::build(&rel, &city), &rel);
+        assert_eq!((m0.index_builds(), m0.index_patches()), (2, 1));
+        let rebuilt = KeyIndex::build(m1.relation(), &zip);
+        assert_same_index(&m1.index_for(&zip), &rebuilt, m1.relation());
     }
 }

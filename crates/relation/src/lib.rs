@@ -17,8 +17,9 @@
 //!   three-valued patterns (`a`, `ā`, `_`) and pattern tableaux,
 //! * [`Relation`] — a schema plus rows (used for master data `Dm` and
 //!   input sets `D`),
-//! * [`MasterIndex`] — lazily built hash indexes keyed on attribute lists,
-//!   used by the rule-application engine to find master tuples `tm` with
+//! * [`MasterIndex`] — cached hash indexes keyed on attribute lists,
+//!   built on first use or all at once on every core, used by the
+//!   rule-application engine to find master tuples `tm` with
 //!   `tm[Xm] = t[X]` in expected O(1).
 //!
 //! Schemas are capped at [`MAX_ATTRS`] (64) attributes so that attribute

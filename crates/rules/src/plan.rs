@@ -124,7 +124,8 @@
 //! nothing is torn). Recompilation is cheap on the hot path: each
 //! [`MasterIndex`] snapshot has its own index cache, which a
 //! delete-free delta fills eagerly, so the new plan finds the indexes
-//! maintained for it, and cold sub-key slots refill lazily exactly as
+//! maintained for it (after a delta with deletes, the compile builds
+//! them, on all cores), and cold sub-key slots refill lazily exactly as
 //! they did on first compile. Every compile starts empty summary tables, so the
 //! summaries live and die with the plan and refill against the new
 //! generation's rows. The session layer counts swaps as
@@ -597,11 +598,16 @@ pub struct RulePlan {
 pub type CompiledRuleSet = RulePlan;
 
 impl RulePlan {
-    /// Compile `rules` against `master`: pin one full-key index per
-    /// rule (building it if cold — builds are single-flight in the
-    /// [`MasterIndex`]), precompute the per-rule probe layout, and
-    /// summarise every probe group's multi-row spans on its fix columns.
+    /// Compile `rules` against `master`: build every cold full-key
+    /// index of the rules at once ([`MasterIndex::build_all`], on all
+    /// cores when the master is large), pin one per rule, precompute
+    /// the per-rule probe layout, and allocate every probe group's
+    /// table of span summaries on its fix columns. On a warm master
+    /// (every `Xm` already built, as after a delete-free delta) it
+    /// builds nothing.
     pub fn compile(rules: &RuleSet, master: &MasterIndex) -> RulePlan {
+        let keys: Vec<&[AttrId]> = rules.iter().map(|(_, rule)| rule.lhs_m()).collect();
+        master.build_all(&keys);
         let compiled: Box<[CompiledRule]> = rules
             .iter()
             .map(|(_, rule)| {
@@ -1264,6 +1270,29 @@ mod tests {
         // recompiling reuses every cached index
         let _again = RulePlan::compile(&rules, &master);
         assert_eq!(master.index_builds(), builds);
+    }
+
+    /// On a master past the parallel build cutoff, compile builds each
+    /// distinct `Xm` once, whichever thread builds it, and a compile on
+    /// the warm master builds nothing and pins the same indexes.
+    #[test]
+    fn compile_on_a_warm_master_builds_nothing() {
+        use certainfix_relation::index::PARALLEL_BUILD_MIN;
+        let (_, rules, small) = fig1();
+        let rows = small.relation().tuples();
+        let tiled = (0..PARALLEL_BUILD_MIN).map(|i| rows[i % rows.len()].clone());
+        let rel = Relation::new(Arc::clone(small.relation().schema()), tiled.collect()).unwrap();
+        let master = MasterIndex::new(Arc::new(rel));
+        let cold = RulePlan::compile(&rules, &master);
+        assert_eq!(master.index_builds(), 3, "{{zip}}, {{Mphn}}, {{AC, Hphn}}");
+        let warm = RulePlan::compile(&rules, &master);
+        assert_eq!(master.index_builds(), 3);
+        for i in 0..rules.len() {
+            assert!(Arc::ptr_eq(cold.rule(i).index(), warm.rule(i).index()));
+        }
+        // t1's zip is master row 0's, so every copy of row 0 matches
+        let hits = cold.candidates(0, &t1(), &mut ProbeScratch::new()).len();
+        assert_eq!(hits, PARALLEL_BUILD_MIN.div_ceil(rows.len()));
     }
 
     /// The slot-invalidation contract: recompiling against the

@@ -47,6 +47,7 @@ use certain_fix::reasoning::{
     applicable_rules, closure, closure_over, is_suggestion, suggest, suggest_with, Applicable,
     Chase, ChaseResult, ConflictKind, RegionCatalog, Suggestion,
 };
+use certain_fix::relation::index::PARALLEL_BUILD_MIN;
 use certain_fix::relation::{
     AttrId, AttrSet, KeyIndex, MasterDelta, MasterIndex, PatternTuple, PatternValue, Relation,
     Schema, Tuple, Value,
@@ -253,6 +254,24 @@ fn assert_naive_grouping(idx: &KeyIndex, rel: &Relation) -> Result<(), TestCaseE
     prop_assert_eq!(idx.distinct_keys(), naive.len());
     let longest = naive.values().map(Vec::len).max().unwrap_or(0);
     prop_assert_eq!(idx.max_hit_len(), longest);
+    Ok(())
+}
+
+/// `a` and `b` are the same index of `rel`: the same span (rows and
+/// slot) for every row's key, for a null probe and for a miss, and the
+/// same distinct keys, longest list and slot count.
+fn assert_same_index(a: &KeyIndex, b: &KeyIndex, rel: &Relation) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.key(), b.key());
+    prop_assert_eq!(a.distinct_keys(), b.distinct_keys());
+    prop_assert_eq!(a.max_hit_len(), b.max_hit_len());
+    prop_assert_eq!(a.span_slots(), b.span_slots());
+    let width = a.key().len();
+    let mut probes: Vec<Vec<Value>> = rel.iter().map(|t| t.project(a.key())).collect();
+    probes.push(vec![Value::int(-7); width]); // no cell holds -7
+    probes.push(vec![Value::Null; width]);
+    for p in &probes {
+        prop_assert_eq!(a.locate(p), b.locate(p));
+    }
     Ok(())
 }
 
@@ -772,21 +791,29 @@ proptest! {
     }
 
     /// The flat index, randomized: over relations with nulls and mixed
-    /// `Int`/`Str` cells and keys of one to four attributes, every probe
+    /// `Int`/`Str` cells and keys of one to five attributes, every probe
     /// returns the naive grouping's ascending row ids — and so does the
     /// index a delete-free delta maintains, which is counted as one
-    /// patch and equals a fresh build over the new rows.
+    /// patch and equals a fresh build over the new rows. Tiled to
+    /// `PARALLEL_BUILD_MIN` rows × distinct keys, the rows give a master
+    /// on which `build_all` builds two to five distinct keys once each,
+    /// on one thread per key up to the core count, into exactly the
+    /// indexes `KeyIndex::build` gives.
     #[test]
     fn key_index_matches_naive_grouping(
         rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), ATTRS), 0..40),
-        key in proptest::collection::vec(0..ATTRS as u16, 1..5),
+        key in proptest::collection::vec(0..ATTRS as u16, 1..6),
+        more in proptest::collection::vec(proptest::collection::vec(0..ATTRS as u16, 1..6), 0..4),
         ops in proptest::collection::vec(
             (any::<bool>(), proptest::collection::vec(arb_cell(), ATTRS), any::<u16>()), 0..6),
     ) {
-        let mut key: Vec<AttrId> = key.into_iter().map(AttrId).collect();
-        let mut seen = AttrSet::EMPTY;
-        key.retain(|&a| seen.insert(a));
-        let rel = Relation::new(schema(), rows.into_iter().map(Tuple::new).collect()).unwrap();
+        let attr_list = |key: Vec<u16>| {
+            let mut seen = AttrSet::EMPTY;
+            key.into_iter().map(AttrId).filter(|&a| seen.insert(a)).collect::<Vec<AttrId>>()
+        };
+        let key = attr_list(key);
+        let tuples: Vec<Tuple> = rows.into_iter().map(Tuple::new).collect();
+        let rel = Relation::new(schema(), tuples.clone()).unwrap();
         assert_naive_grouping(&KeyIndex::build(&rel, &key), &rel)?;
 
         let m0 = MasterIndex::new(Arc::new(rel));
@@ -811,6 +838,39 @@ proptest! {
             let probe = t.project(&key);
             prop_assert_eq!(maintained.lookup(&probe), fresh.lookup(&probe));
         }
+
+        if tuples.is_empty() {
+            return Ok(());
+        }
+        let mut keys = vec![key];
+        keys.extend(more.into_iter().map(attr_list));
+        keys.sort();
+        keys.dedup();
+        // two keys at least, so that the build is shared
+        for extra in [vec![AttrId(0)], vec![AttrId(1)]] {
+            if keys.len() < 2 && !keys.contains(&extra) {
+                keys.push(extra);
+            }
+        }
+        // copy j of the rows shifts every integer by 1000 × (j mod 7)
+        let len = PARALLEL_BUILD_MIN.div_ceil(keys.len());
+        let tiled: Vec<Tuple> = (0..len)
+            .map(|i| {
+                let shift = 1000 * (i / tuples.len() % 7) as i64;
+                let cells = tuples[i % tuples.len()].values().iter().map(|v| match v.as_int() {
+                    Some(n) => Value::int(n + shift),
+                    None => *v,
+                });
+                Tuple::new(cells.collect())
+            })
+            .collect();
+        let big = MasterIndex::new(Arc::new(Relation::new(schema(), tiled).unwrap()));
+        big.build_all(&keys);
+        prop_assert_eq!(big.index_builds(), keys.len() as u64);
+        for k in &keys {
+            assert_same_index(&big.index_for(k), &KeyIndex::build(big.relation(), k), big.relation())?;
+        }
+        prop_assert_eq!(big.index_builds(), keys.len() as u64);
     }
 
     /// `MasterIndex::apply_delta`, randomized: random updates, unsorted
