@@ -1,7 +1,6 @@
 //! Algorithm `CertainFix` (Fig. 3 of the paper): the per-tuple
 //! interaction loop.
 
-use certainfix_reasoning::Chase;
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple};
 use certainfix_rules::{DependencyGraph, ProbeScratch, RulePlan, RuleSet};
 
@@ -42,7 +41,10 @@ pub struct RoundReport {
     /// Attributes written by rules in this round's `TransFix`.
     pub rule_fixed: AttrSet,
     /// Did the validation step confirm a unique fix for the asserted
-    /// set? (`false` only under inconsistent master data.)
+    /// set? The round's `TransFix` walk returns this verdict
+    /// ([`TransFixOutcome::unique`](crate::transfix::TransFixOutcome::unique)),
+    /// which equals the chase's (D1). `false` only under inconsistent
+    /// master data.
     pub validated_ok: bool,
 }
 
@@ -86,8 +88,9 @@ impl FixOutcome {
 /// the Fig. 3 loop over a block of tuples — a lone tuple is a block of
 /// one.
 ///
-/// The per-round `TransFix` pass and the validation chase route their
-/// key probes through the compiled [`RulePlan`] (compiled from the same
+/// A round walks the rules once: its `TransFix` pass also returns the
+/// validation step's verdict, and routes its key probes through the
+/// compiled [`RulePlan`] (compiled from the same
 /// `(rules, master)` pair — callers hand in the plan of the epoch the
 /// master index belongs to); a worker-owned [`ProbeScratch`] passed to
 /// [`run_scratch`](Self::run_scratch) makes the steady-state probe
@@ -182,7 +185,7 @@ impl<'a> CertainFix<'a> {
     /// which prefetches nothing and probes live.
     ///
     /// **Bit-identity:** each tuple's per-round call sequence (oracle
-    /// assertion, validation chase, `TransFix`, follow-up suggestion)
+    /// assertion, `TransFix` with its verdict, follow-up suggestion)
     /// is exactly the one a block of one performs for it alone, and
     /// the tuples are independent, so every [`FixOutcome`] — and the
     /// logical probe count — is the same at every block size. A
@@ -204,7 +207,6 @@ impl<'a> CertainFix<'a> {
         debug_assert_eq!(dirty.len(), oracles.len());
         let r_len = self.rules.r_schema().len();
         let full = AttrSet::full(r_len);
-        let chase = Chase::new(self.rules, self.master).with_plan(Some(self.plan));
 
         struct St {
             tuple: Tuple,
@@ -224,7 +226,6 @@ impl<'a> CertainFix<'a> {
             asserted: Vec<AttrId>,
             user_changed: AttrSet,
             new_validated: AttrSet,
-            validated_ok: bool,
         }
         let mut sts: Vec<St> = dirty
             .iter()
@@ -240,10 +241,9 @@ impl<'a> CertainFix<'a> {
             })
             .collect();
 
+        let mut preps: Vec<Prep> = Vec::new();
         loop {
-            // (2) per tuple: suggestion top-up, user assertion, and the
-            // validation chase
-            let mut preps: Vec<Prep> = Vec::new();
+            // (2) per tuple: suggestion top-up and user assertion
             for (j, st) in sts.iter_mut().enumerate() {
                 if st.done {
                     continue;
@@ -268,24 +268,20 @@ impl<'a> CertainFix<'a> {
                 }
                 let new_validated =
                     st.validated | asserted_attrs.iter().copied().collect::<AttrSet>();
-                // validation: does t[Z′ ∪ S] lead to a unique fix?
-                let validated_ok = chase
-                    .run_with(&st.tuple, new_validated, scratch)
-                    .is_unique();
                 preps.push(Prep {
                     j,
                     suggested: st.suggestion.clone(),
                     asserted: asserted_attrs,
                     user_changed: round_user_changed,
                     new_validated,
-                    validated_ok,
                 });
             }
             if preps.is_empty() {
                 break;
             }
 
-            // (3) one vectorized TransFix pass over the active tuples
+            // (3) one vectorized TransFix pass over the active tuples,
+            // which also validates: does t[Z′ ∪ S] lead to a unique fix?
             let items: Vec<(&Tuple, AttrSet)> = preps
                 .iter()
                 .map(|p| (&sts[p.j].tuple, p.new_validated))
@@ -298,11 +294,10 @@ impl<'a> CertainFix<'a> {
                 scratch,
                 &items,
             );
-            drop(items);
 
             // (4) per tuple: absorb the fixes and pick the next round's
             // suggestion
-            for (p, out) in preps.into_iter().zip(outs) {
+            for (p, out) in preps.drain(..).zip(outs) {
                 let st = &mut sts[p.j];
                 st.tuple = out.tuple;
                 st.validated = out.validated;
@@ -313,7 +308,7 @@ impl<'a> CertainFix<'a> {
                     asserted: p.asserted,
                     user_changed: p.user_changed,
                     rule_fixed: out.fixed,
-                    validated_ok: p.validated_ok,
+                    validated_ok: out.unique,
                 });
                 if st.validated == full {
                     st.done = true;

@@ -28,8 +28,8 @@
 //! The `(Dm, plan)` precomputation is no longer a field of the context
 //! but a [`MasterEpoch`] — one immutable snapshot of the master at a
 //! given [`generation`](RepairContext::generation), bundling the indexed
-//! master, the compiled [`RulePlan`], and the initial suggestion ranked
-//! from the region catalog, all built against the *same* master rows.
+//! master and the compiled [`RulePlan`], both built against the *same*
+//! master rows, with the context's initial suggestion.
 //! [`RepairContext::apply_master_delta`] builds the next epoch from a
 //! [`MasterDelta`] (batch inserts / updates / deletes) and swaps it in
 //! atomically:
@@ -111,9 +111,10 @@ use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 
 /// One immutable snapshot of the master data and everything compiled
-/// from it: the indexed master rows, the compiled [`RulePlan`], and
-/// the initial suggestion ranked from the certain-region catalog — all
-/// built against the same master generation. Workers
+/// from it: the indexed master rows and the compiled [`RulePlan`],
+/// both built against the same master generation, plus the initial
+/// suggestion — derived once per context, since the region catalog
+/// reads `Σ` alone, so every epoch deploys one region. Workers
 /// pin an epoch (one `Arc` clone) for the duration of a batch; a
 /// [`MasterDelta`] produces the *next* epoch without touching this
 /// one, so in-flight repairs are never invalidated mid-batch.
@@ -125,20 +126,10 @@ pub struct MasterEpoch {
 
 impl MasterEpoch {
     /// Compile an epoch over an already-indexed master.
-    fn build(rules: &RuleSet, master: MasterIndex, initial_region: InitialRegion) -> MasterEpoch {
-        let plan = RulePlan::compile(rules, &master);
-        let catalog = RegionCatalog::build(rules, &master);
-        let region = match initial_region {
-            InitialRegion::Best => catalog.best(),
-            InitialRegion::Median => catalog.median(),
-        };
-        let initial = region
-            .map(|r| r.z().to_vec())
-            .unwrap_or_else(|| rules.r_schema().attr_ids().collect());
-        debug_assert_eq!(plan.generation(), master.generation());
+    fn build(rules: &RuleSet, master: MasterIndex, initial: Vec<AttrId>) -> MasterEpoch {
         MasterEpoch {
+            plan: RulePlan::compile(rules, &master),
             master,
-            plan,
             initial,
         }
     }
@@ -173,7 +164,6 @@ pub struct RepairContext {
     graph: DependencyGraph,
     config: CertainFixConfig,
     use_bdd: bool,
-    initial_region: InitialRegion,
     epoch: RwLock<Arc<MasterEpoch>>,
     /// Serializes concurrent deltas so none is lost; the epoch write
     /// lock above is held only for the pointer swap.
@@ -194,9 +184,9 @@ impl RepairContext {
         )
     }
 
-    /// Full-control constructor: the initial region and the
-    /// `CertainFix` configuration; repairs run through the epoch's
-    /// compiled rule plan.
+    /// Full-control constructor: the initial region, ranked here once
+    /// from the region catalog, and the `CertainFix` configuration;
+    /// repairs run through the epoch's compiled rule plan.
     pub fn with_config(
         rules: RuleSet,
         master: Arc<Relation>,
@@ -206,13 +196,18 @@ impl RepairContext {
     ) -> RepairContext {
         let master = MasterIndex::new(master);
         let graph = DependencyGraph::new(&rules);
-        let epoch = Arc::new(MasterEpoch::build(&rules, master, initial_region));
+        let catalog = RegionCatalog::build(&rules, &master);
+        let initial = match initial_region {
+            InitialRegion::Best => catalog.best(),
+            InitialRegion::Median => catalog.median(),
+        }
+        .map_or_else(|| rules.r_schema().attr_ids().collect(), |r| r.z().to_vec());
+        let epoch = Arc::new(MasterEpoch::build(&rules, master, initial));
         RepairContext {
             rules: Arc::new(rules),
             graph,
             config,
             use_bdd,
-            initial_region,
             epoch: RwLock::new(epoch),
             delta_gate: Mutex::new(()),
             rebuilds: AtomicU64::new(0),
@@ -244,9 +239,9 @@ impl RepairContext {
     }
 
     /// Apply a batch of master mutations: build the next
-    /// [`MasterEpoch`] (delta-maintained index, recompiled plan,
-    /// re-ranked catalog) and swap it in atomically. Returns the new
-    /// generation.
+    /// [`MasterEpoch`] (delta-maintained index, recompiled plan) and
+    /// swap it in atomically. Returns the new generation. The initial
+    /// suggestion is handed on: the region catalog reads `Σ` alone.
     ///
     /// In-flight batches keep their pinned epoch and finish undisturbed;
     /// batches fanned out after this call repair against the new
@@ -255,11 +250,12 @@ impl RepairContext {
     /// stalls at most microseconds.
     pub fn apply_master_delta(&self, delta: &MasterDelta) -> Result<u64, RelationError> {
         let _gate = self.delta_gate.lock().expect("delta gate poisoned");
-        let next_master = self.epoch().master().apply_delta(delta)?;
+        let current = self.epoch();
+        let next_master = current.master().apply_delta(delta)?;
         let next = Arc::new(MasterEpoch::build(
             &self.rules,
             next_master,
-            self.initial_region,
+            current.initial.clone(),
         ));
         let generation = next.master.generation();
         *self.epoch.write().expect("epoch lock poisoned") = next;
@@ -1033,6 +1029,11 @@ mod tests {
         assert_eq!(maintained.plan_rebuilds(), 1);
 
         let fresh = RepairContext::new(hosp.rules().clone(), full.clone(), false);
+        assert_eq!(
+            maintained.epoch().initial_suggestion(),
+            fresh.epoch().initial_suggestion(),
+            "the delta handed the context's suggestion on"
+        );
         let oracle_for = |i: usize| SimulatedUser::new(ds.inputs[i].clean.clone());
         let baseline = fresh.repair_opts(&dirty, &plain_opts(1), oracle_for);
         for threads in [1usize, 2, 4] {

@@ -8,15 +8,15 @@
 //!    the first suggestion;
 //! 2. the user asserts a set `S` of attributes correct (supplying
 //!    values where the entered ones were wrong);
-//! 3. validate `t[Z′ ∪ S]` (does it lead to a unique fix?), then run
-//!    [`transfix()`](transfix::transfix) to propagate master values along the rule
-//!    dependency graph;
+//! 3. run [`transfix()`](transfix::transfix) to propagate master values
+//!    along the rule dependency graph; the same walk validates
+//!    `t[Z′ ∪ S]` (does it lead to a unique fix?);
 //! 4. if everything is validated, done — a certain fix; otherwise
 //!    compute a new suggestion ([`certainfix_reasoning::suggest()`](certainfix_reasoning::suggest())),
 //!    possibly served from the [`bdd`] cache (`Suggest+`), and repeat.
 //!
 //! A [`RepairContext`] packages the precomputation (dependency graph,
-//! compiled plan, the initial suggestion ranked from the region
+//! compiled plan, the initial suggestion ranked once from the region
 //! catalog) and owns the one work-stealing fan-out that repairs every
 //! batch, one BDD per chunk under `CertainFix+`; the paper's sequential
 //! monitor is a one-worker [`RepairContext::repair_opts`] call whose
@@ -39,7 +39,7 @@
 //! [`RepairContext::apply_master_delta`] (or
 //! [`RepairSession::apply_master_delta`](session::RepairSession::apply_master_delta))
 //! builds the next generation-stamped [`MasterEpoch`] — maintained
-//! index, recompiled plan, re-ranked initial suggestion — and swaps it
+//! index, recompiled plan, the context's initial suggestion — and swaps it
 //! in without stalling in-flight repairs, which finish on the epoch
 //! they pinned. The crate runs the paper's editing-rule repair only;
 //! the `IncRep` baseline it is compared against lives in

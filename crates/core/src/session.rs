@@ -171,7 +171,7 @@ impl<'e> RepairSession<'e> {
 
     /// Apply a batch of master mutations to the live master: the
     /// context builds the next epoch (delta-maintained index, recompiled
-    /// plan, re-ranked catalog) and swaps it in; batches pushed after
+    /// plan) and swaps it in; batches pushed after
     /// this call repair against the new generation, while any batch
     /// already fanned out finishes on the epoch it pinned. Returns the
     /// new generation. The merged [`SessionReport`] counts the epochs

@@ -7,48 +7,50 @@
 //! as their prerequisites become validated. Each rule is consumed at
 //! most once, giving the `O(card(Σ)·|Σ|)` bound of Sect. 5.1.
 //!
-//! Unlike the static-analysis chase, `TransFix` runs after the
-//! validation step has confirmed a unique fix, so disagreements are not
-//! supposed to occur; if the master data nevertheless disagrees (two
-//! master tuples sharing a key), the disputed update is *skipped* and
-//! reported, keeping the correctness guarantee ("the attributes updated
-//! are correct") intact.
+//! The walk also answers Fig. 3's validation step — does `t[Z′]` lead
+//! to a unique fix? ([`TransFixOutcome::unique`], the chase's verdict)
+//! — so a round walks the rules once. Where the master disagrees with
+//! itself (two master tuples sharing a key), the disputed update is
+//! *skipped* and reported, keeping the correctness guarantee ("the
+//! attributes updated are correct") intact.
 
 use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple, Value};
 use certainfix_rules::{DependencyGraph, FixHits, ProbeScratch, RulePlan, RuleSet};
 
-/// What a rule's candidates prescribe for its target: the first
-/// non-null master value (with its row), and whether a later non-null
-/// value disputes it.
-///
-/// The plan-less path scans the candidate id list: skip null master
-/// values, take the first non-null one, flag a conflict if a later
-/// candidate disagrees. The plan paths (live and block) read the same
-/// two facts off the hit list's span summary in O(1) — its `non_null`
-/// and `split` rows are exactly where that scan takes its prescription
-/// and stops — so a rule's cost no longer grows with its hit list.
-fn prescribe(master: &MasterIndex, rhs_m: AttrId, ids: &[u32]) -> (Option<(Value, u32)>, bool) {
-    let mut prescription: Option<(Value, u32)> = None;
-    for &id in ids {
-        let val = master.tuple(id).get(rhs_m);
-        if val.is_null() {
-            continue;
-        }
-        match &prescription {
-            None => prescription = Some((*val, id)),
-            Some((seen, _)) if seen != val => return (prescription, true),
-            _ => {}
-        }
-    }
-    (prescription, false)
+/// A rule's hit list as the walk reads it: its `(row, Bm)` pairs
+/// without a plan, its span summary with one. A summary names the rows
+/// a scan of the pairs stops at, so both give the same answers.
+enum Hits<'h> {
+    Walked(Vec<(u32, Value)>),
+    Summarised(FixHits<'h>),
 }
 
-/// [`prescribe`] from a span summary.
-fn prescribe_summarised(hits: FixHits<'_>) -> (Option<(Value, u32)>, bool) {
-    (
-        hits.first_non_null().map(|(id, v)| (v, id)),
-        hits.is_split(),
-    )
+impl Hits<'_> {
+    /// What the candidates prescribe for the rule's target: the first
+    /// non-null row and value, and whether a later non-null value
+    /// disputes it.
+    fn prescribe(&self) -> (Option<(u32, Value)>, bool) {
+        match self {
+            Hits::Walked(rows) => {
+                let mut non_null = rows.iter().copied().filter(|(_, v)| !v.is_null());
+                let first = non_null.next();
+                (
+                    first,
+                    first.is_some_and(|(_, w)| non_null.any(|(_, v)| v != w)),
+                )
+            }
+            Hits::Summarised(hits) => (hits.first_non_null(), hits.is_split()),
+        }
+    }
+
+    /// `true` iff some candidate's value does not agree with `x` (a
+    /// null agrees with nothing).
+    fn disagree_with(&self, x: &Value) -> bool {
+        match self {
+            Hits::Walked(rows) => rows.iter().any(|(_, v)| !v.agrees_with(x)),
+            Hits::Summarised(hits) => hits.first_disagreeing(x).is_some(),
+        }
+    }
 }
 
 /// Result of a `TransFix` run.
@@ -65,6 +67,13 @@ pub struct TransFixOutcome {
     /// Rule indices whose prescriptions were skipped as disputed
     /// (conflicting master evidence). Empty in the intended flow.
     pub disputed: Vec<usize>,
+    /// Does `t[validated]` lead to a unique fix? The chase's verdict
+    /// (Theorem 4): `false` iff a rule the walk popped with a matching
+    /// pattern has a candidate that does not agree with its target's
+    /// value — the one this walk fixed, else the candidates' first
+    /// non-null one, else null. A rule whose target this walk fixed is
+    /// still probed for this; a target validated on entry is not.
+    pub unique: bool,
 }
 
 /// Run `TransFix` on `t` with validated set `validated`, probing the
@@ -205,6 +214,7 @@ fn walk(
     let mut fixed = AttrSet::EMPTY;
     let mut steps = Vec::new();
     let mut disputed = Vec::new();
+    let mut unique = true;
 
     // usable[i]: premise validated; enqueued[i]: ever pushed to vset
     let n = rules.len();
@@ -221,9 +231,8 @@ fn walk(
     while let Some(v) = vset.pop() {
         let rule = rules.rule(v);
         let b = rule.rhs();
-        // apply only if the target is not yet validated (protected
-        // otherwise)
-        if z.contains(b) {
+        // a target validated before this walk is protected
+        if validated.contains(b) {
             continue;
         }
         // a prefetched cell or pattern bit holds only while no fix of
@@ -238,13 +247,13 @@ fn walk(
         if !pattern_ok {
             continue;
         }
-        let (prescription, conflict) = match probes {
-            Probes::Master => prescribe(
-                master,
-                rule.rhs_m(),
-                &master.matches_projection(&tuple, rule.lhs(), rule.lhs_m()),
-            ),
-            Probes::Plan(p) => prescribe_summarised(p.probe_fix(v, &tuple, scratch)),
+        let hits = match probes {
+            Probes::Master => {
+                let ids = master.matches_projection(&tuple, rule.lhs(), rule.lhs_m());
+                let value = |id| *master.tuple(id).get(rule.rhs_m());
+                Hits::Walked(ids.into_iter().map(|id| (id, value(id))).collect())
+            }
+            Probes::Plan(p) => Hits::Summarised(p.probe_fix(v, &tuple, scratch)),
             Probes::Block(p, j) => {
                 let prefetched = if untouched(rule.lhs()) {
                     p.block_probe_fix(v, j, scratch)
@@ -253,12 +262,19 @@ fn walk(
                 };
                 // cascaded rule, unseeded cell, or a fix touched the
                 // key: probe live, exactly like the single-tuple path
-                prescribe_summarised(prefetched.unwrap_or_else(|| p.probe_fix(v, &tuple, scratch)))
+                Hits::Summarised(prefetched.unwrap_or_else(|| p.probe_fix(v, &tuple, scratch)))
             }
         };
+        // a target this walk fixed is only checked against its value
+        if fixed.contains(b) {
+            unique &= !hits.disagree_with(tuple.get(b));
+            continue;
+        }
+        let (prescription, conflict) = hits.prescribe();
+        unique &= !hits.disagree_with(&prescription.map_or(Value::Null, |(_, x)| x));
         if conflict {
             disputed.push(v);
-        } else if let Some((val, id)) = prescription {
+        } else if let Some((id, val)) = prescription {
             tuple.set(b, val);
             z.insert(b);
             fixed.insert(b);
@@ -288,6 +304,7 @@ fn walk(
         fixed,
         steps,
         disputed,
+        unique,
     }
 }
 
@@ -684,6 +701,65 @@ mod tests {
             let (probes, _, _) = scratch.take_counters();
             assert_eq!(probes, want_probes, "logical probes at block size {size}");
         }
+    }
+
+    /// The walk's verdict on `t[z]` under `rules` and `rows` (schema
+    /// `(zip, area, city)` on both sides), after checking that the
+    /// plain, plan and block paths and the chase all return it.
+    fn verdict(src: &str, rows: Vec<Tuple>, t: Tuple, z: &[&str]) -> bool {
+        use certainfix_rules::{ProbeScratch, RulePlan};
+        let r = Schema::new("R", ["zip", "area", "city"]).unwrap();
+        let rules = parse_rules(src, &r, &r).unwrap();
+        let master = MasterIndex::new(Arc::new(Relation::new(r.clone(), rows).unwrap()));
+        let (graph, plan) = (
+            DependencyGraph::new(&rules),
+            RulePlan::compile(&rules, &master),
+        );
+        let z = attrs(&r, z);
+        let chased = certainfix_reasoning::Chase::new(&rules, &master)
+            .run(&t, z)
+            .is_unique();
+        let mut scratch = ProbeScratch::new();
+        let plain = transfix(&rules, &master, &graph, &t, z).unique;
+        let live = transfix_with(&rules, &master, &graph, &plan, &mut scratch, &t, z).unique;
+        let block = transfix_block(&rules, &master, &graph, &plan, &mut scratch, &[(&t, z); 2]);
+        assert_eq!([plain, live, block[0].unique, block[1].unique], [chased; 4]);
+        chased
+    }
+
+    /// One case per conflict shape the chase finds, each on the plain,
+    /// plan and block paths: the walk's verdict is the chase's.
+    #[test]
+    fn the_walk_returns_the_chase_verdict_on_every_conflict_shape() {
+        let p = "p: match zip ~ zip set city := city";
+        let t = || tuple!["Z1", "A1", Value::Null];
+        // a split list
+        let split = || vec![tuple!["Z1", "A1", "Edi"], tuple!["Z1", "A1", "Lnd"]];
+        assert!(!verdict(p, split(), t(), &["zip"]));
+        // a null row next to a value
+        let rows = vec![tuple!["Z1", "A1", "Edi"], tuple!["Z1", "A1", Value::Null]];
+        assert!(!verdict(p, rows, t(), &["zip"]));
+        // an all-null list: the chase claims the null, then step (g)
+        let rows = vec![tuple!["Z1", "A1", Value::Null]];
+        assert!(!verdict(p, rows, t(), &["zip"]));
+        // two rules disagreeing on one target in one chase round
+        let two = "p: match zip ~ zip set city := city\nq: match area ~ area set city := city";
+        let rows = vec![tuple!["Z1", "A9", "Edi"], tuple!["Z9", "A1", "Lnd"]];
+        assert!(!verdict(two, rows, t(), &["zip", "area"]));
+        // ... and across rounds: `q` becomes applicable once `pa` fixed
+        // `area`, after `pc` fixed `city`
+        let chain = "pa: match zip ~ zip set area := area\n\
+                     pc: match zip ~ zip set city := city\n\
+                     q: match area ~ zip set city := city";
+        let rows = vec![tuple!["Z1", "A1", "Edi"], tuple!["A1", "A0", "Lnd"]];
+        let blank = tuple!["Z1", Value::Null, Value::Null];
+        assert!(!verdict(chain, rows, blank, &["zip"]));
+        // a protected target the master contradicts is never probed
+        let entered = tuple!["Z1", "A1", "Gla"];
+        assert!(verdict(p, split(), entered, &["zip", "city"]));
+        // agreeing duplicates are unique
+        let rows = vec![tuple!["Z1", "A1", "Edi"], tuple!["Z1", "A1", "Edi"]];
+        assert!(verdict(p, rows, t(), &["zip"]));
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! costs O(|Σ|) probes whatever the lists' lengths; the plan-less
 //! round walks the full frontier and is the oracle for it.
 //!
+//! The repair loop runs no chase: its `TransFix` walk returns the same
+//! verdict (DETERMINISM.md D1). The chase serves the static analyses
+//! (consistency, coverage), the tests and the benchmark's
+//! `reasoning.chase.run_us` kernel.
+//!
 //! Step 5 omits the `dep(·)` cycle guard of the paper's step (g) and
 //! reports every disagreement with a derived value. This is
 //! *conservative*: it never accepts an inconsistent instance, but may
@@ -190,52 +195,21 @@ impl<'a> Chase<'a> {
         self
     }
 
-    /// The rule set.
-    pub fn rules(&self) -> &RuleSet {
-        self.rules
-    }
-
-    /// The master index.
-    pub fn master(&self) -> &MasterIndex {
-        self.master
-    }
-
     /// The frontier of step (c): all `(rule, master row)` pairs
     /// applicable to `t` given the validated set. Pairs whose rule
     /// targets a validated attribute are excluded (the target is
-    /// *protected*).
+    /// *protected*). Walked without the plan, which never builds it.
     pub fn frontier(&self, t: &Tuple, validated: AttrSet) -> Vec<Step> {
-        self.frontier_with(t, validated, &mut ProbeScratch::new())
-    }
-
-    /// [`frontier`](Self::frontier) with a caller-owned probe scratch
-    /// (meaningful when a plan is bound: probes then reuse the buffer).
-    pub fn frontier_with(
-        &self,
-        t: &Tuple,
-        validated: AttrSet,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Step> {
         let mut out = Vec::new();
         for (i, rule) in self.rules.iter() {
-            if validated.contains(rule.rhs()) || !rule.premise().is_subset(&validated) {
+            if validated.contains(rule.rhs())
+                || !rule.premise().is_subset(&validated)
+                || !rule.pattern().matches(t)
+            {
                 continue;
             }
-            if !rule.pattern().matches(t) {
-                continue;
-            }
-            match self.plan {
-                Some(plan) => {
-                    // pattern already checked; the raw key probe suffices
-                    for &id in plan.probe(i, t, scratch) {
-                        out.push((i, id));
-                    }
-                }
-                None => {
-                    for id in self.master.matches_projection(t, rule.lhs(), rule.lhs_m()) {
-                        out.push((i, id));
-                    }
-                }
+            for id in self.master.matches_projection(t, rule.lhs(), rule.lhs_m()) {
+                out.push((i, id));
             }
         }
         out

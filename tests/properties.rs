@@ -192,6 +192,35 @@ fn arb_workload() -> impl Strategy<
     (arb_master(), arb_rules(1..3), arb_tuple(), any::<u8>())
 }
 
+/// [`arb_workload`] over the small domain of [`arb_summary_cell`], the
+/// tuple half the time a master row: two keys of a master of 1–8 rows
+/// often disagree on a fix column, and a fix column often holds a
+/// null, the shapes the chase's verdict turns on.
+#[allow(clippy::type_complexity)]
+fn arb_null_workload() -> impl Strategy<
+    Value = (
+        Vec<Tuple>,
+        Vec<(usize, Vec<usize>, usize, Option<(usize, i64)>)>,
+        Tuple,
+        u8,
+    ),
+> {
+    (
+        proptest::collection::vec(arb_summary_tuple(), 1..8),
+        arb_rules(1..3),
+        (arb_summary_tuple(), any::<u8>(), any::<bool>()),
+        any::<u8>(),
+    )
+        .prop_map(|(rows, rules, (free, row, from_master), z)| {
+            let t = if from_master {
+                rows[usize::from(row) % rows.len()].clone()
+            } else {
+                free
+            };
+            (rows, rules, t, z)
+        })
+}
+
 /// 1–5 random rules keyed on `keys` attributes.
 #[allow(clippy::type_complexity)]
 fn arb_rules(
@@ -390,7 +419,8 @@ fn walked_answers(
 /// `items`: the chase (plan-backed `run_with` against the plain
 /// `run`), the plan-routed `Σ_t[Z]` derivation against the plan-less
 /// one, and `transfix_with` and `transfix_block` at block sizes 1, 2
-/// and 7 against the plain `transfix`.
+/// and 7 against the plain `transfix`. Every `TransFix` path's verdict
+/// is the plain chase's.
 fn assert_summarised_runs_match_the_walk(
     rules: &RuleSet,
     master: &MasterIndex,
@@ -401,8 +431,11 @@ fn assert_summarised_runs_match_the_walk(
     let plain = Chase::new(rules, master);
     let planned = Chase::new(rules, master).with_plan(Some(plan));
     let mut scratch = ProbeScratch::new();
+    let mut verdicts = Vec::with_capacity(items.len());
     for (t, z) in items {
-        assert_same_chase(&plain.run(t, *z), &planned.run_with(t, *z, &mut scratch))?;
+        let chased = plain.run(t, *z);
+        assert_same_chase(&chased, &planned.run_with(t, *z, &mut scratch))?;
+        verdicts.push(chased.is_unique());
         let want = Applicable::new(rules, master, None, t, *z)
             .ids(&mut scratch)
             .to_vec();
@@ -430,11 +463,12 @@ fn assert_summarised_runs_match_the_walk(
         );
     }
     for run in &runs {
-        for (a, b) in want.iter().zip(run) {
+        for ((a, b), &unique) in want.iter().zip(run).zip(&verdicts) {
             prop_assert_eq!(&a.tuple, &b.tuple);
             prop_assert_eq!(a.validated, b.validated);
             prop_assert_eq!(&a.steps, &b.steps);
             prop_assert_eq!(&a.disputed, &b.disputed);
+            prop_assert_eq!((a.unique, b.unique), (unique, unique));
         }
     }
     Ok(())
@@ -532,6 +566,14 @@ fn dblp_overwriting_delta_summaries_match_a_fresh_compile() {
         .run(m1.tuple(1), AttrSet::singleton(attr("a1")));
     let c = via_a1.conflict().expect("hp1 via a1 and via a2 disagree");
     assert_eq!((c.attr, c.kind), (attr("hp1"), ConflictKind::SameRound));
+    let walk = transfix(
+        rules,
+        &m1,
+        &graph,
+        m1.tuple(1),
+        AttrSet::singleton(attr("a1")),
+    );
+    assert!(!walk.unique, "the walk returns the chase's verdict");
     let before = Chase::new(rules, &m0).run(m0.tuple(1), AttrSet::singleton(attr("a1")));
     assert!(before.is_unique(), "the generated master is consistent");
 }
@@ -713,6 +755,36 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// D1's verdict leg: the walk's verdict is the chase's, and on a
+    /// unique instance the walk equals the fix and disputes nothing.
+    /// Each case draws an [`arb_workload`] and an
+    /// [`arb_null_workload`], whose conflicts are rare enough to need
+    /// the case count.
+    #[test]
+    fn transfix_matches_chase_on_unique_instances(
+        workloads in (arb_workload(), arb_null_workload())
+    ) {
+        for (master_rows, specs, t, zbits) in [workloads.0, workloads.1] {
+            let Some((rules, graph)) = build_rules(specs) else { continue; };
+            let master = MasterIndex::new(Arc::new(
+                Relation::new(schema(), master_rows).unwrap(),
+            ));
+            let initial = AttrSet::from_bits(u64::from(zbits) & ((1 << ATTRS) - 1));
+            let chased = Chase::new(&rules, &master).run(&t, initial);
+            let out = transfix(&rules, &master, &graph, &t, initial);
+            prop_assert_eq!(out.unique, chased.is_unique());
+            if let ChaseResult::Fixed(fix) = chased {
+                prop_assert!(out.disputed.is_empty());
+                prop_assert_eq!(out.tuple, fix.tuple);
+                prop_assert_eq!(out.validated, fix.validated);
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
@@ -767,26 +839,6 @@ proptest! {
             });
             prop_assert_eq!(tuple, fix.tuple);
             prop_assert_eq!(validated, fix.validated);
-        }
-    }
-
-    #[test]
-    fn transfix_matches_chase_on_unique_instances(
-        (master_rows, specs, t, zbits) in arb_workload()
-    ) {
-        let Some((rules, graph)) = build_rules(specs) else { return Ok(()); };
-        let s = schema();
-        let master = MasterIndex::new(Arc::new(
-            Relation::new(s.clone(), master_rows).unwrap(),
-        ));
-        let initial = AttrSet::from_bits(u64::from(zbits) & ((1 << ATTRS) - 1));
-        let chase = Chase::new(&rules, &master);
-        if let ChaseResult::Fixed(fix) = chase.run(&t, initial) {
-            let out = transfix(&rules, &master, &graph, &t, initial);
-            if out.disputed.is_empty() {
-                prop_assert_eq!(out.tuple, fix.tuple);
-                prop_assert_eq!(out.validated, fix.validated);
-            }
         }
     }
 
