@@ -16,8 +16,14 @@
 //! partition-invariant — so the synthetic single-worker shape folds
 //! to the same numbers as the server's real worker layout.
 //!
+//! A `Report` sends each outcome as the cells where it differs from the
+//! dirty tuple it repairs, so the client keeps the dirty tuples of every
+//! batch it sent until that batch's report arrives, and refuses a report
+//! for any batch but the oldest one in flight.
+//!
 //! [`RepairSession`]: certainfix_core::RepairSession
 
+use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -29,7 +35,7 @@ use certainfix_core::{BatchReport, MonitorStats, SessionReport, WorkerReport};
 use certainfix_relation::{MasterDelta, Tuple};
 
 use crate::server::Conn;
-use crate::wire::{self, Frame, WireError};
+use crate::wire::{Decoder, Encoder, Frame, WireError};
 
 /// What [`RepairClient::finish`] hands back: the client-side
 /// reconstruction of the session plus the server's own closing
@@ -57,8 +63,15 @@ pub struct RepairClient {
     /// The frame being sent: encoded whole, then written in one call
     /// (the one-write-per-frame rule of [`wire`]).
     out: Vec<u8>,
-    /// Payload scratch of [`Frame::decode_with`].
+    /// The request direction's string dictionary.
+    enc: Encoder,
+    /// The response direction's string dictionary.
+    dec: Decoder,
+    /// Payload scratch of [`Decoder::decode_with`].
     scratch: Vec<u8>,
+    /// Every non-empty batch sent and not yet reported: its `seq` and
+    /// its dirty tuples, which its `Report`'s outcomes are sent against.
+    in_flight: VecDeque<(u64, Vec<Tuple>)>,
     seq: u64,
     generation: u64,
     batches: Vec<BatchReport>,
@@ -97,7 +110,10 @@ impl RepairClient {
             r: BufReader::new(conn),
             w: write_half,
             out: Vec::new(),
+            enc: Encoder::default(),
+            dec: Decoder::default(),
             scratch: Vec::new(),
+            in_flight: VecDeque::new(),
             seq: 0,
             generation: 0,
             batches: Vec::new(),
@@ -146,9 +162,13 @@ impl RepairClient {
         }
         let seq = self.seq;
         self.out.clear();
-        wire::batch_into(&mut self.out, seq, dirty, clean)?;
+        self.enc.batch_into(&mut self.out, seq, dirty, clean)?;
         self.w.write_all(&self.out)?;
         self.seq += 1;
+        // the server answers an empty batch with nothing
+        if !dirty.is_empty() {
+            self.in_flight.push_back((seq, dirty.to_vec()));
+        }
         Ok(seq)
     }
 
@@ -217,13 +237,17 @@ impl RepairClient {
 
     fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
         self.out.clear();
-        frame.encode_into(&mut self.out)?;
+        self.enc.encode_into(frame, &[], &mut self.out)?;
         self.w.write_all(&self.out)?;
         Ok(())
     }
 
+    /// The next frame. A `Report` can only answer the oldest batch in
+    /// flight (the server answers in send order), so its outcomes are
+    /// decoded against that batch's dirty tuples.
     fn recv(&mut self) -> Result<Frame, WireError> {
-        match Frame::decode_with(&mut self.r, &mut self.scratch)? {
+        let base = self.in_flight.front().map_or(&[][..], |(_, dirty)| dirty);
+        match self.dec.decode_with(&mut self.r, &mut self.scratch, base)? {
             Some(frame) => Ok(frame),
             None => Err(WireError::Protocol(
                 "server closed the connection mid-session".into(),
@@ -233,17 +257,28 @@ impl RepairClient {
 
     /// Fold an out-of-band frame encountered while waiting for a
     /// specific ack. `Report` frames become client-side
-    /// [`BatchReport`]s (synthetic single worker, see module docs);
-    /// anything else mid-stream is a protocol violation.
+    /// [`BatchReport`]s (synthetic single worker, see module docs); a
+    /// report for any batch but the oldest in flight, and anything else
+    /// mid-stream, is a protocol violation.
     fn absorb(&mut self, frame: Frame) -> Result<(), WireError> {
         match frame {
             Frame::Report {
-                seq: _,
+                seq,
                 generation,
                 wall,
                 stats,
                 outcomes,
             } => {
+                match self.in_flight.front() {
+                    Some((oldest, dirty)) if *oldest == seq && dirty.len() == outcomes.len() => {
+                        self.in_flight.pop_front();
+                    }
+                    _ => {
+                        return Err(WireError::Protocol(format!(
+                            "a Report for batch {seq}, which is not the oldest batch in flight"
+                        )))
+                    }
+                }
                 // a Vec of one Range, not a range of indexes — the
                 // whole batch is the synthetic worker's single span
                 #[allow(clippy::single_range_in_vec_init)]

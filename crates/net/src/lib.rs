@@ -6,7 +6,9 @@
 //!   ([`Frame`], [`WireError`]): `Hello`/`Batch`/`Delta`/`Flush`/
 //!   `Shutdown` requests, `HelloAck`/`Report`/`DeltaAck`/`FlushAck`/
 //!   `SessionEnd`/`Error` responses, symmetric `encode`/`decode` over
-//!   any `Read`/`Write` with strict bounds checks.
+//!   any `Read`/`Write` with strict bounds checks. A connection keeps
+//!   an [`Encoder`]/[`Decoder`] pair per direction: a string dictionary
+//!   that sends a repeated string as a reference.
 //! * [`RepairServer`] — listens on TCP or a unix socket and maps each
 //!   authenticated connection onto one bounded ingest lane of a
 //!   shared [`RepairService`], so per-session backpressure
@@ -27,4 +29,4 @@ pub mod wire;
 
 pub use client::{ClientReport, RepairClient};
 pub use server::RepairServer;
-pub use wire::{Frame, WireError, MAX_FRAME, VERSION};
+pub use wire::{Decoder, Encoder, Frame, WireError, DICT_CAP, MAX_FRAME, VERSION};

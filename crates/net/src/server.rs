@@ -40,7 +40,13 @@
 //! The clean tuples backing a session's oracles are held only while
 //! their batch is in flight: the responder releases a batch's share
 //! when it sees that batch's report, so a session's memory is bounded
-//! by the lane's depth, not by the length of its stream.
+//! by the lane's depth, not by the length of its stream. So are its
+//! dirty tuples, which the reader hands the responder beside the
+//! batch's `seq`: a `Report` sends each outcome as the cells where it
+//! differs from its dirty tuple, and the responder drops them once the
+//! report is encoded. The string dictionaries of the connection (one
+//! per direction, see [`wire`](crate::wire)) hold at most
+//! [`DICT_CAP`](crate::wire::DICT_CAP) entries plus one frame's.
 //!
 //! # Fault isolation
 //!
@@ -80,7 +86,7 @@ use certainfix_core::{
 };
 use certainfix_relation::Tuple;
 
-use crate::wire::{Frame, WireError};
+use crate::wire::{Decoder, Encoder, Frame, WireError};
 
 /// One accepted transport, TCP or unix-domain.
 pub(crate) enum Conn {
@@ -170,11 +176,18 @@ impl<R: Read> Read for CountingReader<R> {
     }
 }
 
+/// A response frame and the dirty tuples a `Report`'s outcomes are
+/// sent against (empty for every other frame).
+type Response = (Frame, Vec<Tuple>);
+
 /// Serialises response frames onto one socket (the reader's handshake
 /// and teardown, the responder's answers) and tallies the outbound lane
 /// counters.
 pub(crate) struct FrameWriter {
     w: Conn,
+    /// The response direction's string dictionary: frames are encoded
+    /// in the order they leave.
+    enc: Encoder,
     /// The frames of the write in progress, encoded back to back.
     buf: Vec<u8>,
     pub(crate) frames: u64,
@@ -186,28 +199,30 @@ impl FrameWriter {
     pub(crate) fn new(conn: Conn) -> FrameWriter {
         FrameWriter {
             w: conn,
+            enc: Encoder::default(),
             buf: Vec::new(),
             frames: 0,
             bytes: 0,
             dead: false,
         }
     }
-    /// Send one frame; see [`send_all`](Self::send_all).
+    /// Send one frame that is not a `Report`; see
+    /// [`send_all`](Self::send_all).
     pub(crate) fn send(&mut self, frame: &Frame) {
-        self.send_all(std::slice::from_ref(frame));
+        self.send_all(&[(frame.clone(), Vec::new())]);
     }
     /// Encode `frames` back to back and hand them to the socket in one
     /// write. After the first error the writer goes dead and later
     /// sends are silently dropped — the session is ending anyway, and
     /// the event drain must not wedge on a closed socket.
-    pub(crate) fn send_all(&mut self, frames: &[Frame]) {
+    pub(crate) fn send_all(&mut self, frames: &[Response]) {
         if self.dead {
             return;
         }
         self.buf.clear();
         let sent = frames
             .iter()
-            .try_for_each(|f| f.encode_into(&mut self.buf).map(drop))
+            .try_for_each(|(f, base)| self.enc.encode_into(f, base, &mut self.buf).map(drop))
             .and_then(|()| self.w.write_all(&self.buf).map_err(WireError::Io));
         match sent {
             Ok(()) => {
@@ -451,10 +466,11 @@ fn handle_conn(
     };
     let mut reader = CountingReader::new(BufReader::new(conn));
     let mut scratch = Vec::new(); // payload buffer, reused by every frame
+    let mut decoder = Decoder::default(); // the request direction's dictionary
     let mut frames_in = 0u64;
 
     // first frame must be an authenticated Hello
-    let session = match Frame::decode_with(&mut reader, &mut scratch) {
+    let session = match decoder.decode_with(&mut reader, &mut scratch, &[]) {
         Ok(Some(Frame::Hello { session, token: t })) => {
             frames_in += 1;
             if token
@@ -533,8 +549,9 @@ fn handle_conn(
     });
 
     // the scheduler answers a session's batches in lane order, so the
-    // n-th `Batch` event answers the n-th `seq` the reader queued
-    let (seq_tx, seqs) = channel::<u64>();
+    // n-th `Batch` event answers the n-th `seq` the reader queued, and
+    // its outcomes go out against the dirty tuples queued with it
+    let (seq_tx, seqs) = channel::<(u64, Vec<Tuple>)>();
     // the responder: one frame per event, until the scheduler drops the
     // event channel after `Finished`; the frames of every event already
     // queued leave in one write
@@ -546,12 +563,15 @@ fn handle_conn(
             let mut frames = Vec::new();
             while let Ok(first) = events.recv() {
                 for ev in std::iter::once(first).chain(events.try_iter()) {
-                    frames.push(match ev {
+                    let mut base = Vec::new();
+                    let frame = match ev {
                         SessionEvent::Batch(batch) => {
                             cleans.lock().unwrap().release(batch.outcomes.len());
                             reported += 1;
+                            let (seq, dirty) = seqs.try_recv().expect("the reader queues it first");
+                            base = dirty;
                             Frame::Report {
-                                seq: seqs.try_recv().expect("the reader queues it first"),
+                                seq,
                                 generation: batch.generation,
                                 wall: batch.wall,
                                 stats: batch.stats,
@@ -573,7 +593,8 @@ fn handle_conn(
                             wall: report.wall,
                             stats: report.stats,
                         },
-                    });
+                    };
+                    frames.push((frame, base));
                 }
                 writer.lock().unwrap().send_all(&frames);
                 frames.clear();
@@ -583,7 +604,7 @@ fn handle_conn(
 
     // a session that ends on a fault gets one `Error`, and is torn down
     let fault: Option<(u16, String)> = loop {
-        let frame = match Frame::decode_with(&mut reader, &mut scratch) {
+        let frame = match decoder.decode_with(&mut reader, &mut scratch, &[]) {
             Ok(Some(frame)) => frame,
             // abrupt-but-frame-aligned disconnect: same drain as
             // Shutdown, the client just won't read the answers
@@ -618,7 +639,7 @@ fn handle_conn(
                 }
                 let (dirty, clean): (Vec<Tuple>, Vec<Tuple>) = pairs.into_iter().unzip();
                 cleans.lock().unwrap().push_batch(clean);
-                let _ = seq_tx.send(seq);
+                let _ = seq_tx.send((seq, dirty.clone()));
                 lane.send(dirty).is_ok()
             }
             Frame::Delta(delta) => lane.send_delta(delta).is_ok(),

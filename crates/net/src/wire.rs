@@ -13,7 +13,7 @@
 //! [`Frame::encode`] assembles header and payload in one buffer and
 //! hands it to the writer in a single `write_all`; callers that own a
 //! connection keep that buffer across frames
-//! ([`Frame::encode_into`]) and never put a `BufWriter` in between.
+//! ([`Encoder::encode_into`]) and never put a `BufWriter` in between.
 //! The rule exists because of what two writes cost on TCP: a frame
 //! sent as a 12-byte header segment followed by a payload tail shorter
 //! than one MSS has that tail held back by Nagle's algorithm until the
@@ -25,10 +25,44 @@
 //! `TCP_NODELAY` besides, so a frame the kernel has to split is not
 //! held back either).
 //!
+//! # Strings: one dictionary per connection and direction (since VERSION 5)
+//!
+//! A value is a tag byte and its payload: `0` Null, `1` Int (`i64`),
+//! and a string in one of two forms —
+//!
+//! * `2` + `len u32` + UTF-8 text: a string this dictionary does not
+//!   hold. Both ends append it;
+//! * `3` + `back u32`: the entry `back` places from the dictionary's
+//!   end (`back = 1` is the entry appended last).
+//!
+//! The sending end keeps an [`Encoder`] (a map from symbol to
+//! position), the receiving end a [`Decoder`] (a `Vec` of symbols), so
+//! a repeated string costs the receiver one bounds-checked read instead
+//! of a lookup in the process-wide interner, and a string is interned
+//! once per connection and direction, on its first appearance. Each
+//! direction of a connection has its own pair: the client's requests
+//! build one, the server's responses the other.
+//!
+//! Before every frame, a dictionary that holds [`DICT_CAP`] entries or
+//! more is cleared — by both ends, at the same frame boundary, so the
+//! reset costs no byte. A dictionary therefore never holds more than
+//! `DICT_CAP` entries plus the strings of one frame. An encode that
+//! fails (`Oversized`) takes its entries off the dictionary again, so
+//! the frame that never left leaves no trace on either end.
+//!
+//! A back-reference counts from the end, not from the start, so a frame
+//! encoded with a fresh dictionary refers only to its own entries and
+//! decodes the same at any decoder state: a connection may carry the
+//! self-contained frames of [`Frame::encode`] one after another. It may
+//! not carry one between the frames of an [`Encoder`], whose positions
+//! would then no longer be the decoder's. [`Frame::encode`] and
+//! [`Frame::decode`] run the same codec as a connection, with a
+//! dictionary that lives one frame.
+//!
 //! # The Batch payload (since VERSION 3)
 //!
 //! `seq u64, pairs u32`, then per pair the `dirty` tuple in full
-//! (`arity u16` + values) and the `clean` tuple as one of
+//! (`arity u16` + values) and the `clean` tuple in one of two forms:
 //!
 //! * `0x00` + the tuple in full — when the arities differ or exceed
 //!   64 cells;
@@ -36,10 +70,25 @@
 //!   `clean` is `dirty` with cell `i` replaced for every set bit `i`.
 //!
 //! A dirty tuple and its ground truth agree on most cells, so the
-//! delta form roughly halves a pair's bytes and, on decode, its
-//! interner lookups: an unchanged cell is copied from `dirty`, already
-//! a symbol. A mask naming a cell at or beyond the arity is
+//! mask form roughly halves a pair's bytes and, on decode, its
+//! lookups: an unchanged cell is copied from `dirty`, already a
+//! symbol. A mask naming a cell at or beyond the arity is
 //! [`WireError::BadTag`].
+//!
+//! # The Report payload (since VERSION 5)
+//!
+//! `seq u64, generation u64, wall u64, stats`, `outcomes u32`, then per
+//! outcome its repaired tuple in the same two forms, against the dirty
+//! tuple at the same position of the batch the report answers; then its
+//! three attribute masks, flags, certain round and round trace. The
+//! server keeps a batch's dirty tuples until it has encoded the batch's
+//! report, and the client keeps what it sent until the report arrives
+//! ([`Encoder::encode_into`] and [`Decoder::decode_with`] take them as
+//! `base`). On the benchmark's wire workloads a repaired tuple differs
+//! from its dirty tuple in about a third of its cells. An outcome with
+//! no base (a self-contained frame), or one wider than 64 cells, is
+//! sent in full; a mask form with no base to apply it to is
+//! [`WireError::NoBase`].
 //!
 //! # Strictness
 //!
@@ -47,35 +96,44 @@
 //! against bytes actually present: the header's `LEN` is bounded by
 //! [`MAX_FRAME`] *before* any payload allocation, every element count
 //! inside a payload is bounded by the bytes remaining in that payload
-//! before its vector is reserved, a payload that ends early is
-//! [`WireError::Truncated`], and one with bytes left over after its
-//! frame parsed is [`WireError::TrailingBytes`]. Unknown kinds, tags,
-//! or flag bits are errors, never skipped — a malformed frame must
-//! tear its session down, not desynchronise the stream.
+//! — at the smallest size its element can take — before its vector is
+//! reserved, a payload that ends early is [`WireError::Truncated`], and
+//! one with bytes left over after its frame parsed is
+//! [`WireError::TrailingBytes`]. Unknown kinds, tags, or flag bits are
+//! errors, never skipped, and so is a back-reference past the
+//! dictionary's first entry ([`WireError::BadRef`]) — a malformed frame
+//! must tear its session down, not desynchronise the stream. A decoder
+//! that returned an error is out of step with its encoder; the
+//! connection ends there.
 //!
-//! String values cross the wire as UTF-8 text and are re-interned on
-//! decode ([`Value::str`]), so symbol identity is process-local and
-//! the codec's equality is textual — exactly the equality the engine's
-//! interner guarantees process-wide.
+//! String text is re-interned on decode, so symbol identity is
+//! process-local and the codec's equality is textual — exactly the
+//! equality the engine's interner guarantees process-wide.
 
+use std::collections::hash_map::Entry;
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use certainfix_core::{FixOutcome, MonitorStats, NetLaneStats, RoundReport};
-use certainfix_relation::{AttrId, AttrSet, MasterDelta, Tuple, Value};
+use certainfix_relation::{AttrId, AttrSet, FxHashMap, MasterDelta, Sym, Tuple, Value};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"CFXW";
 /// Protocol version this build speaks (rejects everything else).
 /// Version 3 writes a Batch pair's clean tuple as a delta against its
 /// dirty tuple; version 4 drops the six shared-cache counters from the
-/// stats payload.
-pub const VERSION: u16 = 4;
+/// stats payload; version 5 sends a repeated string as a reference into
+/// the connection's dictionary and a Report outcome as a delta against
+/// the dirty tuple it repairs.
+pub const VERSION: u16 = 5;
 /// Fixed header size in bytes: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame's payload length. A header declaring more is
 /// rejected before any payload byte is read or allocated.
 pub const MAX_FRAME: usize = 64 << 20;
+/// Entries a string dictionary may reach before both ends clear it, at
+/// the next frame boundary (see the module docs).
+pub const DICT_CAP: usize = 1 << 16;
 
 const K_HELLO: u16 = 0x01;
 const K_BATCH: u16 = 0x02;
@@ -114,8 +172,15 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A string field was not valid UTF-8.
     BadUtf8,
-    /// An enum/flag byte outside the defined range.
+    /// An enum/flag byte outside the defined range (also: a mask naming
+    /// a cell its base tuple lacks — the value is the cell).
     BadTag(u8),
+    /// A string back-reference to no entry of the dictionary: `0`, or
+    /// more entries back than the dictionary holds.
+    BadRef(u32),
+    /// A Report outcome in mask form, with no dirty tuple to apply the
+    /// mask to.
+    NoBase,
     /// A semantically unexpected frame (protocol-state violation) —
     /// raised by the client/server state machines, not the codec.
     Protocol(String),
@@ -133,6 +198,10 @@ impl std::fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing payload bytes"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadTag(t) => write!(f, "bad tag byte {t:#04x}"),
+            WireError::BadRef(back) => {
+                write!(f, "string reference {back} back names no dictionary entry")
+            }
+            WireError::NoBase => write!(f, "a masked Report outcome has no dirty tuple"),
             WireError::Protocol(m) => write!(f, "protocol violation: {m}"),
         }
     }
@@ -251,13 +320,121 @@ pub enum Frame {
 
 // ---------------------------------------------------------------- encode
 
-/// Clean-tuple encodings inside a Batch pair (see the module docs).
-const CLEAN_FULL: u8 = 0;
-const CLEAN_DELTA: u8 = 1;
+/// Value tags (see the module docs).
+const V_NULL: u8 = 0;
+const V_INT: u8 = 1;
+const V_TEXT: u8 = 2;
+const V_BACK: u8 = 3;
 
-/// Appends payload fields to a caller-owned buffer.
+/// The two forms of a tuple sent against a base tuple: a Batch pair's
+/// clean tuple against its dirty one, a Report outcome's tuple against
+/// the dirty tuple it repairs.
+const FORM_FULL: u8 = 0;
+const FORM_MASK: u8 = 1;
+
+/// The smallest encodings of the elements a payload counts, which
+/// [`Buf::count`] checks a count against.
+///
+/// A tuple: its arity.
+const MIN_TUPLE: usize = 2;
+/// A Batch pair: dirty arity, clean form tag, clean arity.
+const MIN_PAIR: usize = 2 + 1 + 2;
+/// A Delta update: row id, tuple.
+const MIN_UPDATE: usize = 4 + MIN_TUPLE;
+/// A Delta delete: row id.
+const MIN_DELETE: usize = 4;
+/// An attribute id.
+const MIN_ATTR: usize = 2;
+/// A round: two attribute counts, two masks, the verdict.
+const MIN_ROUND: usize = 4 + 4 + 8 + 8 + 1;
+/// A Report outcome: form tag and arity, three masks, flags, certain
+/// round tag, round count.
+const MIN_OUTCOME: usize = 1 + 2 + 3 * 8 + 1 + 1 + 4;
+
+/// The sending end of one direction of a connection: the strings sent
+/// since the dictionary was last cleared, each with its position.
+/// Frames encoded by one `Encoder` must be decoded, in order, by one
+/// [`Decoder`].
+#[derive(Default)]
+pub struct Encoder {
+    dict: FxHashMap<Sym, u32>,
+}
+
+impl Encoder {
+    /// Strings the dictionary holds.
+    pub fn entries(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// Append `frame` (header + payload) to `buf` and return the bytes
+    /// appended. A Report's outcome `i` is sent against `base[i]`, the
+    /// dirty tuple it repairs (in full where `base` has none); every
+    /// other kind ignores `base`. On error nothing is appended and the
+    /// dictionary is as it was.
+    pub fn encode_into(
+        &mut self,
+        frame: &Frame,
+        base: &[Tuple],
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, WireError> {
+        self.frame(buf, |p| p.frame(frame, base))
+    }
+
+    /// Append the [`Frame::Batch`] of `dirty[i]` paired with `clean[i]`
+    /// to `buf`, straight from the borrowed slices (equal lengths are
+    /// the caller's to check). Byte-identical to encoding the owned
+    /// frame.
+    pub(crate) fn batch_into(
+        &mut self,
+        buf: &mut Vec<u8>,
+        seq: u64,
+        dirty: &[Tuple],
+        clean: &[Tuple],
+    ) -> Result<usize, WireError> {
+        self.frame(buf, |p| {
+            p.batch(seq, dirty.iter().zip(clean));
+            K_BATCH
+        })
+    }
+
+    /// One frame at the end of `buf`: clear a full dictionary, write the
+    /// header, let `payload` append the fields and name the kind, then
+    /// fill in kind and length. An oversized frame is taken off `buf`,
+    /// and its strings off the dictionary.
+    fn frame(
+        &mut self,
+        buf: &mut Vec<u8>,
+        payload: impl FnOnce(&mut Payload<'_>) -> u16,
+    ) -> Result<usize, WireError> {
+        if self.dict.len() >= DICT_CAP {
+            self.dict.clear();
+        }
+        let mark = self.dict.len() as u32;
+        let start = buf.len();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&[0; 6]);
+        let kind = payload(&mut Payload {
+            b: buf,
+            dict: &mut self.dict,
+        });
+        let len = buf.len() - start - HEADER_LEN;
+        if len > MAX_FRAME {
+            buf.truncate(start);
+            self.dict.retain(|_, at| *at < mark);
+            return Err(WireError::Oversized(len));
+        }
+        buf[start + 6..start + 8].copy_from_slice(&kind.to_le_bytes());
+        buf[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(HEADER_LEN + len)
+    }
+}
+
+/// Appends payload fields to a caller-owned buffer, strings through the
+/// encoder's dictionary.
 struct Payload<'a> {
     b: &'a mut Vec<u8>,
+    dict: &'a mut FxHashMap<Sym, u32>,
 }
 
 impl Payload<'_> {
@@ -296,15 +473,31 @@ impl Payload<'_> {
         self.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
     fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
+        match *v {
+            Value::Null => self.u8(V_NULL),
             Value::Int(i) => {
-                self.u8(1);
-                self.i64(*i);
+                self.u8(V_INT);
+                self.i64(i);
             }
-            Value::Str(_) => {
-                self.u8(2);
-                self.str(v.as_str().expect("Str value renders as str"));
+            Value::Str(sym) => {
+                let next = self.dict.len() as u32;
+                let back = match self.dict.entry(sym) {
+                    Entry::Occupied(at) => Some(next - *at.get()),
+                    Entry::Vacant(slot) => {
+                        slot.insert(next);
+                        None
+                    }
+                };
+                match back {
+                    Some(back) => {
+                        self.u8(V_BACK);
+                        self.u32(back);
+                    }
+                    None => {
+                        self.u8(V_TEXT);
+                        self.str(sym.as_str());
+                    }
+                }
             }
         }
     }
@@ -314,26 +507,26 @@ impl Payload<'_> {
             self.value(v);
         }
     }
-    /// A Batch pair: `dirty` in full, `clean` as the cells where it
-    /// differs from `dirty` (in full when no mask can describe it).
-    fn pair(&mut self, dirty: &Tuple, clean: &Tuple) {
-        self.tuple(dirty);
-        if dirty.arity() != clean.arity() || dirty.arity() > 64 {
-            self.u8(CLEAN_FULL);
-            self.tuple(clean);
+    /// `t` as the cells where it differs from `base`, or in full when
+    /// no mask can describe it: no base, arities that differ, or more
+    /// than 64 cells.
+    fn against(&mut self, base: Option<&Tuple>, t: &Tuple) {
+        let Some(base) = base.filter(|b| b.arity() == t.arity() && t.arity() <= 64) else {
+            self.u8(FORM_FULL);
+            self.tuple(t);
             return;
-        }
-        self.u8(CLEAN_DELTA);
-        let cells = dirty.values().iter().zip(clean.values());
+        };
+        self.u8(FORM_MASK);
+        let cells = base.values().iter().zip(t.values());
         let mut mask = 0u64;
-        for (i, (d, c)) in cells.clone().enumerate() {
-            if d != c {
+        for (i, (b, v)) in cells.clone().enumerate() {
+            if b != v {
                 mask |= 1 << i;
             }
         }
         self.u64(mask);
-        for (_, c) in cells.filter(|(d, c)| d != c) {
-            self.value(c);
+        for (_, v) in cells.filter(|(b, v)| b != v) {
+            self.value(v);
         }
     }
     fn batch<'t>(
@@ -344,7 +537,8 @@ impl Payload<'_> {
         self.u64(seq);
         self.u32(pairs.len() as u32);
         for (dirty, clean) in pairs {
-            self.pair(dirty, clean);
+            self.tuple(dirty);
+            self.against(Some(dirty), clean);
         }
     }
     fn attrs(&mut self, attrs: &[AttrId]) {
@@ -370,8 +564,8 @@ impl Payload<'_> {
         self.u64(s.net.decode_errors);
         self.u64(s.net.sessions_torn);
     }
-    fn outcome(&mut self, o: &FixOutcome) {
-        self.tuple(&o.tuple);
+    fn outcome(&mut self, base: Option<&Tuple>, o: &FixOutcome) {
+        self.against(base, &o.tuple);
         self.u64(o.validated.bits());
         self.u64(o.rule_fixed.bits());
         self.u64(o.user_changed.bits());
@@ -393,93 +587,38 @@ impl Payload<'_> {
             self.bool(r.validated_ok);
         }
     }
-}
-
-/// Start a frame at the end of `buf`: the header with its kind and
-/// length still blank, and a [`Payload`] to append the fields to.
-/// Returns where the frame starts, for [`finish_frame`].
-fn begin_frame(buf: &mut Vec<u8>) -> (usize, Payload<'_>) {
-    let start = buf.len();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&[0; 6]);
-    (start, Payload { b: buf })
-}
-
-/// Fill in the kind and payload length of the frame begun at `start`
-/// and return its total size. On `Oversized` the frame is taken off
-/// `buf` again.
-fn finish_frame(buf: &mut Vec<u8>, start: usize, kind: u16) -> Result<usize, WireError> {
-    let len = buf.len() - start - HEADER_LEN;
-    if len > MAX_FRAME {
-        buf.truncate(start);
-        return Err(WireError::Oversized(len));
-    }
-    buf[start + 6..start + 8].copy_from_slice(&kind.to_le_bytes());
-    buf[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
-    Ok(HEADER_LEN + len)
-}
-
-/// Append the [`Frame::Batch`] of `dirty[i]` paired with `clean[i]`
-/// to `buf`, straight from the borrowed slices (equal lengths are the
-/// caller's to check). Byte-identical to encoding the owned frame.
-pub(crate) fn batch_into(
-    buf: &mut Vec<u8>,
-    seq: u64,
-    dirty: &[Tuple],
-    clean: &[Tuple],
-) -> Result<usize, WireError> {
-    let (start, mut p) = begin_frame(buf);
-    p.batch(seq, dirty.iter().zip(clean));
-    finish_frame(buf, start, K_BATCH)
-}
-
-impl Frame {
-    /// Encode the frame (header + payload) into `w` with exactly one
-    /// `write_all` (see the module docs for why). Returns the total
-    /// bytes written. The writer is *not* flushed.
-    pub fn encode<W: Write>(&self, w: &mut W) -> Result<usize, WireError> {
-        let mut buf = Vec::new();
-        let n = self.encode_into(&mut buf)?;
-        w.write_all(&buf)?;
-        Ok(n)
-    }
-
-    /// Append the frame (header + payload) to `buf` and return the
-    /// bytes appended. A connection keeps one `buf` for all its
-    /// frames, and may append several frames before its one write.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize, WireError> {
-        let (start, mut p) = begin_frame(buf);
-        let kind = match self {
+    /// Append `frame`'s payload and return its kind.
+    fn frame(&mut self, frame: &Frame, base: &[Tuple]) -> u16 {
+        match frame {
             Frame::Hello { session, token } => {
-                p.str(session);
-                p.opt_str(token);
+                self.str(session);
+                self.opt_str(token);
                 K_HELLO
             }
             Frame::Batch { seq, pairs } => {
-                p.batch(*seq, pairs.iter().map(|(dirty, clean)| (dirty, clean)));
+                self.batch(*seq, pairs.iter().map(|(dirty, clean)| (dirty, clean)));
                 K_BATCH
             }
             Frame::Delta(delta) => {
-                p.u32(delta.inserts().len() as u32);
+                self.u32(delta.inserts().len() as u32);
                 for t in delta.inserts() {
-                    p.tuple(t);
+                    self.tuple(t);
                 }
-                p.u32(delta.updates().len() as u32);
+                self.u32(delta.updates().len() as u32);
                 for (row, t) in delta.updates() {
-                    p.u32(*row);
-                    p.tuple(t);
+                    self.u32(*row);
+                    self.tuple(t);
                 }
-                p.u32(delta.deletes().len() as u32);
+                self.u32(delta.deletes().len() as u32);
                 for row in delta.deletes() {
-                    p.u32(*row);
+                    self.u32(*row);
                 }
                 K_DELTA
             }
             Frame::Flush => K_FLUSH,
             Frame::Shutdown => K_SHUTDOWN,
             Frame::HelloAck { generation } => {
-                p.u64(*generation);
+                self.u64(*generation);
                 K_HELLO_ACK
             }
             Frame::Report {
@@ -489,22 +628,22 @@ impl Frame {
                 stats,
                 outcomes,
             } => {
-                p.u64(*seq);
-                p.u64(*generation);
-                p.duration(*wall);
-                p.stats(stats);
-                p.u32(outcomes.len() as u32);
-                for o in outcomes {
-                    p.outcome(o);
+                self.u64(*seq);
+                self.u64(*generation);
+                self.duration(*wall);
+                self.stats(stats);
+                self.u32(outcomes.len() as u32);
+                for (i, o) in outcomes.iter().enumerate() {
+                    self.outcome(base.get(i), o);
                 }
                 K_REPORT
             }
             Frame::DeltaAck { generation } => {
-                p.u64(*generation);
+                self.u64(*generation);
                 K_DELTA_ACK
             }
             Frame::FlushAck { batches } => {
-                p.u64(*batches);
+                self.u64(*batches);
                 K_FLUSH_ACK
             }
             Frame::SessionEnd {
@@ -513,37 +652,78 @@ impl Frame {
                 wall,
                 stats,
             } => {
-                p.u64(*tuples);
-                p.u64(*batches);
-                p.duration(*wall);
-                p.stats(stats);
+                self.u64(*tuples);
+                self.u64(*batches);
+                self.duration(*wall);
+                self.stats(stats);
                 K_SESSION_END
             }
             Frame::Error { code, message } => {
-                p.u16(*code);
-                p.str(message);
+                self.u16(*code);
+                self.str(message);
                 K_ERROR
             }
-        };
-        finish_frame(buf, start, kind)
+        }
+    }
+}
+
+impl Frame {
+    /// Encode the frame (header + payload) into `w` with exactly one
+    /// `write_all` (see the module docs for why). Returns the total
+    /// bytes written. The writer is *not* flushed. The frame is
+    /// self-contained: its strings go through a dictionary of its own,
+    /// and a Report's outcomes in full, so [`decode`](Self::decode)
+    /// reads it back alone.
+    pub fn encode<W: Write>(&self, w: &mut W) -> Result<usize, WireError> {
+        let mut buf = Vec::new();
+        let n = Encoder::default().encode_into(self, &[], &mut buf)?;
+        w.write_all(&buf)?;
+        Ok(n)
     }
 
-    /// Decode one frame from `r`. `Ok(None)` is a clean end-of-stream
+    /// Decode one self-contained frame from `r` (see
+    /// [`encode`](Self::encode)). `Ok(None)` is a clean end-of-stream
     /// (EOF exactly at a frame boundary); EOF anywhere inside a frame
     /// is an error like any other malformed input.
     pub fn decode<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
-        Self::decode_with(r, &mut Vec::new())
+        Decoder::default().decode_with(r, &mut Vec::new(), &[])
+    }
+}
+
+// ---------------------------------------------------------------- decode
+
+/// The receiving end of one direction of a connection: the strings
+/// received since the dictionary was last cleared, in arrival order.
+#[derive(Default)]
+pub struct Decoder {
+    dict: Vec<Sym>,
+}
+
+impl Decoder {
+    /// Strings the dictionary holds.
+    pub fn entries(&self) -> usize {
+        self.dict.len()
     }
 
-    /// [`decode`](Self::decode) reading the payload into `scratch`, which
-    /// a connection keeps across frames: it grows to the largest
-    /// payload seen and is never zero-filled or reallocated again.
-    /// Nothing is read *from* it; its contents between calls are
-    /// meaningless.
+    /// Decode the next frame from `r`. `Ok(None)` is a clean
+    /// end-of-stream (EOF exactly at a frame boundary); EOF anywhere
+    /// inside a frame is an error like any other malformed input. A
+    /// Report's outcome `i`, if sent in mask form, applies to
+    /// `base[i]`: the dirty tuples of the batch it answers.
+    ///
+    /// The payload is read into `scratch`, which a connection keeps
+    /// across frames: it grows to the largest payload seen and is never
+    /// zero-filled or reallocated again. Nothing is read *from* it; its
+    /// contents between calls are meaningless.
     pub fn decode_with<R: Read>(
+        &mut self,
         r: &mut R,
         scratch: &mut Vec<u8>,
+        base: &[Tuple],
     ) -> Result<Option<Frame>, WireError> {
+        if self.dict.len() >= DICT_CAP {
+            self.dict.clear();
+        }
         let mut header = [0u8; HEADER_LEN];
         // distinguish "no next frame" from "frame cut short": only a
         // zero-byte read before the first header byte is a clean end
@@ -581,77 +761,12 @@ impl Frame {
                 WireError::Io(e)
             }
         })?;
-        let mut b = Buf { b: payload, pos: 0 };
-        let frame = match kind {
-            K_HELLO => Frame::Hello {
-                session: b.string()?,
-                token: b.opt_string()?,
-            },
-            K_BATCH => {
-                let seq = b.u64()?;
-                let n = b.count(5)?; // dirty arity + clean tag + clean arity
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push(b.pair()?);
-                }
-                Frame::Batch { seq, pairs }
-            }
-            K_DELTA => {
-                let mut delta = MasterDelta::new();
-                let n = b.count(2)?;
-                for _ in 0..n {
-                    delta = delta.insert(b.tuple()?);
-                }
-                let n = b.count(6)?; // row id + tuple
-                for _ in 0..n {
-                    let row = b.u32()?;
-                    delta = delta.update(row, b.tuple()?);
-                }
-                let n = b.count(4)?;
-                for _ in 0..n {
-                    delta = delta.delete(b.u32()?);
-                }
-                Frame::Delta(delta)
-            }
-            K_FLUSH => Frame::Flush,
-            K_SHUTDOWN => Frame::Shutdown,
-            K_HELLO_ACK => Frame::HelloAck {
-                generation: b.u64()?,
-            },
-            K_REPORT => {
-                let seq = b.u64()?;
-                let generation = b.u64()?;
-                let wall = b.duration()?;
-                let stats = b.stats()?;
-                let n = b.count(2)?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    outcomes.push(b.outcome()?);
-                }
-                Frame::Report {
-                    seq,
-                    generation,
-                    wall,
-                    stats,
-                    outcomes,
-                }
-            }
-            K_DELTA_ACK => Frame::DeltaAck {
-                generation: b.u64()?,
-            },
-            K_FLUSH_ACK => Frame::FlushAck { batches: b.u64()? },
-            K_SESSION_END => Frame::SessionEnd {
-                tuples: b.u64()?,
-                batches: b.u64()?,
-                wall: b.duration()?,
-                stats: b.stats()?,
-            },
-            K_ERROR => Frame::Error {
-                code: b.u16()?,
-                message: b.string()?,
-            },
-            k => return Err(WireError::UnknownKind(k)),
+        let mut b = Buf {
+            b: payload,
+            pos: 0,
+            dict: &mut self.dict,
         };
+        let frame = b.frame(kind, base)?;
         if b.remaining() != 0 {
             return Err(WireError::TrailingBytes(b.remaining()));
         }
@@ -659,14 +774,14 @@ impl Frame {
     }
 }
 
-// ---------------------------------------------------------------- decode
-
-struct Buf<'a> {
+/// Reads payload fields, strings through the decoder's dictionary.
+struct Buf<'a, 'd> {
     b: &'a [u8],
     pos: usize,
+    dict: &'d mut Vec<Sym>,
 }
 
-impl<'a> Buf<'a> {
+impl<'a> Buf<'a, '_> {
     fn remaining(&self) -> usize {
         self.b.len() - self.pos
     }
@@ -738,9 +853,20 @@ impl<'a> Buf<'a> {
     }
     fn value(&mut self) -> Result<Value, WireError> {
         match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::str(self.str()?)),
+            V_NULL => Ok(Value::Null),
+            V_INT => Ok(Value::Int(self.i64()?)),
+            V_TEXT => {
+                let sym = Sym::intern(self.str()?);
+                self.dict.push(sym);
+                Ok(Value::Str(sym))
+            }
+            V_BACK => {
+                let back = self.u32()?;
+                match self.dict.len().checked_sub(back as usize) {
+                    Some(at) if back > 0 => Ok(Value::Str(self.dict[at])),
+                    _ => Err(WireError::BadRef(back)),
+                }
+            }
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -755,31 +881,36 @@ impl<'a> Buf<'a> {
         }
         Ok(Tuple::new(values))
     }
-    /// A Batch pair; the inverse of [`Payload::pair`].
-    fn pair(&mut self) -> Result<(Tuple, Tuple), WireError> {
-        let dirty = self.tuple()?;
-        let clean = match self.u8()? {
-            CLEAN_FULL => self.tuple()?,
-            CLEAN_DELTA => {
+    /// A tuple sent against `base`; the inverse of [`Payload::against`].
+    fn against(&mut self, base: Option<&Tuple>) -> Result<Tuple, WireError> {
+        match self.u8()? {
+            FORM_FULL => self.tuple(),
+            FORM_MASK => {
+                let base = base.ok_or(WireError::NoBase)?;
                 let mut mask = self.u64()?;
                 let top = 64 - mask.leading_zeros() as usize; // highest named cell + 1
-                if top > dirty.arity() {
+                if top > base.arity() {
                     return Err(WireError::BadTag(top as u8 - 1));
                 }
-                let mut clean = dirty.clone();
+                let mut t = base.clone();
                 while mask != 0 {
                     let cell = mask.trailing_zeros();
-                    clean.set(AttrId(cell as u16), self.value()?);
+                    t.set(AttrId(cell as u16), self.value()?);
                     mask &= mask - 1;
                 }
-                clean
+                Ok(t)
             }
-            t => return Err(WireError::BadTag(t)),
-        };
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+    /// A Batch pair; the inverse of the pair loop of [`Payload::batch`].
+    fn pair(&mut self) -> Result<(Tuple, Tuple), WireError> {
+        let dirty = self.tuple()?;
+        let clean = self.against(Some(&dirty))?;
         Ok((dirty, clean))
     }
     fn attrs(&mut self) -> Result<Vec<AttrId>, WireError> {
-        let n = self.count(2)?;
+        let n = self.count(MIN_ATTR)?;
         let mut attrs = Vec::with_capacity(n);
         for _ in 0..n {
             attrs.push(AttrId(self.u16()?));
@@ -807,8 +938,8 @@ impl<'a> Buf<'a> {
             },
         })
     }
-    fn outcome(&mut self) -> Result<FixOutcome, WireError> {
-        let tuple = self.tuple()?;
+    fn outcome(&mut self, base: Option<&Tuple>) -> Result<FixOutcome, WireError> {
+        let tuple = self.against(base)?;
         let validated = AttrSet::from_bits(self.u64()?);
         let rule_fixed = AttrSet::from_bits(self.u64()?);
         let user_changed = AttrSet::from_bits(self.u64()?);
@@ -821,7 +952,7 @@ impl<'a> Buf<'a> {
             1 => Some(self.u64()? as usize),
             t => return Err(WireError::BadTag(t)),
         };
-        let n = self.count(25)?; // 2×attr counts + 2×u64 + bool, minimum
+        let n = self.count(MIN_ROUND)?;
         let mut rounds = Vec::with_capacity(n);
         for _ in 0..n {
             rounds.push(RoundReport {
@@ -842,6 +973,82 @@ impl<'a> Buf<'a> {
             rule_backed: flags & 2 != 0,
             gave_up: flags & 4 != 0,
             rounds,
+        })
+    }
+    /// The payload of a frame of `kind`; the inverse of
+    /// [`Payload::frame`].
+    fn frame(&mut self, kind: u16, base: &[Tuple]) -> Result<Frame, WireError> {
+        Ok(match kind {
+            K_HELLO => Frame::Hello {
+                session: self.string()?,
+                token: self.opt_string()?,
+            },
+            K_BATCH => {
+                let seq = self.u64()?;
+                let n = self.count(MIN_PAIR)?;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    pairs.push(self.pair()?);
+                }
+                Frame::Batch { seq, pairs }
+            }
+            K_DELTA => {
+                let mut delta = MasterDelta::new();
+                let n = self.count(MIN_TUPLE)?;
+                for _ in 0..n {
+                    delta = delta.insert(self.tuple()?);
+                }
+                let n = self.count(MIN_UPDATE)?;
+                for _ in 0..n {
+                    let row = self.u32()?;
+                    delta = delta.update(row, self.tuple()?);
+                }
+                let n = self.count(MIN_DELETE)?;
+                for _ in 0..n {
+                    delta = delta.delete(self.u32()?);
+                }
+                Frame::Delta(delta)
+            }
+            K_FLUSH => Frame::Flush,
+            K_SHUTDOWN => Frame::Shutdown,
+            K_HELLO_ACK => Frame::HelloAck {
+                generation: self.u64()?,
+            },
+            K_REPORT => {
+                let seq = self.u64()?;
+                let generation = self.u64()?;
+                let wall = self.duration()?;
+                let stats = self.stats()?;
+                let n = self.count(MIN_OUTCOME)?;
+                let mut outcomes = Vec::with_capacity(n);
+                for i in 0..n {
+                    outcomes.push(self.outcome(base.get(i))?);
+                }
+                Frame::Report {
+                    seq,
+                    generation,
+                    wall,
+                    stats,
+                    outcomes,
+                }
+            }
+            K_DELTA_ACK => Frame::DeltaAck {
+                generation: self.u64()?,
+            },
+            K_FLUSH_ACK => Frame::FlushAck {
+                batches: self.u64()?,
+            },
+            K_SESSION_END => Frame::SessionEnd {
+                tuples: self.u64()?,
+                batches: self.u64()?,
+                wall: self.duration()?,
+                stats: self.stats()?,
+            },
+            K_ERROR => Frame::Error {
+                code: self.u16()?,
+                message: self.string()?,
+            },
+            k => return Err(WireError::UnknownKind(k)),
         })
     }
 }
@@ -982,5 +1189,99 @@ mod tests {
             Frame::decode(&mut buf.as_slice()),
             Err(WireError::Truncated)
         ));
+
+        // a Report's outcome count is checked at the smallest outcome,
+        // `MIN_OUTCOME` (33) bytes, before any outcome is read: 64
+        // bytes back one outcome, so a count of 1 reaches the first
+        // outcome's bad form tag, and a count of 2 — which 64 bytes
+        // would back at 2 bytes an outcome — is refused as truncated
+        let mut buf = Vec::new();
+        Frame::Report {
+            seq: 0,
+            generation: 0,
+            wall: Duration::ZERO,
+            stats: MonitorStats::default(),
+            outcomes: vec![],
+        }
+        .encode(&mut buf)
+        .unwrap();
+        let off = buf.len() - 4; // the outcome count ends the payload
+        buf.extend_from_slice(&[7; 64]);
+        let len = (buf.len() - HEADER_LEN) as u32;
+        buf[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        for n in [32u32, 2, 1] {
+            let mut bad = buf.clone();
+            bad[off..off + 4].copy_from_slice(&n.to_le_bytes());
+            let got = Frame::decode(&mut bad.as_slice());
+            let read = matches!(got, Err(WireError::BadTag(7)));
+            let refused = matches!(got, Err(WireError::Truncated));
+            assert!(
+                if n == 1 { read } else { refused },
+                "{n} outcomes in 64 bytes: {got:?}"
+            );
+        }
+        // the smallest outcome is `MIN_OUTCOME` bytes
+        let mut one = Vec::new();
+        Frame::Report {
+            seq: 0,
+            generation: 0,
+            wall: Duration::ZERO,
+            stats: MonitorStats::default(),
+            outcomes: vec![FixOutcome {
+                tuple: Tuple::new(vec![]),
+                validated: AttrSet::from_bits(0),
+                rule_fixed: AttrSet::from_bits(0),
+                user_changed: AttrSet::from_bits(0),
+                certain: false,
+                certain_at_round: None,
+                rule_backed: false,
+                gave_up: false,
+                rounds: vec![],
+            }],
+        }
+        .encode(&mut one)
+        .unwrap();
+        assert_eq!(one.len() - (off + 4), MIN_OUTCOME);
+    }
+
+    /// An encode that fails takes its strings off the dictionary again:
+    /// a decoder that never saw the failed frame reads the next one,
+    /// which sends those strings anew.
+    #[test]
+    fn a_failed_encode_leaves_the_dictionary_as_it_was() {
+        let (mut enc, mut dec) = (Encoder::default(), Decoder::default());
+        let batch = |cells: &[&str]| Frame::Batch {
+            seq: 0,
+            pairs: vec![(
+                Tuple::new(cells.iter().map(Value::str).collect()),
+                Tuple::new(cells.iter().map(Value::str).collect()),
+            )],
+        };
+        let mut wire = Vec::new();
+        enc.encode_into(&batch(&["kept"]), &[], &mut wire).unwrap();
+        dec.decode_with(&mut wire.as_slice(), &mut Vec::new(), &[])
+            .unwrap();
+        assert_eq!((enc.entries(), dec.entries()), (1, 1));
+
+        // a frame that sends two new strings and a repeat, then runs
+        // past `MAX_FRAME`
+        let before = wire.len();
+        let failed = enc.frame(&mut wire, |p| {
+            for v in ["kept", "lost 1", "lost 2"].map(Value::str) {
+                p.value(&v);
+            }
+            p.b.resize(p.b.len() + MAX_FRAME, 0);
+            K_BATCH
+        });
+        assert!(matches!(failed, Err(WireError::Oversized(_))));
+        assert_eq!(wire.len(), before, "nothing appended");
+        assert_eq!(enc.entries(), 1, "the two new strings are gone");
+        wire = Vec::new(); // give the 64 MiB back
+
+        let next = batch(&["lost 2", "kept", "lost 1"]);
+        enc.encode_into(&next, &[], &mut wire).unwrap();
+        let back = dec.decode_with(&mut wire.as_slice(), &mut Vec::new(), &[]);
+        assert_eq!(back.unwrap().unwrap(), next);
+        assert_eq!((enc.entries(), dec.entries()), (3, 3));
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use certainfix_core::{
@@ -18,7 +18,7 @@ use certainfix_core::{
     ServiceOptions, SessionReport, SimulatedUser, SliceSource,
 };
 use certainfix_datagen::{Dataset, DirtyConfig, Hosp, Workload};
-use certainfix_net::wire::Frame;
+use certainfix_net::wire::{Decoder, Frame, VERSION};
 use certainfix_net::{RepairClient, RepairServer};
 use certainfix_relation::{MasterDelta, Tuple, Value};
 
@@ -340,38 +340,55 @@ fn a_refused_delta_answers_in_order_and_the_session_streams_on() {
 }
 
 /// A raw client for fault injection: handshake as `session`, then send
-/// one valid batch of `dirty`/`clean` pairs.
+/// one valid batch of `dirty`/`clean` pairs. Its frames are
+/// self-contained (`Frame::encode`); the server's answers are read
+/// through the returned response-direction `Decoder`, which has seen
+/// the `HelloAck`.
 fn open_with_one_batch(
     addr: SocketAddr,
     session: &str,
     dirty: &[Tuple],
     clean: &[Tuple],
-) -> TcpStream {
+) -> (TcpStream, Decoder) {
     let mut stream = TcpStream::connect(addr).unwrap();
     let hello = Frame::Hello {
         session: session.into(),
         token: None,
     };
     hello.encode(&mut stream).unwrap();
-    match Frame::decode(&mut stream).unwrap().unwrap() {
-        Frame::HelloAck { .. } => {}
+    let mut responses = Decoder::default();
+    match responses.decode_with(&mut stream, &mut Vec::new(), &[]) {
+        Ok(Some(Frame::HelloAck { .. })) => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
     let pairs = dirty.iter().cloned().zip(clean.iter().cloned()).collect();
     Frame::Batch { seq: 0, pairs }.encode(&mut stream).unwrap();
-    stream
+    (stream, responses)
 }
 
-/// Fault injection: five co-resident connections — two healthy, one
+/// A hand-built frame: the header for `kind`, then `payload`.
+fn raw_frame(kind: u16, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(b"CFXW");
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&kind.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// Fault injection: six co-resident connections — two healthy, one
 /// that sends garbage after a valid batch, one that disconnects in
-/// the middle of a frame, and one whose second batch holds one-cell
-/// tuples that the wire decodes but the schema does not fit. Only the
-/// offending sessions are torn down; the survivors stay bit-identical
-/// to their solo runs, the buffered batches of the torn sessions still
-/// repair (disconnect drain), and the server shuts down cleanly.
+/// the middle of a frame, one whose second batch holds one-cell
+/// tuples that the wire decodes but the schema does not fit, and one
+/// whose second batch refers to a dictionary entry that was never
+/// sent. Only the offending sessions are torn down; the survivors stay
+/// bit-identical to their solo runs, the buffered batches of the torn
+/// sessions still repair (disconnect drain), and the server shuts down
+/// cleanly.
 #[test]
 fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
-    let (hosp, datasets) = hosp_sessions(120, &[160, 90, 48, 48, 48]);
+    let (hosp, datasets) = hosp_sessions(120, &[160, 90, 48, 48, 48, 48]);
     let dirty: Vec<Vec<Tuple>> = datasets.iter().map(dirty_of).collect();
     let clean: Vec<Vec<Tuple>> = datasets.iter().map(clean_of).collect();
     let solo0 = solo_run(&hosp, false, &datasets[0], &dirty[0], 32);
@@ -380,6 +397,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     let solo2 = solo_run(&hosp, false, &datasets[2], &dirty[2][..16], 16);
     let solo3 = solo_run(&hosp, false, &datasets[3], &dirty[3][..16], 16);
     let solo4 = solo_run(&hosp, false, &datasets[4], &dirty[4][..16], 16);
+    let solo5 = solo_run(&hosp, false, &datasets[5], &dirty[5][..16], 16);
 
     let service = service(&hosp, false, 2);
     let server = RepairServer::serve_tcp(service, "127.0.0.1:0", None).unwrap();
@@ -403,7 +421,8 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         // garbage: proper handshake, one valid batch, then bytes that
         // are not a frame
         scope.spawn(|| {
-            let mut stream = open_with_one_batch(addr, "garbage", &dirty[2][..16], &clean[2][..16]);
+            let (mut stream, _) =
+                open_with_one_batch(addr, "garbage", &dirty[2][..16], &clean[2][..16]);
             stream.write_all(b"!!!! this is not a frame !!!!").unwrap();
             let _ = stream.flush();
             // leave the socket open until the server answers (Error
@@ -413,7 +432,8 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         // mid-batch disconnect: valid batch, then a header promising
         // 4096 payload bytes that never arrive
         scope.spawn(|| {
-            let mut stream = open_with_one_batch(addr, "cut", &dirty[3][..16], &clean[3][..16]);
+            let (mut stream, _) =
+                open_with_one_batch(addr, "cut", &dirty[3][..16], &clean[3][..16]);
             let mut partial = Vec::new();
             partial.extend_from_slice(b"CFXW");
             partial.extend_from_slice(&1u16.to_le_bytes()); // version
@@ -428,7 +448,8 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         // one-cell tuples, which the server must refuse before the
         // engine indexes them
         scope.spawn(|| {
-            let mut stream = open_with_one_batch(addr, "arity", &dirty[4][..16], &clean[4][..16]);
+            let (mut stream, mut responses) =
+                open_with_one_batch(addr, "arity", &dirty[4][..16], &clean[4][..16]);
             // a server that never answers fails this leg instead of
             // hanging it
             let timeout = Some(Duration::from_secs(30));
@@ -437,10 +458,39 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
             let pairs = vec![(cell.clone(), cell); 4];
             Frame::Batch { seq: 1, pairs }.encode(&mut stream).unwrap();
             let mut refused = false;
-            while let Ok(Some(frame)) = Frame::decode(&mut stream) {
+            let sent = &dirty[4][..16]; // the base of the one report
+            while let Ok(Some(frame)) = responses.decode_with(&mut stream, &mut Vec::new(), sent) {
                 refused |= matches!(frame, Frame::Error { code: 2, .. });
             }
             assert!(refused, "the wrong-arity batch is answered with an Error");
+        });
+        // a dangling string reference: one valid batch, then a batch
+        // whose one dirty cell refers to the dictionary entry 2^32 - 1
+        // places back, which no frame sent
+        scope.spawn(|| {
+            let (mut stream, mut responses) =
+                open_with_one_batch(addr, "dangling", &dirty[5][..16], &clean[5][..16]);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let mut p = Vec::new();
+            p.extend_from_slice(&1u64.to_le_bytes()); // seq
+            p.extend_from_slice(&1u32.to_le_bytes()); // one pair
+            p.extend_from_slice(&1u16.to_le_bytes()); // dirty arity
+            p.push(3); // a back-reference…
+            p.extend_from_slice(&u32::MAX.to_le_bytes()); // …to no entry
+            p.push(1); // clean: the mask form…
+            p.extend_from_slice(&0u64.to_le_bytes()); // …equal to dirty
+            stream.write_all(&raw_frame(0x02, &p)).unwrap();
+            let mut refused = None;
+            let sent = &dirty[5][..16];
+            while let Ok(Some(frame)) = responses.decode_with(&mut stream, &mut Vec::new(), sent) {
+                if let Frame::Error { code: 2, message } = frame {
+                    refused = Some(message);
+                }
+            }
+            let message = refused.expect("the dangling reference is answered with an Error");
+            assert!(message.contains("reference"), "{message}");
         });
         (h0.join().unwrap(), h1.join().unwrap())
     });
@@ -454,7 +504,7 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
         .iter()
         .map(|n| (n.name.as_str(), &n.report))
         .collect();
-    assert_eq!(report.sessions.len(), 5, "all five sessions attached");
+    assert_eq!(report.sessions.len(), 6, "all six sessions attached");
     assert_bit_identical(by_name["good0"], &solo0, "server good0");
     assert_bit_identical(by_name["good1"], &solo1, "server good1");
     // the torn sessions' delivered batch still repaired (drain on
@@ -462,16 +512,19 @@ fn garbage_and_midbatch_disconnect_tear_down_only_their_session() {
     assert_bit_identical(by_name["garbage"], &solo2, "server garbage");
     assert_bit_identical(by_name["cut"], &solo3, "server cut");
     assert_bit_identical(by_name["arity"], &solo4, "server arity");
+    assert_bit_identical(by_name["dangling"], &solo5, "server dangling");
     // the faults were charged to the lane counters
     assert!(
-        report.stats.net.decode_errors >= 3,
-        "garbage + truncation + arity"
+        report.stats.net.decode_errors >= 4,
+        "garbage + truncation + arity + dangling reference"
     );
-    assert!(report.stats.net.sessions_torn >= 3, "three sessions torn");
+    assert!(report.stats.net.sessions_torn >= 4, "four sessions torn");
     assert!(by_name["garbage"].stats.net.decode_errors >= 1);
     assert!(by_name["cut"].stats.net.decode_errors >= 1);
     assert!(by_name["arity"].stats.net.decode_errors >= 1);
     assert!(by_name["arity"].stats.net.sessions_torn >= 1);
+    assert_eq!(by_name["dangling"].stats.net.decode_errors, 1);
+    assert_eq!(by_name["dangling"].stats.net.sessions_torn, 1);
     assert_eq!(by_name["good0"].stats.net.decode_errors, 0);
     assert_eq!(by_name["good0"].stats.net.sessions_torn, 0);
 }
@@ -497,8 +550,12 @@ fn lane_counters_follow_the_connection_when_names_repeat() {
         token: None,
     };
     hello.encode(&mut a).unwrap();
+    // A's answers, read as a client reads them: one response
+    // dictionary, its one Report against the page it sent
+    let mut responses = Decoder::default();
+    let mut answer = |a: &mut TcpStream| responses.decode_with(a, &mut Vec::new(), &dirty[..PAGE]);
     assert!(matches!(
-        Frame::decode(&mut a).unwrap(),
+        answer(&mut a).unwrap(),
         Some(Frame::HelloAck { .. })
     ));
     let pairs = dirty.iter().cloned().zip(clean.iter().cloned()).take(PAGE);
@@ -508,10 +565,7 @@ fn lane_counters_follow_the_connection_when_names_repeat() {
     };
     batch.encode(&mut a).unwrap();
     Frame::Shutdown.encode(&mut a).unwrap();
-    while !matches!(
-        Frame::decode(&mut a).unwrap(),
-        Some(Frame::SessionEnd { .. })
-    ) {}
+    while !matches!(answer(&mut a).unwrap(), Some(Frame::SessionEnd { .. })) {}
     for (d, c) in dirty.chunks(PAGE).zip(clean.chunks(PAGE)) {
         b.send_batch(d, c).unwrap();
     }
@@ -580,6 +634,54 @@ fn flush_blocks_until_reported_and_delta_bumps_generation() {
     // a delta applied over the connection is a rebuild like any other:
     // one per DeltaAck
     assert_eq!(report.stats.plan_rebuilds, 1);
+}
+
+/// The client keeps the dirty tuples of every batch in flight, since a
+/// report's outcomes are sent against them, and so refuses a `Report`
+/// for a batch it never sent: here one for batch 7 while batch 0 is the
+/// oldest in flight, and one when no batch was sent at all. The stand-in
+/// server answers the first `Flush` with that report and a `FlushAck`.
+#[test]
+fn the_client_refuses_a_report_for_a_batch_it_never_sent() {
+    let (_, datasets) = hosp_sessions(40, &[4]);
+    let (dirty, clean) = (dirty_of(&datasets[0]), clean_of(&datasets[0]));
+    for batches in [1, 0] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut requests = Decoder::default();
+            let mut next = |s: &mut TcpStream| requests.decode_with(s, &mut Vec::new(), &[]);
+            assert!(matches!(next(&mut stream), Ok(Some(Frame::Hello { .. }))));
+            Frame::HelloAck { generation: 0 }
+                .encode(&mut stream)
+                .unwrap();
+            while !matches!(next(&mut stream), Ok(Some(Frame::Flush))) {}
+            let report = Frame::Report {
+                seq: 7,
+                generation: 0,
+                wall: Duration::ZERO,
+                stats: MonitorStats::default(),
+                outcomes: vec![],
+            };
+            report.encode(&mut stream).unwrap();
+            // a client that took the report gets its flush answered
+            Frame::FlushAck { batches: 1 }.encode(&mut stream).unwrap();
+            // hold the connection until the client lets go
+            while let Ok(Some(_)) = next(&mut stream) {}
+        });
+        let mut client = RepairClient::connect_tcp(addr, "stand-in", None).unwrap();
+        if batches == 1 {
+            client.send_batch(&dirty, &clean).unwrap();
+        }
+        let refused = client.flush().expect_err("a report for a batch never sent");
+        assert!(
+            refused.to_string().contains("Report for batch 7"),
+            "{refused}"
+        );
+        drop(client);
+        server.join().unwrap();
+    }
 }
 
 /// Authentication: a server with a token refuses a mismatched or

@@ -1,9 +1,12 @@
 //! Property tests for the wire codec: `decode(encode(frame)) ==
-//! frame` over arbitrary frames of every kind, and the decoder
-//! rejects truncated / oversized / bad-magic / bad-version inputs
-//! with a typed error — never a panic. Plus the two rules of the
-//! write path: one `write` per frame, whatever its size, and the
-//! delta form of a Batch pair.
+//! frame` over arbitrary frames of every kind, alone and as sequences
+//! through one connection's `Encoder`/`Decoder` pair (string
+//! dictionary and masked Report outcomes included), and the decoder
+//! rejects truncated / oversized / bad-magic / bad-version inputs,
+//! dangling string references and misplaced masks with a typed error —
+//! never a panic. Plus the two rules of the write path: one `write`
+//! per frame, whatever its size, and the mask form of a Batch pair and
+//! a Report outcome.
 //!
 //! The vendored proptest has no alternation combinator, so each frame
 //! family gets its own property instead of one `prop_oneof` tree.
@@ -12,7 +15,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use certainfix_core::{FixOutcome, MonitorStats, NetLaneStats, RoundReport};
-use certainfix_net::wire::{Frame, WireError, MAX_FRAME, VERSION};
+use certainfix_net::wire::{Decoder, Encoder, Frame, WireError, DICT_CAP, MAX_FRAME, VERSION};
 use certainfix_relation::{AttrId, AttrSet, MasterDelta, Tuple, Value};
 use proptest::collection::vec;
 use proptest::option;
@@ -28,11 +31,16 @@ fn arb_string() -> impl Strategy<Value = String> {
     vec(0usize..CHARS.len(), 0..12).prop_map(|ixs| ixs.into_iter().map(|i| CHARS[i]).collect())
 }
 
+/// A few strings that recur, within a frame and across a connection's
+/// frames, so the dictionary's back-references are exercised.
+const WORDS: &[&str] = &["", "Edi", "NYC", "日本", "EH7 4AH"];
+
 fn arb_value() -> impl Strategy<Value = Value> {
-    (0u8..3, any::<i64>(), arb_string()).prop_map(|(tag, i, s)| match tag {
+    (0u8..4, any::<i64>(), arb_string(), 0..WORDS.len()).prop_map(|(tag, i, s, w)| match tag {
         0 => Value::Null,
         1 => Value::int(i),
-        _ => Value::str(&s),
+        2 => Value::str(&s),
+        _ => Value::str(WORDS[w]),
     })
 }
 
@@ -43,7 +51,8 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
 /// A Batch pair in each of the shapes the Batch payload tells
 /// apart: unrelated tuples (arities mostly differ: the full form),
 /// identical in every cell (an empty delta), and equal arity with
-/// some cells replaced (a proper delta).
+/// some cells replaced (a proper delta). The same shapes serve as a
+/// Report outcome against its dirty tuple.
 fn arb_pair() -> impl Strategy<Value = (Tuple, Tuple)> {
     (0u8..3, arb_tuple(), arb_tuple(), any::<u64>()).prop_map(|(shape, dirty, other, mask)| {
         let clean = match shape {
@@ -188,6 +197,68 @@ fn arb_delta() -> impl Strategy<Value = MasterDelta> {
                 _ => d.delete(row),
             })
     })
+}
+
+/// A Report and the dirty tuples its outcomes are sent against: each
+/// outcome's tuple relates to its dirty tuple in one of the
+/// [`arb_pair`] shapes, and the base may stop short of the outcomes
+/// (those go in full).
+fn arb_report_with_base() -> impl Strategy<Value = (Frame, Vec<Tuple>)> {
+    (
+        (any::<u64>(), any::<u64>(), arb_duration(), arb_stats()),
+        vec((arb_pair(), arb_outcome()), 0..4),
+        0usize..5,
+    )
+        .prop_map(|((seq, generation, wall, stats), cases, keep)| {
+            let mut base = Vec::new();
+            let mut outcomes = Vec::new();
+            for ((dirty, repaired), mut o) in cases {
+                o.tuple = repaired;
+                base.push(dirty);
+                outcomes.push(o);
+            }
+            base.truncate(keep);
+            let report = Frame::Report {
+                seq,
+                generation,
+                wall,
+                stats,
+                outcomes,
+            };
+            (report, base)
+        })
+}
+
+/// One request or response of a connection that carries strings: a
+/// Batch, a Delta or a Report (with its base; the others have none).
+fn arb_conn_frame() -> impl Strategy<Value = (Frame, Vec<Tuple>)> {
+    (
+        0u8..3,
+        (any::<u64>(), vec(arb_pair(), 0..4)),
+        arb_delta(),
+        arb_report_with_base(),
+    )
+        .prop_map(|(kind, (seq, pairs), delta, report)| match kind {
+            0 => (Frame::Batch { seq, pairs }, vec![]),
+            1 => (Frame::Delta(delta), vec![]),
+            _ => report,
+        })
+}
+
+/// A Batch of `DICT_CAP` strings no other frame sends: the frame after
+/// it starts from an empty dictionary on both ends.
+fn filler() -> Frame {
+    let row = |r: usize| {
+        Tuple::new(
+            (0..16)
+                .map(|c| Value::str(format!("fill {r}.{c}")))
+                .collect(),
+        )
+    };
+    Frame::Batch {
+        seq: u64::MAX,
+        pairs: (0..DICT_CAP / 16).map(|r| (row(r), row(r))).collect(),
+    }
 }
 
 /// Encode, decode, check equality, and check the byte accounting: the
@@ -357,6 +428,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+    /// A connection's frames round-trip through its one `Encoder` and
+    /// one `Decoder`, in order: every frame decodes to itself, a repeat
+    /// of an earlier frame's string included, and both dictionaries
+    /// hold the same number of entries after every frame. With the
+    /// filler in the sequence the dictionary crosses `DICT_CAP`, and
+    /// both ends clear it before the next frame.
+    #[test]
+    fn connection_sequences_roundtrip(
+        frames in vec(arb_conn_frame(), 1..8),
+        fill_at in option::of(0usize..8),
+    ) {
+        let mut frames = frames;
+        if let Some(at) = fill_at {
+            frames.insert(at.min(frames.len()), (filler(), vec![]));
+        }
+        let (mut enc, mut dec) = (Encoder::default(), Decoder::default());
+        let mut wire = Vec::new();
+        let mut full = false;
+        for (frame, base) in &frames {
+            wire.clear();
+            let n = enc.encode_into(frame, base, &mut wire).unwrap();
+            prop_assert_eq!(n, wire.len());
+            if full {
+                prop_assert!(enc.entries() < DICT_CAP, "cleared after the cap");
+            }
+            let back = dec.decode_with(&mut &wire[..], &mut Vec::new(), base);
+            match back {
+                Ok(Some(back)) => prop_assert_eq!(&back, frame),
+                other => prop_assert!(false, "{:?} decoded as {:?}", frame, other),
+            }
+            prop_assert_eq!(enc.entries(), dec.entries());
+            full = enc.entries() >= DICT_CAP;
+        }
+    }
+}
+
 /// Counts `write` calls and takes whatever it is given, like a socket
 /// with room in its send buffer.
 #[derive(Default)]
@@ -462,7 +572,7 @@ fn raw_frame(version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
 /// Earlier protocol versions are refused by their header alone.
 #[test]
 fn version_2_and_3_headers_are_rejected() {
-    for old in [2, 3] {
+    for old in [2, 3, 4] {
         let buf = raw_frame(old, 0x04, &[]); // Flush
         assert!(matches!(
             Frame::decode(&mut &buf[..]),
@@ -524,8 +634,10 @@ fn malformed_batch_deltas_are_rejected() {
     ));
 }
 
-/// Past 64 cells no mask can describe the pair: it falls back to the
-/// full form, and 64 exactly still fits the mask.
+/// Past 64 cells no mask can describe the pair or the outcome: it
+/// falls back to the full form, and 64 exactly still fits the mask.
+/// The Report leg sends its outcome against the dirty tuple through a
+/// connection's pair, where the mask form is used.
 #[test]
 fn wide_pairs_roundtrip_on_both_sides_of_the_mask_width() {
     for arity in [63usize, 64, 65, 200] {
@@ -534,7 +646,7 @@ fn wide_pairs_roundtrip_on_both_sides_of_the_mask_width() {
         clean.set(AttrId(arity as u16 - 1), Value::str("last"));
         let frame = Frame::Batch {
             seq: 1,
-            pairs: vec![(dirty, clean)],
+            pairs: vec![(dirty.clone(), clean.clone())],
         };
         let mut buf = Vec::new();
         frame.encode(&mut buf).unwrap();
@@ -543,5 +655,135 @@ fn wide_pairs_roundtrip_on_both_sides_of_the_mask_width() {
             frame,
             "arity {arity}"
         );
+
+        let report = Frame::Report {
+            seq: 1,
+            generation: 0,
+            wall: Duration::ZERO,
+            stats: MonitorStats::default(),
+            outcomes: vec![FixOutcome {
+                tuple: clean,
+                validated: AttrSet::from_bits(0),
+                rule_fixed: AttrSet::from_bits(0),
+                user_changed: AttrSet::from_bits(0),
+                certain: false,
+                certain_at_round: None,
+                rule_backed: false,
+                gave_up: false,
+                rounds: vec![],
+            }],
+        };
+        let base = [dirty];
+        let mut masked = Vec::new();
+        Encoder::default()
+            .encode_into(&report, &base, &mut masked)
+            .unwrap();
+        let back = Decoder::default().decode_with(&mut &masked[..], &mut Vec::new(), &base);
+        assert_eq!(back.unwrap().unwrap(), report, "report, arity {arity}");
+        // a mask is 8 bytes and one value; the full form is every cell
+        let mut full = Vec::new();
+        report.encode(&mut full).unwrap();
+        assert_eq!(masked.len() < full.len(), arity <= 64, "arity {arity}");
     }
+}
+
+/// A string back-reference must name an entry the dictionary holds:
+/// `0`, or one more than its length, is `BadRef`, and the decoder
+/// reads one that fits.
+#[test]
+fn dangling_string_references_are_rejected() {
+    // the second frame of a connection whose first sent two strings:
+    // one pair of one-cell tuples, the dirty cell a back-reference
+    let second = |back: u32| {
+        let mut p = Vec::new();
+        p.extend_from_slice(&2u64.to_le_bytes()); // seq
+        p.extend_from_slice(&1u32.to_le_bytes()); // one pair
+        p.extend_from_slice(&1u16.to_le_bytes()); // dirty arity
+        p.push(3);
+        p.extend_from_slice(&back.to_le_bytes());
+        p.push(1); // clean: mask form, no cell changed
+        p.extend_from_slice(&0u64.to_le_bytes());
+        raw_frame(VERSION, 0x02, &p)
+    };
+    let first = Frame::Batch {
+        seq: 1,
+        pairs: vec![(
+            Tuple::new(vec![Value::str("a")]),
+            Tuple::new(vec![Value::str("b")]),
+        )],
+    };
+    let mut wire = Vec::new();
+    first.encode(&mut wire).unwrap();
+    for (back, want) in [
+        (0u32, None),
+        (3, None),
+        (u32::MAX, None),
+        (1, Some("b")),
+        (2, Some("a")),
+    ] {
+        let mut dec = Decoder::default();
+        dec.decode_with(&mut &wire[..], &mut Vec::new(), &[])
+            .unwrap();
+        assert_eq!(dec.entries(), 2);
+        let got = dec.decode_with(&mut &second(back)[..], &mut Vec::new(), &[]);
+        match (got, want) {
+            (Err(WireError::BadRef(b)), None) => assert_eq!(b, back),
+            (Ok(Some(Frame::Batch { pairs, .. })), Some(text)) => {
+                assert_eq!(
+                    pairs[0].0,
+                    Tuple::new(vec![Value::str(text)]),
+                    "back {back}"
+                );
+            }
+            (other, _) => panic!("back-reference {back} decoded as {other:?}"),
+        }
+    }
+}
+
+/// A Report outcome in mask form must name only cells of its base:
+/// a mask past the dirty tuple's arity is `BadTag(cell)`, and a mask
+/// with no dirty tuple to apply it to is `NoBase`.
+#[test]
+fn misplaced_report_masks_are_rejected() {
+    // one outcome: mask form, then `mask` and one Int per set bit
+    let report = |mask: u64| {
+        let mut p = Vec::new();
+        p.extend_from_slice(&[0; 3 * 8]); // seq, generation, wall
+        p.extend_from_slice(&[0; 15 * 8]); // stats
+        p.extend_from_slice(&1u32.to_le_bytes()); // one outcome
+        p.push(1);
+        p.extend_from_slice(&mask.to_le_bytes());
+        for _ in 0..mask.count_ones() {
+            p.push(1);
+            p.extend_from_slice(&5i64.to_le_bytes());
+        }
+        p.extend_from_slice(&[0; 3 * 8]); // validated, rule_fixed, user_changed
+        p.extend_from_slice(&[0, 0]); // flags, no certain round
+        p.extend_from_slice(&0u32.to_le_bytes()); // no rounds
+        raw_frame(VERSION, 0x82, &p)
+    };
+    let base = [Tuple::new(vec![Value::Null, Value::Null])];
+    let decode = |frame: Vec<u8>, base: &[Tuple]| {
+        Decoder::default().decode_with(&mut &frame[..], &mut Vec::new(), base)
+    };
+    match decode(report(0b10), &base) {
+        Ok(Some(Frame::Report { outcomes, .. })) => {
+            assert_eq!(
+                outcomes[0].tuple,
+                Tuple::new(vec![Value::Null, Value::int(5)])
+            );
+        }
+        other => panic!("well-formed masked outcome decoded as {other:?}"),
+    }
+    for (mask, cell) in [(0b100u64, 2u8), (0b101, 2), (1 << 63, 63)] {
+        assert!(
+            matches!(decode(report(mask), &base), Err(WireError::BadTag(c)) if c == cell),
+            "mask {mask:#b} names cell {cell} of a 2-cell base"
+        );
+    }
+    assert!(matches!(decode(report(0b10), &[]), Err(WireError::NoBase)));
+    assert!(matches!(
+        Frame::decode(&mut &report(0)[..]),
+        Err(WireError::NoBase)
+    ));
 }
