@@ -179,8 +179,8 @@ impl<'a> CertainFix<'a> {
     /// Run the Fig. 3 loop for a **block** of independent tuples in
     /// round lockstep, so each round's `TransFix` pass vectorizes its
     /// probes through [`transfix_block`] (key probes grouped by shared
-    /// key and resolved to spans of the pinned index, pattern checks
-    /// hoisted to a bitmask). `oracles[j]` answers for `dirty[j]`. This
+    /// key, each cell one lookup resolved to a span of the pinned
+    /// index). `oracles[j]` answers for `dirty[j]`. This
     /// is the only copy of the loop: a lone tuple is a block of one,
     /// which prefetches nothing and probes live.
     ///
@@ -282,6 +282,8 @@ impl<'a> CertainFix<'a> {
 
             // (3) one vectorized TransFix pass over the active tuples,
             // which also validates: does t[Z′ ∪ S] lead to a unique fix?
+            // `items` is built per round: it borrows `sts`, which step
+            // (4) writes
             let items: Vec<(&Tuple, AttrSet)> = preps
                 .iter()
                 .map(|p| (&sts[p.j].tuple, p.new_validated))

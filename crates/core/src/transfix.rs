@@ -14,7 +14,7 @@
 //! *skipped* and reported, keeping the correctness guarantee ("the
 //! attributes updated are correct") intact.
 
-use certainfix_relation::{AttrId, AttrSet, MasterIndex, Tuple, Value};
+use certainfix_relation::{AttrSet, MasterIndex, Tuple, Value};
 use certainfix_rules::{DependencyGraph, FixHits, ProbeScratch, RulePlan, RuleSet};
 
 /// A rule's hit list as the walk reads it: its `(row, Bm)` pairs
@@ -139,19 +139,18 @@ pub fn transfix_with(
 /// Run `TransFix` over a block of independent `(tuple, validated)`
 /// items, vectorizing the probes through the plan's block layer: one
 /// [`RulePlan::probe_block_seeds`] call bulk-prefetches every seed
-/// rule's key probe (grouped by shared probe key, each cell resolved to
-/// a span of the pinned flat index) and hoists every pattern pre-check
-/// into a per-block bitmask, then each tuple's walk consumes its
-/// prefetched cells.
+/// rule's key probe (grouped by shared probe key, each cell one lookup
+/// into the pinned flat index, held as a span of its rows), then each
+/// tuple's walk consumes its prefetched cells.
 ///
 /// **Bit-identity:** the outcome of every item equals what
-/// [`transfix_with`] returns for it alone, at every block size. A
-/// prefetched cell is only consumed while the attributes it was
-/// computed from are untouched by this walk's fixes (the `fixed` set
-/// is disjoint from the rule's key / pattern attributes); the moment a
-/// fix invalidates them, the walk re-checks live exactly like the
-/// single-tuple path. Consuming a cell counts one logical probe, so
-/// `plan_probes` is block-size independent too.
+/// [`transfix_with`] returns for it alone, at every block size. The
+/// walk tests each rule's pattern on the tuple as this walk fixed it,
+/// whatever the probe source, and consumes a prefetched cell only
+/// while no fix of this walk touched the rule's key; otherwise it
+/// probes live exactly like the single-tuple path. Consuming a cell
+/// counts one logical probe, so `plan_probes` is block-size
+/// independent too.
 ///
 /// A block of one prefetches nothing: it is [`transfix_with`].
 pub fn transfix_block(
@@ -165,9 +164,7 @@ pub fn transfix_block(
     debug_assert_eq!(plan.len(), rules.len());
     let prefetch = items.len() >= 2;
     if prefetch {
-        let block: Vec<&Tuple> = items.iter().map(|&(t, _)| t).collect();
-        let zs: Vec<AttrSet> = items.iter().map(|&(_, z)| z).collect();
-        plan.probe_block_seeds(&block, &zs, scratch);
+        plan.probe_block_seeds(items, scratch);
     }
     items
         .iter()
@@ -193,7 +190,7 @@ enum Probes<'p> {
     Master,
     /// The compiled plan, probed live.
     Plan(&'p RulePlan),
-    /// Block tuple `j`'s prefetched cells and hoisted pattern bits.
+    /// Block tuple `j`'s prefetched cells.
     Block(&'p RulePlan, usize),
 }
 
@@ -235,16 +232,7 @@ fn walk(
         if validated.contains(b) {
             continue;
         }
-        // a prefetched cell or pattern bit holds only while no fix of
-        // this walk touched the attributes it was computed from
-        let untouched = |attrs: &[AttrId]| attrs.iter().all(|&a| !fixed.contains(a));
-        let pattern_ok = match probes {
-            Probes::Block(p, j) if untouched(rule.pattern().attrs()) => {
-                p.block_pattern_ok(v, j, scratch)
-            }
-            _ => rule.pattern().matches(&tuple),
-        };
-        if !pattern_ok {
+        if !rule.pattern().matches(&tuple) {
             continue;
         }
         let hits = match probes {
@@ -255,13 +243,14 @@ fn walk(
             }
             Probes::Plan(p) => Hits::Summarised(p.probe_fix(v, &tuple, scratch)),
             Probes::Block(p, j) => {
-                let prefetched = if untouched(rule.lhs()) {
-                    p.block_probe_fix(v, j, scratch)
-                } else {
-                    None
-                };
-                // cascaded rule, unseeded cell, or a fix touched the
-                // key: probe live, exactly like the single-tuple path
+                // a prefetched cell holds only while no fix of this walk
+                // touched the key it was computed from; a cascaded rule,
+                // an unseeded cell or a touched key probes live, exactly
+                // like the single-tuple path
+                let prefetched = fixed
+                    .is_disjoint(&p.rule(v).lhs_set())
+                    .then(|| p.block_probe_fix(v, j, scratch))
+                    .flatten();
                 Hits::Summarised(prefetched.unwrap_or_else(|| p.probe_fix(v, &tuple, scratch)))
             }
         };
@@ -633,7 +622,10 @@ mod tests {
 
     /// Block-probed `TransFix` is bit-identical to the single-tuple
     /// walk at every block size — same tuples, validated sets, step
-    /// order, disputes, and the same logical probe count.
+    /// order, disputes, verdicts, and the same logical probe count.
+    /// `t0800` enters `AC = '0800'`, which its `zip` makes ϕ1 fix to
+    /// `131`: ϕ4's pattern matches the entered tuple but not the fixed
+    /// one, and ϕ3's (`AC != '0800'`) the other way round.
     #[test]
     fn block_transfix_matches_single_tuple_at_every_block_size() {
         use certainfix_rules::{ProbeScratch, RulePlan};
@@ -663,7 +655,9 @@ mod tests {
         ];
         let mut tnull = t1.clone();
         tnull.set(r.attr("zip").unwrap(), Value::Null);
-        let tuples = [&t1, &t3, &tnull, &t1, &t3, &t1, &tnull];
+        let mut t0800 = t1.clone();
+        t0800.set(r.attr("AC").unwrap(), Value::str("0800"));
+        let tuples = [&t1, &t3, &tnull, &t1, &t3, &t1, &tnull, &t0800, &t0800];
         let zsets = [
             attrs(&r, &["zip"]),
             attrs(&r, &["AC", "phn", "type"]),
@@ -672,6 +666,8 @@ mod tests {
             AttrSet::EMPTY,
             attrs(&r, &["item"]),
             attrs(&r, &["phn", "type"]),
+            attrs(&r, &["zip"]),
+            attrs(&r, &["zip", "phn", "type"]),
         ];
         let items: Vec<(&Tuple, AttrSet)> =
             tuples.iter().zip(zsets).map(|(&t, z)| (t, z)).collect();
@@ -697,6 +693,7 @@ mod tests {
                 assert_eq!(a.fixed, b.fixed);
                 assert_eq!(a.steps, b.steps);
                 assert_eq!(a.disputed, b.disputed);
+                assert_eq!(a.unique, b.unique);
             }
             let (probes, _, _) = scratch.take_counters();
             assert_eq!(probes, want_probes, "logical probes at block size {size}");

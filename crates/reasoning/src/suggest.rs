@@ -44,10 +44,11 @@
 //! per-tuple by nature — it runs after a specific `t[Z]` is validated
 //! — so it consumes the plan's single-tuple entry points; the
 //! *vectorized block layer* (`RulePlan::plan_probe_block`, see the
-//! `certainfix_rules::plan` module docs) amortizes the upstream
-//! `TransFix` seed probes that funnel tuples into this module, and
-//! both layers return bit-identical hit lists by the block-size
-//! independence contract.
+//! `certainfix_rules::plan` module docs) prefetches the upstream
+//! `TransFix` seed probes that funnel tuples into this module — one
+//! lookup per probe group and tuple, held as a span of the pinned
+//! index's rows rather than a copy — and both layers return
+//! bit-identical hit lists by the block-size independence contract.
 
 use std::cell::OnceCell;
 

@@ -547,17 +547,6 @@ impl KeyIndex {
         hit.map_or(Span::EMPTY, |e| self.unpack(e))
     }
 
-    /// Rank-keyed variant of [`locate`](Self::locate) for
-    /// single-attribute indexes, when the caller has already computed
-    /// [`Value::grouping_rank`] (rank 0 is `Null`, which matches
-    /// nothing). Panics on a wider index.
-    pub fn locate_rank(&self, rank: u128) -> Span {
-        match &self.spans {
-            SpanMap::Rank(m) => m.get(&rank).map_or(Span::EMPTY, |&e| self.unpack(e)),
-            SpanMap::Wide(_) => panic!("rank probes require a single-attribute index"),
-        }
-    }
-
     /// Number of span slots: the hit lists of two or more rows.
     pub fn span_slots(&self) -> usize {
         self.slot_len.len()
@@ -1135,22 +1124,16 @@ mod tests {
             .is_empty());
     }
 
-    /// Every hit list is a span of the one row buffer: spans by value
-    /// and by rank agree with `lookup`, misses and nulls are empty, and
-    /// the buffer holds each indexed row exactly once.
+    /// Every hit list is a span of the one row buffer: spans agree with
+    /// `lookup`, misses and nulls are empty, and the buffer holds each
+    /// indexed row exactly once.
     #[test]
     fn hit_lists_are_spans_of_one_row_buffer() {
         let rel = master();
         let zip = KeyIndex::build(&rel, &[AttrId(0)]);
         let s = zip.span(&[Value::str("EH7 4AH")]);
         assert_eq!(zip.hits(s), &[0, 2]);
-        assert_eq!(
-            zip.locate_rank(Value::str("EH7 4AH").grouping_rank())
-                .range(),
-            s
-        );
         assert_eq!(zip.span(&[Value::Null]).1, 0);
-        assert_eq!(zip.locate_rank(0), Span::EMPTY);
         assert_eq!(zip.max_hit_len(), 2);
         let wide = KeyIndex::build(&rel, &[AttrId(0), AttrId(1), AttrId(2)]);
         assert_eq!(wide.span(&[Value::str("nope"); 3]).1, 0);
@@ -1178,7 +1161,6 @@ mod tests {
         assert_eq!((dup.range(), dup.slot), ((0, 2), 0));
         assert_eq!(zip.locate(&[Value::str("WC1H 9SE")]).slot, NO_SLOT);
         assert_eq!(zip.locate(&[Value::str("nope")]), Span::EMPTY);
-        assert_eq!(zip.locate_rank(Value::str("EH7 4AH").grouping_rank()), dup);
         let city = KeyIndex::build(&rel, &[AttrId(2)]);
         assert_eq!(city.span_slots(), 1);
         assert_eq!(city.locate(&[Value::str("Edi")]).slot, 0);

@@ -33,28 +33,33 @@
 //! On top of the single-tuple probes sits a *vectorized* layer that
 //! probes one rule against a **block** of tuples at a time
 //! ([`RulePlan::plan_probe_block`], bulk-prefetched by
-//! [`RulePlan::probe_block_seeds`]). At compile time, rules with an
-//! identical `(X, Xm)` key are merged into one *probe group*
-//! ([`RulePlan::probe_groups`]) — a rule like ϕ1 of the paper, whose
-//! three set-clauses compile to three rules keyed on the same `zip`,
-//! pays for one key probe per tuple instead of three. Every group
-//! resolves a block cell to a `(start, len)` span into the rows of its
-//! pinned flat [`KeyIndex`] (see [`KeyIndex::span`]), so a prefetched
-//! hit list is never copied: the scratch holds spans, and block readers
-//! borrow the rows from the plan. By key width:
+//! [`RulePlan::probe_block_seeds`]). Two amortizations remain:
 //!
-//! * **one- and two-attribute groups** (the common case) hash identical
-//!   keys **once** per block: they deduplicate in a single pass through
-//!   a generation-stamped open-addressing table keyed on the injective
-//!   [`Value::grouping_rank`] — the first cell with a given key probes
-//!   the pinned index, every later cell pays one mix, one slot load,
-//!   and a rank compare;
-//! * **wider groups** look each needed cell up in the pinned index.
+//! * **probe groups** — at compile time, rules with an identical
+//!   `(X, Xm)` key are merged into one group
+//!   ([`RulePlan::probe_groups`]), so a rule like ϕ1 of the paper, whose
+//!   three set-clauses compile to three rules keyed on the same `zip`,
+//!   pays for one key probe per tuple instead of three;
+//! * **spans, not copies** — a block cell costs exactly one lookup into
+//!   its group's pinned flat [`KeyIndex`], whatever the key width, and
+//!   holds the `(start, len)` span it answers (see [`KeyIndex::locate`]),
+//!   so a prefetched hit list is never copied: block readers borrow the
+//!   rows from the plan.
 //!
-//! There is no key-prefix trie: at full key depth its hit lists are the
-//! flat index's, and building one cost more than all the flat indexes
-//! of a plan together. Pattern pre-checks are hoisted into a per-block
-//! bitmask.
+//! There is no per-block key deduplication. Plain `CertainFix` is the
+//! only mode that runs blocks longer than one, and on its DBLP inputs
+//! (|Dm| = 50 000, 90 % duplicates) a prefetched cell's key repeats an
+//! earlier cell's of the same block for 0.05 % of one-attribute and
+//! 0.02 % of two-attribute keys in 64-tuple blocks (0.21 % and 0.05 %
+//! in 256-tuple blocks): a table that hashes a repeated key once costs
+//! every cell a table probe to save a lookup on almost none. (HOSP's
+//! one-attribute keys repeat 9–16 % in 64-tuple blocks, but the
+//! benchmark's HOSP workloads run with the suggestion diagram on, in
+//! blocks of one.) Nor are pattern checks hoisted: the walk tests a
+//! rule's pattern on the tuple as it stands, which is one `Value`
+//! compare per pattern cell. There is no key-prefix trie either: at
+//! full key depth its hit lists are the flat index's, and building one
+//! cost more than all the flat indexes of a plan together.
 //!
 //! # Factorised spans
 //!
@@ -157,40 +162,24 @@ pub struct ProbeScratch {
 }
 
 /// Struct-of-arrays block-probe state (see the
-/// [module docs](self#block-probing)): per-session results — the
-/// pattern bitmask and the per-(group × tuple) hit spans — plus the
-/// dedup tables. All buffers are reused across blocks.
+/// [module docs](self#block-probing)): the per-(group × tuple) hit
+/// spans of the current session and the cells each group must fill.
+/// All buffers are reused across blocks.
 #[derive(Debug, Default)]
 struct BlockBuffers {
     /// Block length of the current session.
     len: usize,
     /// `u64` lanes per bitmask row (`len.div_ceil(64)`).
     lanes: usize,
-    /// Pattern pre-check bitmask, rule-major: bit `j % 64` of
-    /// `pattern[i * lanes + j / 64]` is set iff rule `i`'s pattern
-    /// matches block tuple `j`. Valid only where `pattern_done[i]`.
-    pattern: Vec<u64>,
-    /// `pattern[i]` lanes filled this session.
-    pattern_done: Vec<bool>,
     /// Hit spans, group-major: `spans[g * len + j]` is the span into
     /// the rows of group `g`'s pinned index, or [`NO_SPAN`] when
     /// cell `(g, j)` was not prefetched this session.
     spans: Vec<Span>,
     /// Group `g` probed this session.
     group_done: Vec<bool>,
-    /// Dedup table for single-attribute keys:
-    /// open-addressed `(rank, gen, span)` entries. An entry whose
-    /// `gen` stamp is stale is empty — bumping [`Self::gen`] resets
-    /// the whole table in O(1), no per-group clear.
-    table1: Vec<(u128, u64, Span)>,
-    /// Dedup table for two-attribute keys:
-    /// `(rank0, rank1, gen, span)`.
-    table2: Vec<(u128, u128, u64, Span)>,
-    /// Generation stamp of the current `probe_group` call; strictly
-    /// increasing across groups and sessions (a `u64` cannot wrap).
-    gen: u64,
-    /// Seed-prefetch scratch: group-major `needed` bitmask (same lane
-    /// layout as `pattern`).
+    /// Cells to prefetch, group-major: bit `j % 64` of
+    /// `needed[g * lanes + j / 64]` is set iff group `g` probes block
+    /// tuple `j`.
     needed: Vec<u64>,
 }
 
@@ -440,8 +429,7 @@ impl std::ops::Deref for PlanHits<'_> {
 
 /// Rules sharing one probe key, merged at compile time: all compiled
 /// rules with identical `(X, Xm)` lists. Block probing pays one key
-/// lookup per (tuple × group) — per (distinct key value × group) for
-/// one- and two-attribute keys — instead of per (tuple × rule).
+/// lookup per (tuple × group) instead of per (tuple × rule).
 #[derive(Debug)]
 struct ProbeGroup {
     lhs: Box<[AttrId]>,
@@ -813,24 +801,14 @@ impl RulePlan {
     /// Begin a block-probe session over `n` tuples: size and clear the
     /// scratch's block state. Until the next `begin_block` (or
     /// [`probe_block_seeds`](Self::probe_block_seeds), which begins its
-    /// own session), results filled by
+    /// own session), cells filled by
     /// [`plan_probe_block`](Self::plan_probe_block) are readable
-    /// through [`block_pattern_ok`](Self::block_pattern_ok),
-    /// [`block_prefetched`](Self::block_prefetched),
-    /// [`block_probe`](Self::block_probe) and
-    /// [`block_candidates`](Self::block_candidates).
+    /// through [`block_probe`](Self::block_probe) and
+    /// [`block_probe_fix`](Self::block_probe_fix).
     pub fn begin_block(&self, n: usize, scratch: &mut ProbeScratch) {
         let lanes = n.div_ceil(64);
         let b = &mut scratch.block;
         let mut grew = 0u64;
-        let cap = b.pattern.capacity();
-        b.pattern.clear();
-        b.pattern.resize(self.rules.len() * lanes, 0);
-        grew += (b.pattern.capacity() != cap) as u64;
-        let cap = b.pattern_done.capacity();
-        b.pattern_done.clear();
-        b.pattern_done.resize(self.rules.len(), false);
-        grew += (b.pattern_done.capacity() != cap) as u64;
         let cap = b.spans.capacity();
         b.spans.clear();
         b.spans.resize(self.groups.len() * n, NO_SPAN);
@@ -843,53 +821,20 @@ impl RulePlan {
         b.needed.clear();
         b.needed.resize(self.groups.len() * lanes, 0);
         grew += (b.needed.capacity() != cap) as u64;
-        // size the dedup tables to a ≤ ½ load factor for
-        // the worst case (every probed cell a distinct key); entries
-        // carry a stale `gen` stamp, so growth needs no re-clearing
-        let tcap = (2 * n.max(1)).next_power_of_two().max(64);
-        if b.table1.len() < tcap {
-            b.table1.resize(tcap, (0, 0, Span::EMPTY));
-            grew += 1;
-        }
-        if b.table2.len() < tcap {
-            b.table2.resize(tcap, (0, 0, 0, Span::EMPTY));
-            grew += 1;
-        }
         b.len = n;
         b.lanes = lanes;
         scratch.allocs += grew;
     }
 
-    /// Hoist rule `i`'s pattern pre-check into its per-block bitmask
-    /// lane (once per session; empty patterns set every bit without
-    /// touching the tuples).
-    fn fill_pattern_lane(&self, i: usize, block: &[&Tuple], scratch: &mut ProbeScratch) {
-        let b = &mut scratch.block;
-        if b.pattern_done[i] {
-            return;
-        }
-        b.pattern_done[i] = true;
-        let rule = &self.rules[i];
-        let base = i * b.lanes;
-        if rule.pattern.attrs().is_empty() {
-            for lane in &mut b.pattern[base..base + b.lanes] {
-                *lane = !0;
-            }
-        } else {
-            for (j, t) in block.iter().enumerate() {
-                if rule.pattern.matches(t) {
-                    b.pattern[base + j / 64] |= 1 << (j % 64);
-                }
-            }
-        }
-    }
-
-    /// Give group `g`'s marked cells their spans into the group's
-    /// pinned index. One- and two-attribute groups deduplicate through
-    /// a generation-stamped open-addressing table in one pass, so
-    /// identical keys hash once per block; wider groups look every
-    /// cell up.
-    fn probe_group(&self, g: usize, block: &[&Tuple], scratch: &mut ProbeScratch) {
+    /// Give group `g`'s needed cells their spans into the group's
+    /// pinned index: one lookup per cell, whatever the key width.
+    /// `tuple(j)` is block tuple `j`.
+    fn probe_group<'t>(
+        &self,
+        g: usize,
+        tuple: impl Fn(usize) -> &'t Tuple,
+        scratch: &mut ProbeScratch,
+    ) {
         let grp = &self.groups[g];
         let ProbeScratch {
             probe,
@@ -901,88 +846,24 @@ impl RulePlan {
             return;
         }
         b.group_done[g] = true;
-        b.gen += 1;
-        let (n, gen, index) = (b.len, b.gen, &grp.index);
+        let n = b.len;
         let needed = &b.needed[g * b.lanes..(g + 1) * b.lanes];
         let spans = &mut b.spans[g * n..(g + 1) * n];
-        // Everything below groups by `Value::grouping_rank`, not
-        // semantic order: `Value`'s `Ord` resolves interned strings and
-        // compares text, far too slow for hot equality grouping. The
-        // rank is injective, so rank equality IS key equality.
-        //
-        // Fibonacci-mix a rank into a table slot: ranks are tag bits
-        // over dense interner ids, so a multiply spreads them; the
-        // high bits carry the entropy
-        #[inline]
-        fn slot(r: u128, mask: usize) -> usize {
-            let h = ((r as u64) ^ ((r >> 64) as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h >> 32) as usize & mask
-        }
-        match *grp.lhs {
-            [a] => {
-                // the first cell with a given rank looks the index up,
-                // every later one pays a mix, one slot load and a rank
-                // compare; the `gen` bump above emptied the table
-                let table = &mut b.table1;
-                let mask = table.len() - 1;
-                for_each_marked(needed, n, |j| {
-                    let r = block[j].get(a).grouping_rank();
-                    let mut h = slot(r, mask);
-                    spans[j] = loop {
-                        let e = &mut table[h];
-                        if e.1 != gen {
-                            let s = index.locate_rank(r);
-                            *e = (r, gen, s);
-                            break s;
-                        }
-                        if e.0 == r {
-                            break e.2;
-                        }
-                        h = (h + 1) & mask;
-                    };
-                });
-            }
-            [a0, a1] => {
-                let table = &mut b.table2;
-                let mask = table.len() - 1;
-                for_each_marked(needed, n, |j| {
-                    let (v0, v1) = (*block[j].get(a0), *block[j].get(a1));
-                    let (r0, r1) = (v0.grouping_rank(), v1.grouping_rank());
-                    let mut h = slot(r0 ^ r1.rotate_left(64), mask);
-                    spans[j] = loop {
-                        let e = &mut table[h];
-                        if e.2 != gen {
-                            let s = index.locate(&[v0, v1]);
-                            *e = (r0, r1, gen, s);
-                            break s;
-                        }
-                        if (e.0, e.1) == (r0, r1) {
-                            break e.3;
-                        }
-                        h = (h + 1) & mask;
-                    };
-                });
-            }
-            _ => {
-                let cap = probe.capacity();
-                for_each_marked(needed, n, |j| {
-                    probe.clear();
-                    probe.extend(grp.lhs.iter().map(|&a| *block[j].get(a)));
-                    spans[j] = index.locate(probe);
-                });
-                *allocs += (probe.capacity() != cap) as u64;
-            }
-        }
+        let cap = probe.capacity();
+        for_each_marked(needed, n, |j| {
+            probe.clear();
+            probe.extend(grp.lhs.iter().map(|&a| *tuple(j).get(a)));
+            spans[j] = grp.index.locate(probe);
+        });
+        *allocs += (probe.capacity() != cap) as u64;
     }
 
     /// Probe rule `i` against a whole block of tuples at once — the
     /// vectorized analogue of calling [`probe`](Self::probe) per tuple.
     /// Requires an active [`begin_block`](Self::begin_block) session of
-    /// the same length. The rule's pattern lane is hoisted, and its
-    /// probe group resolved for **every** block cell (the first member
-    /// rule pays; siblings and equal keys ride along). Results are read
-    /// back per cell with
-    /// [`block_candidates`](Self::block_candidates) /
+    /// the same length. The rule's probe group is resolved for **every**
+    /// block cell (the first member rule pays; siblings ride along).
+    /// Results are read back per cell with
     /// [`block_probe`](Self::block_probe).
     pub fn plan_probe_block(&self, i: usize, block: &[&Tuple], scratch: &mut ProbeScratch) {
         debug_assert_eq!(
@@ -990,69 +871,33 @@ impl RulePlan {
             scratch.block.len,
             "begin_block sizes the session"
         );
-        self.fill_pattern_lane(i, block, scratch);
         let g = self.group_of(i);
-        if !scratch.block.group_done[g] {
-            let b = &mut scratch.block;
-            let nbase = g * b.lanes;
-            for lane in &mut b.needed[nbase..nbase + b.lanes] {
-                *lane = !0;
-            }
-            self.probe_group(g, block, scratch);
-        }
+        let b = &mut scratch.block;
+        b.needed[g * b.lanes..(g + 1) * b.lanes].fill(!0);
+        self.probe_group(g, |j| block[j], scratch);
     }
 
-    /// Bulk prefetch for a block `TransFix` pass: begin a session and
-    /// probe, per probe group, exactly the cells some member rule could
-    /// consume as a seed on tuple `j` — premise within `zs[j]`, fix
-    /// target unvalidated, pattern matching. Pattern lanes are hoisted
-    /// for **every** rule (the walk re-checks patterns after upgrades
-    /// too). Cells no rule can seed from stay unprefetched
-    /// ([`block_prefetched`](Self::block_prefetched) is `false`) and
-    /// fall back to single-tuple probes.
-    pub fn probe_block_seeds(&self, block: &[&Tuple], zs: &[AttrSet], scratch: &mut ProbeScratch) {
-        debug_assert_eq!(block.len(), zs.len());
-        self.begin_block(block.len(), scratch);
-        for i in 0..self.rules.len() {
-            self.fill_pattern_lane(i, block, scratch);
-        }
-        {
-            let b = &mut scratch.block;
-            for (i, rule) in self.rules.iter().enumerate() {
-                let pbase = i * b.lanes;
-                let nbase = self.group_of(i) * b.lanes;
-                for (j, z) in zs.iter().enumerate() {
-                    if rule.premise.is_subset(z)
-                        && !z.contains(rule.rhs)
-                        && b.pattern[pbase + j / 64] & (1 << (j % 64)) != 0
-                    {
-                        b.needed[nbase + j / 64] |= 1 << (j % 64);
-                    }
+    /// Bulk prefetch for a block `TransFix` pass over `(tuple,
+    /// validated)` items: begin a session and probe, per probe group,
+    /// exactly the cells some member rule could consume as a seed on
+    /// item `j` — premise within its validated set, fix target
+    /// unvalidated, pattern matching the tuple as handed in. Cells no
+    /// rule can seed from stay unprefetched and fall back to
+    /// single-tuple probes.
+    pub fn probe_block_seeds(&self, items: &[(&Tuple, AttrSet)], scratch: &mut ProbeScratch) {
+        self.begin_block(items.len(), scratch);
+        let b = &mut scratch.block;
+        for (i, rule) in self.rules.iter().enumerate() {
+            let base = self.group_of(i) * b.lanes;
+            for (j, (t, z)) in items.iter().enumerate() {
+                if rule.premise.is_subset(z) && !z.contains(rule.rhs) && rule.pattern.matches(t) {
+                    b.needed[base + j / 64] |= 1 << (j % 64);
                 }
             }
         }
         for g in 0..self.groups.len() {
-            self.probe_group(g, block, scratch);
+            self.probe_group(g, |j| items[j].0, scratch);
         }
-    }
-
-    /// The hoisted pattern pre-check of rule `i` on block tuple `j`.
-    /// Valid once the rule's lane was filled this session
-    /// ([`plan_probe_block`](Self::plan_probe_block) or
-    /// [`probe_block_seeds`](Self::probe_block_seeds)).
-    #[inline]
-    pub fn block_pattern_ok(&self, i: usize, j: usize, scratch: &ProbeScratch) -> bool {
-        let b = &scratch.block;
-        debug_assert!(j < b.len && b.pattern_done[i]);
-        b.pattern[i * b.lanes + j / 64] & (1 << (j % 64)) != 0
-    }
-
-    /// `true` iff rule `i`'s probe-group cell for block tuple `j` was
-    /// prefetched this session (possibly to an empty hit list).
-    #[inline]
-    pub fn block_prefetched(&self, i: usize, j: usize, scratch: &ProbeScratch) -> bool {
-        let b = &scratch.block;
-        b.spans[self.group_of(i) * b.len + j] != NO_SPAN
     }
 
     /// The prefetched raw key probe of rule `i` on block tuple `j` —
@@ -1096,24 +941,6 @@ impl RulePlan {
         }
         scratch.probes += 1;
         Some(span)
-    }
-
-    /// Block analogue of [`candidates`](Self::candidates): the hit list
-    /// of rule `i` on block tuple `j`, empty when the hoisted pattern
-    /// bit is clear (no probe counted, like the single-tuple early
-    /// return). `None` when the pattern matches but the cell was not
-    /// prefetched — the caller falls back to a single-tuple probe.
-    #[inline]
-    pub fn block_candidates<'p>(
-        &'p self,
-        i: usize,
-        j: usize,
-        scratch: &mut ProbeScratch,
-    ) -> Option<&'p [u32]> {
-        if !self.block_pattern_ok(i, j, scratch) {
-            return Some(&[]);
-        }
-        self.block_probe(i, j, scratch)
     }
 
     /// The `t[X ∩ Z] = tm[λϕ(X ∩ Z)]` probe of `applicable_rules`
@@ -1520,7 +1347,7 @@ mod tests {
         tother.set(r.attr("zip").unwrap(), Value::str("NW1 6XE"));
         tother.set(r.attr("phn").unwrap(), Value::str("6884563"));
         tother.set(r.attr("type").unwrap(), Value::int(1));
-        // t1 twice: identical keys must share one resolved hit list
+        // t1 twice: a key repeated inside one block
         vec![t1(), tnull, tmiss, tpat, tother, t1()]
     }
 
@@ -1550,11 +1377,15 @@ mod tests {
         }
         for i in 0..plan.len() {
             for (j, t) in block.iter().enumerate() {
-                let want = plan.candidates(i, t, &mut single).to_vec();
+                let want = plan.probe(i, t, &mut single).to_vec();
                 let got = plan
-                    .block_candidates(i, j, &mut blocked)
+                    .block_probe(i, j, &mut blocked)
                     .expect("plan_probe_block prefetches every cell");
                 assert_eq!(got, &want[..], "rule {i} tuple {j}");
+                let want = plan.probe_fix(i, t, &mut single);
+                let got = plan.block_probe_fix(i, j, &mut blocked).unwrap();
+                let answers = |h: FixHits| (h.first(), h.first_non_null(), h.is_split());
+                assert_eq!(answers(got), answers(want), "rule {i} tuple {j}");
             }
         }
         // logical probe counting: consuming a prefetched cell costs the
@@ -1588,24 +1419,35 @@ mod tests {
         let tuples = fig1_block(&r);
         let block: Vec<&Tuple> = tuples.iter().collect();
         let zip = AttrSet::singleton(r.attr("zip").unwrap());
+        let phn_type = AttrSet::singleton(r.attr("phn").unwrap())
+            | AttrSet::singleton(r.attr("type").unwrap());
         // tuple 0 can seed the zip-keyed rules; tuple 1 has nothing
-        // validated, so no rule's premise holds there
-        let mut zs = vec![AttrSet::EMPTY; block.len()];
-        zs[0] = zip;
+        // validated, so no rule's premise holds there; phi2's premise
+        // holds on tuples 3 and 5, but only tuple 5 matches `type = 2`
+        let mut items: Vec<(&Tuple, AttrSet)> =
+            block.iter().map(|&t| (t, AttrSet::EMPTY)).collect();
+        items[0].1 = zip;
+        items[3].1 = phn_type;
+        items[5].1 = phn_type;
         let mut scratch = ProbeScratch::new();
-        plan.probe_block_seeds(&block, &zs, &mut scratch);
-        assert!(
-            plan.block_prefetched(0, 0, &scratch),
-            "phi1 seeds on tuple 0"
-        );
-        assert!(!plan.block_prefetched(0, 1, &scratch), "nothing validated");
-        // phi2 (premise {phn, type}) is not seedable anywhere
-        assert!(!plan.block_prefetched(3, 0, &scratch));
+        plan.probe_block_seeds(&items, &mut scratch);
         // prefetched hits equal the single-tuple probe
         let mut single = ProbeScratch::new();
         let want = plan.probe(0, block[0], &mut single).to_vec();
-        let got = plan.block_probe(0, 0, &mut scratch).unwrap();
-        assert_eq!(got, &want[..]);
+        let got = plan.block_probe(0, 0, &mut scratch);
+        assert_eq!(got, Some(&want[..]), "phi1 seeds on tuple 0");
+        assert!(
+            plan.block_probe(0, 1, &mut scratch).is_none(),
+            "nothing validated"
+        );
+        // phi2 (premise {phn, type}, index 3)
+        assert!(plan.block_probe(3, 0, &mut scratch).is_none());
+        assert!(
+            plan.block_probe(3, 3, &mut scratch).is_none(),
+            "pattern fails"
+        );
+        let want = plan.probe(3, block[5], &mut single).to_vec();
+        assert_eq!(plan.block_probe(3, 5, &mut scratch), Some(&want[..]));
     }
 
     #[test]

@@ -1068,7 +1068,8 @@ proptest! {
 
     /// The block-probe determinism contract, randomized: chunking an
     /// arbitrary miniature batch through `transfix_block` at block
-    /// sizes 1, 2, 7 and 64 yields the same outcomes as the plan-less
+    /// sizes 1, 2, 7 and 64 yields the same outcomes (verdicts
+    /// included) as the plan-less
     /// `transfix` oracle and the same outcomes — and the same logical
     /// probe count — as the live-plan single-tuple walk, including
     /// null-key edges (a random cell nulled per tuple) and
@@ -1131,6 +1132,7 @@ proptest! {
                     prop_assert_eq!(a.fixed, b.fixed);
                     prop_assert_eq!(&a.steps, &b.steps);
                     prop_assert_eq!(&a.disputed, &b.disputed);
+                    prop_assert_eq!(a.unique, b.unique);
                 }
             }
         }
