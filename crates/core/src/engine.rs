@@ -85,7 +85,7 @@
 //! any [`RoundMetrics`](crate::RoundMetrics) evaluated per worker and
 //! [`merged`](crate::metrics::merge_round_series) are **bit-identical
 //! to a one-worker run regardless of schedule, worker count, chunk
-//! size, or interleaving**. A delta-maintained epoch is bit-identical
+//! size, or interleaving**. An epoch a delta made is bit-identical
 //! to an engine rebuilt from scratch over the same master rows (D10 in
 //! DETERMINISM.md). `CertainFix+` keeps that guarantee across worker
 //! counts and schedules: a chunk's diagram sees only that chunk's
@@ -111,32 +111,30 @@ use crate::monitor::{InitialRegion, MonitorStats};
 use crate::oracle::UserOracle;
 
 /// One immutable snapshot of the master data and everything compiled
-/// from it: the indexed master rows and the compiled [`RulePlan`],
-/// both built against the same master generation, plus the initial
+/// from it: the compiled [`RulePlan`], which holds the indexed master
+/// generation it was compiled against, plus the initial
 /// suggestion — derived once per context, since the region catalog
 /// reads `Σ` alone, so every epoch deploys one region. Workers
 /// pin an epoch (one `Arc` clone) for the duration of a batch; a
 /// [`MasterDelta`] produces the *next* epoch without touching this
 /// one, so in-flight repairs are never invalidated mid-batch.
 pub struct MasterEpoch {
-    master: MasterIndex,
     plan: RulePlan,
     initial: Vec<AttrId>,
 }
 
 impl MasterEpoch {
-    /// Compile an epoch over an already-indexed master.
-    fn build(rules: &RuleSet, master: MasterIndex, initial: Vec<AttrId>) -> MasterEpoch {
+    /// Compile an epoch over `master`, building its cold indexes.
+    fn build(rules: &RuleSet, master: &MasterIndex, initial: Vec<AttrId>) -> MasterEpoch {
         MasterEpoch {
-            plan: RulePlan::compile(rules, &master),
-            master,
+            plan: RulePlan::compile(rules, master),
             initial,
         }
     }
 
-    /// The indexed master data of this epoch.
+    /// The indexed master data of this epoch (the plan's).
     pub fn master(&self) -> &MasterIndex {
-        &self.master
+        self.plan.master()
     }
 
     /// The compiled rule plan (always probed by repairs; compiled
@@ -202,7 +200,7 @@ impl RepairContext {
             InitialRegion::Median => catalog.median(),
         }
         .map_or_else(|| rules.r_schema().attr_ids().collect(), |r| r.z().to_vec());
-        let epoch = Arc::new(MasterEpoch::build(&rules, master, initial));
+        let epoch = Arc::new(MasterEpoch::build(&rules, &master, initial));
         RepairContext {
             rules: Arc::new(rules),
             graph,
@@ -230,7 +228,7 @@ impl RepairContext {
     /// The current master generation (the one the *next* fan-out will
     /// pin).
     pub fn generation(&self) -> u64 {
-        self.epoch().master.generation()
+        self.epoch().plan.generation()
     }
 
     /// How many epochs were rebuilt by deltas since construction.
@@ -239,9 +237,9 @@ impl RepairContext {
     }
 
     /// Apply a batch of master mutations: build the next
-    /// [`MasterEpoch`] (delta-maintained index, recompiled plan) and
-    /// swap it in atomically. Returns the new generation. The initial
-    /// suggestion is handed on: the region catalog reads `Σ` alone.
+    /// [`MasterEpoch`] (the delta's rows, the plan compiled over them)
+    /// and swap it in atomically. Returns the new generation. The
+    /// initial suggestion is handed on: the region catalog reads `Σ` alone.
     ///
     /// In-flight batches keep their pinned epoch and finish undisturbed;
     /// batches fanned out after this call repair against the new
@@ -254,10 +252,10 @@ impl RepairContext {
         let next_master = current.master().apply_delta(delta)?;
         let next = Arc::new(MasterEpoch::build(
             &self.rules,
-            next_master,
+            &next_master,
             current.initial.clone(),
         ));
-        let generation = next.master.generation();
+        let generation = next.plan.generation();
         *self.epoch.write().expect("epoch lock poisoned") = next;
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         Ok(generation)
@@ -684,7 +682,7 @@ impl RepairContext {
             ranks.sort_unstable();
             accounts.push((ranks, stats, bdd));
         }
-        let generation = epoch.master.generation();
+        let generation = epoch.plan.generation();
         let wall = started.elapsed();
         let mut reports = Vec::with_capacity(units.len());
         for (u, (tuples, _)) in units.iter().enumerate() {
@@ -995,12 +993,11 @@ mod tests {
 
     /// The tentpole's determinism contract (D10) at the engine level:
     /// an engine whose epoch was maintained through `MasterDelta`s
-    /// (delete-free deltas maintaining the built indexes) produces
-    /// bit-identical outcomes and merged deterministic stats —
+    /// produces bit-identical outcomes and merged deterministic stats —
     /// including `plan_probes` — to an engine rebuilt from scratch
     /// over the same master rows, on a skewed batch, across worker
-    /// counts. The delta-maintained plan still probes through the
-    /// compiled layer with bounded steady-state allocations.
+    /// counts. The plan compiled after the delta still probes through
+    /// the compiled layer with bounded steady-state allocations.
     #[test]
     fn delta_maintained_epoch_matches_fresh_rebuild() {
         let (hosp, ds, dirty) = hosp_batch_skewed(300, 2_000, 1.0);

@@ -38,16 +38,16 @@
 //! [`MasterDelta`](certainfix_relation::MasterDelta) applied through
 //! [`RepairContext::apply_master_delta`] (or
 //! [`RepairSession::apply_master_delta`](session::RepairSession::apply_master_delta))
-//! builds the next generation-stamped [`MasterEpoch`] — maintained
-//! index, recompiled plan, the context's initial suggestion — and swaps it
-//! in without stalling in-flight repairs, which finish on the epoch
-//! they pinned. The crate runs the paper's editing-rule repair only;
-//! the `IncRep` baseline it is compared against lives in
-//! `certainfix-cfd`, and the experiments run it there.
+//! builds the next generation-stamped [`MasterEpoch`] — the delta's
+//! rows, a plan compiled and indexed over them, the context's initial
+//! suggestion — and swaps it in without stalling in-flight repairs,
+//! which finish on the epoch they pinned. The crate runs the paper's
+//! editing-rule repair only; the `IncRep` baseline it is compared
+//! against lives in `certainfix-cfd`, and the experiments run it there.
 //!
 //! Every guarantee this crate leans on — schedule-independence, plan ≡
 //! plain oracle, stream ≡ batch, block ≡ single probe, session-
-//! interleaving-independence, delta-maintained ≡ rebuilt — is
+//! interleaving-independence, delta-made epoch ≡ rebuilt — is
 //! inventoried with its discharging test or CI job in `DETERMINISM.md`
 //! at the repository root.
 

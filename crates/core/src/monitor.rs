@@ -67,7 +67,7 @@ pub struct MonitorStats {
     pub plan_fallbacks: u64,
     /// Master epochs rebuilt by
     /// [`apply_master_delta`](crate::RepairContext::apply_master_delta)
-    /// — index maintained, plan recompiled. Always 0
+    /// — rows derived, plan recompiled. Always 0
     /// in per-worker accumulators (deltas are a context-level event,
     /// not a per-tuple one); sessions charge it when they merge, so a
     /// session report shows how many live-master hand-offs it spanned.

@@ -170,8 +170,8 @@ impl<'e> RepairSession<'e> {
     }
 
     /// Apply a batch of master mutations to the live master: the
-    /// context builds the next epoch (delta-maintained index, recompiled
-    /// plan) and swaps it in; batches pushed after
+    /// context builds the next epoch (the delta's rows, a plan compiled
+    /// and indexed over them) and swaps it in; batches pushed after
     /// this call repair against the new generation, while any batch
     /// already fanned out finishes on the epoch it pinned. Returns the
     /// new generation. The merged [`SessionReport`] counts the epochs

@@ -43,7 +43,7 @@ pub use apply::{applies, apply, candidate_masters};
 pub use depgraph::DependencyGraph;
 pub use error::RuleError;
 pub use parse::parse_rules;
-pub use plan::{CompiledRule, CompiledRuleSet, FixHits, PlanHits, ProbeScratch, RulePlan};
+pub use plan::{CompiledRule, FixHits, PlanHits, ProbeScratch, RulePlan};
 pub use rule::{EditingRule, RuleBuilder};
 pub use ruleset::RuleSet;
 

@@ -126,15 +126,14 @@
 //! next-generation [`MasterIndex`] and swaps it in at the next epoch
 //! boundary, while in-flight probes keep the old plan's `Arc`s and
 //! finish against the generation they started on (nothing blocks,
-//! nothing is torn). Recompilation is cheap on the hot path: each
-//! [`MasterIndex`] snapshot has its own index cache, which a
-//! delete-free delta fills eagerly, so the new plan finds the indexes
-//! maintained for it (after a delta with deletes, the compile builds
-//! them, on all cores), and cold sub-key slots refill lazily exactly as
-//! they did on first compile. Every compile starts empty summary tables, so the
-//! summaries live and die with the plan and refill against the new
-//! generation's rows. The session layer counts swaps as
-//! `plan_rebuilds`.
+//! nothing is torn). Each [`MasterIndex`] snapshot has its own index
+//! cache, and a delta leaves the next one's empty, so the compile is
+//! the one place an epoch's full-key indexes are built: on every
+//! generation alike, on all cores when the master is large. Cold
+//! sub-key slots refill lazily exactly as they did on first compile.
+//! Every compile starts empty summary tables, so the summaries live and
+//! die with the plan and refill against the new generation's rows. The
+//! session layer counts swaps as `plan_rebuilds`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -582,17 +581,15 @@ pub struct RulePlan {
     col_of: Box<[u32]>,
 }
 
-/// Alias matching the paper-facing name used in docs and the ROADMAP.
-pub type CompiledRuleSet = RulePlan;
-
 impl RulePlan {
     /// Compile `rules` against `master`: build every cold full-key
     /// index of the rules at once ([`MasterIndex::build_all`], on all
     /// cores when the master is large), pin one per rule, precompute
     /// the per-rule probe layout, and allocate every probe group's
-    /// table of span summaries on its fix columns. On a warm master
-    /// (every `Xm` already built, as after a delete-free delta) it
-    /// builds nothing.
+    /// table of span summaries on its fix columns. A snapshot a delta
+    /// made starts cold, so this is where its indexes are built; on a
+    /// warm master (every `Xm` already built, as by an earlier compile
+    /// over the same snapshot) it builds nothing.
     pub fn compile(rules: &RuleSet, master: &MasterIndex) -> RulePlan {
         let keys: Vec<&[AttrId]> = rules.iter().map(|(_, rule)| rule.lhs_m()).collect();
         master.build_all(&keys);
@@ -1124,9 +1121,9 @@ mod tests {
 
     /// The slot-invalidation contract: recompiling against the
     /// next-generation master yields a plan that sees the delta, while
-    /// the old plan keeps answering for its own generation; delete-free
-    /// deltas hand the new plan eagerly maintained indexes, so the
-    /// recompile builds none.
+    /// the old plan keeps answering for its own generation. The delta
+    /// builds no index; the recompile builds each distinct `Xm` once
+    /// over the new rows, counted as a patch.
     #[test]
     fn recompiled_plans_pick_up_the_next_generation() {
         use certainfix_relation::MasterDelta;
@@ -1134,6 +1131,7 @@ mod tests {
         let plan = RulePlan::compile(&rules, &master);
         assert_eq!(plan.generation(), 0);
         let builds = master.index_builds();
+        assert_eq!((builds, master.index_patches()), (3, 0));
         let next = master
             .apply_delta(&MasterDelta::new().update(
                 1,
@@ -1151,12 +1149,15 @@ mod tests {
                 ],
             ))
             .unwrap();
+        assert_eq!(next.cached_indexes(), 0, "a delta builds nothing");
+        assert_eq!(next.index_patches(), 0);
         let plan2 = RulePlan::compile(&rules, &next);
         assert_eq!(plan2.generation(), 1);
+        assert_eq!(next.cached_indexes(), 3);
         assert_eq!(
-            master.index_builds(),
-            builds,
-            "delete-free deltas maintain the pinned indexes eagerly"
+            (master.index_builds(), master.index_patches()),
+            (builds, 3),
+            "{{zip}}, {{Mphn}}, {{AC, Hphn}}, each built once into the new snapshot"
         );
         let mut scratch = ProbeScratch::new();
         // rule 0 keys on zip: the old plan still sees one master row,

@@ -10,7 +10,7 @@
 //! * `TransFix` ≡ chase on unique instances,
 //! * `CertainFix+` (BDD) ≡ `CertainFix` fix-for-fix,
 //! * a flat [`KeyIndex`] ≡ naive grouping of its relation, built fresh
-//!   or maintained through a delete-free [`MasterDelta`],
+//!   or built over the rows a [`MasterDelta`] derived,
 //! * the compiled [`RulePlan`] probe layer ≡ the legacy `MasterIndex`
 //!   path (candidates, chase, `TransFix`, and whole `CertainFix`
 //!   outcomes — including null-key and pattern-mismatch edges),
@@ -493,7 +493,8 @@ fn dblp_overwriting_delta_summaries_match_a_fresh_compile() {
     let graph = DependencyGraph::new(rules);
     let attr = |name: &str| s.attr(name).unwrap();
     let m0 = MasterIndex::new(dblp.master().clone());
-    // warm the lineage, so the delta patches the indexes in place
+    // compile over the root first, as a context does; the delta's
+    // snapshot starts cold, and its compile builds every index anew
     let _ = RulePlan::compile(rules, &m0);
     let author = *m0.tuple(1).get(attr("a1"));
     assert_eq!(m0.tuple(0).get(attr("a2")), &author);
@@ -845,8 +846,9 @@ proptest! {
     /// The flat index, randomized: over relations with nulls and mixed
     /// `Int`/`Str` cells and keys of one to five attributes, every probe
     /// returns the naive grouping's ascending row ids — and so does the
-    /// index a delete-free delta maintains, which is counted as one
-    /// patch and equals a fresh build over the new rows. Tiled to
+    /// next snapshot's index after a delta, which the delta leaves
+    /// unbuilt and the first probe builds, counted as one patch, equal
+    /// to a fresh build over the new rows. Tiled to
     /// `PARALLEL_BUILD_MIN` rows × distinct keys, the rows give a master
     /// on which `build_all` builds two to five distinct keys once each,
     /// on one thread per key up to the core count, into exactly the
@@ -878,17 +880,17 @@ proptest! {
                 delta.update(u32::from(r) % m0.len() as u32, Tuple::new(cells))
             };
         }
-        let patches = m0.index_patches();
         let m1 = m0.apply_delta(&delta).unwrap();
-        prop_assert_eq!(m1.index_patches(), patches + 1);
-        let maintained = m1.index_for(&key);
-        // maintained eagerly, not left for a lazy build
-        prop_assert_eq!(m1.index_builds(), 1);
-        assert_naive_grouping(&maintained, m1.relation())?;
+        // the delta derives rows only; the next snapshot builds on demand
+        prop_assert_eq!(m1.cached_indexes(), 0);
+        prop_assert_eq!((m1.index_builds(), m1.index_patches()), (1, 0));
+        let patched = m1.index_for(&key);
+        prop_assert_eq!((m1.index_builds(), m1.index_patches()), (1, 1));
+        assert_naive_grouping(&patched, m1.relation())?;
         let fresh = KeyIndex::build(m1.relation(), &key);
         for t in m1.relation().iter() {
             let probe = t.project(&key);
-            prop_assert_eq!(maintained.lookup(&probe), fresh.lookup(&probe));
+            prop_assert_eq!(patched.lookup(&probe), fresh.lookup(&probe));
         }
 
         if tuples.is_empty() {
@@ -1374,7 +1376,7 @@ proptest! {
     /// The D10 contract, randomized: random rules and master data,
     /// with random insert/update/delete [`MasterDelta`] sequences
     /// interleaved between probe batches. The delta-maintained
-    /// session — eagerly maintained `KeyIndex`es, re-keyed plans,
+    /// session — derived rows, recompiled and re-indexed plans,
     /// generation-stamped epochs — is bit-identical (repaired tuples,
     /// certainty, validated sets, and the logical `plan_probes`
     /// count) to fresh engines built from scratch over each batch's
