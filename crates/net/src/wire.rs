@@ -37,11 +37,12 @@
 //!
 //! The sending end keeps an [`Encoder`] (a map from symbol to
 //! position), the receiving end a [`Decoder`] (a `Vec` of symbols), so
-//! a repeated string costs the receiver one bounds-checked read instead
-//! of a lookup in the process-wide interner, and a string is interned
-//! once per connection and direction, on its first appearance. Each
-//! direction of a connection has its own pair: the client's requests
-//! build one, the server's responses the other.
+//! a repeated string costs the receiver one bounds-checked read, and a
+//! string new to the connection costs one lookup in the process-wide
+//! interner: one hash of its text and a lock-free table probe, or a
+//! write under the interner's mutex the first time the process sees
+//! it. Each direction of a connection has its own pair: the client's
+//! requests build one, the server's responses the other.
 //!
 //! Before every frame, a dictionary that holds [`DICT_CAP`] entries or
 //! more is cleared — by both ends, at the same frame boundary, so the

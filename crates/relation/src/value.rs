@@ -148,7 +148,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(Sym::intern_owned(s))
+        Value::Str(Sym::intern(&s))
     }
 }
 
