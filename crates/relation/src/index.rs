@@ -12,11 +12,14 @@
 //! its hit lists share one contiguous `rows` buffer, grouped by key, and
 //! the table maps each distinct key to its `(start, len)` span there.
 //! [`KeyIndex::build`] is a counting scatter into buffers sized before
-//! it starts: one pass over the rows counts the key's indexed rows and
-//! estimates its distinct keys, so no buffer, table included, is ever
-//! regrown however many distinct keys the column holds. A span stays valid
-//! for as long as the index is pinned, which is what lets the block
-//! layer of `certainfix-rules` hold spans instead of copies.
+//! it starts, from a strided sample of the rows (every row of a small
+//! master): a key whose sample never repeats gets room for one key per
+//! row, and a repeating key room for the distinct keys the sample
+//! predicts. A wrong guess costs a regrowth, never a different index;
+//! on the benchmark's masters no buffer, table included, regrows. A
+//! span stays valid for as long as the index is pinned, which is what
+//! lets the block layer of `certainfix-rules` hold spans instead of
+//! copies.
 //!
 //! A single-attribute key is hashed by its injective
 //! [`Value::grouping_rank`]. A wider key is stored once, in one flat
@@ -55,7 +58,8 @@
 //! master is large, and a rule plan's compile calls it for the rules'
 //! keys, so a context is ready before its first probe. Its calling
 //! thread allocates everything the builds write, so the helpers
-//! allocate and free nothing (see `Room` for why that matters).
+//! allocate and free nothing unless a sample sized a room too small
+//! (see `Room` for why that matters).
 //! Whichever thread builds an index, it is the same index.
 //!
 //! # Live master data
@@ -309,41 +313,212 @@ fn group_by_rank(
     }
 }
 
-/// For each of `keys`, how many rows its index over `rel` holds,
-/// exactly, and how many distinct keys, estimated, in one pass over the
-/// rows that allocates one bitmap per key: each key's [`fingerprint`]
-/// sets one of `m` ≥ 2 × rows bits, and with `z` bits left clear the
-/// distinct count is about m·ln(m/z) (linear counting; at m = 2¹⁷ its
-/// standard error is about 0.2 %).
-fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<(usize, usize)> {
-    let m = (2 * rel.len()).next_power_of_two().max(64);
-    let shift = 64 - m.trailing_zeros();
-    let mut bits = vec![0u64; keys.len() * m / 64];
-    let mut rows = vec![0; keys.len()];
-    for t in rel.iter() {
-        for (k, key) in keys.iter().enumerate() {
+/// [`measure`] reads one row of every `SAMPLE_STRIDE` of a master of
+/// [`SAMPLE_ALL_BELOW`] rows or more (see [`sampled_row`]). Measured on
+/// a 2-core Xeon, median of 8 builds of HOSP's 9 keys: a pass over
+/// every row took 0.33 ms at 10 000 rows and 1.65 ms at 50 000; one
+/// row of 4 took 0.27 and 1.34 ms, of 8 0.10 and 0.61, of 16 0.06 and
+/// 0.33 (a sampled row costs more than a walked one: its cells are
+/// never in cache). At 16, the 625 rows sampled of 10 000 put a
+/// 2 000-value key at 1 946 keys, margin included, for its 1 988, and
+/// that room regrew.
+const SAMPLE_STRIDE: usize = 8;
+
+/// Masters below this many rows are measured on every row: the walk
+/// is short there (it grows with the rows, and took 0.33 ms for HOSP's
+/// 9 keys at 10 000), and a sample of a few hundred rows a noisy guess.
+const SAMPLE_ALL_BELOW: usize = 4096;
+
+/// The row [`measure`] reads of block `b` of `stride` rows: the one at
+/// an offset within the block that a hash of its number picks. A fixed
+/// offset samples a column whose period shares a factor with the stride
+/// on only part of its values: HOSP's `mCode` repeats every 40 rows, so
+/// every 8th row sees 5 of its 40 codes (and of its 800 `(mCode, ST)`
+/// pairs, 100), and those rooms regrew.
+#[inline]
+fn sampled_row(b: usize, stride: usize) -> usize {
+    b * stride + (fmix64(b as u64) as usize & (stride - 1))
+}
+
+/// Sampled rows [`measure`] asks the cache for ahead of reading them:
+/// one of every 8 rows is too far apart for the hardware to follow the
+/// stream, and the reads stalled (see [`prefetch`]).
+const PREFETCH_AHEAD: usize = 2;
+
+/// Ask for the cache line holding `v` ahead of its use. Prefetching
+/// each sampled row's key cells two rows ahead took HOSP's 50 000-row
+/// sizing pass from 0.80 to 0.61 ms on a 2-core Xeon, and
+/// `hosp_net_entry`'s `setup_s` from 1.29 to 1.24 ms.
+#[inline]
+fn prefetch(v: &Value) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that reads and writes nothing; `v`
+    // is a live reference anyway.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((v as *const Value).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = v;
+}
+
+/// The capacities [`measure`] gives one key's [`Room`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Size {
+    /// Indexed rows: counted when every row was read, else the row
+    /// count.
+    rows: usize,
+    /// Distinct keys.
+    groups: usize,
+    /// Multi-row spans.
+    slots: usize,
+}
+
+impl Size {
+    /// The room of a key whose `n` sampled indexed rows (one of every
+    /// `stride` of `len` rows) held `d` distinct keys, `f1` of them
+    /// once and `f2` twice.
+    ///
+    /// Every row read: `d` is the distinct count. Otherwise the keys the
+    /// sample missed are guessed as the fewer of `f1 · (stride − 1)`
+    /// (each key seen once stands for `stride` of its own) and Chao's
+    /// `f1² / 2 f2` (exact in expectation when the keys are evenly
+    /// frequent). A sample that never repeats predicts one key per row,
+    /// which the row count caps: those keys cannot be outgrown. The
+    /// margin covers a repeating key's sampling noise.
+    ///
+    /// A multi-row group holds two rows or more, so there are at most
+    /// rows − distinct of them: rows − `d` at most, and about
+    /// rows − estimate. (Half the row count bounds any key's spans, but
+    /// it reserved 25 000 slots for each unique key of a 50 000-row
+    /// master, which its index never fills.)
+    fn from_sample(len: usize, stride: usize, [n, d, f1, f2]: [usize; 4]) -> Size {
+        let rows = if stride == 1 { n } else { len };
+        let unseen = (f1 * (stride - 1)).min(f1 * f1.saturating_sub(1) / (2 * (f2 + 1)));
+        let estimate = d + unseen;
+        let margin = estimate / 8 + 16;
+        let groups = (estimate + margin).min(rows);
+        let slots = groups
+            .min(rows - d)
+            .min(rows.saturating_sub(estimate) + margin);
+        Size {
+            rows,
+            groups,
+            slots,
+        }
+    }
+}
+
+/// The murmur3 finalizer: spreads a [`fingerprint`] over all 64 bits.
+/// The low bits of a one-word Fx hash are a function of the word's low
+/// bits alone, and they pick a key's slot in [`measure`]'s tables:
+/// integers that step by a power of two would share a run of slots and
+/// probe long.
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Record one more sighting of the key hashed `h` in `table`, an
+/// open-addressed table of tagged counts (a slot picked by the low
+/// bits, a 30-bit tag from the high ones, a count saturating at 3 in
+/// the two bits below it; 0 is empty), and return its number: 1 for a
+/// new key, 2 and 3 for its second and third sighting, 4 after that.
+#[inline]
+fn sight(table: &mut [u32], h: u64) -> u32 {
+    let mask = table.len() - 1;
+    let tag = (h >> 32) as u32 & !3;
+    let mut i = h as usize & mask;
+    loop {
+        let e = table[i];
+        if e == 0 {
+            table[i] = tag | 1;
+            return 1;
+        }
+        if e & !3 == tag {
+            let seen = e & 3;
+            if seen < 3 {
+                table[i] = e + 1;
+            }
+            return seen + 1;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// For each of `keys`, the [`Size`] of its index over `rel`, from one
+/// pass over one row of every block of [`SAMPLE_STRIDE`] rows (every
+/// row below [`SAMPLE_ALL_BELOW`]; see [`sampled_row`]) that allocates
+/// one table per key. Each sampled
+/// row's key is counted exactly, up to a collision of its mixed
+/// [`fingerprint`] in the table's slot and tag bits, and the sample's
+/// distinct keys and keys seen once and twice give the size (see
+/// [`Size::from_sample`]).
+fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<Size> {
+    let rows = rel.tuples();
+    let stride = if rows.len() < SAMPLE_ALL_BELOW {
+        1
+    } else {
+        SAMPLE_STRIDE
+    };
+    let blocks = rows.len().div_ceil(stride);
+    // at most half full
+    let m = (2 * blocks).next_power_of_two().max(64);
+    let mut tables = vec![vec![0u32; m]; keys.len()];
+    // per key: sampled indexed rows, distinct keys, keys seen once, twice
+    let mut counts = vec![[0usize; 4]; keys.len()];
+    let mut cells_read: Vec<AttrId> = keys.concat();
+    cells_read.sort_unstable();
+    cells_read.dedup();
+    for b in 0..blocks {
+        if let Some(ahead) = rows.get(sampled_row(b + PREFETCH_AHEAD, stride)) {
+            cells_read.iter().for_each(|&a| prefetch(ahead.get(a)));
+        }
+        let Some(t) = rows.get(sampled_row(b, stride)) else {
+            continue;
+        };
+        let per_key = keys.iter().zip(&mut tables);
+        for ((key, table), [n, d, f1, f2]) in per_key.zip(&mut counts) {
             let cells = || key.iter().map(|&a| t.get(a));
-            if !cells().any(Value::is_null) {
-                rows[k] += 1;
-                let bit = k * m + (fingerprint(cells()) >> shift) as usize;
-                bits[bit / 64] |= 1 << (bit % 64);
+            if cells().any(Value::is_null) {
+                continue;
+            }
+            *n += 1;
+            match sight(table, fmix64(fingerprint(cells()))) {
+                1 => {
+                    *d += 1;
+                    *f1 += 1;
+                }
+                2 => {
+                    *f1 -= 1;
+                    *f2 += 1;
+                }
+                3 => *f2 -= 1,
+                _ => {}
             }
         }
     }
-    let m64 = m as f64;
-    let clear = bits
-        .chunks(m / 64)
-        .map(|b| b.iter().map(|w| w.count_zeros()).sum::<u32>());
-    let estimate = |clear: u32| (m64 * (m64 / f64::from(clear)).ln()).round() as usize;
-    rows.into_iter().zip(clear.map(estimate)).collect()
+    counts
+        .into_iter()
+        .map(|c| Size::from_sample(rows.len(), stride, c))
+        .collect()
 }
 
 /// Everything one build writes, allocated before it starts and sized
 /// from [`measure`]: the index's buffers, with room for its rows and
-/// for its distinct keys plus several times the estimate's error, and
-/// the `Arc` it is published in. A build fills them in place, so it
-/// regrows nothing (a regrowth rehashes or copies every entry and frees
-/// the old buffer) and allocates nothing itself.
+/// for its distinct keys and multi-row spans as the sample predicts
+/// them, and the `Arc` it is published in. A build fills them in place,
+/// and allocates nothing itself unless the prediction fell short: then
+/// a buffer regrows (rehashing or copying every entry and freeing the
+/// old one), and the index is the same. A key whose sample never
+/// repeats gets room for as many rows and keys as the master has rows,
+/// which no master can outgrow. Giving every key that room, with no
+/// pass at all, cost peak RSS that the sample's rooms for repeating
+/// keys do not.
 ///
 /// That is what lets [`MasterIndex::build_all`] hand builds to helper
 /// threads at no cost in memory. It allocates every cold key's room,
@@ -388,17 +563,16 @@ impl Scratch {
 }
 
 impl Room {
-    /// The room of an index on `key` of `rows` rows and about
-    /// `estimate` distinct keys (as [`measure`] gives them).
-    fn new(key: &[AttrId], (rows, estimate): (usize, usize)) -> Room {
+    /// The room of an index on `key` of the [`Size`] [`measure`] gave.
+    fn new(key: &[AttrId], size: Size) -> Room {
         fn map<K, V>(len: usize) -> FxHashMap<K, V> {
             FxHashMap::with_capacity_and_hasher(len, Default::default())
         }
-        let margin = estimate / 32 + 16;
-        let groups = (estimate + margin).min(rows);
-        // a multi-row group holds two rows or more, so there are at most
-        // rows − groups of them
-        let slots = groups.min(rows - estimate.saturating_sub(margin).min(rows));
+        let Size {
+            rows,
+            groups,
+            slots,
+        } = size;
         let width = key.len();
         Room {
             index: Arc::new(KeyIndex {
@@ -492,8 +666,9 @@ impl KeyIndex {
     /// its start, and a second pass places the row ids — in row order,
     /// so every hit list comes out ascending. The multi-row groups take
     /// span slots in group order, so the whole index is a function of
-    /// the rows and the key alone. (A pass before them sizes every
-    /// buffer, so none is ever regrown.)
+    /// the rows and the key alone. (A pass over a sample of the rows
+    /// before them sizes every buffer; a buffer the sample sized too
+    /// small regrows, and the index is the same.)
     pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
         Arc::into_inner(Room::build_one(rel, key)).expect("a fresh index is not shared")
     }
@@ -596,9 +771,15 @@ type IndexSlot = Arc<OnceLock<Arc<KeyIndex>>>;
 
 /// Rows × cold keys below which [`MasterIndex::build_all`] builds on
 /// the calling thread. Measured on a 2-core box over HOSP masters of
-/// 250–16 000 rows with 2 and 9 keys: two threads lose to one up to
-/// about 4 500 rows × keys, break even near 9 000, and halve the time
-/// from 36 000.
+/// 250–24 000 rows, one thread against the pool, median of 150 builds
+/// in each of two or three runs, with the sizing pass a sample: with 9
+/// keys two threads lose to one at 4 500 rows × keys (1.18–1.20× the
+/// time), break even from 5 400 to 8 100 (0.93–1.00×) and win from
+/// 9 000 on (0.63–0.79×). Sizing from every row, they had won from
+/// 5 400 (0.70–0.91×), so the break-even moved up to this cutoff. With
+/// 2 keys neither side wins steadily, before or after (0.64–2.5×, not
+/// monotone in the rows): the first touches of fresh pages outweigh
+/// splitting two builds.
 pub const PARALLEL_BUILD_MIN: usize = 1 << 13;
 
 /// A batch of master-data mutations, applied atomically by
@@ -772,8 +953,8 @@ impl MasterIndex {
     /// the calling thread among them, which claim keys widest first
     /// through one shared cursor; below that, on the calling thread
     /// alone. A warm master builds and allocates nothing. Either way the
-    /// calling thread first measures every cold key in one pass over the
-    /// rows and allocates each index's buffers, and an index is
+    /// calling thread first measures every cold key in one pass over a
+    /// sample of the rows and allocates each index's buffers, and an index is
     /// [`KeyIndex::build`] over this snapshot's rows, so its contents do
     /// not depend on the thread that built it.
     pub fn build_all<K: AsRef<[AttrId]>>(&self, keys: &[K]) {
@@ -955,6 +1136,7 @@ impl MasterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashers::FxHashSet;
     use crate::schema::Schema;
     use crate::tuple;
 
@@ -1436,37 +1618,208 @@ mod tests {
         );
     }
 
-    /// `measure` counts a key's rows exactly and its distinct keys
-    /// within the margin a room adds, and a build fits its room: no
-    /// buffer grows past the capacity the room gave it.
+    /// A master of `n` rows shaped like the benchmark's, over integer
+    /// columns: 0 is unique (HOSP's `id`), 1 repeats every 40 rows (HOSP's
+    /// `mCode`), 2 takes 20 values by a hash of the row (`ST`), 3 is
+    /// constant (DBLP's `type`), 4 numbers runs of 25 rows (a DBLP
+    /// conference: 2 000 of them at 50 000 rows), 5 is a function of 4
+    /// (its `year`), 6 takes 2 000 values by a hash of the row, and 7 is
+    /// a function of 6.
+    fn shaped_master(n: usize) -> Arc<Relation> {
+        let s = Schema::new(
+            "Rm",
+            ["id", "mCode", "ST", "type", "conf", "year", "h", "g"],
+        )
+        .unwrap();
+        let scatter = |i: u64, salt: u64| {
+            let x = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32
+        };
+        let rows = (0..n as u64)
+            .map(|i| {
+                let h = scatter(i, 2) % 2000;
+                let cells = [
+                    i,
+                    i % 40,
+                    scatter(i, 1) % 20,
+                    7,
+                    i / 25,
+                    i / 250 % 25,
+                    h,
+                    h % 3,
+                ];
+                Tuple::new(cells.iter().map(|&c| Value::int(c as i64)).collect())
+            })
+            .collect();
+        Arc::new(Relation::new(s, rows).unwrap())
+    }
+
+    /// The keys of [`shaped_master`], each with whether its values are
+    /// unique: unique 1- and 2-attribute keys, the 40-value periodic
+    /// column, an 800-value pair, and 3-attribute keys of a conference's
+    /// runs and of 2 000 hashed values.
+    fn shaped_keys() -> Vec<(Vec<AttrId>, bool)> {
+        let key = |k: &[u16]| k.iter().copied().map(AttrId).collect();
+        vec![
+            (key(&[0]), true),
+            (key(&[0, 1]), true),
+            (key(&[1]), false),
+            (key(&[1, 2]), false),
+            (key(&[3, 4, 5]), false),
+            (key(&[3, 6, 7]), false),
+        ]
+    }
+
+    /// `key`'s index over `rel` built into a room of `size`, as a
+    /// build fills it: no buffer grows past the capacity the room gave
+    /// it, and the index is the one `KeyIndex::build` gives.
+    fn assert_fits(rel: &Relation, key: &[AttrId], size: Size) {
+        let capacities = |rows: &Vec<u32>, slot_len: &Vec<u32>, spans: &SpanMap| {
+            let spans = match spans {
+                SpanMap::Rank(m) => vec![m.capacity()],
+                SpanMap::Wide(w) => {
+                    vec![w.heads.capacity(), w.keys.capacity(), w.links.capacity()]
+                }
+            };
+            (rows.capacity(), slot_len.capacity(), spans)
+        };
+        let room = Room::new(key, size);
+        let before = capacities(&room.rows, &room.slot_len, &room.spans);
+        let index = room.build(rel, &mut Scratch::new(rel.len()));
+        let after = capacities(&index.rows, &index.slot_len, &index.spans);
+        assert_eq!(before, after, "{key:?} in a room of {size:?}");
+        assert_same_index(&index, &KeyIndex::build(rel, key), rel);
+    }
+
+    /// On masters shaped like the benchmark's, of 10 000 and 50 000 rows,
+    /// a build fits the room `measure` sizes from its sample: a unique
+    /// key's room holds as many keys as rows, a repeating key's holds
+    /// its distinct keys and at most twice as many. The row room is the
+    /// row count, which is exact on these null-free masters. On a
+    /// master small enough to be read whole, the rows are counted (here
+    /// with nulls among them) and no room regrows either.
     #[test]
     fn a_build_fits_its_room() {
-        let rel = wide_master(PARALLEL_BUILD_MIN);
+        for n in [10_000, 50_000] {
+            let rel = shaped_master(n);
+            let shaped = shaped_keys();
+            let keys: Vec<&[AttrId]> = shaped.iter().map(|(k, _)| k.as_slice()).collect();
+            for ((key, unique), size) in shaped.iter().zip(measure(&rel, &keys)) {
+                let built = KeyIndex::build(&rel, key);
+                let distinct = built.distinct_keys();
+                assert_eq!(size.rows, built.rows.len(), "{key:?}");
+                if *unique {
+                    assert_eq!(size.groups, n, "{key:?}");
+                } else {
+                    assert!(
+                        (distinct..=2 * distinct).contains(&size.groups),
+                        "{key:?}: {size:?} for {distinct}"
+                    );
+                }
+                assert_fits(&rel, key, size);
+            }
+        }
+        let rel = wide_master(SAMPLE_ALL_BELOW - 1);
         let keys = wide_keys();
         let keys: Vec<&[AttrId]> = keys.iter().map(Vec::as_slice).collect();
         for (&key, size) in keys.iter().zip(measure(&rel, &keys)) {
             let built = KeyIndex::build(&rel, key);
-            assert_eq!(size.0, built.rows.len(), "{key:?}");
-            let distinct = built.distinct_keys();
-            assert!(
-                size.1.abs_diff(distinct) <= distinct / 32 + 16,
-                "{key:?}: {size:?} for {distinct}"
-            );
-            let capacities = |rows: &Vec<u32>, slot_len: &Vec<u32>, spans: &SpanMap| {
-                let spans = match spans {
-                    SpanMap::Rank(m) => vec![m.capacity()],
-                    SpanMap::Wide(w) => {
-                        vec![w.heads.capacity(), w.keys.capacity(), w.links.capacity()]
-                    }
-                };
-                (rows.capacity(), slot_len.capacity(), spans)
+            assert_eq!(size.rows, built.rows.len(), "{key:?}");
+            assert!(size.rows < rel.len(), "{key:?} holds a null");
+            assert_fits(&rel, key, size);
+        }
+    }
+
+    /// `idx` groups `rel`'s rows by its key as a naive grouping does:
+    /// every row with a null-free key finds exactly the rows sharing it,
+    /// ascending, and the multi-row keys hold the slots `0..` in order
+    /// of their first row.
+    fn assert_naive_grouping(idx: &KeyIndex, rel: &Relation) {
+        let mut groups: Vec<(Vec<Value>, Vec<u32>)> = Vec::new();
+        let mut by_key: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
+        for (i, t) in rel.iter().enumerate() {
+            let probe = t.project(idx.key());
+            if !probe.iter().any(Value::is_null) {
+                let g = *by_key.entry(probe.clone()).or_insert_with(|| {
+                    groups.push((probe, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(i as u32);
+            }
+        }
+        assert_eq!(idx.distinct_keys(), groups.len());
+        let mut slots = 0..;
+        for (probe, rows) in &groups {
+            let span = idx.locate(probe);
+            assert_eq!(idx.hits(span.range()), rows.as_slice());
+            let slot = if rows.len() < 2 {
+                NO_SLOT
+            } else {
+                slots.next().unwrap()
             };
-            let room = Room::new(key, size);
-            let before = capacities(&room.rows, &room.slot_len, &room.spans);
-            let index = room.build(&rel, &mut Scratch::new(rel.len()));
-            let after = capacities(&index.rows, &index.slot_len, &index.spans);
-            assert_eq!(before, after, "{key:?}");
-            assert_same_index(&index, &built, &rel);
+            assert_eq!(span.slot, slot);
+        }
+        assert_eq!(idx.span_slots(), slots.next().unwrap() as usize);
+    }
+
+    /// Masters laid out against the sample still index exactly, through
+    /// `KeyIndex::build` and through a pooled `build_all`: (a) the
+    /// sampled rows share one value and every other row is distinct, so
+    /// the rooms come out far too small and regrow; (b) the sampled rows
+    /// are distinct and every other row repeats one value, so the rooms
+    /// are bounded by the row count, eight times the distinct keys; (c)
+    /// a column repeats with a period coprime to the stride.
+    #[test]
+    fn sample_defeating_masters_still_index_exactly() {
+        let n = 10_000;
+        let blocks = 0..n / SAMPLE_STRIDE;
+        let sampled: FxHashSet<usize> = blocks.map(|b| sampled_row(b, SAMPLE_STRIDE)).collect();
+        assert_eq!(sampled.len(), n / SAMPLE_STRIDE);
+        let shapes: [(&str, &dyn Fn(usize) -> i64); 3] = [
+            ("shared sample", &|i| {
+                if sampled.contains(&i) {
+                    -1
+                } else {
+                    i as i64
+                }
+            }),
+            ("distinct sample", &|i| {
+                if sampled.contains(&i) {
+                    i as i64
+                } else {
+                    -1
+                }
+            }),
+            ("coprime period", &|i| {
+                (i % (125 * SAMPLE_STRIDE + 1)) as i64
+            }),
+        ];
+        let keys = vec![
+            vec![AttrId(0)],
+            vec![AttrId(0), AttrId(1)],
+            vec![AttrId(1), AttrId(0)],
+        ];
+        assert!(n * keys.len() >= PARALLEL_BUILD_MIN);
+        for (shape, value) in shapes {
+            let s = Schema::new("Rm", ["v", "w"]).unwrap();
+            let rows = (0..n)
+                .map(|i| Tuple::new(vec![Value::int(value(i)), Value::int(i as i64 % 3)]))
+                .collect();
+            let rel = Arc::new(Relation::new(s, rows).unwrap());
+            let sizes = measure(&rel, &[&keys[0]]);
+            let distinct = KeyIndex::build(&rel, &keys[0]).distinct_keys();
+            match shape {
+                "shared sample" => assert!(sizes[0].groups < distinct / 100, "{shape}"),
+                "distinct sample" => assert_eq!(sizes[0].groups, n, "{shape}"),
+                _ => {}
+            }
+            let m = MasterIndex::new(Arc::clone(&rel));
+            m.build_all(&keys);
+            for key in &keys {
+                let built = KeyIndex::build(&rel, key);
+                assert_naive_grouping(&built, &rel);
+                assert_same_index(&m.index_for(key), &built, &rel);
+            }
         }
     }
 
