@@ -315,19 +315,23 @@ fn group_by_rank(
 
 /// [`measure`] reads one row of every `SAMPLE_STRIDE` of a master of
 /// [`SAMPLE_ALL_BELOW`] rows or more (see [`sampled_row`]). Measured on
-/// a 2-core Xeon, median of 8 builds of HOSP's 9 keys: a pass over
-/// every row took 0.33 ms at 10 000 rows and 1.65 ms at 50 000; one
-/// row of 4 took 0.27 and 1.34 ms, of 8 0.10 and 0.61, of 16 0.06 and
-/// 0.33 (a sampled row costs more than a walked one: its cells are
-/// never in cache). At 16, the 625 rows sampled of 10 000 put a
-/// 2 000-value key at 1 946 keys, margin included, for its 1 988, and
-/// that room regrew.
+/// a 2-core Xeon, median of 100–400 passes over HOSP's 9 keys: reading
+/// every row took 0.87 ms at 10 000 rows and 5.4 ms at 50 000; one row
+/// of 4 took 0.21 and 1.16 ms, of 8 0.10 and 0.62, of 16 0.05 and 0.30.
+/// At 16, the 625 rows sampled of 10 000 put a 2 000-value key at 1 946
+/// keys, margin included, for its 1 988, and that room regrew.
 const SAMPLE_STRIDE: usize = 8;
 
-/// Masters below this many rows are measured on every row: the walk
-/// is short there (it grows with the rows, and took 0.33 ms for HOSP's
-/// 9 keys at 10 000), and a sample of a few hundred rows a noisy guess.
-const SAMPLE_ALL_BELOW: usize = 4096;
+/// Masters below this many rows are measured on every row, which sizes
+/// each room exactly; a sample of a few dozen rows is a noisy guess.
+/// Counting every row costs several times what a sample costs and
+/// more than a build could lose to a regrowth at these sizes: over
+/// HOSP's 9 keys, on a 2-core Xeon, the pass took 0.017 ms at 250
+/// rows, and 0.073 ms at 1 000 where the sample takes 0.009, and the
+/// whole `build_all` 0.156 ms at 1 000 rows read whole against 0.090
+/// sampled. No room of HOSP's or DBLP's keys regrew on sampled masters
+/// of 256 to 4 000 rows.
+const SAMPLE_ALL_BELOW: usize = 256;
 
 /// The row [`measure`] reads of block `b` of `stride` rows: the one at
 /// an offset within the block that a hash of its number picks. A fixed
@@ -379,41 +383,55 @@ impl Size {
     /// `stride` of `len` rows) held `d` distinct keys, `f1` of them
     /// once and `f2` twice.
     ///
-    /// Every row read: `d` is the distinct count. Otherwise the keys the
-    /// sample missed are guessed as the fewer of `f1 · (stride − 1)`
-    /// (each key seen once stands for `stride` of its own) and Chao's
-    /// `f1² / 2 f2` (exact in expectation when the keys are evenly
-    /// frequent). A sample that never repeats predicts one key per row,
-    /// which the row count caps: those keys cannot be outgrown. The
-    /// margin covers a repeating key's sampling noise.
+    /// Every row read: `n` and `d` are exact, and so is the room. A
+    /// multi-row group holds two rows or more, so there are at most
+    /// `min(d, n − d)` of them.
     ///
-    /// A multi-row group holds two rows or more, so there are at most
-    /// rows − distinct of them: rows − `d` at most, and about
-    /// rows − estimate. (Half the row count bounds any key's spans, but
-    /// it reserved 25 000 slots for each unique key of a 50 000-row
-    /// master, which its index never fills.)
+    /// Otherwise the keys the sample missed are guessed as the fewer of
+    /// `f1 · (stride − 1)` (each key seen once stands for `stride` of its
+    /// own) and Chao's `f1² / 2 f2` (exact in expectation when the keys
+    /// are evenly frequent), and a margin covers the sampling noise. A
+    /// sample that never repeats predicts one key per row, which the
+    /// row count caps: those keys cannot be outgrown.
+    ///
+    /// A repeating key's multi-row spans are bounded apart from the
+    /// guess, by half the rows and by the rows less the distinct keys
+    /// the sample saw, so a guess that overshoots never leaves them too
+    /// little room. A sample that never repeats saw no span: two rows
+    /// of one key in different blocks show in it as a repeat one time
+    /// in 64, so with none seen it gets a slot per sampled row, and only
+    /// a master that hides its repeats inside blocks outgrows them.
+    /// (Half the rows for those keys too, 100 KB per unique key of a
+    /// 50 000-row master that its index never fills, raised
+    /// `hosp_bulk`'s peak RSS from 288.1 to 289.7 MB, median of 5 runs,
+    /// against 287.9 MB with a slot per sampled row.)
     fn from_sample(len: usize, stride: usize, [n, d, f1, f2]: [usize; 4]) -> Size {
-        let rows = if stride == 1 { n } else { len };
+        if stride == 1 {
+            return Size {
+                rows: n,
+                groups: d,
+                slots: d.min(n - d),
+            };
+        }
         let unseen = (f1 * (stride - 1)).min(f1 * f1.saturating_sub(1) / (2 * (f2 + 1)));
         let estimate = d + unseen;
-        let margin = estimate / 8 + 16;
-        let groups = (estimate + margin).min(rows);
-        let slots = groups
-            .min(rows - d)
-            .min(rows.saturating_sub(estimate) + margin);
+        let groups = (estimate + estimate / 8 + 16).min(len);
+        let slots = if f1 == d {
+            n
+        } else {
+            groups.min(len / 2).min(len - d)
+        };
         Size {
-            rows,
+            rows: len,
             groups,
             slots,
         }
     }
 }
 
-/// The murmur3 finalizer: spreads a [`fingerprint`] over all 64 bits.
-/// The low bits of a one-word Fx hash are a function of the word's low
-/// bits alone, and they pick a key's slot in [`measure`]'s tables:
-/// integers that step by a power of two would share a run of slots and
-/// probe long.
+/// The murmur3 finalizer: spreads the bits of a block number over all
+/// 64 bits, so the low ones [`sampled_row`] takes share no period with
+/// the blocks.
 #[inline]
 fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
@@ -423,41 +441,12 @@ fn fmix64(mut h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Record one more sighting of the key hashed `h` in `table`, an
-/// open-addressed table of tagged counts (a slot picked by the low
-/// bits, a 30-bit tag from the high ones, a count saturating at 3 in
-/// the two bits below it; 0 is empty), and return its number: 1 for a
-/// new key, 2 and 3 for its second and third sighting, 4 after that.
-#[inline]
-fn sight(table: &mut [u32], h: u64) -> u32 {
-    let mask = table.len() - 1;
-    let tag = (h >> 32) as u32 & !3;
-    let mut i = h as usize & mask;
-    loop {
-        let e = table[i];
-        if e == 0 {
-            table[i] = tag | 1;
-            return 1;
-        }
-        if e & !3 == tag {
-            let seen = e & 3;
-            if seen < 3 {
-                table[i] = e + 1;
-            }
-            return seen + 1;
-        }
-        i = (i + 1) & mask;
-    }
-}
-
 /// For each of `keys`, the [`Size`] of its index over `rel`, from one
 /// pass over one row of every block of [`SAMPLE_STRIDE`] rows (every
-/// row below [`SAMPLE_ALL_BELOW`]; see [`sampled_row`]) that allocates
-/// one table per key. Each sampled
-/// row's key is counted exactly, up to a collision of its mixed
-/// [`fingerprint`] in the table's slot and tag bits, and the sample's
-/// distinct keys and keys seen once and twice give the size (see
-/// [`Size::from_sample`]).
+/// row below [`SAMPLE_ALL_BELOW`]; see [`sampled_row`]). Each key
+/// counts its sampled rows by [`fingerprint`] in a map of its own, up
+/// to three sightings, and the sample's distinct keys and keys seen
+/// once and twice give the size (see [`Size::from_sample`]).
 fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<Size> {
     let rows = rel.tuples();
     let stride = if rows.len() < SAMPLE_ALL_BELOW {
@@ -466,40 +455,46 @@ fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<Size> {
         SAMPLE_STRIDE
     };
     let blocks = rows.len().div_ceil(stride);
-    // at most half full
-    let m = (2 * blocks).next_power_of_two().max(64);
-    let mut tables = vec![vec![0u32; m]; keys.len()];
+    let mut seen: Vec<FxHashMap<u64, u8>> = keys
+        .iter()
+        .map(|_| FxHashMap::with_capacity_and_hasher(blocks, Default::default()))
+        .collect();
     // per key: sampled indexed rows, distinct keys, keys seen once, twice
     let mut counts = vec![[0usize; 4]; keys.len()];
     let mut cells_read: Vec<AttrId> = keys.concat();
     cells_read.sort_unstable();
     cells_read.dedup();
     for b in 0..blocks {
-        if let Some(ahead) = rows.get(sampled_row(b + PREFETCH_AHEAD, stride)) {
-            cells_read.iter().for_each(|&a| prefetch(ahead.get(a)));
+        // a walk over every row streams, and the hardware keeps up with it
+        if stride > 1 {
+            if let Some(ahead) = rows.get(sampled_row(b + PREFETCH_AHEAD, stride)) {
+                cells_read.iter().for_each(|&a| prefetch(ahead.get(a)));
+            }
         }
         let Some(t) = rows.get(sampled_row(b, stride)) else {
             continue;
         };
-        let per_key = keys.iter().zip(&mut tables);
+        let per_key = keys.iter().zip(&mut seen);
         for ((key, table), [n, d, f1, f2]) in per_key.zip(&mut counts) {
             let cells = || key.iter().map(|&a| t.get(a));
             if cells().any(Value::is_null) {
                 continue;
             }
             *n += 1;
-            match sight(table, fmix64(fingerprint(cells()))) {
-                1 => {
+            let sightings = table.entry(fingerprint(cells())).or_insert(0);
+            match *sightings {
+                0 => {
                     *d += 1;
                     *f1 += 1;
                 }
-                2 => {
+                1 => {
                     *f1 -= 1;
                     *f2 += 1;
                 }
-                3 => *f2 -= 1,
-                _ => {}
+                2 => *f2 -= 1,
+                _ => continue,
             }
+            *sightings += 1;
         }
     }
     counts
@@ -514,11 +509,11 @@ fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<Size> {
 /// them, and the `Arc` it is published in. A build fills them in place,
 /// and allocates nothing itself unless the prediction fell short: then
 /// a buffer regrows (rehashing or copying every entry and freeing the
-/// old one), and the index is the same. A key whose sample never
-/// repeats gets room for as many rows and keys as the master has rows,
-/// which no master can outgrow. Giving every key that room, with no
-/// pass at all, cost peak RSS that the sample's rooms for repeating
-/// keys do not.
+/// old one), and the index is the same. A master read whole gets rooms
+/// exact to its keys. A key whose sample never repeats gets room for as
+/// many rows and keys as the master has rows, which no master can
+/// outgrow. Giving every key that room, with no pass at all, cost peak
+/// RSS that the sample's rooms for repeating keys do not.
 ///
 /// That is what lets [`MasterIndex::build_all`] hand builds to helper
 /// threads at no cost in memory. It allocates every cold key's room,
@@ -772,14 +767,15 @@ type IndexSlot = Arc<OnceLock<Arc<KeyIndex>>>;
 /// Rows × cold keys below which [`MasterIndex::build_all`] builds on
 /// the calling thread. Measured on a 2-core box over HOSP masters of
 /// 250–24 000 rows, one thread against the pool, median of 150 builds
-/// in each of two or three runs, with the sizing pass a sample: with 9
-/// keys two threads lose to one at 4 500 rows × keys (1.18–1.20× the
-/// time), break even from 5 400 to 8 100 (0.93–1.00×) and win from
-/// 9 000 on (0.63–0.79×). Sizing from every row, they had won from
-/// 5 400 (0.70–0.91×), so the break-even moved up to this cutoff. With
-/// 2 keys neither side wins steadily, before or after (0.64–2.5×, not
-/// monotone in the rows): the first touches of fresh pages outweigh
-/// splitting two builds.
+/// in each of two runs, with the sizing pass a sample: with 9 keys two
+/// threads lose to one up to 5 400 rows × keys (1.05–1.39× the time),
+/// split at 6 750 (0.92–1.13×) and win from 8 100 on (0.63–0.93×).
+/// Sizing from every row, they had won from 5 400 (0.70–0.91×), so the
+/// break-even moved up to this cutoff. With 2 keys the pool loses at
+/// 4 000 (1.25–1.30×), wins at 8 000 to 16 000 in most runs
+/// (0.71–0.83×, one run 1.18× at 24 000) and is not steady past that
+/// (0.78–1.24× at 48 000): the first touches of fresh pages can
+/// outweigh splitting two builds.
 pub const PARALLEL_BUILD_MIN: usize = 1 << 13;
 
 /// A batch of master-data mutations, applied atomically by
@@ -1623,12 +1619,15 @@ mod tests {
     /// `mCode`), 2 takes 20 values by a hash of the row (`ST`), 3 is
     /// constant (DBLP's `type`), 4 numbers runs of 25 rows (a DBLP
     /// conference: 2 000 of them at 50 000 rows), 5 is a function of 4
-    /// (its `year`), 6 takes 2 000 values by a hash of the row, and 7 is
-    /// a function of 6.
+    /// (its `year`), 6 takes 2 000 values by a hash of the row, 7 is a
+    /// function of 6, and 8 repeats every ⅝ `n` rows, so that most of
+    /// its values sit in two rows and the rest in one.
     fn shaped_master(n: usize) -> Arc<Relation> {
         let s = Schema::new(
             "Rm",
-            ["id", "mCode", "ST", "type", "conf", "year", "h", "g"],
+            [
+                "id", "mCode", "ST", "type", "conf", "year", "h", "g", "pair",
+            ],
         )
         .unwrap();
         let scatter = |i: u64, salt: u64| {
@@ -1647,6 +1646,7 @@ mod tests {
                     i / 250 % 25,
                     h,
                     h % 3,
+                    i % (n as u64 * 5 / 8),
                 ];
                 Tuple::new(cells.iter().map(|&c| Value::int(c as i64)).collect())
             })
@@ -1656,8 +1656,9 @@ mod tests {
 
     /// The keys of [`shaped_master`], each with whether its values are
     /// unique: unique 1- and 2-attribute keys, the 40-value periodic
-    /// column, an 800-value pair, and 3-attribute keys of a conference's
-    /// runs and of 2 000 hashed values.
+    /// column, an 800-value pair, 3-attribute keys of a conference's
+    /// runs and of 2 000 hashed values, and a pair whose values mostly
+    /// sit in two rows.
     fn shaped_keys() -> Vec<(Vec<AttrId>, bool)> {
         let key = |k: &[u16]| k.iter().copied().map(AttrId).collect();
         vec![
@@ -1667,6 +1668,7 @@ mod tests {
             (key(&[1, 2]), false),
             (key(&[3, 4, 5]), false),
             (key(&[3, 6, 7]), false),
+            (key(&[8, 3]), false),
         ]
     }
 
@@ -1695,9 +1697,14 @@ mod tests {
     /// a build fits the room `measure` sizes from its sample: a unique
     /// key's room holds as many keys as rows, a repeating key's holds
     /// its distinct keys and at most twice as many. The row room is the
-    /// row count, which is exact on these null-free masters. On a
-    /// master small enough to be read whole, the rows are counted (here
-    /// with nulls among them) and no room regrows either.
+    /// row count, which is exact on these null-free masters.
+    ///
+    /// On the wide master, whose every 17th row holds a null, a build
+    /// fits its room too: at the pool's cutoff, which is sampled and
+    /// whose 4-attribute key holds most of its values in two rows, the
+    /// room holds every key and at most twice as many plus the margin's
+    /// 16; below `SAMPLE_ALL_BELOW`, where every row is read, the rows
+    /// and the keys are counted exactly.
     #[test]
     fn a_build_fits_its_room() {
         for n in [10_000, 50_000] {
@@ -1719,14 +1726,26 @@ mod tests {
                 assert_fits(&rel, key, size);
             }
         }
-        let rel = wide_master(SAMPLE_ALL_BELOW - 1);
         let keys = wide_keys();
         let keys: Vec<&[AttrId]> = keys.iter().map(Vec::as_slice).collect();
-        for (&key, size) in keys.iter().zip(measure(&rel, &keys)) {
-            let built = KeyIndex::build(&rel, key);
-            assert_eq!(size.rows, built.rows.len(), "{key:?}");
-            assert!(size.rows < rel.len(), "{key:?} holds a null");
-            assert_fits(&rel, key, size);
+        const { assert!(PARALLEL_BUILD_MIN >= SAMPLE_ALL_BELOW) };
+        for n in [PARALLEL_BUILD_MIN, SAMPLE_ALL_BELOW - 1] {
+            let rel = wide_master(n);
+            for (&key, size) in keys.iter().zip(measure(&rel, &keys)) {
+                let built = KeyIndex::build(&rel, key);
+                let distinct = built.distinct_keys();
+                if n < SAMPLE_ALL_BELOW {
+                    assert_eq!(size.rows, built.rows.len(), "{key:?}");
+                    assert!(size.rows < n, "{key:?} holds a null");
+                    assert_eq!(size.groups, distinct, "{key:?}");
+                } else {
+                    assert!(
+                        (distinct..=2 * distinct + 16).contains(&size.groups),
+                        "{key:?}: {size:?} for {distinct}"
+                    );
+                }
+                assert_fits(&rel, key, size);
+            }
         }
     }
 
@@ -1768,14 +1787,16 @@ mod tests {
     /// the rooms come out far too small and regrow; (b) the sampled rows
     /// are distinct and every other row repeats one value, so the rooms
     /// are bounded by the row count, eight times the distinct keys; (c)
-    /// a column repeats with a period coprime to the stride.
+    /// a column repeats with a period coprime to the stride; (d) each
+    /// value sits in two rows of one block, so the sample never repeats
+    /// and the span slots regrow.
     #[test]
     fn sample_defeating_masters_still_index_exactly() {
         let n = 10_000;
         let blocks = 0..n / SAMPLE_STRIDE;
         let sampled: FxHashSet<usize> = blocks.map(|b| sampled_row(b, SAMPLE_STRIDE)).collect();
         assert_eq!(sampled.len(), n / SAMPLE_STRIDE);
-        let shapes: [(&str, &dyn Fn(usize) -> i64); 3] = [
+        let shapes: [(&str, &dyn Fn(usize) -> i64); 4] = [
             ("shared sample", &|i| {
                 if sampled.contains(&i) {
                     -1
@@ -1793,6 +1814,7 @@ mod tests {
             ("coprime period", &|i| {
                 (i % (125 * SAMPLE_STRIDE + 1)) as i64
             }),
+            ("pairs inside blocks", &|i| (i / 2) as i64),
         ];
         let keys = vec![
             vec![AttrId(0)],
@@ -1807,10 +1829,11 @@ mod tests {
                 .collect();
             let rel = Arc::new(Relation::new(s, rows).unwrap());
             let sizes = measure(&rel, &[&keys[0]]);
-            let distinct = KeyIndex::build(&rel, &keys[0]).distinct_keys();
+            let one = KeyIndex::build(&rel, &keys[0]);
             match shape {
-                "shared sample" => assert!(sizes[0].groups < distinct / 100, "{shape}"),
+                "shared sample" => assert!(sizes[0].groups < one.distinct_keys() / 100, "{shape}"),
                 "distinct sample" => assert_eq!(sizes[0].groups, n, "{shape}"),
+                "pairs inside blocks" => assert!(sizes[0].slots < one.span_slots(), "{shape}"),
                 _ => {}
             }
             let m = MasterIndex::new(Arc::clone(&rel));
