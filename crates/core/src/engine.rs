@@ -124,10 +124,12 @@ pub struct MasterEpoch {
 }
 
 impl MasterEpoch {
-    /// Compile an epoch over `master`, building its cold indexes.
+    /// Compile an epoch over `master`, building its cold indexes: the
+    /// rules' keys and the sub-keys a first round over `initial` probes
+    /// ([`RulePlan::compile_for_region`]).
     fn build(rules: &RuleSet, master: &MasterIndex, initial: Vec<AttrId>) -> MasterEpoch {
         MasterEpoch {
-            plan: RulePlan::compile(rules, master),
+            plan: RulePlan::compile_for_region(rules, master, &initial),
             initial,
         }
     }

@@ -513,6 +513,30 @@ mod tests {
         assert!(report.shared.is_none());
     }
 
+    /// A context's compile builds every index its first batch probes:
+    /// the rules' keys and the sub-keys `λ(X ∩ Z0)` of its initial
+    /// region (DBLP's `[#10]`), so on HOSP and on DBLP the first batch
+    /// builds none.
+    #[test]
+    fn the_first_batch_builds_no_index() {
+        let workloads: [Box<dyn GenWorkload>; 2] =
+            [Box::new(Hosp::generate(400)), Box::new(Dblp::generate(400))];
+        for w in &workloads {
+            let ds = dirty_stream(w.as_ref(), 200, 0.0);
+            let dirty = dirty_of(&ds);
+            let ctx = RepairContext::new(w.rules().clone(), w.master().clone(), false);
+            let builds = ctx.epoch().master().index_builds();
+            let opts = RepairOptions {
+                threads: 1,
+                ..RepairOptions::default()
+            };
+            let mut session = RepairSession::from_engine(BatchRepairEngine::new(ctx), opts);
+            session.push_batch(&dirty, |i| SimulatedUser::new(ds.inputs[i].clean.clone()));
+            let master = session.context().epoch().master().clone();
+            assert_eq!(master.index_builds(), builds, "{}", w.name());
+        }
+    }
+
     /// The D10 contract at the session level: a session whose master
     /// grows through `MasterDelta`s between batches is bit-identical —
     /// outcomes and logical plan probes — to fresh engines built from

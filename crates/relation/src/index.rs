@@ -22,11 +22,19 @@
 //! copies.
 //!
 //! A single-attribute key is hashed by its injective
-//! [`Value::grouping_rank`]. A wider key is stored once, in one flat
-//! `Value` buffer of distinct keys × width (numbered in order of first
-//! appearance), and found through a map from its 64-bit fingerprint to
-//! a chain of the keys sharing it: no key is boxed on its own, and a
-//! build hashes each row's key once.
+//! [`Value::grouping_rank`], kept as two `u64` words so that a map entry
+//! takes 24 bytes, not a `u128`'s padded 32. A wider key is stored once,
+//! in one flat `Value` buffer of distinct keys × width (numbered in
+//! order of first appearance), and found through a map from its 64-bit
+//! fingerprint to a chain of the keys sharing it: no key is boxed on
+//! its own, and a build hashes each row's key once.
+//!
+//! A key that never repeats is built in one pass: the first pass writes
+//! each new key's entry as the one-row span it will keep, and the
+//! indexed row ids in row order, which are then its `rows`, and
+//! nothing else. Only a key with a repeat counts its groups' rows (from
+//! its first repeat on) and goes on to the prefix sum, the scatter and
+//! the rewrite of every entry. Both paths give the same index.
 //!
 //! Every span of two or more rows also gets a dense **span slot**
 //! `0..span_slots()`, numbered in order of its key's first row
@@ -55,8 +63,9 @@
 //! of both paying for (and one discarding) a full build. They are also
 //! eager where the keys are known: [`MasterIndex::build_all`] builds
 //! every cold index of a list of keys at once, on all cores when the
-//! master is large, and a rule plan's compile calls it for the rules'
-//! keys, so a context is ready before its first probe. Its calling
+//! master is large (the keys with the most distinct values claimed
+//! first), and a rule plan's compile calls it for the rules' keys, so a
+//! context is ready before its first probe. Its calling
 //! thread allocates everything the builds write, so the helpers
 //! allocate and free nothing unless a sample sized a room too small
 //! (see `Room` for why that matters).
@@ -156,8 +165,8 @@ impl Span {
 enum SpanMap {
     /// Single-attribute keys hash their injective
     /// [`Value::grouping_rank`] directly — no boxed key and no slice
-    /// hashing on the probe path.
-    Rank(FxHashMap<u128, (u32, u32)>),
+    /// hashing on the probe path — as its two words ([`rank_words`]).
+    Rank(FxHashMap<(u64, u64), (u32, u32)>),
     /// Wider keys live in one flat buffer ([`WideKeys`]).
     Wide(WideKeys),
 }
@@ -184,15 +193,10 @@ struct WideKeys {
 impl WideKeys {
     /// The first pass of a build on a wider key, as [`group_by_rank`]: a
     /// new key's cells go to `keys` and head the chain of its
-    /// fingerprint; the entries are left for
-    /// [`set_entries`](Self::set_entries).
-    fn group(
-        &mut self,
-        rel: &Relation,
-        key: &[AttrId],
-        group: &mut Vec<u32>,
-        counts: &mut Vec<u32>,
-    ) {
+    /// fingerprint, with the provisional entry `(g, 1)` that
+    /// [`set_entries`](Self::set_entries) overwrites unless every
+    /// group holds one row.
+    fn group(&mut self, rel: &Relation, key: &[AttrId], pass: &mut FirstPass) {
         let WideKeys {
             width,
             keys,
@@ -200,27 +204,26 @@ impl WideKeys {
             links,
         } = self;
         let width = *width;
-        for t in rel.iter() {
+        for (i, t) in rel.iter().enumerate() {
             let cells = || key.iter().map(|&a| t.get(a));
-            group.push(if cells().any(Value::is_null) {
-                UNINDEXED
-            } else {
-                let head = &mut heads
-                    .entry(fingerprint(cells()))
-                    .or_insert((NO_GROUP, (0, 0)))
-                    .0;
-                let mut g = *head;
-                while g != NO_GROUP && !keys[g as usize * width..][..width].iter().eq(cells()) {
-                    g = links[g as usize].0;
-                }
-                if g == NO_GROUP {
-                    g = links.len() as u32;
-                    links.push((*head, (0, 0)));
-                    *head = g;
-                    keys.extend(cells());
-                }
-                tally(counts, g)
-            });
+            if cells().any(Value::is_null) {
+                pass.skip();
+                continue;
+            }
+            let head = heads
+                .entry(fingerprint(cells()))
+                .or_insert((NO_GROUP, (0, 0)));
+            let mut g = head.0;
+            while g != NO_GROUP && !keys[g as usize * width..][..width].iter().eq(cells()) {
+                g = links[g as usize].0;
+            }
+            if g == NO_GROUP {
+                g = links.len() as u32;
+                links.push((head.0, (g, 1)));
+                *head = (g, (g, 1));
+                keys.extend(cells());
+            }
+            pass.place(i, g);
         }
     }
 
@@ -252,6 +255,17 @@ impl WideKeys {
 /// The end of a [`WideKeys`] collision chain.
 const NO_GROUP: u32 = u32::MAX;
 
+/// A [`Value::grouping_rank`] as its low and high words: the words the
+/// Fx hash of the `u128` reads, in that order, so the hash is the same.
+/// A `u128` aligns to 16 bytes and pads a `(rank, (u32, u32))` map
+/// entry to 32; two words make it 24, and a unique 50 000-row key's
+/// map 1.6 MB instead of 2.16.
+#[inline]
+fn rank_words(v: &Value) -> (u64, u64) {
+    let rank = v.grouping_rank();
+    (rank as u64, (rank >> 64) as u64)
+}
+
 #[cfg(test)]
 thread_local! {
     /// Makes every [`fingerprint`] on this thread 0, so every wide key
@@ -281,35 +295,81 @@ fn fingerprint<'a>(cells: impl Iterator<Item = &'a Value>) -> u64 {
 /// Group id of a row whose key holds a null, during [`KeyIndex::build`].
 const UNINDEXED: u32 = u32::MAX;
 
-/// Count one more row of group `g` (a new group is the next id).
-#[inline]
-fn tally(counts: &mut Vec<u32>, g: u32) -> u32 {
-    match counts.get_mut(g as usize) {
-        Some(c) => *c += 1,
-        None => counts.push(1),
-    }
-    g
+/// What the first pass of a build writes besides the map: the indexed
+/// row ids in row order, which are the index's `rows` when no key
+/// repeats, and, from the first repeat on, each row's group id and each
+/// group's row count for the scatter. Until a key repeats, group `g` is
+/// the `g`-th indexed row and holds one row, so neither is written: a
+/// key that never repeats writes its map and its rows and nothing else.
+struct FirstPass<'b> {
+    group: &'b mut Vec<u32>,
+    counts: &'b mut Vec<u32>,
+    rows: &'b mut Vec<u32>,
+    /// Some key repeated: `group` and `counts` are being written.
+    repeats: bool,
 }
 
-/// The first pass of a build on a single-attribute key: each row's
-/// group id into `group` (groups numbered in order of first
-/// appearance), each group's row count into `counts`, and each distinct
-/// rank into `m`, mapped to `(group id, 0)`.
+impl FirstPass<'_> {
+    /// Row `i` of group `g` (a new group is the next id).
+    #[inline]
+    fn place(&mut self, i: usize, g: u32) {
+        self.rows.push(i as u32);
+        if !self.repeats {
+            if g as usize + 1 == self.rows.len() {
+                return;
+            }
+            self.start_counting(i);
+        }
+        self.group.push(g);
+        match self.counts.get_mut(g as usize) {
+            Some(c) => *c += 1,
+            None => self.counts.push(1),
+        }
+    }
+
+    /// The first repeat, at row `i`: write the group id of every row
+    /// before it and the count of every group so far, one row each.
+    #[cold]
+    fn start_counting(&mut self, i: usize) {
+        self.repeats = true;
+        let before = &self.rows[..self.rows.len() - 1];
+        let mut indexed = before.iter().enumerate().peekable();
+        self.group.extend(
+            (0..i as u32).map(|row| match indexed.next_if(|&(_, &r)| r == row) {
+                Some((g, _)) => g as u32,
+                None => UNINDEXED,
+            }),
+        );
+        self.counts.resize(before.len(), 1);
+    }
+
+    /// The next row, whose key holds a null.
+    #[inline]
+    fn skip(&mut self) {
+        if self.repeats {
+            self.group.push(UNINDEXED);
+        }
+    }
+}
+
+/// The first pass of a build on a single-attribute key: each distinct
+/// rank into `m`, mapped to its group id (groups numbered in order of
+/// first appearance) and the provisional entry `(g, 1)`, which is final
+/// when every group holds one row (see [`Room::build`]).
 fn group_by_rank(
-    m: &mut FxHashMap<u128, (u32, u32)>,
+    m: &mut FxHashMap<(u64, u64), (u32, u32)>,
     rel: &Relation,
     a: AttrId,
-    group: &mut Vec<u32>,
-    counts: &mut Vec<u32>,
+    pass: &mut FirstPass,
 ) {
-    for t in rel.iter() {
+    for (i, t) in rel.iter().enumerate() {
         let v = t.get(a);
-        group.push(if v.is_null() {
-            UNINDEXED
+        if v.is_null() {
+            pass.skip();
         } else {
-            let fresh = (m.len() as u32, 0);
-            tally(counts, m.entry(v.grouping_rank()).or_insert(fresh).0)
-        });
+            let fresh = (m.len() as u32, 1);
+            pass.place(i, m.entry(rank_words(v)).or_insert(fresh).0);
+        }
     }
 }
 
@@ -515,6 +575,12 @@ fn measure(rel: &Relation, keys: &[&[AttrId]]) -> Vec<Size> {
 /// outgrow. Giving every key that room, with no pass at all, cost peak
 /// RSS that the sample's rooms for repeating keys do not.
 ///
+/// A build's first pass writes the row ids and each new key's entry
+/// `(g, 1)` (24 bytes a key on a single attribute). When no key
+/// repeated, that is the whole index, and the build writes nothing more
+/// (not even its [`Scratch`]); otherwise its second pass overwrites both
+/// (see [`KeyIndex::build`]).
+///
 /// That is what lets [`MasterIndex::build_all`] hand builds to helper
 /// threads at no cost in memory. It allocates every cold key's room,
 /// and every builder's [`Scratch`], on its calling thread, before any
@@ -536,7 +602,8 @@ struct Room {
 
 /// A build's per-row and per-group working buffers, with room for every
 /// row to hold a key of its own; cleared and reused from one build to
-/// the next.
+/// the next. A key that never repeats leaves them untouched (see
+/// `FirstPass`).
 struct Scratch {
     /// Per row, its group id.
     group: Vec<u32>,
@@ -614,37 +681,48 @@ impl Room {
         counts.clear();
         entries.clear();
         let key = &index.key;
+        let mut pass = FirstPass {
+            group,
+            counts,
+            rows: &mut rows,
+            repeats: false,
+        };
         match &mut spans {
-            SpanMap::Rank(m) => group_by_rank(m, rel, key[0], group, counts),
-            SpanMap::Wide(w) => w.group(rel, key, group, counts),
+            SpanMap::Rank(m) => group_by_rank(m, rel, key[0], &mut pass),
+            SpanMap::Wide(w) => w.group(rel, key, &mut pass),
         }
-        // per group, its packed entry: a prefix sum gives its start, and
-        // a prefix count over the multi-row groups its span slot
-        let mut total = 0u32;
-        entries.extend(counts.iter_mut().map(|count| {
-            let (start, len) = (total, *count);
-            total += len;
-            *count = start;
-            if len < 2 {
-                (start, len)
-            } else {
-                debug_assert!(len < MULTI && slot_len.len() < MULTI as usize);
-                slot_len.push(len);
-                (start, MULTI | (slot_len.len() - 1) as u32)
+        // with no repeat every group holds one row, so `rows` is already
+        // grouped and every provisional entry final
+        if pass.repeats {
+            // per group, its packed entry: a prefix sum gives its start,
+            // and a prefix count over the multi-row groups its span slot
+            let mut total = 0u32;
+            entries.extend(counts.iter_mut().map(|count| {
+                let (start, len) = (total, *count);
+                total += len;
+                *count = start;
+                if len < 2 {
+                    (start, len)
+                } else {
+                    debug_assert!(len < MULTI && slot_len.len() < MULTI as usize);
+                    slot_len.push(len);
+                    (start, MULTI | (slot_len.len() - 1) as u32)
+                }
+            }));
+            debug_assert_eq!(total as usize, rows.len());
+            // scatter over the row ids: `counts[g]` now walks group g's
+            // positions
+            for (i, &g) in group.iter().enumerate() {
+                if g != UNINDEXED {
+                    let at = &mut counts[g as usize];
+                    rows[*at as usize] = i as u32;
+                    *at += 1;
+                }
             }
-        }));
-        // scatter: `counts[g]` now walks group g's positions
-        rows.resize(total as usize, 0);
-        for (i, &g) in group.iter().enumerate() {
-            if g != UNINDEXED {
-                let at = &mut counts[g as usize];
-                rows[*at as usize] = i as u32;
-                *at += 1;
+            match &mut spans {
+                SpanMap::Rank(m) => m.values_mut().for_each(|e| *e = entries[e.0 as usize]),
+                SpanMap::Wide(w) => w.set_entries(entries),
             }
-        }
-        match &mut spans {
-            SpanMap::Rank(m) => m.values_mut().for_each(|e| *e = entries[e.0 as usize]),
-            SpanMap::Wide(w) => w.set_entries(entries),
         }
         let built = Arc::get_mut(&mut index).expect("a room's index is its own");
         built.rows = rows;
@@ -661,9 +739,12 @@ impl KeyIndex {
     /// its start, and a second pass places the row ids — in row order,
     /// so every hit list comes out ascending. The multi-row groups take
     /// span slots in group order, so the whole index is a function of
-    /// the rows and the key alone. (A pass over a sample of the rows
-    /// before them sizes every buffer; a buffer the sample sized too
-    /// small regrows, and the index is the same.)
+    /// the rows and the key alone. A key that never repeats needs no
+    /// second pass: group `g` is the `g`-th indexed row, the one-row
+    /// span at position `g` that the first pass already gave it. (A
+    /// pass over a sample of the rows before them sizes every buffer; a
+    /// buffer the sample sized too small regrows, and the index is the
+    /// same.)
     pub fn build(rel: &Relation, key: &[AttrId]) -> KeyIndex {
         Arc::into_inner(Room::build_one(rel, key)).expect("a fresh index is not shared")
     }
@@ -713,7 +794,7 @@ impl KeyIndex {
         debug_assert_eq!(probe.len(), self.key.len());
         // keys holding a null are never stored, so a null probe misses
         let hit = match &self.spans {
-            SpanMap::Rank(m) => m.get(&probe[0].grouping_rank()).copied(),
+            SpanMap::Rank(m) => m.get(&rank_words(&probe[0])).copied(),
             SpanMap::Wide(w) => w.find(probe),
         };
         hit.map_or(Span::EMPTY, |e| self.unpack(e))
@@ -775,7 +856,10 @@ type IndexSlot = Arc<OnceLock<Arc<KeyIndex>>>;
 /// 4 000 (1.25–1.30×), wins at 8 000 to 16 000 in most runs
 /// (0.71–0.83×, one run 1.18× at 24 000) and is not steady past that
 /// (0.78–1.24× at 48 000): the first touches of fresh pages can
-/// outweigh splitting two builds.
+/// outweigh splitting two builds. In the benchmark, with this cutoff
+/// made unreachable so that every key built on one thread,
+/// `hosp_net_entry`'s `setup_s` read 3.65–5.94 ms against the pool's
+/// 2.60–3.61 ms over 6 pairs of runs on the same 2-core box.
 pub const PARALLEL_BUILD_MIN: usize = 1 << 13;
 
 /// A batch of master-data mutations, applied atomically by
@@ -946,27 +1030,45 @@ impl MasterIndex {
     /// When the cold keys cover at least [`PARALLEL_BUILD_MIN`] rows ×
     /// keys, they are built on a scoped pool of
     /// [`available_parallelism`](thread::available_parallelism) threads,
-    /// the calling thread among them, which claim keys widest first
-    /// through one shared cursor; below that, on the calling thread
-    /// alone. A warm master builds and allocates nothing. Either way the
-    /// calling thread first measures every cold key in one pass over a
-    /// sample of the rows and allocates each index's buffers, and an index is
-    /// [`KeyIndex::build`] over this snapshot's rows, so its contents do
-    /// not depend on the thread that built it.
+    /// the calling thread among them, which claim keys through one
+    /// shared cursor, largest first: most distinct keys as the sample
+    /// measured them, then widest, so that the last keys claimed are the
+    /// quick ones: claimed widest first, a unique single-attribute key of
+    /// 50 000 groups could come last and leave the other thread idle
+    /// while one thread built it. Below the cutoff the keys build on the
+    /// calling thread alone. A warm master builds and allocates
+    /// nothing. Either way the calling thread first measures every cold
+    /// key in one pass over a sample of the rows and allocates each
+    /// index's buffers, and an index is [`KeyIndex::build`] over this
+    /// snapshot's rows, so neither the claim order nor the thread that
+    /// built an index changes its contents.
     pub fn build_all<K: AsRef<[AttrId]>>(&self, keys: &[K]) {
         let mut keys: Vec<&[AttrId]> = keys.iter().map(AsRef::as_ref).collect();
-        keys.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        keys.sort_unstable();
         keys.dedup();
         keys.retain(|key| self.slot(key).get().is_none());
         if keys.is_empty() {
             // a warm master: nothing to measure, allocate or build
             return;
         }
+        let mut cold: Vec<(&[AttrId], Size)> = keys
+            .iter()
+            .copied()
+            .zip(measure(&self.rel, &keys))
+            .collect();
+        cold.sort_unstable_by(|(a, sa), (b, sb)| {
+            (sb.groups, b.len(), a).cmp(&(sa.groups, a.len(), b))
+        });
+        self.build_cold(&cold);
+    }
+
+    /// Build the distinct cold `keys` of the [`Size`]s [`measure`] gave
+    /// them, claimed in this order (see [`build_all`](Self::build_all)).
+    fn build_cold(&self, keys: &[(&[AttrId], Size)]) {
         // every cold key's room comes from this thread (see `Room`)
         let cold: Vec<_> = keys
             .iter()
-            .zip(measure(&self.rel, &keys))
-            .map(|(&key, size)| (key, self.slot(key), Mutex::new(Some(Room::new(key, size)))))
+            .map(|&(key, size)| (key, self.slot(key), Mutex::new(Some(Room::new(key, size)))))
             .collect();
         // asking for the core count reads the cgroup limits: not for
         // work too small to share
@@ -997,7 +1099,14 @@ impl MasterIndex {
             let helpers: Vec<_> = (1..threads)
                 .map(|_| {
                     let scratch = Scratch::new(self.rel.len());
-                    s.spawn(move || work(scratch))
+                    #[cfg(test)]
+                    let collide = COLLIDE.with(std::cell::Cell::get);
+                    s.spawn(move || {
+                        // a helper fingerprints as its caller does
+                        #[cfg(test)]
+                        COLLIDE.with(|c| c.set(collide));
+                        work(scratch)
+                    })
                 })
                 .collect();
             let mine = work(Scratch::new(self.rel.len()));
@@ -1843,6 +1952,82 @@ mod tests {
                 assert_naive_grouping(&built, &rel);
                 assert_same_index(&m.index_for(key), &built, &rel);
             }
+        }
+    }
+
+    /// Keys that never repeat build in one pass, and a key with one
+    /// repeat takes the counting scatter; either way each index is the
+    /// naive grouping, and `KeyIndex::build`, a `build_all` (pooled past
+    /// the cutoff) and a build claiming the keys in the opposite order
+    /// agree. The shapes: a column unique but for its last row, which
+    /// repeats row 0; one whose first repeat, of row 1, follows rows
+    /// holding nulls; a unique column with a null in every 5th row; an
+    /// all-null column; an empty and a one-row master; and unique wide
+    /// keys that all share one fingerprint (`COLLIDE`).
+    #[test]
+    fn unique_keys_build_in_one_pass() {
+        let n = PARALLEL_BUILD_MIN / 2;
+        type Column<'c> = &'c dyn Fn(usize) -> Value;
+        let shapes: [(&str, usize, Column); 7] = [
+            ("unique but the last row", n, &|i| {
+                Value::int(if i + 1 == n { 0 } else { i as i64 })
+            }),
+            ("nulls, then a repeat", n, &|i| match i % 5 {
+                4 => Value::Null,
+                // row 1 again, on both keys: 2 050 ≡ 1 (mod 3)
+                _ if i == n / 2 + 2 => Value::int(1),
+                _ => Value::int(i as i64),
+            }),
+            ("unique with nulls", n, &|i| {
+                if i % 5 == 4 {
+                    Value::Null
+                } else {
+                    Value::int(i as i64)
+                }
+            }),
+            ("all null", n, &|_| Value::Null),
+            ("empty", 0, &|i| Value::int(i as i64)),
+            ("one row", 1, &|i| Value::int(i as i64)),
+            ("colliding", n / 2, &|i| Value::int(i as i64)),
+        ];
+        let keys = [
+            vec![AttrId(0)],
+            vec![AttrId(0), AttrId(1)],
+            vec![AttrId(1), AttrId(0)],
+            vec![AttrId(2), AttrId(0)],
+        ];
+        for (shape, len, value) in shapes {
+            let s = Schema::new("Rm", ["v", "w", "x"]).unwrap();
+            let rows = (0..len)
+                .map(|i| Tuple::new(vec![value(i), Value::int(i as i64 % 3), Value::str("x")]))
+                .collect();
+            let rel = Arc::new(Relation::new(s, rows).unwrap());
+            // a one-attribute key has no fingerprint to collide on
+            let keys = if shape == "colliding" {
+                &keys[1..]
+            } else {
+                &keys[..2]
+            };
+            COLLIDE.with(|c| c.set(shape == "colliding"));
+            if len == n {
+                assert!(len * keys.len() >= PARALLEL_BUILD_MIN, "{shape}");
+            }
+            let pooled = MasterIndex::new(Arc::clone(&rel));
+            pooled.build_all(keys);
+            let reversed = MasterIndex::new(Arc::clone(&rel));
+            let slices: Vec<&[AttrId]> = keys.iter().map(Vec::as_slice).collect();
+            let mut claims: Vec<_> = slices.iter().copied().zip(measure(&rel, &slices)).collect();
+            claims.sort_unstable_by_key(|&(key, size)| (size.groups, key.len(), key));
+            reversed.build_cold(&claims);
+            for key in keys {
+                let built = KeyIndex::build(&rel, key);
+                assert_naive_grouping(&built, &rel);
+                assert_same_index(&pooled.index_for(key), &built, &rel);
+                assert_same_index(&reversed.index_for(key), &built, &rel);
+                let repeats = usize::from(shape.contains("repeat") || shape.contains("last"));
+                assert_eq!(built.span_slots(), repeats, "{shape} {key:?}");
+            }
+            COLLIDE.with(|c| c.set(false));
         }
     }
 

@@ -129,8 +129,12 @@
 //! nothing is torn). Each [`MasterIndex`] snapshot has its own index
 //! cache, and a delta leaves the next one's empty, so the compile is
 //! the one place an epoch's full-key indexes are built: on every
-//! generation alike, on all cores when the master is large. Cold
-//! sub-key slots refill lazily exactly as they did on first compile.
+//! generation alike, on all cores when the master is large. A compile
+//! for a region ([`RulePlan::compile_for_region`], which every engine
+//! epoch runs) builds the sub-key indexes `λϕ(X ∩ Z0)` a first round
+//! probes in the same pass; the plan's sub-key slots refill lazily from
+//! the master's cache, and any other sub-key builds on its first probe,
+//! exactly as on first compile.
 //! Every compile starts empty summary tables, so the summaries live and
 //! die with the plan and refill against the new generation's rows. The
 //! session layer counts swaps as `plan_rebuilds`.
@@ -393,14 +397,31 @@ impl CompiledRule {
     /// Bitmask (over lhs positions, ascending) of key attributes in
     /// `validated`.
     pub fn validated_mask(&self, validated: AttrSet) -> u64 {
-        let mut mask = 0u64;
-        for (i, &a) in self.lhs.iter().enumerate() {
-            if validated.contains(a) {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        key_mask(&self.lhs, validated)
     }
+}
+
+/// Bitmask (over `lhs` positions, ascending) of the attributes in
+/// `validated`.
+fn key_mask(lhs: &[AttrId], validated: AttrSet) -> u64 {
+    let mut mask = 0u64;
+    for (i, &a) in lhs.iter().enumerate() {
+        if validated.contains(a) {
+            mask |= 1 << i;
+        }
+    }
+    mask
+}
+
+/// The master attributes `λϕ(X ∩ Z)` at the `lhs_m` positions `mask`
+/// (a [`key_mask`]) names, in key order: the key of a sub-key index.
+fn sub_key(lhs_m: &[AttrId], mask: u64) -> Vec<AttrId> {
+    lhs_m
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| mask & (1 << j) != 0)
+        .map(|(_, &a)| a)
+        .collect()
 }
 
 /// Hit list returned by [`RulePlan::validated_candidates`]: borrowed
@@ -591,7 +612,27 @@ impl RulePlan {
     /// warm master (every `Xm` already built, as by an earlier compile
     /// over the same snapshot) it builds nothing.
     pub fn compile(rules: &RuleSet, master: &MasterIndex) -> RulePlan {
-        let keys: Vec<&[AttrId]> = rules.iter().map(|(_, rule)| rule.lhs_m()).collect();
+        Self::compile_for_region(rules, master, &[])
+    }
+
+    /// [`compile`](Self::compile) for repairs whose first round
+    /// validates the region `z0`: its one [`MasterIndex::build_all`]
+    /// also builds, for every rule whose key `X` the region covers in
+    /// part, the sub-key index `λϕ(X ∩ Z0)` that the first round's
+    /// [`validated_candidates`](Self::validated_candidates) probes, so
+    /// that no batch builds it on a worker. A sub-key that is some
+    /// rule's `Xm` builds once, as that.
+    pub fn compile_for_region(rules: &RuleSet, master: &MasterIndex, z0: &[AttrId]) -> RulePlan {
+        let z0 = AttrSet::collect_from(z0.iter().copied());
+        let sub_keys = rules.iter().filter_map(|(_, rule)| {
+            let mask = key_mask(rule.lhs(), z0);
+            let partial = mask != 0 && (mask.count_ones() as usize) < rule.lhs().len();
+            partial.then(|| sub_key(rule.lhs_m(), mask))
+        });
+        let keys: Vec<Vec<AttrId>> = (rules.iter())
+            .map(|(_, rule)| rule.lhs_m().to_vec())
+            .chain(sub_keys)
+            .collect();
         master.build_all(&keys);
         let compiled: Box<[CompiledRule]> = rules
             .iter()
@@ -966,16 +1007,9 @@ impl RulePlan {
                 &rule.lhs,
             )));
         }
-        let sub_key = |mask: u64| -> Vec<AttrId> {
-            rule.lhs_m
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| mask & (1 << j) != 0)
-                .map(|(_, &a)| a)
-                .collect()
-        };
         if (mask as usize) < rule.sub.len() {
-            let idx = rule.sub[mask as usize].get_or_init(|| self.master.index_for(&sub_key(mask)));
+            let idx = rule.sub[mask as usize]
+                .get_or_init(|| self.master.index_for(&sub_key(&rule.lhs_m, mask)));
             Some(PlanHits::Borrowed(
                 scratch.lookup_masked(idx, t, &rule.lhs, mask),
             ))
@@ -983,7 +1017,7 @@ impl RulePlan {
             // extra-wide key list: no preallocated slot — go through
             // the shared master cache and copy the (short) hit list
             scratch.fallbacks += 1;
-            let idx = self.master.index_for(&sub_key(mask));
+            let idx = self.master.index_for(&sub_key(&rule.lhs_m, mask));
             Some(PlanHits::Owned(
                 scratch.lookup_masked(&idx, t, &rule.lhs, mask).to_vec(),
             ))
